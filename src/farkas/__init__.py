@@ -2,7 +2,7 @@
 identities for quartic Dirichlet characters modulo primes."""
 
 from .characters import DirichletCharacter, canonical_quartic, quartic_pair
-from .foundations import GaussianRational, Rational
+from .foundations import GaussianRational
 from .identities import (
     ConfiguredIdentity,
     IdentityConstants,
@@ -12,7 +12,7 @@ from .identities import (
     verify_id1,
     verify_id2,
 )
-from .qseries import QSeries, bernoulli_B2_psi, convolution_F, convolution_H
+from .qseries import QSeries, bernoulli_B2_psi
 
 __all__ = [
     "ConfiguredIdentity",
@@ -20,13 +20,10 @@ __all__ = [
     "GaussianRational",
     "IdentityConstants",
     "QSeries",
-    "Rational",
     "VerificationReport",
     "bernoulli_B2_psi",
     "canonical_quartic",
     "constants_for",
-    "convolution_F",
-    "convolution_H",
     "quartic_pair",
     "verify_farkas",
     "verify_id1",

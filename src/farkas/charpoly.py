@@ -340,7 +340,7 @@ def zero_sum_check(chi: DirichletCharacter) -> Union[GaussianRational, IntPolyno
     from .qseries import delta_coefficient
 
     p = chi.p
-    if (p - 1) % max(chi.order, 1) == 0 and 4 % chi.order == 0:
+    if 4 % chi.order == 0:
         total = GaussianRational()
         chibar = chi.conj()
         for j in range(1, p):

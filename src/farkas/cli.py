@@ -31,6 +31,7 @@ from .identities import (
     verify_id1,
     verify_id2,
 )
+from .qseries import MAX_FAST_N
 
 EXIT_PASS = 0
 EXIT_FAILURE = 1
@@ -172,8 +173,14 @@ def render_report(payload: dict, fmt: str) -> str:
 # commands
 # ---------------------------------------------------------------------
 
+def _check_nmax(nmax: int) -> None:
+    if not 0 <= nmax <= MAX_FAST_N:
+        raise UsageError(f"--nmax must be in 0..{MAX_FAST_N}, got {nmax}")
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    _check_nmax(args.nmax)
     if args.kind == "farkas":
         report = verify_farkas(args.nmax)
     elif args.kind == "config":
@@ -259,6 +266,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_asympt(args) -> int:
+    _check_nmax(args.nmax)
     p = args.p
     if p % 8 != 5 or not _is_prime(p):
         raise UsageError(f"p must be a prime = 5 (mod 8), got {p}")
@@ -387,6 +395,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -13,9 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-#: The exact rational scalar used throughout the package.
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "GaussianRational"]
 
 # deterministic Miller-Rabin witness set, valid for all n < 3.3e24

@@ -8,15 +8,14 @@ and verification of configured Hecke-eliminated identities.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
-from .foundations import GaussianRational, is_prime
+from .foundations import GaussianRational, is_prime, kronecker
 from .qseries import (
     Convolver,
     QSeries,
@@ -33,20 +32,6 @@ from .qseries import (
 )
 
 HALF = Fraction(1, 2)
-
-
-def worker_count() -> int:
-    """Worker cap from FARKAS_THREADS (default 1)."""
-    raw = os.environ.get("FARKAS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"FARKAS_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"FARKAS_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -101,53 +86,73 @@ class VerificationReport:
         return out
 
 
-def _sweep_first_failure(
-    check: Callable[[int], bool], lo: int, hi: int
-) -> Optional[int]:
-    """Smallest n in [lo, hi] where check(n) is False, or None."""
-    workers = worker_count()
-    if workers <= 1 or hi - lo < 64:
-        for n in range(lo, hi + 1):
-            if not check(n):
-                return n
-        return None
-    # contiguous chunks, merged by minimal failing index
-    chunks = []
-    size = (hi - lo) // workers + 1
-    start = lo
-    while start <= hi:
-        chunks.append((start, min(start + size - 1, hi)))
-        start += size
+GaussianInt = tuple[int, int]
 
-    def scan(bounds):
-        a, b = bounds
-        for n in range(a, b + 1):
-            if not check(n):
-                return n
-        return None
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        found = [r for r in pool.map(scan, chunks) if r is not None]
-    return min(found) if found else None
+def _denominator(*values: GaussianRational) -> int:
+    """Least common denominator of the real and imaginary parts."""
+    return lcm(*(x.denominator for z in values for x in (z.re, z.im)))
+
+
+def _scaled(z: GaussianRational, D: int) -> GaussianInt:
+    """D * z as an int pair; D must clear the denominators of z."""
+    re, im = z.re * D, z.im * D
+    assert re.denominator == im.denominator == 1, (z, D)
+    return re.numerator, im.numerator
+
+
+def _linear_rhs(D: int, terms, constant: Optional[GaussianRational] = None):
+    """n -> D * sum_k c_k s_k[n] as an int pair, for exact c_k and int64
+    arrays s_k; ``constant`` is the value at n = 0 (None: not swept)."""
+    scaled = [(_scaled(c, D), s) for c, s in terms]
+    at_zero = None if constant is None else _scaled(constant, D)
+
+    def rhs(n: int) -> GaussianInt:
+        if n == 0:
+            return at_zero
+        re = im = 0
+        for (cr, ci), s in scaled:
+            v = int(s[n])
+            re += cr * v
+            im += ci * v
+        return re, im
+
+    return rhs
 
 
 def _run_verification(
-    p: int,
-    character: str,
-    kind: str,
-    nmax: int,
-    lhs_fn: Callable[[int], GaussianRational],
-    rhs_fn: Callable[[int], GaussianRational],
+    p: int, character: str, kind: str, nmax: int, D: int,
+    lhs_fn: Callable[[int], GaussianInt], rhs_fn: Callable[[int], GaussianInt],
     start: int = 0,
 ) -> VerificationReport:
+    """Compare D * lhs(n) with D * rhs(n) as Gaussian integers for
+    n = start..nmax, stopping at the first n where they differ."""
     t0 = time.perf_counter()
-    bad = _sweep_first_failure(lambda n: lhs_fn(n) == rhs_fn(n), start, nmax)
+    bad = next((n for n in range(start, nmax + 1) if lhs_fn(n) != rhs_fn(n)), None)
     elapsed = (time.perf_counter() - t0) * 1000.0
     if bad is None:
         return VerificationReport(p, character, kind, nmax, "pass", elapsed_ms=elapsed)
+    lhs, rhs = lhs_fn(bad), rhs_fn(bad)
     return VerificationReport(
-        p, character, kind, nmax, "first_failure",
-        failure_n=bad, lhs=lhs_fn(bad), rhs=rhs_fn(bad), elapsed_ms=elapsed,
+        p, character, kind, nmax, "first_failure", failure_n=bad,
+        lhs=GaussianRational(Fraction(lhs[0], D), Fraction(lhs[1], D)),
+        rhs=GaussianRational(Fraction(rhs[0], D), Fraction(rhs[1], D)),
+        elapsed_ms=elapsed,
+    )
+
+
+def _verify_product(
+    p: int, chi: DirichletCharacter, kind: str, nmax: int,
+    product: Callable, terms: list, constant: GaussianRational,
+) -> VerificationReport:
+    """Check product(n) = sum_k c_k s_k[n] for 0 <= n <= nmax, where product
+    is Convolver.F or .H of chi and ``constant`` is the rhs at n = 0."""
+    conv = convolver(chi)
+    conv.ensure(nmax)
+    D = lcm(conv.denominator, _denominator(*(c for c, _ in terms), constant))
+    return _run_verification(
+        p, chi.label(), kind, nmax, D,
+        lambda n: product(conv, n, D), _linear_rhs(D, terms, constant),
     )
 
 
@@ -157,34 +162,22 @@ def verify_id1(
     """Exact check of F_chi(n) = alpha * sigma'_p(n) for 0 <= n <= nmax."""
     if chi is None:
         chi = canonical_quartic(p)
-    conv = convolver(chi)
-    conv.ensure(nmax)
-    consts = constants_for(p, chi)
-    sp = sigma_prime_values(p, nmax)
-    sp0 = Fraction(p - 1, 24)
-
-    def rhs(n: int) -> GaussianRational:
-        s = sp0 if n == 0 else Fraction(int(sp[n]))
-        return GaussianRational(consts.alpha * s)
-
-    return _run_verification(p, chi.label(), "conv", nmax, conv.F, rhs)
+    alpha = GaussianRational(constants_for(p, chi).alpha)
+    terms = [(alpha, sigma_prime_values(p, nmax))]
+    return _verify_product(
+        p, chi, "conv", nmax, Convolver.F, terms, alpha * Fraction(p - 1, 24)
+    )
 
 
 def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport:
     """Exact check of H_chi(n) = alpha' sigma~_p(n) + beta' sigma^_p(n)."""
-    conv = convolver(chi)
-    conv.ensure(nmax)
-    consts = constants_for(p, chi)
-    st = sigma_tilde_values(p, nmax)
-    sh = sigma_hat_values(p, nmax)
-    st0 = -bernoulli_B2_psi(p) / 4
-
-    def rhs(n: int) -> GaussianRational:
-        tilde = st0 if n == 0 else Fraction(int(st[n]))
-        hat = Fraction(0) if n == 0 else Fraction(int(sh[n]))
-        return consts.alpha_prime * tilde + consts.beta_prime * hat
-
-    return _run_verification(p, chi.label(), "square", nmax, conv.H, rhs)
+    c = constants_for(p, chi)
+    terms = [
+        (c.alpha_prime, sigma_tilde_values(p, nmax)),
+        (c.beta_prime, sigma_hat_values(p, nmax)),
+    ]
+    constant = c.alpha_prime * (-bernoulli_B2_psi(p) / 4)
+    return _verify_product(p, chi, "square", nmax, Convolver.H, terms, constant)
 
 
 def verify_farkas(nmax: int) -> VerificationReport:
@@ -192,17 +185,12 @@ def verify_farkas(nmax: int) -> VerificationReport:
     sum_{j=0}^n delta_F(j) delta_F(n-j) = (1/3) sigma'_3(n),
     with delta_F(0) = 1/6 and sigma'_3(0) = 1/12.
     """
-    chi = quadratic_character(3)
-    conv = convolver(chi)
-    conv.ensure(nmax)
-    sp = sigma_prime_values(3, nmax)
-    third = Fraction(1, 3)
-
-    def rhs(n: int) -> GaussianRational:
-        s = Fraction(1, 12) if n == 0 else Fraction(int(sp[n]))
-        return GaussianRational(third * s)
-
-    return _run_verification(3, chi.label(), "farkas", nmax, conv.F, rhs)
+    third = GaussianRational(Fraction(1, 3))
+    terms = [(third, sigma_prime_values(3, nmax))]
+    return _verify_product(
+        3, quadratic_character(3), "farkas", nmax, Convolver.F, terms,
+        third * Fraction(1, 12),
+    )
 
 
 def residual_series(
@@ -227,15 +215,7 @@ def residual_series(
         lhs = d * d
         rhs = sigma_tilde_series(p, N).scale(consts.alpha_prime)
         if subtract_hat:
-            rhs = QSeries(
-                tuple(
-                    a + b
-                    for a, b in zip(
-                        rhs.coefficients,
-                        sigma_hat_series(p, N).scale(consts.beta_prime).coefficients,
-                    )
-                )
-            )
+            lhs = lhs - sigma_hat_series(p, N).scale(consts.beta_prime)
     else:
         raise ValueError(f"unknown residual kind {kind!r}")
     return lhs - rhs
@@ -279,8 +259,6 @@ def asymptotic_report(
     subsequence limits L+ and L- for Kronecker symbol +1 / -1 as top-decile
     averages, and reports gamma = (L+ - L-)/2 and alpha' = (L+ + L-)/2.
     """
-    from .foundations import kronecker
-
     conv = convolver(chi)
     conv.ensure(nmax)
     consts = constants_for(p, chi)
@@ -321,14 +299,9 @@ def asymptotic_report(
             if n >= decile_lo:
                 buckets[k].append(ratio)
 
-        def average(vals: list[GaussianRational]) -> GaussianRational:
-            total = GaussianRational()
-            for v in vals:
-                total = total + v
-            return total / Fraction(len(vals))
-
-        l_plus = average(buckets[1])
-        l_minus = average(buckets[-1])
+        l_plus, l_minus = (
+            sum(b, GaussianRational()) / len(b) for b in (buckets[1], buckets[-1])
+        )
         return AsymptoticReport(
             p, chi.label(), kind, nmax, rows,
             limit_plus=l_plus, limit_minus=l_minus,
@@ -390,36 +363,34 @@ def check_configured_identity(
     chi = resolve_character(cfg.p, cfg.chi_selector)
     conv = convolver(chi)
     use_H = cfg.rhs_kind == "tilde_hat"
-    max_arg = max(
-        (nmax // b) * c for _, b, c in cfg.terms
+    conv.ensure(max(1, *((nmax // b) * c for _, b, c in cfg.terms)))
+
+    # D * A_i * F(m) = (D * A_i / s**2) * (s**2 F(m)), with s**2 F(m) integral
+    s2 = conv.denominator
+    D = lcm(
+        s2 * _denominator(*(a for a, _, _ in cfg.terms)),
+        _denominator(*cfg.rhs_coefficients),
     )
-    conv.ensure(max(max_arg, 1))
-
-    if use_H:
-        st = sigma_tilde_values(cfg.p, nmax)
-        sh = sigma_hat_values(cfg.p, nmax)
-        a2, b2 = cfg.rhs_coefficients
-
-        def rhs(n):
-            return a2 * Fraction(int(st[n])) + b2 * Fraction(int(sh[n]))
-    else:
-        sp = sigma_prime_values(cfg.p, nmax)
-        (coeff,) = cfg.rhs_coefficients
-
-        def rhs(n):
-            return coeff * Fraction(int(sp[n]))
-
+    terms = [(_scaled(a, D // s2), b, c) for a, b, c in cfg.terms]
     single = conv.H if use_H else conv.F
 
-    def lhs(n):
-        total = GaussianRational()
-        for a, b, c in cfg.terms:
+    def lhs(n: int) -> GaussianInt:
+        re = im = 0
+        for (ar, ai), b, c in terms:
             if n % b == 0:
-                total = total + a * single((n // b) * c)
-        return total
+                fr, fi = single((n // b) * c, s2)
+                re += ar * fr - ai * fi
+                im += ar * fi + ai * fr
+        return re, im
+
+    if use_H:
+        series = [sigma_tilde_values(cfg.p, nmax), sigma_hat_values(cfg.p, nmax)]
+    else:
+        series = [sigma_prime_values(cfg.p, nmax)]
+    rhs = _linear_rhs(D, zip(cfg.rhs_coefficients, series))
 
     return _run_verification(
-        cfg.p, chi.label(), f"config:{cfg.rhs_kind}", nmax, lhs, rhs, start=1
+        cfg.p, chi.label(), f"config:{cfg.rhs_kind}", nmax, D, lhs, rhs, start=1
     )
 
 

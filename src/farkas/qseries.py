@@ -5,24 +5,28 @@ weight-two divisor-sum series (with their exact constant-term
 conventions), the generalized Bernoulli number B_{2,psi} via Cohen's
 divisor-sum formula, and exact Cauchy products.
 
-Coefficients are exact Gaussian rationals.  For the long verification
-sweeps there is an integer fast path: for n >= 1 all delta coefficients
-of an order-dividing-4 character are Gaussian integers, so the
-convolution tails run on int64 numpy arrays and only the constant-term
-cross terms touch Fractions.
+The fast path is one integer layer: cached one-period tables of chi and
+(p/.) feed one divisor sieve for the int64 arrays of delta_chi(n) and
+sigma'_p, sigma~_p, sigma^_p (n >= 1); with s = 2p, s * delta_chi(0) is a
+Gaussian integer, so the Convolver computes s**2 F_chi(n), s**2 H_chi(n)
+in Gaussian integers.  Per-n scalars and ``cauchy_product`` are oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .characters import DirichletCharacter
 from .foundations import GaussianRational, divisors, is_prime, kronecker, sigma1
 
-# d(n) <= 128 for n <= 1e6, so int64 dots of length <= 1e6 cannot overflow
-_MAX_FAST_N = 1_000_000
+MAX_FAST_N = 1_000_000  # largest N of the int64 sieves and kernel
+MAX_DIVISOR_COUNT = 240  # max d(n) for n <= MAX_FAST_N, at n = 720720 (tested)
+# |Re|, |Im| of delta_chi(n) are at most d(n): an int64 kernel dot sums at
+# most MAX_FAST_N products, each at most MAX_DIVISOR_COUNT**2
+assert MAX_FAST_N * MAX_DIVISOR_COUNT**2 < 2**63
 
 
 @dataclass(frozen=True)
@@ -80,26 +84,87 @@ def from_ints(values, constant=None) -> QSeries:
     """Build a QSeries from integer coefficients (optional exact c(0))."""
     coeffs = [GaussianRational(Fraction(int(v))) for v in values]
     if constant is not None:
-        c0 = constant
-        if not isinstance(c0, GaussianRational):
-            c0 = GaussianRational(Fraction(c0))
-        coeffs[0] = c0
+        coeffs[0] = GaussianRational(constant)
     return QSeries(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------
+# periodic tables and the divisor sieve
+# ---------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def character_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) int64 arrays of chi(a) for a in 0..p-1, one period of chi.
+
+    Built from ``chi.value``, which rejects characters whose values leave Q(i).
+    """
+    values = [chi.value(a) for a in range(chi.p)]
+    table = np.array([(int(v.re), int(v.im)) for v in values], dtype=np.int64).T
+    table.flags.writeable = False
+    return table[0], table[1]
+
+
+@lru_cache(maxsize=None)
+def kronecker_table(p: int) -> np.ndarray:
+    """int64 array of (p/a) for a in 0..P-1, P = p when p = 1 (mod 4), else 4p.
+
+    For p = 1 (mod 4), (p/.) = (./p) has period p.  For p = 3 (mod 4), P is
+    the period over odd a only: (3/2) = -1 but (3/14) = (3/2)(3/7) = +1.
+    """
+    period = p if p % 4 == 1 else 4 * p
+    table = np.array([kronecker(p, a) for a in range(period)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _kronecker_values(p: int, N: int) -> np.ndarray:
+    """A table from which the sieve reads (p/d) correctly for d <= N."""
+    table = kronecker_table(p)
+    if p % 4 == 3:  # no period: spell out 0..N using (p/2d) = (p/2)(p/d)
+        table = table[np.arange(N + 1) % len(table)]
+        for d in range(2, N + 1, 2):
+            table[d] = kronecker(p, 2) * table[d // 2]
+    return table
+
+
+def _sieve(
+    table: np.ndarray, N: int, times_d: bool = False, quotient: bool = False
+) -> np.ndarray:
+    """int64 array of sum_{d | n} c(d) w(n/d) for n in 1..N (index 0 is zero).
+
+    c(d) = table[d mod len(table)], multiplied by d when ``times_d``;
+    w(q) = q when ``quotient``, else 1.
+    """
+    if not 0 <= N <= MAX_FAST_N:
+        raise ValueError(f"fast path needs 0 <= N <= {MAX_FAST_N}, got {N}")
+    values = table.tolist()
+    period = len(values)
+    out = np.zeros(N + 1, dtype=np.int64)
+    for d in range(1, N + 1):
+        c = values[d % period] * (d if times_d else 1)
+        if not c:
+            continue
+        out[d::d] += c * np.arange(1, N // d + 1, dtype=np.int64) if quotient else c
+    return out
 
 
 # ---------------------------------------------------------------------
 # delta series
 # ---------------------------------------------------------------------
 
-def delta_constant(chi: DirichletCharacter) -> GaussianRational:
-    """delta_chi(0) = -(1/2p) * sum_{a=1}^{p-1} chi(a) a, exact in Q(i)."""
+def _delta0_numerator(chi: DirichletCharacter) -> tuple[int, int]:
+    """2p * delta_chi(0) = -sum_{a=1}^{p-1} chi(a) a, a Gaussian integer."""
     if chi.is_trivial():
         raise ValueError("delta constant is defined for non-trivial characters only")
-    p = chi.p
-    total = GaussianRational()
-    for a in range(1, p):
-        total = total + chi.value(a) * a
-    return total * Fraction(-1, 2 * p)
+    re, im = character_table(chi)
+    a = np.arange(chi.p, dtype=np.int64)
+    return -int(re @ a), -int(im @ a)
+
+
+def delta_constant(chi: DirichletCharacter) -> GaussianRational:
+    """delta_chi(0) = -(1/2p) * sum_{a=1}^{p-1} chi(a) a, exact in Q(i)."""
+    re, im = _delta0_numerator(chi)
+    return GaussianRational(Fraction(re, 2 * chi.p), Fraction(im, 2 * chi.p))
 
 
 def delta_coefficient(chi: DirichletCharacter, n: int) -> GaussianRational:
@@ -122,20 +187,8 @@ def delta_series(chi: DirichletCharacter, N: int) -> QSeries:
 
 def delta_int_arrays(chi: DirichletCharacter, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) int64 arrays of delta_chi(n) for n in 1..N (index 0 is zero)."""
-    if N > _MAX_FAST_N:
-        raise ValueError(f"fast path capped at N = {_MAX_FAST_N}")
-    re = np.zeros(N + 1, dtype=np.int64)
-    im = np.zeros(N + 1, dtype=np.int64)
-    p = chi.p
-    for d in range(1, N + 1):
-        if d % p == 0:
-            continue
-        v = chi.value(d)
-        if v.re:
-            re[d::d] += int(v.re)
-        if v.im:
-            im[d::d] += int(v.im)
-    return re, im
+    re, im = character_table(chi)
+    return _sieve(re, N), _sieve(im, N)
 
 
 # ---------------------------------------------------------------------
@@ -165,29 +218,18 @@ def sigma_hat(p: int, n: int) -> int:
 
 def sigma_prime_values(p: int, N: int) -> np.ndarray:
     """int64 array of sigma'_p(n), n in 1..N (index 0 is zero)."""
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        if d % p != 0:
-            out[d::d] += d
-    return out
+    coprime = np.sign(np.arange(p, dtype=np.int64))  # 0 at a = 0, else 1
+    return _sieve(coprime, N, times_d=True)
 
 
 def sigma_tilde_values(p: int, N: int) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        k = kronecker(p, d)
-        if k:
-            out[d::d] += k * d
-    return out
+    """int64 array of sigma~_p(n), n in 1..N (index 0 is zero)."""
+    return _sieve(_kronecker_values(p, N), N, times_d=True)
 
 
 def sigma_hat_values(p: int, N: int) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        k = kronecker(p, d)
-        if k:
-            out[d::d] += k * np.arange(1, N // d + 1, dtype=np.int64)
-    return out
+    """int64 array of sigma^_p(n), n in 1..N (index 0 is zero)."""
+    return _sieve(_kronecker_values(p, N), N, quotient=True)
 
 
 def sigma_prime_series(p: int, N: int) -> QSeries:
@@ -229,79 +271,59 @@ def bernoulli_B2_psi(p: int) -> Fraction:
 # ---------------------------------------------------------------------
 
 class Convolver:
-    """Exact F_chi / H_chi evaluation with an int64 tail fast path."""
+    """F_chi / H_chi over the common denominator s**2, s = 2p: int64 dots
+    over delta_chi(j), 0 < j < n, plus cross terms with L = s delta_chi(0)."""
 
     def __init__(self, chi: DirichletCharacter):
         self.chi = chi
-        self.d0 = delta_constant(chi)
-        self.d0_conj = self.d0.conj()
-        self._re = np.zeros(1, dtype=np.int64)
-        self._im = np.zeros(1, dtype=np.int64)
-        self._capacity = 0
+        self.denominator = (2 * chi.p) ** 2
+        self._L = _delta0_numerator(chi)
+        self._re = self._im = np.zeros(1, dtype=np.int64)
 
     def ensure(self, n: int) -> None:
-        if n > self._capacity:
-            cap = max(n, 2 * self._capacity, 1024)
+        capacity = len(self._re) - 1
+        if n > capacity:
+            cap = max(n, min(2 * capacity, MAX_FAST_N), 1024)
             self._re, self._im = delta_int_arrays(self.chi, cap)
-            self._capacity = cap
 
-    def delta(self, n: int) -> GaussianRational:
-        if n == 0:
-            return self.d0
-        self.ensure(n)
-        return GaussianRational(
-            Fraction(int(self._re[n])), Fraction(int(self._im[n]))
-        )
-
-    def _tails(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        a = self._re[1:n]
-        b = self._im[1:n]
-        ar = self._re[n - 1:0:-1]
-        br = self._im[n - 1:0:-1]
-        return a, b, ar, br
-
-    def F(self, n: int) -> GaussianRational:
-        """F_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chibar(n-j)."""
+    def _product(self, n: int, c: int, scale: int | None):
+        """sum_{j=0}^{n} delta_chi(j) delta'(n-j), where delta' is delta_chi
+        (c = 1) or its conjugate (c = -1); exact, or times ``scale``."""
         if n < 0:
-            raise ValueError("F expects n >= 0")
-        if n == 0:
-            return self.d0 * self.d0_conj
-        self.ensure(n)
-        a, b, ar, br = self._tails(n)
-        tail = GaussianRational(
-            Fraction(int(a @ ar) + int(b @ br)),
-            Fraction(int(b @ ar) - int(a @ br)),
-        )
-        dn = self.delta(n)
-        return tail + self.d0 * dn.conj() + dn * self.d0_conj
+            raise ValueError("F and H expect n >= 0")
+        u, v = self._L
+        if n == 0:  # L L', with L' = u + i c v
+            re, im = u * u - c * v * v, (1 + c) * u * v
+        else:  # s**2 (tail over 0 < j < n) + s (L delta'(n) + delta(n) L')
+            self.ensure(n)
+            a, b = self._re[1:n], self._im[1:n]
+            ar, br = self._re[n - 1:0:-1], self._im[n - 1:0:-1]
+            x, y = int(self._re[n]), int(self._im[n])
+            s = 2 * self.chi.p
+            re = s * s * (int(a @ ar) - c * int(b @ br)) + 2 * s * (u * x - c * v * y)
+            im = s * s * (c * int(a @ br) + int(b @ ar)) + (1 + c) * s * (u * y + v * x)
+        if scale is None:
+            return GaussianRational(
+                Fraction(re, self.denominator), Fraction(im, self.denominator)
+            )
+        k, rem = divmod(scale, self.denominator)
+        if rem:
+            raise ValueError(f"scale {scale} is not a multiple of {self.denominator}")
+        return k * re, k * im
 
-    def H(self, n: int) -> GaussianRational:
-        """H_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chi(n-j)."""
-        if n < 0:
-            raise ValueError("H expects n >= 0")
-        if n == 0:
-            return self.d0 * self.d0
-        self.ensure(n)
-        a, b, ar, br = self._tails(n)
-        tail = GaussianRational(
-            Fraction(int(a @ ar) - int(b @ br)),
-            Fraction(int(a @ br) + int(b @ ar)),
-        )
-        return tail + self.d0 * self.delta(n) * 2
+    def F(self, n: int, scale: int | None = None):
+        """F_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chibar(n-j), exact in Q(i).
+
+        With an integer ``scale`` that ``denominator`` divides, returns
+        scale * F_chi(n) as an int pair instead: the form the sweeps compare.
+        """
+        return self._product(n, -1, scale)
+
+    def H(self, n: int, scale: int | None = None):
+        """H_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chi(n-j); ``scale`` as for F."""
+        return self._product(n, 1, scale)
 
 
-_convolvers: dict[DirichletCharacter, Convolver] = {}
-
-
+@lru_cache(maxsize=None)
 def convolver(chi: DirichletCharacter) -> Convolver:
-    if chi not in _convolvers:
-        _convolvers[chi] = Convolver(chi)
-    return _convolvers[chi]
-
-
-def convolution_F(chi: DirichletCharacter, n: int) -> GaussianRational:
-    return convolver(chi).F(n)
-
-
-def convolution_H(chi: DirichletCharacter, n: int) -> GaussianRational:
-    return convolver(chi).H(n)
+    return Convolver(chi)

@@ -1,5 +1,6 @@
 import json
 import os
+from importlib import resources
 
 import pytest
 
@@ -18,6 +19,8 @@ from farkas.cli import (
 )
 from farkas.foundations import gaussian
 from fractions import Fraction
+
+P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
 
 
 class TestVerifyCommand:
@@ -110,6 +113,41 @@ class TestVerifyCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"p": 5, "chi": "quartic-i"}')
         assert main(["verify", "--kind", "config", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "5", "--kind", "conv", "--nmax", "-5"],
+            ["verify", "--p", "5", "--kind", "conv", "--nmax", "2000000"],
+            ["verify", "--kind", "farkas", "--nmax", "-1"],
+            ["asympt", "--p", "29", "--kind", "conv", "--nmax", "-5"],
+            ["asympt", "--p", "29", "--kind", "square", "--nmax", "2000000"],
+        ],
+    )
+    def test_out_of_range_nmax_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--nmax must be in 0..1000000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the generator mod 37 has order 36: its values leave Q(i)
+            (
+                ["verify", "--p", "37", "--kind", "conv", "--chi", "generator",
+                 "--nmax", "10"],
+                "error: character of order 36 takes values outside Q(i)",
+            ),
+            # p37_5_19 reads F up to 95 * nmax, past the fast-path cap
+            (
+                ["verify", "--kind", "config", "--config", P37_5_19, "--nmax", "20000"],
+                "error: fast path needs 0 <= N <= 1000000, got 1900000",
+            ),
+        ],
+    )
+    def test_library_value_error_is_usage_error(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 class TestDeterminism:

@@ -19,7 +19,6 @@ from farkas.identities import (
     verify_farkas,
     verify_id1,
     verify_id2,
-    worker_count,
 )
 from farkas.qseries import Convolver, convolver, sigma_prime_values
 
@@ -52,8 +51,8 @@ class TestVerifyId1:
     def test_fails_early_for_29(self):
         report = verify_id1(29, 10)
         assert not report.passed
-        assert report.failure_n in (1, 2)
-        assert report.lhs != report.rhs
+        assert report.failure_n == 1
+        assert (report.lhs, report.rhs) == (gaussian(-1), gaussian("3/7"))
 
     def test_report_shape(self):
         report = verify_id1(5, 50)
@@ -69,10 +68,13 @@ class TestVerifyId2:
         assert verify_id2(5, chibar, 400).passed
 
     def test_fails_early_for_37(self):
-        chi, _ = quartic_pair(37)
+        chi, chibar = quartic_pair(37)
         report = verify_id2(37, chi, 5)
         assert not report.passed
-        assert report.failure_n <= 3
+        assert report.failure_n == 2
+        assert (report.lhs, report.rhs) == (gaussian(3), gaussian(1, "-6/5"))
+        report = verify_id2(37, chibar, 5)
+        assert (report.lhs, report.rhs) == (gaussian(3), gaussian(1, "6/5"))
 
 
 class TestVerifyFarkas:
@@ -213,31 +215,6 @@ class TestObstructions:
         for row in dichotomy_scan(200, nmax=10):
             assert row.id1_pass == row.obstruction1_consistent
             assert row.id2_pass == row.obstruction2_accepted
-
-
-class TestWorkers:
-    def test_worker_count_default(self, monkeypatch):
-        monkeypatch.delenv("FARKAS_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_worker_count_invalid(self, monkeypatch):
-        monkeypatch.setenv("FARKAS_THREADS", "zero")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("FARKAS_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_parallel_sweep_matches_serial(self, monkeypatch):
-        monkeypatch.delenv("FARKAS_THREADS", raising=False)
-        serial = verify_id1(29, 400)
-        monkeypatch.setenv("FARKAS_THREADS", "4")
-        parallel = verify_id1(29, 400)
-        assert (serial.outcome, serial.failure_n) == (
-            parallel.outcome,
-            parallel.failure_n,
-        )
-        assert serial.lhs == parallel.lhs and serial.rhs == parallel.rhs
 
 
 class TestDeligneStyleBound:

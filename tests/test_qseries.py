@@ -2,20 +2,26 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
 from farkas.foundations import GaussianRational, divisors, gaussian, kronecker, omega
 from farkas.qseries import (
+    MAX_DIVISOR_COUNT,
+    MAX_FAST_N,
     Convolver,
     QSeries,
+    _sieve,
     bernoulli_B2_psi,
     cauchy_product,
+    character_table,
     delta_coefficient,
     delta_constant,
     delta_int_arrays,
     delta_series,
     from_ints,
+    kronecker_table,
     sigma_hat,
     sigma_hat_series,
     sigma_hat_values,
@@ -46,6 +52,27 @@ class TestDeltaConstant:
 
     def test_farkas_constant(self):
         assert delta_constant(quadratic_character(3)) == gaussian("1/6")
+
+    @staticmethod
+    def _oracle_values(p, g, e):
+        """chi(g**k) = i**(4ek/(p-1)) with chi(g) = zeta_{p-1}**e, order | 4."""
+        powers_of_i = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        values = [GaussianRational()] * p
+        for k in range(p - 1):
+            quarter, rem = divmod(4 * e * k, p - 1)
+            assert rem == 0
+            values[pow(g, k, p)] = gaussian(*powers_of_i[quarter % 4])
+        return values
+
+    def test_table_and_constant_match_power_oracle(self):
+        ps = [p for p in range(5, 500, 8) if all(p % q for q in range(2, p))]
+        chars = [chi for p in ps for chi in quartic_pair(p)] + [quadratic_character(3)]
+        for chi in chars:
+            values = self._oracle_values(chi.p, chi.g, chi.e)
+            re, im = character_table(chi)
+            assert [gaussian(int(x), int(y)) for x, y in zip(re, im)] == values
+            total = sum((v * a for a, v in enumerate(values)), GaussianRational())
+            assert delta_constant(chi) == total * Fraction(-1, 2 * chi.p)
 
 
 class TestDeltaSeries:
@@ -87,8 +114,7 @@ class TestDeltaSeries:
             assert delta_coefficient(chi, n).norm_sq() <= d * d
 
     def test_int_arrays_match_exact(self):
-        for p in (5, 13):
-            chi, _ = quartic_pair(p)
+        for chi in (quartic_pair(5)[0], quartic_pair(13)[0], quadratic_character(3)):
             re, im = delta_int_arrays(chi, 300)
             for n in range(1, 301):
                 assert delta_coefficient(chi, n) == GaussianRational(
@@ -122,7 +148,7 @@ class TestSigmaSeries:
         assert s[10] == gaussian(5)
 
     def test_value_arrays_match_scalars(self):
-        for p in (5, 29):
+        for p in (3, 5, 7, 13, 29, 37):
             st = sigma_tilde_values(p, 200)
             sh = sigma_hat_values(p, 200)
             sp = sigma_prime_values(p, 200)
@@ -130,6 +156,20 @@ class TestSigmaSeries:
                 assert int(st[n]) == sigma_tilde(p, n)
                 assert int(sh[n]) == sigma_hat(p, n)
                 assert int(sp[n]) == sigma_prime(p, n)
+
+    def test_kronecker_table_is_one_period_of_the_odd_arguments(self):
+        for p in (3, 5, 7, 11, 13, 29, 31):
+            table = kronecker_table(p)
+            assert len(table) == (p if p % 4 == 1 else 4 * p)
+            for n in range(1, 600, 2):
+                assert table[n % len(table)] == kronecker(p, n)
+        # over all arguments (3/.) is not periodic mod 12
+        assert kronecker(3, 2) == -1 and kronecker(3, 14) == 1
+
+    def test_divisor_count_bound_behind_the_kernel_cap(self):
+        d = _sieve(np.ones(1, dtype=np.int64), MAX_FAST_N)
+        assert int(d.max()) == MAX_DIVISOR_COUNT == len(divisors(720720))
+        assert int(d[720720]) == MAX_DIVISOR_COUNT
 
     def test_multiplicativity(self):
         rng = random.Random(23)
@@ -230,3 +270,13 @@ class TestConvolutions:
         conv = Convolver(chi)
         with pytest.raises(ValueError):
             conv.F(-1)
+
+    def test_scaled_values_are_exact_multiples(self):
+        for chi in (quartic_pair(13)[0], quartic_pair(29)[1], quadratic_character(3)):
+            conv = Convolver(chi)
+            D = 3 * conv.denominator
+            for n in range(40):
+                for product in (conv.F, conv.H):
+                    assert gaussian(*product(n, D)) == product(n) * D
+            with pytest.raises(ValueError):
+                conv.F(5, conv.denominator + 1)
