@@ -226,6 +226,10 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
     payload: dict = {"command": "search", "params": {}}
+    if args.pmax is not None and args.pmax < 5:
+        raise UsageError(
+            f"--pmax must be at least 5, the smallest prime = 5 (mod 8), got {args.pmax}"
+        )
     if args.safe_primes:
         if args.pmax is None:
             raise UsageError("--safe-primes requires --pmax")

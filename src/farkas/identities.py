@@ -299,6 +299,12 @@ def asymptotic_report(
             if n >= decile_lo:
                 buckets[k].append(ratio)
 
+        for k, bucket in buckets.items():
+            if not bucket:
+                raise ValueError(
+                    f"no n in the top decile {decile_lo}..{nmax} with Kronecker "
+                    f"symbol {k:+d} at p = {p}; try a larger --nmax"
+                )
         l_plus, l_minus = (
             sum(b, GaussianRational()) / len(b) for b in (buckets[1], buckets[-1])
         )

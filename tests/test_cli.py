@@ -194,6 +194,14 @@ class TestSearchCommand:
     def test_requires_bound(self, capsys):
         assert main(["search"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("pmax", ["-3", "0", "4"])
+    def test_bound_below_five_is_usage_error(self, pmax, capsys):
+        assert main(["search", "--pmax", pmax]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --pmax must be at least 5" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestAsymptCommand:
     def test_csv_header_and_content(self, tmp_path):
@@ -206,6 +214,18 @@ class TestAsymptCommand:
         assert lines[0] == "n,kron,lhs,rhs,ratio,ratio_dec"
         ns = [int(line.split(",")[0]) for line in lines[1:]]
         assert all(n % 29 != 0 for n in ns)
+
+    @pytest.mark.parametrize("nmax", ["5", "0"])
+    def test_empty_top_decile_bucket_is_usage_error(self, nmax, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        argv = ["asympt", "--p", "13", "--kind", "square", "--nmax", nmax]
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: no n in the top decile {nmax}..{nmax} with Kronecker symbol +1"
+            " at p = 13; try a larger --nmax"
+        ]
+        assert not out.exists()
 
     def test_p5_ratio_cells(self, tmp_path):
         out = tmp_path / "a5.csv"

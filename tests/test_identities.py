@@ -125,6 +125,12 @@ class TestAsymptotics:
         assert rep.gamma_estimate == c.beta_prime
         assert rep.alpha_prime_estimate == c.alpha_prime
 
+    def test_square_rejects_an_empty_top_decile_bucket(self):
+        chi, _ = quartic_pair(13)
+        # the top decile of n <= 5 is {5}, and (13/5) = -1
+        with pytest.raises(ValueError, match="Kronecker symbol \\+1"):
+            asymptotic_report(13, chi, "square", 5)
+
     def test_p29_deviation_decays(self):
         chi, _ = quartic_pair(29)
         small = asymptotic_report(29, chi, "conv", 100)

@@ -1,10 +1,15 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from farkas import qseries
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
 from farkas.foundations import GaussianRational, divisors, gaussian, kronecker, omega
 from farkas.qseries import (
@@ -12,6 +17,8 @@ from farkas.qseries import (
     MAX_FAST_N,
     Convolver,
     QSeries,
+    SIEVE_BLOCK,
+    _kronecker_values,
     _sieve,
     bernoulli_B2_psi,
     cauchy_product,
@@ -148,7 +155,7 @@ class TestSigmaSeries:
         assert s[10] == gaussian(5)
 
     def test_value_arrays_match_scalars(self):
-        for p in (3, 5, 7, 13, 29, 37):
+        for p in (3, 5, 7, 11, 13, 19, 29, 37):
             st = sigma_tilde_values(p, 200)
             sh = sigma_hat_values(p, 200)
             sp = sigma_prime_values(p, 200)
@@ -158,13 +165,22 @@ class TestSigmaSeries:
                 assert int(sp[n]) == sigma_prime(p, n)
 
     def test_kronecker_table_is_one_period_of_the_odd_arguments(self):
-        for p in (3, 5, 7, 11, 13, 29, 31):
+        for p in range(3, 200, 2):
+            if any(p % q == 0 for q in range(3, p, 2)):
+                continue
             table = kronecker_table(p)
-            assert len(table) == (p if p % 4 == 1 else 4 * p)
-            for n in range(1, 600, 2):
-                assert table[n % len(table)] == kronecker(p, n)
+            period = p if p % 4 == 1 else 4 * p
+            assert len(table) == period
+            assert table.tolist() == [kronecker(p, a) for a in range(period)]
+            for n in range(1, 3 * period, 2):
+                assert table[n % period] == kronecker(p, n)
         # over all arguments (3/.) is not periodic mod 12
         assert kronecker(3, 2) == -1 and kronecker(3, 14) == 1
+
+    def test_kronecker_table_rejects_a_non_prime(self):
+        for p in (2, 9, 15):
+            with pytest.raises(ValueError):
+                kronecker_table(p)
 
     def test_divisor_count_bound_behind_the_kernel_cap(self):
         d = _sieve(np.ones(1, dtype=np.int64), MAX_FAST_N)
@@ -194,6 +210,117 @@ class TestSigmaSeries:
             for n in range(1, 500):
                 if n % p:
                     assert abs(sigma_tilde(p, n)) * 2 ** omega(n) >= n
+
+
+def _naive_sieve(table, N, times_d=False, quotient=False):
+    """sum_{d | n} c(d) w(n/d) for n in 0..N by the divisor double loop."""
+    values = [int(v) for v in table]
+    out = [0] * (N + 1)
+    for d in range(1, N + 1):
+        c = values[d % len(values)] * (d if times_d else 1)
+        for q in range(1, N // d + 1):
+            out[d * q] += c * (q if quotient else 1)
+    return out
+
+
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _sieve_tables(N):
+    """Tables of period 1, p and 4p, and the spelled-out (7/.) table to N."""
+    return [
+        np.ones(1, dtype=np.int64),
+        character_table(quartic_pair(13)[0])[1],
+        kronecker_table(7),
+        _kronecker_values(7, N),
+    ]
+
+
+def _sizes_at_block_edges(block, sizes):
+    """The N in ``sizes`` whose last block of large d (d > isqrt(N)) ends one
+    before, at or one past a multiple of ``block``, or within 1 of a square."""
+    def near_square(n):
+        return min(abs(n - r * r) for r in (math.isqrt(n), math.isqrt(n) + 1)) <= 1
+
+    return [
+        n for n in sizes
+        if (n - math.isqrt(n)) % block in (block - 1, 0, 1) or near_square(n)
+    ]
+
+
+class TestSieve:
+    def _check(self, sizes):
+        nmax = max(sizes)
+        for table in _sieve_tables(nmax):
+            for times_d, quotient in FLAGS:
+                want = _naive_sieve(table, nmax, times_d, quotient)
+                for N in sizes:
+                    got = _sieve(table, N, times_d, quotient)
+                    assert got.dtype == np.int64 and len(got) == N + 1
+                    assert got.tolist() == want[: N + 1], (len(table), N, times_d, quotient)
+
+    def test_small_blocks_match_the_double_loop(self):
+        sizes = _sizes_at_block_edges(16, range(301))
+        assert sizes[:5] == [0, 1, 2, 3, 4] and 272 in sizes  # 272 - 16 = 16 * 16
+        with mock.patch.object(qseries, "SIEVE_BLOCK", 16):
+            self._check(sizes)
+
+    def test_block_edges_match_the_double_loop(self):
+        sizes = _sizes_at_block_edges(
+            SIEVE_BLOCK, [*range(8_200, 8_300), *range(16_350, 16_550)]
+        )
+        # 91**2 +- 1 and N - isqrt(N) = SIEVE_BLOCK +- 1; 128**2 +- 1 and
+        # N - isqrt(N) = 2 SIEVE_BLOCK +- 1
+        assert SIEVE_BLOCK == 8192
+        assert sizes == [8280, 8281, 8282, 8283, 8284,
+                         16383, 16384, 16385, 16511, 16512, 16513]
+        self._check(sizes)
+
+    def test_series_arrays_match_scalars_at_the_block_edge(self):
+        N = 16513
+        rng = random.Random(5)
+        ns = list(range(N - 40, N + 1)) + rng.sample(range(1, N), 60)
+        for chi in (quartic_pair(13)[0], quadratic_character(3)):
+            re, im = delta_int_arrays(chi, N)
+            for n in ns:
+                assert gaussian(int(re[n]), int(im[n])) == delta_coefficient(chi, n)
+        for p in (7, 13):
+            sp, st_, sh = (f(p, N) for f in (sigma_prime_values, sigma_tilde_values,
+                                             sigma_hat_values))
+            for n in ns:
+                assert int(sp[n]) == sigma_prime(p, n)
+                assert int(st_[n]) == sigma_tilde(p, n)
+                assert int(sh[n]) == sigma_hat(p, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+        N=st.integers(0, 5000),
+        times_d=st.booleans(),
+        quotient=st.booleans(),
+        block=st.sampled_from([1, 3, 16, 64, SIEVE_BLOCK]),
+    )
+    def test_property_matches_the_double_loop(self, values, N, times_d, quotient, block):
+        table = np.array(values, dtype=np.int64)
+        with mock.patch.object(qseries, "SIEVE_BLOCK", block):
+            got = _sieve(table, N, times_d, quotient)
+        assert got.tolist() == _naive_sieve(table, N, times_d, quotient)
+
+    def test_scratch_memory_is_out_plus_one_array(self):
+        # numpy reports its buffers to tracemalloc; allow out, one N-entry
+        # weight array (d = 1 with quotient) and a fixed block allowance
+        N = 200_000
+        table = kronecker_table(29)
+        allowance = 5 * 8 * SIEVE_BLOCK  # the sieve holds at most four blocks
+        for times_d, quotient in FLAGS:
+            tracemalloc.start()
+            try:
+                _sieve(table, N, times_d, quotient)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = 2 if quotient else 1
+            assert peak < arrays * 8 * (N + 1) + allowance, (times_d, quotient, peak)
 
 
 class TestBernoulli:
