@@ -15,10 +15,11 @@ from math import lcm
 from typing import Callable, Optional
 
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
-from .foundations import GaussianRational, is_prime, kronecker
+from .foundations import GaussianRational, is_prime
 from .qseries import (
     Convolver,
     QSeries,
+    _kronecker_values,
     bernoulli_B2_psi,
     convolver,
     delta_constant,
@@ -262,6 +263,7 @@ def asymptotic_report(
     conv = convolver(chi)
     conv.ensure(nmax)
     consts = constants_for(p, chi)
+    kron = _kronecker_values(p, nmax)  # (p/n) = kron[n % len(kron)]
     rows: list[RatioRow] = []
     decile_lo = nmax - (nmax // 10)
 
@@ -274,7 +276,7 @@ def asymptotic_report(
             lhs = conv.F(n)
             rhs = GaussianRational(Fraction(int(sp[n])))
             ratio = lhs / rhs
-            rows.append(RatioRow(n, kronecker(p, n), lhs, rhs, ratio))
+            rows.append(RatioRow(n, int(kron[n % len(kron)]), lhs, rhs, ratio))
             if n >= decile_lo:
                 dev = abs(ratio.re - consts.alpha)
                 if ratio.im != 0:
@@ -294,7 +296,7 @@ def asymptotic_report(
             lhs = conv.H(n)
             rhs = GaussianRational(Fraction(int(st[n])))
             ratio = lhs / rhs
-            k = kronecker(p, n)
+            k = int(kron[n % len(kron)])
             rows.append(RatioRow(n, k, lhs, rhs, ratio))
             if n >= decile_lo:
                 buckets[k].append(ratio)

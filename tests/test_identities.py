@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from farkas import foundations
 from farkas.characters import canonical_quartic, quartic_pair
-from farkas.foundations import divisors, gaussian
+from farkas.foundations import divisors, gaussian, kronecker
 from farkas.identities import (
     ConfiguredIdentity,
     asymptotic_report,
@@ -20,7 +22,7 @@ from farkas.identities import (
     verify_id1,
     verify_id2,
 )
-from farkas.qseries import Convolver, convolver, sigma_prime_values
+from farkas.qseries import TAIL_SEED, Convolver, convolver, sigma_prime_values
 
 
 class TestConstants:
@@ -53,6 +55,18 @@ class TestVerifyId1:
         assert not report.passed
         assert report.failure_n == 1
         assert (report.lhs, report.rhs) == (gaussian(-1), gaussian("3/7"))
+
+    def test_a_refutation_builds_no_long_product(self):
+        # the sweep stops at its first failure, and the tail it read from
+        # holds O(failure n) coefficients, not nmax
+        chi = canonical_quartic(37)
+        convolver.cache_clear()
+        report = verify_id1(37, 200_000, chi)
+        assert report.failure_n is not None and report.failure_n <= 2
+        conv = convolver(chi)
+        assert len(conv._re) == 200_001
+        assert len(conv._tails[-1][0]) <= 2 * max(TAIL_SEED, report.failure_n) + 1
+        assert len(conv._tails[1][0]) == 1  # H never asked for
 
     def test_report_shape(self):
         report = verify_id1(5, 50)
@@ -130,6 +144,22 @@ class TestAsymptotics:
         # the top decile of n <= 5 is {5}, and (13/5) = -1
         with pytest.raises(ValueError, match="Kronecker symbol \\+1"):
             asymptotic_report(13, chi, "square", 5)
+
+    def test_kronecker_column_matches_the_symbol_without_primality_tests(self):
+        # kronecker(p, n) runs is_prime(p) on every call
+        is_prime, calls = foundations.is_prime, []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        for p in (29, 37):
+            chi, _ = quartic_pair(p)
+            with mock.patch.object(foundations, "is_prime", counted):
+                reps = [asymptotic_report(p, chi, kind, 400) for kind in ("conv", "square")]
+            assert calls == []  # no kronecker(p, n) per row
+            for rep in reps:
+                assert [r.kron for r in rep.rows] == [kronecker(p, r.n) for r in rep.rows]
 
     def test_p29_deviation_decays(self):
         chi, _ = quartic_pair(29)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import tracemalloc
@@ -18,6 +19,8 @@ from farkas.qseries import (
     Convolver,
     QSeries,
     SIEVE_BLOCK,
+    TAIL_SEED,
+    _full_product,
     _kronecker_values,
     _sieve,
     bernoulli_B2_psi,
@@ -323,6 +326,75 @@ class TestSieve:
             assert peak < arrays * 8 * (N + 1) + allowance, (times_d, quotient, peak)
 
 
+def _naive_product(a, b):
+    """c[n] = sum_{j<=n} a[j] b[n-j] for n < len(a), by the double loop."""
+    a, b = [int(v) for v in a], [int(v) for v in b]
+    return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(len(a))]
+
+
+@st.composite
+def _signed_pairs(draw):
+    """Two int64 series of one length 1..300, bounded by K, with +-K and 0 common."""
+    K = draw(st.sampled_from([0, 1, 7, 240, 480, 10**6]))
+    m = draw(st.integers(1, 300))
+    value = st.one_of(st.sampled_from([-K, 0, K]), st.integers(-K, K))
+    a, b = (draw(st.lists(value, min_size=m, max_size=m)) for _ in range(2))
+    return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+class TestFullProduct:
+    @settings(max_examples=80, deadline=None)
+    @given(pair=_signed_pairs(), square=st.booleans())
+    def test_property_matches_the_double_loop(self, pair, square):
+        a, b = pair
+        if square:
+            b = a
+        got = _full_product(a, b)
+        assert got.dtype == np.int64 and len(got) == len(a)
+        assert got.tolist() == _naive_product(a, b)
+
+    def test_edge_inputs(self):
+        for a, b in [
+            ([0], [0]), ([-5], [5]), ([0] * 40, [3] * 40),  # K = 0 at n = 0
+            ([-9] * 50, [-9] * 50), ([9, -9] * 25, [-9, 9] * 25),  # all at +-K
+            ([0] * 7, [0] * 7),  # K = 0: every slot 0
+        ]:
+            a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+            assert _full_product(a, b).tolist() == _naive_product(a, b)
+        with pytest.raises(ValueError):
+            _full_product(np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError):
+            _full_product(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    def test_a_length_and_offset_past_the_int64_bound_is_refused(self):
+        a = np.array([2**31, 0], dtype=np.int64)  # 2 (2K)**2 = 2**65
+        with pytest.raises(AssertionError):
+            _full_product(a, a)
+
+    def test_the_context_is_exact(self):
+        # prec = MAX_PREC holds every product; a rounding would raise
+        ctx = qseries._EXACT
+        assert ctx.traps[decimal.Inexact] and ctx.traps[decimal.Rounded]
+        assert ctx.prec == decimal.MAX_PREC and ctx.Emax == decimal.MAX_EMAX
+
+    def test_scratch_memory_is_linear_in_the_packed_digits(self):
+        # one product at N = 15000: the result plus about ten bytes per
+        # packed digit, for the digit arrays, the text and the decimals
+        N = 15_000
+        re, im = delta_int_arrays(quartic_pair(13)[0], N)
+        m = N + 1
+        for a, b in ((re, re), (re + im, re - im)):
+            K = int(max(np.abs(a).max(), np.abs(b).max()))
+            w = len(str(m * (2 * K) ** 2))  # at least the slot width
+            tracemalloc.start()
+            try:
+                _full_product(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * m + 10 * m * w, (K, w, peak)
+
+
 class TestBernoulli:
     def test_small_prime_values(self):
         assert bernoulli_B2_psi(5) == Fraction(4, 5)
@@ -366,6 +438,11 @@ class TestCauchyProduct:
             assert p_short[n] == p_long[n]
 
 
+def _tail_lengths(conv):
+    """How many coefficients the whole-series tails of F and of H hold."""
+    return len(conv._tails[-1][0]), len(conv._tails[1][0])
+
+
 class TestConvolutions:
     def test_p5_spot_values(self):
         chi, _ = quartic_pair(5)
@@ -385,6 +462,16 @@ class TestConvolutions:
             for n in range(N + 1):
                 assert conv.F(n) == f_series[n]
                 assert conv.H(n) == h_series[n]
+            # both access paths: ascending n reads whole-series tails; with
+            # no seed, descending n always lies past twice the (empty) tail
+            # and takes a dot
+            assert min(_tail_lengths(conv)) > N
+            dots = Convolver(chi)
+            with mock.patch.object(qseries, "TAIL_SEED", 1):
+                for n in range(N, -1, -1):
+                    assert dots.F(n) == f_series[n]
+                    assert dots.H(n) == h_series[n]
+            assert _tail_lengths(dots) == (1, 1)
 
     def test_F_is_real(self):
         chi, _ = quartic_pair(29)
@@ -407,3 +494,43 @@ class TestConvolutions:
                     assert gaussian(*product(n, D)) == product(n) * D
             with pytest.raises(ValueError):
                 conv.F(5, conv.denominator + 1)
+
+    def test_tail_growth_edges(self):
+        # around the seed S and the first doubling 2S: an index at most twice
+        # the built tail (or below S) extends it; a farther one takes a dot
+        S = TAIL_SEED
+        N = 4 * S
+        chi, chibar = quartic_pair(13)
+        f_series = delta_series(chi, N) * delta_series(chibar, N)
+        h_series = delta_series(chi, N) * delta_series(chi, N)
+        conv = Convolver(chi)
+        conv.ensure(N)
+        steps = [  # (n, built tail length after F(n) and H(n))
+            (S - 1, S + 1), (S, S + 1), (S + 1, 2 * S + 1),
+            (2 * S - 1, 2 * S + 1), (2 * S, 2 * S + 1), (2 * S + 1, 4 * S + 1),
+        ]
+        for n, length in steps:
+            assert conv.F(n) == f_series[n] and conv.H(n) == h_series[n]
+            assert _tail_lengths(conv) == (length, length), n
+        fresh = Convolver(chi)
+        fresh.ensure(N)
+        for n, length in [(1, S + 1), (2 * S + 1, S + 1), (2 * S, 2 * S + 1),
+                          (4 * S, 4 * S + 1)]:
+            assert fresh.F(n) == f_series[n] and fresh.H(n) == h_series[n]
+            assert _tail_lengths(fresh) == (length, length), n
+        # a first index at or past the seed, with nothing built, takes a dot
+        far = Convolver(chi)
+        assert far.F(S) == f_series[S] and far.H(S + 1) == h_series[S + 1]
+        assert _tail_lengths(far) == (1, 1)
+
+    def test_ensure_sieves_what_is_asked_then_doubles(self):
+        conv = Convolver(quartic_pair(13)[0])
+        conv.ensure(50)
+        assert len(conv._re) == 51
+        conv.ensure(51)
+        assert len(conv._re) == 101
+        conv.ensure(250)
+        assert len(conv._re) == 251
+        with mock.patch.object(qseries, "MAX_FAST_N", 300):
+            conv.ensure(260)
+        assert len(conv._re) == 301
