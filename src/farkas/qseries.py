@@ -27,9 +27,10 @@ exact ``decimal`` context, so libmpdec's number-theoretic transform does
 the O(n log n) work, unpack the slots column by column, and remove the
 offset with prefix sums.  w is read from the packed data; every slot and
 correction term is at most m (2K)**2 for length m, asserted below 2**63.
-A sweep that fails at n builds tails of length O(n) only; an index far
-past the built tail (the dilated lookups F(95 n) of a configured
-identity) takes one dot product instead (see ``Convolver``).
+A sweep that fails at n builds tails of length O(n) only (none for
+n <= 2); an index more than two past the built tail (the dilated lookups
+F(95 n) of a configured identity) takes one dot product instead (see
+``Convolver``).
 """
 from __future__ import annotations
 
@@ -53,7 +54,6 @@ assert MAX_FAST_N * MAX_DIVISOR_COUNT**2 < 2**63
 # 2 MAX_DIVISOR_COUNT, and its slots and correction terms at most (N+1)(2K)**2
 assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
 SIEVE_BLOCK = 1 << 13  # large divisors whose c(d) the sieve builds at once
-TAIL_SEED = 64  # the Convolver's first whole-series tail reaches this index
 
 
 @dataclass(frozen=True)
@@ -414,14 +414,20 @@ class Convolver:
     - a dot: two int64 dot products over 0 < j < n for F, three for H
       (a.b' = b.a' there), O(n).
 
-    An index n at most twice the built tail, or below TAIL_SEED, extends the
-    tail to min(max(TAIL_SEED, 2 built, n), capacity), so a contiguous sweep
-    to N rebuilds it O(log N) times at a cost of about two products of
-    length N, and a sweep that stops at its first failure at n builds at
-    most max(TAIL_SEED, 2n).  A farther index takes a dot.  The dilated
-    lookups of a configured identity (F(95 n), n <= 2000) stay dots: with
-    tails grown to 190000 instead, that CLI job took 0.71 s, not 0.31 s,
-    and its peak RSS rose from 33.7 to 50.1 MB (2-core x86-64 VM, CPython
+    The path follows from n and the built tail 0..built alone.  T(1) is
+    empty and T(2) one term, so n <= 2 takes a dot.  An index 3 <= n <=
+    max(built, 2) + 2 past the tail (the next index of a sweep, or the one
+    after an index it skips, as ``asymptotic_report`` skips multiples of
+    p) extends the tail to min(2 n, capacity).  Any other index past the
+    tail takes a dot.  So a sweep to N rebuilds the tail O(log N) times,
+    the last time to at most min(2N, capacity), a sweep that stops at its
+    first failure at n builds at most 2n coefficients (none for n <= 2),
+    and lookups with stride 3 or more on their own grow it at most once,
+    to at most 8.  The dilated lookups C n / B of the shipped p = 37
+    configs stay dots (tested) while their terms with C <= 2 grow the tail
+    to at most 4 nmax / B.  They should: with tails grown to
+    190000 instead, the p37_5_19 config job took 0.71 s, not 0.31 s, and
+    its peak RSS rose from 33.7 to 50.1 MB (2-core x86-64 VM, CPython
     3.11, numpy 2.4).
     """
 
@@ -457,9 +463,8 @@ class Convolver:
         """T(n) for 1 <= n <= capacity, by the path rule above."""
         re, im = self._tails[c]
         built = len(re) - 1
-        if n > built and (n < TAIL_SEED or n <= 2 * built):
-            m = min(max(TAIL_SEED, 2 * built, n), len(self._re) - 1)
-            re, im = self._tails[c] = self._whole_tail(m, c)
+        if built < n and 2 < n <= max(built, 2) + 2:
+            re, im = self._tails[c] = self._whole_tail(min(2 * n, len(self._re) - 1), c)
         if n < len(re):
             return int(re[n]), 0 if im is None else int(im[n])
         return self._dot_tail(n, c)

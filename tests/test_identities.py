@@ -6,6 +6,7 @@ import pytest
 
 from farkas import foundations
 from farkas.characters import canonical_quartic, quartic_pair
+from farkas.cli import builtin_config_names, load_builtin_config
 from farkas.foundations import divisors, gaussian, kronecker
 from farkas.identities import (
     ConfiguredIdentity,
@@ -17,12 +18,13 @@ from farkas.identities import (
     obstruction_id1,
     obstruction_id2,
     quartic_primes,
+    resolve_character,
     residual_series,
     verify_farkas,
     verify_id1,
     verify_id2,
 )
-from farkas.qseries import TAIL_SEED, Convolver, convolver, sigma_prime_values
+from farkas.qseries import Convolver, convolver, sigma_prime_values
 
 
 class TestConstants:
@@ -65,7 +67,7 @@ class TestVerifyId1:
         assert report.failure_n is not None and report.failure_n <= 2
         conv = convolver(chi)
         assert len(conv._re) == 200_001
-        assert len(conv._tails[-1][0]) <= 2 * max(TAIL_SEED, report.failure_n) + 1
+        assert len(conv._tails[-1][0]) == 1  # n <= 2: dots only
         assert len(conv._tails[1][0]) == 1  # H never asked for
 
     def test_report_shape(self):
@@ -183,6 +185,19 @@ class TestConfiguredIdentities:
         report = check_configured_identity(cfg, 100)
         assert report.passed
         assert verify_id1(5, 100).passed
+
+    @pytest.mark.parametrize("name", builtin_config_names())
+    def test_dilated_lookups_do_not_grow_the_tail(self, name):
+        # only the terms with C <= 2 step one or two indices past the F
+        # tail; the dilated lookups C n / B (C >= 17) take dots
+        cfg = load_builtin_config(name)
+        nmax = 1000
+        convolver.cache_clear()
+        assert check_configured_identity(cfg, nmax).passed
+        reach = max(c * (nmax // b) for _, b, c in cfg.terms if c <= 2)
+        tails = convolver(resolve_character(cfg.p, cfg.chi_selector))._tails
+        assert len(tails[-1][0]) <= 2 * reach + 1
+        assert len(tails[1][0]) == 1
 
     def test_malformed_configs_rejected(self):
         with pytest.raises(ValueError):

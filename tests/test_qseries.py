@@ -19,7 +19,6 @@ from farkas.qseries import (
     Convolver,
     QSeries,
     SIEVE_BLOCK,
-    TAIL_SEED,
     _full_product,
     _kronecker_values,
     _sieve,
@@ -462,16 +461,15 @@ class TestConvolutions:
             for n in range(N + 1):
                 assert conv.F(n) == f_series[n]
                 assert conv.H(n) == h_series[n]
-            # both access paths: ascending n reads whole-series tails; with
-            # no seed, descending n always lies past twice the (empty) tail
-            # and takes a dot
+            # both access paths: ascending n reads whole-series tails;
+            # descending n lies more than two past the tail down to n = 5
+            # and takes dots, then n = 4 builds a tail to 8 for n <= 4
             assert min(_tail_lengths(conv)) > N
             dots = Convolver(chi)
-            with mock.patch.object(qseries, "TAIL_SEED", 1):
-                for n in range(N, -1, -1):
-                    assert dots.F(n) == f_series[n]
-                    assert dots.H(n) == h_series[n]
-            assert _tail_lengths(dots) == (1, 1)
+            for n in range(N, -1, -1):
+                assert dots.F(n) == f_series[n]
+                assert dots.H(n) == h_series[n]
+                assert _tail_lengths(dots) == ((1, 1) if n > 4 else (9, 9))
 
     def test_F_is_real(self):
         chi, _ = quartic_pair(29)
@@ -496,32 +494,33 @@ class TestConvolutions:
                 conv.F(5, conv.denominator + 1)
 
     def test_tail_growth_edges(self):
-        # around the seed S and the first doubling 2S: an index at most twice
-        # the built tail (or below S) extends it; a farther one takes a dot
-        S = TAIL_SEED
-        N = 4 * S
+        # n <= 2 takes a dot; an index 3 <= n <= max(built, 2) + 2 past the
+        # tail extends it to 2n; a farther one takes a dot
+        N = 40
         chi, chibar = quartic_pair(13)
         f_series = delta_series(chi, N) * delta_series(chibar, N)
         h_series = delta_series(chi, N) * delta_series(chi, N)
+
+        def walk(steps):
+            conv = Convolver(chi)
+            conv.ensure(N)
+            for n, length in steps:  # built tail length after F(n) and H(n)
+                assert conv.F(n) == f_series[n] and conv.H(n) == h_series[n]
+                assert _tail_lengths(conv) == (length, length), n
+
+        # a sweep: the first build at 3, then one past the tail (7), and one
+        # past a skipped index (16)
+        walk([(1, 1), (2, 1), (3, 7), (6, 7), (7, 15), (14, 15), (16, 33)])
+        # the first index: 4 builds, 5 takes a dot
+        walk([(4, 9)])
+        walk([(5, 1), (3, 7)])
+        # around the first rebuild edge at built = 6: 9 = built + 3 takes a
+        # dot, 8 = built + 2 builds
+        walk([(3, 7), (9, 7), (8, 17)])
+        # the tail stops at the capacity
         conv = Convolver(chi)
-        conv.ensure(N)
-        steps = [  # (n, built tail length after F(n) and H(n))
-            (S - 1, S + 1), (S, S + 1), (S + 1, 2 * S + 1),
-            (2 * S - 1, 2 * S + 1), (2 * S, 2 * S + 1), (2 * S + 1, 4 * S + 1),
-        ]
-        for n, length in steps:
-            assert conv.F(n) == f_series[n] and conv.H(n) == h_series[n]
-            assert _tail_lengths(conv) == (length, length), n
-        fresh = Convolver(chi)
-        fresh.ensure(N)
-        for n, length in [(1, S + 1), (2 * S + 1, S + 1), (2 * S, 2 * S + 1),
-                          (4 * S, 4 * S + 1)]:
-            assert fresh.F(n) == f_series[n] and fresh.H(n) == h_series[n]
-            assert _tail_lengths(fresh) == (length, length), n
-        # a first index at or past the seed, with nothing built, takes a dot
-        far = Convolver(chi)
-        assert far.F(S) == f_series[S] and far.H(S + 1) == h_series[S + 1]
-        assert _tail_lengths(far) == (1, 1)
+        assert conv.F(3) == f_series[3] and len(conv._re) == 4
+        assert _tail_lengths(conv) == (4, 1)
 
     def test_ensure_sieves_what_is_asked_then_doubles(self):
         conv = Convolver(quartic_pair(13)[0])
