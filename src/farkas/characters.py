@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .foundations import (
     FOURTH_ROOTS,
     ZERO,
@@ -65,6 +67,17 @@ class DirichletCharacter:
             raise ValueError(f"{d} is divisible by the modulus {self.p}")
         dlog = discrete_log_table(self.p, self.g)[d % self.p]
         return (self.e * dlog) % (self.p - 1)
+
+    def exponent_table(self) -> np.ndarray:
+        """int64 array of ``t_exponent(a)`` for a in 0..p-1, with a placeholder
+        0 at a = 0, where chi vanishes.  e * dlog < p**2 stays far inside int64
+        for any p whose discrete-log table fits in memory."""
+        dlog = discrete_log_table(self.p, self.g)
+        t = np.zeros(self.p, dtype=np.int64)
+        t[np.fromiter(dlog.keys(), np.int64, len(dlog))] = np.fromiter(
+            dlog.values(), np.int64, len(dlog)
+        )
+        return self.e * t % (self.p - 1)
 
     def value(self, a: int) -> GaussianRational:
         """chi(a) as an exact Gaussian rational; requires order | 4."""

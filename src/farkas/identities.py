@@ -273,9 +273,9 @@ def asymptotic_report(
         for n in range(1, nmax + 1):
             if n % p == 0:
                 continue
-            lhs = conv.F(n)
-            rhs = GaussianRational(Fraction(int(sp[n])))
-            ratio = lhs / rhs
+            lhs, s = conv.F(n), int(sp[n])
+            ratio = GaussianRational(lhs.re / s, lhs.im / s)
+            rhs = GaussianRational(Fraction(s))
             rows.append(RatioRow(n, int(kron[n % len(kron)]), lhs, rhs, ratio))
             if n >= decile_lo:
                 dev = abs(ratio.re - consts.alpha)
@@ -293,9 +293,9 @@ def asymptotic_report(
         for n in range(1, nmax + 1):
             if n % p == 0:
                 continue
-            lhs = conv.H(n)
-            rhs = GaussianRational(Fraction(int(st[n])))
-            ratio = lhs / rhs
+            lhs, s = conv.H(n), int(st[n])
+            ratio = GaussianRational(lhs.re / s, lhs.im / s)
+            rhs = GaussianRational(Fraction(s))
             k = int(kron[n % len(kron)])
             rows.append(RatioRow(n, k, lhs, rhs, ratio))
             if n >= decile_lo:

@@ -123,10 +123,15 @@ def from_ints(values, constant=None) -> QSeries:
 def character_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) int64 arrays of chi(a) for a in 0..p-1, one period of chi.
 
-    Built from ``chi.value``, which rejects characters whose values leave Q(i).
+    chi(a) = i**(4 t(a) / (p - 1)) from the exponent table; like ``chi.value``,
+    it rejects characters whose values leave Q(i).
     """
-    values = [chi.value(a) for a in range(chi.p)]
-    table = np.array([(int(v.re), int(v.im)) for v in values], dtype=np.int64).T
+    quarter, rem = np.divmod(4 * chi.exponent_table(), chi.p - 1)
+    if np.count_nonzero(rem):
+        raise ValueError(f"character of order {chi.order} takes values outside Q(i)")
+    powers_of_i = np.array([(1, 0, -1, 0), (0, 1, 0, -1)], dtype=np.int64)  # re, im
+    table = powers_of_i[:, quarter % 4]
+    table[:, 0] = 0  # chi(0) = 0
     table.flags.writeable = False
     return table[0], table[1]
 

@@ -146,6 +146,13 @@ class TestTExponent:
         with pytest.raises(ValueError):
             chi.t_exponent(22)
 
+    @pytest.mark.parametrize("p, g, e", [(11, 2, 1), (13, 6, 5), (59, 8, 29), (101, 2, 40)])
+    def test_exponent_table_matches_t_exponent(self, p, g, e):
+        chi = DirichletCharacter(p, g, e)
+        t = chi.exponent_table()
+        assert t.dtype.kind == "i" and len(t) == p and t[0] == 0
+        assert [int(x) for x in t[1:]] == [chi.t_exponent(a) for a in range(1, p)]
+
 
 class TestSafePrimeGenerators:
     def test_two_generates_for_safe_primes(self):

@@ -2,12 +2,15 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
 from farkas.charpoly import (
     IntPolynomial,
     coprime_with_xq_minus_1,
     cyclotomic,
+    cyclotomic_zeros,
     divisible_by_xq_plus_1,
     even_character_obstruction,
     f_poly,
@@ -16,6 +19,7 @@ from farkas.charpoly import (
     poly_gcd,
     reduce_g,
     safe_prime_scan,
+    xq_flags,
     zero_sum_check,
     zero_sum_is_zero,
 )
@@ -118,7 +122,35 @@ class TestHPoly:
             h_poly(chi, 11)
 
 
+def f_oracle(xi):
+    """The dense sum of h_{xi,j} h_{xibar,p-j} products."""
+    p, xibar = xi.p, xi.conj()
+    total = IntPolynomial(())
+    for j in range(1, p):
+        total = total + h_poly(xi, j) * h_poly(xibar, p - j)
+    return total
+
+
+SAFE_PRIMES_BELOW_500 = safe_prime_scan(500)
+
+
 class TestFPoly:
+    @pytest.mark.parametrize("p", SAFE_PRIMES_BELOW_500)
+    def test_matches_dense_oracle(self, p):
+        chi = DirichletCharacter(p, 2, 1)
+        assert f_poly(chi) == f_oracle(chi)
+
+    @pytest.mark.parametrize("p", [11, 59])
+    def test_every_power_matches_dense_oracle(self, p):
+        chi = DirichletCharacter(p, 2, 1)
+        for k in range(p - 1):
+            assert f_poly(chi.power(k)) == f_oracle(chi.power(k)), k
+
+    @pytest.mark.parametrize("p, g, e", [(13, 6, 1), (37, 5, 4), (59, 8, 3), (59, 8, 29)])
+    def test_other_primitive_roots_match_dense_oracle(self, p, g, e):
+        xi = DirichletCharacter(p, g, e)
+        assert f_poly(xi) == f_oracle(xi)
+
     @pytest.mark.parametrize("p", [11, 59])
     def test_coefficient_facts(self, p):
         f = f_poly(DirichletCharacter(p, 2, 1))
@@ -175,6 +207,32 @@ class TestDivisibilityTests:
         assert divisible_by_xq_plus_1(xq_plus_1 * P(2, 1), q)
         assert not coprime_with_xq_minus_1(cyclotomic(q) * xq_plus_1, q)
         assert coprime_with_xq_minus_1(xq_plus_1, q)
+
+
+class TestXqFlags:
+    @pytest.mark.parametrize("p", SAFE_PRIMES_BELOW_500)
+    def test_report_flags_match_oracles(self, p):
+        q = (p - 1) // 2
+        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        rep = even_character_obstruction(p)
+        assert rep.divisible_by_xq_plus_1 == divisible_by_xq_plus_1(g, q)
+        assert rep.coprime_with_xq_minus_1 == coprime_with_xq_minus_1(g, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 13]),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=8),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_phi_factor_rule_matches_gcd_oracle(self, q, cofactor, chosen):
+        g = IntPolynomial.make(cofactor)
+        for use, d in zip(chosen, (1, 2, q, 2 * q)):
+            if use:
+                g = g * cyclotomic(d)
+        assert xq_flags(cyclotomic_zeros(g, 2 * q), q) == (
+            divisible_by_xq_plus_1(g, q),
+            coprime_with_xq_minus_1(g, q),
+        )
 
 
 class TestSafePrimeScan:

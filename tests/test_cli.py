@@ -151,14 +151,35 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self, tmp_path):
+    @staticmethod
+    def _assert_byte_identical(tmp_path, argv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["verify", "--p", "13", "--kind", "square", "--nmax", "100"]
         main(argv + ["--out", str(a)])
         main(argv + ["--out", str(b)])
         ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
         del ja["elapsed_ms"], jb["elapsed_ms"]
         assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
+
+    def test_byte_identical_reports(self, tmp_path):
+        argv = ["verify", "--p", "13", "--kind", "square", "--nmax", "100"]
+        self._assert_byte_identical(tmp_path, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["poly", "--p", "59"], ["search", "--safe-primes", "--pmax", "500"]],
+        ids=["poly", "safe-primes"],
+    )
+    def test_byte_identical_poly_and_search_reports(self, tmp_path, argv):
+        self._assert_byte_identical(tmp_path, argv)
+
+    def test_poly_p59_fields_pinned(self, tmp_path):
+        out = tmp_path / "poly.json"
+        assert main(["poly", "--p", "59", "--out", str(out)]) == EXIT_PASS
+        data = json.loads(out.read_text())
+        assert {k: data[k] for k in ("b0", "b1", "b_p_minus_1", "b_p", "f_at_one")} == {
+            "b0": 58, "b1": 30, "b_p_minus_1": 0, "b_p": 0, "f_at_one": 884,
+        }
+        assert data["flagged_zero_coefficients"] == [60, 64, 65, 66, 76, 108, 109, 110, 111]
 
     def test_round_trip(self, tmp_path):
         out = tmp_path / "r.json"

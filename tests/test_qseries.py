@@ -73,6 +73,15 @@ class TestDeltaConstant:
             values[pow(g, k, p)] = gaussian(*powers_of_i[quarter % 4])
         return values
 
+    @pytest.mark.parametrize("p, g, e", [(7, 3, 1), (13, 2, 1), (13, 2, 4)])
+    def test_table_rejects_values_outside_gaussian_rationals(self, p, g, e):
+        chi = DirichletCharacter(p, g, e)
+        with pytest.raises(ValueError, match="outside Q\\(i\\)") as table_error:
+            character_table(chi)
+        with pytest.raises(ValueError) as value_error:
+            [chi.value(a) for a in range(p)]
+        assert str(table_error.value) == str(value_error.value)
+
     def test_table_and_constant_match_power_oracle(self):
         ps = [p for p in range(5, 500, 8) if all(p % q for q in range(2, p))]
         chars = [chi for p in ps for chi in quartic_pair(p)] + [quadratic_character(3)]
