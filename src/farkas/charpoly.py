@@ -289,12 +289,24 @@ def is_safe_prime_shape(p: int) -> bool:
     return q % 4 == 1 and is_prime(q)
 
 
+def two_generates(p: int) -> bool:
+    """Whether 2 generates (Z/pZ)*, for a prime p = 2q + 1 with q an odd prime.
+
+    2**(2q) = 1, so 2**q = +-1 (mod p).  If 2**q = 1, the order of 2 divides
+    q < p - 1.  If 2**q = -1, it divides 2q but not q, so it is 2 or 2q, and
+    not 2, since 2**2 = 4 is not 1 mod p >= 7.  O(log p) steps and no
+    discrete-log table.
+    """
+    return pow(2, (p - 1) // 2, p) == p - 1
+
+
 def safe_prime_scan(bound: int) -> list[int]:
     """All p <= bound of the required shape; asserts 2 generates each group."""
     out = []
     for p in range(11, bound + 1, 2):
         if is_safe_prime_shape(p):
-            DirichletCharacter(p, 2, 1)  # raises if 2 is not a generator
+            if not two_generates(p):
+                raise ValueError(f"2 is not a primitive root mod {p}")
             out.append(p)
     return out
 

@@ -2,8 +2,9 @@
 ratio tables, and the integer-polynomial reports.
 
 Exit codes: 0 pass, 1 identity failure (report still written), 2 usage
-error, 3 I/O error.  Exact values serialize as reduced fraction strings;
-decimal columns are advisory renderings only.
+error, 3 I/O error, 4 internal error (a bug: the traceback goes to
+stderr).  Exact values serialize as reduced fraction strings; decimal
+columns are advisory renderings only.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import tempfile
 import time
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 from .charpoly import even_character_obstruction, is_safe_prime_shape, safe_prime_scan
 from .foundations import GaussianRational, is_prime
@@ -37,32 +39,58 @@ EXIT_PASS = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
     pass
 
 
+def _fraction_part(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _fixed_part(num: int, den: int, places: int) -> str:
+    """num/den for den > 0, truncated toward zero to `places` decimals; a
+    negative value keeps its '-' even when it truncates to zero."""
+    intpart, fracpart = divmod(abs(num) * 10**places // den, 10**places)
+    return f"{'-' if num < 0 else ''}{intpart}.{fracpart:0{places}d}"
+
+
+def _gaussian_str(re: int, im: int, den: int, places: int | None = None) -> str:
+    """(re + i im)/den for den > 0, as reduced fractions, or to `places`
+    decimals: the real part alone when im = 0, else re+|im|i or re-|im|i.
+    The one renderer of exact and decimal cells, from ints alone."""
+    if places is None:
+        part, args = _fraction_part, ()
+    else:
+        part, args = _fixed_part, (places,)
+    if not im:
+        return part(re, den, *args)
+    sign = "+" if im > 0 else "-"
+    return f"{part(re, den, *args)}{sign}{part(abs(im), den, *args)}i"
+
+
+def _ratio_cells(re: int, im: int, den: int) -> tuple[str, str]:
+    """The exact and 12-place cells of (re + i im)/den for den != 0: the
+    sign of den moves into the numerators."""
+    if den < 0:
+        re, im, den = -re, -im, -den
+    return _gaussian_str(re, im, den), _gaussian_str(re, im, den, 12)
+
+
 def decimal_str(x: Fraction, places: int = 12) -> str:
     """Exact fixed-point rendering of a rational to `places` decimals."""
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = x * 10**places
-    q = scaled.numerator // scaled.denominator
-    intpart, fracpart = divmod(q, 10**places)
-    return f"{sign}{intpart}.{fracpart:0{places}d}"
+    return _gaussian_str(x.numerator, 0, x.denominator, places)
 
 
 def gaussian_decimal_str(z: GaussianRational, places: int = 12) -> str:
-    if z.is_real():
-        return decimal_str(z.re, places)
-    sign = "+" if z.im >= 0 else "-"
-    return f"{decimal_str(z.re, places)}{sign}{decimal_str(abs(z.im), places)}i"
-
-
-def gaussian_exact_str(z: GaussianRational) -> str:
-    """Reduced-fraction rendering; real values drop the imaginary part."""
-    return str(z.re) if z.is_real() else str(z)
+    return _gaussian_str(  # over the common denominator of re and im
+        z.re.numerator * z.im.denominator, z.im.numerator * z.re.denominator,
+        z.re.denominator * z.im.denominator, places,
+    )
 
 
 def parse_gaussian_pair(text: str) -> GaussianRational:
@@ -276,20 +304,19 @@ def cmd_asympt(args) -> int:
         raise UsageError(f"p must be a prime = 5 (mod 8), got {p}")
     chi = resolve_character(p, args.chi)
     report = asymptotic_report(p, chi, args.kind, args.nmax)
+    D = report.denominator
+
+    def rows():
+        for n, kron, re, im, s in zip(
+            report.n.tolist(), report.kron.tolist(), report.lhs_re.tolist(),
+            report.lhs_im.tolist(), report.sigma.tolist(),
+        ):
+            yield n, kron, _gaussian_str(re, im, D), s, *_ratio_cells(re, im, D * s)
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "kron", "lhs", "rhs", "ratio", "ratio_dec"])
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.n,
-                row.kron,
-                gaussian_exact_str(row.lhs),
-                gaussian_exact_str(row.rhs),
-                gaussian_exact_str(row.ratio),
-                gaussian_decimal_str(row.ratio),
-            ]
-        )
+    writer.writerows(rows())
     write_output(buf.getvalue(), args.out)
     return EXIT_PASS
 
@@ -406,6 +433,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a bug, never an identity failure (exit 1)
+        import traceback  # only on this path: it is not loaded at start-up
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,8 +11,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Optional
+
+import numpy as np
 
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
 from .foundations import GaussianRational, is_prime
@@ -237,17 +240,45 @@ class RatioRow:
 
 @dataclass
 class AsymptoticReport:
+    """The ratio table as arrays over the n <= nmax with p not dividing n.
+
+    lhs(n) = (lhs_re[i] + i lhs_im[i]) / denominator exactly (object arrays
+    of Python ints), rhs(n) = sigma[i], and the ratio is lhs / rhs.
+    ``rows`` spells the table out as exact ``RatioRow``s on first use.
+    """
+
     p: int
     character: str
     kind: str
     nmax: int
-    rows: list[RatioRow]
+    n: np.ndarray
+    kron: np.ndarray
+    lhs_re: np.ndarray
+    lhs_im: np.ndarray
+    sigma: np.ndarray
+    denominator: int
     alpha: Optional[Fraction] = None
     max_dev_top_decile: Optional[Fraction] = None
     limit_plus: Optional[GaussianRational] = None
     limit_minus: Optional[GaussianRational] = None
     gamma_estimate: Optional[GaussianRational] = None
     alpha_prime_estimate: Optional[GaussianRational] = None
+
+    @cached_property
+    def rows(self) -> list[RatioRow]:
+        D = self.denominator
+        return [
+            RatioRow(
+                n, k,
+                GaussianRational(Fraction(re, D), Fraction(im, D)),
+                GaussianRational(Fraction(s)),
+                GaussianRational(Fraction(re, D * s), Fraction(im, D * s)),
+            )
+            for n, k, re, im, s in zip(
+                self.n.tolist(), self.kron.tolist(), self.lhs_re.tolist(),
+                self.lhs_im.tolist(), self.sigma.tolist(),
+            )
+        ]
 
 
 def asymptotic_report(
@@ -259,65 +290,59 @@ def asymptotic_report(
     the top decile.  'square' tabulates H(n)/sigma~(n), estimates the
     subsequence limits L+ and L- for Kronecker symbol +1 / -1 as top-decile
     averages, and reports gamma = (L+ - L-)/2 and alpha' = (L+ + L-)/2.
+    The table stays in integer arrays; Fractions are built for the top
+    decile's statistics only.
     """
+    if kind == "conv":
+        c, sigma_values = -1, sigma_prime_values
+    elif kind == "square":
+        c, sigma_values = 1, sigma_tilde_values
+    else:
+        raise ValueError(f"unknown asymptotic kind {kind!r}")
     conv = convolver(chi)
-    conv.ensure(nmax)
-    consts = constants_for(p, chi)
+    re, im = conv.numerators(nmax, c)
+    n = np.arange(1, nmax + 1, dtype=np.int64)
+    n = n[n % p != 0]
     kron = _kronecker_values(p, nmax)  # (p/n) = kron[n % len(kron)]
-    rows: list[RatioRow] = []
+    D = conv.denominator
+    report = AsymptoticReport(
+        p, chi.label(), kind, nmax, n, kron[n % len(kron)], re[n], im[n],
+        sigma_values(p, nmax)[n], D,
+    )
     decile_lo = nmax - (nmax // 10)
+    top = n >= decile_lo
+    top_ratios = [
+        (k, Fraction(x, D * s), Fraction(y, D * s))
+        for k, x, y, s in zip(
+            report.kron[top].tolist(), report.lhs_re[top].tolist(),
+            report.lhs_im[top].tolist(), report.sigma[top].tolist(),
+        )
+    ]
 
     if kind == "conv":
-        sp = sigma_prime_values(p, nmax)
-        max_dev = Fraction(0)
-        for n in range(1, nmax + 1):
-            if n % p == 0:
-                continue
-            lhs, s = conv.F(n), int(sp[n])
-            ratio = GaussianRational(lhs.re / s, lhs.im / s)
-            rhs = GaussianRational(Fraction(s))
-            rows.append(RatioRow(n, int(kron[n % len(kron)]), lhs, rhs, ratio))
-            if n >= decile_lo:
-                dev = abs(ratio.re - consts.alpha)
-                if ratio.im != 0:
-                    raise AssertionError("conv ratio must be real")
-                max_dev = max(max_dev, dev)
-        return AsymptoticReport(
-            p, chi.label(), kind, nmax, rows,
-            alpha=consts.alpha, max_dev_top_decile=max_dev,
+        if np.count_nonzero(report.lhs_im):
+            raise AssertionError("conv ratio must be real")
+        report.alpha = constants_for(p, chi).alpha
+        report.max_dev_top_decile = max(
+            (abs(x - report.alpha) for _, x, _ in top_ratios), default=Fraction(0)
         )
+        return report
 
-    if kind == "square":
-        st = sigma_tilde_values(p, nmax)
-        buckets: dict[int, list[GaussianRational]] = {1: [], -1: []}
-        for n in range(1, nmax + 1):
-            if n % p == 0:
-                continue
-            lhs, s = conv.H(n), int(st[n])
-            ratio = GaussianRational(lhs.re / s, lhs.im / s)
-            rhs = GaussianRational(Fraction(s))
-            k = int(kron[n % len(kron)])
-            rows.append(RatioRow(n, k, lhs, rhs, ratio))
-            if n >= decile_lo:
-                buckets[k].append(ratio)
-
-        for k, bucket in buckets.items():
-            if not bucket:
-                raise ValueError(
-                    f"no n in the top decile {decile_lo}..{nmax} with Kronecker "
-                    f"symbol {k:+d} at p = {p}; try a larger --nmax"
-                )
-        l_plus, l_minus = (
-            sum(b, GaussianRational()) / len(b) for b in (buckets[1], buckets[-1])
+    limits = {}
+    for k in (1, -1):
+        bucket = [(x, y) for kk, x, y in top_ratios if kk == k]
+        if not bucket:
+            raise ValueError(
+                f"no n in the top decile {decile_lo}..{nmax} with Kronecker "
+                f"symbol {k:+d} at p = {p}; try a larger --nmax"
+            )
+        limits[k] = GaussianRational(
+            sum(x for x, _ in bucket) / len(bucket), sum(y for _, y in bucket) / len(bucket)
         )
-        return AsymptoticReport(
-            p, chi.label(), kind, nmax, rows,
-            limit_plus=l_plus, limit_minus=l_minus,
-            gamma_estimate=(l_plus - l_minus) / Fraction(2),
-            alpha_prime_estimate=(l_plus + l_minus) / Fraction(2),
-        )
-
-    raise ValueError(f"unknown asymptotic kind {kind!r}")
+    report.limit_plus, report.limit_minus = limits[1], limits[-1]
+    report.gamma_estimate = (limits[1] - limits[-1]) / Fraction(2)
+    report.alpha_prime_estimate = (limits[1] + limits[-1]) / Fraction(2)
+    return report
 
 
 # ---------------------------------------------------------------------

@@ -422,11 +422,11 @@ class Convolver:
     The path follows from n and the built tail 0..built alone.  T(1) is
     empty and T(2) one term, so n <= 2 takes a dot.  An index 3 <= n <=
     max(built, 2) + 2 past the tail (the next index of a sweep, or the one
-    after an index it skips, as ``asymptotic_report`` skips multiples of
-    p) extends the tail to min(2 n, capacity).  Any other index past the
-    tail takes a dot.  So a sweep to N rebuilds the tail O(log N) times,
-    the last time to at most min(2N, capacity), a sweep that stops at its
-    first failure at n builds at most 2n coefficients (none for n <= 2),
+    after an index it skips) extends the tail to min(2 n, capacity).  Any
+    other index past the tail takes a dot.  So a sweep to N rebuilds the
+    tail O(log N) times, the last time to at most min(2N, capacity), a
+    sweep that stops at its first failure at n builds at most 2n
+    coefficients (none for n <= 2),
     and lookups with stride 3 or more on their own grow it at most once,
     to at most 8.  The dilated lookups C n / B of the shipped p = 37
     configs stay dots (tested) while their terms with C <= 2 grow the tail
@@ -434,6 +434,10 @@ class Convolver:
     190000 instead, the p37_5_19 config job took 0.71 s, not 0.31 s, and
     its peak RSS rose from 33.7 to 50.1 MB (2-core x86-64 VM, CPython
     3.11, numpy 2.4).
+
+    ``numerators`` reads the whole series 0..N at once: it builds (or
+    reuses) the tail to N with one whole-series product, and applies the
+    same combination in exact object arrays of Python ints.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -474,21 +478,33 @@ class Convolver:
             return int(re[n]), 0 if im is None else int(im[n])
         return self._dot_tail(n, c)
 
+    def _at_zero(self, c: int) -> tuple[int, int]:
+        """s**2 times the n = 0 term delta_chi(0) delta'(0): L L', L' = u + i c v."""
+        u, v = self._L
+        return u * u - c * v * v, (1 + c) * u * v
+
+    def _combine(self, c: int, tail_re, tail_im, x, y):
+        """s**2 T(n) + s (L delta'(n) + delta(n) L') for n >= 1, from T(n)
+        and delta_chi(n) = x + i y: Python ints, or object arrays of them,
+        so the result is exact either way."""
+        u, v = self._L
+        s = 2 * self.chi.p
+        re = s * s * tail_re + 2 * s * (u * x - c * v * y)
+        im = s * s * tail_im + (1 + c) * s * (u * y + v * x)
+        return re, im
+
     def _product(self, n: int, c: int, scale: int | None):
         """sum_{j=0}^{n} delta_chi(j) delta'(n-j), where delta' is delta_chi
         (c = 1) or its conjugate (c = -1); exact, or times ``scale``."""
         if n < 0:
             raise ValueError("F and H expect n >= 0")
-        u, v = self._L
-        if n == 0:  # L L', with L' = u + i c v
-            re, im = u * u - c * v * v, (1 + c) * u * v
-        else:  # s**2 T(n) + s (L delta'(n) + delta(n) L')
+        if n == 0:
+            re, im = self._at_zero(c)
+        else:
             self.ensure(n)
-            tail_re, tail_im = self._tail(n, c)
-            x, y = int(self._re[n]), int(self._im[n])
-            s = 2 * self.chi.p
-            re = s * s * tail_re + 2 * s * (u * x - c * v * y)
-            im = s * s * tail_im + (1 + c) * s * (u * y + v * x)
+            re, im = self._combine(
+                c, *self._tail(n, c), int(self._re[n]), int(self._im[n])
+            )
         if scale is None:
             return GaussianRational(
                 Fraction(re, self.denominator), Fraction(im, self.denominator)
@@ -497,6 +513,30 @@ class Convolver:
         if rem:
             raise ValueError(f"scale {scale} is not a multiple of {self.denominator}")
         return k * re, k * im
+
+    def numerators(self, N: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """``denominator`` times F (c = -1) or H (c = 1) at n = 0..N, as two
+        object arrays (re, im) of Python ints: no int64 bound applies.
+
+        One whole-series product builds the tail to N, unless the cached
+        tail already reaches N; the combination is ``_product``'s.
+        """
+        if N < 0:
+            raise ValueError("F and H expect n >= 0")
+        self.ensure(N)
+        tail_re, tail_im = self._tails[c]
+        if len(tail_re) <= N:
+            tail_re, tail_im = self._tails[c] = self._whole_tail(N, c)
+
+        def exact(arr):
+            return arr[: N + 1].astype(object)
+
+        re, im = self._combine(
+            c, exact(tail_re), 0 if tail_im is None else exact(tail_im),
+            exact(self._re), exact(self._im),
+        )
+        re[0], im[0] = self._at_zero(c)
+        return re, im
 
     def F(self, n: int, scale: int | None = None):
         """F_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chibar(n-j), exact in Q(i).

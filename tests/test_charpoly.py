@@ -19,11 +19,12 @@ from farkas.charpoly import (
     poly_gcd,
     reduce_g,
     safe_prime_scan,
+    two_generates,
     xq_flags,
     zero_sum_check,
     zero_sum_is_zero,
 )
-from farkas.foundations import divisors
+from farkas.foundations import discrete_log_table, divisors, is_prime
 
 
 def P(*coeffs):
@@ -246,6 +247,26 @@ class TestSafePrimeScan:
         assert is_safe_prime_shape(11)
         assert not is_safe_prime_shape(13)
         assert not is_safe_prime_shape(7)  # q = 3 is 3 (mod 4)
+
+    def test_two_generates_matches_the_discrete_log_table(self):
+        # every p = 2q + 1 < 2000 with q an odd prime, whatever q mod 4, so
+        # that both answers occur (2 has order 3 mod 7, and q mod 4 = 3)
+        primes = [p for p in range(7, 2000, 2) if is_prime(p) and is_prime(p // 2)]
+        answers = []
+        for p in primes:
+            try:
+                DirichletCharacter(p, 2, 1)
+                oracle = True
+            except ValueError:
+                oracle = False
+            answers.append(oracle)
+            assert two_generates(p) == oracle, p
+        assert True in answers and False in answers
+
+    def test_scan_builds_no_discrete_log_tables(self):
+        before = discrete_log_table.cache_info().currsize
+        assert len(safe_prime_scan(5000)) > 20
+        assert discrete_log_table.cache_info().currsize == before
 
 
 class TestEvenObstruction:

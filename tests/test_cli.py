@@ -1,15 +1,22 @@
+import hashlib
 import json
 import os
 from importlib import resources
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from farkas import cli
 from farkas.cli import (
     EXIT_FAILURE,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
     builtin_config_names,
+    _gaussian_str,
+    _ratio_cells,
     decimal_str,
     gaussian_decimal_str,
     load_builtin_config,
@@ -17,7 +24,7 @@ from farkas.cli import (
     main,
     parse_gaussian_pair,
 )
-from farkas.foundations import gaussian
+from farkas.foundations import GaussianRational, gaussian
 from fractions import Fraction
 
 P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
@@ -248,6 +255,27 @@ class TestAsymptCommand:
         ]
         assert not out.exists()
 
+    # sha256 of the CSVs that the per-row Fraction code wrote at N = 3000;
+    # conv is the same table for chi and its conjugate, since F(chibar) = F(chi)
+    PINNED_SHA256 = {
+        (29, "conv"): "091b5cb0cd8c2e7e4cae9cd1096aaedd91b8318f56feee204ca242d17e1d52cf",
+        (29, "square", "quartic-i"): "d4362e6c59936f7c47c478cd5218015f512e72b763511b25b3ef02c37ca8846c",
+        (29, "square", "quartic-minus-i"): "53288bbeb50b4341abb0e18223e3a40d64143aca574baddb82db36ee2a94f564",
+        (37, "conv"): "9df676d5d784eac523665d291114d93178a10d4915dd8e1fac7372c08e0318cc",
+        (37, "square", "quartic-i"): "e3a90f3563fcfc09a49e0284395ed971b529c0b87310b17f1f38ddd64e93cd8a",
+        (37, "square", "quartic-minus-i"): "053899d2001da3306abfba5531fa9c811a327b5fa835afe2a5557d7847cb7cee",
+    }
+
+    @pytest.mark.parametrize("p", [29, 37])
+    @pytest.mark.parametrize("chi", ["quartic-i", "quartic-minus-i"])
+    @pytest.mark.parametrize("kind", ["conv", "square"])
+    def test_csv_is_byte_identical_to_the_pinned_table(self, p, chi, kind, tmp_path):
+        out = tmp_path / "a.csv"
+        argv = ["asympt", "--p", str(p), "--chi", chi, "--kind", kind, "--nmax", "3000"]
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        key = (p, kind) if kind == "conv" else (p, kind, chi)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_SHA256[key]
+
     def test_p5_ratio_cells(self, tmp_path):
         out = tmp_path / "a5.csv"
         main(["asympt", "--p", "5", "--kind", "conv", "--nmax", "40", "--out", str(out)])
@@ -324,3 +352,78 @@ class TestDecimalRendering:
             "0.500000000000-0.250000000000i"
         )
         assert gaussian_decimal_str(gaussian("1/2")) == "0.500000000000"
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_four_with_a_traceback(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_asympt", broken)
+        argv = ["asympt", "--p", "29", "--kind", "conv", "--nmax", "10"]
+        assert main(argv) == EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "internal error: RuntimeError('boom')"
+        assert "Traceback (most recent call last)" in err and err.rstrip().endswith(
+            "RuntimeError: boom"
+        )
+
+    def test_known_errors_keep_their_codes(self, monkeypatch, capsys):
+        for exc, code in ((ValueError("v"), EXIT_USAGE), (OSError("o"), EXIT_IO)):
+            def broken(args, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "cmd_verify", broken)
+            assert main(["verify", "--kind", "farkas"]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# the renderings of the per-row Fraction path, kept as oracles
+def fraction_decimal_str(x: Fraction, places: int = 12) -> str:
+    sign = "-" if x < 0 else ""
+    scaled = abs(x) * 10**places
+    intpart, fracpart = divmod(scaled.numerator // scaled.denominator, 10**places)
+    return f"{sign}{intpart}.{fracpart:0{places}d}"
+
+
+def fraction_gaussian_decimal_str(z: GaussianRational) -> str:
+    if z.is_real():
+        return fraction_decimal_str(z.re)
+    sign = "+" if z.im >= 0 else "-"
+    return f"{fraction_decimal_str(z.re)}{sign}{fraction_decimal_str(abs(z.im))}i"
+
+
+def fraction_gaussian_exact_str(z: GaussianRational) -> str:
+    return str(z.re) if z.is_real() else str(z)
+
+
+numerators = st.one_of(
+    st.integers(-(2**80), 2**80),  # past 2**63 both ways
+    st.integers(-3, 3),  # zero parts, and |x| < 10**-12 over a large den
+)
+denominators = st.one_of(
+    st.integers(1, 2**80), st.integers(10**12 + 1, 2**80), st.integers(-(2**80), -1)
+)
+
+
+class TestIntegerRenderer:
+    @given(numerators, numerators, denominators)
+    @example(-1, 0, 10**13)  # "-0.000000000000"
+    @example(1, -1, -(10**13))  # both parts round to zero, signs from den
+    @example(0, 5, 7)  # zero real part, imaginary part kept
+    @example(2**64 + 1, 0, 3)  # real value past int64
+    @example(-(2**70), 2**70, 2**70)  # reduces to -1+1i
+    def test_cells_equal_the_fraction_path(self, re, im, den):
+        z = GaussianRational(Fraction(re, den), Fraction(im, den))
+        assert _ratio_cells(re, im, den) == (
+            fraction_gaussian_exact_str(z),
+            fraction_gaussian_decimal_str(z),
+        )
+
+    @given(numerators, numerators, st.integers(1, 2**80))
+    def test_lhs_cell_and_decimal_wrappers_equal_the_fraction_path(self, re, im, den):
+        z = GaussianRational(Fraction(re, den), Fraction(im, den))
+        assert _gaussian_str(re, im, den) == fraction_gaussian_exact_str(z)
+        assert gaussian_decimal_str(z) == fraction_gaussian_decimal_str(z)
+        assert decimal_str(z.re) == fraction_decimal_str(z.re)
+        assert decimal_str(z.re, 3) == fraction_decimal_str(z.re, 3)

@@ -7,9 +7,10 @@ import pytest
 from farkas import foundations
 from farkas.characters import canonical_quartic, quartic_pair
 from farkas.cli import builtin_config_names, load_builtin_config
-from farkas.foundations import divisors, gaussian, kronecker
+from farkas.foundations import GaussianRational, divisors, gaussian, kronecker
 from farkas.identities import (
     ConfiguredIdentity,
+    RatioRow,
     asymptotic_report,
     check_configured_identity,
     constants_for,
@@ -24,7 +25,12 @@ from farkas.identities import (
     verify_id1,
     verify_id2,
 )
-from farkas.qseries import Convolver, convolver, sigma_prime_values
+from farkas.qseries import (
+    Convolver,
+    convolver,
+    sigma_prime_values,
+    sigma_tilde_values,
+)
 
 
 class TestConstants:
@@ -168,6 +174,62 @@ class TestAsymptotics:
         small = asymptotic_report(29, chi, "conv", 100)
         large = asymptotic_report(29, chi, "conv", 2000)
         assert large.max_dev_top_decile < small.max_dev_top_decile
+
+
+def per_row_report(p, chi, kind, nmax):
+    """The ratio table built row by row from exact F(n) and H(n), with the
+    statistics over every top-decile row: an oracle for the array report.
+    Returns (rows, stats)."""
+    conv = Convolver(chi)
+    alpha = constants_for(p, chi).alpha
+    product, sigma = (
+        (conv.F, sigma_prime_values(p, nmax)) if kind == "conv"
+        else (conv.H, sigma_tilde_values(p, nmax))
+    )
+    decile_lo = nmax - nmax // 10
+    rows, top = [], {1: [], -1: []}
+    for n in range(1, nmax + 1):
+        if n % p == 0:
+            continue
+        lhs, s = product(n), int(sigma[n])
+        ratio = GaussianRational(lhs.re / s, lhs.im / s)
+        rows.append(RatioRow(n, kronecker(p, n), lhs, GaussianRational(Fraction(s)), ratio))
+        if n >= decile_lo:
+            top[rows[-1].kron].append(ratio)
+    if kind == "conv":
+        ratios = top[1] + top[-1]
+        assert all(r.im == 0 for r in ratios)
+        return rows, {"max_dev_top_decile": max((abs(r.re - alpha) for r in ratios), default=0)}
+    l_plus, l_minus = (sum(b, GaussianRational()) / len(b) for b in (top[1], top[-1]))
+    return rows, {
+        "limit_plus": l_plus,
+        "limit_minus": l_minus,
+        "gamma_estimate": (l_plus - l_minus) / 2,
+        "alpha_prime_estimate": (l_plus + l_minus) / 2,
+    }
+
+
+class TestArrayReportAgainstPerRowOracle:
+    @pytest.mark.parametrize("p", [5, 13, 29, 37])
+    @pytest.mark.parametrize("kind", ["conv", "square"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rows_and_statistics_agree_exactly(self, p, kind, sign):
+        chi = canonical_quartic(p, sign)
+        rep = asymptotic_report(p, chi, kind, 400)
+        rows, stats = per_row_report(p, chi, kind, 400)
+        assert len(rep.rows) == len(rows) == 400 - 400 // p
+        for got, want in zip(rep.rows, rows):
+            assert got == want
+            assert type(got.n) is type(got.kron) is int
+        for name, value in stats.items():
+            assert getattr(rep, name) == value, name
+
+    def test_rows_are_built_on_first_use_only(self):
+        chi = canonical_quartic(29)
+        rep = asymptotic_report(29, chi, "square", 400)
+        assert "rows" not in vars(rep)
+        rows = rep.rows
+        assert vars(rep)["rows"] is rows and rep.rows is rows
 
 
 class TestConfiguredIdentities:

@@ -531,6 +531,55 @@ class TestConvolutions:
         assert conv.F(3) == f_series[3] and len(conv._re) == 4
         assert _tail_lengths(conv) == (4, 1)
 
+    def test_numerators_match_the_cauchy_product(self):
+        N = 60
+        for chi in (quartic_pair(5)[0], quartic_pair(29)[1], quadratic_character(3)):
+            chibar = chi.conj()
+            series = {
+                -1: delta_series(chi, N) * delta_series(chibar, N),
+                1: delta_series(chi, N) * delta_series(chi, N),
+            }
+            for c, want in series.items():
+                conv = Convolver(chi)
+                re, im = conv.numerators(N, c)
+                assert len(re) == len(im) == N + 1
+                D = conv.denominator
+                assert [gaussian(Fraction(x, D), Fraction(y, D)) for x, y in zip(re, im)] == list(
+                    want.coefficients
+                )
+                assert (re.dtype, im.dtype) == (object, object)
+                assert all(type(x) is int for x in re.tolist() + im.tolist())
+
+    def test_numerators_build_one_tail_and_reuse_it(self):
+        chi = quartic_pair(13)[0]
+        conv = Convolver(chi)
+        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+            re, im = conv.numerators(100, 1)
+            assert spy.call_count == 2  # one whole tail for H: (a+b)(a-b) and ab
+            assert _tail_lengths(conv) == (1, 101)
+            # a shorter series and per-n reads below 100 reuse the cached tail
+            short = conv.numerators(40, 1)
+            assert [conv.H(n, conv.denominator) for n in range(41)] == list(zip(*short))
+            assert spy.call_count == 2
+            # a longer one extends it once
+            conv.numerators(150, 1)
+            assert spy.call_count == 4 and _tail_lengths(conv) == (1, 151)
+        assert list(zip(*short)) == list(zip(re[:41], im[:41]))
+        re0, im0 = conv.numerators(0, -1)
+        assert list(zip(re0, im0)) == [conv.F(0, conv.denominator)]
+
+    def test_numerators_stay_exact_past_int64(self):
+        # the combination s**2 T + s (L delta' + delta L') in Python ints:
+        # with a constant L this large, int64 arithmetic would wrap
+        chi = quartic_pair(29)[0]
+        for c in (-1, 1):
+            conv = Convolver(chi)
+            conv._L = (3**40, -(5**27))
+            re, im = conv.numerators(120, c)
+            assert max(abs(x) for x in re.tolist()) > 2**63
+            product = conv.F if c < 0 else conv.H
+            assert [product(n, conv.denominator) for n in range(121)] == list(zip(re, im))
+
     def test_ensure_sieves_what_is_asked_then_doubles(self):
         conv = Convolver(quartic_pair(13)[0])
         conv.ensure(50)
