@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--chi",
         default="quartic-i",
-        choices=["quartic-i", "quartic-minus-i", "generator"],
+        choices=["quartic-i", "quartic-minus-i"],
     )
     sp.add_argument(
         "--kind", required=True, choices=["conv", "square", "farkas", "config"]

@@ -11,16 +11,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
 from .foundations import GaussianRational, is_prime
 from .qseries import (
-    Convolver,
     QSeries,
     _kronecker_values,
     bernoulli_B2_psi,
@@ -36,6 +35,7 @@ from .qseries import (
 )
 
 HALF = Fraction(1, 2)
+SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,12 @@ class VerificationReport:
         return out
 
 
-GaussianInt = tuple[int, int]
-
-
 def _denominator(*values: GaussianRational) -> int:
     """Least common denominator of the real and imaginary parts."""
     return lcm(*(x.denominator for z in values for x in (z.re, z.im)))
 
 
-def _scaled(z: GaussianRational, D: int) -> GaussianInt:
+def _scaled(z: GaussianRational, D: int) -> tuple[int, int]:
     """D * z as an int pair; D must clear the denominators of z."""
     re, im = z.re * D, z.im * D
     assert re.denominator == im.denominator == 1, (z, D)
@@ -106,37 +103,49 @@ def _scaled(z: GaussianRational, D: int) -> GaussianInt:
 
 
 def _linear_rhs(D: int, terms, constant: Optional[GaussianRational] = None):
-    """n -> D * sum_k c_k s_k[n] as an int pair, for exact c_k and int64
-    arrays s_k; ``constant`` is the value at n = 0 (None: not swept)."""
+    """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi), as object arrays
+    (re, im) of Python ints, for exact c_k and int64 arrays s_k; ``constant``
+    is the value at n = 0 (None: not swept)."""
     scaled = [(_scaled(c, D), s) for c, s in terms]
     at_zero = None if constant is None else _scaled(constant, D)
 
-    def rhs(n: int) -> GaussianInt:
-        if n == 0:
-            return at_zero
+    def rhs(lo: int, hi: int):
         re = im = 0
         for (cr, ci), s in scaled:
-            v = int(s[n])
-            re += cr * v
-            im += ci * v
+            v = s[lo:hi].astype(object)
+            re, im = re + cr * v, im + ci * v
+        if lo == 0:
+            re[0], im[0] = at_zero
         return re, im
 
     return rhs
 
 
 def _run_verification(
-    p: int, character: str, kind: str, nmax: int, D: int,
-    lhs_fn: Callable[[int], GaussianInt], rhs_fn: Callable[[int], GaussianInt],
+    p: int, character: str, kind: str, nmax: int, D: int, lhs_block, rhs_block,
     start: int = 0,
 ) -> VerificationReport:
     """Compare D * lhs(n) with D * rhs(n) as Gaussian integers for
-    n = start..nmax, stopping at the first n where they differ."""
+    n = start..nmax, stopping in the block of the first n where they differ.
+
+    ``lhs_block(lo, hi)``, ``rhs_block(lo, hi)``: (re, im) object arrays of
+    Python ints over [lo, hi).  Block ends hi run 3, 6, 12, ..., 3072, then
+    grow by SWEEP_BLOCK: a failure at n >= 3 is found by hi <= 2n, and no
+    block holds more than SWEEP_BLOCK coefficients.
+    """
     t0 = time.perf_counter()
-    bad = next((n for n in range(start, nmax + 1) if lhs_fn(n) != rhs_fn(n)), None)
+    lo, hi, bad = start, 3, None
+    while lo <= nmax and bad is None:
+        hi = min(hi, nmax + 1)
+        (lhs_re, lhs_im), (rhs_re, rhs_im) = lhs_block(lo, hi), rhs_block(lo, hi)
+        differ = np.flatnonzero((lhs_re != rhs_re) | (lhs_im != rhs_im))
+        if len(differ):
+            i = int(differ[0])
+            bad, lhs, rhs = lo + i, (lhs_re[i], lhs_im[i]), (rhs_re[i], rhs_im[i])
+        lo, hi = hi, hi + min(hi, SWEEP_BLOCK)
     elapsed = (time.perf_counter() - t0) * 1000.0
     if bad is None:
         return VerificationReport(p, character, kind, nmax, "pass", elapsed_ms=elapsed)
-    lhs, rhs = lhs_fn(bad), rhs_fn(bad)
     return VerificationReport(
         p, character, kind, nmax, "first_failure", failure_n=bad,
         lhs=GaussianRational(Fraction(lhs[0], D), Fraction(lhs[1], D)),
@@ -146,17 +155,22 @@ def _run_verification(
 
 
 def _verify_product(
-    p: int, chi: DirichletCharacter, kind: str, nmax: int,
-    product: Callable, terms: list, constant: GaussianRational,
+    p: int, chi: DirichletCharacter, kind: str, nmax: int, c: int,
+    terms: list, constant: GaussianRational,
 ) -> VerificationReport:
     """Check product(n) = sum_k c_k s_k[n] for 0 <= n <= nmax, where product
-    is Convolver.F or .H of chi and ``constant`` is the rhs at n = 0."""
+    is F (c = -1) or H (c = 1) of chi and ``constant`` is the rhs at n = 0."""
     conv = convolver(chi)
     conv.ensure(nmax)
-    D = lcm(conv.denominator, _denominator(*(c for c, _ in terms), constant))
+    D = lcm(conv.denominator, _denominator(*(a for a, _ in terms), constant))
+    k = D // conv.denominator
+
+    def lhs(lo: int, hi: int):
+        re, im = conv.numerators(lo, hi, c)
+        return k * re, k * im
+
     return _run_verification(
-        p, chi.label(), kind, nmax, D,
-        lambda n: product(conv, n, D), _linear_rhs(D, terms, constant),
+        p, chi.label(), kind, nmax, D, lhs, _linear_rhs(D, terms, constant)
     )
 
 
@@ -169,7 +183,7 @@ def verify_id1(
     alpha = GaussianRational(constants_for(p, chi).alpha)
     terms = [(alpha, sigma_prime_values(p, nmax))]
     return _verify_product(
-        p, chi, "conv", nmax, Convolver.F, terms, alpha * Fraction(p - 1, 24)
+        p, chi, "conv", nmax, -1, terms, alpha * Fraction(p - 1, 24)
     )
 
 
@@ -181,7 +195,7 @@ def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport
         (c.beta_prime, sigma_hat_values(p, nmax)),
     ]
     constant = c.alpha_prime * (-bernoulli_B2_psi(p) / 4)
-    return _verify_product(p, chi, "square", nmax, Convolver.H, terms, constant)
+    return _verify_product(p, chi, "square", nmax, 1, terms, constant)
 
 
 def verify_farkas(nmax: int) -> VerificationReport:
@@ -192,7 +206,7 @@ def verify_farkas(nmax: int) -> VerificationReport:
     third = GaussianRational(Fraction(1, 3))
     terms = [(third, sigma_prime_values(3, nmax))]
     return _verify_product(
-        3, quadratic_character(3), "farkas", nmax, Convolver.F, terms,
+        3, quadratic_character(3), "farkas", nmax, -1, terms,
         third * Fraction(1, 12),
     )
 
@@ -300,7 +314,7 @@ def asymptotic_report(
     else:
         raise ValueError(f"unknown asymptotic kind {kind!r}")
     conv = convolver(chi)
-    re, im = conv.numerators(nmax, c)
+    re, im = conv.numerators(0, nmax + 1, c)
     n = np.arange(1, nmax + 1, dtype=np.int64)
     n = n[n % p != 0]
     kron = _kronecker_values(p, nmax)  # (p/n) = kron[n % len(kron)]
@@ -378,14 +392,10 @@ class ConfiguredIdentity:
 
 
 def resolve_character(p: int, selector: str) -> DirichletCharacter:
-    from .foundations import primitive_root
-
     if selector == "quartic-i":
         return canonical_quartic(p, +1)
     if selector == "quartic-minus-i":
         return canonical_quartic(p, -1)
-    if selector == "generator":
-        return DirichletCharacter(p, primitive_root(p), 1)
     raise ValueError(f"unknown character selector {selector!r}")
 
 
@@ -407,13 +417,13 @@ def check_configured_identity(
     terms = [(_scaled(a, D // s2), b, c) for a, b, c in cfg.terms]
     single = conv.H if use_H else conv.F
 
-    def lhs(n: int) -> GaussianInt:
-        re = im = 0
+    def lhs(lo: int, hi: int):
+        re, im = np.zeros(hi - lo, dtype=object), np.zeros(hi - lo, dtype=object)
         for (ar, ai), b, c in terms:
-            if n % b == 0:
+            for n in range(-(-lo // b) * b, hi, b):  # the multiples of b
                 fr, fi = single((n // b) * c, s2)
-                re += ar * fr - ai * fi
-                im += ar * fi + ai * fr
+                re[n - lo] += ar * fr - ai * fi
+                im[n - lo] += ar * fi + ai * fr
         return re, im
 
     if use_H:
@@ -483,7 +493,7 @@ def obstruction_id1(p: int) -> Obstruction1Report:
     return Obstruction1Report(p, eq1 and eq2, eq1, eq2, L)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
     chi3: GaussianRational
     implied_delta0: Optional[GaussianRational]
@@ -509,36 +519,10 @@ def _implied_bernoulli(x2: GaussianRational, d0: GaussianRational):
     return d0 * d0 * 4 / denom
 
 
-def obstruction_id2(p: int, chi: Optional[DirichletCharacter] = None) -> Obstruction2Report:
-    """Bernoulli screen for the squared identity at n in {2, 3}.
-
-    The n = 2 equation is delta0**2 / (-B/4) = -chi(2) delta0 - 1/2; the
-    n = 3 equation, with that substituted, pins delta0 linearly for each
-    of the four possible values of chi(3).  A branch is admissible when
-    the implied B_{2,psi} is rational and at most 4; the verdict checks
-    both equations against the actual exact values.
-    """
-    if chi is None:
-        chi = canonical_quartic(p)
-    d0 = delta_constant(chi)
-    x2 = chi.value(2)
-    x3 = chi.value(3)
-    B = bernoulli_B2_psi(p)
-    tilde0 = GaussianRational(-B / 4)
-
-    quad_eq = d0 * d0 / tilde0 == -x2 * d0 - HALF
-
-    def combined_sides(chi3, delta0):
-        psi3 = chi3 * chi3
-        lhs = (1 + chi3) * delta0 * 2 + (1 + x2) * 2
-        rhs = (-x2 * delta0 - HALF) * (1 + psi3 * 3) + (
-            delta0 * 2 + x2 * delta0 + HALF
-        ) * (3 + psi3)
-        return lhs, rhs
-
-    lhs3, rhs3 = combined_sides(x3, d0)
-    combined_eq = lhs3 == rhs3
-
+@lru_cache(maxsize=None)
+def _branches(x2: GaussianRational) -> tuple[Branch, ...]:
+    """The four chi(3) branches of the combined n = 3 equation: each depends
+    on chi(2) alone, so they are solved once per value of chi(2)."""
     branches = []
     for chi3 in (GaussianRational(Fraction(1)), GaussianRational(Fraction(-1)),
                  GaussianRational(Fraction(0), Fraction(1)),
@@ -562,9 +546,35 @@ def obstruction_id2(p: int, chi: Optional[DirichletCharacter] = None) -> Obstruc
             and implied_B.re <= 4
         )
         branches.append(Branch(chi3, implied_d0, implied_B, admissible))
+    return tuple(branches)
+
+
+def obstruction_id2(p: int, chi: Optional[DirichletCharacter] = None) -> Obstruction2Report:
+    """Bernoulli screen for the squared identity at n in {2, 3}.
+
+    The n = 2 equation is delta0**2 / (-B/4) = -chi(2) delta0 - 1/2; the
+    n = 3 equation, with that substituted, pins delta0 linearly for each
+    of the four possible values of chi(3).  A branch is admissible when
+    the implied B_{2,psi} is rational and at most 4; the verdict checks
+    both equations against the actual exact values.
+    """
+    if chi is None:
+        chi = canonical_quartic(p)
+    d0 = delta_constant(chi)
+    x2 = chi.value(2)
+    x3 = chi.value(3)
+    B = bernoulli_B2_psi(p)
+    tilde0 = GaussianRational(-B / 4)
+
+    quad_eq = d0 * d0 / tilde0 == -x2 * d0 - HALF
+
+    psi3 = x3 * x3
+    lhs3 = (1 + x3) * d0 * 2 + (1 + x2) * 2
+    rhs3 = (-x2 * d0 - HALF) * (1 + psi3 * 3) + (d0 * 2 + x2 * d0 + HALF) * (3 + psi3)
+    combined_eq = lhs3 == rhs3
 
     return Obstruction2Report(
-        p, quad_eq and combined_eq, quad_eq, combined_eq, d0, B, branches
+        p, quad_eq and combined_eq, quad_eq, combined_eq, d0, B, list(_branches(x2))
     )
 
 

@@ -19,18 +19,17 @@ That is O(sqrt(N) + (N / SIEVE_BLOCK) log N) interpreter steps, for the
 same O(N log N) numpy work, with scratch beside the result bounded by a
 few blocks plus one N-entry array.
 
-The Convolver reads F and H from whole-series tails built by one exact
-product, ``_full_product``: offset both int64 inputs by K = max |a|, |b|
-so they are non-negative, pack each into a decimal integer with one w-digit
-slot per coefficient (Kronecker substitution), multiply the two under an
-exact ``decimal`` context, so libmpdec's number-theoretic transform does
-the O(n log n) work, unpack the slots column by column, and remove the
-offset with prefix sums.  w is read from the packed data; every slot and
-correction term is at most m (2K)**2 for length m, asserted below 2**63.
-A sweep that fails at n builds tails of length O(n) only (none for
-n <= 2); an index more than two past the built tail (the dilated lookups
-F(95 n) of a configured identity) takes one dot product instead (see
-``Convolver``).
+The Convolver's range read, which the sweeps use, takes F and H from
+whole-series tails built by one exact product, ``_full_product``: offset
+both int64 inputs by K = max |a|, |b| so they are non-negative, pack each
+into a decimal integer with one w-digit slot per coefficient (Kronecker
+substitution), multiply the two under an exact ``decimal`` context, so
+libmpdec's number-theoretic transform does the O(n log n) work, unpack the
+slots column by column, and remove the offset with prefix sums.  w is read
+from the packed data; every slot and correction term is at most m (2K)**2
+for length m, asserted below 2**63.  Its index read F(n), H(n) (the
+dilated lookups F(95 n) of a configured identity) takes int64 dot
+products and builds no tail (see ``Convolver``).
 """
 from __future__ import annotations
 
@@ -413,31 +412,15 @@ class Convolver:
     where delta' is conj(delta_chi) for F and delta_chi for H, L' likewise,
     and T(n) = sum_{0<j<n} delta(j) delta'(n-j) is the tail.  For F,
     T = a*a + b*b: the imaginary part cancels under j <-> n - j.  For H,
-    T = (a+b)*(a-b) + 2i a*b.  T(n) comes by one of two paths:
+    T = (a+b)*(a-b) + 2i a*b.  There are two reads:
 
-    - whole series: T(0..m) from two ``_full_product`` calls, O(m log m);
-    - a dot: two int64 dot products over 0 < j < n for F, three for H
-      (a.b' = b.a' there), O(n).
-
-    The path follows from n and the built tail 0..built alone.  T(1) is
-    empty and T(2) one term, so n <= 2 takes a dot.  An index 3 <= n <=
-    max(built, 2) + 2 past the tail (the next index of a sweep, or the one
-    after an index it skips) extends the tail to min(2 n, capacity).  Any
-    other index past the tail takes a dot.  So a sweep to N rebuilds the
-    tail O(log N) times, the last time to at most min(2N, capacity), a
-    sweep that stops at its first failure at n builds at most 2n
-    coefficients (none for n <= 2),
-    and lookups with stride 3 or more on their own grow it at most once,
-    to at most 8.  The dilated lookups C n / B of the shipped p = 37
-    configs stay dots (tested) while their terms with C <= 2 grow the tail
-    to at most 4 nmax / B.  They should: with tails grown to
-    190000 instead, the p37_5_19 config job took 0.71 s, not 0.31 s, and
-    its peak RSS rose from 33.7 to 50.1 MB (2-core x86-64 VM, CPython
-    3.11, numpy 2.4).
-
-    ``numerators`` reads the whole series 0..N at once: it builds (or
-    reuses) the tail to N with one whole-series product, and applies the
-    same combination in exact object arrays of Python ints.
+    - ``numerators(lo, hi, c)``, the range read of the sweeps: T(lo..hi-1)
+      from a cached whole-series tail, built by two ``_full_product`` calls
+      (O(m log m) for m coefficients).  When hi - 1 lies past it, the tail
+      is rebuilt to max(hi - 1, twice its old reach), so ascending reads to
+      N rebuild it O(log N) times;
+    - ``F(n)`` / ``H(n)``, the index read: two int64 dot products over
+      0 < j < n for F, three for H (a.b' = b.a' there), O(n), with no tail.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -445,9 +428,8 @@ class Convolver:
         self.denominator = (2 * chi.p) ** 2
         self._L = _delta0_numerator(chi)
         self._re = self._im = np.zeros(1, dtype=np.int64)
-        # conjugation c -> (Re T, Im T) over 0..built; Im T of F is zero: None
-        empty = np.zeros(1, dtype=np.int64)
-        self._tails = {-1: (empty, None), 1: (empty, empty)}
+        # conjugation c -> (Re T, Im T) over 0..reach; Im T of F is zero: None
+        self._tails = {}
 
     def ensure(self, n: int) -> None:
         capacity = len(self._re) - 1
@@ -467,16 +449,6 @@ class Convolver:
         if c < 0:
             return int(a @ ar) + int(b @ br), 0
         return int(a @ ar) - int(b @ br), 2 * int(a @ br)
-
-    def _tail(self, n: int, c: int) -> tuple[int, int]:
-        """T(n) for 1 <= n <= capacity, by the path rule above."""
-        re, im = self._tails[c]
-        built = len(re) - 1
-        if built < n and 2 < n <= max(built, 2) + 2:
-            re, im = self._tails[c] = self._whole_tail(min(2 * n, len(self._re) - 1), c)
-        if n < len(re):
-            return int(re[n]), 0 if im is None else int(im[n])
-        return self._dot_tail(n, c)
 
     def _at_zero(self, c: int) -> tuple[int, int]:
         """s**2 times the n = 0 term delta_chi(0) delta'(0): L L', L' = u + i c v."""
@@ -503,7 +475,7 @@ class Convolver:
         else:
             self.ensure(n)
             re, im = self._combine(
-                c, *self._tail(n, c), int(self._re[n]), int(self._im[n])
+                c, *self._dot_tail(n, c), int(self._re[n]), int(self._im[n])
             )
         if scale is None:
             return GaussianRational(
@@ -514,35 +486,36 @@ class Convolver:
             raise ValueError(f"scale {scale} is not a multiple of {self.denominator}")
         return k * re, k * im
 
-    def numerators(self, N: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """``denominator`` times F (c = -1) or H (c = 1) at n = 0..N, as two
-        object arrays (re, im) of Python ints: no int64 bound applies.
-
-        One whole-series product builds the tail to N, unless the cached
-        tail already reaches N; the combination is ``_product``'s.
-        """
-        if N < 0:
-            raise ValueError("F and H expect n >= 0")
-        self.ensure(N)
+    def numerators(self, lo: int, hi: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """``denominator`` times F (c = -1) or H (c = 1) at n in [lo, hi), as
+        two object arrays (re, im) of Python ints: no int64 bound applies."""
+        if not 0 <= lo <= hi:
+            raise ValueError(f"F and H expect 0 <= lo <= hi, got [{lo}, {hi})")
+        top = max(hi - 1, 0)
+        self.ensure(top)
+        reach = len(self._tails[c][0]) - 1 if c in self._tails else -1
+        if reach < top:
+            m = min(max(top, 2 * reach), len(self._re) - 1)
+            self._tails.pop(c, None)  # free the old tail before the product's scratch
+            self._tails[c] = self._whole_tail(m, c)
         tail_re, tail_im = self._tails[c]
-        if len(tail_re) <= N:
-            tail_re, tail_im = self._tails[c] = self._whole_tail(N, c)
 
         def exact(arr):
-            return arr[: N + 1].astype(object)
+            return arr[lo:hi].astype(object)
 
         re, im = self._combine(
             c, exact(tail_re), 0 if tail_im is None else exact(tail_im),
             exact(self._re), exact(self._im),
         )
-        re[0], im[0] = self._at_zero(c)
+        if lo == 0 < hi:
+            re[0], im[0] = self._at_zero(c)
         return re, im
 
     def F(self, n: int, scale: int | None = None):
         """F_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chibar(n-j), exact in Q(i).
 
         With an integer ``scale`` that ``denominator`` divides, returns
-        scale * F_chi(n) as an int pair instead: the form the sweeps compare.
+        scale * F_chi(n) as an int pair instead.
         """
         return self._product(n, -1, scale)
 

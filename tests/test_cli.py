@@ -1,10 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 from importlib import resources
 
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from farkas import cli
@@ -139,12 +141,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # the generator mod 37 has order 36: its values leave Q(i)
-            (
-                ["verify", "--p", "37", "--kind", "conv", "--chi", "generator",
-                 "--nmax", "10"],
-                "error: character of order 36 takes values outside Q(i)",
-            ),
             # p37_5_19 reads F up to 95 * nmax, past the fast-path cap
             (
                 ["verify", "--kind", "config", "--config", P37_5_19, "--nmax", "20000"],
@@ -155,6 +151,14 @@ class TestVerifyCommand:
     def test_library_value_error_is_usage_error(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_generator_character_is_not_a_choice(self, capsys):
+        # the order-(p - 1) character leaves Q(i) for every p but 5, where it
+        # is a quartic character: argparse rejects the name
+        argv = ["verify", "--p", "5", "--kind", "conv", "--chi", "generator", "--nmax", "10"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid choice: 'generator'" in err and "Traceback" not in err
 
 
 class TestDeterminism:
@@ -427,3 +431,74 @@ class TestIntegerRenderer:
         assert gaussian_decimal_str(z) == fraction_gaussian_decimal_str(z)
         assert decimal_str(z.re) == fraction_decimal_str(z.re)
         assert decimal_str(z.re, 3) == fraction_decimal_str(z.re, 3)
+
+
+# argv for the property below: mostly valid values, with out-of-range
+# integers, text that is no integer, and missing options mixed in
+HOSTILE = st.sampled_from(["", "x", "1.5", "1e3", "-", "0x10"])
+PRIMES = st.sampled_from(["5", "13", "29", "37", "53", "61", "11", "59", "83"])
+
+
+def _value(valid, lo, hi):
+    return st.one_of(valid, valid, st.integers(lo, hi).map(str), HOSTILE)
+
+
+def _option(flag, values):
+    given_ = values.map(lambda v: [flag, v])
+    return st.one_of(st.just([]), given_, given_, given_)
+
+
+def _command(name, *options):
+    return st.tuples(*options).map(lambda parts: [name] + [a for part in parts for a in part])
+
+
+CONFIGS = [str(resources.files("farkas").joinpath("configs", n)) for n in builtin_config_names()]
+CHIS = st.sampled_from(["quartic-i", "quartic-minus-i", "generator", ""])
+NMAX = _value(st.integers(0, 300).map(str), -10, 300)
+ARGV = st.one_of(
+    _command(
+        "verify",
+        _option("--p", _value(PRIMES, -10, 200)),
+        _option("--chi", CHIS),
+        _option("--kind", st.sampled_from(["conv", "square", "farkas", "config", "bogus"])),
+        _option("--nmax", NMAX),
+        _option("--config", st.sampled_from(CONFIGS + ["no/such/config.json", ""])),
+    ),
+    _command(
+        "search",
+        _option("--pmax", _value(st.integers(5, 200).map(str), -10, 200)),
+        _option("--nmax", NMAX),
+        st.sampled_from([[], [], ["--discriminant"], ["--safe-primes"]]),
+    ),
+    _command(
+        "asympt",
+        _option("--p", _value(PRIMES, -10, 200)),
+        _option("--chi", CHIS),
+        _option("--kind", st.sampled_from(["conv", "square", "bogus"])),
+        _option("--nmax", NMAX),
+    ),
+    _command(  # well formed, so that many runs reach a verdict
+        "verify",
+        PRIMES.map(lambda v: ["--p", v]),
+        st.sampled_from(["conv", "square"]).map(lambda v: ["--kind", v]),
+        st.integers(0, 300).map(lambda v: ["--nmax", str(v)]),
+        _option("--chi", CHIS),
+    ),
+    _command("poly", _option("--p", _value(PRIMES, -10, 200))),
+    st.sampled_from([[], ["bogus"], ["verify", "--nmax"]]),
+)
+
+
+class TestArgvContract:
+    @settings(deadline=None)
+    @given(ARGV)
+    def test_exit_codes_and_reports_under_any_argv(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (EXIT_PASS, EXIT_FAILURE, EXIT_USAGE, EXIT_IO), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_FAILURE:
+            report = json.loads(out.getvalue())
+            assert report["outcome"] == "first_failure" and "n" in report["first_failure"]

@@ -4,11 +4,13 @@ from unittest import mock
 
 import pytest
 
-from farkas import foundations
+from farkas import foundations, identities, qseries
 from farkas.characters import canonical_quartic, quartic_pair
 from farkas.cli import builtin_config_names, load_builtin_config
 from farkas.foundations import GaussianRational, divisors, gaussian, kronecker
 from farkas.identities import (
+    SWEEP_BLOCK,
+    Branch,
     ConfiguredIdentity,
     RatioRow,
     asymptotic_report,
@@ -65,22 +67,121 @@ class TestVerifyId1:
         assert (report.lhs, report.rhs) == (gaussian(-1), gaussian("3/7"))
 
     def test_a_refutation_builds_no_long_product(self):
-        # the sweep stops at its first failure, and the tail it read from
-        # holds O(failure n) coefficients, not nmax
+        # the sweep stops in its first block [0, 3): one F tail of reach 2
         chi = canonical_quartic(37)
         convolver.cache_clear()
-        report = verify_id1(37, 200_000, chi)
+        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+            report = verify_id1(37, 200_000, chi)
         assert report.failure_n is not None and report.failure_n <= 2
-        conv = convolver(chi)
-        assert len(conv._re) == 200_001
-        assert len(conv._tails[-1][0]) == 1  # n <= 2: dots only
-        assert len(conv._tails[1][0]) == 1  # H never asked for
+        assert len(convolver(chi)._re) == 200_001
+        assert [len(call.args[0]) for call in spy.call_args_list] == [3, 3]
 
     def test_report_shape(self):
         report = verify_id1(5, 50)
         d = report.to_dict()
         assert d["outcome"] == "pass"
         assert "first_failure" not in d
+
+
+def _watched_rhs(hook):
+    """Patch the sweeps' rhs builder to show each block to hook(D, lo, hi, re)."""
+    build = identities._linear_rhs
+
+    def patched(D, *args):
+        block = build(D, *args)
+
+        def rhs(lo, hi):
+            re, im = block(lo, hi)
+            hook(D, lo, hi, re)
+            return re, im
+
+        return rhs
+
+    return mock.patch.object(identities, "_linear_rhs", patched)
+
+
+def _patched_rhs(n):
+    """The rhs at n becomes rhs(n) + 1 (D * rhs(n) gains D), so a sweep of a
+    true identity fails there."""
+
+    def add_one(D, lo, hi, re):
+        if lo <= n < hi:
+            re[n - lo] += D
+
+    return _watched_rhs(add_one)
+
+
+P37_2_17 = load_builtin_config("p37_2_17.json")
+NMAX = 2 * SWEEP_BLOCK + 5
+
+
+def _config_lhs(cfg, n):
+    conv = convolver(resolve_character(cfg.p, cfg.chi_selector))
+    return sum((a * conv.F(n // b * c) for a, b, c in cfg.terms if n % b == 0), GaussianRational())
+
+
+SWEEPS = {  # kind -> (the sweep to nmax, the exact lhs at n)
+    "conv": (lambda nmax: verify_id1(13, nmax), lambda n: convolver(canonical_quartic(13)).F(n)),
+    "square": (
+        lambda nmax: verify_id2(13, canonical_quartic(13), nmax),
+        lambda n: convolver(canonical_quartic(13)).H(n),
+    ),
+    "config": (lambda nmax: check_configured_identity(P37_2_17, nmax), lambda n: _config_lhs(P37_2_17, n)),
+}
+
+
+class TestBlockSweep:
+    @pytest.mark.parametrize("kind", list(SWEEPS))
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 5, 6, 7, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, NMAX]
+    )
+    def test_a_patched_rhs_fails_at_exactly_its_n(self, kind, n):
+        # blocks end at n = 2, 5, 11, ...; SWEEP_BLOCK +- 1 lie inside one
+        sweep, lhs = SWEEPS[kind]
+        with _patched_rhs(n):
+            report = sweep(NMAX)
+        if kind == "config" and n == 0:
+            assert report.passed  # a configured identity is swept from n = 1
+            return
+        assert (report.failure_n, report.lhs, report.rhs) == (n, lhs(n), lhs(n) + 1)
+
+    def test_blocks_double_then_hold_at_the_block_length(self):
+        blocks = []
+        with _watched_rhs(lambda D, lo, hi, re: blocks.append((lo, hi))):
+            assert verify_id1(13, 10_000).passed
+        ends = [hi for _, hi in blocks]
+        assert ends == [3 * 2**k for k in range(11)] + [5120, 7168, 9216, 10_001]
+        assert [lo for lo, _ in blocks] == [0] + ends[:-1]
+        assert max(hi - lo for lo, hi in blocks) == SWEEP_BLOCK
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 6, 100, 1535, 1536, 3071, 3072, 5120, 7167, 12000]
+    )
+    def test_a_refutation_at_n_builds_tails_of_order_n(self, n):
+        """Whole-series work of a sweep that fails at n: under 16 n + 2 log2(4 n).
+
+        For n <= 2 the sweep stops in its first block [0, 3): one tail of
+        reach 2, two products of length 3.  For n >= 3 its blocks [lo, hi)
+        have lo <= n and hi <= 2 lo, so they end by hi <= 2 n.  A read
+        rebuilds the tail only when hi - 1 lies past its reach r, to reach
+        max(hi - 1, 2 r) < 2 (hi - 1), so every reach is below 4 n (with the
+        sieve's capacity past that).  Each rebuild at least doubles the
+        reach from 2, so the reaches sum to under 8 n, and there are at most
+        log2(4 n) of them.  A tail is two ``_full_product`` calls of length
+        reach + 1: the lengths sum to under 2 (8 n + log2(4 n)).
+        """
+        chi = canonical_quartic(13)
+        convolver.cache_clear()
+        with _patched_rhs(n), mock.patch.object(
+            qseries, "_full_product", wraps=qseries._full_product
+        ) as spy:
+            assert verify_id1(13, 50_000, chi).failure_n == n
+        lengths = [len(call.args[0]) for call in spy.call_args_list]
+        if n <= 2:
+            assert lengths == [3, 3]
+        else:
+            assert max(lengths) - 1 < 4 * n
+            assert sum(lengths) < 16 * n + 2 * math.log2(4 * n)
 
 
 class TestVerifyId2:
@@ -249,17 +350,13 @@ class TestConfiguredIdentities:
         assert verify_id1(5, 100).passed
 
     @pytest.mark.parametrize("name", builtin_config_names())
-    def test_dilated_lookups_do_not_grow_the_tail(self, name):
-        # only the terms with C <= 2 step one or two indices past the F
-        # tail; the dilated lookups C n / B (C >= 17) take dots
+    def test_config_lookups_build_no_tail(self, name):
+        # every lookup A F(n C / B), dilated or not, is an index read: dots
         cfg = load_builtin_config(name)
-        nmax = 1000
         convolver.cache_clear()
-        assert check_configured_identity(cfg, nmax).passed
-        reach = max(c * (nmax // b) for _, b, c in cfg.terms if c <= 2)
-        tails = convolver(resolve_character(cfg.p, cfg.chi_selector))._tails
-        assert len(tails[-1][0]) <= 2 * reach + 1
-        assert len(tails[1][0]) == 1
+        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+            assert check_configured_identity(cfg, 1000).passed
+        assert spy.call_count == 0
 
     def test_malformed_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -323,6 +420,29 @@ class TestObstructions:
                 and b.implied_B.re == rep.actual_B
             ]
             assert matches and all(b.admissible for b in matches)
+
+    def test_id2_branches_are_solved_once_per_chi2(self):
+        def per_prime(x2):
+            # the four chi(3) branches as each prime used to solve them
+            half = Fraction(1, 2)
+            branches = []
+            for chi3 in (gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(0, -1)):
+                psi3 = chi3 * chi3
+                coeff = (1 + chi3) * 2 + x2 * (1 + psi3 * 3) - (2 + x2) * (3 + psi3)
+                const = -half * (1 + psi3 * 3) + half * (3 + psi3) - (1 + x2) * 2
+                if coeff.is_zero():
+                    branches.append(Branch(chi3, None, None, False))
+                    continue
+                d0 = const / coeff
+                denom = x2 * d0 + half
+                implied_B = None if denom.is_zero() else d0 * d0 * 4 / denom
+                admissible = implied_B is not None and implied_B.is_real() and implied_B.re <= 4
+                branches.append(Branch(chi3, d0, implied_B, admissible))
+            return branches
+
+        for p in quartic_primes(1000):
+            for chi in quartic_pair(p):
+                assert obstruction_id2(p, chi).branches == per_prime(chi.value(2)), (p, chi)
 
     def test_agreement_with_sweeps_to_200(self):
         for row in dichotomy_scan(200, nmax=10):

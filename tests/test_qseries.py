@@ -447,8 +447,8 @@ class TestCauchyProduct:
 
 
 def _tail_lengths(conv):
-    """How many coefficients the whole-series tails of F and of H hold."""
-    return len(conv._tails[-1][0]), len(conv._tails[1][0])
+    """Conjugation c -> how many coefficients its whole-series tail holds."""
+    return {c: len(re) for c, (re, _) in conv._tails.items()}
 
 
 class TestConvolutions:
@@ -460,25 +460,20 @@ class TestConvolutions:
         assert conv.H(1) == gaussian("3/5", "1/5")  # 2*delta(0)*delta(1)
 
     def test_fast_path_matches_cauchy_product(self):
-        # dual route: int64 tail vs the exact generic product
+        # dual route: int64 dots vs the exact generic product, in either order
         for p in (5, 13, 29):
             chi, chibar = quartic_pair(p)
-            conv = Convolver(chi)
             N = 60
             f_series = delta_series(chi, N) * delta_series(chibar, N)
             h_series = delta_series(chi, N) * delta_series(chi, N)
-            for n in range(N + 1):
-                assert conv.F(n) == f_series[n]
-                assert conv.H(n) == h_series[n]
-            # both access paths: ascending n reads whole-series tails;
-            # descending n lies more than two past the tail down to n = 5
-            # and takes dots, then n = 4 builds a tail to 8 for n <= 4
-            assert min(_tail_lengths(conv)) > N
-            dots = Convolver(chi)
-            for n in range(N, -1, -1):
-                assert dots.F(n) == f_series[n]
-                assert dots.H(n) == h_series[n]
-                assert _tail_lengths(dots) == ((1, 1) if n > 4 else (9, 9))
+            for order in (range(N + 1), range(N, -1, -1)):
+                conv = Convolver(chi)
+                with mock.patch.object(qseries, "_full_product") as spy:
+                    for n in order:
+                        assert conv.F(n) == f_series[n]
+                        assert conv.H(n) == h_series[n]
+                # the index read takes dots and builds no tail
+                assert spy.call_count == 0 and _tail_lengths(conv) == {}
 
     def test_F_is_real(self):
         chi, _ = quartic_pair(29)
@@ -502,70 +497,62 @@ class TestConvolutions:
             with pytest.raises(ValueError):
                 conv.F(5, conv.denominator + 1)
 
-    def test_tail_growth_edges(self):
-        # n <= 2 takes a dot; an index 3 <= n <= max(built, 2) + 2 past the
-        # tail extends it to 2n; a farther one takes a dot
-        N = 40
-        chi, chibar = quartic_pair(13)
-        f_series = delta_series(chi, N) * delta_series(chibar, N)
-        h_series = delta_series(chi, N) * delta_series(chi, N)
-
-        def walk(steps):
-            conv = Convolver(chi)
-            conv.ensure(N)
-            for n, length in steps:  # built tail length after F(n) and H(n)
-                assert conv.F(n) == f_series[n] and conv.H(n) == h_series[n]
-                assert _tail_lengths(conv) == (length, length), n
-
-        # a sweep: the first build at 3, then one past the tail (7), and one
-        # past a skipped index (16)
-        walk([(1, 1), (2, 1), (3, 7), (6, 7), (7, 15), (14, 15), (16, 33)])
-        # the first index: 4 builds, 5 takes a dot
-        walk([(4, 9)])
-        walk([(5, 1), (3, 7)])
-        # around the first rebuild edge at built = 6: 9 = built + 3 takes a
-        # dot, 8 = built + 2 builds
-        walk([(3, 7), (9, 7), (8, 17)])
-        # the tail stops at the capacity
-        conv = Convolver(chi)
-        assert conv.F(3) == f_series[3] and len(conv._re) == 4
-        assert _tail_lengths(conv) == (4, 1)
-
-    def test_numerators_match_the_cauchy_product(self):
+    @pytest.mark.parametrize(
+        "chi", [quartic_pair(5)[0], quartic_pair(29)[1], quadratic_character(3)],
+        ids=["p5", "p29-minus-i", "mod3"],
+    )
+    def test_numerators_match_the_cauchy_product(self, chi):
         N = 60
-        for chi in (quartic_pair(5)[0], quartic_pair(29)[1], quadratic_character(3)):
-            chibar = chi.conj()
-            series = {
-                -1: delta_series(chi, N) * delta_series(chibar, N),
-                1: delta_series(chi, N) * delta_series(chi, N),
-            }
-            for c, want in series.items():
-                conv = Convolver(chi)
-                re, im = conv.numerators(N, c)
-                assert len(re) == len(im) == N + 1
-                D = conv.denominator
+        series = {
+            -1: delta_series(chi, N) * delta_series(chi.conj(), N),
+            1: delta_series(chi, N) * delta_series(chi, N),
+        }
+        # (lo, hi) and the built tail length after the read: a read past the
+        # tail rebuilds it to max(hi - 1, twice its reach), within capacity
+        reads = [
+            ((0, 3), 3), ((2, 9), 9), ((9, 10), 17), ((7, 7), 17), ((5, 40), 40),
+            ((10, 20), 40), ((38, 61), 79), ((0, 61), 79),
+        ]
+        for c, want in series.items():
+            conv = Convolver(chi)
+            D = conv.denominator
+            for (lo, hi), built in reads:
+                re, im = conv.numerators(lo, hi, c)
+                assert len(re) == len(im) == hi - lo
                 assert [gaussian(Fraction(x, D), Fraction(y, D)) for x, y in zip(re, im)] == list(
-                    want.coefficients
-                )
+                    want.coefficients[lo:hi]
+                ), (lo, hi)
                 assert (re.dtype, im.dtype) == (object, object)
                 assert all(type(x) is int for x in re.tolist() + im.tolist())
+                assert _tail_lengths(conv) == {c: built}, (lo, hi)
+        with pytest.raises(ValueError):
+            Convolver(chi).numerators(5, 4, 1)
 
     def test_numerators_build_one_tail_and_reuse_it(self):
         chi = quartic_pair(13)[0]
         conv = Convolver(chi)
-        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
-            re, im = conv.numerators(100, 1)
+        real, cached = qseries._full_product, []
+
+        def product(a, b):
+            cached.append(1 in conv._tails)
+            return real(a, b)
+
+        with mock.patch.object(qseries, "_full_product", side_effect=product) as spy:
+            re, im = conv.numerators(0, 101, 1)
             assert spy.call_count == 2  # one whole tail for H: (a+b)(a-b) and ab
-            assert _tail_lengths(conv) == (1, 101)
-            # a shorter series and per-n reads below 100 reuse the cached tail
-            short = conv.numerators(40, 1)
+            assert _tail_lengths(conv) == {1: 101}
+            # a shorter range reuses the cached tail; index reads take dots
+            short = conv.numerators(0, 41, 1)
             assert [conv.H(n, conv.denominator) for n in range(41)] == list(zip(*short))
             assert spy.call_count == 2
-            # a longer one extends it once
-            conv.numerators(150, 1)
-            assert spy.call_count == 4 and _tail_lengths(conv) == (1, 151)
+            # a longer one doubles it once, to the sieve's capacity 200
+            conv.numerators(101, 151, 1)
+            assert spy.call_count == 4 and _tail_lengths(conv) == {1: 201}
+        # a rebuild drops the old tail before its products run (for H at
+        # N = 10**6 the old tail is 786177 coefficients in two int64 arrays)
+        assert cached == [False] * 4
         assert list(zip(*short)) == list(zip(re[:41], im[:41]))
-        re0, im0 = conv.numerators(0, -1)
+        re0, im0 = conv.numerators(0, 1, -1)
         assert list(zip(re0, im0)) == [conv.F(0, conv.denominator)]
 
     def test_numerators_stay_exact_past_int64(self):
@@ -575,7 +562,7 @@ class TestConvolutions:
         for c in (-1, 1):
             conv = Convolver(chi)
             conv._L = (3**40, -(5**27))
-            re, im = conv.numerators(120, c)
+            re, im = conv.numerators(0, 121, c)
             assert max(abs(x) for x in re.tolist()) > 2**63
             product = conv.F if c < 0 else conv.H
             assert [product(n, conv.denominator) for n in range(121)] == list(zip(re, im))

@@ -1,0 +1,50 @@
+"""README's library quick tour runs, and every value its comments state holds.
+
+A comment on an expression line that starts with a Python literal (before
+any ':') states that expression's value.  Any other comment is prose: it
+must be one of PROSE below, whose check reads the names the tour binds.
+"""
+import ast
+import re
+from pathlib import Path
+
+from farkas.foundations import gaussian
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PROSE = {
+    "canonical pair, chi(2) = i": lambda ns: (
+        ns["chi"].value(2) == gaussian(0, 1) and ns["chibar"] == ns["chi"].conj()
+    ),
+    "alpha = 1, alpha' = -i/2, beta' = (2+3i)/2": lambda ns: (
+        ns["c"].alpha, ns["c"].alpha_prime, ns["c"].beta_prime
+    ) == (1, gaussian(0, "-1/2"), gaussian(1, "3/2")),
+    "safe-prime polynomial report": lambda ns: ns["rep"].p == 59,
+}
+
+
+def quick_tour() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1, "README holds one python block, the quick tour"
+    return blocks[0]
+
+
+def test_quick_tour_states_true_values():
+    ns: dict = {}
+    prose_seen = set()
+    for line in quick_tour().splitlines():
+        code, _, comment = line.partition("  # ")
+        code, comment = code.strip(), comment.strip()
+        if not code:
+            continue
+        statement = ast.parse(code).body[0]
+        if comment and isinstance(statement, ast.Expr):
+            want = ast.literal_eval(comment.partition(":")[0])
+            assert eval(code, ns) == want, line
+            continue
+        exec(code, ns)
+        if comment:
+            assert comment in PROSE, f"no check for the comment of {line!r}"
+            assert PROSE[comment](ns), line
+            prose_seen.add(comment)
+    assert prose_seen == set(PROSE)
