@@ -9,8 +9,10 @@ columns are advisory renderings only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -40,6 +42,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+CSV_CHUNK_ROWS = 256  # asympt rows rendered per write
 
 
 class UsageError(Exception):
@@ -151,23 +154,32 @@ def load_builtin_config(name: str) -> ConfiguredIdentity:
         return load_identity_config(fh)
 
 
-def write_output(text: str, path: str | None) -> None:
-    """Write atomically (write-then-rename); stdout when no path given."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A text stream for a report: stdout when no path is given, else a
+    temporary file beside `path`, renamed into place only once the block
+    ends cleanly.  On any exception it is removed and `path` is untouched."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".farkas-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_output(text: str, path: str | None) -> None:
+    """Write atomically (write-then-rename); stdout when no path given."""
+    with _output(path) as fh:
+        fh.write(text)
+        if path is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def render_report(payload: dict, fmt: str) -> str:
@@ -313,11 +325,18 @@ def cmd_asympt(args) -> int:
         ):
             yield n, kron, _gaussian_str(re, im, D), s, *_ratio_cells(re, im, D * s)
 
+    # CSV_CHUNK_ROWS rows per write: the table is never held whole, and an
+    # unbuffered stdout (PYTHONUNBUFFERED) takes one system call per chunk
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "kron", "lhs", "rhs", "ratio", "ratio_dec"])
-    writer.writerows(rows())
-    write_output(buf.getvalue(), args.out)
+    pending = rows()
+    with _output(args.out) as fh:
+        while buf.tell():
+            fh.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+            writer.writerows(itertools.islice(pending, CSV_CHUNK_ROWS))
     return EXIT_PASS
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
 from .foundations import GaussianRational, is_prime
 from .qseries import (
+    MAX_FAST_N,
     QSeries,
     _kronecker_values,
     bernoulli_B2_psi,
@@ -402,11 +403,22 @@ def resolve_character(p: int, selector: str) -> DirichletCharacter:
 def check_configured_identity(
     cfg: ConfiguredIdentity, nmax: int
 ) -> VerificationReport:
-    """Exact check of the configured identity for 1 <= n <= nmax."""
+    """Exact check of the configured identity for 1 <= n <= nmax.
+
+    The lookups run to max (nmax // B) C; one past MAX_FAST_N is refused
+    before any table is built."""
+    use_H = cfg.rhs_kind == "tilde_hat"
+    reach, b, c = max(((nmax // b) * c, b, c) for _, b, c in cfg.terms)
+    if reach > MAX_FAST_N:
+        most = min(b * (MAX_FAST_N // c + 1) - 1 for _, b, c in cfg.terms)
+        raise ValueError(
+            f"--nmax {nmax} makes the lookup (N // B) * C = ({nmax} // {b}) * {c}"
+            f" read {'H' if use_H else 'F'}({reach}), past the fast path's"
+            f" {MAX_FAST_N}; use --nmax {most} or less"
+        )
     chi = resolve_character(cfg.p, cfg.chi_selector)
     conv = convolver(chi)
-    use_H = cfg.rhs_kind == "tilde_hat"
-    conv.ensure(max(1, *((nmax // b) * c for _, b, c in cfg.terms)))
+    conv.ensure(max(1, reach))
 
     # D * A_i * F(m) = (D * A_i / s**2) * (s**2 F(m)), with s**2 F(m) integral
     s2 = conv.denominator

@@ -29,7 +29,9 @@ slots column by column, and remove the offset with prefix sums.  w is read
 from the packed data; every slot and correction term is at most m (2K)**2
 for length m, asserted below 2**63.  Its index read F(n), H(n) (the
 dilated lookups F(95 n) of a configured identity) takes int64 dot
-products and builds no tail (see ``Convolver``).
+products and builds no tail: the summands of a*a and b*b are symmetric
+under j <-> n - j, so each is summed over j <= (n - 1) / 2 once and
+doubled in Python ints (see ``Convolver``).
 """
 from __future__ import annotations
 
@@ -419,8 +421,14 @@ class Convolver:
       (O(m log m) for m coefficients).  When hi - 1 lies past it, the tail
       is rebuilt to max(hi - 1, twice its old reach), so ascending reads to
       N rebuild it O(log N) times;
-    - ``F(n)`` / ``H(n)``, the index read: two int64 dot products over
-      0 < j < n for F, three for H (a.b' = b.a' there), O(n), with no tail.
+    - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail.  a*a and b*b
+      at n are unchanged under j <-> n - j, so each takes one int64 dot
+      over 1 <= j <= h = (n - 1) // 2, doubled in Python ints, plus the
+      middle term a[n/2]**2 (b[n/2]**2) once for even n.  F takes those
+      two half-length dots; H takes them for its real part a*a - b*b and
+      one dot a.b' over 0 < j < n for its imaginary part (a.b' = b.a').
+      A half-length dot is at most h MAX_DIVISOR_COUNT**2, under the
+      full-length bound asserted with MAX_FAST_N: no new int64 cap.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -444,11 +452,18 @@ class Convolver:
         return _full_product(a + b, a - b), 2 * _full_product(a, b)
 
     def _dot_tail(self, n: int, c: int) -> tuple[int, int]:
-        a, b = self._re[1:n], self._im[1:n]
-        ar, br = self._re[n - 1:0:-1], self._im[n - 1:0:-1]
+        """(Re T(n), Im T(n)) for n >= 1: a*a and b*b from half-length
+        dots (see the class docstring), Im T of H from one full-length dot."""
+        h = (n - 1) // 2
+        re, im = self._re, self._im
+        aa = 2 * int(re[1 : h + 1] @ re[n - 1 : n - 1 - h : -1])
+        bb = 2 * int(im[1 : h + 1] @ im[n - 1 : n - 1 - h : -1])
+        if n % 2 == 0:
+            aa += int(re[n // 2]) ** 2
+            bb += int(im[n // 2]) ** 2
         if c < 0:
-            return int(a @ ar) + int(b @ br), 0
-        return int(a @ ar) - int(b @ br), 2 * int(a @ br)
+            return aa + bb, 0
+        return aa - bb, 2 * int(re[1:n] @ im[n - 1 : 0 : -1])
 
     def _at_zero(self, c: int) -> tuple[int, int]:
         """s**2 times the n = 0 term delta_chi(0) delta'(0): L L', L' = u + i c v."""

@@ -4,12 +4,13 @@ import io
 import json
 import os
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from farkas import cli
+from farkas import cli, qseries
 from farkas.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -30,6 +31,10 @@ from farkas.foundations import GaussianRational, gaussian
 from fractions import Fraction
 
 P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
+
+
+class _Stop(BaseException):
+    """Raised by a spy to end a command early: no exit-code handler catches it."""
 
 
 class TestVerifyCommand:
@@ -144,13 +149,32 @@ class TestVerifyCommand:
             # p37_5_19 reads F up to 95 * nmax, past the fast-path cap
             (
                 ["verify", "--kind", "config", "--config", P37_5_19, "--nmax", "20000"],
-                "error: fast path needs 0 <= N <= 1000000, got 1900000",
+                "error: --nmax 20000 makes the lookup (N // B) * C = (20000 // 1) * 95"
+                " read F(1900000), past the fast path's 1000000; use --nmax 10526 or less",
             ),
         ],
     )
     def test_library_value_error_is_usage_error(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("nmax", [20000, 10527])
+    def test_config_reach_is_refused_before_any_sieve(self, nmax, capsys):
+        argv = ["verify", "--kind", "config", "--config", P37_5_19, "--nmax", str(nmax)]
+        with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy:
+            assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--nmax" in err and f"F({nmax * 95})" in err and "Traceback" not in err
+        assert spy.call_count == 0
+
+    def test_config_at_the_offered_nmax_starts(self):
+        # the largest N the message offers: (10526 // 1) * 95 = 999970 <= 10**6
+        argv = ["verify", "--kind", "config", "--config", P37_5_19, "--nmax", "10526"]
+        qseries.convolver.cache_clear()
+        with mock.patch.object(qseries, "_sieve", side_effect=_Stop) as spy:
+            with pytest.raises(_Stop):
+                main(argv)
+        assert spy.call_args.args[1] == 999970  # the first table, to the top lookup
 
     def test_generator_character_is_not_a_choice(self, capsys):
         # the order-(p - 1) character leaves Q(i) for every p but 5, where it
@@ -279,6 +303,43 @@ class TestAsymptCommand:
         assert main(argv + ["--out", str(out)]) == EXIT_PASS
         key = (p, kind) if kind == "conv" else (p, kind, chi)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_SHA256[key]
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(RuntimeError, EXIT_INTERNAL), (ValueError, EXIT_USAGE), (KeyboardInterrupt, None)],
+    )
+    def test_a_row_that_raises_leaves_no_file(self, error, code, tmp_path, capsys):
+        # rows stream into the temporary file; one that raises partway
+        # through must leave neither the target nor the temporary file
+        out = tmp_path / "a.csv"
+        real, seen, partial = cli._ratio_cells, [], []
+
+        def cells(re, im, den):
+            seen.append(1)
+            if len(seen) == 3000:
+                partial.extend(f.read_bytes().count(b"\n") for f in tmp_path.glob(".farkas-*"))
+                raise error("row 3000")
+            return real(re, im, den)
+
+        argv = ["asympt", "--p", "29", "--kind", "conv", "--nmax", "10000", "--out", str(out)]
+        with mock.patch.object(cli, "_ratio_cells", side_effect=cells):
+            if code is None:
+                with pytest.raises(error):
+                    main(argv)
+            else:
+                assert main(argv) == code
+        assert len(seen) == 3000
+        # earlier rows were already on disk: the table is never held whole
+        assert len(partial) == 1 and partial[0] >= cli.CSV_CHUNK_ROWS
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stdout_and_file_get_the_same_bytes(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        argv = ["asympt", "--p", "37", "--kind", "square", "--nmax", "500"]
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        assert main(argv) == EXIT_PASS
+        assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
 
     def test_p5_ratio_cells(self, tmp_path):
         out = tmp_path / "a5.csv"

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -578,3 +579,66 @@ class TestConvolutions:
         with mock.patch.object(qseries, "MAX_FAST_N", 300):
             conv.ensure(260)
         assert len(conv._re) == 301
+
+
+class _DotLengths(np.ndarray):
+    """int64 view that records the length of every ``@`` it takes part in."""
+
+    log: list = []
+
+    def __matmul__(self, other):
+        _DotLengths.log.append((len(self), len(other)))
+        return np.asarray(self) @ np.asarray(other)
+
+
+@lru_cache(maxsize=None)
+def _products(p: int, N: int):
+    """The oracle pair (delta_chi * delta_chibar, delta_chi * delta_chi) for
+    the first character of p (quartic_pair, or the mod-3 character)."""
+    chi = quadratic_character(3) if p == 3 else quartic_pair(p)[0]
+    d, dbar = delta_series(chi, N), delta_series(chi.conj(), N)
+    return chi, d * dbar, d * d
+
+
+class TestHalfLengthIndexRead:
+    """F(n), H(n) sum each symmetric pair (j, n - j) once."""
+
+    @pytest.mark.parametrize("p", [5, 13, 29, 3])
+    def test_index_read_matches_the_cauchy_product(self, p):
+        # n = 0..300: both parities, and n <= 3 where h = (n - 1) // 2 is 0
+        N = 300
+        chi, f_series, h_series = _products(p, N)
+        # for the conjugate character F is the same series and H its conjugate
+        for chi_, conj in ((chi, False), (chi.conj(), True)):
+            conv = Convolver(chi_)
+            for n in range(N + 1):
+                assert conv.F(n) == f_series[n], (chi_.label(), n)
+                want = h_series[n].conj() if conj else h_series[n]
+                assert conv.H(n) == want, (chi_.label(), n)
+
+    @pytest.mark.parametrize("p", [13, 37])
+    def test_dilated_reads_match_the_range_read(self, p):
+        # F(95 k), H(95 k) as in the p37_5_19 config, against the same
+        # Convolver's Kronecker-product tail: an independent route
+        conv = Convolver(quartic_pair(p)[0])
+        top = 95 * 2000
+        ks = sorted({1, 2, 3, 4, 1999, 2000, *random.Random(p).sample(range(5, 1999), 60)})
+        assert {k % 2 for k in ks} == {0, 1}
+        D = conv.denominator
+        for c, read in ((-1, conv.F), (1, conv.H)):
+            re, im = conv.numerators(0, top + 1, c)
+            for k in ks:
+                assert read(95 * k, D) == (re[95 * k], im[95 * k]), (c, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 101, 1000])
+    def test_dot_lengths(self, n):
+        # F: two dots of length h = (n - 1) // 2; H: those two and a.b' over 0 < j < n
+        conv = Convolver(quartic_pair(13)[0])
+        conv.ensure(n)
+        want = {conv.F: conv.F(n), conv.H: conv.H(n)}
+        conv._re, conv._im = conv._re.view(_DotLengths), conv._im.view(_DotLengths)
+        h = (n - 1) // 2
+        for read, lengths in ((conv.F, [(h, h)] * 2), (conv.H, [(h, h)] * 2 + [(n - 1, n - 1)])):
+            _DotLengths.log = []
+            assert read(n) == want[read]
+            assert _DotLengths.log == lengths, read
