@@ -9,6 +9,7 @@ the order divides 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -104,6 +105,7 @@ def quadratic_character(p: int) -> DirichletCharacter:
     return DirichletCharacter(p, primitive_root(p), (p - 1) // 2)
 
 
+@lru_cache(maxsize=None)
 def quartic_pair(p: int) -> tuple[DirichletCharacter, DirichletCharacter]:
     """The two exact-order-4 characters mod p, for p = 5 (mod 8).
 

@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -21,6 +20,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from math import gcd
+from operator import floordiv, mul
 
 from .charpoly import even_character_obstruction, is_safe_prime_shape, safe_prime_scan
 from .foundations import GaussianRational, is_prime
@@ -49,39 +49,77 @@ class UsageError(Exception):
     pass
 
 
-def _fraction_part(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+def _fraction_column(nums: list[int], dens: list[int]) -> list[str]:
+    """str(Fraction(x, d)) for each x, d with d > 0."""
+    gs = list(map(gcd, nums, dens))
+    return [
+        f"{x}/{d}" if d != 1 else str(x)
+        for x, d in zip(map(floordiv, nums, gs), map(floordiv, dens, gs))
+    ]
 
 
-def _fixed_part(num: int, den: int, places: int) -> str:
-    """num/den for den > 0, truncated toward zero to `places` decimals; a
-    negative value keeps its '-' even when it truncates to zero."""
-    intpart, fracpart = divmod(abs(num) * 10**places // den, 10**places)
-    return f"{'-' if num < 0 else ''}{intpart}.{fracpart:0{places}d}"
+def _fixed_column(nums: list[int], dens: list[int], places: int) -> list[str]:
+    """x/d for each x, d with d > 0, truncated toward zero to `places`
+    decimals; a negative value keeps its '-' even when it truncates to zero."""
+    scale = 10**places
+    return [
+        "%s%d.%0*d" % ("-" if x < 0 else "", q // scale, places, q % scale)
+        for x, q in zip(nums, map(floordiv, [abs(x) * scale for x in nums], dens))
+    ]
+
+
+def _gaussian_column(
+    re: list[int], im: list[int], dens: list[int], places: int | None = None
+) -> list[str]:
+    """(x + i y)/d for each x, y, d with d > 0, as reduced fractions, or to
+    `places` decimals: the real part alone when y = 0, else x+|y|i or x-|y|i.
+    The one renderer of exact and decimal cells, from ints alone; each kind
+    of part is built once for the whole column."""
+    if places is None:
+        column, args = _fraction_column, ()
+    else:
+        column, args = _fixed_column, (places,)
+    real = column(re, dens, *args)
+    if not any(im):
+        return real
+    imag = column(list(map(abs, im)), dens, *args)
+    return [f"{a}{'+' if y > 0 else '-'}{b}i" if y else a for a, y, b in zip(real, im, imag)]
+
+
+def _ratio_columns(
+    re: list[int], im: list[int], dens: list[int]
+) -> tuple[list[str], list[str]]:
+    """The exact and 12-place columns of (x + i y)/d for d != 0: the sign of
+    each d moves into its numerators."""
+    if min(dens) < 0:
+        signs = [-1 if d < 0 else 1 for d in dens]
+        re, im = list(map(mul, re, signs)), list(map(mul, im, signs))
+        dens = list(map(abs, dens))
+    return _gaussian_column(re, im, dens), _gaussian_column(re, im, dens, 12)
 
 
 def _gaussian_str(re: int, im: int, den: int, places: int | None = None) -> str:
-    """(re + i im)/den for den > 0, as reduced fractions, or to `places`
-    decimals: the real part alone when im = 0, else re+|im|i or re-|im|i.
-    The one renderer of exact and decimal cells, from ints alone."""
-    if places is None:
-        part, args = _fraction_part, ()
-    else:
-        part, args = _fixed_part, (places,)
-    if not im:
-        return part(re, den, *args)
-    sign = "+" if im > 0 else "-"
-    return f"{part(re, den, *args)}{sign}{part(abs(im), den, *args)}i"
+    """One cell of `_gaussian_column`."""
+    return _gaussian_column([re], [im], [den], places)[0]
 
 
 def _ratio_cells(re: int, im: int, den: int) -> tuple[str, str]:
-    """The exact and 12-place cells of (re + i im)/den for den != 0: the
-    sign of den moves into the numerators."""
-    if den < 0:
-        re, im, den = -re, -im, -den
-    return _gaussian_str(re, im, den), _gaussian_str(re, im, den, 12)
+    """One row of `_ratio_columns`."""
+    (exact,), (fixed,) = _ratio_columns([re], [im], [den])
+    return exact, fixed
+
+
+def _ratio_chunk(n, kron, re, im, sigma, D: int) -> str:
+    """CSV text of ratio-table rows from lists of ints, built a column at a
+    time: lhs = (re + i im)/D, rhs = sigma, and their exact and 12-place
+    ratio.  Rows end in \\r\\n, as csv.writer ends them; no cell needs
+    quoting, since each holds only digits and -+/.i."""
+    lhs = _gaussian_column(re, im, [D] * len(re))
+    ratio, ratio_dec = _ratio_columns(re, im, [D * s for s in sigma])
+    return "".join(
+        f"{a},{b},{c},{d},{e},{f}\r\n"
+        for a, b, c, d, e, f in zip(n, kron, lhs, sigma, ratio, ratio_dec)
+    )
 
 
 def decimal_str(x: Fraction, places: int = 12) -> str:
@@ -182,6 +220,13 @@ def write_output(text: str, path: str | None) -> None:
             fh.write("\n")
 
 
+def _flat(value) -> object:
+    """A csv or text cell: a dict or list as compact JSON, else the value."""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return value
+
+
 def render_report(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -192,19 +237,19 @@ def render_report(payload: dict, fmt: str) -> str:
         if rows:
             writer.writerow(rows[0].keys())
             for row in rows:
-                writer.writerow(row.values())
+                writer.writerow(map(_flat, row.values()))
         else:
             for key, value in payload.items():
-                writer.writerow([key, value])
+                writer.writerow([key, _flat(value)])
         return buf.getvalue()
     if fmt == "text":
         lines = []
         for key, value in payload.items():
             if key == "rows":
                 for row in value:
-                    lines.append("  " + " ".join(f"{k}={v}" for k, v in row.items()))
+                    lines.append("  " + " ".join(f"{k}={_flat(v)}" for k, v in row.items()))
             else:
-                lines.append(f"{key}: {value}")
+                lines.append(f"{key}: {_flat(value)}")
         return "\n".join(lines) + "\n"
     raise UsageError(f"unknown output format {fmt!r}")
 
@@ -316,27 +361,15 @@ def cmd_asympt(args) -> int:
         raise UsageError(f"p must be a prime = 5 (mod 8), got {p}")
     chi = resolve_character(p, args.chi)
     report = asymptotic_report(p, chi, args.kind, args.nmax)
-    D = report.denominator
-
-    def rows():
-        for n, kron, re, im, s in zip(
-            report.n.tolist(), report.kron.tolist(), report.lhs_re.tolist(),
-            report.lhs_im.tolist(), report.sigma.tolist(),
-        ):
-            yield n, kron, _gaussian_str(re, im, D), s, *_ratio_cells(re, im, D * s)
-
-    # CSV_CHUNK_ROWS rows per write: the table is never held whole, and an
+    columns = (report.n, report.kron, report.lhs_re, report.lhs_im, report.sigma)
+    # one write per CSV_CHUNK_ROWS rows, each chunk built a column at a time
+    # from the integer arrays: the table text is never held whole, and an
     # unbuffered stdout (PYTHONUNBUFFERED) takes one system call per chunk
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "kron", "lhs", "rhs", "ratio", "ratio_dec"])
-    pending = rows()
     with _output(args.out) as fh:
-        while buf.tell():
-            fh.write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
-            writer.writerows(itertools.islice(pending, CSV_CHUNK_ROWS))
+        fh.write("n,kron,lhs,rhs,ratio,ratio_dec\r\n")
+        for lo in range(0, len(report.n), CSV_CHUNK_ROWS):
+            chunk = (c[lo : lo + CSV_CHUNK_ROWS].tolist() for c in columns)
+            fh.write(_ratio_chunk(*chunk, report.denominator))
     return EXIT_PASS
 
 

@@ -305,8 +305,8 @@ def asymptotic_report(
     the top decile.  'square' tabulates H(n)/sigma~(n), estimates the
     subsequence limits L+ and L- for Kronecker symbol +1 / -1 as top-decile
     averages, and reports gamma = (L+ - L-)/2 and alpha' = (L+ + L-)/2.
-    The table stays in integer arrays; Fractions are built for the top
-    decile's statistics only.
+    The table stays in integer arrays, and so do the top-decile statistics
+    until each is one exact Fraction: no Fraction is built per row.
     """
     if kind == "conv":
         c, sigma_values = -1, sigma_prime_values
@@ -326,34 +326,42 @@ def asymptotic_report(
     )
     decile_lo = nmax - (nmax // 10)
     top = n >= decile_lo
-    top_ratios = [
-        (k, Fraction(x, D * s), Fraction(y, D * s))
-        for k, x, y, s in zip(
-            report.kron[top].tolist(), report.lhs_re[top].tolist(),
-            report.lhs_im[top].tolist(), report.sigma[top].tolist(),
-        )
-    ]
+    top_re, top_sigma = report.lhs_re[top].tolist(), report.sigma[top].tolist()
 
     if kind == "conv":
         if np.count_nonzero(report.lhs_im):
             raise AssertionError("conv ratio must be real")
         report.alpha = constants_for(p, chi).alpha
-        report.max_dev_top_decile = max(
-            (abs(x - report.alpha) for _, x, _ in top_ratios), default=Fraction(0)
-        )
+        a, b = report.alpha.numerator, report.alpha.denominator
+        # |x/(D s) - a/b| = |b x - a D s| / (b D |s|): keep the largest
+        # quotient dev/den by cross-multiplying, the common b D left out
+        dev, den = 0, 1
+        for x, s in zip(top_re, top_sigma):
+            d = abs(b * x - a * D * s)
+            if d * den > dev * abs(s):
+                dev, den = d, abs(s)
+        report.max_dev_top_decile = Fraction(dev, b * D * den)
         return report
 
+    top_rows = list(zip(report.kron[top].tolist(), top_re, report.lhs_im[top].tolist(), top_sigma))
     limits = {}
     for k in (1, -1):
-        bucket = [(x, y) for kk, x, y in top_ratios if kk == k]
+        bucket = [(x, y, s) for kk, x, y, s in top_rows if kk == k]
         if not bucket:
             raise ValueError(
                 f"no n in the top decile {decile_lo}..{nmax} with Kronecker "
                 f"symbol {k:+d} at p = {p}; try a larger --nmax"
             )
-        limits[k] = GaussianRational(
-            sum(x for x, _ in bucket) / len(bucket), sum(y for _, y in bucket) / len(bucket)
-        )
+        # the mean of (x + i y)/(D s) over one denominator D ell |bucket|,
+        # ell = lcm of the bucket's s
+        ell = lcm(*(s for _, _, s in bucket))
+        sum_re = sum_im = 0
+        for x, y, s in bucket:
+            w = ell // s
+            sum_re += x * w
+            sum_im += y * w
+        den = D * ell * len(bucket)
+        limits[k] = GaussianRational(Fraction(sum_re, den), Fraction(sum_im, den))
     report.limit_plus, report.limit_minus = limits[1], limits[-1]
     report.gamma_estimate = (limits[1] - limits[-1]) / Fraction(2)
     report.alpha_prime_estimate = (limits[1] + limits[-1]) / Fraction(2)

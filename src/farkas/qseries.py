@@ -321,6 +321,7 @@ def sigma_hat_series(p: int, N: int) -> QSeries:
     return from_ints(sigma_hat_values(p, N)[: N + 1], constant=Fraction(0))
 
 
+@lru_cache(maxsize=None)
 def bernoulli_B2_psi(p: int) -> Fraction:
     """B_{2,psi} for the quadratic character mod p, via Cohen's formula.
 

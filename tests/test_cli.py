@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 from importlib import resources
@@ -18,8 +20,10 @@ from farkas.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     builtin_config_names,
+    _gaussian_column,
     _gaussian_str,
     _ratio_cells,
+    _ratio_columns,
     decimal_str,
     gaussian_decimal_str,
     load_builtin_config,
@@ -28,6 +32,7 @@ from farkas.cli import (
     parse_gaussian_pair,
 )
 from farkas.foundations import GaussianRational, gaussian
+from farkas.identities import asymptotic_report, resolve_character
 from fractions import Fraction
 
 P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
@@ -309,29 +314,61 @@ class TestAsymptCommand:
         [(RuntimeError, EXIT_INTERNAL), (ValueError, EXIT_USAGE), (KeyboardInterrupt, None)],
     )
     def test_a_row_that_raises_leaves_no_file(self, error, code, tmp_path, capsys):
-        # rows stream into the temporary file; one that raises partway
-        # through must leave neither the target nor the temporary file
+        # chunks of rows stream into the temporary file; one that raises
+        # partway through must leave neither the target nor the temporary file
         out = tmp_path / "a.csv"
-        real, seen, partial = cli._ratio_cells, [], []
+        real, seen, partial = cli._ratio_chunk, [], []
 
-        def cells(re, im, den):
+        def chunk(*columns):
             seen.append(1)
-            if len(seen) == 3000:
+            if len(seen) == 12:  # rows 2817..3072
                 partial.extend(f.read_bytes().count(b"\n") for f in tmp_path.glob(".farkas-*"))
-                raise error("row 3000")
-            return real(re, im, den)
+                raise error("chunk 12")
+            return real(*columns)
 
         argv = ["asympt", "--p", "29", "--kind", "conv", "--nmax", "10000", "--out", str(out)]
-        with mock.patch.object(cli, "_ratio_cells", side_effect=cells):
+        with mock.patch.object(cli, "_ratio_chunk", side_effect=chunk):
             if code is None:
                 with pytest.raises(error):
                     main(argv)
             else:
                 assert main(argv) == code
-        assert len(seen) == 3000
+        assert len(seen) == 12
         # earlier rows were already on disk: the table is never held whole
         assert len(partial) == 1 and partial[0] >= cli.CSV_CHUNK_ROWS
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["conv", "square"])
+    @pytest.mark.parametrize("chunks", [1, 2])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_edges_equal_a_per_row_reference(self, kind, chunks, extra, tmp_path):
+        # the table with CSV_CHUNK_ROWS * chunks + extra rows, against rows
+        # written one at a time by csv.writer from the exact Fractions
+        p, rows = 37, cli.CSV_CHUNK_ROWS * chunks + extra
+        nmax = next(m for m in itertools.count() if m - m // p == rows)
+        out = tmp_path / "a.csv"
+        argv = ["asympt", "--p", str(p), "--kind", kind, "--nmax", str(nmax)]
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["n", "kron", "lhs", "rhs", "ratio", "ratio_dec"])
+        report = asymptotic_report(p, resolve_character(p, "quartic-i"), kind, nmax)
+        for r in report.rows:
+            writer.writerow([
+                r.n, r.kron, fraction_gaussian_exact_str(r.lhs), r.rhs.re,
+                fraction_gaussian_exact_str(r.ratio), fraction_gaussian_decimal_str(r.ratio),
+            ])
+        assert len(report.rows) == rows
+        assert out.read_bytes() == buf.getvalue().encode()
+
+    def test_every_p37_square_line_is_six_plain_cells(self, tmp_path):
+        out = tmp_path / "a.csv"
+        argv = ["asympt", "--p", "37", "--kind", "square", "--nmax", "3000"]
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == 3000 - 3000 // 37
+        for line, cells in zip(lines, csv.reader(lines)):
+            assert len(cells) == 6 and ",".join(cells) == line
 
     def test_stdout_and_file_get_the_same_bytes(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
@@ -348,6 +385,70 @@ class TestAsymptCommand:
             cells = line.split(",")
             assert cells[4] == "3/5"
             assert cells[5] == decimal_str(Fraction(3, 5))
+
+
+# argv -> exit code, for reports with and without rows and nested values
+FORMAT_ARGV = {
+    "verify-pass": (["verify", "--p", "5", "--kind", "conv", "--nmax", "20"], EXIT_PASS),
+    "verify-failure": (["verify", "--p", "29", "--kind", "conv", "--nmax", "20"], EXIT_FAILURE),
+    "search": (["search", "--pmax", "60", "--nmax", "10"], EXIT_PASS),
+    "search-safe-primes": (["search", "--safe-primes", "--pmax", "300"], EXIT_PASS),
+    "poly": (["poly", "--p", "59"], EXIT_PASS),
+}
+
+
+class TestReportFormats:
+    @staticmethod
+    def _run(argv, fmt, code):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == code
+        return out.getvalue()
+
+    @staticmethod
+    def _assert_cell(key, cell, want):
+        if key == "elapsed_ms":
+            float(cell)  # a timing: differs between runs
+        elif isinstance(want, (dict, list)):
+            assert cell == json.dumps(want, sort_keys=True, separators=(",", ":"))
+            assert json.loads(cell) == want
+        else:
+            assert cell == str(want)
+
+    @pytest.mark.parametrize("name", list(FORMAT_ARGV))
+    def test_csv_parses_back_to_the_json_report(self, name):
+        argv, code = FORMAT_ARGV[name]
+        want = json.loads(self._run(argv, "json", code))
+        lines = list(csv.reader(io.StringIO(self._run(argv, "csv", code), newline="")))
+        if "rows" in want:  # the rows alone
+            assert sorted(lines[0]) == sorted(want["rows"][0])
+            assert len(lines) == len(want["rows"]) + 1
+            for cells, row in zip(lines[1:], want["rows"]):
+                for key, cell in zip(lines[0], cells, strict=True):
+                    self._assert_cell(key, cell, row[key])
+            return
+        assert sorted(key for key, _ in lines) == sorted(want)  # json sorts its keys
+        for key, cell in lines:
+            self._assert_cell(key, cell, want[key])
+
+    @pytest.mark.parametrize("name", list(FORMAT_ARGV))
+    def test_text_lines_carry_the_json_report(self, name):
+        argv, code = FORMAT_ARGV[name]
+        want = json.loads(self._run(argv, "json", code))
+        rows, keys = [], []
+        for line in self._run(argv, "text", code).splitlines():
+            if line.startswith("  "):
+                rows.append(dict(pair.split("=", 1) for pair in line.split()))
+            else:
+                key, cell = line.split(": ", 1)
+                keys.append(key)
+                self._assert_cell(key, cell, want[key])
+        assert sorted(keys) == sorted(key for key in want if key != "rows")
+        assert len(rows) == len(want.get("rows", []))
+        for got, row in zip(rows, want.get("rows", [])):
+            assert sorted(got) == sorted(row)
+            for key, cell in got.items():
+                self._assert_cell(key, cell, row[key])
 
 
 class TestPolyCommand:
@@ -492,6 +593,36 @@ class TestIntegerRenderer:
         assert gaussian_decimal_str(z) == fraction_gaussian_decimal_str(z)
         assert decimal_str(z.re) == fraction_decimal_str(z.re)
         assert decimal_str(z.re, 3) == fraction_decimal_str(z.re, 3)
+
+
+# columns that mix values past 2**63, zero imaginary parts and d = +-1
+column_rows = st.lists(
+    st.tuples(
+        numerators,
+        st.one_of(numerators, st.just(0)),
+        st.one_of(denominators, st.sampled_from([1, -1])),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestColumnRenderer:
+    @given(column_rows)
+    @example([(2**64 + 1, 0, 1), (-(2**70), 3, -1), (5, 0, -(10**13)), (0, -7, 2**63)])
+    def test_columns_equal_the_fraction_path(self, rows):
+        re, im, dens = map(list, zip(*rows))
+        zs = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y, d in rows]
+        assert _ratio_columns(re, im, dens) == (
+            [fraction_gaussian_exact_str(z) for z in zs],
+            [fraction_gaussian_decimal_str(z) for z in zs],
+        )
+        positive = [abs(d) for d in dens]
+        zs = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y, d in zip(re, im, positive)]
+        assert _gaussian_column(re, im, positive) == [fraction_gaussian_exact_str(z) for z in zs]
+        assert _gaussian_column(re, im, positive, 12) == [
+            fraction_gaussian_decimal_str(z) for z in zs
+        ]
 
 
 # argv for the property below: mostly valid values, with out-of-range

@@ -29,6 +29,7 @@ from farkas.identities import (
 )
 from farkas.qseries import (
     Convolver,
+    bernoulli_B2_psi,
     convolver,
     sigma_prime_values,
     sigma_tilde_values,
@@ -324,6 +325,15 @@ class TestArrayReportAgainstPerRowOracle:
             assert type(got.n) is type(got.kron) is int
         for name, value in stats.items():
             assert getattr(rep, name) == value, name
+        # the statistics, summed as Fractions over the exact rows
+        top = [r for r in rep.rows if r.n >= 400 - 400 // 10]
+        if kind == "conv":
+            alpha = constants_for(p, chi).alpha
+            assert rep.max_dev_top_decile == max(abs(r.ratio.re - alpha) for r in top)
+            return
+        for k, limit in ((1, rep.limit_plus), (-1, rep.limit_minus)):
+            bucket = [r.ratio for r in top if r.kron == k]
+            assert limit == sum(bucket, GaussianRational()) / len(bucket)
 
     def test_rows_are_built_on_first_use_only(self):
         chi = canonical_quartic(29)
@@ -443,6 +453,15 @@ class TestObstructions:
         for p in quartic_primes(1000):
             for chi in quartic_pair(p):
                 assert obstruction_id2(p, chi).branches == per_prime(chi.value(2)), (p, chi)
+
+    def test_scan_computes_each_prime_constant_once(self):
+        primes = quartic_primes(200)
+        for cached in (quartic_pair, bernoulli_B2_psi):
+            cached.cache_clear()
+        dichotomy_scan(200)
+        for cached in (quartic_pair, bernoulli_B2_psi):
+            info = cached.cache_info()
+            assert info.misses == len(primes) and info.hits > 0, cached
 
     def test_agreement_with_sweeps_to_200(self):
         for row in dichotomy_scan(200, nmax=10):
