@@ -98,17 +98,6 @@ def _ratio_columns(
     return _gaussian_column(re, im, dens), _gaussian_column(re, im, dens, 12)
 
 
-def _gaussian_str(re: int, im: int, den: int, places: int | None = None) -> str:
-    """One cell of `_gaussian_column`."""
-    return _gaussian_column([re], [im], [den], places)[0]
-
-
-def _ratio_cells(re: int, im: int, den: int) -> tuple[str, str]:
-    """One row of `_ratio_columns`."""
-    (exact,), (fixed,) = _ratio_columns([re], [im], [den])
-    return exact, fixed
-
-
 def _ratio_chunk(n, kron, re, im, sigma, D: int) -> str:
     """CSV text of ratio-table rows from lists of ints, built a column at a
     time: lhs = (re + i im)/D, rhs = sigma, and their exact and 12-place
@@ -122,28 +111,20 @@ def _ratio_chunk(n, kron, re, im, sigma, D: int) -> str:
     )
 
 
-def decimal_str(x: Fraction, places: int = 12) -> str:
-    """Exact fixed-point rendering of a rational to `places` decimals."""
-    return _gaussian_str(x.numerator, 0, x.denominator, places)
-
-
-def gaussian_decimal_str(z: GaussianRational, places: int = 12) -> str:
-    return _gaussian_str(  # over the common denominator of re and im
-        z.re.numerator * z.im.denominator, z.im.numerator * z.re.denominator,
-        z.re.denominator * z.im.denominator, places,
-    )
-
-
 def parse_gaussian_pair(text: str) -> GaussianRational:
     """Parse the config format 're_num/re_den,im_num/im_den'."""
-    parts = text.split(",")
+    parts = text.split(",") if isinstance(text, str) else ()
     if len(parts) != 2:
         raise ValueError(f"expected 're/den,im/den', got {text!r}")
-    return GaussianRational(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    try:
+        return GaussianRational(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def load_identity_config(path_or_file) -> ConfiguredIdentity:
-    """Read a ConfiguredIdentity from a JSON config file."""
+    """Read a ConfiguredIdentity from a JSON config file; a field of the
+    wrong type or value raises a ValueError that names it."""
     if hasattr(path_or_file, "read"):
         raw = path_or_file.read()
     else:
@@ -155,28 +136,41 @@ def load_identity_config(path_or_file) -> ConfiguredIdentity:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
 
     def need(key, obj=data, where="config"):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be a JSON object")
         if key not in obj:
             raise ValueError(f"{where}: missing field {key!r}")
         return obj[key]
 
-    p = need("p")
+    def integer(key, obj=data, where="config"):
+        value = need(key, obj, where)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{where}.{key} must be an integer, got {value!r}")
+        return value
+
+    def items(key, obj=data, where="config"):
+        value = need(key, obj, where)
+        if not isinstance(value, list):
+            raise ValueError(f"{where}.{key} must be a list")
+        return enumerate(value)
+
+    def pair(text, where):
+        try:
+            return parse_gaussian_pair(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+
+    p = integer("p")
     chi = need("chi")
     terms = []
-    for idx, term in enumerate(need("terms")):
+    for idx, term in items("terms"):
         where = f"terms[{idx}]"
-        try:
-            a = parse_gaussian_pair(need("A", term, where))
-        except ValueError as exc:
-            raise ValueError(f"{where}.A: {exc}") from exc
-        b = need("B", term, where)
-        c = need("C", term, where)
-        if not isinstance(b, int) or not isinstance(c, int):
-            raise ValueError(f"{where}: B and C must be integers")
-        terms.append((a, b, c))
+        a = pair(need("A", term, where), f"{where}.A")
+        terms.append((a, integer("B", term, where), integer("C", term, where)))
     rhs = need("rhs")
     kind = need("kind", rhs, "rhs")
     coeffs = tuple(
-        parse_gaussian_pair(c) for c in need("coefficients", rhs, "rhs")
+        pair(c, f"rhs.coefficients[{i}]") for i, c in items("coefficients", rhs, "rhs")
     )
     return ConfiguredIdentity(p, chi, tuple(terms), kind, coeffs)
 

@@ -8,10 +8,9 @@ and verification of configured Hecke-eliminated identities.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from typing import Optional
 
@@ -21,17 +20,12 @@ from .characters import DirichletCharacter, canonical_quartic, quadratic_charact
 from .foundations import GaussianRational, is_prime
 from .qseries import (
     MAX_FAST_N,
-    QSeries,
     _kronecker_values,
     bernoulli_B2_psi,
     convolver,
     delta_constant,
-    delta_series,
-    sigma_hat_series,
     sigma_hat_values,
-    sigma_prime_series,
     sigma_prime_values,
-    sigma_tilde_series,
     sigma_tilde_values,
 )
 
@@ -67,28 +61,10 @@ class VerificationReport:
     failure_n: Optional[int] = None
     lhs: Optional[GaussianRational] = None
     rhs: Optional[GaussianRational] = None
-    elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.outcome == "pass"
-
-    def to_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "character": self.character,
-            "kind": self.kind,
-            "nmax": self.nmax,
-            "outcome": self.outcome,
-        }
-        if self.failure_n is not None:
-            out["first_failure"] = {
-                "n": self.failure_n,
-                "lhs": str(self.lhs),
-                "rhs": str(self.rhs),
-            }
-        out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 def _denominator(*values: GaussianRational) -> int:
@@ -134,7 +110,6 @@ def _run_verification(
     grow by SWEEP_BLOCK: a failure at n >= 3 is found by hi <= 2n, and no
     block holds more than SWEEP_BLOCK coefficients.
     """
-    t0 = time.perf_counter()
     lo, hi, bad = start, 3, None
     while lo <= nmax and bad is None:
         hi = min(hi, nmax + 1)
@@ -144,14 +119,12 @@ def _run_verification(
             i = int(differ[0])
             bad, lhs, rhs = lo + i, (lhs_re[i], lhs_im[i]), (rhs_re[i], rhs_im[i])
         lo, hi = hi, hi + min(hi, SWEEP_BLOCK)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     if bad is None:
-        return VerificationReport(p, character, kind, nmax, "pass", elapsed_ms=elapsed)
+        return VerificationReport(p, character, kind, nmax, "pass")
     return VerificationReport(
         p, character, kind, nmax, "first_failure", failure_n=bad,
         lhs=GaussianRational(Fraction(lhs[0], D), Fraction(lhs[1], D)),
         rhs=GaussianRational(Fraction(rhs[0], D), Fraction(rhs[1], D)),
-        elapsed_ms=elapsed,
     )
 
 
@@ -212,46 +185,9 @@ def verify_farkas(nmax: int) -> VerificationReport:
     )
 
 
-def residual_series(
-    p: int,
-    chi: DirichletCharacter,
-    kind: str,
-    N: int,
-    subtract_hat: bool = False,
-) -> QSeries:
-    """Exact lhs - rhs coefficient series.
-
-    kind 'conv' subtracts alpha * sigma'; kind 'square' subtracts
-    alpha' * sigma~ (and additionally beta' * sigma^ when subtract_hat
-    is set, which for p in {5, 13} leaves the zero series).
-    """
-    consts = constants_for(p, chi)
-    if kind == "conv":
-        lhs = delta_series(chi, N) * delta_series(chi.conj(), N)
-        rhs = sigma_prime_series(p, N).scale(consts.alpha)
-    elif kind == "square":
-        d = delta_series(chi, N)
-        lhs = d * d
-        rhs = sigma_tilde_series(p, N).scale(consts.alpha_prime)
-        if subtract_hat:
-            lhs = lhs - sigma_hat_series(p, N).scale(consts.beta_prime)
-    else:
-        raise ValueError(f"unknown residual kind {kind!r}")
-    return lhs - rhs
-
-
 # ---------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------
-
-@dataclass
-class RatioRow:
-    n: int
-    kron: int
-    lhs: GaussianRational
-    rhs: GaussianRational
-    ratio: GaussianRational
-
 
 @dataclass
 class AsymptoticReport:
@@ -259,7 +195,6 @@ class AsymptoticReport:
 
     lhs(n) = (lhs_re[i] + i lhs_im[i]) / denominator exactly (object arrays
     of Python ints), rhs(n) = sigma[i], and the ratio is lhs / rhs.
-    ``rows`` spells the table out as exact ``RatioRow``s on first use.
     """
 
     p: int
@@ -278,22 +213,6 @@ class AsymptoticReport:
     limit_minus: Optional[GaussianRational] = None
     gamma_estimate: Optional[GaussianRational] = None
     alpha_prime_estimate: Optional[GaussianRational] = None
-
-    @cached_property
-    def rows(self) -> list[RatioRow]:
-        D = self.denominator
-        return [
-            RatioRow(
-                n, k,
-                GaussianRational(Fraction(re, D), Fraction(im, D)),
-                GaussianRational(Fraction(s)),
-                GaussianRational(Fraction(re, D * s), Fraction(im, D * s)),
-            )
-            for n, k, re, im, s in zip(
-                self.n.tolist(), self.kron.tolist(), self.lhs_re.tolist(),
-                self.lhs_im.tolist(), self.sigma.tolist(),
-            )
-        ]
 
 
 def asymptotic_report(
@@ -441,7 +360,7 @@ def check_configured_identity(
         re, im = np.zeros(hi - lo, dtype=object), np.zeros(hi - lo, dtype=object)
         for (ar, ai), b, c in terms:
             for n in range(-(-lo // b) * b, hi, b):  # the multiples of b
-                fr, fi = single((n // b) * c, s2)
+                fr, fi = single((n // b) * c)
                 re[n - lo] += ar * fr - ai * fi
                 im[n - lo] += ar * fi + ai * fr
         return re, im

@@ -481,26 +481,15 @@ class Convolver:
         im = s * s * tail_im + (1 + c) * s * (u * y + v * x)
         return re, im
 
-    def _product(self, n: int, c: int, scale: int | None):
-        """sum_{j=0}^{n} delta_chi(j) delta'(n-j), where delta' is delta_chi
-        (c = 1) or its conjugate (c = -1); exact, or times ``scale``."""
+    def _product(self, n: int, c: int) -> tuple[int, int]:
+        """``denominator`` times sum_{j=0}^{n} delta_chi(j) delta'(n-j), where
+        delta' is delta_chi (c = 1) or its conjugate (c = -1), as an int pair."""
         if n < 0:
             raise ValueError("F and H expect n >= 0")
         if n == 0:
-            re, im = self._at_zero(c)
-        else:
-            self.ensure(n)
-            re, im = self._combine(
-                c, *self._dot_tail(n, c), int(self._re[n]), int(self._im[n])
-            )
-        if scale is None:
-            return GaussianRational(
-                Fraction(re, self.denominator), Fraction(im, self.denominator)
-            )
-        k, rem = divmod(scale, self.denominator)
-        if rem:
-            raise ValueError(f"scale {scale} is not a multiple of {self.denominator}")
-        return k * re, k * im
+            return self._at_zero(c)
+        self.ensure(n)
+        return self._combine(c, *self._dot_tail(n, c), int(self._re[n]), int(self._im[n]))
 
     def numerators(self, lo: int, hi: int, c: int) -> tuple[np.ndarray, np.ndarray]:
         """``denominator`` times F (c = -1) or H (c = 1) at n in [lo, hi), as
@@ -527,17 +516,15 @@ class Convolver:
             re[0], im[0] = self._at_zero(c)
         return re, im
 
-    def F(self, n: int, scale: int | None = None):
-        """F_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chibar(n-j), exact in Q(i).
+    def F(self, n: int) -> tuple[int, int]:
+        """``denominator`` times F_chi(n) = sum_{j=0}^{n} delta_chi(j)
+        delta_chibar(n-j), as an int pair (re, im): the format of ``numerators``."""
+        return self._product(n, -1)
 
-        With an integer ``scale`` that ``denominator`` divides, returns
-        scale * F_chi(n) as an int pair instead.
-        """
-        return self._product(n, -1, scale)
-
-    def H(self, n: int, scale: int | None = None):
-        """H_chi(n) = sum_{j=0}^{n} delta_chi(j) delta_chi(n-j); ``scale`` as for F."""
-        return self._product(n, 1, scale)
+    def H(self, n: int) -> tuple[int, int]:
+        """``denominator`` times H_chi(n) = sum_{j=0}^{n} delta_chi(j)
+        delta_chi(n-j), as an int pair (re, im)."""
+        return self._product(n, 1)
 
 
 @lru_cache(maxsize=None)

@@ -138,9 +138,9 @@ def test_criterion_7_deviation_decays():
     alpha = constants_for(p, chi).alpha
     sp = sigma_prime_values(p, 10000)
 
-    def window_max(lo, hi):
+    def window_max(lo, hi):  # F(n) = conv.F(n)[0] / conv.denominator
         return max(
-            abs(conv.F(n).re / Fraction(int(sp[n])) - alpha)
+            abs(Fraction(conv.F(n)[0], conv.denominator * int(sp[n])) - alpha)
             for n in range(lo, hi + 1)
             if n % p
         )
@@ -161,7 +161,9 @@ def test_criterion_8_p37_configs():
     for name in names:
         cfg = load_builtin_config(name)
         ok = ok and check_configured_identity(cfg, 1000).passed
-    spot = convolver(resolve_character(37, "quartic-i")).F(34)
+    conv = convolver(resolve_character(37, "quartic-i"))
+    re, im = conv.F(34)
+    spot = gaussian(Fraction(re, conv.denominator), Fraction(im, conv.denominator))
     ok = ok and spot == gaussian(18)
     record(8, ok, f"four configs, F(34) = {spot}")
 

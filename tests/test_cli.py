@@ -21,19 +21,16 @@ from farkas.cli import (
     EXIT_USAGE,
     builtin_config_names,
     _gaussian_column,
-    _gaussian_str,
-    _ratio_cells,
     _ratio_columns,
-    decimal_str,
-    gaussian_decimal_str,
     load_builtin_config,
     load_identity_config,
     main,
     parse_gaussian_pair,
 )
 from farkas.foundations import GaussianRational, gaussian
-from farkas.identities import asymptotic_report, resolve_character
+from farkas.identities import resolve_character
 from fractions import Fraction
+from test_identities import per_row_report
 
 P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
 
@@ -132,6 +129,36 @@ class TestVerifyCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"p": 5, "chi": "quartic-i"}')
         assert main(["verify", "--kind", "config", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda c: c.update(p="37"), "config.p"),
+            (lambda c: c.update(p=37.0), "config.p"),
+            (lambda c: c.update(terms=5), "config.terms"),
+            (lambda c: c.update(terms=[7]), "terms[0]"),
+            (lambda c: c["terms"][0].update(A=5), "terms[0].A"),
+            (lambda c: 7, "config"),
+            (lambda c: c["terms"][0].update(A="1/0,0"), "terms[0].A"),
+            (lambda c: c.update(p=True), "config.p"),
+            (lambda c: c["terms"][1].update(B=True), "terms[1].B"),
+            (lambda c: c["terms"][1].update(C=True), "terms[1].C"),
+        ],
+        ids=[
+            "p-string", "p-float", "terms-int", "term-int", "A-int", "top-level-int",
+            "A-zero-den", "p-bool", "B-bool", "C-bool",
+        ],
+    )
+    def test_mistyped_config_fields_are_usage_errors(self, edit, field, tmp_path, capsys):
+        data = json.loads(open(P37_5_19, encoding="utf-8").read())
+        data = edit(data) or data  # an edit in place returns None
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["verify", "--kind", "config", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.startswith(f"error: bad config file: {field}")
 
     @pytest.mark.parametrize(
         "argv",
@@ -352,13 +379,13 @@ class TestAsymptCommand:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "kron", "lhs", "rhs", "ratio", "ratio_dec"])
-        report = asymptotic_report(p, resolve_character(p, "quartic-i"), kind, nmax)
-        for r in report.rows:
+        reference, _ = per_row_report(p, resolve_character(p, "quartic-i"), kind, nmax)
+        for r in reference:
             writer.writerow([
                 r.n, r.kron, fraction_gaussian_exact_str(r.lhs), r.rhs.re,
                 fraction_gaussian_exact_str(r.ratio), fraction_gaussian_decimal_str(r.ratio),
             ])
-        assert len(report.rows) == rows
+        assert len(reference) == rows
         assert out.read_bytes() == buf.getvalue().encode()
 
     def test_every_p37_square_line_is_six_plain_cells(self, tmp_path):
@@ -384,7 +411,7 @@ class TestAsymptCommand:
         for line in out.read_text().strip().splitlines()[1:]:
             cells = line.split(",")
             assert cells[4] == "3/5"
-            assert cells[5] == decimal_str(Fraction(3, 5))
+            assert cells[5] == fraction_decimal_str(Fraction(3, 5)) == "0.600000000000"
 
 
 # argv -> exit code, for reports with and without rows and nested values
@@ -510,14 +537,14 @@ class TestConfigParsing:
 
 class TestDecimalRendering:
     def test_exact_decimals(self):
-        assert decimal_str(Fraction(3, 5)) == "0.600000000000"
-        assert decimal_str(Fraction(-1, 3)) == "-0.333333333333"
+        assert _gaussian_column([3, -1], [0, 0], [5, 3], 12) == [
+            "0.600000000000", "-0.333333333333",
+        ]
 
     def test_gaussian_decimal(self):
-        assert gaussian_decimal_str(gaussian("1/2", "-1/4")) == (
-            "0.500000000000-0.250000000000i"
-        )
-        assert gaussian_decimal_str(gaussian("1/2")) == "0.500000000000"
+        assert _gaussian_column([2, 1], [-1, 0], [4, 2], 12) == [
+            "0.500000000000-0.250000000000i", "0.500000000000",
+        ]
 
 
 class TestInternalError:
@@ -572,29 +599,6 @@ denominators = st.one_of(
 )
 
 
-class TestIntegerRenderer:
-    @given(numerators, numerators, denominators)
-    @example(-1, 0, 10**13)  # "-0.000000000000"
-    @example(1, -1, -(10**13))  # both parts round to zero, signs from den
-    @example(0, 5, 7)  # zero real part, imaginary part kept
-    @example(2**64 + 1, 0, 3)  # real value past int64
-    @example(-(2**70), 2**70, 2**70)  # reduces to -1+1i
-    def test_cells_equal_the_fraction_path(self, re, im, den):
-        z = GaussianRational(Fraction(re, den), Fraction(im, den))
-        assert _ratio_cells(re, im, den) == (
-            fraction_gaussian_exact_str(z),
-            fraction_gaussian_decimal_str(z),
-        )
-
-    @given(numerators, numerators, st.integers(1, 2**80))
-    def test_lhs_cell_and_decimal_wrappers_equal_the_fraction_path(self, re, im, den):
-        z = GaussianRational(Fraction(re, den), Fraction(im, den))
-        assert _gaussian_str(re, im, den) == fraction_gaussian_exact_str(z)
-        assert gaussian_decimal_str(z) == fraction_gaussian_decimal_str(z)
-        assert decimal_str(z.re) == fraction_decimal_str(z.re)
-        assert decimal_str(z.re, 3) == fraction_decimal_str(z.re, 3)
-
-
 # columns that mix values past 2**63, zero imaginary parts and d = +-1
 column_rows = st.lists(
     st.tuples(
@@ -610,6 +614,11 @@ column_rows = st.lists(
 class TestColumnRenderer:
     @given(column_rows)
     @example([(2**64 + 1, 0, 1), (-(2**70), 3, -1), (5, 0, -(10**13)), (0, -7, 2**63)])
+    @example([(-1, 0, 10**13)])  # "-0.000000000000"
+    @example([(1, -1, -(10**13))])  # both parts round to zero, signs from den
+    @example([(0, 5, 7)])  # zero real part, imaginary part kept
+    @example([(2**64 + 1, 0, 3)])  # real value past int64
+    @example([(-(2**70), 2**70, 2**70)])  # reduces to -1+1i
     def test_columns_equal_the_fraction_path(self, rows):
         re, im, dens = map(list, zip(*rows))
         zs = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y, d in rows]
@@ -622,6 +631,9 @@ class TestColumnRenderer:
         assert _gaussian_column(re, im, positive) == [fraction_gaussian_exact_str(z) for z in zs]
         assert _gaussian_column(re, im, positive, 12) == [
             fraction_gaussian_decimal_str(z) for z in zs
+        ]
+        assert _gaussian_column(re, [0] * len(re), positive, 3) == [
+            fraction_decimal_str(z.re, 3) for z in zs
         ]
 
 
@@ -694,3 +706,127 @@ class TestArgvContract:
         if code == EXIT_FAILURE:
             report = json.loads(out.getvalue())
             assert report["outcome"] == "first_failure" and "n" in report["first_failure"]
+
+
+# --config contents for the property below: a valid config (a built-in one,
+# or random terms that mostly fail), then up to two fields replaced by any
+# JSON value (ints, floats with NaN and infinities, bools, strings, lists,
+# dicts, null) or a pair with a zero denominator, or deleted
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-10, 10**6), st.floats(),
+        st.text(alphabet="0123456789/,-. xi", max_size=10),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from("ABCkp"), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+MISSING = object()
+HOSTILE_VALUES = st.one_of(
+    JSON_VALUES, st.sampled_from(["1/0,0", "0,5/0", "1/0,1/0", "0/0,1"]), st.just(MISSING)
+)
+PAIRS = st.sampled_from(["1/1,0/1", "5,0", "-3/2,1/4", "0,1", "40/1,0/1"])
+RANDOM_CONFIG = st.fixed_dictionaries({
+    "p": st.sampled_from([5, 13, 29, 37]),
+    "chi": st.sampled_from(["quartic-i", "quartic-minus-i"]),
+    "terms": st.lists(
+        st.fixed_dictionaries(
+            {"A": PAIRS, "B": st.integers(1, 30), "C": st.integers(1, 200)}
+        ),
+        min_size=1, max_size=4,
+    ),
+    "rhs": st.sampled_from([("sigma_prime", 1), ("tilde_hat", 2)]).flatmap(
+        lambda kind: st.fixed_dictionaries({
+            "kind": st.just(kind[0]),
+            "coefficients": st.lists(PAIRS, min_size=kind[1], max_size=kind[1]),
+        })
+    ),
+})
+CONFIG_PATHS = st.sampled_from([
+    (), ("p",), ("chi",), ("terms",), ("terms", 0), ("terms", 0, "A"), ("terms", 0, "B"),
+    ("terms", 0, "C"), ("rhs",), ("rhs", "kind"), ("rhs", "coefficients"),
+    ("rhs", "coefficients", 0),
+])
+
+
+def _corrupt(config, path, value):
+    """config with the value at path replaced by value (MISSING: deleted);
+    a path that no longer exists leaves it as it is."""
+    if not path:
+        return value
+    parent = config
+    try:
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return config
+
+
+@st.composite
+def config_files(draw):
+    """The text of a --config file."""
+    config = draw(st.one_of(
+        st.sampled_from(CONFIGS).map(lambda path: json.loads(open(path, encoding="utf-8").read())),
+        RANDOM_CONFIG,
+    ))
+    for path, value in draw(st.lists(st.tuples(CONFIG_PATHS, HOSTILE_VALUES), max_size=2)):
+        config = _corrupt(config, path, value)
+    return "" if config is MISSING else json.dumps(config)
+
+
+class TestConfigContract:
+    @settings(deadline=None)
+    @given(config_files(), st.integers(0, 60))
+    def test_exit_codes_and_reports_under_any_config(self, tmp_path_factory, text, nmax):
+        path = tmp_path_factory.mktemp("cfg") / "c.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["verify", "--kind", "config", "--config", str(path), "--nmax", str(nmax)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (EXIT_PASS, EXIT_FAILURE, EXIT_USAGE), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_FAILURE:
+            report = json.loads(out.getvalue())
+            assert report["outcome"] == "first_failure" and "n" in report["first_failure"]
+
+
+def _post_inits(argv):
+    """How many GaussianRational values one CLI run builds."""
+    calls = 0
+    original = GaussianRational.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        original(self)
+
+    with mock.patch.object(GaussianRational, "__post_init__", counted):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (EXIT_PASS, EXIT_FAILURE)
+    return calls
+
+
+class TestExactValuesOnlyAtTheEdges:
+    @pytest.mark.parametrize(
+        "argv, small, large",
+        [
+            (["verify", "--p", "13", "--kind", "square"], 1000, 4000),
+            (["verify", "--kind", "config", "--config", P37_5_19], 200, 800),
+            (["asympt", "--p", "29", "--kind", "square"], 1000, 4000),
+        ],
+        ids=["verify-square", "verify-config", "asympt-square"],
+    )
+    def test_gaussian_rationals_do_not_grow_with_nmax(self, argv, small, large):
+        # a GaussianRational per coefficient would make the larger run build
+        # thousands more; the constants and rendered values are a fixed few
+        _post_inits(argv + ["--nmax", str(small)])  # fill the per-prime caches
+        counts = [_post_inits(argv + ["--nmax", str(n)]) for n in (small, large)]
+        assert counts[0] == counts[1] > 0, counts

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -12,7 +13,6 @@ from farkas.identities import (
     SWEEP_BLOCK,
     Branch,
     ConfiguredIdentity,
-    RatioRow,
     asymptotic_report,
     check_configured_identity,
     constants_for,
@@ -22,7 +22,6 @@ from farkas.identities import (
     obstruction_id2,
     quartic_primes,
     resolve_character,
-    residual_series,
     verify_farkas,
     verify_id1,
     verify_id2,
@@ -31,9 +30,20 @@ from farkas.qseries import (
     Convolver,
     bernoulli_B2_psi,
     convolver,
+    delta_series,
+    sigma_hat_series,
+    sigma_prime_series,
     sigma_prime_values,
+    sigma_tilde_series,
     sigma_tilde_values,
 )
+
+
+def _exact(conv, pair):
+    """An int pair read from ``conv`` (F, H or a row of ``numerators``) over
+    ``conv.denominator``: the exact value in Q(i)."""
+    D = conv.denominator
+    return GaussianRational(Fraction(pair[0], D), Fraction(pair[1], D))
 
 
 class TestConstants:
@@ -79,9 +89,8 @@ class TestVerifyId1:
 
     def test_report_shape(self):
         report = verify_id1(5, 50)
-        d = report.to_dict()
-        assert d["outcome"] == "pass"
-        assert "first_failure" not in d
+        assert report.outcome == "pass"
+        assert report.failure_n is None and report.lhs is None and report.rhs is None
 
 
 def _watched_rhs(hook):
@@ -118,14 +127,23 @@ NMAX = 2 * SWEEP_BLOCK + 5
 
 def _config_lhs(cfg, n):
     conv = convolver(resolve_character(cfg.p, cfg.chi_selector))
-    return sum((a * conv.F(n // b * c) for a, b, c in cfg.terms if n % b == 0), GaussianRational())
+    return sum(
+        (a * _exact(conv, conv.F(n // b * c)) for a, b, c in cfg.terms if n % b == 0),
+        GaussianRational(),
+    )
+
+
+def _p13(n, c):
+    """F (c = -1) or H (c = 1) at n for the canonical character mod 13."""
+    conv = convolver(canonical_quartic(13))
+    return _exact(conv, conv.F(n) if c < 0 else conv.H(n))
 
 
 SWEEPS = {  # kind -> (the sweep to nmax, the exact lhs at n)
-    "conv": (lambda nmax: verify_id1(13, nmax), lambda n: convolver(canonical_quartic(13)).F(n)),
+    "conv": (lambda nmax: verify_id1(13, nmax), lambda n: _p13(n, -1)),
     "square": (
         lambda nmax: verify_id2(13, canonical_quartic(13), nmax),
-        lambda n: convolver(canonical_quartic(13)).H(n),
+        lambda n: _p13(n, 1),
     ),
     "config": (lambda nmax: check_configured_identity(P37_2_17, nmax), lambda n: _config_lhs(P37_2_17, n)),
 }
@@ -210,6 +228,93 @@ class TestVerifyFarkas:
         assert verify_farkas(300).passed
 
 
+# ---------------------------------------------------------------------
+# slow oracles: whole series from the generic Cauchy product, and the
+# ratio table row by row from the index read
+# ---------------------------------------------------------------------
+
+def residual_series(p, chi, kind, N, subtract_hat=False):
+    """Exact lhs - rhs coefficient series.
+
+    kind 'conv' subtracts alpha * sigma'; kind 'square' subtracts
+    alpha' * sigma~ (and additionally beta' * sigma^ when subtract_hat
+    is set, which for p in {5, 13} leaves the zero series).
+    """
+    consts = constants_for(p, chi)
+    if kind == "conv":
+        lhs = delta_series(chi, N) * delta_series(chi.conj(), N)
+        rhs = sigma_prime_series(p, N).scale(consts.alpha)
+    elif kind == "square":
+        d = delta_series(chi, N)
+        lhs = d * d
+        rhs = sigma_tilde_series(p, N).scale(consts.alpha_prime)
+        if subtract_hat:
+            lhs = lhs - sigma_hat_series(p, N).scale(consts.beta_prime)
+    else:
+        raise ValueError(f"unknown residual kind {kind!r}")
+    return lhs - rhs
+
+
+class Row(NamedTuple):
+    """One exact row of the ratio table: lhs(n), rhs(n) = sigma(n), lhs / rhs."""
+
+    n: int
+    kron: int
+    lhs: GaussianRational
+    rhs: GaussianRational
+    ratio: GaussianRational
+
+
+def report_rows(rep):
+    """The rows of an ``AsymptoticReport``'s integer arrays, as exact ``Row``s."""
+    D = rep.denominator
+    return [
+        Row(
+            n, k,
+            GaussianRational(Fraction(re, D), Fraction(im, D)),
+            GaussianRational(Fraction(s)),
+            GaussianRational(Fraction(re, D * s), Fraction(im, D * s)),
+        )
+        for n, k, re, im, s in zip(
+            rep.n.tolist(), rep.kron.tolist(), rep.lhs_re.tolist(),
+            rep.lhs_im.tolist(), rep.sigma.tolist(),
+        )
+    ]
+
+
+def per_row_report(p, chi, kind, nmax):
+    """The ratio table built row by row from exact F(n) and H(n), with the
+    statistics over every top-decile row: an oracle for the array report.
+    Returns (rows, stats)."""
+    conv = Convolver(chi)
+    alpha = constants_for(p, chi).alpha
+    product, sigma = (
+        (conv.F, sigma_prime_values(p, nmax)) if kind == "conv"
+        else (conv.H, sigma_tilde_values(p, nmax))
+    )
+    decile_lo = nmax - nmax // 10
+    rows, top = [], {1: [], -1: []}
+    for n in range(1, nmax + 1):
+        if n % p == 0:
+            continue
+        lhs, s = _exact(conv, product(n)), int(sigma[n])
+        ratio = GaussianRational(lhs.re / s, lhs.im / s)
+        rows.append(Row(n, kronecker(p, n), lhs, GaussianRational(Fraction(s)), ratio))
+        if n >= decile_lo:
+            top[rows[-1].kron].append(ratio)
+    if kind == "conv":
+        ratios = top[1] + top[-1]
+        assert all(r.im == 0 for r in ratios)
+        return rows, {"max_dev_top_decile": max((abs(r.re - alpha) for r in ratios), default=0)}
+    l_plus, l_minus = (sum(b, GaussianRational()) / len(b) for b in (top[1], top[-1]))
+    return rows, {
+        "limit_plus": l_plus,
+        "limit_minus": l_minus,
+        "gamma_estimate": (l_plus - l_minus) / 2,
+        "alpha_prime_estimate": (l_plus + l_minus) / 2,
+    }
+
+
 class TestResidualSeries:
     def test_p5_conv_is_zero(self):
         chi, _ = quartic_pair(5)
@@ -234,9 +339,10 @@ class TestAsymptotics:
     def test_p5_conv_ratios_constant(self):
         chi, _ = quartic_pair(5)
         rep = asymptotic_report(5, chi, "conv", 200)
-        assert all(r.ratio == gaussian("3/5") for r in rep.rows)
+        rows = report_rows(rep)
+        assert all(r.ratio == gaussian("3/5") for r in rows)
         assert rep.max_dev_top_decile == 0
-        assert all(r.n % 5 != 0 for r in rep.rows)
+        assert all(r.n % 5 != 0 for r in rows)
 
     def test_p13_square_subsequence_limits(self):
         chi, _ = quartic_pair(13)
@@ -269,46 +375,13 @@ class TestAsymptotics:
                 reps = [asymptotic_report(p, chi, kind, 400) for kind in ("conv", "square")]
             assert calls == []  # no kronecker(p, n) per row
             for rep in reps:
-                assert [r.kron for r in rep.rows] == [kronecker(p, r.n) for r in rep.rows]
+                assert rep.kron.tolist() == [kronecker(p, n) for n in rep.n.tolist()]
 
     def test_p29_deviation_decays(self):
         chi, _ = quartic_pair(29)
         small = asymptotic_report(29, chi, "conv", 100)
         large = asymptotic_report(29, chi, "conv", 2000)
         assert large.max_dev_top_decile < small.max_dev_top_decile
-
-
-def per_row_report(p, chi, kind, nmax):
-    """The ratio table built row by row from exact F(n) and H(n), with the
-    statistics over every top-decile row: an oracle for the array report.
-    Returns (rows, stats)."""
-    conv = Convolver(chi)
-    alpha = constants_for(p, chi).alpha
-    product, sigma = (
-        (conv.F, sigma_prime_values(p, nmax)) if kind == "conv"
-        else (conv.H, sigma_tilde_values(p, nmax))
-    )
-    decile_lo = nmax - nmax // 10
-    rows, top = [], {1: [], -1: []}
-    for n in range(1, nmax + 1):
-        if n % p == 0:
-            continue
-        lhs, s = product(n), int(sigma[n])
-        ratio = GaussianRational(lhs.re / s, lhs.im / s)
-        rows.append(RatioRow(n, kronecker(p, n), lhs, GaussianRational(Fraction(s)), ratio))
-        if n >= decile_lo:
-            top[rows[-1].kron].append(ratio)
-    if kind == "conv":
-        ratios = top[1] + top[-1]
-        assert all(r.im == 0 for r in ratios)
-        return rows, {"max_dev_top_decile": max((abs(r.re - alpha) for r in ratios), default=0)}
-    l_plus, l_minus = (sum(b, GaussianRational()) / len(b) for b in (top[1], top[-1]))
-    return rows, {
-        "limit_plus": l_plus,
-        "limit_minus": l_minus,
-        "gamma_estimate": (l_plus - l_minus) / 2,
-        "alpha_prime_estimate": (l_plus + l_minus) / 2,
-    }
 
 
 class TestArrayReportAgainstPerRowOracle:
@@ -319,14 +392,15 @@ class TestArrayReportAgainstPerRowOracle:
         chi = canonical_quartic(p, sign)
         rep = asymptotic_report(p, chi, kind, 400)
         rows, stats = per_row_report(p, chi, kind, 400)
-        assert len(rep.rows) == len(rows) == 400 - 400 // p
-        for got, want in zip(rep.rows, rows):
-            assert got == want
-            assert type(got.n) is type(got.kron) is int
+        got = report_rows(rep)
+        assert len(got) == len(rows) == 400 - 400 // p
+        assert got == rows
+        # exact Python ints in the lhs arrays, whatever their size
+        assert all(type(x) is int for x in rep.lhs_re.tolist() + rep.lhs_im.tolist())
         for name, value in stats.items():
             assert getattr(rep, name) == value, name
         # the statistics, summed as Fractions over the exact rows
-        top = [r for r in rep.rows if r.n >= 400 - 400 // 10]
+        top = [r for r in got if r.n >= 400 - 400 // 10]
         if kind == "conv":
             alpha = constants_for(p, chi).alpha
             assert rep.max_dev_top_decile == max(abs(r.ratio.re - alpha) for r in top)
@@ -334,13 +408,6 @@ class TestArrayReportAgainstPerRowOracle:
         for k, limit in ((1, rep.limit_plus), (-1, rep.limit_minus)):
             bucket = [r.ratio for r in top if r.kron == k]
             assert limit == sum(bucket, GaussianRational()) / len(bucket)
-
-    def test_rows_are_built_on_first_use_only(self):
-        chi = canonical_quartic(29)
-        rep = asymptotic_report(29, chi, "square", 400)
-        assert "rows" not in vars(rep)
-        rows = rep.rows
-        assert vars(rep)["rows"] is rows and rep.rows is rows
 
 
 class TestConfiguredIdentities:
@@ -385,8 +452,9 @@ class TestConfiguredIdentities:
             )
 
     def test_p37_spot_value(self):
-        chi = canonical_quartic(37)
-        assert convolver(chi).F(34) == gaussian(18)
+        conv = convolver(canonical_quartic(37))
+        assert conv.F(34) == (18 * conv.denominator, 0)
+        assert _exact(conv, conv.F(34)) == gaussian(18)
 
 
 class TestDiscriminantSearch:
@@ -481,7 +549,7 @@ class TestDeligneStyleBound:
         alpha = constants_for(p, chi).alpha
 
         def ratio_sq(n):
-            a = conv.F(n).re - alpha * int(sp[n])
+            a = _exact(conv, conv.F(n)).re - alpha * int(sp[n])
             d = len(divisors(n))
             return a * a / (n * d * d)
 
