@@ -43,6 +43,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 CSV_CHUNK_ROWS = 256  # asympt rows rendered per write
+# largest |e| of a config value written with a decimal exponent, as in 1e4400:
+# 10**e has e + 1 digits, and 1e3000000 would take seconds to build
+MAX_EXPONENT = 10_000
 
 
 class UsageError(Exception):
@@ -111,13 +114,26 @@ def _ratio_chunk(n, kron, re, im, sigma, D: int) -> str:
     )
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), but a decimal exponent beyond MAX_EXPONENT is refused
+    before Fraction builds its power of ten."""
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isascii() and digits.isdigit():
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ValueError(
+                f"the exponent of {text!r} is out of range -{MAX_EXPONENT}..{MAX_EXPONENT}"
+            )
+    return Fraction(text)
+
+
 def parse_gaussian_pair(text: str) -> GaussianRational:
     """Parse the config format 're_num/re_den,im_num/im_den'."""
     parts = text.split(",") if isinstance(text, str) else ()
     if len(parts) != 2:
         raise ValueError(f"expected 're/den,im/den', got {text!r}")
     try:
-        return GaussianRational(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        return GaussianRational(_rational(parts[0].strip()), _rational(parts[1].strip()))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -7,6 +7,7 @@ built on.  No floating point anywhere.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,8 +266,16 @@ class GaussianRational:
         return cls(Fraction(re_part), Fraction(im_part))
 
 
+def _int_str(x: int) -> str:
+    """The decimal digits of x at any size: str(x) refuses more than
+    sys.get_int_max_str_digits() digits, while a Decimal built from x
+    converts without that limit and prints exponent-free."""
+    return str(decimal.Decimal(x))
+
+
 def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    num = _int_str(x.numerator)
+    return f"{num}/{_int_str(x.denominator)}" if x.denominator != 1 else num
 
 
 ZERO = GaussianRational()

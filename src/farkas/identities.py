@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from typing import Optional
 
@@ -31,6 +31,7 @@ from .qseries import (
 
 HALF = Fraction(1, 2)
 SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
+SIEVE_GROWTH = 4  # a sweep's sieved tables grow at least this many times over
 
 
 @dataclass(frozen=True)
@@ -79,16 +80,35 @@ def _scaled(z: GaussianRational, D: int) -> tuple[int, int]:
     return re.numerator, im.numerator
 
 
-def _linear_rhs(D: int, terms, constant: Optional[GaussianRational] = None):
+def _sieve_reach(hi: int, capacity: int, nmax: int) -> int:
+    """How far a sweep to nmax sieves a table that holds n <= ``capacity``
+    before it reads the block [lo, hi): not at all while hi - 1 fits, else
+    to max(hi - 1, SWEEP_BLOCK, SIEVE_GROWTH * capacity), at most nmax.
+
+    A sweep that stops at n thus sieves O(n + SWEEP_BLOCK) coefficients, and
+    one that runs to N sieves each n <= N once, in O(log N) segments."""
+    if hi - 1 <= capacity:
+        return capacity
+    return min(nmax, max(hi - 1, SWEEP_BLOCK, SIEVE_GROWTH * capacity))
+
+
+def _linear_rhs(D: int, nmax: int, terms, constant: Optional[GaussianRational] = None):
     """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi), as object arrays
-    (re, im) of Python ints, for exact c_k and int64 arrays s_k; ``constant``
-    is the value at n = 0 (None: not swept)."""
-    scaled = [(_scaled(c, D), s) for c, s in terms]
+    (re, im) of Python ints, for exact c_k and int64 series s_k, where
+    ``build_k(N, prefix)`` extends ``prefix`` to s_k[0..N]: each block first
+    grows the series to ``_sieve_reach``.  ``constant`` is the value at
+    n = 0 (None: not swept)."""
+    scaled = [_scaled(c, D) for c, _ in terms]
+    builds = [build for _, build in terms]
+    series = [np.zeros(1, dtype=np.int64)] * len(terms)
     at_zero = None if constant is None else _scaled(constant, D)
 
     def rhs(lo: int, hi: int):
+        N = _sieve_reach(hi, len(series[0]) - 1, nmax)
+        if N >= len(series[0]):
+            series[:] = [build(N, s) for build, s in zip(builds, series)]
         re = im = 0
-        for (cr, ci), s in scaled:
+        for (cr, ci), s in zip(scaled, series):
             v = s[lo:hi].astype(object)
             re, im = re + cr * v, im + ci * v
         if lo == 0:
@@ -133,18 +153,20 @@ def _verify_product(
     terms: list, constant: GaussianRational,
 ) -> VerificationReport:
     """Check product(n) = sum_k c_k s_k[n] for 0 <= n <= nmax, where product
-    is F (c = -1) or H (c = 1) of chi and ``constant`` is the rhs at n = 0."""
+    is F (c = -1) or H (c = 1) of chi, ``terms`` pairs each c_k with the
+    builder of s_k (see ``_linear_rhs``) and ``constant`` is the rhs at
+    n = 0.  delta_chi and the s_k are sieved as the blocks reach them."""
     conv = convolver(chi)
-    conv.ensure(nmax)
     D = lcm(conv.denominator, _denominator(*(a for a, _ in terms), constant))
     k = D // conv.denominator
 
     def lhs(lo: int, hi: int):
+        conv.extend(_sieve_reach(hi, conv.capacity, nmax))
         re, im = conv.numerators(lo, hi, c)
         return k * re, k * im
 
     return _run_verification(
-        p, chi.label(), kind, nmax, D, lhs, _linear_rhs(D, terms, constant)
+        p, chi.label(), kind, nmax, D, lhs, _linear_rhs(D, nmax, terms, constant)
     )
 
 
@@ -155,7 +177,7 @@ def verify_id1(
     if chi is None:
         chi = canonical_quartic(p)
     alpha = GaussianRational(constants_for(p, chi).alpha)
-    terms = [(alpha, sigma_prime_values(p, nmax))]
+    terms = [(alpha, partial(sigma_prime_values, p))]
     return _verify_product(
         p, chi, "conv", nmax, -1, terms, alpha * Fraction(p - 1, 24)
     )
@@ -165,8 +187,8 @@ def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport
     """Exact check of H_chi(n) = alpha' sigma~_p(n) + beta' sigma^_p(n)."""
     c = constants_for(p, chi)
     terms = [
-        (c.alpha_prime, sigma_tilde_values(p, nmax)),
-        (c.beta_prime, sigma_hat_values(p, nmax)),
+        (c.alpha_prime, partial(sigma_tilde_values, p)),
+        (c.beta_prime, partial(sigma_hat_values, p)),
     ]
     constant = c.alpha_prime * (-bernoulli_B2_psi(p) / 4)
     return _verify_product(p, chi, "square", nmax, 1, terms, constant)
@@ -178,7 +200,7 @@ def verify_farkas(nmax: int) -> VerificationReport:
     with delta_F(0) = 1/6 and sigma'_3(0) = 1/12.
     """
     third = GaussianRational(Fraction(1, 3))
-    terms = [(third, sigma_prime_values(3, nmax))]
+    terms = [(third, partial(sigma_prime_values, 3))]
     return _verify_product(
         3, quadratic_character(3), "farkas", nmax, -1, terms,
         third * Fraction(1, 12),
@@ -366,10 +388,10 @@ def check_configured_identity(
         return re, im
 
     if use_H:
-        series = [sigma_tilde_values(cfg.p, nmax), sigma_hat_values(cfg.p, nmax)]
+        series = [partial(sigma_tilde_values, cfg.p), partial(sigma_hat_values, cfg.p)]
     else:
-        series = [sigma_prime_values(cfg.p, nmax)]
-    rhs = _linear_rhs(D, zip(cfg.rhs_coefficients, series))
+        series = [partial(sigma_prime_values, cfg.p)]
+    rhs = _linear_rhs(D, nmax, list(zip(cfg.rhs_coefficients, series)))
 
     return _run_verification(
         cfg.p, chi.label(), f"config:{cfg.rhs_kind}", nmax, D, lhs, rhs, start=1

@@ -17,7 +17,11 @@ at sqrt(N) (Dirichlet's hyperbola method): one strided slice per small d,
 and one per cofactor q for each block of SIEVE_BLOCK large d.
 That is O(sqrt(N) + (N / SIEVE_BLOCK) log N) interpreter steps, for the
 same O(N log N) numpy work, with scratch beside the result bounded by a
-few blocks plus one N-entry array.
+few blocks plus one N-entry array.  The sieve fills any range [lo, N] of
+an array whose prefix it is given, so an array grows without re-sieving:
+the sweeps sieve delta_chi and the divisor sums as they read, one segment
+per growth (``Convolver.extend`` and the ``prefix`` of the array builders),
+and a sweep that stops at n sieves O(n + one sweep block) coefficients.
 
 The Convolver's range read, which the sweeps use, takes F and H from
 whole-series tails built by one exact product, ``_full_product``: offset
@@ -181,43 +185,66 @@ def _kronecker_values(p: int, N: int) -> np.ndarray:
 
 
 def _sieve(
-    table: np.ndarray, N: int, times_d: bool = False, quotient: bool = False
+    table: np.ndarray, N: int, times_d: bool = False, quotient: bool = False,
+    prefix: np.ndarray | None = None,
 ) -> np.ndarray:
     """int64 array of sum_{d | n} c(d) w(n/d) for n in 1..N (index 0 is zero).
 
     c(d) = table[d mod len(table)], multiplied by d when ``times_d``;
-    w(q) = q when ``quotient``, else 1.
+    w(q) = q when ``quotient``, else 1.  With ``prefix``, the values at
+    n < lo = len(prefix) are copied from it and only n in [lo, N] are
+    sieved, straight into the result: an array grows without re-sieving
+    its prefix, and sieving [1, N1] then [N1 + 1, N] gives the one-shot
+    array.
 
     Dirichlet's hyperbola split of the pairs d q <= N at r = isqrt(N): each
-    small d <= r adds one strided slice out[d::d].  A large d > r has
-    cofactor q <= N // (r + 1) <= r, so c(d) is built for SIEVE_BLOCK large
-    d at a time, and each q adds c(d) w(q) for the whole block in one slice
-    out[q lo : q hi : q].  Interpreter steps: r + sum over the blocks of
-    1 + N // lo, about 2 sqrt(N) + (N / SIEVE_BLOCK)(2 + ln N): 999 at
-    N = 2 * 10**5, 2705 at N = 10**6.  Scratch beside ``out``: at most four
-    SIEVE_BLOCK-entry arrays (d, d mod period, c, and the last block's c),
-    or one N-entry weight array c, 2c, ..., Nc for d = 1 when ``quotient``.
+    small d <= r adds one strided slice, out[d q0::d] from its first
+    multiple d q0 >= lo.  A large d > r has cofactor q <= N // (r + 1) <= r,
+    so c(d) is built for SIEVE_BLOCK large d at a time, and each q with a
+    multiple of the block in [lo, N] adds c(d) w(q) for those d in one
+    slice out[q d1 : q d2 : q].  Interpreter steps for lo = 1: r + sum over
+    the blocks of 1 + N // d_lo, about 2 sqrt(N) + (N / SIEVE_BLOCK)
+    (2 + ln N): 999 at N = 2 * 10**5, 2705 at N = 10**6; a block whose
+    first d is d_lo skips the q below lo / (d_lo + SIEVE_BLOCK).  Scratch
+    beside ``out``: at most four SIEVE_BLOCK-entry arrays (d, d mod period,
+    c, and the last block's c), or one (N - lo + 1)-entry weight array for
+    d = 1 when ``quotient``.
     """
     if not 0 <= N <= MAX_FAST_N:
         raise ValueError(f"fast path needs 0 <= N <= {MAX_FAST_N}, got {N}")
-    period = len(table)
     out = np.zeros(N + 1, dtype=np.int64)
+    if prefix is not None:
+        if len(prefix) > N + 1:
+            raise ValueError(f"a prefix of {len(prefix)} values does not fit 0..{N}")
+        out[: len(prefix)] = prefix
+    lo = 1 if prefix is None else max(len(prefix), 1)
+    period = len(table)
     r = math.isqrt(N)
     for d in range(1, r + 1):
         c = int(table[d % period]) * (d if times_d else 1)
         if not c:
             continue
-        # c w(q) for q = 1..N//d; with w(q) = q that is c, 2c, ..., one array
-        out[d::d] += np.arange(c, c * (N // d + 1), c, dtype=np.int64) if quotient else c
-    for lo in range(r + 1, N + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, N + 1)
-        d = np.arange(lo, hi, dtype=np.int64)
+        q0 = -(-lo // d)
+        # c w(q) for q = q0..N//d; with w(q) = q that is c q0, c (q0 + 1), ...
+        # (a temporary: no weight array outlives its d)
+        out[d * q0 :: d] += (
+            np.arange(c * q0, c * (N // d + 1), c, dtype=np.int64) if quotient else c
+        )
+    for d_lo in range(r + 1, N + 1, SIEVE_BLOCK):
+        d_hi = min(d_lo + SIEVE_BLOCK, N + 1)
+        q_first = -(-lo // (d_hi - 1))  # q d < lo for every d of the block below it
+        if q_first > N // d_lo:
+            continue
+        d = np.arange(d_lo, d_hi, dtype=np.int64)
         c = table[d % period]
         if times_d:
             c *= d
-        for q in range(1, N // lo + 1):
-            k = min(hi, N // q + 1) - lo  # d in lo..lo+k-1 have q d <= N
-            out[q * lo : q * (lo + k) : q] += q * c[:k] if quotient and q > 1 else c[:k]
+        for q in range(q_first, N // d_lo + 1):
+            i = max(-(-lo // q) - d_lo, 0)  # d from d_lo + i on have q d >= lo
+            k = min(d_hi, N // q + 1) - d_lo  # d below d_lo + k have q d <= N
+            out[q * (d_lo + i) : q * (d_lo + k) : q] += (
+                q * c[i:k] if quotient and q > 1 else c[i:k]
+            )
     return out
 
 
@@ -258,10 +285,16 @@ def delta_series(chi: DirichletCharacter, N: int) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
-def delta_int_arrays(chi: DirichletCharacter, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) int64 arrays of delta_chi(n) for n in 1..N (index 0 is zero)."""
+def delta_int_arrays(
+    chi: DirichletCharacter, N: int, prefix: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) int64 arrays of delta_chi(n) for n in 1..N (index 0 is zero).
+
+    ``prefix``, such a pair to a lower N, is extended: only the new indices
+    are sieved."""
     re, im = character_table(chi)
-    return _sieve(re, N), _sieve(im, N)
+    re_prefix, im_prefix = (None, None) if prefix is None else prefix
+    return _sieve(re, N, prefix=re_prefix), _sieve(im, N, prefix=im_prefix)
 
 
 # ---------------------------------------------------------------------
@@ -289,20 +322,23 @@ def sigma_hat(p: int, n: int) -> int:
     return sum(kronecker(p, d) * (n // d) for d in divisors(n))
 
 
-def sigma_prime_values(p: int, N: int) -> np.ndarray:
+# each sigma_*_values(p, N, prefix) extends ``prefix``, the array to a lower
+# N, sieving only the new indices
+
+def sigma_prime_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma'_p(n), n in 1..N (index 0 is zero)."""
     coprime = np.sign(np.arange(p, dtype=np.int64))  # 0 at a = 0, else 1
-    return _sieve(coprime, N, times_d=True)
+    return _sieve(coprime, N, times_d=True, prefix=prefix)
 
 
-def sigma_tilde_values(p: int, N: int) -> np.ndarray:
+def sigma_tilde_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma~_p(n), n in 1..N (index 0 is zero)."""
-    return _sieve(_kronecker_values(p, N), N, times_d=True)
+    return _sieve(_kronecker_values(p, N), N, times_d=True, prefix=prefix)
 
 
-def sigma_hat_values(p: int, N: int) -> np.ndarray:
+def sigma_hat_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma^_p(n), n in 1..N (index 0 is zero)."""
-    return _sieve(_kronecker_values(p, N), N, quotient=True)
+    return _sieve(_kronecker_values(p, N), N, quotient=True, prefix=prefix)
 
 
 def sigma_prime_series(p: int, N: int) -> QSeries:
@@ -420,8 +456,8 @@ class Convolver:
     - ``numerators(lo, hi, c)``, the range read of the sweeps: T(lo..hi-1)
       from a cached whole-series tail, built by two ``_full_product`` calls
       (O(m log m) for m coefficients).  When hi - 1 lies past it, the tail
-      is rebuilt to max(hi - 1, twice its old reach), so ascending reads to
-      N rebuild it O(log N) times;
+      is rebuilt to max(hi - 1, twice its old reach), at most ``capacity``,
+      so ascending reads to N rebuild it O(log N) times;
     - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail.  a*a and b*b
       at n are unchanged under j <-> n - j, so each takes one int64 dot
       over 1 <= j <= h = (n - 1) // 2, doubled in Python ints, plus the
@@ -430,6 +466,10 @@ class Convolver:
       one dot a.b' over 0 < j < n for its imaginary part (a.b' = b.a').
       A half-length dot is at most h MAX_DIVISOR_COUNT**2, under the
       full-length bound asserted with MAX_FAST_N: no new int64 cap.
+
+    a, b are sieved only as far as asked: a read extends them through
+    ``ensure``, and a sweep extends them ahead of each block through
+    ``extend``, by its own schedule.  Either sieves only the new indices.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -440,11 +480,24 @@ class Convolver:
         # conjugation c -> (Re T, Im T) over 0..reach; Im T of F is zero: None
         self._tails = {}
 
+    @property
+    def capacity(self) -> int:
+        """The largest n whose delta_chi(n) is sieved."""
+        return len(self._re) - 1
+
+    def extend(self, n: int) -> None:
+        """Sieve delta_chi to exactly n, if it is not sieved that far: only
+        the new indices are sieved.  The sweeps grow it this way, by their
+        own schedule, so it never passes their nmax."""
+        if n > self.capacity:
+            self._re, self._im = delta_int_arrays(self.chi, n, prefix=(self._re, self._im))
+
     def ensure(self, n: int) -> None:
-        capacity = len(self._re) - 1
-        if n > capacity:
-            cap = max(n, min(2 * capacity, MAX_FAST_N))
-            self._re, self._im = delta_int_arrays(self.chi, cap)
+        """Sieve delta_chi to n, or to twice the capacity (at most
+        MAX_FAST_N) if that is more: reads at growing n extend it O(log n)
+        times."""
+        if n > self.capacity:
+            self.extend(max(n, min(2 * self.capacity, MAX_FAST_N)))
 
     def _whole_tail(self, m: int, c: int):
         a, b = self._re[: m + 1], self._im[: m + 1]
@@ -500,7 +553,7 @@ class Convolver:
         self.ensure(top)
         reach = len(self._tails[c][0]) - 1 if c in self._tails else -1
         if reach < top:
-            m = min(max(top, 2 * reach), len(self._re) - 1)
+            m = min(max(top, 2 * reach), self.capacity)
             self._tails.pop(c, None)  # free the old tail before the product's scratch
             self._tails[c] = self._whole_tail(m, c)
         tail_re, tail_im = self._tails[c]

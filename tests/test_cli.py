@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import sys
 from importlib import resources
 from unittest import mock
 
@@ -28,7 +29,7 @@ from farkas.cli import (
     parse_gaussian_pair,
 )
 from farkas.foundations import GaussianRational, gaussian
-from farkas.identities import resolve_character
+from farkas.identities import check_configured_identity, resolve_character
 from fractions import Fraction
 from test_identities import per_row_report
 
@@ -37,6 +38,28 @@ P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
 
 class _Stop(BaseException):
     """Raised by a spy to end a command early: no exit-code handler catches it."""
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lift Python's int-to-str digit limit, so that rendered values of more
+    than 4300 digits parse back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _reported_exactly(report, cfg, nmax):
+    """The first_failure of a verify report holds the exact lhs and rhs of
+    ``check_configured_identity(cfg, nmax)``, each parsed back from its string."""
+    want = check_configured_identity(cfg, nmax)
+    failure = report["first_failure"]
+    with _no_int_digit_limit():
+        got = [GaussianRational.parse(failure[side]) for side in ("lhs", "rhs")]
+    return failure["n"] == want.failure_n and got == [want.lhs, want.rhs]
 
 
 class TestVerifyCommand:
@@ -129,6 +152,38 @@ class TestVerifyCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"p": 5, "chi": "quartic-i"}')
         assert main(["verify", "--kind", "config", "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_huge_exact_values_are_reported(self, tmp_path, capsys):
+        # lhs(1) = 10**4400 + ... and rhs(1) has a 4351-digit denominator:
+        # both past Python's 4300-digit int-to-str limit
+        data = json.loads(open(P37_5_19, encoding="utf-8").read())
+        data["terms"][0]["A"] = "1e4400,0"
+        data["rhs"]["coefficients"][0] = "18e-4350,1/3"
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(data))
+        argv = ["verify", "--kind", "config", "--config", str(cfg), "--nmax", "10"]
+        assert main(argv) == EXIT_FAILURE
+        report = json.loads(capsys.readouterr().out)
+        assert report["first_failure"]["n"] == 1
+        assert len(report["first_failure"]["lhs"]) > 4400
+        assert _reported_exactly(report, load_identity_config(str(cfg)), 10)
+
+    @pytest.mark.parametrize(
+        "pair", ["1e10001,0", "0,-1e-3000000", "1E3000000,0", "1e1" + "0" * 5000 + ",0"]
+    )
+    def test_a_huge_exponent_is_a_usage_error(self, pair, tmp_path, capsys):
+        data = json.loads(open(P37_5_19, encoding="utf-8").read())
+        data["terms"][0]["A"] = pair
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(data))
+        with mock.patch.object(cli, "Fraction", wraps=Fraction) as spy:
+            assert main(["verify", "--kind", "config", "--config", str(cfg)]) == EXIT_USAGE
+        # refused before Fraction builds the power of ten
+        assert not [c for c in spy.call_args_list if "e" in str(c.args[:1]).lower()]
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.startswith("error: bad config file: terms[0].A: the exponent of")
+        assert "-10000..10000" in line and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit, field",
@@ -507,6 +562,19 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_gaussian_pair("3/5")
 
+    def test_exponents_up_to_the_cap_parse(self):
+        assert cli.MAX_EXPONENT == 10_000
+        assert parse_gaussian_pair("1e10000,-2.5E-1_0000") == GaussianRational(
+            Fraction(10**10000), Fraction(-25, 10**10001)
+        )
+        assert parse_gaussian_pair("3e+0,00e-00010") == gaussian(3, 0)
+        for pair in ("1e10001,0", "0,1e-10001", "1e0010001,0", "1e1_0001,0"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_gaussian_pair(pair)
+        for pair in ("1e,0", "1e5.5,0", "e5,0"):  # no integer exponent: Fraction refuses
+            with pytest.raises(ValueError, match="Invalid literal"):
+                parse_gaussian_pair(pair)
+
     def test_builtin_configs_load(self):
         names = builtin_config_names()
         assert names == [
@@ -724,9 +792,14 @@ JSON_VALUES = st.recursive(
 )
 MISSING = object()
 HOSTILE_VALUES = st.one_of(
-    JSON_VALUES, st.sampled_from(["1/0,0", "0,5/0", "1/0,1/0", "0/0,1"]), st.just(MISSING)
+    JSON_VALUES,
+    st.sampled_from(["1/0,0", "0,5/0", "1/0,1/0", "0/0,1", "1e3000000,0", "0,-7e-10001"]),
+    st.just(MISSING),
 )
-PAIRS = st.sampled_from(["1/1,0/1", "5,0", "-3/2,1/4", "0,1", "40/1,0/1"])
+# values of more than 4300 digits among them: past Python's int-to-str limit
+PAIRS = st.sampled_from([
+    "1/1,0/1", "5,0", "-3/2,1/4", "0,1", "40/1,0/1", "1e4400,0", "0,-7e4301", "3e-4400,1/2",
+])
 RANDOM_CONFIG = st.fixed_dictionaries({
     "p": st.sampled_from([5, 13, 29, 37]),
     "chi": st.sampled_from(["quartic-i", "quartic-minus-i"]),
@@ -796,6 +869,21 @@ class TestConfigContract:
         if code == EXIT_FAILURE:
             report = json.loads(out.getvalue())
             assert report["outcome"] == "first_failure" and "n" in report["first_failure"]
+
+    @settings(deadline=None, max_examples=50)
+    @given(RANDOM_CONFIG, st.integers(0, 60))
+    def test_valid_configs_report_exact_values_of_any_size(self, tmp_path_factory, config, nmax):
+        path = tmp_path_factory.mktemp("cfg") / "c.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["verify", "--kind", "config", "--config", str(path), "--nmax", str(nmax)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (EXIT_PASS, EXIT_FAILURE), (code, err.getvalue())
+        if code == EXIT_FAILURE:
+            report = json.loads(out.getvalue())
+            assert _reported_exactly(report, load_identity_config(str(path)), nmax)
 
 
 def _post_inits(argv):

@@ -10,6 +10,7 @@ from farkas.characters import canonical_quartic, quartic_pair
 from farkas.cli import builtin_config_names, load_builtin_config
 from farkas.foundations import GaussianRational, divisors, gaussian, kronecker
 from farkas.identities import (
+    SIEVE_GROWTH,
     SWEEP_BLOCK,
     Branch,
     ConfiguredIdentity,
@@ -66,6 +67,28 @@ class TestConstants:
         assert c.beta_prime == gaussian(1, "3/2")  # (2+3i)/2
 
 
+class _Sieved(NamedTuple):
+    table: bytes
+    times_d: bool
+    quotient: bool
+    lo: int  # the first index sieved
+    N: int  # the last
+
+
+def _sieved():
+    """A patch of ``qseries._sieve`` that logs every call as a ``_Sieved``,
+    and the log."""
+    log = []
+    sieve = qseries._sieve
+
+    def logged(table, N, times_d=False, quotient=False, prefix=None):
+        lo = 1 if prefix is None else max(len(prefix), 1)
+        log.append(_Sieved(table.tobytes(), times_d, quotient, lo, N))
+        return sieve(table, N, times_d, quotient, prefix)
+
+    return mock.patch.object(qseries, "_sieve", logged), log
+
+
 class TestVerifyId1:
     def test_passes_for_5_and_13(self):
         assert verify_id1(5, 400).passed
@@ -78,13 +101,18 @@ class TestVerifyId1:
         assert (report.lhs, report.rhs) == (gaussian(-1), gaussian("3/7"))
 
     def test_a_refutation_builds_no_long_product(self):
-        # the sweep stops in its first block [0, 3): one F tail of reach 2
+        # the sweep stops in its first block [0, 3): one F tail of reach 2,
+        # and delta_chi and sigma' sieved to one sweep block, not to nmax
         chi = canonical_quartic(37)
         convolver.cache_clear()
-        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+        patch, sieved = _sieved()
+        with patch, mock.patch.object(
+            qseries, "_full_product", wraps=qseries._full_product
+        ) as spy:
             report = verify_id1(37, 200_000, chi)
         assert report.failure_n is not None and report.failure_n <= 2
-        assert len(convolver(chi)._re) == 200_001
+        assert convolver(chi).capacity <= SWEEP_BLOCK
+        assert len(sieved) == 3 and max(s.N for s in sieved) <= SWEEP_BLOCK
         assert [len(call.args[0]) for call in spy.call_args_list] == [3, 3]
 
     def test_report_shape(self):
@@ -202,6 +230,50 @@ class TestBlockSweep:
             assert max(lengths) - 1 < 4 * n
             assert sum(lengths) < 16 * n + 2 * math.log2(4 * n)
 
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 100, 1535, 1536, 2047, 2048, 3071, 3072, 7168, 9215, 9216, 12000]
+    )
+    def test_a_refutation_at_n_sieves_order_n(self, n):
+        """A sweep that fails at n sieves no index past max(2 G n, SWEEP_BLOCK),
+        G = SIEVE_GROWTH.
+
+        The first block [0, 3) sieves to SWEEP_BLOCK.  A later block [lo, hi)
+        that reads past the capacity c grows it to max(hi - 1, SWEEP_BLOCK,
+        G c), with c < hi - 1 and hi <= 2 lo <= 2 n: under 2 G n.  No 4 n
+        bound holds for G > 2: at n = 1536 the block [1536, 3072) grows 2048
+        to 8192."""
+        convolver.cache_clear()
+        patch, sieved = _sieved()
+        with _patched_rhs(n), patch:
+            assert verify_id1(13, 50_000, canonical_quartic(13)).failure_n == n
+        top = max(s.N for s in sieved)
+        assert top < max(2 * SIEVE_GROWTH * n, SWEEP_BLOCK + 1), top
+        if n == 1536:
+            assert top == SIEVE_GROWTH * SWEEP_BLOCK > 4 * n
+        assert len({s.table for s in sieved}) == 3  # delta re, im and sigma'
+
+    @pytest.mark.parametrize("kind", ["conv", "square", "farkas"])
+    def test_a_passing_sweep_sieves_each_index_once(self, kind):
+        # per table: segments [1, N1], [N1 + 1, N2], ..., [.., nmax]
+        nmax = 20_000
+        sweeps = {
+            "conv": lambda: verify_id1(13, nmax),
+            "square": lambda: verify_id2(13, canonical_quartic(13), nmax),
+            "farkas": lambda: verify_farkas(nmax),
+        }
+        convolver.cache_clear()
+        patch, sieved = _sieved()
+        with patch:
+            assert sweeps[kind]().passed
+        segments = {}
+        for s in sieved:
+            segments.setdefault((s.table, s.times_d, s.quotient), []).append((s.lo, s.N))
+        assert len(segments) == (4 if kind == "square" else 3)
+        for parts in segments.values():
+            assert [lo for lo, _ in parts] == [1] + [N + 1 for _, N in parts[:-1]]
+            assert parts[-1][1] == nmax
+            assert 1 < len(parts) <= 2 + math.log(nmax / SWEEP_BLOCK, SIEVE_GROWTH)
+
 
 class TestVerifyId2:
     def test_both_quartic_characters_p5(self):
@@ -217,6 +289,16 @@ class TestVerifyId2:
         assert (report.lhs, report.rhs) == (gaussian(3), gaussian(1, "-6/5"))
         report = verify_id2(37, chibar, 5)
         assert (report.lhs, report.rhs) == (gaussian(3), gaussian(1, "6/5"))
+
+    def test_a_refutation_sieves_one_sweep_block(self):
+        # fails at n = 2: delta_chi, sigma~ and sigma^ stop at SWEEP_BLOCK
+        chi = quartic_pair(37)[0]
+        convolver.cache_clear()
+        patch, sieved = _sieved()
+        with patch:
+            assert verify_id2(37, chi, 200_000).failure_n == 2
+        assert convolver(chi).capacity <= SWEEP_BLOCK
+        assert len(sieved) == 4 and max(s.N for s in sieved) <= SWEEP_BLOCK
 
 
 class TestVerifyFarkas:

@@ -260,7 +260,33 @@ def _sizes_at_block_edges(block, sizes):
     ]
 
 
+def _lows_at_edges(N, block):
+    """The lower ends lo in 1..N + 1 within 1 of 1, r = isqrt(N), r**2, N,
+    a multiple of ``block`` or the first d of a block of large d."""
+    r = math.isqrt(N)
+    edges = {1, r, r * r, r + 1, N, *range(block, N + 1, block), *range(r + 1, N + 1, block)}
+    return sorted({e + s for e in edges for s in (-1, 0, 1)} & set(range(1, N + 2)))
+
+
+SENTINEL = -7  # a prefix value the sieve must copy, never add to
+
+
 class TestSieve:
+    def _check_lows(self, sizes, block):
+        # [lo, N] sieved into the tail of a prefix of sentinels: the prefix
+        # is copied as given and the rest equals the double loop
+        nmax = max(sizes)
+        for table in _sieve_tables(nmax):
+            for times_d, quotient in FLAGS:
+                want = _naive_sieve(table, nmax, times_d, quotient)
+                for N in sizes:
+                    for lo in _lows_at_edges(N, block):
+                        prefix = np.full(lo, SENTINEL, dtype=np.int64)
+                        got = _sieve(table, N, times_d, quotient, prefix=prefix)
+                        assert len(got) == N + 1
+                        assert got[:lo].tolist() == [SENTINEL] * lo
+                        assert got[lo:].tolist() == want[lo : N + 1], (len(table), N, lo)
+
     def _check(self, sizes):
         nmax = max(sizes)
         for table in _sieve_tables(nmax):
@@ -276,6 +302,18 @@ class TestSieve:
         assert sizes[:5] == [0, 1, 2, 3, 4] and 272 in sizes  # 272 - 16 = 16 * 16
         with mock.patch.object(qseries, "SIEVE_BLOCK", 16):
             self._check(sizes)
+
+    def test_lower_ends_at_small_block_edges_match_the_double_loop(self):
+        with mock.patch.object(qseries, "SIEVE_BLOCK", 16):
+            assert 17 in _lows_at_edges(272, 16) and 273 in _lows_at_edges(272, 16)
+            self._check_lows([2, 3, 15, 16, 17, 255, 272, 289, 300], 16)
+
+    def test_lower_ends_at_block_edges_match_the_double_loop(self):
+        # r = 128: large d start at 129 and 129 + SIEVE_BLOCK = 8321
+        assert {128, 129, 130, 8320, 8321, 8322, 16384, 16513, 16514} <= set(
+            _lows_at_edges(16513, SIEVE_BLOCK)
+        )
+        self._check_lows([16384, 16513], SIEVE_BLOCK)
 
     def test_block_edges_match_the_double_loop(self):
         sizes = _sizes_at_block_edges(
@@ -318,21 +356,66 @@ class TestSieve:
             got = _sieve(table, N, times_d, quotient)
         assert got.tolist() == _naive_sieve(table, N, times_d, quotient)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+        N=st.integers(1, 5000),
+        data=st.data(),
+        times_d=st.booleans(),
+        quotient=st.booleans(),
+        block=st.sampled_from([1, 3, 16, 64, SIEVE_BLOCK]),
+    )
+    def test_property_lower_end_matches_the_double_loop(
+        self, values, N, data, times_d, quotient, block
+    ):
+        lo = data.draw(st.integers(1, N), label="lo")
+        table = np.array(values, dtype=np.int64)
+        with mock.patch.object(qseries, "SIEVE_BLOCK", block):
+            got = _sieve(table, N, times_d, quotient, prefix=np.full(lo, SENTINEL))
+        assert got[:lo].tolist() == [SENTINEL] * lo
+        assert got[lo:].tolist() == _naive_sieve(table, N, times_d, quotient)[lo:]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([7, 13]),
+        N=st.integers(0, 3000),
+        cuts=st.lists(st.integers(0, 3000), max_size=4),
+        block=st.sampled_from([16, SIEVE_BLOCK]),
+    )
+    def test_arrays_grown_in_any_split_equal_the_one_shot_arrays(self, p, N, cuts, block):
+        chi = quartic_pair(13)[0]
+        builders = {
+            "delta": lambda n, prefix: delta_int_arrays(chi, n, prefix),
+            "prime": lambda n, prefix: sigma_prime_values(p, n, prefix),
+            "tilde": lambda n, prefix: sigma_tilde_values(p, n, prefix),
+            "hat": lambda n, prefix: sigma_hat_values(p, n, prefix),
+        }
+        with mock.patch.object(qseries, "SIEVE_BLOCK", block):
+            for name, build in builders.items():
+                grown = None
+                for end in sorted({c for c in cuts if c < N} | {N}):
+                    grown = build(end, grown)
+                want = build(N, None)
+                assert np.array_equal(grown, want), (name, cuts)
+
     def test_scratch_memory_is_out_plus_one_array(self):
-        # numpy reports its buffers to tracemalloc; allow out, one N-entry
-        # weight array (d = 1 with quotient) and a fixed block allowance
+        # numpy reports its buffers to tracemalloc; allow out, one weight
+        # array of the sieved length N - lo + 1 (d = 1 with quotient) and a
+        # fixed block allowance; a grown array's prefix exists beforehand
         N = 200_000
         table = kronecker_table(29)
         allowance = 5 * 8 * SIEVE_BLOCK  # the sieve holds at most four blocks
-        for times_d, quotient in FLAGS:
-            tracemalloc.start()
-            try:
-                _sieve(table, N, times_d, quotient)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            arrays = 2 if quotient else 1
-            assert peak < arrays * 8 * (N + 1) + allowance, (times_d, quotient, peak)
+        for lo in (1, 50_001):
+            prefix = None if lo == 1 else _sieve(table, lo - 1)
+            for times_d, quotient in FLAGS:
+                tracemalloc.start()
+                try:
+                    _sieve(table, N, times_d, quotient, prefix=prefix)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                entries = N + 1 + (N - lo + 1 if quotient else 0)
+                assert peak < 8 * entries + allowance, (lo, times_d, quotient, peak)
 
 
 def _naive_product(a, b):
@@ -567,6 +650,19 @@ class TestConvolutions:
             assert max(abs(x) for x in re.tolist()) > 2**63
             product = conv.F if c < 0 else conv.H
             assert [product(n) for n in range(121)] == list(zip(re, im))
+
+    def test_extend_sieves_exactly_what_is_asked_and_only_the_new_indices(self):
+        chi = quartic_pair(13)[0]
+        conv = Convolver(chi)
+        with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy:
+            conv.extend(50)
+            conv.extend(60)  # no doubling
+            conv.extend(55)  # already sieved
+        assert conv.capacity == 60
+        lows = [len(call.kwargs["prefix"]) for call in spy.call_args_list]
+        assert lows == [1, 1, 51, 51]  # re and im, twice
+        re, im = delta_int_arrays(chi, 60)
+        assert np.array_equal(conv._re, re) and np.array_equal(conv._im, im)
 
     def test_ensure_sieves_what_is_asked_then_doubles(self):
         conv = Convolver(quartic_pair(13)[0])
