@@ -16,6 +16,7 @@ import numpy as np
 
 from .foundations import (
     FOURTH_ROOTS,
+    PRIMES_CACHED,
     ZERO,
     GaussianRational,
     discrete_log_table,
@@ -66,19 +67,16 @@ class DirichletCharacter:
         """The exponent t with chi(d) = zeta_{p-1}**t, for p not dividing d."""
         if d % self.p == 0:
             raise ValueError(f"{d} is divisible by the modulus {self.p}")
-        dlog = discrete_log_table(self.p, self.g)[d % self.p]
+        dlog = int(discrete_log_table(self.p, self.g)[d % self.p])
         return (self.e * dlog) % (self.p - 1)
 
     def exponent_table(self) -> np.ndarray:
         """int64 array of ``t_exponent(a)`` for a in 0..p-1, with a placeholder
         0 at a = 0, where chi vanishes.  e * dlog < p**2 stays far inside int64
         for any p whose discrete-log table fits in memory."""
-        dlog = discrete_log_table(self.p, self.g)
-        t = np.zeros(self.p, dtype=np.int64)
-        t[np.fromiter(dlog.keys(), np.int64, len(dlog))] = np.fromiter(
-            dlog.values(), np.int64, len(dlog)
-        )
-        return self.e * t % (self.p - 1)
+        t = self.e * discrete_log_table(self.p, self.g) % (self.p - 1)
+        t[0] = 0
+        return t
 
     def value(self, a: int) -> GaussianRational:
         """chi(a) as an exact Gaussian rational; requires order | 4."""
@@ -105,7 +103,7 @@ def quadratic_character(p: int) -> DirichletCharacter:
     return DirichletCharacter(p, primitive_root(p), (p - 1) // 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIMES_CACHED)
 def quartic_pair(p: int) -> tuple[DirichletCharacter, DirichletCharacter]:
     """The two exact-order-4 characters mod p, for p = 5 (mod 8).
 

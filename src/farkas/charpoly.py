@@ -10,10 +10,14 @@ evaluation anywhere.
 
 Cost: ``f_poly`` counts exponent pairs with one numpy divisor sieve, one
 ``np.add.outer`` per j and one ``np.bincount``: O(p) interpreter steps
-and O(p log**2 p) numpy work.  The report's two flags, x**q + 1 | g and
-gcd(g, x**q - 1) = 1, follow from the four cyclotomic divisions the
-per-character table already does (see ``xq_flags``).  The dense
-sum of ``h_poly`` products, ``poly_gcd``, ``pseudo_remainder``,
+and O(p log**2 p) numpy work.  The cyclotomic tests, for p - 1 = 2q, take
+the two remainders of g by x**q - 1 and x**q + 1, not four divisions by
+Phi_1, Phi_2, Phi_q and Phi_2q: ``divmod_exact`` visits only the nonzero
+divisor coefficients, so each remainder is O(p) integer steps, and the
+four tests read them (``cyclotomic_zeros``).  A report is O(p) interpreter
+steps in all.  The report's two flags, x**q + 1 | g and gcd(g, x**q - 1)
+= 1, follow from the same four tests (see ``xq_flags``).  ``cyclotomic``,
+the dense sum of ``h_poly`` products, ``poly_gcd``, ``pseudo_remainder``,
 ``divisible_by_xq_plus_1`` and ``coprime_with_xq_minus_1`` are slow
 oracles kept for the tests.
 """
@@ -101,6 +105,7 @@ class IntPolynomial:
             raise ValueError("division requires a unit leading coefficient")
         rem = list(self.coeffs)
         dd = divisor.degree
+        terms = [(j - dd, b) for j, b in enumerate(divisor.coeffs) if b]
         quot = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
@@ -108,8 +113,8 @@ class IntPolynomial:
                 continue
             q = c * lc  # c // lc for lc = +-1
             quot[i - dd] = q
-            for j, b in enumerate(divisor.coeffs):
-                rem[i - dd + j] -= q * b
+            for j, b in terms:  # the nonzero terms only: O(1) for x**q -+ 1
+                rem[i + j] -= q * b
         return IntPolynomial.make(quot), IntPolynomial.make(rem)
 
     def content(self) -> int:
@@ -260,9 +265,38 @@ def coprime_with_xq_minus_1(g: IntPolynomial, q: int) -> bool:
     return d.degree == 0 and not d.is_zero()
 
 
+def _remainder_coefficients(g: IntPolynomial, divisor: IntPolynomial, q: int) -> list[int]:
+    """The q coefficients of g mod ``divisor``, a divisor of degree q."""
+    rem = g.divmod_exact(divisor)[1].coeffs
+    return list(rem) + [0] * (q - len(rem))
+
+
 def cyclotomic_zeros(g: IntPolynomial, n: int) -> dict[int, bool]:
-    """d -> whether Phi_d divides g, for every d | n."""
-    return {d: g.divmod_exact(cyclotomic(d))[1].is_zero() for d in divisors(n)}
+    """d -> whether Phi_d divides g, for the divisors d = 1, 2, q, 2q of
+    n = 2q, q an odd prime, from the remainders r = g mod (x**q - 1) and
+    s = g mod (x**q + 1), each of q coefficients.
+
+    Phi_1 Phi_q = x**q - 1, so Phi_d | g iff Phi_d | r for d in {1, q}:
+    Phi_1 | r iff r(1) = sum r_i = 0, and, since deg r < q = deg Phi_q + 1,
+    Phi_q = 1 + x + ... + x**(q-1) divides r iff r is a constant multiple
+    of it, iff all r_i are equal.  Likewise Phi_2 Phi_2q = x**q + 1, and
+    Phi_2q(x) = Phi_q(-x) for odd q: Phi_2 | g iff s(-1) = sum (-1)**i s_i
+    = 0, and Phi_2q | g iff the (-1)**i s_i are all equal.  Two divisions
+    by two-term divisors: O(deg g) steps in all.
+    """
+    q = n // 2
+    if n != 2 * q or q < 3 or not is_prime(q):
+        raise ValueError(f"expected n = 2q with q an odd prime, got {n}")
+    xq = IntPolynomial.monomial(q)
+    r = _remainder_coefficients(g, xq - ONE_POLY, q)
+    s = _remainder_coefficients(g, xq + ONE_POLY, q)
+    s_alt = [-c if i % 2 else c for i, c in enumerate(s)]
+    return {
+        1: sum(r) == 0,
+        2: sum(s_alt) == 0,
+        q: len(set(r)) == 1,
+        n: len(set(s_alt)) == 1,
+    }
 
 
 def xq_flags(zero: dict[int, bool], q: int) -> tuple[bool, bool]:
@@ -282,11 +316,13 @@ def xq_flags(zero: dict[int, bool], q: int) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------
 
 def is_safe_prime_shape(p: int) -> bool:
-    """p = 2q+1 with q prime, q = 1 (mod 4), and p itself prime."""
-    if p < 11 or p % 2 == 0 or not is_prime(p):
+    """p = 2q+1 with q prime, q = 1 (mod 4), and p itself prime.
+
+    q = 1 (mod 4) iff p = 3 (mod 8), which is tested before either
+    primality test runs."""
+    if p < 11 or p % 8 != 3:
         return False
-    q = (p - 1) // 2
-    return q % 4 == 1 and is_prime(q)
+    return is_prime(p) and is_prime((p - 1) // 2)
 
 
 def two_generates(p: int) -> bool:
@@ -301,9 +337,11 @@ def two_generates(p: int) -> bool:
 
 
 def safe_prime_scan(bound: int) -> list[int]:
-    """All p <= bound of the required shape; asserts 2 generates each group."""
+    """All p <= bound of the required shape; asserts 2 generates each group.
+
+    Only p = 3 (mod 8) can have the shape, so only those are visited."""
     out = []
-    for p in range(11, bound + 1, 2):
+    for p in range(11, bound + 1, 8):
         if is_safe_prime_shape(p):
             if not two_generates(p):
                 raise ValueError(f"2 is not a primitive root mod {p}")
@@ -343,8 +381,9 @@ def even_character_obstruction(p: int) -> EvenObstructionReport:
     """Per-character vanishing table of sum_j delta_xi(j) delta_xibar(p-j).
 
     The sum for xi = chi**k equals f_chi(zeta**k); vanishing is decided
-    exactly by cyclotomic divisibility of the folded polynomial g, and
-    the two x**q -+ 1 flags are read from the same divisions (``xq_flags``).
+    exactly by cyclotomic divisibility of the folded polynomial g, read
+    from its remainders by x**q -+ 1, and the two x**q -+ 1 flags are read
+    from the same four tests (``xq_flags``).
     """
     if not is_safe_prime_shape(p):
         raise ValueError(f"{p} is not 2q+1 with q = 1 (mod 4) prime")

@@ -14,12 +14,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+import numpy as np
+
 Scalar = Union[int, Fraction, "GaussianRational"]
 
 # deterministic Miller-Rabin witness set, valid for all n < 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# the per-prime caches (tables, characters, constants) hold the entries of
+# this many primes, two characters each: a scan over primes frees a prime's
+# tables soon after it moves on, so its memory stays O(p), not O(pmax**2)
+PRIMES_CACHED = 2
 
 
 def is_prime(n: int) -> bool:
@@ -139,18 +146,21 @@ def primitive_root(p: int) -> int:
     raise AssertionError("unreachable: every odd prime has a primitive root")
 
 
-@lru_cache(maxsize=None)
-def discrete_log_table(p: int, g: int) -> dict[int, int]:
-    """Map a -> dlog_g(a) on 1..p-1, with g**dlog(a) = a (mod p)."""
-    table: dict[int, int] = {}
+@lru_cache(maxsize=PRIMES_CACHED)
+def discrete_log_table(p: int, g: int) -> np.ndarray:
+    """Read-only int64 array t of length p with g**t[a] = a (mod p) and
+    0 <= t[a] <= p - 2 for a in 1..p-1; t[0] = -1, as 0 has no logarithm."""
+    table = [-1] * p
     x = 1
     for k in range(p - 1):
-        if x in table:
+        if table[x] >= 0:
             raise ValueError(f"{g} is not a primitive root mod {p}")
         table[x] = k
         x = x * g % p
-    if x != 1 or len(table) != p - 1:
+    if x != 1:
         raise ValueError(f"{g} is not a primitive root mod {p}")
+    table = np.array(table, dtype=np.int64)
+    table.flags.writeable = False
     return table
 
 

@@ -11,17 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
 
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
-from .foundations import GaussianRational, is_prime
+from .foundations import PRIMES_CACHED, GaussianRational, is_prime
 from .qseries import (
     MAX_FAST_N,
+    _delta0_numerator,
     _kronecker_values,
     bernoulli_B2_psi,
+    character_table,
     convolver,
     delta_constant,
     sigma_hat_values,
@@ -43,13 +45,30 @@ class IdentityConstants:
     beta_prime: GaussianRational
 
 
+@lru_cache(maxsize=2 * PRIMES_CACHED)
 def constants_for(p: int, chi: DirichletCharacter) -> IdentityConstants:
+    """alpha = |delta_chi(0)|**2 / sigma'(0), alpha' = delta_chi(0)**2 /
+    sigma~(0) and beta' = 2 delta_chi(0) - alpha', with sigma'(0) = (p-1)/24
+    and sigma~(0) = -B_{2,psi}/4.
+
+    In z = 2p delta_chi(0) = u + iv and B_{2,psi} = b/d they are
+    alpha = 6 (u**2 + v**2) / (p**2 (p-1)), alpha' = -d z**2 / (p**2 b) and
+    beta' = (p b z + d z**2) / (p**2 b): Gaussian-integer numerators over
+    one denominator each, and one Fraction per part.  Cached like the
+    other per-prime tables, so both sweeps of a scan share one copy."""
     d0 = delta_constant(chi)
-    alpha = d0.norm_sq() / Fraction(p - 1, 24)
-    tilde0 = -bernoulli_B2_psi(p) / 4
-    alpha_prime = d0 * d0 / tilde0
-    beta_prime = d0 * 2 - alpha_prime
-    return IdentityConstants(alpha, alpha_prime, beta_prime)
+    u, v = int(d0.re * (2 * p)), int(d0.im * (2 * p))
+    B = bernoulli_B2_psi(p)
+    b, d = B.numerator, B.denominator
+    zz_re, zz_im = u * u - v * v, 2 * u * v  # z**2
+    den = p * p * b
+    return IdentityConstants(
+        Fraction(6 * (u * u + v * v), p * p * (p - 1)),
+        GaussianRational(Fraction(-d * zz_re, den), Fraction(-d * zz_im, den)),
+        GaussianRational(
+            Fraction(p * b * u + d * zz_re, den), Fraction(p * b * v + d * zz_im, den)
+        ),
+    )
 
 
 @dataclass
@@ -237,6 +256,30 @@ class AsymptoticReport:
     alpha_prime_estimate: Optional[GaussianRational] = None
 
 
+def _tree_sum(terms: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """sum (x + i y)/s over the (x, y, s) of ``terms`` (s != 0), as one such
+    triple: summed in pairs, then pairs of pairs, and reduced by
+    gcd(x, y, s) at each merge.
+
+    A reduced partial sum's s divides the lcm of its terms' s, so no
+    integer outgrows about ell, the lcm of all s, and the work is
+    O(log |terms|) levels of such products; an lcm-weighted sum instead
+    multiplies every one of the |terms| numerators by a weight of ell's
+    size."""
+    while len(terms) > 1:
+        merged = []
+        for (x1, y1, s1), (x2, y2, s2) in zip(terms[::2], terms[1::2]):
+            g = gcd(s1, s2)
+            w1, w2 = s2 // g, s1 // g
+            x, y, s = x1 * w1 + x2 * w2, y1 * w1 + y2 * w2, s1 * w1
+            g = gcd(x, y, s)
+            merged.append((x // g, y // g, s // g))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return terms[0]
+
+
 def asymptotic_report(
     p: int, chi: DirichletCharacter, kind: str, nmax: int
 ) -> AsymptoticReport:
@@ -293,15 +336,9 @@ def asymptotic_report(
                 f"no n in the top decile {decile_lo}..{nmax} with Kronecker "
                 f"symbol {k:+d} at p = {p}; try a larger --nmax"
             )
-        # the mean of (x + i y)/(D s) over one denominator D ell |bucket|,
-        # ell = lcm of the bucket's s
-        ell = lcm(*(s for _, _, s in bucket))
-        sum_re = sum_im = 0
-        for x, y, s in bucket:
-            w = ell // s
-            sum_re += x * w
-            sum_im += y * w
-        den = D * ell * len(bucket)
+        # the mean of (x + i y)/(D s): the sum of the (x + i y)/s over D |bucket|
+        sum_re, sum_im, den = _tree_sum(bucket)
+        den *= D * len(bucket)
         limits[k] = GaussianRational(Fraction(sum_re, den), Fraction(sum_im, den))
     report.limit_plus, report.limit_minus = limits[1], limits[-1]
     report.gamma_estimate = (limits[1] - limits[-1]) / Fraction(2)
@@ -429,13 +466,18 @@ def discriminant_search() -> list[DiscriminantSolution]:
     return out
 
 
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers, each an int pair (re, im)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 @dataclass
 class Obstruction1Report:
     p: int
     consistent: bool
     eq_n1_holds: bool
     eq_n2_holds: bool
-    L: GaussianRational
+    z: tuple[int, int]  # 2p delta_chi(0) as (re, im)
 
 
 def obstruction_id1(p: int) -> Obstruction1Report:
@@ -443,15 +485,18 @@ def obstruction_id1(p: int) -> Obstruction1Report:
 
     With L = 2 delta_chi(0), the identity at n = 1 forces
     (p-1)/6 * Re(L) = |L|^2 and at n = 2 forces
-    (p-1)/18 * (Re(L) + s*Im(L) + 1) = |L|^2 where chi(2) = s*i.
+    (p-1)/18 * (Re(L) + s*Im(L) + 1) = |L|^2 where chi(2) = s*i.  With
+    z = p L = 2p delta_chi(0) = u + iv, a Gaussian integer, times 6 p**2
+    and 18 p**2 these are (p-1) p u = 6 (u**2 + v**2) and
+    (p-1) p (u + s v + p) = 18 (u**2 + v**2): decided in integers.
     """
     chi = canonical_quartic(p)
-    L = delta_constant(chi) * 2
-    norm = L.norm_sq()
-    eq1 = Fraction(p - 1, 6) * L.re == norm
+    u, v = _delta0_numerator(chi)
+    norm = u * u + v * v
+    eq1 = (p - 1) * p * u == 6 * norm
     s = 1  # canonical chi has chi(2) = +i
-    eq2 = Fraction(p - 1, 18) * (L.re + s * L.im + 1) == norm
-    return Obstruction1Report(p, eq1 and eq2, eq1, eq2, L)
+    eq2 = (p - 1) * p * (u + s * v + p) == 18 * norm
+    return Obstruction1Report(p, eq1 and eq2, eq1, eq2, (u, v))
 
 
 @dataclass(frozen=True)
@@ -518,24 +563,42 @@ def obstruction_id2(p: int, chi: Optional[DirichletCharacter] = None) -> Obstruc
     of the four possible values of chi(3).  A branch is admissible when
     the implied B_{2,psi} is rational and at most 4; the verdict checks
     both equations against the actual exact values.
+
+    The verdict is decided in Gaussian integers, from z = 2p delta0 and
+    B = b/d: the n = 2 equation, times -B/4 and then 8 p**2 d, is
+    2 d z**2 = b p (chi(2) z + p) (B > 0: both factors are nonzero),
+    and the n = 3 equation
+        2 (1 + chi(3)) delta0 + 2 (1 + chi(2))
+          = (-chi(2) delta0 - 1/2)(1 + 3 psi(3))
+            + ((2 + chi(2)) delta0 + 1/2)(3 + psi(3)),
+    psi(3) = chi(3)**2 = +-1, times 2p is
+        2 (1 + chi(3)) z + 4p (1 + chi(2))
+          = (-chi(2) z - p)(1 + 3 psi(3)) + ((2 + chi(2)) z + p)(3 + psi(3)).
     """
     if chi is None:
         chi = canonical_quartic(p)
-    d0 = delta_constant(chi)
-    x2 = chi.value(2)
-    x3 = chi.value(3)
-    B = bernoulli_B2_psi(p)
-    tilde0 = GaussianRational(-B / 4)
+    B = bernoulli_B2_psi(p)  # p = 1 (mod 4), so p > 3: chi(3) is in the table
+    b, d = B.numerator, B.denominator
+    u, v = z = _delta0_numerator(chi)
+    re, im = character_table(chi)
+    x2, x3 = (int(re[2]), int(im[2])), (int(re[3]), int(im[3]))
 
-    quad_eq = d0 * d0 / tilde0 == -x2 * d0 - HALF
+    zz, x2z = _times(z, z), _times(x2, z)
+    quad_eq = (2 * d * zz[0], 2 * d * zz[1]) == (b * p * (x2z[0] + p), b * p * x2z[1])
 
-    psi3 = x3 * x3
-    lhs3 = (1 + x3) * d0 * 2 + (1 + x2) * 2
-    rhs3 = (-x2 * d0 - HALF) * (1 + psi3 * 3) + (d0 * 2 + x2 * d0 + HALF) * (3 + psi3)
+    psi3 = x3[0] ** 2 - x3[1] ** 2  # chi(3)**2, real for chi(3) in {+-1, +-i}
+    x3z = _times((1 + x3[0], x3[1]), z)
+    lhs3 = (2 * x3z[0] + 4 * p * (1 + x2[0]), 2 * x3z[1] + 4 * p * x2[1])
+    rhs3 = (
+        (-x2z[0] - p) * (1 + 3 * psi3) + (2 * u + x2z[0] + p) * (3 + psi3),
+        -x2z[1] * (1 + 3 * psi3) + (2 * v + x2z[1]) * (3 + psi3),
+    )
     combined_eq = lhs3 == rhs3
 
+    d0 = GaussianRational(Fraction(u, 2 * p), Fraction(v, 2 * p))
     return Obstruction2Report(
-        p, quad_eq and combined_eq, quad_eq, combined_eq, d0, B, list(_branches(x2))
+        p, quad_eq and combined_eq, quad_eq, combined_eq, d0, B,
+        list(_branches(GaussianRational(*x2))),
     )
 
 

@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farkas import charpoly
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
 from farkas.charpoly import (
     IntPolynomial,
@@ -55,6 +57,19 @@ class TestIntPolynomial:
     def test_division_needs_unit_lead(self):
         with pytest.raises(ValueError):
             P(1, 1).divmod_exact(P(1, 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=30),
+        st.lists(st.integers(-3, 3), max_size=12),
+        st.sampled_from([1, -1]),
+    )
+    def test_sparse_divisors_divide_exactly(self, dividend, divisor, lead):
+        # the division skips the divisor's zero coefficients: g = q d + r
+        # with deg r < deg d still holds for sparse and dense divisors
+        g, d = IntPolynomial.make(dividend), IntPolynomial.make(divisor + [lead])
+        q, r = g.divmod_exact(d)
+        assert q * d + r == g and r.degree < d.degree
 
 
 def random_poly(rng, max_deg=6):
@@ -210,6 +225,33 @@ class TestDivisibilityTests:
         assert coprime_with_xq_minus_1(xq_plus_1, q)
 
 
+def division_zeros(g, n):
+    """Oracle: d -> whether Phi_d divides g, by long division, for d | n."""
+    return {d: g.divmod_exact(cyclotomic(d))[1].is_zero() for d in divisors(n)}
+
+
+class TestCyclotomicZeros:
+    @pytest.mark.parametrize("p", safe_prime_scan(2000))
+    def test_remainders_match_the_division_oracle(self, p):
+        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        assert cyclotomic_zeros(g, p - 1) == division_zeros(g, p - 1)
+
+    def test_two_remainders_replace_the_four_divisions(self):
+        p, q = 467, 233
+        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        with mock.patch.object(
+            IntPolynomial, "divmod_exact", autospec=True, side_effect=IntPolynomial.divmod_exact
+        ) as spy:
+            cyclotomic_zeros(g, p - 1)
+        xq = IntPolynomial.monomial(q)
+        assert [call.args[1] for call in spy.call_args_list] == [xq - P(1), xq + P(1)]
+
+    @pytest.mark.parametrize("n", [4, 9, 18, 2])
+    def test_rejects_n_other_than_twice_an_odd_prime(self, n):
+        with pytest.raises(ValueError):
+            cyclotomic_zeros(P(1), n)
+
+
 class TestXqFlags:
     @pytest.mark.parametrize("p", SAFE_PRIMES_BELOW_500)
     def test_report_flags_match_oracles(self, p):
@@ -230,7 +272,10 @@ class TestXqFlags:
         for use, d in zip(chosen, (1, 2, q, 2 * q)):
             if use:
                 g = g * cyclotomic(d)
-        assert xq_flags(cyclotomic_zeros(g, 2 * q), q) == (
+        zeros = cyclotomic_zeros(g, 2 * q)
+        assert zeros == division_zeros(g, 2 * q)
+        assert all(zeros[d] for use, d in zip(chosen, (1, 2, q, 2 * q)) if use)
+        assert xq_flags(zeros, q) == (
             divisible_by_xq_plus_1(g, q),
             coprime_with_xq_minus_1(g, q),
         )
@@ -263,10 +308,33 @@ class TestSafePrimeScan:
             assert two_generates(p) == oracle, p
         assert True in answers and False in answers
 
+    def test_scan_matches_a_walk_over_every_odd_p(self):
+        bound = 3000
+        oracle = [
+            p for p in range(11, bound + 1, 2)
+            if is_prime(p) and (p - 1) // 2 % 4 == 1 and is_prime((p - 1) // 2)
+        ]
+        visited = []
+
+        def shape(p):
+            visited.append(p)
+            return is_safe_prime_shape(p)
+
+        with mock.patch.object(charpoly, "is_safe_prime_shape", shape):
+            assert safe_prime_scan(bound) == oracle
+        assert visited == list(range(11, bound + 1, 8))  # only p = 3 (mod 8)
+
+    def test_shape_tests_q_mod_4_before_any_primality_test(self):
+        with mock.patch.object(charpoly, "is_prime", side_effect=AssertionError) as spy:
+            for p in range(11, 200):
+                if p % 8 != 3:
+                    assert not is_safe_prime_shape(p)
+        assert spy.call_count == 0
+
     def test_scan_builds_no_discrete_log_tables(self):
-        before = discrete_log_table.cache_info().currsize
+        before = discrete_log_table.cache_info().misses
         assert len(safe_prime_scan(5000)) > 20
-        assert discrete_log_table.cache_info().currsize == before
+        assert discrete_log_table.cache_info().misses == before
 
 
 class TestEvenObstruction:

@@ -310,6 +310,50 @@ class TestDeterminism:
         assert json.loads(json.dumps(data)) == data
 
 
+def _timing_free_sha256(argv, capsys) -> str:
+    """sha256 of the report's JSON with elapsed_ms dropped, keys sorted."""
+    capsys.readouterr()
+    assert main(argv) == EXIT_PASS
+    data = json.loads(capsys.readouterr().out)
+    del data["elapsed_ms"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+# the scan reports as the Fraction and long-division implementation wrote them
+PINNED_SCAN_REPORTS = {
+    "search --pmax 1000 --nmax 50":
+        "b084d439ab6266239560bd13248ae79f06f89fad023404935e95765911e5c87a",
+    "search --pmax 300 --nmax 3":
+        "b6e7dea0214e69e17f31c81d7afec66ee30a6238235a3018e656f28b8d207d07",
+    "search --safe-primes --pmax 100000":
+        "55bacd3ee7c68defcb243c0266b0c4575d58fb7abf6dba3023bea54e5eeb3b4c",
+    # every safe prime below 1100
+    "poly --p 11": "f48d8de6e7df5b0233843a7a1c35fb1690ea272d13fc334902609a4cdb9d5080",
+    "poly --p 59": "bd944c0a96c382c81f1fb88db3202844aa3194eb63ea7a79fa02d678c43d2e11",
+    "poly --p 83": "4efcf0fa1fab9a5ec9237d4195f0200735bf34a2d47d536c4cd1b7c90e30edeb",
+    "poly --p 107": "6ccc945f5fc67ace261f128784e920f2276f0528eed02fbd258acdaecca96934",
+    "poly --p 179": "54cb449800f128bcee5268a4f569f623ed9e3c5160ffb70c1a43bd8d077c2c35",
+    "poly --p 227": "773f37d1dc3a32c1f516ac3a468e585c912f63ca2ebbb6190a957de8c7d05a7a",
+    "poly --p 347": "482e1401fa171928fceb41f45cc1685eb9699a65aaca66b146a82575ed1a2e83",
+    "poly --p 467": "8d62f9c508e00ab3c65c84cdadd566457a4cce1bd9d87732405d52f1721a11d8",
+    "poly --p 563": "90c55ee12192248745ceb4917f66ae98130d8543f4e7304a34fad4653bc5d950",
+    "poly --p 587": "8413b24550166f6e5bd57c1e4297dc18fcdcd91838b57e2c1454b7efe6dccf6d",
+    "poly --p 1019": "59ab529e6e8163c79082a787099221f2a6de513d96021d4b3d95f8171fc8e9c9",
+}
+
+
+class TestPinnedScanReports:
+    @pytest.mark.parametrize("argv", list(PINNED_SCAN_REPORTS))
+    def test_report_hash_is_pinned(self, argv, capsys):
+        assert _timing_free_sha256(argv.split(), capsys) == PINNED_SCAN_REPORTS[argv]
+
+    def test_every_safe_prime_below_1100_is_pinned(self):
+        from farkas.charpoly import safe_prime_scan
+
+        pinned = [int(a.split()[-1]) for a in PINNED_SCAN_REPORTS if a.startswith("poly")]
+        assert pinned == safe_prime_scan(1100)
+
+
 class TestSearchCommand:
     def test_dichotomy_table(self, tmp_path):
         out = tmp_path / "s.json"

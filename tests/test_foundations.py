@@ -169,13 +169,27 @@ class TestDiscreteLog:
     def test_round_trip(self):
         for p, g in ((5, 2), (11, 2), (37, 2)):
             table = discrete_log_table(p, g)
-            for a, k in table.items():
+            assert table.dtype == np.int64 and len(table) == p and table[0] == -1
+            for a in range(1, p):
+                k = int(table[a])
                 assert pow(g, k, p) == a
                 assert 0 <= k <= p - 2
+            assert not table.flags.writeable
 
     def test_rejects_non_generator(self):
         with pytest.raises(ValueError):
             discrete_log_table(13, 3)  # 3 has order 3 mod 13
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 101, 127])
+    def test_accepts_exactly_the_generators(self, p):
+        for g in range(-2, 2 * p + 2):
+            generator = len({pow(g, k, p) for k in range(1, p)}) == p - 1
+            if generator:
+                table = discrete_log_table(p, g)
+                assert all(pow(g, int(table[a]), p) == a for a in range(1, p))
+            else:
+                with pytest.raises(ValueError):
+                    discrete_log_table(p, g)
 
 
 fractions = st.fractions(

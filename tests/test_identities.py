@@ -1,19 +1,23 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farkas import foundations, identities, qseries
 from farkas.characters import canonical_quartic, quartic_pair
 from farkas.cli import builtin_config_names, load_builtin_config
-from farkas.foundations import GaussianRational, divisors, gaussian, kronecker
+from farkas.foundations import GaussianRational, discrete_log_table, divisors, gaussian, kronecker
 from farkas.identities import (
     SIEVE_GROWTH,
     SWEEP_BLOCK,
     Branch,
     ConfiguredIdentity,
+    _tree_sum,
     asymptotic_report,
     check_configured_identity,
     constants_for,
@@ -30,8 +34,11 @@ from farkas.identities import (
 from farkas.qseries import (
     Convolver,
     bernoulli_B2_psi,
+    character_table,
     convolver,
+    delta_constant,
     delta_series,
+    kronecker_table,
     sigma_hat_series,
     sigma_prime_series,
     sigma_prime_values,
@@ -492,6 +499,48 @@ class TestArrayReportAgainstPerRowOracle:
             assert limit == sum(bucket, GaussianRational()) / len(bucket)
 
 
+def lcm_weighted_sum(bucket):
+    """Oracle: sum (x + i y)/s over the (x, y, s) of ``bucket`` as (X, Y, ell),
+    X + i Y = sum (x + i y) ell / s, ell the lcm of the s."""
+    ell = math.lcm(*(s for _, _, s in bucket))
+    return (
+        sum(x * (ell // s) for x, _, s in bucket),
+        sum(y * (ell // s) for _, y, s in bucket),
+        ell,
+    )
+
+
+class TestTreeSum:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(10**6), 10**6),
+                st.integers(-(10**6), 10**6),
+                st.integers(1, 10**4).flatmap(lambda s: st.sampled_from([s, -s])),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_the_fraction_sum(self, terms):
+        x, y, s = _tree_sum(terms)
+        assert len(terms) == 1 or math.gcd(x, y, s) == 1  # reduced at the last merge
+        assert Fraction(x, s) == sum(Fraction(a, c) for a, _, c in terms)
+        assert Fraction(y, s) == sum(Fraction(b, c) for _, b, c in terms)
+
+    @pytest.mark.parametrize("N", [300, 10**4, 2 * 10**5])
+    def test_square_limits_equal_the_lcm_weighted_sum(self, N):
+        rep = asymptotic_report(29, canonical_quartic(29), "square", N)
+        top = rep.n >= N - N // 10
+        for k, limit in ((1, rep.limit_plus), (-1, rep.limit_minus)):
+            chosen = top & (rep.kron == k)
+            bucket = list(zip(*(col[chosen].tolist() for col in (rep.lhs_re, rep.lhs_im, rep.sigma))))
+            x, y, ell = lcm_weighted_sum(bucket)
+            den = rep.denominator * ell * len(bucket)
+            assert limit == GaussianRational(Fraction(x, den), Fraction(y, den)), k
+
+
 class TestConfiguredIdentities:
     def test_degenerate_config_equals_id1(self):
         chi, _ = quartic_pair(5)
@@ -553,6 +602,42 @@ class TestDiscriminantSearch:
             assert (s.p + 23) ** 2 - 720 == s.x**2
 
 
+# the obstruction equations and the constants in GaussianRational
+# arithmetic, as the package first computed them: oracles for the
+# Gaussian-integer forms
+
+HALF = Fraction(1, 2)
+
+
+def constants_oracle(p, chi):
+    d0 = delta_constant(chi)
+    alpha = d0.norm_sq() / Fraction(p - 1, 24)
+    tilde0 = -bernoulli_B2_psi(p) / 4
+    alpha_prime = d0 * d0 / tilde0
+    return alpha, alpha_prime, d0 * 2 - alpha_prime
+
+
+def obstruction1_oracle(p):
+    """(n = 1 holds, n = 2 holds) for the canonical chi, chi(2) = +i."""
+    L = delta_constant(canonical_quartic(p)) * 2
+    norm = L.norm_sq()
+    return (
+        Fraction(p - 1, 6) * L.re == norm,
+        Fraction(p - 1, 18) * (L.re + L.im + 1) == norm,
+    )
+
+
+def obstruction2_oracle(p, chi):
+    """(n = 2 holds, combined n = 3 holds) for the squared identity."""
+    d0, x2, x3 = delta_constant(chi), chi.value(2), chi.value(3)
+    tilde0 = GaussianRational(-bernoulli_B2_psi(p) / 4)
+    quad = d0 * d0 / tilde0 == -x2 * d0 - HALF
+    psi3 = x3 * x3
+    lhs3 = (1 + x3) * d0 * 2 + (1 + x2) * 2
+    rhs3 = (-x2 * d0 - HALF) * (1 + psi3 * 3) + (d0 * 2 + x2 * d0 + HALF) * (3 + psi3)
+    return quad, lhs3 == rhs3
+
+
 class TestObstructions:
     def test_id1_verdicts(self):
         assert obstruction_id1(5).consistent
@@ -606,17 +691,75 @@ class TestObstructions:
 
     def test_scan_computes_each_prime_constant_once(self):
         primes = quartic_primes(200)
-        for cached in (quartic_pair, bernoulli_B2_psi):
+        for cached in (quartic_pair, bernoulli_B2_psi, constants_for):
             cached.cache_clear()
-        dichotomy_scan(200)
-        for cached in (quartic_pair, bernoulli_B2_psi):
+        with mock.patch.object(identities, "delta_constant", wraps=delta_constant) as d0:
+            dichotomy_scan(200)
+        # one IdentityConstants per prime serves both sweeps, and delta_chi(0)
+        # is read through the public delta_constant once per prime
+        for cached in (quartic_pair, bernoulli_B2_psi, constants_for):
             info = cached.cache_info()
             assert info.misses == len(primes) and info.hits > 0, cached
+        assert d0.call_count == len(primes)
+
+    def test_integer_verdicts_and_constants_match_the_rational_formulas(self):
+        outcomes = set()
+        for p in quartic_primes(5000):
+            r1 = obstruction_id1(p)
+            assert (r1.eq_n1_holds, r1.eq_n2_holds) == obstruction1_oracle(p), p
+            assert r1.consistent == (r1.eq_n1_holds and r1.eq_n2_holds)
+            outcomes |= {("n1", r1.eq_n1_holds), ("n2", r1.eq_n2_holds)}
+            for chi in quartic_pair(p):
+                r2 = obstruction_id2(p, chi)
+                quad, combined = obstruction2_oracle(p, chi)
+                assert (r2.quad_eq_holds, r2.combined_eq_holds) == (quad, combined), (p, chi)
+                assert r2.accepted == (quad and combined)
+                assert r2.actual_delta0 == delta_constant(chi)
+                assert r2.actual_B == bernoulli_B2_psi(p)
+                outcomes |= {("quad", quad), ("combined", combined)}
+                c = constants_for(p, chi)
+                assert (c.alpha, c.alpha_prime, c.beta_prime) == constants_oracle(p, chi), (p, chi)
+        # every equation both holds (p in {5, 13}) and fails somewhere
+        assert outcomes == {(eq, v) for eq in ("n1", "n2", "quad", "combined") for v in (True, False)}
 
     def test_agreement_with_sweeps_to_200(self):
         for row in dichotomy_scan(200, nmax=10):
             assert row.id1_pass == row.obstruction1_consistent
             assert row.id2_pass == row.obstruction2_accepted
+
+
+SCAN_CACHES = (
+    convolver, character_table, kronecker_table, quartic_pair, discrete_log_table,
+    bernoulli_B2_psi, constants_for,
+)
+
+
+class TestScanMemory:
+    def test_scan_caches_keep_the_last_primes_only(self):
+        dichotomy_scan(3000, 3)
+        for cached in SCAN_CACHES:
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize <= 4, cached
+        last = quartic_primes(3000)[-1]
+        for p, hit in ((last, True), (5, False)):  # the first prime was released
+            before = quartic_pair.cache_info()
+            quartic_pair(p)
+            after = quartic_pair.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
+
+    def test_scan_peak_memory_does_not_grow_with_pmax(self):
+        def peak(pmax):
+            for cached in SCAN_CACHES:
+                cached.cache_clear()
+            tracemalloc.start()
+            try:
+                dichotomy_scan(pmax, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1000), peak(3000)
+        assert large < small + 2**20, (small, large)
 
 
 class TestDeligneStyleBound:

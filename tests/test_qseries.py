@@ -17,10 +17,13 @@ from farkas.foundations import GaussianRational, divisors, gaussian, kronecker, 
 from farkas.qseries import (
     MAX_DIVISOR_COUNT,
     MAX_FAST_N,
+    SHORT_PRODUCT,
     Convolver,
     QSeries,
     SIEVE_BLOCK,
+    _direct_product,
     _full_product,
+    _kronecker_product,
     _kronecker_values,
     _sieve,
     bernoulli_B2_psi,
@@ -434,6 +437,16 @@ def _signed_pairs(draw):
     return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
 
 
+def _kernels(a, b):
+    """The products of a and b from ``_full_product`` and from each kernel."""
+    K = int(max(np.abs(a).max(), np.abs(b).max()))
+    return {
+        "full": _full_product(a, b),
+        "direct": _direct_product(a, b),
+        "kronecker": _kronecker_product(a, b, K),
+    }
+
+
 class TestFullProduct:
     @settings(max_examples=80, deadline=None)
     @given(pair=_signed_pairs(), square=st.booleans())
@@ -441,9 +454,33 @@ class TestFullProduct:
         a, b = pair
         if square:
             b = a
-        got = _full_product(a, b)
-        assert got.dtype == np.int64 and len(got) == len(a)
-        assert got.tolist() == _naive_product(a, b)
+        want = _naive_product(a, b)
+        for kernel, got in _kernels(a, b).items():
+            assert got.dtype == np.int64 and len(got) == len(a), kernel
+            assert got.tolist() == want, kernel
+
+    def test_both_kernels_match_the_cauchy_product_at_the_cutoff(self):
+        # lengths SHORT_PRODUCT - 1, SHORT_PRODUCT (direct) and SHORT_PRODUCT + 1
+        # (Kronecker) with |a| up to 240 and |b| up to 480, the bounds of
+        # delta_chi and of Re delta +- Im delta; (A*B)(n) reads indices <= n,
+        # so one Cauchy product of the longest serves all three lengths
+        rng = np.random.default_rng(12)
+        m = SHORT_PRODUCT + 1
+        a = rng.integers(-240, 241, m)
+        b = rng.integers(-480, 481, m)
+        a[[0, 7]], b[[1, 9]] = (240, -240), (480, -480)
+        want = [int(c.re) for c in cauchy_product(from_ints(a), from_ints(b)).coefficients]
+        for n in (m - 2, m - 1, m):
+            for kernel, got in _kernels(a[:n], b[:n]).items():
+                assert got.tolist() == want[:n], (n, kernel)
+
+    def test_the_cutoff_picks_the_kernel(self):
+        a = np.ones(SHORT_PRODUCT + 1, dtype=np.int64)
+        for m, direct in ((1, True), (SHORT_PRODUCT, True), (SHORT_PRODUCT + 1, False)):
+            with mock.patch.object(qseries, "_direct_product", wraps=_direct_product) as d, \
+                    mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as k:
+                assert _full_product(a[:m], a[:m]).tolist() == list(range(1, m + 1))
+            assert (d.call_count, k.call_count) == ((1, 0) if direct else (0, 1)), m
 
     def test_edge_inputs(self):
         for a, b in [
