@@ -228,19 +228,28 @@ def f_poly(xi: DirichletCharacter) -> IntPolynomial:
     """f_xi(x) = sum_{j=1}^{p-1} h_{xi,j}(x) h_{xibar,p-j}(x); degree <= 2p-4.
 
     Coefficient i counts the triples (j, d | j, e | p - j) with
-    t_xi(d) + t_xibar(e) = i, so f is one bincount of the exponent sums.
+    t_xi(d) + t_xibar(e) = i, so f sums the bincounts of the exponent sums.
+    There are about p log**2 p sums; they are counted a chunk of j at a
+    time, each chunk closed once it holds as many sums as f has
+    coefficients, so a bincount never costs more than its chunk and the
+    sums held at once stay O(p).
     """
     p = xi.p
     t = xi.exponent_table()
     tbar = -t % (p - 1)
     start, divs = _divisor_table(p)
-    sums = [
-        np.add.outer(
+    counts = np.zeros(2 * p - 3, dtype=np.int64)
+    chunk, held = [], 0
+    for j in range(1, p):
+        sums = np.add.outer(
             t[divs[start[j]:start[j + 1]]], tbar[divs[start[p - j]:start[p - j + 1]]]
         ).ravel()
-        for j in range(1, p)
-    ]
-    total = IntPolynomial.make(np.bincount(np.concatenate(sums), minlength=2 * p - 3))
+        chunk.append(sums)
+        held += len(sums)
+        if held >= len(counts) or j == p - 1:
+            counts += np.bincount(np.concatenate(chunk), minlength=len(counts))
+            chunk, held = [], 0
+    total = IntPolynomial.make(counts)
     assert total.degree <= 2 * p - 4
     return total
 

@@ -33,7 +33,12 @@ from .qseries import (
 
 HALF = Fraction(1, 2)
 SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
-SIEVE_GROWTH = 4  # a sweep's sieved tables grow at least this many times over
+# a sweep's sieved tables grow at least this many times over, chosen with
+# the tail's growth of about 4 (``Convolver.numerators`` rebuilds it to
+# 4 lo - 1 within the sieved length): with 4 here, the sieve's 8192 cut
+# short the tail that a sweep to N in (8192, 12284] needed, which was then
+# built again to N; 8 takes the sieve from 2048 straight to 16384
+SIEVE_GROWTH = 8
 
 
 @dataclass(frozen=True)

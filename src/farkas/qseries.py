@@ -6,10 +6,11 @@ conventions), the generalized Bernoulli number B_{2,psi} via Cohen's
 divisor-sum formula, and exact Cauchy products.
 
 The fast path is one integer layer: cached one-period tables of chi and
-(p/.) feed one divisor sieve for the int64 arrays of delta_chi(n) and
-sigma'_p, sigma~_p, sigma^_p (n >= 1); with s = 2p, s * delta_chi(0) is a
-Gaussian integer, so the Convolver computes s**2 F_chi(n), s**2 H_chi(n)
-in Gaussian integers.  Per-n scalars and ``cauchy_product`` are oracles.
+(p/.) feed one divisor sieve for the int32 arrays of delta_chi(n) and the
+int64 arrays of sigma'_p, sigma~_p, sigma^_p (n >= 1); with s = 2p,
+s * delta_chi(0) is a Gaussian integer, so the Convolver computes
+s**2 F_chi(n), s**2 H_chi(n) in Gaussian integers.  Per-n scalars and
+``cauchy_product`` are oracles.
 
 The (p/.) table is built in numpy from the squares mod p and reciprocity,
 with no ``kronecker`` call per entry.  The sieve splits the pairs d q <= N
@@ -24,7 +25,8 @@ per growth (``Convolver.extend`` and the ``prefix`` of the array builders),
 and a sweep that stops at n sieves O(n + one sweep block) coefficients.
 
 The Convolver's range read, which the sweeps use, takes F and H from
-whole-series tails built by one exact product, ``_full_product``.  A
+whole-series tails built by one exact product, ``_full_product``, which
+widens the int32 delta_chi arrays to int64 inside its kernels.  A
 product of at most SHORT_PRODUCT = 800 coefficients (every product of a
 prime scan, and the first tails of a long sweep) is one int64
 ``np.convolve``: O(m**2), but 24x faster than the alternative at m = 3 and
@@ -37,10 +39,15 @@ work, unpack the slots column by column, and remove the offset with
 prefix sums.  w is read from the packed data; every slot, correction
 term and direct sum is at most m (2K)**2 for length m, asserted below
 2**63.  Its index read F(n), H(n) (the dilated lookups F(95 n) of a
-configured identity) takes int64 dot products and builds no tail: the
+configured identity) takes int32 dot products and builds no tail: the
 summands of a*a and b*b are symmetric under j <-> n - j, so each is
-summed over j <= (n - 1) / 2 once and doubled in Python ints (see
-``Convolver``).
+summed over j <= (n - 1) / 2 once and doubled in Python ints.  Each dot
+pairs a forward slice of one delta array with a forward slice of a
+reversed copy of another, so both operands are contiguous int32 and
+``np.einsum`` sums them with SIMD in int32; it does so in chunks of at
+most (2**31 - 1) // K**2 terms, K = max |delta_chi(n)| over the sieved
+prefix (16 for p = 37 up to n = 190000, so no read is split there), and
+each chunk sum becomes a Python int (see ``Convolver`` and ``_dot``).
 """
 from __future__ import annotations
 
@@ -55,11 +62,14 @@ import numpy as np
 from .characters import DirichletCharacter
 from .foundations import PRIMES_CACHED, GaussianRational, divisors, is_prime, kronecker, sigma1
 
-MAX_FAST_N = 1_000_000  # largest N of the int64 sieves and kernel
+MAX_FAST_N = 1_000_000  # largest N of the sieves and kernel
 MAX_DIVISOR_COUNT = 240  # max d(n) for n <= MAX_FAST_N, at n = 720720 (tested)
-# |Re|, |Im| of delta_chi(n) are at most d(n): an int64 kernel dot sums at
-# most MAX_FAST_N products, each at most MAX_DIVISOR_COUNT**2
-assert MAX_FAST_N * MAX_DIVISOR_COUNT**2 < 2**63
+INT32_MAX = 2**31 - 1
+# |Re|, |Im| of delta_chi(n) are at most d(n), so they fit int32, and an
+# int32 dot of them may sum (2**31 - 1) // MAX_DIVISOR_COUNT**2 products
+# without a wrap whatever chi is: each read splits its dots in chunks
+# under the bound (2**31 - 1) // K**2 taken from the sieved values
+assert INT32_MAX // MAX_DIVISOR_COUNT**2 >= 1
 # H's tails multiply Re delta +- Im delta, so a product's offset K is at most
 # 2 MAX_DIVISOR_COUNT, and its slots and correction terms at most (N+1)(2K)**2
 assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
@@ -192,9 +202,11 @@ def _kronecker_values(p: int, N: int) -> np.ndarray:
 
 def _sieve(
     table: np.ndarray, N: int, times_d: bool = False, quotient: bool = False,
-    prefix: np.ndarray | None = None,
+    prefix: np.ndarray | None = None, dtype=np.int64,
 ) -> np.ndarray:
-    """int64 array of sum_{d | n} c(d) w(n/d) for n in 1..N (index 0 is zero).
+    """``dtype`` array of sum_{d | n} c(d) w(n/d) for n in 1..N (index 0 is
+    zero); int64 unless the caller bounds every partial sum, as
+    ``delta_int_arrays`` does for int32.
 
     c(d) = table[d mod len(table)], multiplied by d when ``times_d``;
     w(q) = q when ``quotient``, else 1.  With ``prefix``, the values at
@@ -218,7 +230,7 @@ def _sieve(
     """
     if not 0 <= N <= MAX_FAST_N:
         raise ValueError(f"fast path needs 0 <= N <= {MAX_FAST_N}, got {N}")
-    out = np.zeros(N + 1, dtype=np.int64)
+    out = np.zeros(N + 1, dtype=dtype)
     if prefix is not None:
         if len(prefix) > N + 1:
             raise ValueError(f"a prefix of {len(prefix)} values does not fit 0..{N}")
@@ -258,8 +270,13 @@ def _sieve(
 # delta series
 # ---------------------------------------------------------------------
 
+@lru_cache(maxsize=2 * PRIMES_CACHED)
 def _delta0_numerator(chi: DirichletCharacter) -> tuple[int, int]:
-    """2p * delta_chi(0) = -sum_{a=1}^{p-1} chi(a) a, a Gaussian integer."""
+    """2p * delta_chi(0) = -sum_{a=1}^{p-1} chi(a) a, a Gaussian integer.
+
+    Cached like ``character_table``: the constants, the Convolver and both
+    obstructions of a scan read it for one character, and it is one O(p)
+    dot."""
     if chi.is_trivial():
         raise ValueError("delta constant is defined for non-trivial characters only")
     re, im = character_table(chi)
@@ -294,13 +311,17 @@ def delta_series(chi: DirichletCharacter, N: int) -> QSeries:
 def delta_int_arrays(
     chi: DirichletCharacter, N: int, prefix: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) int64 arrays of delta_chi(n) for n in 1..N (index 0 is zero).
+    """(re, im) int32 arrays of delta_chi(n) for n in 1..N (index 0 is zero).
 
-    ``prefix``, such a pair to a lower N, is extended: only the new indices
-    are sieved."""
+    Sieved straight into int32: the table holds -1, 0, 1, so each partial
+    sum is at most d(n) <= MAX_DIVISOR_COUNT in absolute value.  ``prefix``,
+    such a pair to a lower N, is extended: only the new indices are sieved."""
     re, im = character_table(chi)
     re_prefix, im_prefix = (None, None) if prefix is None else prefix
-    return _sieve(re, N, prefix=re_prefix), _sieve(im, N, prefix=im_prefix)
+    return (
+        _sieve(re, N, prefix=re_prefix, dtype=np.int32),
+        _sieve(im, N, prefix=im_prefix, dtype=np.int32),
+    )
 
 
 # ---------------------------------------------------------------------
@@ -420,8 +441,9 @@ def _direct_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m = len(a), by one
     int64 ``np.convolve``: an exact integer loop of O(m**2) multiply-adds.
     Each sum it forms is at most m max|a| max|b|, within ``_full_product``'s
-    asserted bound m (2K)**2 < 2**63."""
-    return np.convolve(a, b)[: len(a)]
+    asserted bound m (2K)**2 < 2**63.  Narrower inputs are widened first."""
+    wide = np.int64
+    return np.convolve(a.astype(wide, copy=False), b.astype(wide, copy=False))[: len(a)]
 
 
 def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
@@ -437,20 +459,22 @@ def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
     and decimals.
     """
     m = len(a)
-    x = a + K
-    y = x if b is a else b + K
+    x = np.add(a, K, dtype=np.int64)  # int64 even from int32 a, b
+    y = x if b is a else np.add(b, K, dtype=np.int64)
     xmax, ymax = int(x.max()), int(y.max())
     top = max(min(int(x.sum()) * ymax, xmax * int(y.sum())), xmax, ymax)
     w = len(str(top))
     X = _pack(x, w)
     xy = _unpack(_EXACT.multiply(X, X if y is x else _pack(y, w)), m, w)
-    xy -= K * (np.cumsum(a) + np.cumsum(b)) + K * K * np.arange(1, m + 1, dtype=np.int64)
+    A, B = np.cumsum(a, dtype=np.int64), np.cumsum(b, dtype=np.int64)
+    xy -= K * (A + B) + K * K * np.arange(1, m + 1, dtype=np.int64)
     return xy
 
 
 def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m, from int64 a, b of
-    one length m >= 1; exact.
+    """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m, from int32 or int64
+    a, b of one length m >= 1; exact.  Both kernels compute in int64, so
+    the Convolver passes its int32 delta arrays with no int64 copy.
 
     With K = max |a|, |b|, every sum either kernel forms is at most
     m (2K)**2, asserted below 2**63 here.  A product of at most
@@ -467,6 +491,7 @@ def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = len(a)
     if m == 0 or len(b) != m:
         raise ValueError(f"expected two non-empty series of one length, got {m}, {len(b)}")
+    assert {a.dtype, b.dtype} <= {np.dtype(np.int32), np.dtype(np.int64)}, (a.dtype, b.dtype)
     K = int(max(np.abs(a).max(), np.abs(b).max()))
     assert m * (2 * K) ** 2 < 2**63, (m, K)
     if m <= SHORT_PRODUCT:
@@ -478,10 +503,32 @@ def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # convolutions F and H
 # ---------------------------------------------------------------------
 
+def _dot_chunk(K: int) -> int:
+    """The most terms an int32 dot may sum when each factor is at most K in
+    absolute value: every partial sum of (2**31 - 1) // K**2 products of
+    at most K**2 stays within int32."""
+    chunk = INT32_MAX // max(K, 1) ** 2
+    assert chunk >= 1 and chunk * K * K <= INT32_MAX, K
+    return chunk
+
+
+def _dot(x: np.ndarray, y: np.ndarray, chunk: int) -> int:
+    """sum_j x[j] y[j] as a Python int, for contiguous int32 x, y of one
+    length whose products fit the bound of ``_dot_chunk`` = ``chunk``.
+
+    ``np.einsum`` sums int32 operands in int32 with SIMD; each chunk of at
+    most ``chunk`` terms therefore cannot wrap, and the chunk sums add in
+    Python ints."""
+    return sum(
+        int(np.einsum("i,i->", x[i : i + chunk], y[i : i + chunk]))
+        for i in range(0, len(x), chunk)
+    )
+
+
 class Convolver:
     """F_chi / H_chi over the common denominator s**2, s = 2p.
 
-    With a, b the int64 arrays of Re, Im delta_chi(j) (a[0] = b[0] = 0) and
+    With a, b the int32 arrays of Re, Im delta_chi(j) (a[0] = b[0] = 0) and
     L = s delta_chi(0), for n >= 1
         s**2 F(n) = s**2 T(n) + s (L delta'(n) + delta(n) L'),
     where delta' is conj(delta_chi) for F and delta_chi for H, L' likewise,
@@ -491,17 +538,25 @@ class Convolver:
 
     - ``numerators(lo, hi, c)``, the range read of the sweeps: T(lo..hi-1)
       from a cached whole-series tail, built by two ``_full_product`` calls
-      (O(m log m) for m coefficients).  When hi - 1 lies past it, the tail
-      is rebuilt to max(hi - 1, twice its old reach), at most ``capacity``,
-      so ascending reads to N rebuild it O(log N) times;
+      (O(m log m) for m coefficients), which compute in int64.  When
+      hi - 1 lies past it, the tail is rebuilt to max(hi - 1, 4 lo - 1),
+      at most ``capacity``.  A sweep's block [lo, hi) starts at or before
+      any n it can fail at, so a refutation at n builds tails that reach
+      below 4 n; and since its blocks double (then grow by a fixed step),
+      each rebuild reaches about four times as far as the last, so
+      ascending reads to N rebuild it O(log N) times;
     - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail.  a*a and b*b
-      at n are unchanged under j <-> n - j, so each takes one int64 dot
-      over 1 <= j <= h = (n - 1) // 2, doubled in Python ints, plus the
-      middle term a[n/2]**2 (b[n/2]**2) once for even n.  F takes those
-      two half-length dots; H takes them for its real part a*a - b*b and
-      one dot a.b' over 0 < j < n for its imaginary part (a.b' = b.a').
-      A half-length dot is at most h MAX_DIVISOR_COUNT**2, under the
-      full-length bound asserted with MAX_FAST_N: no new int64 cap.
+      at n are unchanged under j <-> n - j, so each takes one dot over
+      1 <= j <= h = (n - 1) // 2, doubled in Python ints, plus the middle
+      term a[n/2]**2 (b[n/2]**2) once for even n.  F takes those two
+      half-length dots; H takes them for its real part a*a - b*b and one
+      dot a.b' over 0 < j < n for its imaginary part (a.b' = b.a').
+
+    The dots are contiguous int32 SIMD dots (``_dot``): delta(n - j) for
+    j = 1, 2, ... is a forward slice of a reversed copy of a or b, kept
+    beside them, so a, b and their copies take 16 bytes per index.  Each
+    dot is summed in chunks of at most (2**31 - 1) // K**2 terms, where
+    K = max |a|, |b| over the sieved prefix is taken when it is sieved.
 
     a, b are sieved only as far as asked: a read extends them through
     ``ensure``, and a sweep extends them ahead of each block through
@@ -512,7 +567,10 @@ class Convolver:
         self.chi = chi
         self.denominator = (2 * chi.p) ** 2
         self._L = _delta0_numerator(chi)
-        self._re = self._im = np.zeros(1, dtype=np.int64)
+        self._re = self._im = np.zeros(1, dtype=np.int32)
+        # _re_rev[k] = _re[capacity - k], likewise _im_rev
+        self._re_rev = self._im_rev = self._re
+        self._chunk = _dot_chunk(0)  # terms per int32 dot: see _dot
         # conjugation c -> (Re T, Im T) over 0..reach; Im T of F is zero: None
         self._tails = {}
 
@@ -524,9 +582,14 @@ class Convolver:
     def extend(self, n: int) -> None:
         """Sieve delta_chi to exactly n, if it is not sieved that far: only
         the new indices are sieved.  The sweeps grow it this way, by their
-        own schedule, so it never passes their nmax."""
+        own schedule, so it never passes their nmax.  The reversed copies
+        are rebuilt, and the dot chunk recomputed from the new K."""
         if n > self.capacity:
             self._re, self._im = delta_int_arrays(self.chi, n, prefix=(self._re, self._im))
+            self._re_rev = self._re[::-1].copy()  # one old copy freed at a time
+            self._im_rev = self._im[::-1].copy()
+            K = max(max(int(x.max()), -int(x.min())) for x in (self._re, self._im))
+            self._chunk = _dot_chunk(K)
 
     def ensure(self, n: int) -> None:
         """Sieve delta_chi to n, or to twice the capacity (at most
@@ -536,24 +599,26 @@ class Convolver:
             self.extend(max(n, min(2 * self.capacity, MAX_FAST_N)))
 
     def _whole_tail(self, m: int, c: int):
-        a, b = self._re[: m + 1], self._im[: m + 1]
+        a, b = self._re[: m + 1], self._im[: m + 1]  # |a +- b| <= 480: int32
         if c < 0:
             return _full_product(a, a) + _full_product(b, b), None
         return _full_product(a + b, a - b), 2 * _full_product(a, b)
 
     def _dot_tail(self, n: int, c: int) -> tuple[int, int]:
         """(Re T(n), Im T(n)) for n >= 1: a*a and b*b from half-length
-        dots (see the class docstring), Im T of H from one full-length dot."""
+        dots (see the class docstring), Im T of H from one full-length dot,
+        each a contiguous int32 ``_dot`` chunked under the derived bound."""
         h = (n - 1) // 2
-        re, im = self._re, self._im
-        aa = 2 * int(re[1 : h + 1] @ re[n - 1 : n - 1 - h : -1])
-        bb = 2 * int(im[1 : h + 1] @ im[n - 1 : n - 1 - h : -1])
+        re, im, chunk = self._re, self._im, self._chunk
+        r = self.capacity - n  # *_rev[r + j] = *[n - j]
+        aa = 2 * _dot(re[1 : h + 1], self._re_rev[r + 1 : r + h + 1], chunk)
+        bb = 2 * _dot(im[1 : h + 1], self._im_rev[r + 1 : r + h + 1], chunk)
         if n % 2 == 0:
             aa += int(re[n // 2]) ** 2
             bb += int(im[n // 2]) ** 2
         if c < 0:
             return aa + bb, 0
-        return aa - bb, 2 * int(re[1:n] @ im[n - 1 : 0 : -1])
+        return aa - bb, 2 * _dot(re[1:n], self._im_rev[r + 1 : r + n], chunk)
 
     def _at_zero(self, c: int) -> tuple[int, int]:
         """s**2 times the n = 0 term delta_chi(0) delta'(0): L L', L' = u + i c v."""
@@ -589,7 +654,7 @@ class Convolver:
         self.ensure(top)
         reach = len(self._tails[c][0]) - 1 if c in self._tails else -1
         if reach < top:
-            m = min(max(top, 2 * reach), self.capacity)
+            m = min(max(top, 4 * lo - 1), self.capacity)
             self._tails.pop(c, None)  # free the old tail before the product's scratch
             self._tails[c] = self._whole_tail(m, c)
         tail_re, tail_im = self._tails[c]

@@ -310,10 +310,10 @@ class TestDeterminism:
         assert json.loads(json.dumps(data)) == data
 
 
-def _timing_free_sha256(argv, capsys) -> str:
+def _timing_free_sha256(argv, capsys, code=EXIT_PASS) -> str:
     """sha256 of the report's JSON with elapsed_ms dropped, keys sorted."""
     capsys.readouterr()
-    assert main(argv) == EXIT_PASS
+    assert main(argv) == code
     data = json.loads(capsys.readouterr().out)
     del data["elapsed_ms"]
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
@@ -342,10 +342,74 @@ PINNED_SCAN_REPORTS = {
 }
 
 
+# fails at n = 1999 only, where the lhs adds H(190000) to H(1999): every H(n)
+# for n < 1999 and that one long index read are pinned by the report
+TILDE_HAT_FAILS_AT_1999 = {
+    "p": 13,
+    "chi": "quartic-i",
+    "terms": [{"A": "1,0", "B": 1, "C": 1}, {"A": "1,0", "B": 1999, "C": 190000}],
+    "rhs": {"kind": "tilde_hat", "coefficients": ["0,-1/2", "1,3/2"]},
+}
+
+# the verify reports as the int64-dot index reads and the tail schedule of
+# sieve x4 / tail x2 wrote them; a --config name is a built-in config or,
+# for tilde_hat_fails_at_1999, the config above written to a file
+PINNED_VERIFY_REPORTS = {
+    **{
+        f"verify --kind config --config {name} --nmax 2000":
+            "8345f3ec944ca5b81d7ae7eaa29a706e7157c2f1e5e23ab2849c9e28082e045f"
+        for name in ("p37_2_17.json", "p37_2_19.json", "p37_5_17.json", "p37_5_19.json")
+    },
+    "verify --kind config --config tilde_hat_fails_at_1999 --nmax 2000":
+        "af7027a7512338cd5515a4bf1da4fa9c55dde27a198286dcc4901a451ac6b7f1",
+    "verify --p 13 --chi quartic-i --kind conv --nmax 15000":
+        "04c4b79460efb9daea953490b4e645b760d58f521f6e7e36f362d3975f7f2585",
+    "verify --p 13 --chi quartic-minus-i --kind conv --nmax 15000":
+        "441f88e38d9246c096ba709e2170c6e6fd3aa03bb363213c96a8b9e232cf65e3",
+    "verify --p 13 --chi quartic-i --kind square --nmax 15000":
+        "e4e54691af37e04a43d87d33c945d734b17b6d000b97982e054f59512384fa3b",
+    "verify --p 13 --chi quartic-minus-i --kind square --nmax 15000":
+        "86aef50e459782e8cdbee988ed2e1a98cf56fd00b21d41546814941ee94b5b95",
+    "verify --kind farkas --nmax 10000":
+        "4541f94ff54728f5909c1090410ce2e5897bea299ee8c202c2b197f98b09ef19",
+}
+
+
+class TestPinnedVerifyReports:
+    @pytest.mark.parametrize("argv", list(PINNED_VERIFY_REPORTS))
+    def test_report_hash_is_pinned(self, argv, tmp_path, capsys):
+        args = argv.split()
+        if "--config" in args:
+            i = args.index("--config") + 1
+            if args[i] in builtin_config_names():
+                args[i] = str(resources.files("farkas").joinpath("configs", args[i]))
+            else:
+                path = tmp_path / "tilde_hat.json"
+                path.write_text(json.dumps(TILDE_HAT_FAILS_AT_1999))
+                args[i] = str(path)
+        expected = EXIT_FAILURE if "fails" in argv else EXIT_PASS
+        assert _timing_free_sha256(args, capsys, expected) == PINNED_VERIFY_REPORTS[argv]
+
+    def test_the_tilde_hat_config_fails_at_1999(self, tmp_path, capsys):
+        path = tmp_path / "tilde_hat.json"
+        path.write_text(json.dumps(TILDE_HAT_FAILS_AT_1999))
+        argv = ["verify", "--kind", "config", "--config", str(path), "--nmax", "2000"]
+        assert main(argv) == EXIT_FAILURE
+        assert json.loads(capsys.readouterr().out)["first_failure"]["n"] == 1999
+
+
 class TestPinnedScanReports:
     @pytest.mark.parametrize("argv", list(PINNED_SCAN_REPORTS))
     def test_report_hash_is_pinned(self, argv, capsys):
         assert _timing_free_sha256(argv.split(), capsys) == PINNED_SCAN_REPORTS[argv]
+
+    def test_a_large_safe_prime_is_pinned(self, capsys):
+        # f's exponent sums are counted a chunk of j at a time; at p = 20123
+        # the chunks close dozens of times, so every chunk boundary is pinned
+        argv = ["poly", "--p", "20123"]
+        assert _timing_free_sha256(argv, capsys) == (
+            "5c1c101af68c6d97521175e781385a7b324200aa8e1ae3048e5faa5ccaa8483a"
+        )
 
     def test_every_safe_prime_below_1100_is_pinned(self):
         from farkas.charpoly import safe_prime_scan

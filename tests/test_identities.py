@@ -4,6 +4,7 @@ from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from farkas.identities import (
 )
 from farkas.qseries import (
     Convolver,
+    _delta0_numerator,
     bernoulli_B2_psi,
     character_table,
     convolver,
@@ -88,10 +90,10 @@ def _sieved():
     log = []
     sieve = qseries._sieve
 
-    def logged(table, N, times_d=False, quotient=False, prefix=None):
+    def logged(table, N, times_d=False, quotient=False, prefix=None, dtype=np.int64):
         lo = 1 if prefix is None else max(len(prefix), 1)
         log.append(_Sieved(table.tobytes(), times_d, quotient, lo, N))
-        return sieve(table, N, times_d, quotient, prefix)
+        return sieve(table, N, times_d, quotient, prefix, dtype)
 
     return mock.patch.object(qseries, "_sieve", logged), log
 
@@ -248,7 +250,7 @@ class TestBlockSweep:
         that reads past the capacity c grows it to max(hi - 1, SWEEP_BLOCK,
         G c), with c < hi - 1 and hi <= 2 lo <= 2 n: under 2 G n.  No 4 n
         bound holds for G > 2: at n = 1536 the block [1536, 3072) grows 2048
-        to 8192."""
+        to G 2048."""
         convolver.cache_clear()
         patch, sieved = _sieved()
         with _patched_rhs(n), patch:
@@ -280,6 +282,30 @@ class TestBlockSweep:
             assert [lo for lo, _ in parts] == [1] + [N + 1 for _, N in parts[:-1]]
             assert parts[-1][1] == nmax
             assert 1 < len(parts) <= 2 + math.log(nmax / SWEEP_BLOCK, SIEVE_GROWTH)
+
+    @pytest.mark.parametrize(
+        "kind, nmax, most",
+        [("farkas", 10_000, 44_570), ("conv", 15_000, 70_956), ("square", 15_000, 70_956)],
+    )
+    def test_a_passing_sweep_builds_few_tails(self, kind, nmax, most):
+        # tails reach max(hi - 1, 4 lo - 1) and the sieve grows 8x, so past
+        # the first sieved block (2048) the next tail reaches nmax: with
+        # growths 2 and 4 the sweep to 10000 built tails of 6143, 8193 and
+        # 10001 coefficients (60956 in all), the eager sieve 6143 and 10001
+        # (44570); at 15000 the bound is the lazy sieve's 70956
+        sweeps = {
+            "conv": lambda: verify_id1(13, nmax),
+            "square": lambda: verify_id2(13, canonical_quartic(13), nmax),
+            "farkas": lambda: verify_farkas(nmax),
+        }
+        convolver.cache_clear()
+        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+            assert sweeps[kind]().passed
+        lengths = [len(call.args[0]) for call in spy.call_args_list]
+        assert sum(lengths) <= most, lengths
+        # two products per tail; 2049 is cut at the first sieved block
+        tails = [3, 12, 48, 192, 768, SWEEP_BLOCK + 1, 6144, nmax + 1]
+        assert lengths == [m for m in tails for _ in range(2)]
 
 
 class TestVerifyId2:
@@ -702,6 +728,19 @@ class TestObstructions:
             assert info.misses == len(primes) and info.hits > 0, cached
         assert d0.call_count == len(primes)
 
+    def test_scan_computes_each_delta0_numerator_once(self):
+        # 2p delta_chi(0) is read four times per prime (the constants, the
+        # Convolver, both obstructions); the O(p) dot runs once per character
+        primes = quartic_primes(1000)
+        assert len(primes) == 43
+        for cached in (convolver, constants_for, _delta0_numerator):
+            cached.cache_clear()
+        with mock.patch.object(identities, "delta_constant", wraps=delta_constant) as d0:
+            dichotomy_scan(1000, 50)
+        info = _delta0_numerator.cache_info()  # misses: calls of the dot itself
+        assert (info.misses, info.hits + info.misses) == (43, 172)
+        assert d0.call_count == 43  # the public delta_constant still once per prime
+
     def test_integer_verdicts_and_constants_match_the_rational_formulas(self):
         outcomes = set()
         for p in quartic_primes(5000):
@@ -730,7 +769,7 @@ class TestObstructions:
 
 SCAN_CACHES = (
     convolver, character_table, kronecker_table, quartic_pair, discrete_log_table,
-    bernoulli_B2_psi, constants_for,
+    bernoulli_B2_psi, constants_for, _delta0_numerator,
 )
 
 

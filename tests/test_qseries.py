@@ -1,5 +1,6 @@
 import decimal
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -455,9 +456,13 @@ class TestFullProduct:
         if square:
             b = a
         want = _naive_product(a, b)
-        for kernel, got in _kernels(a, b).items():
-            assert got.dtype == np.int64 and len(got) == len(a), kernel
-            assert got.tolist() == want, kernel
+        # int32 inputs too, as a Convolver passes them: the kernels widen,
+        # so products past 2**31 (K = 10**6) stay exact
+        narrow = a.astype(np.int32)
+        for a, b in ((a, b), (narrow, narrow if square else b.astype(np.int32))):
+            for kernel, got in _kernels(a, b).items():
+                assert got.dtype == np.int64 and len(got) == len(a), kernel
+                assert got.tolist() == want, (kernel, a.dtype)
 
     def test_both_kernels_match_the_cauchy_product_at_the_cutoff(self):
         # lengths SHORT_PRODUCT - 1, SHORT_PRODUCT (direct) and SHORT_PRODUCT + 1
@@ -510,7 +515,7 @@ class TestFullProduct:
         # one product at N = 15000: the result plus about ten bytes per
         # packed digit, for the digit arrays, the text and the decimals
         N = 15_000
-        re, im = delta_int_arrays(quartic_pair(13)[0], N)
+        re, im = delta_int_arrays(quartic_pair(13)[0], N)  # int32, as a Convolver holds them
         m = N + 1
         for a, b in ((re, re), (re + im, re - im)):
             K = int(max(np.abs(a).max(), np.abs(b).max()))
@@ -714,14 +719,18 @@ class TestConvolutions:
         assert len(conv._re) == 301
 
 
-class _DotLengths(np.ndarray):
-    """int64 view that records the length of every ``@`` it takes part in."""
+def _logged_dots():
+    """A patch of ``qseries._dot`` that logs the operand lengths of every
+    dot, checking that both are contiguous int32, and the log."""
+    log, dot = [], qseries._dot
 
-    log: list = []
+    def logged(x, y, chunk):
+        for v in (x, y):
+            assert v.dtype == np.int32 and v.flags.c_contiguous, (v.dtype, v.flags)
+        log.append((len(x), len(y)))
+        return dot(x, y, chunk)
 
-    def __matmul__(self, other):
-        _DotLengths.log.append((len(self), len(other)))
-        return np.asarray(self) @ np.asarray(other)
+    return mock.patch.object(qseries, "_dot", logged), log
 
 
 @lru_cache(maxsize=None)
@@ -769,9 +778,58 @@ class TestHalfLengthIndexRead:
         conv = Convolver(quartic_pair(13)[0])
         conv.ensure(n)
         want = {conv.F: conv.F(n), conv.H: conv.H(n)}
-        conv._re, conv._im = conv._re.view(_DotLengths), conv._im.view(_DotLengths)
         h = (n - 1) // 2
         for read, lengths in ((conv.F, [(h, h)] * 2), (conv.H, [(h, h)] * 2 + [(n - 1, n - 1)])):
-            _DotLengths.log = []
-            assert read(n) == want[read]
-            assert _DotLengths.log == lengths, read
+            patch, log = _logged_dots()
+            with patch:
+                assert read(n) == want[read]
+            assert log == lengths, read
+
+    def test_split_dots_match_a_python_int_oracle(self):
+        # every delta is +-240, the divisor-count bound: Re = 240, Im = -240,
+        # so each dot sums like-signed products of 240**2 and is split in
+        # chunks of (2**31 - 1) // 240**2 = 37282 terms; one more term per
+        # chunk would wrap int32.  Reads on both sides of each boundary.
+        chi = quartic_pair(13)[0]
+        chunk = qseries._dot_chunk(MAX_DIVISOR_COUNT)
+        assert chunk == 37282
+        N = 4 * chunk + 10
+        re = np.full(N + 1, MAX_DIVISOR_COUNT, dtype=np.int32)
+        im = -re
+        re[0] = im[0] = 0
+        conv = Convolver(chi)
+        with mock.patch.object(qseries, "delta_int_arrays", lambda chi, n, prefix: (re, im)):
+            conv.extend(N)
+        assert conv._chunk == chunk
+        s = 2 * chi.p
+        X = [conv._L[0]] + [s * v for v in re[1:].tolist()]  # s delta(j)
+        Y = [conv._L[1]] + [s * v for v in im[1:].tolist()]
+
+        def oracle(n, c):
+            # s**2 sum_j delta(j) delta'(n - j), delta' = conj(delta) for c = -1
+            def dot(u, v):
+                return sum(map(operator.mul, u[: n + 1], reversed(v[: n + 1])))
+
+            return dot(X, X) - c * dot(Y, Y), c * dot(X, Y) + dot(Y, X)
+
+        ns = set()
+        for k in (1, 2):
+            for length in (k * chunk - 1, k * chunk, k * chunk + 1):
+                ns |= {length + 1, 2 * length + 1, 2 * length + 2}  # n - 1 or h
+        patch, log = _logged_dots()
+        with patch:
+            for n in sorted(ns):
+                assert conv.F(n) == oracle(n, -1), n
+                assert conv.H(n) == oracle(n, 1), n
+        assert max(length for length, _ in log) > 2 * chunk  # split in three
+
+    def test_delta_takes_sixteen_bytes_per_index(self):
+        # Re, Im delta and their reversed copies: four int32 arrays
+        conv = Convolver(quartic_pair(13)[0])
+        for n in (1, 50, 1000, 5000):
+            conv.ensure(n)
+            arrays = (conv._re, conv._im, conv._re_rev, conv._im_rev)
+            assert all(x.dtype == np.int32 for x in arrays)
+            assert sum(x.nbytes for x in arrays) == 16 * (conv.capacity + 1)
+            assert np.array_equal(conv._re_rev, conv._re[::-1])
+            assert np.array_equal(conv._im_rev, conv._im[::-1])
