@@ -55,11 +55,19 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return self.e == 0
 
+    def _sibling(self, e: int) -> "DirichletCharacter":
+        """The character of exponent e mod p - 1 against this one's p and g,
+        which ``__post_init__`` has validated: it is not run again."""
+        chi = object.__new__(DirichletCharacter)
+        for name, value in (("p", self.p), ("g", self.g), ("e", e % (self.p - 1))):
+            object.__setattr__(chi, name, value)
+        return chi
+
     def conj(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.p, self.g, (self.p - 1 - self.e) % (self.p - 1))
+        return self._sibling(-self.e)
 
     def power(self, k: int) -> "DirichletCharacter":
-        return DirichletCharacter(self.p, self.g, (k * self.e) % (self.p - 1))
+        return self._sibling(k * self.e)
 
     # -- evaluation ---------------------------------------------------
 
@@ -135,4 +143,5 @@ def all_characters(p: int, g: int | None = None) -> list[DirichletCharacter]:
     """The full cyclic character group mod p, ordered by exponent."""
     if g is None:
         g = primitive_root(p)
-    return [DirichletCharacter(p, g, e) for e in range(p - 1)]
+    trivial = DirichletCharacter(p, g, 0)  # validates p and g, once
+    return [trivial] + [trivial._sibling(e) for e in range(1, p - 1)]

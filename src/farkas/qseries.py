@@ -6,7 +6,7 @@ conventions), the generalized Bernoulli number B_{2,psi} via Cohen's
 divisor-sum formula, and exact Cauchy products.
 
 The fast path is one integer layer: cached one-period tables of chi and
-(p/.) feed one divisor sieve for the int32 arrays of delta_chi(n) and the
+(p/.) feed one divisor sieve for the int16 arrays of delta_chi(n) and the
 int64 arrays of sigma'_p, sigma~_p, sigma^_p (n >= 1); with s = 2p,
 s * delta_chi(0) is a Gaussian integer, so the Convolver computes
 s**2 F_chi(n), s**2 H_chi(n) in Gaussian integers.  Per-n scalars and
@@ -24,9 +24,14 @@ the sweeps sieve delta_chi and the divisor sums as they read, one segment
 per growth (``Convolver.extend`` and the ``prefix`` of the array builders),
 and a sweep that stops at n sieves O(n + one sweep block) coefficients.
 
+delta_chi is stored once, as the int16 pair (Re, Im): |delta_chi(n)| is at
+most d(n) <= MAX_DIVISOR_COUNT = 240, and H's tails form Re +- Im, at most
+480 < 2**15 (both asserted below).  That pair is all a sweep or a prime
+scan holds, 4 bytes per index.
+
 The Convolver's range read, which the sweeps use, takes F and H from
 whole-series tails built by one exact product, ``_full_product``, which
-widens the int32 delta_chi arrays to int64 inside its kernels.  A
+widens the int16 delta_chi arrays to int64 inside its kernels.  A
 product of at most SHORT_PRODUCT = 800 coefficients (every product of a
 prime scan, and the first tails of a long sweep) is one int64
 ``np.convolve``: O(m**2), but 24x faster than the alternative at m = 3 and
@@ -38,16 +43,26 @@ context, so libmpdec's number-theoretic transform does the O(n log n)
 work, unpack the slots column by column, and remove the offset with
 prefix sums.  w is read from the packed data; every slot, correction
 term and direct sum is at most m (2K)**2 for length m, asserted below
-2**63.  Its index read F(n), H(n) (the dilated lookups F(95 n) of a
-configured identity) takes int32 dot products and builds no tail: the
-summands of a*a and b*b are symmetric under j <-> n - j, so each is
-summed over j <= (n - 1) / 2 once and doubled in Python ints.  Each dot
-pairs a forward slice of one delta array with a forward slice of a
-reversed copy of another, so both operands are contiguous int32 and
-``np.einsum`` sums them with SIMD in int32; it does so in chunks of at
-most (2**31 - 1) // K**2 terms, K = max |delta_chi(n)| over the sieved
-prefix (16 for p = 37 up to n = 190000, so no read is split there), and
-each chunk sum becomes a Python int (see ``Convolver`` and ``_dot``).
+2**63.
+
+Its index read F(n), H(n) (the dilated lookups F(95 n) of a configured
+identity) takes half-length dot products and builds no tail: a*a, b*b and
+a*b + b*a are symmetric under j <-> n - j, so each is summed over
+j <= (n - 1) / 2 once, plus the middle term at even n, in Python ints.
+The dots read float32 mirrors of delta_chi, built on the first index read
+after a growth: a forward mirror over 0..(capacity - 1) // 2 and a
+reversed one over 0..capacity, so both operands of every dot are
+contiguous float32 and one BLAS ``np.dot`` sums them (0.15 ns per
+multiply-add at length 95 000 on a 2-core Xeon VM, against 0.29 ns for
+an int32 ``np.einsum`` dot of the same operands).  float32 is used only
+as an exact integer unit: each dot is split in chunks of 2**24 // K**2 terms,
+K = max |delta_chi(n)| over the sieved prefix, so every product and every
+partial sum, in any order of addition, is an integer of magnitude at most
+2**24, which float32 holds exactly; the chunk sums add in Python ints.
+K = 16 for p = 37 up to n = 10**6 (a chunk of 65 536 terms), and K <= 32
+for p in {5, 13, 29, 37, 53, 61, 101} there.  A Convolver that has served
+an index read holds 16 bytes per index: the int16 pair and 12 bytes of
+mirrors (see ``Convolver`` and ``_dot``).
 """
 from __future__ import annotations
 
@@ -64,12 +79,15 @@ from .foundations import PRIMES_CACHED, GaussianRational, divisors, is_prime, kr
 
 MAX_FAST_N = 1_000_000  # largest N of the sieves and kernel
 MAX_DIVISOR_COUNT = 240  # max d(n) for n <= MAX_FAST_N, at n = 720720 (tested)
-INT32_MAX = 2**31 - 1
-# |Re|, |Im| of delta_chi(n) are at most d(n), so they fit int32, and an
-# int32 dot of them may sum (2**31 - 1) // MAX_DIVISOR_COUNT**2 products
-# without a wrap whatever chi is: each read splits its dots in chunks
-# under the bound (2**31 - 1) // K**2 taken from the sieved values
-assert INT32_MAX // MAX_DIVISOR_COUNT**2 >= 1
+INT16_MAX = 2**15 - 1
+FLOAT32_EXACT = 2**24  # float32 holds every integer up to here exactly, not 2**24 + 1
+# |Re|, |Im| of delta_chi(n) are at most d(n) <= MAX_DIVISOR_COUNT, and H's
+# tails add and subtract them: both fit the int16 store
+assert 2 * MAX_DIVISOR_COUNT <= INT16_MAX
+# a float32 dot of FLOAT32_EXACT // MAX_DIVISOR_COUNT**2 products of them is
+# exact whatever chi is: each read splits its dots in chunks under the bound
+# FLOAT32_EXACT // K**2 taken from the sieved values
+assert FLOAT32_EXACT // MAX_DIVISOR_COUNT**2 >= 1
 # H's tails multiply Re delta +- Im delta, so a product's offset K is at most
 # 2 MAX_DIVISOR_COUNT, and its slots and correction terms at most (N+1)(2K)**2
 assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
@@ -206,7 +224,7 @@ def _sieve(
 ) -> np.ndarray:
     """``dtype`` array of sum_{d | n} c(d) w(n/d) for n in 1..N (index 0 is
     zero); int64 unless the caller bounds every partial sum, as
-    ``delta_int_arrays`` does for int32.
+    ``delta_int_arrays`` does for int16.
 
     c(d) = table[d mod len(table)], multiplied by d when ``times_d``;
     w(q) = q when ``quotient``, else 1.  With ``prefix``, the values at
@@ -311,16 +329,16 @@ def delta_series(chi: DirichletCharacter, N: int) -> QSeries:
 def delta_int_arrays(
     chi: DirichletCharacter, N: int, prefix: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) int32 arrays of delta_chi(n) for n in 1..N (index 0 is zero).
+    """(re, im) int16 arrays of delta_chi(n) for n in 1..N (index 0 is zero).
 
-    Sieved straight into int32: the table holds -1, 0, 1, so each partial
+    Sieved straight into int16: the table holds -1, 0, 1, so each partial
     sum is at most d(n) <= MAX_DIVISOR_COUNT in absolute value.  ``prefix``,
     such a pair to a lower N, is extended: only the new indices are sieved."""
     re, im = character_table(chi)
     re_prefix, im_prefix = (None, None) if prefix is None else prefix
     return (
-        _sieve(re, N, prefix=re_prefix, dtype=np.int32),
-        _sieve(im, N, prefix=im_prefix, dtype=np.int32),
+        _sieve(re, N, prefix=re_prefix, dtype=np.int16),
+        _sieve(im, N, prefix=im_prefix, dtype=np.int16),
     )
 
 
@@ -459,7 +477,7 @@ def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
     and decimals.
     """
     m = len(a)
-    x = np.add(a, K, dtype=np.int64)  # int64 even from int32 a, b
+    x = np.add(a, K, dtype=np.int64)  # int64 even from int16 a, b
     y = x if b is a else np.add(b, K, dtype=np.int64)
     xmax, ymax = int(x.max()), int(y.max())
     top = max(min(int(x.sum()) * ymax, xmax * int(y.sum())), xmax, ymax)
@@ -472,9 +490,9 @@ def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
 
 
 def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m, from int32 or int64
+    """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m, from int16 or int64
     a, b of one length m >= 1; exact.  Both kernels compute in int64, so
-    the Convolver passes its int32 delta arrays with no int64 copy.
+    the Convolver passes its int16 delta arrays with no int64 copy.
 
     With K = max |a|, |b|, every sum either kernel forms is at most
     m (2K)**2, asserted below 2**63 here.  A product of at most
@@ -491,7 +509,7 @@ def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = len(a)
     if m == 0 or len(b) != m:
         raise ValueError(f"expected two non-empty series of one length, got {m}, {len(b)}")
-    assert {a.dtype, b.dtype} <= {np.dtype(np.int32), np.dtype(np.int64)}, (a.dtype, b.dtype)
+    assert {a.dtype, b.dtype} <= {np.dtype(np.int16), np.dtype(np.int64)}, (a.dtype, b.dtype)
     K = int(max(np.abs(a).max(), np.abs(b).max()))
     assert m * (2 * K) ** 2 < 2**63, (m, K)
     if m <= SHORT_PRODUCT:
@@ -504,31 +522,34 @@ def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def _dot_chunk(K: int) -> int:
-    """The most terms an int32 dot may sum when each factor is at most K in
-    absolute value: every partial sum of (2**31 - 1) // K**2 products of
-    at most K**2 stays within int32."""
-    chunk = INT32_MAX // max(K, 1) ** 2
-    assert chunk >= 1 and chunk * K * K <= INT32_MAX, K
+    """The most terms a float32 dot may sum exactly when each factor is an
+    integer of magnitude at most K: every partial sum of 2**24 // K**2
+    products of at most K**2 is an integer within FLOAT32_EXACT."""
+    chunk = FLOAT32_EXACT // max(K, 1) ** 2
+    assert chunk >= 1 and chunk * K * K <= FLOAT32_EXACT, K
     return chunk
 
 
 def _dot(x: np.ndarray, y: np.ndarray, chunk: int) -> int:
-    """sum_j x[j] y[j] as a Python int, for contiguous int32 x, y of one
-    length whose products fit the bound of ``_dot_chunk`` = ``chunk``.
+    """sum_j x[j] y[j] as a Python int, for contiguous float32 x, y of one
+    length holding integers whose products fit the bound of ``_dot_chunk``
+    = ``chunk``.
 
-    ``np.einsum`` sums int32 operands in int32 with SIMD; each chunk of at
-    most ``chunk`` terms therefore cannot wrap, and the chunk sums add in
-    Python ints."""
+    Each chunk of at most ``chunk`` terms is one BLAS ``np.dot``.  In
+    whatever order it adds them, each partial sum is a sum of at most
+    ``chunk`` of the products, so an integer within 2**24: no product or
+    sum rounds.  The chunk sums add in Python ints."""
+    if len(x) <= chunk:
+        return int(np.dot(x, y))
     return sum(
-        int(np.einsum("i,i->", x[i : i + chunk], y[i : i + chunk]))
-        for i in range(0, len(x), chunk)
+        int(np.dot(x[i : i + chunk], y[i : i + chunk])) for i in range(0, len(x), chunk)
     )
 
 
 class Convolver:
     """F_chi / H_chi over the common denominator s**2, s = 2p.
 
-    With a, b the int32 arrays of Re, Im delta_chi(j) (a[0] = b[0] = 0) and
+    With a, b the int16 arrays of Re, Im delta_chi(j) (a[0] = b[0] = 0) and
     L = s delta_chi(0), for n >= 1
         s**2 F(n) = s**2 T(n) + s (L delta'(n) + delta(n) L'),
     where delta' is conj(delta_chi) for F and delta_chi for H, L' likewise,
@@ -545,18 +566,24 @@ class Convolver:
       below 4 n; and since its blocks double (then grow by a fixed step),
       each rebuild reaches about four times as far as the last, so
       ascending reads to N rebuild it O(log N) times;
-    - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail.  a*a and b*b
-      at n are unchanged under j <-> n - j, so each takes one dot over
-      1 <= j <= h = (n - 1) // 2, doubled in Python ints, plus the middle
-      term a[n/2]**2 (b[n/2]**2) once for even n.  F takes those two
-      half-length dots; H takes them for its real part a*a - b*b and one
-      dot a.b' over 0 < j < n for its imaginary part (a.b' = b.a').
+    - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail.  a*a, b*b and
+      a*b + b*a at n are unchanged under j <-> n - j, so each takes dots
+      over 1 <= j <= h = (n - 1) // 2, doubled in Python ints, plus the
+      middle term a[n/2]**2 (b[n/2]**2, a[n/2] b[n/2]) once for even n.
+      F takes the two half dots of a*a and b*b; H takes them for its real
+      part a*a - b*b and two more, a_j b_{n-j} and b_j a_{n-j}, for its
+      imaginary part 2 a*b.
 
-    The dots are contiguous int32 SIMD dots (``_dot``): delta(n - j) for
-    j = 1, 2, ... is a forward slice of a reversed copy of a or b, kept
-    beside them, so a, b and their copies take 16 bytes per index.  Each
-    dot is summed in chunks of at most (2**31 - 1) // K**2 terms, where
-    K = max |a|, |b| over the sieved prefix is taken when it is sieved.
+    The dots read float32 mirrors, not a, b: delta(j) for j = 1..h is a
+    forward slice of a mirror of a or b over 0..(capacity - 1) // 2, and
+    delta(n - j) a forward slice of a reversed mirror over 0..capacity, so
+    both operands are contiguous and ``_dot`` sums them with BLAS in
+    chunks of at most 2**24 // K**2 terms, K = max |a|, |b| over the sieved
+    prefix, where every sum is exact.  The mirrors and K are built on the
+    first index read after a growth, and a growth drops them.  So a, b take
+    4 bytes per index, and a Convolver that has served an index read takes
+    16: 4 + 8 for the reversed mirrors + 4 for the forward ones (exactly 16
+    at odd capacity).
 
     a, b are sieved only as far as asked: a read extends them through
     ``ensure``, and a sweep extends them ahead of each block through
@@ -567,10 +594,11 @@ class Convolver:
         self.chi = chi
         self.denominator = (2 * chi.p) ** 2
         self._L = _delta0_numerator(chi)
-        self._re = self._im = np.zeros(1, dtype=np.int32)
-        # _re_rev[k] = _re[capacity - k], likewise _im_rev
-        self._re_rev = self._im_rev = self._re
-        self._chunk = _dot_chunk(0)  # terms per int32 dot: see _dot
+        self._re = self._im = np.zeros(1, dtype=np.int16)
+        # (a, b, a_rev, b_rev) float32, a_rev[k] = _re[capacity - k], built
+        # with _chunk on the first index read after a growth: see _dot_tail
+        self._mirrors = None
+        self._chunk = None
         # conjugation c -> (Re T, Im T) over 0..reach; Im T of F is zero: None
         self._tails = {}
 
@@ -582,14 +610,12 @@ class Convolver:
     def extend(self, n: int) -> None:
         """Sieve delta_chi to exactly n, if it is not sieved that far: only
         the new indices are sieved.  The sweeps grow it this way, by their
-        own schedule, so it never passes their nmax.  The reversed copies
-        are rebuilt, and the dot chunk recomputed from the new K."""
+        own schedule, so it never passes their nmax.  The float32 mirrors
+        are dropped, before the sieve runs, for the next index read to
+        rebuild."""
         if n > self.capacity:
+            self._mirrors = self._chunk = None
             self._re, self._im = delta_int_arrays(self.chi, n, prefix=(self._re, self._im))
-            self._re_rev = self._re[::-1].copy()  # one old copy freed at a time
-            self._im_rev = self._im[::-1].copy()
-            K = max(max(int(x.max()), -int(x.min())) for x in (self._re, self._im))
-            self._chunk = _dot_chunk(K)
 
     def ensure(self, n: int) -> None:
         """Sieve delta_chi to n, or to twice the capacity (at most
@@ -599,26 +625,43 @@ class Convolver:
             self.extend(max(n, min(2 * self.capacity, MAX_FAST_N)))
 
     def _whole_tail(self, m: int, c: int):
-        a, b = self._re[: m + 1], self._im[: m + 1]  # |a +- b| <= 480: int32
+        a, b = self._re[: m + 1], self._im[: m + 1]  # |a +- b| <= 480: int16
         if c < 0:
             return _full_product(a, a) + _full_product(b, b), None
         return _full_product(a + b, a - b), 2 * _full_product(a, b)
 
+    def _mirror(self) -> tuple[np.ndarray, ...]:
+        """The float32 mirrors (a, b over 0..(capacity - 1) // 2, and a, b
+        reversed over 0..capacity), built if a growth dropped them, with the
+        dot chunk for their K."""
+        if self._mirrors is None:
+            h = (self.capacity - 1) // 2
+            K = max(max(int(x.max()), -int(x.min())) for x in (self._re, self._im))
+            self._chunk = _dot_chunk(K)
+            self._mirrors = (
+                self._re[: h + 1].astype(np.float32), self._im[: h + 1].astype(np.float32),
+                self._re[::-1].astype(np.float32), self._im[::-1].astype(np.float32),
+            )
+        return self._mirrors
+
     def _dot_tail(self, n: int, c: int) -> tuple[int, int]:
-        """(Re T(n), Im T(n)) for n >= 1: a*a and b*b from half-length
-        dots (see the class docstring), Im T of H from one full-length dot,
-        each a contiguous int32 ``_dot`` chunked under the derived bound."""
+        """(Re T(n), Im T(n)) for n >= 1 from half-length dots (see the class
+        docstring), each a contiguous float32 ``_dot`` chunked under the
+        derived bound."""
         h = (n - 1) // 2
-        re, im, chunk = self._re, self._im, self._chunk
-        r = self.capacity - n  # *_rev[r + j] = *[n - j]
-        aa = 2 * _dot(re[1 : h + 1], self._re_rev[r + 1 : r + h + 1], chunk)
-        bb = 2 * _dot(im[1 : h + 1], self._im_rev[r + 1 : r + h + 1], chunk)
+        a, b, a_rev, b_rev = self._mirror()
+        chunk = self._chunk
+        r = self.capacity - n  # *_rev[r + j] = delta(n - j)
+        a, b = a[1 : h + 1], b[1 : h + 1]
+        a_rev, b_rev = a_rev[r + 1 : r + h + 1], b_rev[r + 1 : r + h + 1]
+        aa, bb = 2 * _dot(a, a_rev, chunk), 2 * _dot(b, b_rev, chunk)
+        x = y = 0  # the middle term delta(n / 2) of an even n
         if n % 2 == 0:
-            aa += int(re[n // 2]) ** 2
-            bb += int(im[n // 2]) ** 2
+            x, y = int(self._re[n // 2]), int(self._im[n // 2])
+            aa, bb = aa + x * x, bb + y * y
         if c < 0:
             return aa + bb, 0
-        return aa - bb, 2 * _dot(re[1:n], self._im_rev[r + 1 : r + n], chunk)
+        return aa - bb, 2 * (_dot(a, b_rev, chunk) + _dot(b, a_rev, chunk)) + 2 * x * y
 
     def _at_zero(self, c: int) -> tuple[int, int]:
         """s**2 times the n = 0 term delta_chi(0) delta'(0): L L', L' = u + i c v."""

@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from farkas import characters
 from farkas.characters import (
     DirichletCharacter,
     all_characters,
@@ -131,6 +133,46 @@ class TestPower:
             xik = chi.power(k)
             for d in range(1, 11):
                 assert xik.t_exponent(d) == (k * chi.t_exponent(d)) % 10
+
+
+class TestValidateOnce:
+    """Characters built from a validated one skip ``__post_init__``."""
+
+    @staticmethod
+    def _counted():
+        """Call-counting patches of the two validation calls."""
+        return (
+            mock.patch.object(characters, "is_prime", wraps=characters.is_prime),
+            mock.patch.object(
+                characters, "discrete_log_table", wraps=characters.discrete_log_table
+            ),
+        )
+
+    def test_conj_and_power_validate_nothing(self):
+        chi = DirichletCharacter(13, 2, 3)
+        primes, logs = self._counted()
+        with primes as is_prime_spy, logs as log_spy:
+            conj, powers = chi.conj(), [chi.power(k) for k in (-1, 0, 2, 5, 12, 25)]
+        assert is_prime_spy.call_count == log_spy.call_count == 0
+        # the same characters, hashes and values as validated constructions
+        assert conj == DirichletCharacter(13, 2, 9)
+        assert powers == [DirichletCharacter(13, 2, e) for e in (9, 0, 6, 3, 0, 3)]
+        assert hash(conj) == hash(DirichletCharacter(13, 2, 9))
+        assert [conj.t_exponent(a) for a in range(1, 13)] == [
+            DirichletCharacter(13, 2, 9).t_exponent(a) for a in range(1, 13)
+        ]
+
+    def test_all_characters_validate_the_modulus_once(self):
+        primes, logs = self._counted()
+        with primes as is_prime_spy, logs as log_spy:
+            group = all_characters(29, 2)
+        assert is_prime_spy.call_count == log_spy.call_count == 1
+        assert group == [DirichletCharacter(29, 2, e) for e in range(28)]
+
+    def test_a_bad_modulus_or_root_is_still_refused(self):
+        for p, g in ((15, 2), (13, 3), (2, 1)):  # 3 has order 3 mod 13
+            with pytest.raises(ValueError):
+                all_characters(p, g)
 
 
 class TestTExponent:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from farkas import qseries
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
 from farkas.foundations import GaussianRational, divisors, gaussian, kronecker, omega
+from farkas.identities import verify_id1
 from farkas.qseries import (
     MAX_DIVISOR_COUNT,
     MAX_FAST_N,
@@ -456,10 +457,13 @@ class TestFullProduct:
         if square:
             b = a
         want = _naive_product(a, b)
-        # int32 inputs too, as a Convolver passes them: the kernels widen,
-        # so products past 2**31 (K = 10**6) stay exact
-        narrow = a.astype(np.int32)
-        for a, b in ((a, b), (narrow, narrow if square else b.astype(np.int32))):
+        inputs = [(a, b)]
+        if max(np.abs(a).max(), np.abs(b).max()) <= qseries.INT16_MAX:
+            # int16 inputs too, as a Convolver passes them: the kernels widen,
+            # so products past 2**15 (K = 240, 480) stay exact
+            narrow = a.astype(np.int16)
+            inputs.append((narrow, narrow if square else b.astype(np.int16)))
+        for a, b in inputs:
             for kernel, got in _kernels(a, b).items():
                 assert got.dtype == np.int64 and len(got) == len(a), kernel
                 assert got.tolist() == want, (kernel, a.dtype)
@@ -515,7 +519,7 @@ class TestFullProduct:
         # one product at N = 15000: the result plus about ten bytes per
         # packed digit, for the digit arrays, the text and the decimals
         N = 15_000
-        re, im = delta_int_arrays(quartic_pair(13)[0], N)  # int32, as a Convolver holds them
+        re, im = delta_int_arrays(quartic_pair(13)[0], N)  # int16, as a Convolver holds them
         m = N + 1
         for a, b in ((re, re), (re + im, re - im)):
             K = int(max(np.abs(a).max(), np.abs(b).max()))
@@ -721,12 +725,12 @@ class TestConvolutions:
 
 def _logged_dots():
     """A patch of ``qseries._dot`` that logs the operand lengths of every
-    dot, checking that both are contiguous int32, and the log."""
+    dot, checking that both are contiguous float32, and the log."""
     log, dot = [], qseries._dot
 
     def logged(x, y, chunk):
         for v in (x, y):
-            assert v.dtype == np.int32 and v.flags.c_contiguous, (v.dtype, v.flags)
+            assert v.dtype == np.float32 and v.flags.c_contiguous, (v.dtype, v.flags)
         log.append((len(x), len(y)))
         return dot(x, y, chunk)
 
@@ -774,12 +778,13 @@ class TestHalfLengthIndexRead:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 101, 1000])
     def test_dot_lengths(self, n):
-        # F: two dots of length h = (n - 1) // 2; H: those two and a.b' over 0 < j < n
+        # F: two dots of length h = (n - 1) // 2; H: those two and the two
+        # halves a_j b_{n-j}, b_j a_{n-j} of a*b
         conv = Convolver(quartic_pair(13)[0])
         conv.ensure(n)
         want = {conv.F: conv.F(n), conv.H: conv.H(n)}
         h = (n - 1) // 2
-        for read, lengths in ((conv.F, [(h, h)] * 2), (conv.H, [(h, h)] * 2 + [(n - 1, n - 1)])):
+        for read, lengths in ((conv.F, [(h, h)] * 2), (conv.H, [(h, h)] * 4)):
             patch, log = _logged_dots()
             with patch:
                 assert read(n) == want[read]
@@ -788,19 +793,18 @@ class TestHalfLengthIndexRead:
     def test_split_dots_match_a_python_int_oracle(self):
         # every delta is +-240, the divisor-count bound: Re = 240, Im = -240,
         # so each dot sums like-signed products of 240**2 and is split in
-        # chunks of (2**31 - 1) // 240**2 = 37282 terms; one more term per
-        # chunk would wrap int32.  Reads on both sides of each boundary.
+        # chunks of 2**24 // 240**2 = 291 terms, the most whose sum float32
+        # holds exactly at this K.  Reads on both sides of each boundary.
         chi = quartic_pair(13)[0]
         chunk = qseries._dot_chunk(MAX_DIVISOR_COUNT)
-        assert chunk == 37282
-        N = 4 * chunk + 10
-        re = np.full(N + 1, MAX_DIVISOR_COUNT, dtype=np.int32)
+        assert chunk == 291
+        N = 6 * chunk + 10
+        re = np.full(N + 1, MAX_DIVISOR_COUNT, dtype=np.int16)
         im = -re
         re[0] = im[0] = 0
         conv = Convolver(chi)
         with mock.patch.object(qseries, "delta_int_arrays", lambda chi, n, prefix: (re, im)):
             conv.extend(N)
-        assert conv._chunk == chunk
         s = 2 * chi.p
         X = [conv._L[0]] + [s * v for v in re[1:].tolist()]  # s delta(j)
         Y = [conv._L[1]] + [s * v for v in im[1:].tolist()]
@@ -813,23 +817,66 @@ class TestHalfLengthIndexRead:
             return dot(X, X) - c * dot(Y, Y), c * dot(X, Y) + dot(Y, X)
 
         ns = set()
-        for k in (1, 2):
-            for length in (k * chunk - 1, k * chunk, k * chunk + 1):
-                ns |= {length + 1, 2 * length + 1, 2 * length + 2}  # n - 1 or h
+        for k in (1, 2, 3):
+            for h in (k * chunk - 1, k * chunk, k * chunk + 1):
+                ns |= {2 * h + 1, 2 * h + 2}  # the odd and the even n with this h
         patch, log = _logged_dots()
         with patch:
             for n in sorted(ns):
                 assert conv.F(n) == oracle(n, -1), n
                 assert conv.H(n) == oracle(n, 1), n
-        assert max(length for length, _ in log) > 2 * chunk  # split in three
+        assert conv._chunk == chunk
+        assert max(length for length, _ in log) > 3 * chunk  # split in four
 
-    def test_delta_takes_sixteen_bytes_per_index(self):
-        # Re, Im delta and their reversed copies: four int32 arrays
+    def test_the_chunk_is_the_largest_exact_one(self):
+        # chunk K**2 <= 2**24 < (chunk + 1) K**2 at every K the bound admits
+        for K in range(1, MAX_DIVISOR_COUNT + 1):
+            chunk = qseries._dot_chunk(K)
+            assert chunk * K * K <= 2**24 < (chunk + 1) * K * K, K
+        # negative control: float32 rounds 2**24 + 1, so a dot past the cap
+        # is wrong, and the chunked dot is not
+        assert int(np.float32(2**24)) == 2**24
+        assert int(np.float32(2**24 + 1)) != 2**24 + 1
+        x = np.array([4096, 1], dtype=np.float32)
+        assert int(np.dot(x, x)) == 2**24  # 4096**2 + 1 rounded
+        assert qseries._dot(x, x, qseries._dot_chunk(4096)) == 2**24 + 1
+
+    def test_a_sweep_holds_only_the_int16_pair(self):
+        # a sweep reads ranges, never an index: no mirror, 4 bytes per index
+        chi = quartic_pair(13)[0]
+        qseries.convolver.cache_clear()
+        assert verify_id1(13, 20000, chi).passed
+        conv = qseries.convolver(chi)
+        assert conv._mirrors is None and conv.capacity >= 20000
+        assert (conv._re.dtype, conv._im.dtype) == (np.int16, np.int16)
+        assert conv._re.nbytes + conv._im.nbytes == 4 * (conv.capacity + 1)
+
+    def test_an_index_read_adds_twelve_bytes_per_index_of_mirrors(self):
         conv = Convolver(quartic_pair(13)[0])
-        for n in (1, 50, 1000, 5000):
-            conv.ensure(n)
-            arrays = (conv._re, conv._im, conv._re_rev, conv._im_rev)
-            assert all(x.dtype == np.int32 for x in arrays)
-            assert sum(x.nbytes for x in arrays) == 16 * (conv.capacity + 1)
-            assert np.array_equal(conv._re_rev, conv._re[::-1])
-            assert np.array_equal(conv._im_rev, conv._im[::-1])
+        for n in (1, 50, 1001, 4999):  # capacities 1, 50, 1001, 4999
+            conv.F(n)
+            cap = conv.capacity
+            a, b, a_rev, b_rev = conv._mirrors
+            assert all(x.dtype == np.float32 for x in conv._mirrors)
+            assert np.array_equal(a, conv._re[: (cap - 1) // 2 + 1])
+            assert np.array_equal(b, conv._im[: (cap - 1) // 2 + 1])
+            assert np.array_equal(a_rev, conv._re[::-1])
+            assert np.array_equal(b_rev, conv._im[::-1])
+            nbytes = sum(x.nbytes for x in (conv._re, conv._im, *conv._mirrors))
+            assert nbytes <= 16 * (cap + 1), cap
+            if cap % 2:
+                assert nbytes == 16 * (cap + 1), cap
+
+    def test_a_growth_drops_the_mirrors_and_the_next_read_rebuilds_them(self):
+        chi = quartic_pair(13)[0]
+        conv = Convolver(chi)
+        conv.H(99)
+        old = conv._mirrors
+        conv.extend(300)
+        assert conv._mirrors is None and conv._chunk is None
+        _, f_series, _ = _products(13, 300)
+        assert conv.F(300) == _times(conv.denominator, f_series[300])
+        assert conv._mirrors is not old and len(conv._mirrors[2]) == 301
+        assert np.array_equal(conv._mirrors[2], conv._re[::-1])
+        conv.H(120)  # no growth: the same mirrors serve
+        assert len(conv._mirrors[2]) == 301
