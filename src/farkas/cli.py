@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -21,6 +22,8 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd
 from operator import floordiv, mul
+
+import numpy as np
 
 from .charpoly import even_character_obstruction, is_safe_prime_shape, safe_prime_scan
 from .foundations import GaussianRational, is_prime
@@ -42,7 +45,14 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-CSV_CHUNK_ROWS = 256  # asympt rows rendered per write
+# asympt rows rendered per write.  Measured on the p = 29 tables: a row of
+# _ratio_bytes costs 1.1 us from 2048 to 4096 rows, 1.3 at 1024 and 2.4 at
+# 256 (the column builders 4.0); its scratch, about 0.4 kB a row, stays
+# within what the int64 report columns save at 2048 rows, not at 4096
+CSV_CHUNK_ROWS = 2048
+PLACES = 12  # decimals of the ratio_dec column
+STEP_DIGITS = PLACES // 2  # _ratio_bytes takes them in two steps of 10**6
+STEP = 10**STEP_DIGITS
 # largest |e| of a config value written with a decimal exponent, as in 1e4400:
 # 10**e has e + 1 digits, and 1e3000000 would take seconds to build
 MAX_EXPONENT = 10_000
@@ -98,20 +108,169 @@ def _ratio_columns(
         signs = [-1 if d < 0 else 1 for d in dens]
         re, im = list(map(mul, re, signs)), list(map(mul, im, signs))
         dens = list(map(abs, dens))
-    return _gaussian_column(re, im, dens), _gaussian_column(re, im, dens, 12)
+    return _gaussian_column(re, im, dens), _gaussian_column(re, im, dens, PLACES)
 
 
 def _ratio_chunk(n, kron, re, im, sigma, D: int) -> str:
     """CSV text of ratio-table rows from lists of ints, built a column at a
     time: lhs = (re + i im)/D, rhs = sigma, and their exact and 12-place
     ratio.  Rows end in \\r\\n, as csv.writer ends them; no cell needs
-    quoting, since each holds only digits and -+/.i."""
+    quoting, since each holds only digits and -+/.i.  The path for any
+    chunk that ``_ratio_bytes`` cannot render exactly, and its oracle."""
     lhs = _gaussian_column(re, im, [D] * len(re))
     ratio, ratio_dec = _ratio_columns(re, im, [D * s for s in sigma])
     return "".join(
         f"{a},{b},{c},{d},{e},{f}\r\n"
         for a, b, c, d, e, f in zip(n, kron, lhs, sigma, ratio, ratio_dec)
     )
+
+
+# _ratio_bytes lays a row out as a list of fields: (text, present), the
+# constant bytes where the bool array ``present`` holds (None: in every row),
+# or a ``_digits`` field of int64 values >= 0
+DIGIT_GROUP = 4  # digits cut from a number per int64 division
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of each g < 10**DIGIT_GROUP, zero-padded, as one
+    uint32 per g; and the column 10**18, ..., 10, 1.  Built on the first
+    byte render, not at import, which every command pays for."""
+    digits = (
+        np.arange(10**DIGIT_GROUP, dtype=np.uint16)[:, None]
+        // (10 ** np.arange(DIGIT_GROUP - 1, -1, -1)).astype(np.uint16) % 10
+    ).astype(np.uint8) + ord("0")
+    return digits.view(np.uint32).ravel(), 10 ** np.arange(18, -1, -1, dtype=np.int64)[:, None]
+
+
+def _digits(values, present=None, width=None):
+    """A field of the decimal digits of int64 values >= 0, right-aligned:
+    zero-padded to ``width`` digits, or (None) without leading zeros, as
+    wide as the largest value."""
+    padded = width is not None
+    if not padded:
+        width = len(str(int(values.max())))
+    return values, present, width, padded
+
+
+def _signed_fields(v):
+    return [(b"-", v < 0), _digits(np.abs(v))]
+
+
+def _fraction_fields(x, d, present=None):
+    """x/d reduced, as ``_fraction_column`` writes it, for int64 x >= 0 and
+    d > 0 (an array or an int): x/g, then /(d/g) unless d/g is 1."""
+    g = np.gcd(x, d)
+    den = d // g
+    shown = den != 1  # false where x = 0, so also where the part is absent
+    return [_digits(x // g, present), (b"/", shown), _digits(den, shown)]
+
+
+def _fixed_fields(x, d, present=None):
+    """x/d truncated to PLACES decimals, as ``_fixed_column`` writes it, for
+    int64 x >= 0 and d > 0 with d STEP < 2**63: the integer part, then two
+    steps of long division, each exact in int64 and STEP_DIGITS digits long."""
+    whole = x // d
+    r = (x - whole * d) * STEP
+    head = r // d
+    tail = (r - head * d) * STEP // d
+    return [
+        _digits(whole, present), (b".", present),
+        _digits(head, present, STEP_DIGITS), _digits(tail, present, STEP_DIGITS),
+    ]
+
+
+def _gaussian_fields(x, y, d, part):
+    """(x + i y)/d, d > 0, as ``_gaussian_column`` writes it: the real part,
+    then +|y| or -|y| and i where y != 0, each part rendered by ``part``;
+    a chunk with no y != 0 (every conv table) builds no imaginary fields."""
+    real = [(b"-", x < 0), *part(np.abs(x), d)]
+    imag = y != 0
+    if not imag.any():
+        return real
+    return real + [(b"+", y > 0), (b"-", y < 0), *part(np.abs(y), d, imag), (b"i", imag)]
+
+
+def _ratio_fits(columns, D: int) -> bool:
+    """Whether ``_ratio_bytes`` renders a chunk exactly: all five columns
+    int64 with no entry -2**63 (so abs stays in int64), no sigma zero, and
+    D max |sigma| STEP < 2**63, so that the ratio's denominators D |sigma|
+    and every remainder times STEP fit int64."""
+    n, kron, re, im, sigma = columns
+    if any(c.dtype != np.int64 for c in columns) or not len(n) or not sigma.all():
+        return False
+    if min(int(c.min()) for c in columns) == -(2**63):
+        return False
+    return D * max(int(sigma.max()), -int(sigma.min())) * STEP < 2**63
+
+
+def _fill_digits(text, values) -> None:
+    """Write the last len(text) decimal digits of int64 values >= 0 down the
+    rows of the uint8 matrix ``text`` (one column per value), DIGIT_GROUP
+    digits per division, looked up in ``_digit_tables``."""
+    width, v = len(text), values
+    groups = _digit_tables()[0]
+    for right in range(width, 0, -DIGIT_GROUP):
+        q = v // 10**DIGIT_GROUP
+        left = max(right - DIGIT_GROUP, 0)
+        digits = groups[v - q * 10**DIGIT_GROUP].view(np.uint8).reshape(len(v), DIGIT_GROUP)
+        text[left:right] = digits.T[left - right :]
+        v = q
+
+
+def _ratio_bytes(n, kron, re, im, sigma, D: int) -> bytes:
+    """The bytes of ``_ratio_chunk`` for int64 columns that ``_ratio_fits``:
+    lhs = (re + i im)/D, and the ratio over D sigma, with the sign of sigma
+    moved into its numerators.
+
+    gcd, floor division and remainder run in int64, under the bound that
+    ``_ratio_fits`` checks.  Each field of a row gets fixed byte positions,
+    each number's digits right-aligned in its field, and a bool matrix
+    keeps the bytes that the row shows.  Both matrices are built a field
+    at a time with the rows contiguous, then transposed, so that one
+    boolean gather reads all six cells of every row, in order, as one
+    ``bytes``."""
+    assert _ratio_fits((n, kron, re, im, sigma), D)
+    sign = np.where(sigma < 0, -1, 1)
+    x, y, den = re * sign, im * sign, D * np.abs(sigma)
+    comma = (b",", None)
+    fields = [
+        *_signed_fields(n), comma, *_signed_fields(kron), comma,
+        *_gaussian_fields(re, im, D, _fraction_fields), comma,
+        *_signed_fields(sigma), comma,
+        *_gaussian_fields(x, y, den, _fraction_fields), comma,
+        *_gaussian_fields(x, y, den, _fixed_fields), (b"\r\n", None),
+    ]
+    widths = [len(f[0]) if isinstance(f[0], bytes) else f[2] for f in fields]
+    text = np.empty((sum(widths), len(n)), dtype=np.uint8)  # byte position x row
+    keep = np.empty(text.shape, dtype=bool)
+    at = 0
+    for i, width in enumerate(widths):
+        field, fields[i] = fields[i], None  # free each field's arrays once written
+        t, k = text[at : at + width], keep[at : at + width]
+        at += width
+        if isinstance(field[0], bytes):
+            const, present = field
+            t[:] = np.frombuffer(const, dtype=np.uint8)[:, None]
+            k[:] = True if present is None else present
+            continue
+        values, present, _, padded = field
+        _fill_digits(t, values)
+        if padded:
+            k[:] = True
+        else:  # position j shows a digit of v >= 10**(width - 1 - j), and 0
+            powers = _digit_tables()[1]
+            np.greater_equal(values, powers[len(powers) - width :], out=k)
+            k[-1] = True
+        if present is not None:
+            k &= present
+    # row by row: transpose one matrix at a time, to hold three, not four
+    # (the slices t, k would keep the originals alive); a bool mask gathers
+    # with no index array (np.compress makes one of 8 bytes per byte kept)
+    del t, k
+    keep = np.ascontiguousarray(keep.view(np.uint8).T).view(bool)
+    text = np.ascontiguousarray(text.T)
+    return text.ravel()[keep.ravel()].tobytes()
 
 
 def _rational(text: str) -> Fraction:
@@ -372,14 +531,18 @@ def cmd_asympt(args) -> int:
     chi = resolve_character(p, args.chi)
     report = asymptotic_report(p, chi, args.kind, args.nmax)
     columns = (report.n, report.kron, report.lhs_re, report.lhs_im, report.sigma)
-    # one write per CSV_CHUNK_ROWS rows, each chunk built a column at a time
-    # from the integer arrays: the table text is never held whole, and an
-    # unbuffered stdout (PYTHONUNBUFFERED) takes one system call per chunk
+    # one write per CSV_CHUNK_ROWS rows: the table text is never held whole,
+    # and an unbuffered stdout (PYTHONUNBUFFERED) takes one system call per
+    # chunk.  A chunk of int64 columns within the bound of _ratio_fits is
+    # one numpy byte pass; any other goes through the column builders
     with _output(args.out) as fh:
         fh.write("n,kron,lhs,rhs,ratio,ratio_dec\r\n")
         for lo in range(0, len(report.n), CSV_CHUNK_ROWS):
-            chunk = (c[lo : lo + CSV_CHUNK_ROWS].tolist() for c in columns)
-            fh.write(_ratio_chunk(*chunk, report.denominator))
+            chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
+            if _ratio_fits(chunk, report.denominator):
+                fh.write(_ratio_bytes(*chunk, report.denominator).decode("ascii"))
+            else:
+                fh.write(_ratio_chunk(*(c.tolist() for c in chunk), report.denominator))
     return EXIT_PASS
 
 

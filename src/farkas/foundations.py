@@ -29,8 +29,13 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 PRIMES_CACHED = 2
 
 
+@lru_cache(maxsize=8)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n up to at least 2**63."""
+    """Deterministic primality test for n up to at least 2**63.
+
+    The last few answers are cached: a prime scan validates each p once per
+    table it builds (the character pair, its primitive root and character,
+    B_{2,psi}, the Kronecker table), and those all ask about the same p."""
     if n < 1:
         raise ValueError("is_prime expects a positive integer")
     if n < 2:

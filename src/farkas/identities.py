@@ -26,6 +26,8 @@ from .qseries import (
     character_table,
     convolver,
     delta_constant,
+    exact_dtype,
+    max_abs,
     sigma_hat_values,
     sigma_prime_values,
     sigma_tilde_values,
@@ -117,23 +119,31 @@ def _sieve_reach(hi: int, capacity: int, nmax: int) -> int:
 
 
 def _linear_rhs(D: int, nmax: int, terms, constant: Optional[GaussianRational] = None):
-    """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi), as object arrays
-    (re, im) of Python ints, for exact c_k and int64 series s_k, where
-    ``build_k(N, prefix)`` extends ``prefix`` to s_k[0..N]: each block first
-    grows the series to ``_sieve_reach``.  ``constant`` is the value at
-    n = 0 (None: not swept)."""
+    """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi), as arrays (re, im)
+    for exact c_k and int64 series s_k, where ``build_k(N, prefix)`` extends
+    ``prefix`` to s_k[0..N]: each block first grows the series to
+    ``_sieve_reach``.  ``constant`` is the value at n = 0 (None: not swept).
+
+    A block is int64 when its bound is below the cap of ``exact_dtype``,
+    else object arrays of Python ints.  With M = max |s_k[n]| over the
+    block, the bound covers every scalar D c_k, each partial sum
+    sum_k |D c_k| M of either part, and the value at n = 0."""
     scaled = [_scaled(c, D) for c, _ in terms]
     builds = [build for _, build in terms]
     series = [np.zeros(1, dtype=np.int64)] * len(terms)
     at_zero = None if constant is None else _scaled(constant, D)
+    scalars = max(abs(x) for x in (*(at_zero or ()), *(x for pair in scaled for x in pair)))
+    weight = max(sum(abs(pair[j]) for pair in scaled) for j in (0, 1))
 
     def rhs(lo: int, hi: int):
         N = _sieve_reach(hi, len(series[0]) - 1, nmax)
         if N >= len(series[0]):
             series[:] = [build(N, s) for build, s in zip(builds, series)]
+        blocks = [s[lo:hi] for s in series]
+        dtype = exact_dtype(max(scalars, weight * max(map(max_abs, blocks))))
         re = im = 0
-        for (cr, ci), s in zip(scaled, series):
-            v = s[lo:hi].astype(object)
+        for (cr, ci), block in zip(scaled, blocks):
+            v = block.astype(dtype, copy=False)
             re, im = re + cr * v, im + ci * v
         if lo == 0:
             re[0], im[0] = at_zero
@@ -149,10 +159,12 @@ def _run_verification(
     """Compare D * lhs(n) with D * rhs(n) as Gaussian integers for
     n = start..nmax, stopping in the block of the first n where they differ.
 
-    ``lhs_block(lo, hi)``, ``rhs_block(lo, hi)``: (re, im) object arrays of
-    Python ints over [lo, hi).  Block ends hi run 3, 6, 12, ..., 3072, then
-    grow by SWEEP_BLOCK: a failure at n >= 3 is found by hi <= 2n, and no
-    block holds more than SWEEP_BLOCK coefficients.
+    ``lhs_block(lo, hi)``, ``rhs_block(lo, hi)``: (re, im) arrays over
+    [lo, hi), int64 or object arrays of Python ints, each exact (see
+    ``exact_dtype``); only a failing coefficient becomes Python ints.
+    Block ends hi run 3, 6, 12, ..., 3072, then grow by SWEEP_BLOCK: a
+    failure at n >= 3 is found by hi <= 2n, and no block holds more than
+    SWEEP_BLOCK coefficients.
     """
     lo, hi, bad = start, 3, None
     while lo <= nmax and bad is None:
@@ -161,7 +173,8 @@ def _run_verification(
         differ = np.flatnonzero((lhs_re != rhs_re) | (lhs_im != rhs_im))
         if len(differ):
             i = int(differ[0])
-            bad, lhs, rhs = lo + i, (lhs_re[i], lhs_im[i]), (rhs_re[i], rhs_im[i])
+            bad = lo + i
+            lhs, rhs = (int(lhs_re[i]), int(lhs_im[i])), (int(rhs_re[i]), int(rhs_im[i]))
         lo, hi = hi, hi + min(hi, SWEEP_BLOCK)
     if bad is None:
         return VerificationReport(p, character, kind, nmax, "pass")
@@ -186,8 +199,7 @@ def _verify_product(
 
     def lhs(lo: int, hi: int):
         conv.extend(_sieve_reach(hi, conv.capacity, nmax))
-        re, im = conv.numerators(lo, hi, c)
-        return k * re, k * im
+        return conv.numerators(lo, hi, c, scale=k)
 
     return _run_verification(
         p, chi.label(), kind, nmax, D, lhs, _linear_rhs(D, nmax, terms, constant)
@@ -239,8 +251,13 @@ def verify_farkas(nmax: int) -> VerificationReport:
 class AsymptoticReport:
     """The ratio table as arrays over the n <= nmax with p not dividing n.
 
-    lhs(n) = (lhs_re[i] + i lhs_im[i]) / denominator exactly (object arrays
-    of Python ints), rhs(n) = sigma[i], and the ratio is lhs / rhs.
+    lhs(n) = (lhs_re[i] + i lhs_im[i]) / denominator exactly, rhs(n) =
+    sigma[i], and the ratio is lhs / rhs.  lhs_re and lhs_im are int64 when
+    ``Convolver.numerators`` bounds them below INT64_CAP (every table at
+    p = 29, 37 and N = 10**6), else object arrays of Python ints; n, kron
+    and sigma are int64.  The CLI renders chunks of int64 columns in one
+    numpy byte pass (``cli._ratio_bytes``) and any other chunk with its
+    column builders.
     """
 
     p: int

@@ -31,9 +31,13 @@ scan holds, 4 bytes per index.
 
 The Convolver's range read, which the sweeps use, takes F and H from
 whole-series tails built by one exact product, ``_full_product``, which
-widens the int16 delta_chi arrays to int64 inside its kernels.  A
-product of at most SHORT_PRODUCT = 800 coefficients (every product of a
-prime scan, and the first tails of a long sweep) is one int64
+widens the int16 delta_chi arrays to int64 inside its kernels.  It returns
+int64 blocks whenever a bound derived from the block's largest values and
+every scalar of its one expression stays below INT64_CAP = 2**62, and
+object arrays of Python ints otherwise (``exact_dtype``); the sweeps' rhs
+blocks follow the same rule.  A product of at most SHORT_PRODUCT = 800
+coefficients (every product of a prime scan, and the first tails of a
+long sweep) is one int64
 ``np.convolve``: O(m**2), but 24x faster than the alternative at m = 3 and
 still ahead at m = 800, where the two were timed to cross.  A longer one
 uses Kronecker substitution: offset both int64 inputs by K = max |a|, |b|
@@ -91,6 +95,12 @@ assert FLOAT32_EXACT // MAX_DIVISOR_COUNT**2 >= 1
 # H's tails multiply Re delta +- Im delta, so a product's offset K is at most
 # 2 MAX_DIVISOR_COUNT, and its slots and correction terms at most (N+1)(2K)**2
 assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
+# an exact block (``Convolver.numerators``, the sweeps' rhs blocks) is int64
+# when a bound on every scalar, intermediate and value of its expression is
+# below this, else an object array of Python ints: one bit of headroom, so
+# the sum or difference of two such blocks fits int64 as well
+INT64_CAP = 2**62
+assert 2 * INT64_CAP <= 2**63
 SIEVE_BLOCK = 1 << 13  # large divisors whose c(d) the sieve builds at once
 SHORT_PRODUCT = 800  # longest product taken by direct convolution (measured)
 
@@ -521,6 +531,18 @@ def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # convolutions F and H
 # ---------------------------------------------------------------------
 
+def exact_dtype(bound: int) -> np.dtype:
+    """The dtype of an exact integer block: int64 when ``bound``, taken over
+    every Python-int scalar, intermediate and value of the expression that
+    builds the block, is below INT64_CAP, else object (Python ints)."""
+    return np.dtype(np.int64) if bound < INT64_CAP else np.dtype(object)
+
+
+def max_abs(arr: np.ndarray) -> int:
+    """max |arr| as a Python int (0 when empty), for int16 or int64 arr."""
+    return max(int(arr.max()), -int(arr.min())) if len(arr) else 0
+
+
 def _dot_chunk(K: int) -> int:
     """The most terms a float32 dot may sum exactly when each factor is an
     integer of magnitude at most K: every partial sum of 2**24 // K**2
@@ -557,9 +579,12 @@ class Convolver:
     T = a*a + b*b: the imaginary part cancels under j <-> n - j.  For H,
     T = (a+b)*(a-b) + 2i a*b.  There are two reads:
 
-    - ``numerators(lo, hi, c)``, the range read of the sweeps: T(lo..hi-1)
-      from a cached whole-series tail, built by two ``_full_product`` calls
-      (O(m log m) for m coefficients), which compute in int64.  When
+    - ``numerators(lo, hi, c, scale)``, the range read of the sweeps and
+      of ``asymptotic_report``: T(lo..hi-1) from a cached whole-series
+      tail, built by two ``_full_product`` calls (one for a real chi, whose
+      b is zero) in O(m log m) for m coefficients, which compute in int64.
+      The block comes back int64 when ``_bound`` stays below INT64_CAP,
+      else as object arrays of Python ints.  When
       hi - 1 lies past it, the tail is rebuilt to max(hi - 1, 4 lo - 1),
       at most ``capacity``.  A sweep's block [lo, hi) starts at or before
       any n it can fail at, so a refutation at n builds tails that reach
@@ -627,6 +652,8 @@ class Convolver:
     def _whole_tail(self, m: int, c: int):
         a, b = self._re[: m + 1], self._im[: m + 1]  # |a +- b| <= 480: int16
         if c < 0:
+            if not b.any():  # a real chi, as the mod-3 character: b*b = 0
+                return _full_product(a, a), None
             return _full_product(a, a) + _full_product(b, b), None
         return _full_product(a + b, a - b), 2 * _full_product(a, b)
 
@@ -636,8 +663,7 @@ class Convolver:
         dot chunk for their K."""
         if self._mirrors is None:
             h = (self.capacity - 1) // 2
-            K = max(max(int(x.max()), -int(x.min())) for x in (self._re, self._im))
-            self._chunk = _dot_chunk(K)
+            self._chunk = _dot_chunk(max(max_abs(self._re), max_abs(self._im)))
             self._mirrors = (
                 self._re[: h + 1].astype(np.float32), self._im[: h + 1].astype(np.float32),
                 self._re[::-1].astype(np.float32), self._im[::-1].astype(np.float32),
@@ -663,20 +689,30 @@ class Convolver:
             return aa + bb, 0
         return aa - bb, 2 * (_dot(a, b_rev, chunk) + _dot(b, a_rev, chunk)) + 2 * x * y
 
-    def _at_zero(self, c: int) -> tuple[int, int]:
-        """s**2 times the n = 0 term delta_chi(0) delta'(0): L L', L' = u + i c v."""
+    def _at_zero(self, c: int, k: int = 1) -> tuple[int, int]:
+        """k s**2 times the n = 0 term delta_chi(0) delta'(0): k L L',
+        L' = u + i c v."""
         u, v = self._L
-        return u * u - c * v * v, (1 + c) * u * v
+        return k * (u * u - c * v * v), k * (1 + c) * u * v
 
-    def _combine(self, c: int, tail_re, tail_im, x, y):
-        """s**2 T(n) + s (L delta'(n) + delta(n) L') for n >= 1, from T(n)
-        and delta_chi(n) = x + i y: Python ints, or object arrays of them,
-        so the result is exact either way."""
+    def _combine(self, c: int, tail_re, tail_im, x, y, k: int = 1):
+        """k (s**2 T(n) + s (L delta'(n) + delta(n) L')) for n >= 1, from
+        T(n) and delta_chi(n) = x + i y: Python ints, or arrays of one dtype,
+        int64 under the bound of ``_bound`` or object (Python ints), so the
+        result is exact either way."""
         u, v = self._L
         s = 2 * self.chi.p
-        re = s * s * tail_re + 2 * s * (u * x - c * v * y)
-        im = s * s * tail_im + (1 + c) * s * (u * y + v * x)
+        re = k * s * s * tail_re + 2 * k * s * (u * x - c * v * y)
+        im = k * s * s * tail_im + (1 + c) * k * s * (u * y + v * x)
         return re, im
+
+    def _bound(self, k: int, M: int) -> int:
+        """A bound on every scalar, intermediate and value of ``_combine``
+        (scale k >= 1) when |Re|, |Im| of T and of delta_chi are at most M,
+        and of ``_at_zero``: each is at most a sum of such terms."""
+        u, v = map(abs, self._L)
+        s = 2 * self.chi.p
+        return k * max(s * s, 2 * s, u, v, (s * s + 2 * s * (u + v)) * M, u * u + v * v, 2 * u * v)
 
     def _product(self, n: int, c: int) -> tuple[int, int]:
         """``denominator`` times sum_{j=0}^{n} delta_chi(j) delta'(n-j), where
@@ -688,11 +724,18 @@ class Convolver:
         self.ensure(n)
         return self._combine(c, *self._dot_tail(n, c), int(self._re[n]), int(self._im[n]))
 
-    def numerators(self, lo: int, hi: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """``denominator`` times F (c = -1) or H (c = 1) at n in [lo, hi), as
-        two object arrays (re, im) of Python ints: no int64 bound applies."""
+    def numerators(
+        self, lo: int, hi: int, c: int, scale: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``scale`` (>= 1) times ``denominator`` times F (c = -1) or H
+        (c = 1) at n in [lo, hi), as two arrays (re, im) of one dtype: int64
+        when ``_bound`` is below INT64_CAP (``exact_dtype``), else object
+        arrays of Python ints.  One expression, ``_combine``, computes
+        either.  The bound takes the largest |T| and |delta_chi| of the
+        block."""
         if not 0 <= lo <= hi:
             raise ValueError(f"F and H expect 0 <= lo <= hi, got [{lo}, {hi})")
+        assert scale >= 1, scale
         top = max(hi - 1, 0)
         self.ensure(top)
         reach = len(self._tails[c][0]) - 1 if c in self._tails else -1
@@ -700,17 +743,18 @@ class Convolver:
             m = min(max(top, 4 * lo - 1), self.capacity)
             self._tails.pop(c, None)  # free the old tail before the product's scratch
             self._tails[c] = self._whole_tail(m, c)
+        blocks = [a[lo:hi] for a in (*self._tails[c], self._re, self._im) if a is not None]
+        dtype = exact_dtype(self._bound(scale, max(map(max_abs, blocks))))
+
+        def exact(arr):  # None: Im T of F is 0
+            return 0 if arr is None else arr[lo:hi].astype(dtype, copy=False)
+
         tail_re, tail_im = self._tails[c]
-
-        def exact(arr):
-            return arr[lo:hi].astype(object)
-
         re, im = self._combine(
-            c, exact(tail_re), 0 if tail_im is None else exact(tail_im),
-            exact(self._re), exact(self._im),
+            c, exact(tail_re), exact(tail_im), exact(self._re), exact(self._im), scale
         )
         if lo == 0 < hi:
-            re[0], im[0] = self._at_zero(c)
+            re[0], im[0] = self._at_zero(c, scale)
         return re, im
 
     def F(self, n: int) -> tuple[int, int]:

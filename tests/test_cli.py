@@ -9,6 +9,7 @@ import sys
 from importlib import resources
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -454,6 +455,22 @@ class TestSearchCommand:
         assert "Traceback" not in captured.err
 
 
+def _per_row_csv(p, kind, nmax, rows=None) -> bytes:
+    """The asympt table of the quartic-i character, written one row at a
+    time by csv.writer from the exact Fractions of ``per_row_report``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "kron", "lhs", "rhs", "ratio", "ratio_dec"])
+    reference, _ = per_row_report(p, resolve_character(p, "quartic-i"), kind, nmax)
+    for r in reference:
+        writer.writerow([
+            r.n, r.kron, fraction_gaussian_exact_str(r.lhs), r.rhs.re,
+            fraction_gaussian_exact_str(r.ratio), fraction_gaussian_decimal_str(r.ratio),
+        ])
+    assert rows is None or len(reference) == rows
+    return buf.getvalue().encode()
+
+
 class TestAsymptCommand:
     def test_csv_header_and_content(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -507,23 +524,24 @@ class TestAsymptCommand:
         # chunks of rows stream into the temporary file; one that raises
         # partway through must leave neither the target nor the temporary file
         out = tmp_path / "a.csv"
-        real, seen, partial = cli._ratio_chunk, [], []
+        real, seen, partial = cli._ratio_bytes, [], []
+        last = (10000 - 10000 // 29) // cli.CSV_CHUNK_ROWS  # the last full chunk
 
         def chunk(*columns):
             seen.append(1)
-            if len(seen) == 12:  # rows 2817..3072
+            if len(seen) == last:
                 partial.extend(f.read_bytes().count(b"\n") for f in tmp_path.glob(".farkas-*"))
-                raise error("chunk 12")
+                raise error(f"chunk {last}")
             return real(*columns)
 
         argv = ["asympt", "--p", "29", "--kind", "conv", "--nmax", "10000", "--out", str(out)]
-        with mock.patch.object(cli, "_ratio_chunk", side_effect=chunk):
+        with mock.patch.object(cli, "_ratio_bytes", side_effect=chunk):
             if code is None:
                 with pytest.raises(error):
                     main(argv)
             else:
                 assert main(argv) == code
-        assert len(seen) == 12
+        assert last > 1 and len(seen) == last
         # earlier rows were already on disk: the table is never held whole
         assert len(partial) == 1 and partial[0] >= cli.CSV_CHUNK_ROWS
         assert list(tmp_path.iterdir()) == []
@@ -539,17 +557,32 @@ class TestAsymptCommand:
         out = tmp_path / "a.csv"
         argv = ["asympt", "--p", str(p), "--kind", kind, "--nmax", str(nmax)]
         assert main(argv + ["--out", str(out)]) == EXIT_PASS
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "kron", "lhs", "rhs", "ratio", "ratio_dec"])
-        reference, _ = per_row_report(p, resolve_character(p, "quartic-i"), kind, nmax)
-        for r in reference:
-            writer.writerow([
-                r.n, r.kron, fraction_gaussian_exact_str(r.lhs), r.rhs.re,
-                fraction_gaussian_exact_str(r.ratio), fraction_gaussian_decimal_str(r.ratio),
-            ])
-        assert len(reference) == rows
-        assert out.read_bytes() == buf.getvalue().encode()
+        assert out.read_bytes() == _per_row_csv(p, kind, nmax, rows)
+
+    @pytest.mark.parametrize("kind", ["conv", "square"])
+    def test_a_chunk_past_the_byte_bound_takes_the_column_builders(self, kind, tmp_path):
+        # at p = 200029, D = (2p)**2 is about 1.6e11, so D sigma 10**6 passes
+        # 2**63 within n <= 200: the chunk's columns are int64, but only the
+        # column builders render it
+        p, nmax = 200029, 200
+        out = tmp_path / "a.csv"
+        argv = ["asympt", "--p", str(p), "--kind", kind, "--nmax", str(nmax)]
+        with mock.patch.object(cli, "_ratio_bytes", side_effect=AssertionError) as kernel, \
+                mock.patch.object(cli, "_ratio_chunk", wraps=cli._ratio_chunk) as builders:
+            assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        assert kernel.call_count == 0 and builders.call_count == 1
+        assert out.read_bytes() == _per_row_csv(p, kind, nmax)
+
+    @pytest.mark.parametrize("kind", ["conv", "square"])
+    def test_object_columns_take_the_column_builders(self, kind, tmp_path):
+        # a cap of 1 makes the report's numerators Python ints
+        nmax = cli.CSV_CHUNK_ROWS + 100
+        argv = ["asympt", "--p", "37", "--kind", kind, "--nmax", str(nmax)]
+        main(argv + ["--out", str(tmp_path / "int64.csv")])
+        with mock.patch.object(qseries, "INT64_CAP", 1), \
+                mock.patch.object(cli, "_ratio_bytes", side_effect=AssertionError):
+            assert main(argv + ["--out", str(tmp_path / "object.csv")]) == EXIT_PASS
+        assert (tmp_path / "object.csv").read_bytes() == (tmp_path / "int64.csv").read_bytes()
 
     def test_every_p37_square_line_is_six_plain_cells(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -811,6 +844,66 @@ class TestColumnRenderer:
         assert _gaussian_column(re, [0] * len(re), positive, 3) == [
             fraction_decimal_str(z.re, 3) for z in zs
         ]
+
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def int64_chunks(draw):
+    """Chunk columns (n, kron, re, im, sigma) of int64 and a D > 0 that
+    ``_ratio_fits``, with sigma of both signs up to the bound D |sigma|
+    STEP <= 2**63 - 1, re and im over all of int64 but -2**63, zero
+    imaginary parts, and numerators that reduce a ratio or lhs to d = 1."""
+    D = draw(st.one_of(st.integers(1, 10**4), st.integers(1, INT64_MAX // cli.STEP)))
+    top = INT64_MAX // (D * cli.STEP)  # the largest |sigma| within the bound
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        sigma = draw(st.one_of(st.integers(1, top), st.just(top)))
+        sigma *= draw(st.sampled_from([1, -1]))
+        ratio_one, lhs_one = INT64_MAX // (D * abs(sigma)), INT64_MAX // D
+
+        def part():
+            return draw(st.one_of(
+                st.integers(-INT64_MAX, INT64_MAX),
+                st.integers(-3, 3),
+                st.sampled_from([INT64_MAX, -INT64_MAX]),
+                st.integers(-ratio_one, ratio_one).map(lambda t: t * D * abs(sigma)),
+                st.integers(-lhs_one, lhs_one).map(lambda t: t * D),
+            ))
+
+        im = 0 if draw(st.booleans()) else part()
+        n = draw(st.integers(-INT64_MAX, INT64_MAX))
+        rows.append((n, draw(st.integers(-1, 1)), part(), im, sigma))
+    columns = [np.array(c, dtype=np.int64) for c in zip(*rows)]
+    return columns, D
+
+
+class TestByteRenderer:
+    @settings(max_examples=200, deadline=None)
+    @given(int64_chunks())
+    def test_bytes_equal_the_column_builders(self, chunk):
+        columns, D = chunk
+        assert cli._ratio_fits(columns, D)
+        want = cli._ratio_chunk(*(c.tolist() for c in columns), D).encode()
+        assert cli._ratio_bytes(*columns, D) == want
+
+    def test_the_bound_and_dtypes_decide_the_path(self):
+        D = 10**6
+        top = INT64_MAX // (D * cli.STEP)
+
+        def chunk(sigma, re=5, dtype=np.int64):
+            return [np.array([v], dtype=dtype) for v in (1, 1, re, 0, sigma)]
+
+        assert cli._ratio_fits(chunk(top), D) and cli._ratio_fits(chunk(-top), D)
+        assert not cli._ratio_fits(chunk(top + 1), D)  # D |sigma| STEP > 2**63 - 1
+        assert not cli._ratio_fits(chunk(-top - 1), D)
+        assert not cli._ratio_fits(chunk(0), D)
+        assert not cli._ratio_fits(chunk(1, re=-(2**63)), D)  # |re| leaves int64
+        n_at_min = chunk(1)
+        n_at_min[0][0] = -(2**63)
+        assert not cli._ratio_fits(n_at_min, D)
+        assert not cli._ratio_fits(chunk(1, dtype=object), D)
 
 
 # argv for the property below: mostly valid values, with out-of-range

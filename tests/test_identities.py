@@ -188,6 +188,41 @@ SWEEPS = {  # kind -> (the sweep to nmax, the exact lhs at n)
 
 class TestBlockSweep:
     @pytest.mark.parametrize("kind", list(SWEEPS))
+    @pytest.mark.parametrize("n", [None, 7, NMAX])
+    def test_int64_and_object_blocks_give_one_report(self, kind, n):
+        # a cap of 1 makes every block Python ints; a cap at the rhs bound of
+        # the last growth of the sieved series (to NMAX) makes the blocks
+        # read before it int64 and those after it object, within one sweep
+        sweep, _ = SWEEPS[kind]
+        bounds, exact_dtype = [], identities.exact_dtype
+
+        def recorded(bound):
+            bounds.append(bound)
+            return exact_dtype(bound)
+
+        def run(cap):
+            blocks, dtypes = {}, set()
+
+            def hook(D, lo, hi, re):
+                dtypes.add(re.dtype)
+                if n is not None and lo <= n < hi:
+                    re[n - lo] += D
+                blocks[lo, hi] = re.tolist()
+
+            with mock.patch.object(qseries, "INT64_CAP", cap), _watched_rhs(hook):
+                return sweep(NMAX), blocks, dtypes
+
+        with mock.patch.object(identities, "exact_dtype", recorded):
+            wide = run(qseries.INT64_CAP)
+        mixed, narrow = run(max(bounds)), run(1)
+        assert wide[2] == {np.dtype(np.int64)} and narrow[2] == {np.dtype(object)}
+        if n != 7:  # a sweep that fails at 7 grows its series once
+            assert mixed[2] == {np.dtype(np.int64), np.dtype(object)}
+        assert wide[0] == mixed[0] == narrow[0]
+        assert wide[0].passed == (n is None)
+        assert wide[1] == mixed[1] == narrow[1]
+
+    @pytest.mark.parametrize("kind", list(SWEEPS))
     @pytest.mark.parametrize(
         "n", [0, 1, 2, 3, 5, 6, 7, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, NMAX]
     )
@@ -303,9 +338,11 @@ class TestBlockSweep:
             assert sweeps[kind]().passed
         lengths = [len(call.args[0]) for call in spy.call_args_list]
         assert sum(lengths) <= most, lengths
-        # two products per tail; 2049 is cut at the first sieved block
+        # two products per tail, one for the real mod-3 character (Im delta
+        # = 0, so F's tail is a*a alone); 2049 is cut at the first sieved block
         tails = [3, 12, 48, 192, 768, SWEEP_BLOCK + 1, 6144, nmax + 1]
-        assert lengths == [m for m in tails for _ in range(2)]
+        per_tail = 1 if kind == "farkas" else 2
+        assert lengths == [m for m in tails for _ in range(per_tail)]
 
 
 class TestVerifyId2:
@@ -740,6 +777,19 @@ class TestObstructions:
         info = _delta0_numerator.cache_info()  # misses: calls of the dot itself
         assert (info.misses, info.hits + info.misses) == (43, 172)
         assert d0.call_count == 43  # the public delta_constant still once per prime
+
+    def test_scan_tests_each_number_for_primality_once(self):
+        # the 125 candidates p = 5 (mod 8) below 1000 are tested once each;
+        # then the tables of each of the 43 primes ask about p five times
+        # (the character pair, its primitive root and character, B_2,psi,
+        # the Kronecker table), and only the first asks runs a test
+        for cached in (foundations.is_prime, *SCAN_CACHES):
+            cached.cache_clear()
+        with mock.patch.object(identities, "is_prime", wraps=foundations.is_prime) as spy:
+            rows = dichotomy_scan(1000, 50)
+        candidates = range(5, 1001, 8)
+        assert spy.call_count == len(candidates) and len(rows) == 43
+        assert foundations.is_prime.cache_info().misses == len(candidates) + len(rows)
 
     def test_integer_verdicts_and_constants_match_the_rational_formulas(self):
         outcomes = set()

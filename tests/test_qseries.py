@@ -652,11 +652,43 @@ class TestConvolutions:
                 assert [gaussian(Fraction(x, D), Fraction(y, D)) for x, y in zip(re, im)] == list(
                     want.coefficients[lo:hi]
                 ), (lo, hi)
-                assert (re.dtype, im.dtype) == (object, object)
+                # far below the cap at N = 60: int64, exact Python ints on tolist
+                assert (re.dtype, im.dtype) == (np.int64, np.int64)
                 assert all(type(x) is int for x in re.tolist() + im.tolist())
                 assert _tail_lengths(conv) == {c: built}, (lo, hi)
         with pytest.raises(ValueError):
             Convolver(chi).numerators(5, 4, 1)
+
+    @pytest.mark.parametrize("chi", [quartic_pair(13)[0], quadratic_character(3)], ids=["p13", "mod3"])
+    @pytest.mark.parametrize("scale", [1, 7])
+    def test_int64_and_object_numerators_agree_when_the_cap_is_forced_low(self, chi, scale):
+        reads = [(0, 3), (3, 40), (40, 41), (41, 41), (0, 300)]
+        for c in (-1, 1):
+            wide, narrow = Convolver(chi), Convolver(chi)
+            for lo, hi in reads:
+                re, im = wide.numerators(lo, hi, c, scale)
+                assert (re.dtype, im.dtype) == (np.int64, np.int64)
+                # a cap of 1 sends every block to Python ints
+                with mock.patch.object(qseries, "INT64_CAP", 1):
+                    re_obj, im_obj = narrow.numerators(lo, hi, c, scale)
+                assert (re_obj.dtype, im_obj.dtype) == (object, object)
+                assert all(type(x) is int for x in re_obj.tolist() + im_obj.tolist())
+                assert re.tolist() == re_obj.tolist() and im.tolist() == im_obj.tolist()
+                index = [wide.H(n) if c == 1 else wide.F(n) for n in range(lo, hi)]
+                assert [(scale * x, scale * y) for x, y in index] == list(zip(re.tolist(), im.tolist()))
+
+    def test_the_cap_is_taken_over_each_block(self):
+        # the bound reads each block's own maxima: a cap between the bounds
+        # of a block near 0 and one near 200 makes the first int64 and the
+        # second object, in either order and from one cached tail
+        chi = quartic_pair(13)[0]
+        wide = Convolver(chi)
+        long, short = wide.numerators(100, 200, 1), wide.numerators(0, 10, 1)
+        conv = Convolver(chi)
+        with mock.patch.object(qseries, "INT64_CAP", int(np.abs(long[0]).max())):
+            second, first = conv.numerators(100, 200, 1), conv.numerators(0, 10, 1)
+        assert first[0].dtype == np.int64 and second[0].dtype == object
+        assert first[0].tolist() == short[0].tolist() and second[0].tolist() == long[0].tolist()
 
     def test_numerators_build_one_tail_and_reuse_it(self):
         chi = quartic_pair(13)[0]
