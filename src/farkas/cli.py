@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import gc
 import io
 import json
 import os
@@ -631,7 +632,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_start_up_heap() -> None:
+    """Move everything tracked so far (about 22 700 objects after `import
+    farkas.cli`, most of them numpy's) to the permanent generation, which no
+    collection walks: CPython's shutdown collections re-walked them on every
+    run, about 28 ms of a refutation's process wall time, against about 7 ms
+    in ``main``.  Once per process (cached): a later in-process call would
+    make its caller's pending cyclic garbage permanent too, and
+    ``gc.get_freeze_count`` walks the whole permanent generation, so it is
+    no cheap guard (8.9 ms at 347 000 frozen objects)."""
+    gc.freeze()
+
+
 def main(argv=None) -> int:
+    _freeze_start_up_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -435,15 +435,26 @@ def check_configured_identity(
         _denominator(*cfg.rhs_coefficients),
     )
     terms = [(_scaled(a, D // s2), b, c) for a, b, c in cfg.terms]
-    single = conv.H if use_H else conv.F
+    read = conv.H if use_H else conv.F
+    # with M = max |Re|, |Im| of the block's reads, every scalar, product
+    # and partial sum of lhs is at most max(scalars, weight M)
+    scalars = max(abs(x) for pair, _, _ in terms for x in pair)
+    weight = sum(abs(ar) + abs(ai) for (ar, ai), _, _ in terms)
 
     def lhs(lo: int, hi: int):
-        re, im = np.zeros(hi - lo, dtype=object), np.zeros(hi - lo, dtype=object)
-        for (ar, ai), b, c in terms:
-            for n in range(-(-lo // b) * b, hi, b):  # the multiples of b
-                fr, fi = single((n // b) * c)
-                re[n - lo] += ar * fr - ai * fi
-                im[n - lo] += ar * fi + ai * fr
+        # the multiples n = k b in [lo, hi) read F(k c): one index read a term
+        reads = []
+        for _, b, c in terms:
+            first, stop = -(-lo // b), -(-hi // b)
+            reads.append((first * b - lo, read(first * c, stop * c, c)))
+        dtype = exact_dtype(
+            max(scalars, weight * max(max_abs(v) for _, pair in reads for v in pair))
+        )
+        re, im = np.zeros(hi - lo, dtype=dtype), np.zeros(hi - lo, dtype=dtype)
+        for ((ar, ai), b, _), (start, (fr, fi)) in zip(terms, reads):
+            fr, fi = fr.astype(dtype, copy=False), fi.astype(dtype, copy=False)
+            re[start::b] += ar * fr - ai * fi
+            im[start::b] += ar * fi + ai * fr
         return re, im
 
     if use_H:

@@ -49,10 +49,11 @@ prefix sums.  w is read from the packed data; every slot, correction
 term and direct sum is at most m (2K)**2 for length m, asserted below
 2**63.
 
-Its index read F(n), H(n) (the dilated lookups F(95 n) of a configured
-identity) takes half-length dot products and builds no tail: a*a, b*b and
+Its index read F(n), H(n), or F(n, stop, step) for a block of indices at
+once (the dilated lookups F(95 n) of a configured identity), takes
+half-length dot products and builds no tail: a*a, b*b and
 a*b + b*a are symmetric under j <-> n - j, so each is summed over
-j <= (n - 1) / 2 once, plus the middle term at even n, in Python ints.
+j <= (n - 1) / 2 once, plus the middle term at even n, in int64.
 The dots read float32 mirrors of delta_chi, built on the first index read
 after a growth: a forward mirror over 0..(capacity - 1) // 2 and a
 reversed one over 0..capacity, so both operands of every dot are
@@ -591,9 +592,11 @@ class Convolver:
       below 4 n; and since its blocks double (then grow by a fixed step),
       each rebuild reaches about four times as far as the last, so
       ascending reads to N rebuild it O(log N) times;
-    - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail.  a*a, b*b and
+    - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail; ``F(n, stop,
+      step)`` reads n, n + step, ... below stop in one call, as the dilated
+      lookups of a configured identity do.  a*a, b*b and
       a*b + b*a at n are unchanged under j <-> n - j, so each takes dots
-      over 1 <= j <= h = (n - 1) // 2, doubled in Python ints, plus the
+      over 1 <= j <= h = (n - 1) // 2, doubled in int64, plus the
       middle term a[n/2]**2 (b[n/2]**2, a[n/2] b[n/2]) once for even n.
       F takes the two half dots of a*a and b*b; H takes them for its real
       part a*a - b*b and two more, a_j b_{n-j} and b_j a_{n-j}, for its
@@ -621,9 +624,10 @@ class Convolver:
         self._L = _delta0_numerator(chi)
         self._re = self._im = np.zeros(1, dtype=np.int16)
         # (a, b, a_rev, b_rev) float32, a_rev[k] = _re[capacity - k], built
-        # with _chunk on the first index read after a growth: see _dot_tail
+        # with K = max |a|, |b| and its dot chunk on the first index read
+        # after a growth: see _index_read
         self._mirrors = None
-        self._chunk = None
+        self._K = self._chunk = None
         # conjugation c -> (Re T, Im T) over 0..reach; Im T of F is zero: None
         self._tails = {}
 
@@ -639,7 +643,7 @@ class Convolver:
         are dropped, before the sieve runs, for the next index read to
         rebuild."""
         if n > self.capacity:
-            self._mirrors = self._chunk = None
+            self._mirrors = self._K = self._chunk = None
             self._re, self._im = delta_int_arrays(self.chi, n, prefix=(self._re, self._im))
 
     def ensure(self, n: int) -> None:
@@ -663,31 +667,71 @@ class Convolver:
         dot chunk for their K."""
         if self._mirrors is None:
             h = (self.capacity - 1) // 2
-            self._chunk = _dot_chunk(max(max_abs(self._re), max_abs(self._im)))
+            self._K = max(max_abs(self._re), max_abs(self._im))
+            self._chunk = _dot_chunk(self._K)
             self._mirrors = (
                 self._re[: h + 1].astype(np.float32), self._im[: h + 1].astype(np.float32),
                 self._re[::-1].astype(np.float32), self._im[::-1].astype(np.float32),
             )
         return self._mirrors
 
-    def _dot_tail(self, n: int, c: int) -> tuple[int, int]:
-        """(Re T(n), Im T(n)) for n >= 1 from half-length dots (see the class
-        docstring), each a contiguous float32 ``_dot`` chunked under the
-        derived bound."""
-        h = (n - 1) // 2
+    def _index_read(self, n: int, stop: int | None, step: int, c: int):
+        """``denominator`` times F (c = -1) or H (c = 1) at n, n + step, ...
+        below ``stop``, in the format of ``numerators``: two arrays (re, im)
+        of one dtype, int64 when ``_bound`` is below INT64_CAP, else object
+        arrays of Python ints; at n alone (``stop`` None) as an int pair.
+
+        One ``ensure`` to the largest index and one ``_mirror`` serve the
+        whole read.  Each index then takes the half-length dots of the class
+        docstring, each a contiguous float32 ``_dot`` chunked under the
+        derived bound; the middle terms and ``_combine`` run over the whole
+        block.  With K = max |delta_chi| over the sieved prefix (found with
+        the mirrors), a tail at m sums m + 1 terms of at most 2 K**2, so
+        |T(m)| <= 2 (m + 1) K**2.  That is the M of the block's ``_bound``,
+        with no reduction over the block; as K <= MAX_DIVISOR_COUNT and
+        m <= MAX_FAST_N it is within the bound asserted at import, so the
+        tails and middle terms are int64."""
+        if n < 0:
+            raise ValueError("F and H expect n >= 0")
+        if step < 1:
+            raise ValueError(f"F and H expect step >= 1, got {step}")
+        ms = range(n, n + 1 if stop is None else stop, step)
+        if not ms:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        self.ensure(ms[-1])
         a, b, a_rev, b_rev = self._mirror()
-        chunk = self._chunk
-        r = self.capacity - n  # *_rev[r + j] = delta(n - j)
-        a, b = a[1 : h + 1], b[1 : h + 1]
-        a_rev, b_rev = a_rev[r + 1 : r + h + 1], b_rev[r + 1 : r + h + 1]
-        aa, bb = 2 * _dot(a, a_rev, chunk), 2 * _dot(b, b_rev, chunk)
-        x = y = 0  # the middle term delta(n / 2) of an even n
-        if n % 2 == 0:
-            x, y = int(self._re[n // 2]), int(self._im[n // 2])
-            aa, bb = aa + x * x, bb + y * y
+        chunk, capacity, dot = self._chunk, self.capacity, _dot
+        aa, bb, ab = (np.zeros(len(ms), dtype=np.int64) for _ in range(3))
+        for i, m in enumerate(ms):
+            h, r = (m - 1) // 2, capacity - m  # *_rev[r + j] = delta(m - j)
+            x, y = a[1 : h + 1], b[1 : h + 1]
+            x_rev, y_rev = a_rev[r + 1 : r + h + 1], b_rev[r + 1 : r + h + 1]
+            aa[i] = dot(x, x_rev, chunk)
+            bb[i] = dot(y, y_rev, chunk)
+            if c > 0:
+                ab[i] = dot(x, y_rev, chunk) + dot(y, x_rev, chunk)
+        # the middle term delta(m / 2) of an even m, counted once (delta(0)
+        # is stored as 0, so an odd m reads 0 there)
+        ns = np.arange(ms.start, ms.stop, ms.step)
+        half = np.where(ns % 2 == 0, ns // 2, 0)
+        x_mid, y_mid = self._re[half].astype(np.int64), self._im[half].astype(np.int64)
+        aa = 2 * aa + x_mid * x_mid
+        bb = 2 * bb + y_mid * y_mid
         if c < 0:
-            return aa + bb, 0
-        return aa - bb, 2 * (_dot(a, b_rev, chunk) + _dot(b, a_rev, chunk)) + 2 * x * y
+            tail_re, tail_im = aa + bb, None  # Im T of F is 0
+        else:
+            tail_re, tail_im = aa - bb, 2 * ab + 2 * x_mid * y_mid
+        x, y = self._re[ns], self._im[ns]
+        K = self._K
+        dtype = exact_dtype(self._bound(1, max(K, 2 * (ms[-1] + 1) * K * K)))
+
+        def exact(arr):
+            return 0 if arr is None else arr.astype(dtype, copy=False)
+
+        re, im = self._combine(c, exact(tail_re), exact(tail_im), exact(x), exact(y))
+        if n == 0:
+            re[0], im[0] = self._at_zero(c)
+        return (re, im) if stop is not None else (int(re[0]), int(im[0]))
 
     def _at_zero(self, c: int, k: int = 1) -> tuple[int, int]:
         """k s**2 times the n = 0 term delta_chi(0) delta'(0): k L L',
@@ -697,7 +741,7 @@ class Convolver:
 
     def _combine(self, c: int, tail_re, tail_im, x, y, k: int = 1):
         """k (s**2 T(n) + s (L delta'(n) + delta(n) L')) for n >= 1, from
-        T(n) and delta_chi(n) = x + i y: Python ints, or arrays of one dtype,
+        T(n) and delta_chi(n) = x + i y: arrays of one dtype,
         int64 under the bound of ``_bound`` or object (Python ints), so the
         result is exact either way."""
         u, v = self._L
@@ -713,16 +757,6 @@ class Convolver:
         u, v = map(abs, self._L)
         s = 2 * self.chi.p
         return k * max(s * s, 2 * s, u, v, (s * s + 2 * s * (u + v)) * M, u * u + v * v, 2 * u * v)
-
-    def _product(self, n: int, c: int) -> tuple[int, int]:
-        """``denominator`` times sum_{j=0}^{n} delta_chi(j) delta'(n-j), where
-        delta' is delta_chi (c = 1) or its conjugate (c = -1), as an int pair."""
-        if n < 0:
-            raise ValueError("F and H expect n >= 0")
-        if n == 0:
-            return self._at_zero(c)
-        self.ensure(n)
-        return self._combine(c, *self._dot_tail(n, c), int(self._re[n]), int(self._im[n]))
 
     def numerators(
         self, lo: int, hi: int, c: int, scale: int = 1
@@ -757,15 +791,17 @@ class Convolver:
             re[0], im[0] = self._at_zero(c, scale)
         return re, im
 
-    def F(self, n: int) -> tuple[int, int]:
+    def F(self, n: int, stop: int | None = None, step: int = 1):
         """``denominator`` times F_chi(n) = sum_{j=0}^{n} delta_chi(j)
-        delta_chibar(n-j), as an int pair (re, im): the format of ``numerators``."""
-        return self._product(n, -1)
+        delta_chibar(n-j), as an int pair (re, im): the format of ``numerators``.
+        With ``stop``, the same at n, n + step, ... below stop, as two arrays
+        in the format of ``numerators``, from one index read (``_index_read``)."""
+        return self._index_read(n, stop, step, -1)
 
-    def H(self, n: int) -> tuple[int, int]:
+    def H(self, n: int, stop: int | None = None, step: int = 1):
         """``denominator`` times H_chi(n) = sum_{j=0}^{n} delta_chi(j)
-        delta_chi(n-j), as an int pair (re, im)."""
-        return self._product(n, 1)
+        delta_chi(n-j), as an int pair (re, im); with ``stop``, as ``F``."""
+        return self._index_read(n, stop, step, 1)
 
 
 @lru_cache(maxsize=2 * PRIMES_CACHED)

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 from importlib import resources
 from unittest import mock
@@ -778,6 +779,38 @@ class TestInternalError:
             monkeypatch.setattr(cli, "cmd_verify", broken)
             assert main(["verify", "--kind", "farkas"]) == code
         assert "Traceback" not in capsys.readouterr().err
+
+
+# a fresh interpreter: the tracked objects after import, then the freeze
+# count after each of two in-process main calls, with their exit codes
+FREEZE_PROBE = """
+import contextlib, gc, io, json
+import farkas.cli
+gc.collect()
+tracked = len(gc.get_objects())
+argv = ["verify", "--p", "13", "--kind", "conv", "--nmax", "50"]
+with contextlib.redirect_stdout(io.StringIO()):
+    first = farkas.cli.main(argv), gc.get_freeze_count()
+    second = farkas.cli.main(argv), gc.get_freeze_count()
+print(json.dumps([tracked, *first, *second]))
+"""
+
+
+class TestStartupHeap:
+    def test_main_freezes_the_start_up_heap_once(self):
+        # the objects of the imports move to the permanent generation on the
+        # first call, which the shutdown collections no longer walk; a second
+        # call freezes nothing more
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", FREEZE_PROBE], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        tracked, code1, frozen1, code2, frozen2 = json.loads(done.stdout)
+        assert code1 == code2 == EXIT_PASS
+        assert tracked > 1000 and frozen1 >= tracked
+        assert frozen2 == frozen1
 
 
 # the renderings of the per-row Fraction path, kept as oracles

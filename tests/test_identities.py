@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
@@ -197,7 +198,10 @@ class TestBlockSweep:
         bounds, exact_dtype = [], identities.exact_dtype
 
         def recorded(bound):
-            bounds.append(bound)
+            # the rhs blocks' bounds only: a configured identity's lhs blocks
+            # pick their dtype by the same rule
+            if sys._getframe(1).f_code.co_name == "rhs":
+                bounds.append(bound)
             return exact_dtype(bound)
 
         def run(cap):
@@ -644,6 +648,32 @@ class TestConfiguredIdentities:
             ConfiguredIdentity(
                 5, "quartic-i", ((gaussian(1), 1, 1),), "tilde_hat", (gaussian(1),)
             )
+
+    @pytest.mark.parametrize("scale", [1, 2**44])
+    def test_lhs_blocks_equal_the_per_index_oracle(self, scale):
+        # complex A over H lookups, against one H(m) read per lookup: at
+        # scale 1 the blocks are int64; at 2**44 every A fits int64 but
+        # A H(m) outgrows it as m grows, so the bound must send the later
+        # blocks to Python ints
+        cfg = ConfiguredIdentity(
+            13, "quartic-i", ((gaussian(scale, 3), 1, 7), (gaussian(-2, scale), 3, 5)),
+            "tilde_hat", (gaussian(1), gaussian(1)),
+        )
+        with mock.patch.object(identities, "_run_verification") as run:
+            check_configured_identity(cfg, 300)
+        D, lhs = run.call_args.args[4], run.call_args.args[5]
+        conv = convolver(canonical_quartic(13))
+        dtypes = []
+        for lo, hi in ((1, 3), (3, 40), (40, 301)):
+            re, im = lhs(lo, hi)
+            dtypes.append(re.dtype)
+            for n, x, y in zip(range(lo, hi), re.tolist(), im.tolist()):
+                want = sum(
+                    (a * _exact(conv, conv.H(n // b * c)) for a, b, c in cfg.terms if n % b == 0),
+                    GaussianRational(),
+                )
+                assert GaussianRational(Fraction(x, D), Fraction(y, D)) == want, (scale, n)
+        assert (dtypes == [np.int64] * 3) if scale == 1 else (dtypes[-1] == object)
 
     def test_p37_spot_value(self):
         conv = convolver(canonical_quartic(37))

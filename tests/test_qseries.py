@@ -795,6 +795,65 @@ class TestHalfLengthIndexRead:
                 want = h_series[n].conj() if conj else h_series[n]
                 assert conv.H(n) == _times(D, want), (chi_.label(), n)
 
+    @pytest.mark.parametrize("p", [5, 13, 3])
+    def test_a_block_read_is_its_per_index_reads(self, p):
+        # F(n, stop, step), H(n, stop, step) against the per-index reads and
+        # the Cauchy product: all n, odd n, even n, a stride of 19 with both
+        # parities, one index, and empty reads; int64 blocks, and object
+        # blocks of the same values when the cap is forced to 1
+        N = 300
+        chi, f_series, h_series = _products(p, N)
+        reads = [(0, N + 1, 1), (1, N + 1, 2), (2, N + 1, 2), (5, N, 19), (N, N + 1, 1),
+                 (7, 7, 1), (9, 3, 4)]
+        for c, series in ((-1, f_series), (1, h_series)):
+            conv = Convolver(chi)
+            D = conv.denominator
+            read = conv.F if c < 0 else conv.H
+            for n, stop, step in reads:
+                re, im = read(n, stop, step)
+                ns = range(n, stop, step)
+                assert (re.dtype, im.dtype) == (np.int64, np.int64)
+                rows = list(zip(re.tolist(), im.tolist()))
+                assert rows == [read(m) for m in ns], (c, n, stop, step)
+                assert rows == [_times(D, series[m]) for m in ns], (c, n, stop, step)
+                with mock.patch.object(qseries, "INT64_CAP", 1):
+                    re_obj, im_obj = read(n, stop, step)
+                if ns:
+                    assert (re_obj.dtype, im_obj.dtype) == (object, object)
+                assert all(type(x) is int for x in re_obj.tolist() + im_obj.tolist())
+                assert list(zip(re_obj, im_obj)) == rows
+            with pytest.raises(ValueError):
+                read(1, 10, 0)
+            with pytest.raises(ValueError):
+                read(-1, 10, 1)
+
+    def test_a_block_read_sieves_once_to_its_largest_index(self):
+        # one ensure to the last index and one mirror for the whole block;
+        # ascending per-index reads would double the capacity to 1024
+        conv = Convolver(quartic_pair(13)[0])
+        with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy:
+            re, _ = conv.H(3, 1001, 3)
+        assert len(re) == 333 and conv.capacity == 999
+        assert spy.call_count == 2  # Re and Im, once each
+        mirrors = conv._mirrors
+        conv.F(1, 1000, 2)
+        assert conv._mirrors is mirrors
+
+    def test_a_block_read_is_int64_below_its_derived_bound(self):
+        # |T(m)| <= 2 (m + 1) K**2, K = max |delta| over the sieved prefix:
+        # a cap at that block bound sends the block to Python ints, one past
+        # it keeps int64, and both give the same values
+        conv = Convolver(quartic_pair(13)[0])
+        want = conv.H(10, 500, 7)  # the last index is 493
+        K = conv._K
+        assert K == max(np.abs(conv._re).max(), np.abs(conv._im).max())
+        bound = conv._bound(1, 2 * (493 + 1) * K * K)
+        for cap, dtype in ((bound, object), (bound + 1, np.int64)):
+            with mock.patch.object(qseries, "INT64_CAP", cap):
+                re, im = conv.H(10, 500, 7)
+            assert (re.dtype, im.dtype) == (dtype, dtype), cap
+            assert re.tolist() == want[0].tolist() and im.tolist() == want[1].tolist()
+
     @pytest.mark.parametrize("p", [13, 37])
     def test_dilated_reads_match_the_range_read(self, p):
         # F(95 k), H(95 k) as in the p37_5_19 config, against the same
@@ -857,6 +916,12 @@ class TestHalfLengthIndexRead:
             for n in sorted(ns):
                 assert conv.F(n) == oracle(n, -1), n
                 assert conv.H(n) == oracle(n, 1), n
+            # a block read across each boundary: its dots split there too
+            for k in (1, 2, 3):
+                lo, stop = 2 * k * chunk - 1, 2 * k * chunk + 5
+                for c, read in ((-1, conv.F), (1, conv.H)):
+                    re, im = read(lo, stop)
+                    assert list(zip(re, im)) == [oracle(n, c) for n in range(lo, stop)], (k, c)
         assert conv._chunk == chunk
         assert max(length for length, _ in log) > 3 * chunk  # split in four
 
