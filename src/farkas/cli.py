@@ -480,6 +480,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
+    _check_nmax(args.nmax)
     payload: dict = {"command": "search", "params": {}}
     if args.pmax is not None and args.pmax < 5:
         raise UsageError(

@@ -26,8 +26,7 @@ from .qseries import (
     character_table,
     convolver,
     delta_constant,
-    exact_dtype,
-    max_abs,
+    exact_sum,
     sigma_hat_values,
     sigma_prime_values,
     sigma_tilde_values,
@@ -123,31 +122,18 @@ def _linear_rhs(D: int, nmax: int, terms, constant: Optional[GaussianRational] =
     for exact c_k and int64 series s_k, where ``build_k(N, prefix)`` extends
     ``prefix`` to s_k[0..N]: each block first grows the series to
     ``_sieve_reach``.  ``constant`` is the value at n = 0 (None: not swept).
-
-    A block is int64 when its bound is below the cap of ``exact_dtype``,
-    else object arrays of Python ints.  With M = max |s_k[n]| over the
-    block, the bound covers every scalar D c_k, each partial sum
-    sum_k |D c_k| M of either part, and the value at n = 0."""
+    ``exact_sum`` picks each block's dtype."""
     scaled = [_scaled(c, D) for c, _ in terms]
     builds = [build for _, build in terms]
     series = [np.zeros(1, dtype=np.int64)] * len(terms)
     at_zero = None if constant is None else _scaled(constant, D)
-    scalars = max(abs(x) for x in (*(at_zero or ()), *(x for pair in scaled for x in pair)))
-    weight = max(sum(abs(pair[j]) for pair in scaled) for j in (0, 1))
 
     def rhs(lo: int, hi: int):
         N = _sieve_reach(hi, len(series[0]) - 1, nmax)
         if N >= len(series[0]):
             series[:] = [build(N, s) for build, s in zip(builds, series)]
-        blocks = [s[lo:hi] for s in series]
-        dtype = exact_dtype(max(scalars, weight * max(map(max_abs, blocks))))
-        re = im = 0
-        for (cr, ci), block in zip(scaled, blocks):
-            v = block.astype(dtype, copy=False)
-            re, im = re + cr * v, im + ci * v
-        if lo == 0:
-            re[0], im[0] = at_zero
-        return re, im
+        blocks = [(c, (s[lo:hi], None)) for c, s in zip(scaled, series)]
+        return exact_sum(blocks, at_zero if lo == 0 else None)
 
     return rhs
 
@@ -161,7 +147,7 @@ def _run_verification(
 
     ``lhs_block(lo, hi)``, ``rhs_block(lo, hi)``: (re, im) arrays over
     [lo, hi), int64 or object arrays of Python ints, each exact (see
-    ``exact_dtype``); only a failing coefficient becomes Python ints.
+    ``exact_sum``); only a failing coefficient becomes Python ints.
     Block ends hi run 3, 6, 12, ..., 3072, then grow by SWEEP_BLOCK: a
     failure at n >= 3 is found by hi <= 2n, and no block holds more than
     SWEEP_BLOCK coefficients.
@@ -253,8 +239,8 @@ class AsymptoticReport:
 
     lhs(n) = (lhs_re[i] + i lhs_im[i]) / denominator exactly, rhs(n) =
     sigma[i], and the ratio is lhs / rhs.  lhs_re and lhs_im are int64 when
-    ``Convolver.numerators`` bounds them below INT64_CAP (every table at
-    p = 29, 37 and N = 10**6), else object arrays of Python ints; n, kron
+    ``exact_sum`` bounds them below INT64_CAP (every table at p = 29, 37
+    and N = 10**6), else object arrays of Python ints; n, kron
     and sigma are int64.  The CLI renders chunks of int64 columns in one
     numpy byte pass (``cli._ratio_bytes``) and any other chunk with its
     column builders.
@@ -436,26 +422,19 @@ def check_configured_identity(
     )
     terms = [(_scaled(a, D // s2), b, c) for a, b, c in cfg.terms]
     read = conv.H if use_H else conv.F
-    # with M = max |Re|, |Im| of the block's reads, every scalar, product
-    # and partial sum of lhs is at most max(scalars, weight M)
-    scalars = max(abs(x) for pair, _, _ in terms for x in pair)
-    weight = sum(abs(ar) + abs(ai) for (ar, ai), _, _ in terms)
 
     def lhs(lo: int, hi: int):
-        # the multiples n = k b in [lo, hi) read F(k c): one index read a term
-        reads = []
-        for _, b, c in terms:
+        # the multiples n = k b in [lo, hi) read F(k c): one index read a
+        # term, placed at its n in a block of hi - lo values
+        blocks = []
+        for scalar, b, c in terms:
             first, stop = -(-lo // b), -(-hi // b)
-            reads.append((first * b - lo, read(first * c, stop * c, c)))
-        dtype = exact_dtype(
-            max(scalars, weight * max(max_abs(v) for _, pair in reads for v in pair))
-        )
-        re, im = np.zeros(hi - lo, dtype=dtype), np.zeros(hi - lo, dtype=dtype)
-        for ((ar, ai), b, _), (start, (fr, fi)) in zip(terms, reads):
-            fr, fi = fr.astype(dtype, copy=False), fi.astype(dtype, copy=False)
-            re[start::b] += ar * fr - ai * fi
-            im[start::b] += ar * fi + ai * fr
-        return re, im
+            pair = read(first * c, stop * c, c)
+            placed = tuple(np.zeros(hi - lo, dtype=v.dtype) for v in pair)
+            for to, v in zip(placed, pair):
+                to[first * b - lo :: b] = v
+            blocks.append((scalar, placed))
+        return exact_sum(blocks)
 
     if use_H:
         series = [partial(sigma_tilde_values, cfg.p), partial(sigma_hat_values, cfg.p)]

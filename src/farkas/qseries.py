@@ -31,11 +31,12 @@ scan holds, 4 bytes per index.
 
 The Convolver's range read, which the sweeps use, takes F and H from
 whole-series tails built by one exact product, ``_full_product``, which
-widens the int16 delta_chi arrays to int64 inside its kernels.  It returns
-int64 blocks whenever a bound derived from the block's largest values and
-every scalar of its one expression stays below INT64_CAP = 2**62, and
-object arrays of Python ints otherwise (``exact_dtype``); the sweeps' rhs
-blocks follow the same rule.  A product of at most SHORT_PRODUCT = 800
+widens the int16 delta_chi arrays to int64 inside its kernels.  Every
+compared block, F and H as much as the sweeps' rhs, is one sum
+sum_k (c_k + i d_k)(x_k + i y_k) built by ``exact_sum``, the one place
+that chooses int64 (under a bound below INT64_CAP = 2**62, from the
+block's largest values and every scalar) or object arrays of Python
+ints.  A product of at most SHORT_PRODUCT = 800
 coefficients (every product of a prime scan, and the first tails of a
 long sweep) is one int64
 ``np.convolve``: O(m**2), but 24x faster than the alternative at m = 3 and
@@ -96,10 +97,10 @@ assert FLOAT32_EXACT // MAX_DIVISOR_COUNT**2 >= 1
 # H's tails multiply Re delta +- Im delta, so a product's offset K is at most
 # 2 MAX_DIVISOR_COUNT, and its slots and correction terms at most (N+1)(2K)**2
 assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
-# an exact block (``Convolver.numerators``, the sweeps' rhs blocks) is int64
-# when a bound on every scalar, intermediate and value of its expression is
-# below this, else an object array of Python ints: one bit of headroom, so
-# the sum or difference of two such blocks fits int64 as well
+# an exact block (``exact_sum``) is int64 when a bound on every scalar,
+# intermediate and value of its expression is below this, else an object
+# array of Python ints: one bit of headroom, so the sum or difference of
+# two such blocks fits int64 as well
 INT64_CAP = 2**62
 assert 2 * INT64_CAP <= 2**63
 SIEVE_BLOCK = 1 << 13  # large divisors whose c(d) the sieve builds at once
@@ -532,16 +533,43 @@ def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # convolutions F and H
 # ---------------------------------------------------------------------
 
-def exact_dtype(bound: int) -> np.dtype:
-    """The dtype of an exact integer block: int64 when ``bound``, taken over
-    every Python-int scalar, intermediate and value of the expression that
-    builds the block, is below INT64_CAP, else object (Python ints)."""
-    return np.dtype(np.int64) if bound < INT64_CAP else np.dtype(object)
-
-
 def max_abs(arr: np.ndarray) -> int:
-    """max |arr| as a Python int (0 when empty), for int16 or int64 arr."""
+    """max |arr| as a Python int (0 when empty), for int16, int64 or object arr."""
     return max(int(arr.max()), -int(arr.min())) if len(arr) else 0
+
+
+def exact_sum(terms, at_zero: tuple[int, int] | None = None):
+    """sum_k (c_k + i d_k)(x_k + i y_k) as two arrays (re, im) of one dtype,
+    exact, for ``terms`` of pairs ((c_k, d_k), (x_k, y_k)): Python-int
+    scalars and integer arrays of one length, y_k None for 0.  ``at_zero``,
+    an int pair, replaces the value at index 0.
+
+    The one choice between int64 and object arrays of Python ints.  With
+    M = max |x_k|, |y_k| over the block, every scalar, product, partial
+    sum and value of the expression is at most
+    max(|c_k|, |d_k|, sum_k (|c_k| + |d_k|) M, |at_zero|): int64 when that
+    is below INT64_CAP, else object.  M takes one ``max_abs`` per array."""
+    M = max((max_abs(v) for _, xy in terms for v in xy if v is not None), default=0)
+    bound = max(
+        max(max(abs(c), abs(d)) for (c, d), _ in terms),
+        sum(abs(c) + abs(d) for (c, d), _ in terms) * M,
+        *map(abs, at_zero or ()),
+    )
+    dtype = np.dtype(np.int64) if bound < INT64_CAP else np.dtype(object)
+    re, im = (np.zeros(len(terms[0][1][0]), dtype=dtype) for _ in range(2))
+    for (c, d), (x, y) in terms:
+        # x adds c x to re and d x to im; y adds -d y and c y
+        for v, to_re, to_im in ((x, c, d), (y, -d, c)):
+            if v is None:
+                continue
+            v = v.astype(dtype, copy=False)
+            if to_re:
+                re += to_re * v
+            if to_im:
+                im += to_im * v
+    if at_zero is not None:
+        re[0], im[0] = at_zero
+    return re, im
 
 
 def _dot_chunk(K: int) -> int:
@@ -584,9 +612,7 @@ class Convolver:
       of ``asymptotic_report``: T(lo..hi-1) from a cached whole-series
       tail, built by two ``_full_product`` calls (one for a real chi, whose
       b is zero) in O(m log m) for m coefficients, which compute in int64.
-      The block comes back int64 when ``_bound`` stays below INT64_CAP,
-      else as object arrays of Python ints.  When
-      hi - 1 lies past it, the tail is rebuilt to max(hi - 1, 4 lo - 1),
+      When hi - 1 lies past it, the tail is rebuilt to max(hi - 1, 4 lo - 1),
       at most ``capacity``.  A sweep's block [lo, hi) starts at or before
       any n it can fail at, so a refutation at n builds tails that reach
       below 4 n; and since its blocks double (then grow by a fixed step),
@@ -616,6 +642,10 @@ class Convolver:
     a, b are sieved only as far as asked: a read extends them through
     ``ensure``, and a sweep extends them ahead of each block through
     ``extend``, by its own schedule.  Either sieves only the new indices.
+
+    Both reads hand T and delta_chi to ``_numerators``, which sums the
+    expression above with ``exact_sum``: int64 or object arrays of Python
+    ints, as its bound decides.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -627,7 +657,7 @@ class Convolver:
         # with K = max |a|, |b| and its dot chunk on the first index read
         # after a growth: see _index_read
         self._mirrors = None
-        self._K = self._chunk = None
+        self._chunk = None
         # conjugation c -> (Re T, Im T) over 0..reach; Im T of F is zero: None
         self._tails = {}
 
@@ -643,7 +673,7 @@ class Convolver:
         are dropped, before the sieve runs, for the next index read to
         rebuild."""
         if n > self.capacity:
-            self._mirrors = self._K = self._chunk = None
+            self._mirrors = self._chunk = None
             self._re, self._im = delta_int_arrays(self.chi, n, prefix=(self._re, self._im))
 
     def ensure(self, n: int) -> None:
@@ -667,8 +697,7 @@ class Convolver:
         dot chunk for their K."""
         if self._mirrors is None:
             h = (self.capacity - 1) // 2
-            self._K = max(max_abs(self._re), max_abs(self._im))
-            self._chunk = _dot_chunk(self._K)
+            self._chunk = _dot_chunk(max(max_abs(self._re), max_abs(self._im)))
             self._mirrors = (
                 self._re[: h + 1].astype(np.float32), self._im[: h + 1].astype(np.float32),
                 self._re[::-1].astype(np.float32), self._im[::-1].astype(np.float32),
@@ -677,20 +706,18 @@ class Convolver:
 
     def _index_read(self, n: int, stop: int | None, step: int, c: int):
         """``denominator`` times F (c = -1) or H (c = 1) at n, n + step, ...
-        below ``stop``, in the format of ``numerators``: two arrays (re, im)
-        of one dtype, int64 when ``_bound`` is below INT64_CAP, else object
-        arrays of Python ints; at n alone (``stop`` None) as an int pair.
+        below ``stop``, in the format of ``numerators``; at n alone (``stop``
+        None) as an int pair.
 
         One ``ensure`` to the largest index and one ``_mirror`` serve the
         whole read.  Each index then takes the half-length dots of the class
         docstring, each a contiguous float32 ``_dot`` chunked under the
-        derived bound; the middle terms and ``_combine`` run over the whole
-        block.  With K = max |delta_chi| over the sieved prefix (found with
-        the mirrors), a tail at m sums m + 1 terms of at most 2 K**2, so
-        |T(m)| <= 2 (m + 1) K**2.  That is the M of the block's ``_bound``,
-        with no reduction over the block; as K <= MAX_DIVISOR_COUNT and
-        m <= MAX_FAST_N it is within the bound asserted at import, so the
-        tails and middle terms are int64."""
+        derived bound; the middle terms and ``_numerators`` run over the
+        whole block.  With K = max |delta_chi| over the sieved prefix, a
+        tail at m sums m + 1 terms of at most 2 K**2, so |T(m)| <=
+        2 (m + 1) K**2; as K <= MAX_DIVISOR_COUNT and m <= MAX_FAST_N that
+        is within the bound asserted at import, so the tails and middle
+        terms are int64."""
         if n < 0:
             raise ValueError("F and H expect n >= 0")
         if step < 1:
@@ -721,52 +748,38 @@ class Convolver:
             tail_re, tail_im = aa + bb, None  # Im T of F is 0
         else:
             tail_re, tail_im = aa - bb, 2 * ab + 2 * x_mid * y_mid
-        x, y = self._re[ns], self._im[ns]
-        K = self._K
-        dtype = exact_dtype(self._bound(1, max(K, 2 * (ms[-1] + 1) * K * K)))
-
-        def exact(arr):
-            return 0 if arr is None else arr.astype(dtype, copy=False)
-
-        re, im = self._combine(c, exact(tail_re), exact(tail_im), exact(x), exact(y))
-        if n == 0:
-            re[0], im[0] = self._at_zero(c)
+        re, im = self._numerators(c, 1, tail_re, tail_im, self._re[ns], self._im[ns], n == 0)
         return (re, im) if stop is not None else (int(re[0]), int(im[0]))
 
-    def _at_zero(self, c: int, k: int = 1) -> tuple[int, int]:
+    def _at_zero(self, c: int, k: int) -> tuple[int, int]:
         """k s**2 times the n = 0 term delta_chi(0) delta'(0): k L L',
         L' = u + i c v."""
         u, v = self._L
         return k * (u * u - c * v * v), k * (1 + c) * u * v
 
-    def _combine(self, c: int, tail_re, tail_im, x, y, k: int = 1):
-        """k (s**2 T(n) + s (L delta'(n) + delta(n) L')) for n >= 1, from
-        T(n) and delta_chi(n) = x + i y: arrays of one dtype,
-        int64 under the bound of ``_bound`` or object (Python ints), so the
-        result is exact either way."""
+    def _numerators(self, c: int, k: int, tail_re, tail_im, x, y, zero: bool):
+        """k (s**2 T(n) + s (L delta'(n) + delta(n) L')) over a block, from
+        T(n) (Im T None for F) and delta_chi(n) = x + i y, by ``exact_sum``;
+        ``zero``: the block starts at n = 0, which takes ``_at_zero``.
+
+        s (L delta' + delta L') is 2 s (u x + v y) for F and 2 s L delta
+        for H."""
         u, v = self._L
         s = 2 * self.chi.p
-        re = k * s * s * tail_re + 2 * k * s * (u * x - c * v * y)
-        im = k * s * s * tail_im + (1 + c) * k * s * (u * y + v * x)
-        return re, im
-
-    def _bound(self, k: int, M: int) -> int:
-        """A bound on every scalar, intermediate and value of ``_combine``
-        (scale k >= 1) when |Re|, |Im| of T and of delta_chi are at most M,
-        and of ``_at_zero``: each is at most a sum of such terms."""
-        u, v = map(abs, self._L)
-        s = 2 * self.chi.p
-        return k * max(s * s, 2 * s, u, v, (s * s + 2 * s * (u + v)) * M, u * u + v * v, 2 * u * v)
+        if c < 0:
+            terms = [((k * s * s, 0), (tail_re, None)), ((2 * k * s * u, 0), (x, None)),
+                     ((2 * k * s * v, 0), (y, None))]
+        else:
+            terms = [((k * s * s, 0), (tail_re, tail_im)), ((2 * k * s * u, 2 * k * s * v), (x, y))]
+        return exact_sum(terms, self._at_zero(c, k) if zero else None)
 
     def numerators(
         self, lo: int, hi: int, c: int, scale: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
         """``scale`` (>= 1) times ``denominator`` times F (c = -1) or H
         (c = 1) at n in [lo, hi), as two arrays (re, im) of one dtype: int64
-        when ``_bound`` is below INT64_CAP (``exact_dtype``), else object
-        arrays of Python ints.  One expression, ``_combine``, computes
-        either.  The bound takes the largest |T| and |delta_chi| of the
-        block."""
+        or object arrays of Python ints, as ``exact_sum`` bounds the block
+        from its largest |T| and |delta_chi|."""
         if not 0 <= lo <= hi:
             raise ValueError(f"F and H expect 0 <= lo <= hi, got [{lo}, {hi})")
         assert scale >= 1, scale
@@ -777,19 +790,10 @@ class Convolver:
             m = min(max(top, 4 * lo - 1), self.capacity)
             self._tails.pop(c, None)  # free the old tail before the product's scratch
             self._tails[c] = self._whole_tail(m, c)
-        blocks = [a[lo:hi] for a in (*self._tails[c], self._re, self._im) if a is not None]
-        dtype = exact_dtype(self._bound(scale, max(map(max_abs, blocks))))
-
-        def exact(arr):  # None: Im T of F is 0
-            return 0 if arr is None else arr[lo:hi].astype(dtype, copy=False)
-
-        tail_re, tail_im = self._tails[c]
-        re, im = self._combine(
-            c, exact(tail_re), exact(tail_im), exact(self._re), exact(self._im), scale
+        tail_re, tail_im = (None if t is None else t[lo:hi] for t in self._tails[c])
+        return self._numerators(
+            c, scale, tail_re, tail_im, self._re[lo:hi], self._im[lo:hi], lo == 0 < hi
         )
-        if lo == 0 < hi:
-            re[0], im[0] = self._at_zero(c, scale)
-        return re, im
 
     def F(self, n: int, stop: int | None = None, step: int = 1):
         """``denominator`` times F_chi(n) = sum_{j=0}^{n} delta_chi(j)

@@ -455,6 +455,18 @@ class TestSearchCommand:
         assert "error: --pmax must be at least 5" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("nmax", ["-1", "2000000"])
+    def test_out_of_range_nmax_is_usage_error(self, nmax, tmp_path, capsys):
+        # -1 compared nothing and listed 29 and 37 as passing; 2000000
+        # failed in the sieve, naming its reach and not the option
+        out = tmp_path / "s.json"
+        argv = ["search", "--pmax", "40", "--nmax", nmax, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"error: --nmax must be in 0..1000000, got {nmax}" in captured.err
+        assert "Traceback" not in captured.err
+
 
 def _per_row_csv(p, kind, nmax, rows=None) -> bytes:
     """The asympt table of the quartic-i character, written one row at a

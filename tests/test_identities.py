@@ -48,6 +48,7 @@ from farkas.qseries import (
     sigma_tilde_series,
     sigma_tilde_values,
 )
+from test_qseries import exact_sum_bound
 
 
 def _exact(conv, pair):
@@ -195,14 +196,14 @@ class TestBlockSweep:
         # the last growth of the sieved series (to NMAX) makes the blocks
         # read before it int64 and those after it object, within one sweep
         sweep, _ = SWEEPS[kind]
-        bounds, exact_dtype = [], identities.exact_dtype
+        bounds, exact_sum = [], identities.exact_sum
 
-        def recorded(bound):
+        def recorded(terms, at_zero=None):
             # the rhs blocks' bounds only: a configured identity's lhs blocks
             # pick their dtype by the same rule
             if sys._getframe(1).f_code.co_name == "rhs":
-                bounds.append(bound)
-            return exact_dtype(bound)
+                bounds.append(exact_sum_bound(terms, at_zero))
+            return exact_sum(terms, at_zero)
 
         def run(cap):
             blocks, dtypes = {}, set()
@@ -216,7 +217,7 @@ class TestBlockSweep:
             with mock.patch.object(qseries, "INT64_CAP", cap), _watched_rhs(hook):
                 return sweep(NMAX), blocks, dtypes
 
-        with mock.patch.object(identities, "exact_dtype", recorded):
+        with mock.patch.object(identities, "exact_sum", recorded):
             wide = run(qseries.INT64_CAP)
         mixed, narrow = run(max(bounds)), run(1)
         assert wide[2] == {np.dtype(np.int64)} and narrow[2] == {np.dtype(object)}

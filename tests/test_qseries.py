@@ -1,3 +1,4 @@
+import ast
 import decimal
 import math
 import operator
@@ -5,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,6 +37,7 @@ from farkas.qseries import (
     delta_constant,
     delta_int_arrays,
     delta_series,
+    exact_sum,
     from_ints,
     kronecker_table,
     sigma_hat,
@@ -576,6 +579,108 @@ class TestCauchyProduct:
             assert p_short[n] == p_long[n]
 
 
+def exact_sum_bound(terms, at_zero=None) -> int:
+    """The bound ``exact_sum`` must take, spelled out in Python ints: every
+    |c_k|, |d_k|, sum_k (|c_k| + |d_k|) M for M = max |x_k|, |y_k|, and
+    |at_zero|."""
+    M = max((abs(int(v)) for _, xy in terms for arr in xy if arr is not None for v in arr), default=0)
+    return max(
+        *(abs(s) for (c, d), _ in terms for s in (c, d)),
+        sum(abs(c) + abs(d) for (c, d), _ in terms) * M,
+        *(abs(z) for z in at_zero or ()),
+    )
+
+
+def _python_sum(terms, at_zero=None) -> tuple[list, list]:
+    """``exact_sum`` in Python ints, index by index."""
+    def at(arr, j):
+        return 0 if arr is None else int(arr[j])
+
+    n = len(terms[0][1][0])
+    re = [sum(c * at(x, j) - d * at(y, j) for (c, d), (x, y) in terms) for j in range(n)]
+    im = [sum(d * at(x, j) + c * at(y, j) for (c, d), (x, y) in terms) for j in range(n)]
+    if at_zero is not None:
+        re[0], im[0] = at_zero
+    return re, im
+
+
+CAP = 2**20  # a patched INT64_CAP, so that values near it are cheap to draw
+_near_cap = st.integers(-(2**12), 2**12) | st.integers(-2 * CAP, 2 * CAP)
+
+
+@st.composite
+def _exact_terms(draw):
+    """(terms, at_zero) for ``exact_sum``: one to three terms over int64
+    arrays of one length, each y None or an array, values near CAP."""
+    n = draw(st.integers(1, 4))
+    values = st.lists(_near_cap, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+    term = st.tuples(st.tuples(_near_cap, _near_cap), st.tuples(values, st.none() | values))
+    at_zero = st.none() | st.tuples(_near_cap, _near_cap)
+    return draw(st.lists(term, min_size=1, max_size=3)), draw(at_zero)
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(_exact_terms())
+    def test_matches_a_python_int_oracle_on_either_side_of_the_cap(self, case):
+        terms, at_zero = case
+        with mock.patch.object(qseries, "INT64_CAP", CAP):
+            re, im = exact_sum(terms, at_zero)
+        dtype = object if exact_sum_bound(terms, at_zero) >= CAP else np.int64
+        assert (re.dtype, im.dtype) == (dtype, dtype)
+        assert all(type(v) is int for v in re.tolist() + im.tolist())
+        assert (re.tolist(), im.tolist()) == _python_sum(terms, at_zero)
+
+    @pytest.mark.parametrize("cap", [CAP, qseries.INT64_CAP])
+    def test_each_bound_ingredient_tips_the_block_on_its_own(self, cap):
+        # |c|, |d| (with M = 0), M through c and through d, and |at_zero|:
+        # each at the cap makes the block object, one below keeps int64
+        def block(t):
+            return np.array([0, t, -t // 2], dtype=np.int64)
+
+        zero = np.zeros(3, dtype=np.int64)
+        cases = [
+            lambda t: ([((t, 1), (zero, zero))], None),
+            lambda t: ([((1, -t), (zero, None))], None),
+            lambda t: ([((1, 0), (block(t), None))], None),
+            lambda t: ([((0, -1), (zero, block(t)))], None),
+            lambda t: ([((1, 1), (block(t // 2), None))], None),  # |c| + |d| = 2
+            lambda t: ([((2, 3), (block(1), zero))], (0, -t)),
+        ]
+        with mock.patch.object(qseries, "INT64_CAP", cap):
+            for i, case in enumerate(cases):
+                for t, dtype in ((cap, object), (cap - 2, np.int64)):
+                    terms, at_zero = case(t)
+                    re, im = exact_sum(terms, at_zero)
+                    assert (re.dtype, im.dtype) == (dtype, dtype), (i, t)
+                    assert (re.tolist(), im.tolist()) == _python_sum(terms, at_zero), (i, t)
+
+    def test_no_other_function_chooses_int64_or_object(self):
+        # the int64-or-object policy lives in exact_sum alone: no other
+        # function of the package compares with INT64_CAP or passes
+        # ``object`` as a dtype (np.dtype(object), astype(object),
+        # dtype=object); module-level asserts on the cap are not functions
+        def deciders(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Compare):
+                    operands = [sub.left, *sub.comparators]
+                    if any(getattr(o, "id", getattr(o, "attr", None)) == "INT64_CAP" for o in operands):
+                        yield "compares with INT64_CAP"
+                if isinstance(sub, ast.Call):
+                    args = [*sub.args, *(k.value for k in sub.keywords)]
+                    if any(isinstance(a, ast.Name) and a.id == "object" for a in args):
+                        yield "builds an object dtype"
+
+        found = {}
+        for path in sorted(Path(qseries.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for what in deciders(node):
+                        found.setdefault(what, set()).add(f"{path.name}:{node.name}")
+        want = {"qseries.py:exact_sum"}
+        assert found == {"compares with INT64_CAP": want, "builds an object dtype": want}
+
+
 def _times(D: int, z: GaussianRational) -> tuple[int, int]:
     """D z as an int pair, the format of ``Convolver.F`` and ``H``."""
     w = z * D
@@ -840,14 +945,18 @@ class TestHalfLengthIndexRead:
         assert conv._mirrors is mirrors
 
     def test_a_block_read_is_int64_below_its_derived_bound(self):
-        # |T(m)| <= 2 (m + 1) K**2, K = max |delta| over the sieved prefix:
-        # a cap at that block bound sends the block to Python ints, one past
-        # it keeps int64, and both give the same values
+        # the read's tails stay within 2 (m + 1) K**2, K = max |delta| over
+        # the sieved prefix; a cap at the bound of its ``exact_sum`` sends
+        # the block to Python ints, one past it keeps int64, and both give
+        # the same values
         conv = Convolver(quartic_pair(13)[0])
-        want = conv.H(10, 500, 7)  # the last index is 493
-        K = conv._K
-        assert K == max(np.abs(conv._re).max(), np.abs(conv._im).max())
-        bound = conv._bound(1, 2 * (493 + 1) * K * K)
+        with mock.patch.object(qseries, "exact_sum", wraps=qseries.exact_sum) as spy:
+            want = conv.H(10, 500, 7)  # the last index is 493
+        K = int(max(np.abs(conv._re).max(), np.abs(conv._im).max()))
+        (terms, at_zero), _ = spy.call_args
+        (_, tail), _ = terms  # (s**2, T) and (2 s L, delta_chi)
+        assert at_zero is None and np.abs(tail).max() <= 2 * (493 + 1) * K * K
+        bound = exact_sum_bound(terms)
         for cap, dtype in ((bound, object), (bound + 1, np.int64)):
             with mock.patch.object(qseries, "INT64_CAP", cap):
                 re, im = conv.H(10, 500, 7)
