@@ -178,7 +178,8 @@ def _verify_product(
     """Check product(n) = sum_k c_k s_k[n] for 0 <= n <= nmax, where product
     is F (c = -1) or H (c = 1) of chi, ``terms`` pairs each c_k with the
     builder of s_k (see ``_linear_rhs``) and ``constant`` is the rhs at
-    n = 0.  delta_chi and the s_k are sieved as the blocks reach them."""
+    n = 0.  delta_chi and the s_k are sieved as the blocks reach them; the
+    cached Convolver drops its whole-series tail when the sweep ends."""
     conv = convolver(chi)
     D = lcm(conv.denominator, _denominator(*(a for a, _ in terms), constant))
     k = D // conv.denominator
@@ -187,9 +188,12 @@ def _verify_product(
         conv.extend(_sieve_reach(hi, conv.capacity, nmax))
         return conv.numerators(lo, hi, c, scale=k)
 
-    return _run_verification(
-        p, chi.label(), kind, nmax, D, lhs, _linear_rhs(D, nmax, terms, constant)
-    )
+    try:
+        return _run_verification(
+            p, chi.label(), kind, nmax, D, lhs, _linear_rhs(D, nmax, terms, constant)
+        )
+    finally:
+        conv.release()
 
 
 def verify_id1(
@@ -308,6 +312,7 @@ def asymptotic_report(
         raise ValueError(f"unknown asymptotic kind {kind!r}")
     conv = convolver(chi)
     re, im = conv.numerators(0, nmax + 1, c)
+    conv.release()  # re, im are new arrays: the tail is no longer needed
     n = np.arange(1, nmax + 1, dtype=np.int64)
     n = n[n % p != 0]
     kron = _kronecker_values(p, nmax)  # (p/n) = kron[n % len(kron)]

@@ -27,28 +27,35 @@ and a sweep that stops at n sieves O(n + one sweep block) coefficients.
 delta_chi is stored once, as the int16 pair (Re, Im): |delta_chi(n)| is at
 most d(n) <= MAX_DIVISOR_COUNT = 240, and H's tails form Re +- Im, at most
 480 < 2**15 (both asserted below).  That pair is all a sweep or a prime
-scan holds, 4 bytes per index.
+scan holds, 4 bytes per index.  It is sieved in one int32 pass over the
+packed table Re chi * 2**16 + Im chi, and the pair is the two int16
+halves of that one array (see ``delta_int_arrays``).
 
 The Convolver's range read, which the sweeps use, takes F and H from
 whole-series tails built by one exact product, ``_full_product``, which
-widens the int16 delta_chi arrays to int64 inside its kernels.  Every
+reads the int16 delta_chi arrays as they are.  Every
 compared block, F and H as much as the sweeps' rhs, is one sum
 sum_k (c_k + i d_k)(x_k + i y_k) built by ``exact_sum``, the one place
 that chooses int64 (under a bound below INT64_CAP = 2**62, from the
 block's largest values and every scalar) or object arrays of Python
-ints.  A product of at most SHORT_PRODUCT = 800
-coefficients (every product of a prime scan, and the first tails of a
-long sweep) is one int64
-``np.convolve``: O(m**2), but 24x faster than the alternative at m = 3 and
-still ahead at m = 800, where the two were timed to cross.  A longer one
-uses Kronecker substitution: offset both int64 inputs by K = max |a|, |b|
+ints.  A product of at most GEMM_PRODUCT = 45 056 coefficients (every
+product of a prime scan and of the benchmark sweeps, and the tails of a
+sweep to 10**6 up to 16 385) is a blocked Toeplitz GEMM in float32: rows
+of L = GEMM_ROW = 128 coefficients of one factor times L x L Toeplitz
+tiles of the other, O(m**2) multiply-adds in BLAS, and F's tail a*a + b*b
+is one GEMM of inner length 2 L.  float32 is an exact integer unit
+there: L is derived from the factors' largest entries Kx, Ky so that
+r L Kx Ky <= 2**24 for r fused pairs, so every partial sum, in any order
+of addition, is an integer float32 holds exactly (see ``_gemm_product``).
+A longer product, or one whose bound leaves no useful row, uses
+Kronecker substitution: offset both int64 inputs by K = max |a|, |b|
 so they are non-negative, pack each into a decimal integer with one
 w-digit slot per coefficient, multiply the two under an exact ``decimal``
 context, so libmpdec's number-theoretic transform does the O(n log n)
 work, unpack the slots column by column, and remove the offset with
 prefix sums.  w is read from the packed data; every slot, correction
 term and direct sum is at most m (2K)**2 for length m, asserted below
-2**63.
+2**63.  The crossover is measured (see ``_full_product``).
 
 Its index read F(n), H(n), or F(n, stop, step) for a block of indices at
 once (the dilated lookups F(95 n) of a configured identity), takes
@@ -90,6 +97,11 @@ FLOAT32_EXACT = 2**24  # float32 holds every integer up to here exactly, not 2**
 # |Re|, |Im| of delta_chi(n) are at most d(n) <= MAX_DIVISOR_COUNT, and H's
 # tails add and subtract them: both fit the int16 store
 assert 2 * MAX_DIVISOR_COUNT <= INT16_MAX
+# delta_chi is sieved once as Re * PACK + Im in int32: each part's partial
+# sums lie within +-MAX_DIVISOR_COUNT < PACK / 2, so after a bias of PACK / 2
+# the halves hold Re and (flipped) Im, and the sum stays inside int32
+PACK = 2**16
+assert MAX_DIVISOR_COUNT < PACK // 2 and MAX_DIVISOR_COUNT * (PACK + 1) + PACK // 2 < 2**31
 # a float32 dot of FLOAT32_EXACT // MAX_DIVISOR_COUNT**2 products of them is
 # exact whatever chi is: each read splits its dots in chunks under the bound
 # FLOAT32_EXACT // K**2 taken from the sieved values
@@ -104,7 +116,10 @@ assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
 INT64_CAP = 2**62
 assert 2 * INT64_CAP <= 2**63
 SIEVE_BLOCK = 1 << 13  # large divisors whose c(d) the sieve builds at once
-SHORT_PRODUCT = 800  # longest product taken by direct convolution (measured)
+GEMM_ROW = 128  # longest tile row of the float32 GEMM product (measured)
+# r = 2 fused pairs of delta_chi arrays take the full tile row: r L K**2 <= 2**24
+assert 2 * GEMM_ROW * MAX_DIVISOR_COUNT**2 <= FLOAT32_EXACT
+GEMM_PRODUCT = 45056  # longest product taken by the GEMM, not libmpdec (measured)
 
 
 @dataclass(frozen=True)
@@ -343,15 +358,23 @@ def delta_int_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) int16 arrays of delta_chi(n) for n in 1..N (index 0 is zero).
 
-    Sieved straight into int16: the table holds -1, 0, 1, so each partial
-    sum is at most d(n) <= MAX_DIVISOR_COUNT in absolute value.  ``prefix``,
-    such a pair to a lower N, is extended: only the new indices are sieved."""
+    One int32 sieve of the packed table Re chi * 2**16 + Im chi: the table
+    holds -1, 0, 1 in each part, so each partial sum is P = R 2**16 + I
+    with |R|, |I| <= d(n) <= MAX_DIVISOR_COUNT < 2**15 (asserted at
+    import), which fits int32.  P + 2**15 = R 2**16 + (I + 2**15) with
+    0 < I + 2**15 < 2**16, so its high 16 bits are R and its low 16 bits,
+    with the top bit flipped, are I: the pair is two strided int16 views
+    of the one little-endian int32 array, split in place with no copy.
+    ``prefix``, such a pair to a lower N, is packed and extended: only the
+    new indices are sieved."""
     re, im = character_table(chi)
-    re_prefix, im_prefix = (None, None) if prefix is None else prefix
-    return (
-        _sieve(re, N, prefix=re_prefix, dtype=np.int16),
-        _sieve(im, N, prefix=im_prefix, dtype=np.int16),
-    )
+    if prefix is not None:
+        prefix = prefix[0].astype(np.int32) * PACK + prefix[1]
+    packed = _sieve(re * PACK + im, N, prefix=prefix, dtype=np.dtype("<i4"))
+    packed += PACK // 2
+    halves = packed.view(np.dtype("<i2")).reshape(-1, 2)  # (low, high) per index
+    halves[:, 0] ^= np.int16(-PACK // 2)  # flip the top bit: I
+    return halves[:, 1], halves[:, 0]
 
 
 # ---------------------------------------------------------------------
@@ -467,13 +490,68 @@ def _unpack(z: decimal.Decimal, m: int, w: int) -> np.ndarray:
     return out
 
 
-def _direct_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m = len(a), by one
-    int64 ``np.convolve``: an exact integer loop of O(m**2) multiply-adds.
-    Each sum it forms is at most m max|a| max|b|, within ``_full_product``'s
-    asserted bound m (2K)**2 < 2**63.  Narrower inputs are widened first."""
-    wide = np.int64
-    return np.convolve(a.astype(wide, copy=False), b.astype(wide, copy=False))[: len(a)]
+def _gemm_row(r: int, Kx: int, Ky: int) -> int:
+    """The tile row L of a float32 GEMM product of r fused pairs whose left
+    factors are at most Kx and right factors at most Ky in magnitude: the
+    largest L <= GEMM_ROW with r L Kx Ky <= FLOAT32_EXACT (0 when none)."""
+    return min(GEMM_ROW, FLOAT32_EXACT // (r * max(Kx * Ky, 1)))
+
+
+def _gemm_product(pairs, L: int) -> np.ndarray:
+    """int64 c[n] = sum over the pairs (x, y) of sum_{j=0}^{n} x[j] y[n-j]
+    for n < m, by blocked Toeplitz GEMM in float32 over rows of L <=
+    ``_gemm_row`` coefficients.
+
+    Cut each x into rows X_u = x[u L .. u L + L - 1] and write n = w L + t
+    (0 <= t < L).  Then c[w L + t] = sum_{v <= w} sum_s X_{w-v}[s] y[v L +
+    t - s]: a product of block rows with the L x L Toeplitz tiles Y_v[s, t]
+    = y[v L + t - s] (0 at negative indices), so block row w of c sums
+    X_{w-v} Y_v over v, and ``acc[v:] += X[:nb - v] @ Y_v`` for each of the
+    nb = ceil(m / L) offsets v builds every row at once.  The rows are
+    stored reversed, X[u, L - 1 - s] = X_u[s], so each tile is the Hankel
+    window y[v L + s + t - (L - 1)] of a zero-padded copy of y: a slice of
+    one ``sliding_window_view``, copied into a contiguous buffer for BLAS.
+    The r pairs are fused: their rows sit side by side and their tiles are
+    stacked, so each v is one GEMM with inner length r L.
+
+    Exact: every entry of a tile product sums r L products of at most
+    Kx Ky, so, by the choice of L, every partial sum BLAS forms, in any
+    order of addition, is an integer of magnitude at most r L Kx Ky <=
+    2**24, which float32 holds exactly.  The float64 accumulator sums
+    those integers to at most r m Kx Ky, asserted below 2**53 by the
+    caller, and becomes the int64 result in place.  A product of one row
+    (m <= L) is the single Toeplitz matvec, which ``np.convolve`` runs as
+    float32 dots of at most m terms, each exact by the same bound, and
+    their sum over the pairs too.  Scratch beside the result: the rows,
+    the padded copies and one block product, 4 (2 r + 1) m bytes, and
+    one r L x L tile.
+    """
+    m, r = len(pairs[0][0]), len(pairs)
+    if m <= L:
+        c = sum(np.convolve(x.astype(np.float32), y.astype(np.float32))[:m] for x, y in pairs)
+        return c.astype(np.int64)
+    nb, full = -(-m // L), m // L
+    X = np.zeros((nb, r, L), dtype=np.float32)
+    padded = np.zeros((r, (nb + 1) * L - 1), dtype=np.float32)
+    for k, (x, y) in enumerate(pairs):
+        rows = X[:, k, ::-1]  # rows[u, s] = X[u, k, L - 1 - s] = x_k[u L + s]
+        rows[:full] = x[: full * L].reshape(full, L)
+        rows[full:, : m - full * L] = x[full * L :]
+        padded[k, L - 1 : L - 1 + m] = y
+    X = X.reshape(nb, r * L)
+    # windows[k, i, s] = padded[k, i + s]: tile v of pair k is windows[k, v L : v L + L]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
+    tile = np.empty((r, L, L), dtype=np.float32)
+    stacked = tile.reshape(r * L, L)
+    out = np.empty((nb, L), dtype=np.float32)
+    acc = np.zeros(nb * L, dtype=np.float64)
+    for v in range(nb):
+        tile[...] = windows[:, v * L : v * L + L]
+        np.matmul(X[: nb - v], stacked, out=out[: nb - v])
+        acc[v * L :] += out[: nb - v].reshape(-1)
+    c = acc.view(np.int64)  # numpy's overlap rules keep an in-place cast exact
+    np.copyto(c, acc, casting="unsafe")
+    return c[:m]
 
 
 def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
@@ -501,32 +579,50 @@ def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
     return xy
 
 
-def _full_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m, from int16 or int64
-    a, b of one length m >= 1; exact.  Both kernels compute in int64, so
-    the Convolver passes its int16 delta arrays with no int64 copy.
+def _full_product(*pairs) -> np.ndarray:
+    """int64 c[n] = sum over the pairs (x, y) of sum_{j=0}^{n} x[j] y[n-j]
+    for n < m, from int16 or int64 x, y all of one length m >= 1; exact.
+    The Convolver passes its int16 delta arrays with no wider copy: a*a +
+    b*b for F's tail is one call, (a+b)*(a-b) and a*b for H's two more.
 
-    With K = max |a|, |b|, every sum either kernel forms is at most
-    m (2K)**2, asserted below 2**63 here.  A product of at most
-    SHORT_PRODUCT coefficients is a direct convolution (``_direct_product``),
-    a longer one a Kronecker-substitution product in libmpdec
-    (``_kronecker_product``): O(m**2) against O(m log m), with a much smaller
-    constant for the first.  The cutoff is measured: timed on the delta_chi
-    arrays of p = 13 (the tails a*a and (a+b)*(a-b); a 2-core Xeon VM,
-    Python 3.11, numpy 2.4, medians of five rounds), the direct product
-    is faster for every m <= 800 (2.4 against 57 us at m = 3, 490 against
-    910 us at m = 800) and slower from m = 820 on (500 against 430 us),
-    where libmpdec moves to its number-theoretic transform.
+    With Kx, Ky the largest |x|, |y| over the r pairs, a product of at most
+    GEMM_PRODUCT coefficients is a float32 GEMM (``_gemm_product``) over
+    tile rows of L = ``_gemm_row`` coefficients, so that r L Kx Ky <= 2**24:
+    for delta_chi, r = 2 and L = GEMM_ROW = 128 admit every |delta| up to
+    MAX_DIVISOR_COUNT = 240 (asserted at import).  A longer product, or
+    one whose bound leaves a row shorter than min(m, GEMM_ROW / 4) (when
+    Kx Ky > 2**19 / r, say), is a sum of Kronecker-substitution products
+    in libmpdec (``_kronecker_product``), whose every term is at most
+    m (2K)**2, K = max(Kx, Ky); r times that is asserted below 2**63 here.
+    The GEMM costs m**2 / 2 multiply-adds per pair against libmpdec's
+    O(m log m), with a far smaller constant.  The cutoff is measured on the
+    delta_chi arrays of p = 13 (2-core Xeon VM, Python 3.11, numpy 2.4 with
+    single-threaded OpenBLAS; min of 9 interleaved runs, L = 128): at
+    m = 45 056 the GEMM took 50.8, 66.0 and 32.6 ms against libmpdec's
+    63.3, 99.9 and 32.9 ms for F's tail, H's tail and the lone squaring
+    of a real chi; at 49 152 the squaring was 18 % slower (40.8 against
+    34.5 ms), and F's and H's tails cross near 57 000 and past 61 440.
+    Below the cutoff the GEMM wins by far: 0.59 against 3.16 ms for F's
+    tail at m = 2049, and 10.0 against 22.4 ms at m = 15 001.
     """
-    m = len(a)
-    if m == 0 or len(b) != m:
-        raise ValueError(f"expected two non-empty series of one length, got {m}, {len(b)}")
-    assert {a.dtype, b.dtype} <= {np.dtype(np.int16), np.dtype(np.int64)}, (a.dtype, b.dtype)
-    K = int(max(np.abs(a).max(), np.abs(b).max()))
-    assert m * (2 * K) ** 2 < 2**63, (m, K)
-    if m <= SHORT_PRODUCT:
-        return _direct_product(a, b)
-    return _kronecker_product(a, b, K)
+    lengths = [len(v) for pair in pairs for v in pair]
+    m = lengths[0]
+    if m == 0 or set(lengths) != {m}:
+        raise ValueError(f"expected non-empty series of one length, got {lengths}")
+    dtypes = {v.dtype for pair in pairs for v in pair}
+    assert dtypes <= {np.dtype(np.int16), np.dtype(np.int64)}, dtypes
+    Kx, Ky = (max(max_abs(pair[i]) for pair in pairs) for i in (0, 1))
+    r = len(pairs)
+    assert r * m * (2 * max(Kx, Ky)) ** 2 < 2**63, (r, m, Kx, Ky)
+    L = _gemm_row(r, Kx, Ky)
+    if m <= GEMM_PRODUCT and L >= min(m, GEMM_ROW // 4):
+        assert r * m * Kx * Ky < 2**53, (r, m, Kx, Ky)
+        return _gemm_product(pairs, L)
+    products = (_kronecker_product(x, y, max(max_abs(x), max_abs(y))) for x, y in pairs)
+    c = next(products)
+    for more in products:
+        c += more
+    return c
 
 
 # ---------------------------------------------------------------------
@@ -610,14 +706,17 @@ class Convolver:
 
     - ``numerators(lo, hi, c, scale)``, the range read of the sweeps and
       of ``asymptotic_report``: T(lo..hi-1) from a cached whole-series
-      tail, built by two ``_full_product`` calls (one for a real chi, whose
-      b is zero) in O(m log m) for m coefficients, which compute in int64.
-      When hi - 1 lies past it, the tail is rebuilt to max(hi - 1, 4 lo - 1),
-      at most ``capacity``.  A sweep's block [lo, hi) starts at or before
-      any n it can fail at, so a refutation at n builds tails that reach
-      below 4 n; and since its blocks double (then grow by a fixed step),
-      each rebuild reaches about four times as far as the last, so
-      ascending reads to N rebuild it O(log N) times;
+      tail, built by ``_full_product``: one call of two fused pairs for F
+      (one pair for a real chi, whose b is zero), two calls for H, each a
+      float32 GEMM up to GEMM_PRODUCT coefficients and O(m log m) in
+      libmpdec past it.  A sweep or a report ``release``s the tail when
+      it ends.  When hi - 1 lies past the tail, it is rebuilt to
+      max(hi - 1, 4 lo - 1), at most ``capacity``.  A sweep's block
+      [lo, hi) starts at or before any n it can fail at, so a refutation
+      at n builds tails that reach below 4 n; and since its blocks double
+      (then grow by a fixed step), each rebuild reaches about four times
+      as far as the last, so ascending reads to N rebuild it O(log N)
+      times;
     - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail; ``F(n, stop,
       step)`` reads n, n + step, ... below stop in one call, as the dilated
       lookups of a configured identity do.  a*a, b*b and
@@ -683,13 +782,22 @@ class Convolver:
         if n > self.capacity:
             self.extend(max(n, min(2 * self.capacity, MAX_FAST_N)))
 
+    def release(self) -> None:
+        """Drop the cached whole-series tails: a sweep or a report frees its
+        tail when it ends, so a cached Convolver holds only delta_chi (and
+        the index reads' mirrors)."""
+        self._tails.clear()
+
     def _whole_tail(self, m: int, c: int):
         a, b = self._re[: m + 1], self._im[: m + 1]  # |a +- b| <= 480: int16
         if c < 0:
             if not b.any():  # a real chi, as the mod-3 character: b*b = 0
-                return _full_product(a, a), None
-            return _full_product(a, a) + _full_product(b, b), None
-        return _full_product(a + b, a - b), 2 * _full_product(a, b)
+                return _full_product((a, a)), None
+            return _full_product((a, a), (b, b)), None
+        re = _full_product((a + b, a - b))
+        im = _full_product((a, b))
+        im *= 2
+        return re, im
 
     def _mirror(self) -> tuple[np.ndarray, ...]:
         """The float32 mirrors (a, b over 0..(capacity - 1) // 2, and a, b

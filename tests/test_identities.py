@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farkas import foundations, identities, qseries
-from farkas.characters import canonical_quartic, quartic_pair
+from farkas.characters import canonical_quartic, quadratic_character, quartic_pair
 from farkas.cli import builtin_config_names, load_builtin_config
 from farkas.foundations import GaussianRational, discrete_log_table, divisors, gaussian, kronecker
 from farkas.identities import (
@@ -100,6 +100,12 @@ def _sieved():
     return mock.patch.object(qseries, "_sieve", logged), log
 
 
+def _product_lengths(spy):
+    """The length of every product a ``_full_product`` spy saw: a call
+    that fuses several pairs (F's a*a + b*b) counts each."""
+    return [len(pair[0]) for call in spy.call_args_list for pair in call.args]
+
+
 class TestVerifyId1:
     def test_passes_for_5_and_13(self):
         assert verify_id1(5, 400).passed
@@ -123,8 +129,8 @@ class TestVerifyId1:
             report = verify_id1(37, 200_000, chi)
         assert report.failure_n is not None and report.failure_n <= 2
         assert convolver(chi).capacity <= SWEEP_BLOCK
-        assert len(sieved) == 3 and max(s.N for s in sieved) <= SWEEP_BLOCK
-        assert [len(call.args[0]) for call in spy.call_args_list] == [3, 3]
+        assert len(sieved) == 2 and max(s.N for s in sieved) <= SWEEP_BLOCK
+        assert _product_lengths(spy) == [3, 3]
 
     def test_report_shape(self):
         report = verify_id1(5, 50)
@@ -263,8 +269,9 @@ class TestBlockSweep:
         max(hi - 1, 2 r) < 2 (hi - 1), so every reach is below 4 n (with the
         sieve's capacity past that).  Each rebuild at least doubles the
         reach from 2, so the reaches sum to under 8 n, and there are at most
-        log2(4 n) of them.  A tail is two ``_full_product`` calls of length
-        reach + 1: the lengths sum to under 2 (8 n + log2(4 n)).
+        log2(4 n) of them.  A tail is two products of length reach + 1
+        (F's a*a + b*b, fused in one ``_full_product`` call): the lengths
+        sum to under 2 (8 n + log2(4 n)).
         """
         chi = canonical_quartic(13)
         convolver.cache_clear()
@@ -272,7 +279,7 @@ class TestBlockSweep:
             qseries, "_full_product", wraps=qseries._full_product
         ) as spy:
             assert verify_id1(13, 50_000, chi).failure_n == n
-        lengths = [len(call.args[0]) for call in spy.call_args_list]
+        lengths = _product_lengths(spy)
         if n <= 2:
             assert lengths == [3, 3]
         else:
@@ -299,7 +306,7 @@ class TestBlockSweep:
         assert top < max(2 * SIEVE_GROWTH * n, SWEEP_BLOCK + 1), top
         if n == 1536:
             assert top == SIEVE_GROWTH * SWEEP_BLOCK > 4 * n
-        assert len({s.table for s in sieved}) == 3  # delta re, im and sigma'
+        assert len({s.table for s in sieved}) == 2  # delta (re, im packed) and sigma'
 
     @pytest.mark.parametrize("kind", ["conv", "square", "farkas"])
     def test_a_passing_sweep_sieves_each_index_once(self, kind):
@@ -317,7 +324,7 @@ class TestBlockSweep:
         segments = {}
         for s in sieved:
             segments.setdefault((s.table, s.times_d, s.quotient), []).append((s.lo, s.N))
-        assert len(segments) == (4 if kind == "square" else 3)
+        assert len(segments) == (3 if kind == "square" else 2)
         for parts in segments.values():
             assert [lo for lo, _ in parts] == [1] + [N + 1 for _, N in parts[:-1]]
             assert parts[-1][1] == nmax
@@ -341,7 +348,7 @@ class TestBlockSweep:
         convolver.cache_clear()
         with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
             assert sweeps[kind]().passed
-        lengths = [len(call.args[0]) for call in spy.call_args_list]
+        lengths = _product_lengths(spy)
         assert sum(lengths) <= most, lengths
         # two products per tail, one for the real mod-3 character (Im delta
         # = 0, so F's tail is a*a alone); 2049 is cut at the first sieved block
@@ -373,7 +380,7 @@ class TestVerifyId2:
         with patch:
             assert verify_id2(37, chi, 200_000).failure_n == 2
         assert convolver(chi).capacity <= SWEEP_BLOCK
-        assert len(sieved) == 4 and max(s.N for s in sieved) <= SWEEP_BLOCK
+        assert len(sieved) == 3 and max(s.N for s in sieved) <= SWEEP_BLOCK
 
 
 class TestVerifyFarkas:
@@ -880,6 +887,46 @@ class TestScanMemory:
 
         small, large = peak(1000), peak(3000)
         assert large < small + 2**20, (small, large)
+
+
+class TestTailRelease:
+    """A sweep or a ratio report drops the cached Convolver's whole-series
+    tail when it ends, passed, failed or raised."""
+
+    @pytest.mark.parametrize("kind", ["conv", "square", "farkas", "refutation", "asympt"])
+    def test_the_cached_convolver_holds_no_tail_afterwards(self, kind):
+        chi13, chi29 = canonical_quartic(13), canonical_quartic(29)
+        runs = {
+            "conv": (chi13, lambda: verify_id1(13, 5000, chi13).passed),
+            "square": (chi13, lambda: verify_id2(13, chi13, 5000).passed),
+            "farkas": (quadratic_character(3), lambda: verify_farkas(5000).passed),
+            "refutation": (chi29, lambda: not verify_id1(29, 5000, chi29).passed),
+            "asympt": (chi13, lambda: asymptotic_report(13, chi13, "square", 2000).nmax == 2000),
+        }
+        chi, run = runs[kind]
+        convolver.cache_clear()
+        with mock.patch.object(
+            Convolver, "_whole_tail", autospec=True, side_effect=Convolver._whole_tail
+        ) as built:
+            assert run()
+        assert built.called  # the run built a tail...
+        assert convolver(chi)._tails == {}  # ...and released it
+
+    def test_a_sweep_that_raises_releases_its_tail(self):
+        chi = canonical_quartic(13)
+        convolver.cache_clear()
+        read = Convolver.numerators
+
+        def numerators(self, lo, hi, *args, **kwargs):
+            block = read(self, lo, hi, *args, **kwargs)  # the tail is built first
+            if lo > 100:
+                raise RuntimeError("a block past 100")
+            return block
+
+        with mock.patch.object(Convolver, "numerators", numerators), \
+                pytest.raises(RuntimeError):
+            verify_id1(13, 5000, chi)
+        assert convolver(chi)._tails == {}
 
 
 class TestDeligneStyleBound:

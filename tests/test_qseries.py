@@ -20,13 +20,16 @@ from farkas.foundations import GaussianRational, divisors, gaussian, kronecker, 
 from farkas.identities import verify_id1
 from farkas.qseries import (
     MAX_DIVISOR_COUNT,
+    FLOAT32_EXACT,
+    GEMM_PRODUCT,
+    GEMM_ROW,
     MAX_FAST_N,
-    SHORT_PRODUCT,
     Convolver,
     QSeries,
     SIEVE_BLOCK,
-    _direct_product,
     _full_product,
+    _gemm_product,
+    _gemm_row,
     _kronecker_product,
     _kronecker_values,
     _sieve,
@@ -147,6 +150,44 @@ class TestDeltaSeries:
                 assert delta_coefficient(chi, n) == GaussianRational(
                     Fraction(int(re[n])), Fraction(int(im[n]))
                 )
+
+
+class TestPackedDeltaSieve:
+    """delta_int_arrays sieves Re * 2**16 + Im once and splits it."""
+
+    @staticmethod
+    def _two_passes(chi, N):
+        re, im = character_table(chi)
+        return _sieve(re, N, dtype=np.int16), _sieve(im, N, dtype=np.int16)
+
+    @pytest.mark.parametrize(
+        "chi", [quartic_pair(5)[0], quartic_pair(13)[1], quartic_pair(29)[0],
+                quartic_pair(37)[1], quadratic_character(3)],
+        ids=["p5", "p13-minus-i", "p29", "p37-minus-i", "mod3"],
+    )
+    def test_matches_the_two_pass_arrays_and_grows_from_a_prefix(self, chi):
+        for N in (0, 1, 2, 100, 5000):
+            got = delta_int_arrays(chi, N)
+            assert [v.dtype for v in got] == [np.int16, np.int16]
+            assert all(map(np.array_equal, got, self._two_passes(chi, N))), N
+        pair = delta_int_arrays(chi, 1)
+        for N in (37, 1000, 1001, 5000):  # each growth from the last pair
+            pair = delta_int_arrays(chi, N, prefix=pair)
+            assert all(map(np.array_equal, pair, self._two_passes(chi, N))), N
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_both_parts_at_the_divisor_count_bound(self, sign):
+        # a table of Re = sign, Im = -sign gives delta(n) = sign d(n) (1 - i):
+        # both parts reach +-240 at n = 720720, and the low half still
+        # splits off when Im is negative
+        ones = np.ones(1, dtype=np.int64)
+        table = (sign * ones, -sign * ones)
+        with mock.patch.object(qseries, "character_table", lambda chi: table):
+            re, im = delta_int_arrays(quartic_pair(5)[0], MAX_FAST_N)
+        d = _sieve(ones, MAX_FAST_N)
+        assert np.array_equal(re, sign * d) and np.array_equal(im, -sign * d)
+        K = MAX_DIVISOR_COUNT
+        assert (int(re[720720]), int(im[720720])) == (sign * K, -sign * K)
 
 
 class TestSigmaSeries:
@@ -442,24 +483,40 @@ def _signed_pairs(draw):
     return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
 
 
-def _kernels(a, b):
-    """The products of a and b from ``_full_product`` and from each kernel."""
-    K = int(max(np.abs(a).max(), np.abs(b).max()))
-    return {
-        "full": _full_product(a, b),
-        "direct": _direct_product(a, b),
-        "kronecker": _kronecker_product(a, b, K),
+def _kernels(*pairs):
+    """The sum of the products of ``pairs`` from ``_full_product`` and from
+    each kernel: the GEMM only where its bound admits a useful tile row."""
+    Kx, Ky = (max(qseries.max_abs(pair[i]) for pair in pairs) for i in (0, 1))
+    L = _gemm_row(len(pairs), Kx, Ky)
+    out = {
+        "full": _full_product(*pairs),
+        "kronecker": sum(_kronecker_product(x, y, max(Kx, Ky)) for x, y in pairs),
     }
+    if L >= 1:
+        out["gemm"] = _gemm_product(pairs, L)
+    return out
+
+
+def _at_the_bound(m, dtype):
+    """Pairs (a, b) of length m whose every entry is +-MAX_DIVISOR_COUNT:
+    a = 240 and b = -240 throughout, so that every partial sum of a*a + b*b
+    is as large as the bound allows, and a pair of random signs."""
+    K = MAX_DIVISOR_COUNT
+    signs = np.random.default_rng(m).choice([-1, 1], (2, m))
+    return [(np.full(m, K, dtype=dtype), np.full(m, -K, dtype=dtype)),
+            tuple((K * signs).astype(dtype))]
 
 
 class TestFullProduct:
     @settings(max_examples=80, deadline=None)
-    @given(pair=_signed_pairs(), square=st.booleans())
-    def test_property_matches_the_double_loop(self, pair, square):
+    @given(pair=_signed_pairs(), square=st.booleans(), fused=st.booleans())
+    def test_property_matches_the_double_loop(self, pair, square, fused):
         a, b = pair
         if square:
             b = a
         want = _naive_product(a, b)
+        if fused:  # a*b + b*a, one call with two pairs
+            want = [2 * v for v in want]
         inputs = [(a, b)]
         if max(np.abs(a).max(), np.abs(b).max()) <= qseries.INT16_MAX:
             # int16 inputs too, as a Convolver passes them: the kernels widen,
@@ -467,32 +524,87 @@ class TestFullProduct:
             narrow = a.astype(np.int16)
             inputs.append((narrow, narrow if square else b.astype(np.int16)))
         for a, b in inputs:
-            for kernel, got in _kernels(a, b).items():
+            pairs = ((a, b), (b, a)) if fused else ((a, b),)
+            for kernel, got in _kernels(*pairs).items():
                 assert got.dtype == np.int64 and len(got) == len(a), kernel
                 assert got.tolist() == want, (kernel, a.dtype)
 
-    def test_both_kernels_match_the_cauchy_product_at_the_cutoff(self):
-        # lengths SHORT_PRODUCT - 1, SHORT_PRODUCT (direct) and SHORT_PRODUCT + 1
-        # (Kronecker) with |a| up to 240 and |b| up to 480, the bounds of
-        # delta_chi and of Re delta +- Im delta; (A*B)(n) reads indices <= n,
-        # so one Cauchy product of the longest serves all three lengths
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_the_bound_at_every_tile_edge(self, dtype):
+        # every entry +-240 with two fused pairs, a*a + b*b as F's tail takes
+        # it: the bound admits the full row, 2 L 240**2 <= 2**24, so a tile's
+        # sums reach 2 L 240**2 = 14 745 600 when all signs agree and must
+        # still be exact; lengths 1, L - 1, L (one row), L + 1 (two) against
+        # the double loop
+        L = GEMM_ROW
+        assert _gemm_row(2, MAX_DIVISOR_COUNT, MAX_DIVISOR_COUNT) == L
+        for m in (1, L - 1, L, L + 1):
+            for a, b in _at_the_bound(m, dtype):
+                want = [x + y for x, y in zip(_naive_product(a, a), _naive_product(b, b))]
+                with mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as gemm:
+                    assert _full_product((a, a), (b, b)).tolist() == want, m
+                assert gemm.call_args.args[1] == L, m  # the full row, one tile or more
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_the_bound_at_the_crossover(self, dtype):
+        # GEMM_PRODUCT - 1 and GEMM_PRODUCT by the GEMM, GEMM_PRODUCT + 1 by
+        # libmpdec, every entry +-240: a*a + b*b is 2 (n + 1) 240**2 for the
+        # pair of constants, and the Kronecker product for random signs
+        m = GEMM_PRODUCT + 1
+        (a, b), (c, d) = _at_the_bound(m, dtype)
+        K = MAX_DIVISOR_COUNT
+        wants = [2 * K * K * np.arange(1, m + 1),
+                 _kronecker_product(c, c, K) + _kronecker_product(d, d, K)]
+        for (x, y), want in zip([(a, b), (c, d)], wants):
+            for n, gemm in ((m - 2, True), (m - 1, True), (m, False)):
+                with mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as spy:
+                    got = _full_product((x[:n], x[:n]), (y[:n], y[:n]))
+                assert spy.called == gemm, n
+                assert np.array_equal(got, want[:n]), n
+
+    def test_both_kernels_match_the_cauchy_product_at_a_small_crossover(self):
+        # lengths about L, 2L and a crossover patched to 2L + 1, with |a| up
+        # to 240 and |b| up to 480, the bounds of delta_chi and of Re delta
+        # +- Im delta; (A*B)(n) reads indices <= n, so one Cauchy product of
+        # the longest serves every length
         rng = np.random.default_rng(12)
-        m = SHORT_PRODUCT + 1
+        L = GEMM_ROW
+        m = 2 * L + 2
         a = rng.integers(-240, 241, m)
         b = rng.integers(-480, 481, m)
         a[[0, 7]], b[[1, 9]] = (240, -240), (480, -480)
         want = [int(c.re) for c in cauchy_product(from_ints(a), from_ints(b)).coefficients]
-        for n in (m - 2, m - 1, m):
-            for kernel, got in _kernels(a[:n], b[:n]).items():
-                assert got.tolist() == want[:n], (n, kernel)
+        with mock.patch.object(qseries, "GEMM_PRODUCT", 2 * L + 1):
+            for n in (L - 1, L, L + 1, 2 * L, 2 * L + 1, 2 * L + 2):
+                for kernel, got in _kernels((a[:n], b[:n])).items():
+                    assert got.tolist() == want[:n], (n, kernel)
+
+    def test_a_partial_sum_past_two_to_the_24_rounds(self):
+        # negative control: entries 239 (odd) make (n + 1) 239**2 odd at
+        # even n, so a row of 512 > 2**24 // 239**2 = 293 terms sums past
+        # 2**24 to odd integers float32 cannot hold.  Forced past its bound
+        # the GEMM rounds, in the one-row matvec and in the blocked tiles;
+        # ``_full_product`` takes rows of GEMM_ROW <= 293 and stays exact
+        K = 239
+        assert _gemm_row(1, K, K) == GEMM_ROW < FLOAT32_EXACT // K**2 == 293
+        a = np.full(1024, K, dtype=np.int64)
+        want = [(n + 1) * K * K for n in range(len(a))]
+        for m in (512, 1024):
+            forced = _gemm_product(((a[:m], a[:m]),), 512).tolist()
+            wrong = [n for n in range(m) if forced[n] != want[n]]
+            assert wrong and min(wrong) >= 293, m  # exact while within the bound
+            assert _full_product((a[:m], a[:m])).tolist() == want[:m]
 
     def test_the_cutoff_picks_the_kernel(self):
-        a = np.ones(SHORT_PRODUCT + 1, dtype=np.int64)
-        for m, direct in ((1, True), (SHORT_PRODUCT, True), (SHORT_PRODUCT + 1, False)):
-            with mock.patch.object(qseries, "_direct_product", wraps=_direct_product) as d, \
+        a = np.ones(GEMM_PRODUCT + 1, dtype=np.int64)
+        big = np.full(300, 2**13, dtype=np.int64)  # 2**26 per product: no row
+        cases = [(a[:1], True), (a[:GEMM_PRODUCT], True), (a[: GEMM_PRODUCT + 1], False),
+                 (big, False)]
+        for x, gemm in cases:
+            with mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as g, \
                     mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as k:
-                assert _full_product(a[:m], a[:m]).tolist() == list(range(1, m + 1))
-            assert (d.call_count, k.call_count) == ((1, 0) if direct else (0, 1)), m
+                assert _full_product((x, x)).tolist() == _naive_ones(x)
+            assert (g.call_count, k.call_count) == ((1, 0) if gemm else (0, 1)), len(x)
 
     def test_edge_inputs(self):
         for a, b in [
@@ -501,16 +613,19 @@ class TestFullProduct:
             ([0] * 7, [0] * 7),  # K = 0: every slot 0
         ]:
             a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-            assert _full_product(a, b).tolist() == _naive_product(a, b)
+            assert _full_product((a, b)).tolist() == _naive_product(a, b)
         with pytest.raises(ValueError):
-            _full_product(np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64))
+            _full_product((np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)))
         with pytest.raises(ValueError):
-            _full_product(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+            _full_product((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+        with pytest.raises(ValueError):  # every pair of one length
+            three = np.zeros(3, dtype=np.int64)
+            _full_product((three, three), (three, np.zeros(4, dtype=np.int64)))
 
     def test_a_length_and_offset_past_the_int64_bound_is_refused(self):
         a = np.array([2**31, 0], dtype=np.int64)  # 2 (2K)**2 = 2**65
         with pytest.raises(AssertionError):
-            _full_product(a, a)
+            _full_product((a, a))
 
     def test_the_context_is_exact(self):
         # prec = MAX_PREC holds every product; a rounding would raise
@@ -518,22 +633,40 @@ class TestFullProduct:
         assert ctx.traps[decimal.Inexact] and ctx.traps[decimal.Rounded]
         assert ctx.prec == decimal.MAX_PREC and ctx.Emax == decimal.MAX_EMAX
 
-    def test_scratch_memory_is_linear_in_the_packed_digits(self):
-        # one product at N = 15000: the result plus about ten bytes per
-        # packed digit, for the digit arrays, the text and the decimals
+    def test_scratch_memory_is_linear_in_the_length(self):
+        # one tail of each kind at N = 15000, as a Convolver builds them from
+        # its int16 arrays.  The GEMM holds the result (its float64
+        # accumulator, cast in place), float32 rows, padded copies and one
+        # block product: 8 + 4 (2 r + 1) bytes per coefficient for r pairs,
+        # plus one tile and the padding of the last row; libmpdec about ten
+        # bytes per packed digit
         N = 15_000
-        re, im = delta_int_arrays(quartic_pair(13)[0], N)  # int16, as a Convolver holds them
+        re, im = delta_int_arrays(quartic_pair(13)[0], N)
         m = N + 1
+        tile = 4 * 2 * GEMM_ROW**2
+        for pairs in (((re, re), (im, im)), ((re + im, re - im),)):
+            tracemalloc.start()
+            try:
+                _full_product(*pairs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (20 + 8 * len(pairs)) * m + tile, (len(pairs), peak)
         for a, b in ((re, re), (re + im, re - im)):
             K = int(max(np.abs(a).max(), np.abs(b).max()))
             w = len(str(m * (2 * K) ** 2))  # at least the slot width
             tracemalloc.start()
             try:
-                _full_product(a, b)
+                _kronecker_product(a, b, K)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 8 * m + 10 * m * w, (K, w, peak)
+
+
+def _naive_ones(x):
+    """x*x by the double loop, for x of equal entries: (n + 1) x[0]**2."""
+    return [(n + 1) * int(x[0]) ** 2 for n in range(len(x))]
 
 
 class TestBernoulli:
@@ -800,9 +933,9 @@ class TestConvolutions:
         conv = Convolver(chi)
         real, cached = qseries._full_product, []
 
-        def product(a, b):
+        def product(*pairs):
             cached.append(1 in conv._tails)
-            return real(a, b)
+            return real(*pairs)
 
         with mock.patch.object(qseries, "_full_product", side_effect=product) as spy:
             re, im = conv.numerators(0, 101, 1)
@@ -843,7 +976,7 @@ class TestConvolutions:
             conv.extend(55)  # already sieved
         assert conv.capacity == 60
         lows = [len(call.kwargs["prefix"]) for call in spy.call_args_list]
-        assert lows == [1, 1, 51, 51]  # re and im, twice
+        assert lows == [1, 51]  # re and im packed in one sieve, twice
         re, im = delta_int_arrays(chi, 60)
         assert np.array_equal(conv._re, re) and np.array_equal(conv._im, im)
 
@@ -858,6 +991,51 @@ class TestConvolutions:
         with mock.patch.object(qseries, "MAX_FAST_N", 300):
             conv.ensure(260)
         assert len(conv._re) == 301
+
+
+SMALL_CROSSOVER = 3 * GEMM_ROW + 1  # a patched GEMM_PRODUCT, so windows past it stay cheap
+
+
+@st.composite
+def _windows(draw):
+    """(chi, lo, hi, c): a character of p in {5, 13, 29, 37} or the mod-3
+    one, and a window whose end lies within 3 of L, 2 L or SMALL_CROSSOVER,
+    so that a fresh Convolver's tail (hi coefficients) falls on either side."""
+    p = draw(st.sampled_from([5, 13, 29, 37, 3]))
+    chi = quadratic_character(3) if p == 3 else quartic_pair(p)[draw(st.integers(0, 1))]
+    edge = draw(st.sampled_from([GEMM_ROW, 2 * GEMM_ROW, SMALL_CROSSOVER]))
+    hi = edge + draw(st.integers(-3, 3))
+    lo = draw(st.integers(0, hi) | st.integers(max(hi - 8, 0), hi))
+    return chi, lo, hi, draw(st.sampled_from([-1, 1]))
+
+
+class TestRangeReadAgainstIndexReads:
+    """The range read (a whole-series tail from ``_full_product``) against
+    the index reads (half-length float32 dots): two independent routes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_windows())
+    def test_numerators_equal_the_index_reads(self, case):
+        chi, lo, hi, c = case
+        with mock.patch.object(qseries, "GEMM_PRODUCT", SMALL_CROSSOVER):
+            re, im = Convolver(chi).numerators(lo, hi, c)
+        index = Convolver(chi)
+        want_re, want_im = (index.F if c < 0 else index.H)(lo, hi)
+        assert re.tolist() == want_re.tolist() and im.tolist() == want_im.tolist()
+
+    def test_the_windows_reach_both_kernels(self):
+        # the tails of hi = SMALL_CROSSOVER and SMALL_CROSSOVER + 1 coefficients
+        # are a GEMM and a libmpdec product; both agree with the index reads
+        chi = quartic_pair(37)[0]
+        for hi, gemm in ((SMALL_CROSSOVER, True), (SMALL_CROSSOVER + 1, False)):
+            for c in (-1, 1):
+                with mock.patch.object(qseries, "GEMM_PRODUCT", SMALL_CROSSOVER), \
+                        mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as g, \
+                        mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as k:
+                    re, im = Convolver(chi).numerators(0, hi, c)
+                assert (g.called, k.called) == (gemm, not gemm), (hi, c)
+                want = (Convolver(chi).F if c < 0 else Convolver(chi).H)(0, hi)
+                assert re.tolist() == want[0].tolist() and im.tolist() == want[1].tolist()
 
 
 def _logged_dots():
@@ -939,7 +1117,7 @@ class TestHalfLengthIndexRead:
         with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy:
             re, _ = conv.H(3, 1001, 3)
         assert len(re) == 333 and conv.capacity == 999
-        assert spy.call_count == 2  # Re and Im, once each
+        assert spy.call_count == 1  # Re and Im, packed in one sieve
         mirrors = conv._mirrors
         conv.F(1, 1000, 2)
         assert conv._mirrors is mirrors
