@@ -449,9 +449,7 @@ def cmd_verify(args) -> int:
     else:
         if args.p is None:
             raise UsageError("--p is required for conv/square verification")
-        p = args.p
-        if p % 8 != 5 or not _is_prime(p):
-            raise UsageError(f"p must be a prime = 5 (mod 8), got {p}")
+        p = _quartic_prime(args.p)
         chi = resolve_character(p, args.chi)
         if args.kind == "conv":
             report = verify_id1(p, args.nmax, chi)
@@ -494,9 +492,7 @@ def cmd_search(args) -> int:
         payload["outcome"] = "pass"
     elif args.discriminant:
         sols = discriminant_search()
-        payload["discriminant_solutions"] = [
-            {"factor_pair": list(s.factor_pair), "p": s.p, "x": s.x} for s in sols
-        ]
+        payload["discriminant_solutions"] = _solution_rows(sols)
         payload["passing_primes"] = sorted({s.p for s in sols})
         payload["outcome"] = "pass"
     else:
@@ -515,10 +511,7 @@ def cmd_search(args) -> int:
             for r in rows
         ]
         payload["passing_primes"] = [r.p for r in rows if r.id1_pass and r.id2_pass]
-        sols = discriminant_search()
-        payload["discriminant_solutions"] = [
-            {"factor_pair": list(s.factor_pair), "p": s.p, "x": s.x} for s in sols
-        ]
+        payload["discriminant_solutions"] = _solution_rows(discriminant_search())
         payload["outcome"] = "pass"
     payload["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     write_output(render_report(payload, args.format), args.out)
@@ -527,9 +520,7 @@ def cmd_search(args) -> int:
 
 def cmd_asympt(args) -> int:
     _check_nmax(args.nmax)
-    p = args.p
-    if p % 8 != 5 or not _is_prime(p):
-        raise UsageError(f"p must be a prime = 5 (mod 8), got {p}")
+    p = _quartic_prime(args.p)
     chi = resolve_character(p, args.chi)
     report = asymptotic_report(p, chi, args.kind, args.nmax)
     columns = (report.n, report.kron, report.lhs_re, report.lhs_im, report.sigma)
@@ -576,8 +567,17 @@ def cmd_polynomial(args) -> int:
     return EXIT_PASS
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and is_prime(n)
+def _quartic_prime(p: int) -> int:
+    """p, if it is a prime = 5 (mod 8), the primes with quartic characters
+    that the verify and asympt commands take; else a usage error."""
+    if p < 5 or p % 8 != 5 or not is_prime(p):
+        raise UsageError(f"p must be a prime = 5 (mod 8), got {p}")
+    return p
+
+
+def _solution_rows(sols) -> list[dict]:
+    """The report rows of the discriminant search's solutions."""
+    return [{"factor_pair": list(s.factor_pair), "p": s.p, "x": s.x} for s in sols]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -405,7 +405,8 @@ def check_configured_identity(
     """Exact check of the configured identity for 1 <= n <= nmax.
 
     The lookups run to max (nmax // B) C; one past MAX_FAST_N is refused
-    before any table is built."""
+    before any table is built.  Each term's lookups are one dilated read
+    before the sweep, whose tail the cached Convolver then drops."""
     use_H = cfg.rhs_kind == "tilde_hat"
     reach, b, c = max(((nmax // b) * c, b, c) for _, b, c in cfg.terms)
     if reach > MAX_FAST_N:
@@ -417,7 +418,6 @@ def check_configured_identity(
         )
     chi = resolve_character(cfg.p, cfg.chi_selector)
     conv = convolver(chi)
-    conv.ensure(max(1, reach))
 
     # D * A_i * F(m) = (D * A_i / s**2) * (s**2 F(m)), with s**2 F(m) integral
     s2 = conv.denominator
@@ -425,19 +425,24 @@ def check_configured_identity(
         s2 * _denominator(*(a for a, _, _ in cfg.terms)),
         _denominator(*cfg.rhs_coefficients),
     )
-    terms = [(_scaled(a, D // s2), b, c) for a, b, c in cfg.terms]
     read = conv.H if use_H else conv.F
+    try:
+        # term i looks up F(k C) for k = 1..nmax // B: one dilated read
+        lookups = [
+            (_scaled(a, D // s2), b, read(c, (nmax // b) * c + 1, c)) for a, b, c in cfg.terms
+        ]
+    finally:
+        conv.release()  # the lookups are new arrays: the tails are no longer needed
 
     def lhs(lo: int, hi: int):
-        # the multiples n = k b in [lo, hi) read F(k c): one index read a
-        # term, placed at its n in a block of hi - lo values
+        # the multiples n = k B in [lo, hi) take F(k C), placed at their n
+        # in a block of hi - lo values
         blocks = []
-        for scalar, b, c in terms:
+        for scalar, b, values in lookups:
             first, stop = -(-lo // b), -(-hi // b)
-            pair = read(first * c, stop * c, c)
-            placed = tuple(np.zeros(hi - lo, dtype=v.dtype) for v in pair)
-            for to, v in zip(placed, pair):
-                to[first * b - lo :: b] = v
+            placed = tuple(np.zeros(hi - lo, dtype=v.dtype) for v in values)
+            for to, v in zip(placed, values):
+                to[first * b - lo :: b] = v[first - 1 : stop - 1]
             blocks.append((scalar, placed))
         return exact_sum(blocks)
 

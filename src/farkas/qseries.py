@@ -31,22 +31,26 @@ scan holds, 4 bytes per index.  It is sieved in one int32 pass over the
 packed table Re chi * 2**16 + Im chi, and the pair is the two int16
 halves of that one array (see ``delta_int_arrays``).
 
-The Convolver's range read, which the sweeps use, takes F and H from
-whole-series tails built by one exact product, ``_full_product``, which
-reads the int16 delta_chi arrays as they are.  Every
-compared block, F and H as much as the sweeps' rhs, is one sum
+Every F and H value the Convolver gives, a sweep block or the dilated
+lookups F(95 n) of a configured identity, is read from a tail built by
+one exact product, ``_full_product``, which reads the int16 delta_chi
+arrays as they are: a step-1 read takes the whole-series product, and a
+read of n = r + k C takes the C products of the residue rows
+delta(u C + t) that sum to it (see ``_class_product``).  Every compared
+block, F and H as much as the sweeps' rhs, is one sum
 sum_k (c_k + i d_k)(x_k + i y_k) built by ``exact_sum``, the one place
 that chooses int64 (under a bound below INT64_CAP = 2**62, from the
 block's largest values and every scalar) or object arrays of Python
 ints.  A product of at most GEMM_PRODUCT = 45 056 coefficients (every
-product of a prime scan and of the benchmark sweeps, and the tails of a
-sweep to 10**6 up to 16 385) is a blocked Toeplitz GEMM in float32: rows
-of L = GEMM_ROW = 128 coefficients of one factor times L x L Toeplitz
-tiles of the other, O(m**2) multiply-adds in BLAS, and F's tail a*a + b*b
-is one GEMM of inner length 2 L.  float32 is an exact integer unit
-there: L is derived from the factors' largest entries Kx, Ky so that
-r L Kx Ky <= 2**24 for r fused pairs, so every partial sum, in any order
-of addition, is an integer float32 holds exactly (see ``_gemm_product``).
+product of a prime scan, of the benchmark sweeps and of a configured
+identity, and the tails of a sweep to 10**6 up to 16 385) is a blocked
+Toeplitz GEMM in float32: rows of L = GEMM_ROW = 128 coefficients of one
+factor times L x L Toeplitz tiles of the other, O(m**2) multiply-adds in
+BLAS, and F's tail a*a + b*b is one GEMM of inner length 2 L.  float32 is
+an exact integer unit there, and nowhere else: L is derived from the
+factors' largest entries Kx, Ky so that r L Kx Ky <= 2**24 for r fused
+pairs, so every partial sum, in any order of addition, is an integer
+float32 holds exactly (see ``_gemm_product``).
 A longer product, or one whose bound leaves no useful row, uses
 Kronecker substitution: offset both int64 inputs by K = max |a|, |b|
 so they are non-negative, pack each into a decimal integer with one
@@ -56,26 +60,6 @@ work, unpack the slots column by column, and remove the offset with
 prefix sums.  w is read from the packed data; every slot, correction
 term and direct sum is at most m (2K)**2 for length m, asserted below
 2**63.  The crossover is measured (see ``_full_product``).
-
-Its index read F(n), H(n), or F(n, stop, step) for a block of indices at
-once (the dilated lookups F(95 n) of a configured identity), takes
-half-length dot products and builds no tail: a*a, b*b and
-a*b + b*a are symmetric under j <-> n - j, so each is summed over
-j <= (n - 1) / 2 once, plus the middle term at even n, in int64.
-The dots read float32 mirrors of delta_chi, built on the first index read
-after a growth: a forward mirror over 0..(capacity - 1) // 2 and a
-reversed one over 0..capacity, so both operands of every dot are
-contiguous float32 and one BLAS ``np.dot`` sums them (0.15 ns per
-multiply-add at length 95 000 on a 2-core Xeon VM, against 0.29 ns for
-an int32 ``np.einsum`` dot of the same operands).  float32 is used only
-as an exact integer unit: each dot is split in chunks of 2**24 // K**2 terms,
-K = max |delta_chi(n)| over the sieved prefix, so every product and every
-partial sum, in any order of addition, is an integer of magnitude at most
-2**24, which float32 holds exactly; the chunk sums add in Python ints.
-K = 16 for p = 37 up to n = 10**6 (a chunk of 65 536 terms), and K <= 32
-for p in {5, 13, 29, 37, 53, 61, 101} there.  A Convolver that has served
-an index read holds 16 bytes per index: the int16 pair and 12 bytes of
-mirrors (see ``Convolver`` and ``_dot``).
 """
 from __future__ import annotations
 
@@ -102,10 +86,6 @@ assert 2 * MAX_DIVISOR_COUNT <= INT16_MAX
 # the halves hold Re and (flipped) Im, and the sum stays inside int32
 PACK = 2**16
 assert MAX_DIVISOR_COUNT < PACK // 2 and MAX_DIVISOR_COUNT * (PACK + 1) + PACK // 2 < 2**31
-# a float32 dot of FLOAT32_EXACT // MAX_DIVISOR_COUNT**2 products of them is
-# exact whatever chi is: each read splits its dots in chunks under the bound
-# FLOAT32_EXACT // K**2 taken from the sieved values
-assert FLOAT32_EXACT // MAX_DIVISOR_COUNT**2 >= 1
 # H's tails multiply Re delta +- Im delta, so a product's offset K is at most
 # 2 MAX_DIVISOR_COUNT, and its slots and correction terms at most (N+1)(2K)**2
 assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
@@ -582,8 +562,9 @@ def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
 def _full_product(*pairs) -> np.ndarray:
     """int64 c[n] = sum over the pairs (x, y) of sum_{j=0}^{n} x[j] y[n-j]
     for n < m, from int16 or int64 x, y all of one length m >= 1; exact.
-    The Convolver passes its int16 delta arrays with no wider copy: a*a +
-    b*b for F's tail is one call, (a+b)*(a-b) and a*b for H's two more.
+    The Convolver passes its int16 delta arrays, or strided views of their
+    residue rows, with no wider copy: a*a + b*b for F's step-1 tail is one
+    call, (a+b)*(a-b) and a*b for H's two more (see ``_class_product``).
 
     With Kx, Ky the largest |x|, |y| over the r pairs, a product of at most
     GEMM_PRODUCT coefficients is a float32 GEMM (``_gemm_product``) over
@@ -668,29 +649,73 @@ def exact_sum(terms, at_zero: tuple[int, int] | None = None):
     return re, im
 
 
-def _dot_chunk(K: int) -> int:
-    """The most terms a float32 dot may sum exactly when each factor is an
-    integer of magnitude at most K: every partial sum of 2**24 // K**2
-    products of at most K**2 is an integer within FLOAT32_EXACT."""
-    chunk = FLOAT32_EXACT // max(K, 1) ** 2
-    assert chunk >= 1 and chunk * K * K <= FLOAT32_EXACT, K
-    return chunk
+def _residue_rows(v: np.ndarray, m: int, C: int) -> np.ndarray:
+    """rows[t, u] = v[u C + t] for t < C, u < m: the residue classes of the
+    indices of v mod C, as strided views of v (of a copy padded with zeros
+    when v ends before m C)."""
+    if len(v) < m * C:
+        v = np.concatenate((v, np.zeros(m * C - len(v), dtype=v.dtype)))
+    return v[: m * C].reshape(m, C).T
 
 
-def _dot(x: np.ndarray, y: np.ndarray, chunk: int) -> int:
-    """sum_j x[j] y[j] as a Python int, for contiguous float32 x, y of one
-    length holding integers whose products fit the bound of ``_dot_chunk``
-    = ``chunk``.
+def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
+    """int64 T[k] = sum over (x, y) in ``factors`` of sum_{0<=j<=n} x[j]
+    y[n-j] at n = r + k C, for k < m and 0 <= r < C, from arrays x, y that
+    reach at least r + (m - 1) C + 1 (the entries past it are never read).
 
-    Each chunk of at most ``chunk`` terms is one BLAS ``np.dot``.  In
-    whatever order it adds them, each partial sum is a sum of at most
-    ``chunk`` of the products, so an integer within 2**24: no product or
-    sum rounds.  The chunk sums add in Python ints."""
-    if len(x) <= chunk:
-        return int(np.dot(x, y))
-    return sum(
-        int(np.dot(x[i : i + chunk], y[i : i + chunk])) for i in range(0, len(x), chunk)
-    )
+    Split j = u C + t with t < C, and write x_t, y_t for the residue rows
+    x[u C + t], y[u C + t] (``_residue_rows``).  Then n - j = (k - u) C +
+    r - t, so
+        T[k] = sum_{t<=r} (x_t * y_{r-t})[k] + sum_{t>r} (x_t * y_{C+r-t})[k-1]:
+    C whole-series products of length m per factor, each a pair for
+    ``_full_product``, which takes them two at a time (F's a*a + b*b at
+    one t, or two values of t).  When every factor is a square x * x, as
+    F's are, the classes (t, s) and (s, t) of one sum give one product:
+    only t <= s is taken, t < s twice, about C / 2 products, as many
+    multiply-adds as summing each pair (j, n - j) once.  With C = 1 that is
+    the single product x * y of the step-1 tail, and a square passes one
+    row object twice, so that libmpdec squares it (``_kronecker_product``)."""
+    if C == 1:  # the sweeps' tails: one call, none of the class bookkeeping
+        pairs = []
+        for x, y in factors:
+            row = x[:m]
+            pairs.append((row, row if y is x else y[:m]))
+        return _full_product(*pairs)
+    rows = []
+    for x, y in factors:
+        X = list(_residue_rows(x, m, C))
+        rows.append((X, X if y is x else list(_residue_rows(y, m, C))))
+    squares = all(X is Y for X, Y in rows)
+    out = None
+    for shift, ts in ((0, range(r + 1)), (1, range(r + 1, C))):
+        # (t, s, weight): the classes of this sum that are computed
+        classes = [(t, (r - t) % C) for t in ts]
+        if squares:
+            classes = [(t, s, 1 + (t < s)) for t, s in classes if t <= s]
+        else:
+            classes = [(t, s, 1) for t, s in classes]
+        for weight in (1, 2):
+            pairs = [(X[t], Y[s]) for t, s, w in classes if w == weight for X, Y in rows]
+            for i in range(0, len(pairs), 2):
+                product = _full_product(*pairs[i : i + 2])
+                if weight > 1:
+                    product *= weight
+                if out is None:  # the unshifted sum comes first
+                    out = product
+                else:
+                    out[shift:] += product[: m - shift]
+    return out
+
+
+def _split(step: int, top: int) -> int:
+    """The modulus D of the residue rows of a read of step ``step`` up to
+    index ``top``: the largest divisor D of step with D (D - 1) <= top, so
+    that there are no more rows than each row has coefficients, top // D +
+    1.  The lookups of a configured identity take D = step; a read of a
+    few values far out takes fewer, longer rows and every (step / D)-th k
+    of their tail, so that it makes O(sqrt(top)) products, not one per
+    residue class of step.  Step 1 is D = 1."""
+    return max(d for d in divisors(step) if d * (d - 1) <= top)
 
 
 class Convolver:
@@ -702,49 +727,34 @@ class Convolver:
     where delta' is conj(delta_chi) for F and delta_chi for H, L' likewise,
     and T(n) = sum_{0<j<n} delta(j) delta'(n-j) is the tail.  For F,
     T = a*a + b*b: the imaginary part cancels under j <-> n - j.  For H,
-    T = (a+b)*(a-b) + 2i a*b.  There are two reads:
+    T = (a+b)*(a-b) + 2i a*b.
 
-    - ``numerators(lo, hi, c, scale)``, the range read of the sweeps and
-      of ``asymptotic_report``: T(lo..hi-1) from a cached whole-series
-      tail, built by ``_full_product``: one call of two fused pairs for F
-      (one pair for a real chi, whose b is zero), two calls for H, each a
-      float32 GEMM up to GEMM_PRODUCT coefficients and O(m log m) in
-      libmpdec past it.  A sweep or a report ``release``s the tail when
-      it ends.  When hi - 1 lies past the tail, it is rebuilt to
-      max(hi - 1, 4 lo - 1), at most ``capacity``.  A sweep's block
-      [lo, hi) starts at or before any n it can fail at, so a refutation
-      at n builds tails that reach below 4 n; and since its blocks double
-      (then grow by a fixed step), each rebuild reaches about four times
-      as far as the last, so ascending reads to N rebuild it O(log N)
-      times;
-    - ``F(n)`` / ``H(n)``, the index read, O(n) with no tail; ``F(n, stop,
-      step)`` reads n, n + step, ... below stop in one call, as the dilated
-      lookups of a configured identity do.  a*a, b*b and
-      a*b + b*a at n are unchanged under j <-> n - j, so each takes dots
-      over 1 <= j <= h = (n - 1) // 2, doubled in int64, plus the
-      middle term a[n/2]**2 (b[n/2]**2, a[n/2] b[n/2]) once for even n.
-      F takes the two half dots of a*a and b*b; H takes them for its real
-      part a*a - b*b and two more, a_j b_{n-j} and b_j a_{n-j}, for its
-      imaginary part 2 a*b.
+    There is one read, ``numerators(lo, hi, c, scale, step)``: F or H at
+    n = lo, lo + step, ... below hi, from a cached tail T(r + k D), r =
+    lo mod D, over k = 0..reach, for a divisor D of step (``_split``: 1
+    for a sweep, step for the lookups F(k C) of a configured identity),
+    built by ``_class_product`` and so by ``_full_product``.  At D = 1 the
+    tail is one call of two fused pairs for F (one pair for a real chi,
+    whose b is zero) and two calls for H, each a float32 GEMM up to
+    GEMM_PRODUCT coefficients and O(m log m) in libmpdec past it.  At
+    D > 1 it is the same sum over the D residue classes mod D, each
+    product of length reach + 1: about D reach**2 / 2 multiply-adds per
+    factor pair, the order of the n / 2 a lone F(n) would take per
+    lookup.  ``F`` and ``H`` are thin calls into it.  Tails are cached by
+    (c, D, r); a sweep, a report or a configured identity ``release``s
+    them when it ends.  When the last k lies past a tail, it is rebuilt
+    to max(k, 4 k_lo - 1), at most the sieved capacity.  A sweep's block
+    [lo, hi) starts at or before any n it can fail at, so a refutation at
+    n builds tails that reach below 4 n; and since its blocks double (then
+    grow by a fixed step), each rebuild reaches about four times as far as
+    the last, so ascending reads to N rebuild it O(log N) times.
 
-    The dots read float32 mirrors, not a, b: delta(j) for j = 1..h is a
-    forward slice of a mirror of a or b over 0..(capacity - 1) // 2, and
-    delta(n - j) a forward slice of a reversed mirror over 0..capacity, so
-    both operands are contiguous and ``_dot`` sums them with BLAS in
-    chunks of at most 2**24 // K**2 terms, K = max |a|, |b| over the sieved
-    prefix, where every sum is exact.  The mirrors and K are built on the
-    first index read after a growth, and a growth drops them.  So a, b take
-    4 bytes per index, and a Convolver that has served an index read takes
-    16: 4 + 8 for the reversed mirrors + 4 for the forward ones (exactly 16
-    at odd capacity).
-
-    a, b are sieved only as far as asked: a read extends them through
-    ``ensure``, and a sweep extends them ahead of each block through
-    ``extend``, by its own schedule.  Either sieves only the new indices.
-
-    Both reads hand T and delta_chi to ``_numerators``, which sums the
-    expression above with ``exact_sum``: int64 or object arrays of Python
-    ints, as its bound decides.
+    a, b are sieved only as far as asked, 4 bytes per index: a read
+    extends them through ``ensure``, and a sweep extends them ahead of each
+    block through ``extend``, by its own schedule.  Either sieves only the
+    new indices.  ``_numerators`` sums the expression above with
+    ``exact_sum``: int64 or object arrays of Python ints, as its bound
+    decides.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -752,12 +762,8 @@ class Convolver:
         self.denominator = (2 * chi.p) ** 2
         self._L = _delta0_numerator(chi)
         self._re = self._im = np.zeros(1, dtype=np.int16)
-        # (a, b, a_rev, b_rev) float32, a_rev[k] = _re[capacity - k], built
-        # with K = max |a|, |b| and its dot chunk on the first index read
-        # after a growth: see _index_read
-        self._mirrors = None
-        self._chunk = None
-        # conjugation c -> (Re T, Im T) over 0..reach; Im T of F is zero: None
+        # (c, D, r) -> (Re T, Im T) at r + k D for k = 0..reach; Im T of F
+        # is zero: None
         self._tails = {}
 
     @property
@@ -768,11 +774,8 @@ class Convolver:
     def extend(self, n: int) -> None:
         """Sieve delta_chi to exactly n, if it is not sieved that far: only
         the new indices are sieved.  The sweeps grow it this way, by their
-        own schedule, so it never passes their nmax.  The float32 mirrors
-        are dropped, before the sieve runs, for the next index read to
-        rebuild."""
+        own schedule, so it never passes their nmax."""
         if n > self.capacity:
-            self._mirrors = self._chunk = None
             self._re, self._im = delta_int_arrays(self.chi, n, prefix=(self._re, self._im))
 
     def ensure(self, n: int) -> None:
@@ -783,81 +786,22 @@ class Convolver:
             self.extend(max(n, min(2 * self.capacity, MAX_FAST_N)))
 
     def release(self) -> None:
-        """Drop the cached whole-series tails: a sweep or a report frees its
-        tail when it ends, so a cached Convolver holds only delta_chi (and
-        the index reads' mirrors)."""
+        """Drop the cached tails: a sweep, a report or a configured identity
+        frees its tails when it ends, so a cached Convolver holds only
+        delta_chi."""
         self._tails.clear()
 
-    def _whole_tail(self, m: int, c: int):
-        a, b = self._re[: m + 1], self._im[: m + 1]  # |a +- b| <= 480: int16
+    def _whole_tail(self, m: int, c: int, D: int = 1, r: int = 0):
+        """(Re T, Im T) at r + k D for k = 0..m, Im T None for F."""
+        n = min((m + 1) * D, len(self._re))
+        a, b = self._re[:n], self._im[:n]  # |a +- b| <= 480: int16
         if c < 0:
-            if not b.any():  # a real chi, as the mod-3 character: b*b = 0
-                return _full_product((a, a)), None
-            return _full_product((a, a), (b, b)), None
-        re = _full_product((a + b, a - b))
-        im = _full_product((a, b))
+            factors = [(a, a)] if not b.any() else [(a, a), (b, b)]  # b*b = 0 for a real chi
+            return _class_product(factors, m + 1, D, r), None
+        re = _class_product([(a + b, a - b)], m + 1, D, r)
+        im = _class_product([(a, b)], m + 1, D, r)
         im *= 2
         return re, im
-
-    def _mirror(self) -> tuple[np.ndarray, ...]:
-        """The float32 mirrors (a, b over 0..(capacity - 1) // 2, and a, b
-        reversed over 0..capacity), built if a growth dropped them, with the
-        dot chunk for their K."""
-        if self._mirrors is None:
-            h = (self.capacity - 1) // 2
-            self._chunk = _dot_chunk(max(max_abs(self._re), max_abs(self._im)))
-            self._mirrors = (
-                self._re[: h + 1].astype(np.float32), self._im[: h + 1].astype(np.float32),
-                self._re[::-1].astype(np.float32), self._im[::-1].astype(np.float32),
-            )
-        return self._mirrors
-
-    def _index_read(self, n: int, stop: int | None, step: int, c: int):
-        """``denominator`` times F (c = -1) or H (c = 1) at n, n + step, ...
-        below ``stop``, in the format of ``numerators``; at n alone (``stop``
-        None) as an int pair.
-
-        One ``ensure`` to the largest index and one ``_mirror`` serve the
-        whole read.  Each index then takes the half-length dots of the class
-        docstring, each a contiguous float32 ``_dot`` chunked under the
-        derived bound; the middle terms and ``_numerators`` run over the
-        whole block.  With K = max |delta_chi| over the sieved prefix, a
-        tail at m sums m + 1 terms of at most 2 K**2, so |T(m)| <=
-        2 (m + 1) K**2; as K <= MAX_DIVISOR_COUNT and m <= MAX_FAST_N that
-        is within the bound asserted at import, so the tails and middle
-        terms are int64."""
-        if n < 0:
-            raise ValueError("F and H expect n >= 0")
-        if step < 1:
-            raise ValueError(f"F and H expect step >= 1, got {step}")
-        ms = range(n, n + 1 if stop is None else stop, step)
-        if not ms:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        self.ensure(ms[-1])
-        a, b, a_rev, b_rev = self._mirror()
-        chunk, capacity, dot = self._chunk, self.capacity, _dot
-        aa, bb, ab = (np.zeros(len(ms), dtype=np.int64) for _ in range(3))
-        for i, m in enumerate(ms):
-            h, r = (m - 1) // 2, capacity - m  # *_rev[r + j] = delta(m - j)
-            x, y = a[1 : h + 1], b[1 : h + 1]
-            x_rev, y_rev = a_rev[r + 1 : r + h + 1], b_rev[r + 1 : r + h + 1]
-            aa[i] = dot(x, x_rev, chunk)
-            bb[i] = dot(y, y_rev, chunk)
-            if c > 0:
-                ab[i] = dot(x, y_rev, chunk) + dot(y, x_rev, chunk)
-        # the middle term delta(m / 2) of an even m, counted once (delta(0)
-        # is stored as 0, so an odd m reads 0 there)
-        ns = np.arange(ms.start, ms.stop, ms.step)
-        half = np.where(ns % 2 == 0, ns // 2, 0)
-        x_mid, y_mid = self._re[half].astype(np.int64), self._im[half].astype(np.int64)
-        aa = 2 * aa + x_mid * x_mid
-        bb = 2 * bb + y_mid * y_mid
-        if c < 0:
-            tail_re, tail_im = aa + bb, None  # Im T of F is 0
-        else:
-            tail_re, tail_im = aa - bb, 2 * ab + 2 * x_mid * y_mid
-        re, im = self._numerators(c, 1, tail_re, tail_im, self._re[ns], self._im[ns], n == 0)
-        return (re, im) if stop is not None else (int(re[0]), int(im[0]))
 
     def _at_zero(self, c: int, k: int) -> tuple[int, int]:
         """k s**2 times the n = 0 term delta_chi(0) delta'(0): k L L',
@@ -882,38 +826,54 @@ class Convolver:
         return exact_sum(terms, self._at_zero(c, k) if zero else None)
 
     def numerators(
-        self, lo: int, hi: int, c: int, scale: int = 1
+        self, lo: int, hi: int, c: int, scale: int = 1, step: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
         """``scale`` (>= 1) times ``denominator`` times F (c = -1) or H
-        (c = 1) at n in [lo, hi), as two arrays (re, im) of one dtype: int64
-        or object arrays of Python ints, as ``exact_sum`` bounds the block
-        from its largest |T| and |delta_chi|."""
+        (c = 1) at n = lo, lo + step, ... below hi, as two arrays (re, im)
+        of one dtype: int64 or object arrays of Python ints, as
+        ``exact_sum`` bounds the block from its largest |T| and |delta_chi|.
+        T is read from the tail T(r + k D) of D = ``_split(step, ..)``, r =
+        lo mod D, at k = k_lo, k_lo + step / D, ... below k_hi."""
         if not 0 <= lo <= hi:
             raise ValueError(f"F and H expect 0 <= lo <= hi, got [{lo}, {hi})")
+        if step < 1:
+            raise ValueError(f"F and H expect step >= 1, got {step}")
         assert scale >= 1, scale
-        top = max(hi - 1, 0)
-        self.ensure(top)
-        reach = len(self._tails[c][0]) - 1 if c in self._tails else -1
+        ns = range(lo, hi, step)
+        D = _split(step, ns[-1] if ns else lo)
+        r, k_lo = lo % D, lo // D
+        k_hi = ns[-1] // D + 1 if ns else k_lo
+        top = max(k_hi - 1, 0)
+        self.ensure(r + top * D)
+        key = (c, D, r)
+        reach = len(self._tails[key][0]) - 1 if key in self._tails else -1
         if reach < top:
-            m = min(max(top, 4 * lo - 1), self.capacity)
-            self._tails.pop(c, None)  # free the old tail before the product's scratch
-            self._tails[c] = self._whole_tail(m, c)
-        tail_re, tail_im = (None if t is None else t[lo:hi] for t in self._tails[c])
+            m = min(max(top, 4 * k_lo - 1), (self.capacity - r) // D)
+            self._tails.pop(key, None)  # free the old tail before the product's scratch
+            self._tails[key] = self._whole_tail(m, c, D, r)
+        tail_re, tail_im = (
+            None if t is None else t[k_lo:k_hi:step // D] for t in self._tails[key]
+        )
         return self._numerators(
-            c, scale, tail_re, tail_im, self._re[lo:hi], self._im[lo:hi], lo == 0 < hi
+            c, scale, tail_re, tail_im, self._re[lo:hi:step], self._im[lo:hi:step], lo == 0 < hi
         )
 
     def F(self, n: int, stop: int | None = None, step: int = 1):
         """``denominator`` times F_chi(n) = sum_{j=0}^{n} delta_chi(j)
-        delta_chibar(n-j), as an int pair (re, im): the format of ``numerators``.
-        With ``stop``, the same at n, n + step, ... below stop, as two arrays
-        in the format of ``numerators``, from one index read (``_index_read``)."""
-        return self._index_read(n, stop, step, -1)
+        delta_chibar(n-j), as an int pair (re, im).  With ``stop``, the same
+        at n, n + step, ... below stop (none when stop <= n), as two arrays
+        in the format of ``numerators``: one ``numerators`` read."""
+        return self._read(n, stop, step, -1)
 
     def H(self, n: int, stop: int | None = None, step: int = 1):
         """``denominator`` times H_chi(n) = sum_{j=0}^{n} delta_chi(j)
         delta_chi(n-j), as an int pair (re, im); with ``stop``, as ``F``."""
-        return self._index_read(n, stop, step, 1)
+        return self._read(n, stop, step, 1)
+
+    def _read(self, n: int, stop: int | None, step: int, c: int):
+        """``F`` (c = -1) or ``H`` (c = 1); ``numerators`` rejects n < 0."""
+        re, im = self.numerators(n, n + 1 if stop is None else max(n, stop), c, step=step)
+        return (re, im) if stop is not None else (int(re[0]), int(im[0]))
 
 
 @lru_cache(maxsize=2 * PRIMES_CACHED)

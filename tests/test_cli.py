@@ -98,6 +98,17 @@ class TestVerifyCommand:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("p", ["-3", "4", "7", "21", "29"])
+    @pytest.mark.parametrize("command", [["verify", "--kind", "conv"], ["asympt", "--kind", "conv"]])
+    def test_verify_and_asympt_take_primes_5_mod_8(self, command, p, capsys):
+        code = main([*command, "--p", p, "--nmax", "10"])
+        err = capsys.readouterr().err
+        if p == "29":
+            assert code in (EXIT_PASS, EXIT_FAILURE) and not err
+        else:
+            assert code == EXIT_USAGE
+            assert err.splitlines()[0] == f"error: p must be a prime = 5 (mod 8), got {p}"
+
     def test_io_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
         code = main(

@@ -633,13 +633,19 @@ class TestConfiguredIdentities:
         assert verify_id1(5, 100).passed
 
     @pytest.mark.parametrize("name", builtin_config_names())
-    def test_config_lookups_build_no_tail(self, name):
-        # every lookup A F(n C / B), dilated or not, is an index read: dots
+    def test_config_reads_one_dilated_tail_per_term(self, name):
+        # the lookups F(k C), k = 1..N // B, of a term are one read of step
+        # C at the offset 0: one tail of N // B + 1 coefficients a term
+        # (N // B >= 3 in each), dropped before the sweep ends
         cfg = load_builtin_config(name)
         convolver.cache_clear()
-        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+        with mock.patch.object(
+            Convolver, "_whole_tail", autospec=True, side_effect=Convolver._whole_tail
+        ) as built:
             assert check_configured_identity(cfg, 1000).passed
-        assert spy.call_count == 0
+        tails = sorted(call.args[1:] for call in built.call_args_list)
+        assert tails == sorted((1000 // b, -1, c, 0) for _, b, c in cfg.terms)
+        assert convolver(resolve_character(cfg.p, cfg.chi_selector))._tails == {}
 
     def test_malformed_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -926,6 +932,37 @@ class TestTailRelease:
         with mock.patch.object(Convolver, "numerators", numerators), \
                 pytest.raises(RuntimeError):
             verify_id1(13, 5000, chi)
+        assert convolver(chi)._tails == {}
+
+
+    @pytest.mark.parametrize("outcome", ["pass", "fail", "raise"])
+    def test_a_configured_identity_releases_its_tails(self, outcome):
+        # p37_2_17 reads steps 34, 17, 2 and 1; "raise" fails its third read
+        # after that read has built its tail
+        chi = resolve_character(P37_2_17.p, P37_2_17.chi_selector)
+        convolver.cache_clear()
+        read = Convolver.numerators
+
+        def numerators(self, lo, hi, c, scale=1, step=1):
+            block = read(self, lo, hi, c, scale, step)
+            if outcome == "raise" and step == 2:
+                raise RuntimeError("the third lookup")
+            return block
+
+        with mock.patch.object(Convolver, "numerators", numerators), _patched_rhs(
+            100 if outcome == "fail" else -1
+        ), mock.patch.object(
+            Convolver, "_whole_tail", autospec=True, side_effect=Convolver._whole_tail
+        ) as built:
+            if outcome == "raise":
+                with pytest.raises(RuntimeError):
+                    check_configured_identity(P37_2_17, 500)
+            else:
+                report = check_configured_identity(P37_2_17, 500)
+                assert (report.passed, report.failure_n) == (
+                    (True, None) if outcome == "pass" else (False, 100)
+                )
+        assert built.call_count == (3 if outcome == "raise" else 4)
         assert convolver(chi)._tails == {}
 
 

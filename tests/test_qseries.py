@@ -813,6 +813,22 @@ class TestExactSum:
         want = {"qseries.py:exact_sum"}
         assert found == {"compares with INT64_CAP": want, "builds an object dtype": want}
 
+    def test_only_the_gemm_product_makes_float32(self):
+        # one float32 exact unit: no other function of the package names a
+        # float32 dtype (np.float32, np.single, "float32", "f4"), so no
+        # other one can build a float32 array to sum in
+        names, strings = {"float32", "single"}, {"float32", "single", "f4", "<f4", "=f4"}
+        found = set()
+        for path in sorted(Path(qseries.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for sub in ast.walk(node):
+                        if (isinstance(sub, ast.Attribute) and sub.attr in names) or (
+                            isinstance(sub, ast.Constant) and sub.value in strings
+                        ):
+                            found.add(f"{path.name}:{node.name}")
+        assert found == {"qseries.py:_gemm_product"}
+
 
 def _times(D: int, z: GaussianRational) -> tuple[int, int]:
     """D z as an int pair, the format of ``Convolver.F`` and ``H``."""
@@ -822,8 +838,8 @@ def _times(D: int, z: GaussianRational) -> tuple[int, int]:
 
 
 def _tail_lengths(conv):
-    """Conjugation c -> how many coefficients its whole-series tail holds."""
-    return {c: len(re) for c, (re, _) in conv._tails.items()}
+    """(c, step, r) -> how many coefficients its cached tail holds."""
+    return {key: len(re) for key, (re, _) in conv._tails.items()}
 
 
 class TestConvolutions:
@@ -837,7 +853,8 @@ class TestConvolutions:
         assert conv.H(1) == _times(D, gaussian("3/5", "1/5"))  # 2*delta(0)*delta(1)
 
     def test_fast_path_matches_cauchy_product(self):
-        # dual route: int64 dots vs the exact generic product, in either order
+        # dual route: the cached tails vs the exact generic product, read
+        # in either order
         for p in (5, 13, 29):
             chi, chibar = quartic_pair(p)
             N = 60
@@ -846,12 +863,11 @@ class TestConvolutions:
             for order in (range(N + 1), range(N, -1, -1)):
                 conv = Convolver(chi)
                 D = conv.denominator
-                with mock.patch.object(qseries, "_full_product") as spy:
-                    for n in order:
-                        assert conv.F(n) == _times(D, f_series[n])
-                        assert conv.H(n) == _times(D, h_series[n])
-                # the index read takes dots and builds no tail
-                assert spy.call_count == 0 and _tail_lengths(conv) == {}
+                for n in order:
+                    assert conv.F(n) == _times(D, f_series[n])
+                    assert conv.H(n) == _times(D, h_series[n])
+                # an index read is a step-1 read: one tail per product
+                assert set(_tail_lengths(conv)) == {(-1, 1, 0), (1, 1, 0)}
 
     def test_F_is_real(self):
         chi, _ = quartic_pair(29)
@@ -893,7 +909,7 @@ class TestConvolutions:
                 # far below the cap at N = 60: int64, exact Python ints on tolist
                 assert (re.dtype, im.dtype) == (np.int64, np.int64)
                 assert all(type(x) is int for x in re.tolist() + im.tolist())
-                assert _tail_lengths(conv) == {c: built}, (lo, hi)
+                assert _tail_lengths(conv) == {(c, 1, 0): built}, (lo, hi)
         with pytest.raises(ValueError):
             Convolver(chi).numerators(5, 4, 1)
 
@@ -934,20 +950,20 @@ class TestConvolutions:
         real, cached = qseries._full_product, []
 
         def product(*pairs):
-            cached.append(1 in conv._tails)
+            cached.append((1, 1, 0) in conv._tails)
             return real(*pairs)
 
         with mock.patch.object(qseries, "_full_product", side_effect=product) as spy:
             re, im = conv.numerators(0, 101, 1)
             assert spy.call_count == 2  # one whole tail for H: (a+b)(a-b) and ab
-            assert _tail_lengths(conv) == {1: 101}
-            # a shorter range reuses the cached tail; index reads take dots
+            assert _tail_lengths(conv) == {(1, 1, 0): 101}
+            # a shorter range reuses the cached tail, and so do index reads
             short = conv.numerators(0, 41, 1)
             assert [conv.H(n) for n in range(41)] == list(zip(*short))
             assert spy.call_count == 2
             # a longer one doubles it once, to the sieve's capacity 200
             conv.numerators(101, 151, 1)
-            assert spy.call_count == 4 and _tail_lengths(conv) == {1: 201}
+            assert spy.call_count == 4 and _tail_lengths(conv) == {(1, 1, 0): 201}
         # a rebuild drops the old tail before its products run (for H at
         # N = 10**6 the old tail is 786177 coefficients in two int64 arrays)
         assert cached == [False] * 4
@@ -993,63 +1009,85 @@ class TestConvolutions:
         assert len(conv._re) == 301
 
 
-SMALL_CROSSOVER = 3 * GEMM_ROW + 1  # a patched GEMM_PRODUCT, so windows past it stay cheap
+SMALL_CROSSOVER = 3 * GEMM_ROW + 1  # a patched GEMM_PRODUCT, so products past it stay cheap
+
+
+def _oracle(chi: DirichletCharacter, ns, c: int) -> list[tuple[int, int]]:
+    """s**2 F (c = -1) or H (c = 1) at each n of ``ns``, s = 2p: four int64
+    ``np.dot`` per n of the scaled delta_chi(j) = (X_j + i Y_j) / s, X_0 +
+    i Y_0 = 2p delta_chi(0), against its reverse.  No ``_full_product``."""
+    N = max(ns, default=0)
+    re, im = delta_int_arrays(chi, N)
+    X, Y = 2 * chi.p * re.astype(np.int64), 2 * chi.p * im.astype(np.int64)
+    X[0], Y[0] = qseries._delta0_numerator(chi)
+    out = []
+    for n in ns:
+        x, y = X[: n + 1], Y[: n + 1]
+        xx, yy, xy, yx = (int(np.dot(f, g[::-1])) for f, g in ((x, x), (y, y), (x, y), (y, x)))
+        out.append((xx - c * yy, c * xy + yx))  # delta' = conj(delta) for c = -1
+    return out
 
 
 @st.composite
-def _windows(draw):
-    """(chi, lo, hi, c): a character of p in {5, 13, 29, 37} or the mod-3
-    one, and a window whose end lies within 3 of L, 2 L or SMALL_CROSSOVER,
-    so that a fresh Convolver's tail (hi coefficients) falls on either side."""
+def _reads(draw):
+    """(chi, n, stop, step, c): a character of p in {5, 13, 29, 37}, either
+    sign, or the real mod-3 one (b = 0); a step of 1, 2, odd or even, and
+    an offset r = n mod step.  The read takes k in [k_lo, k_hi), n = r +
+    k step, with k_hi within 3 of 1, L, 2 L or SMALL_CROSSOVER, so that a
+    fresh Convolver's tails (k_hi coefficients) fall on either side; at
+    most one k is a read whose step passes stop - n."""
     p = draw(st.sampled_from([5, 13, 29, 37, 3]))
     chi = quadratic_character(3) if p == 3 else quartic_pair(p)[draw(st.integers(0, 1))]
-    edge = draw(st.sampled_from([GEMM_ROW, 2 * GEMM_ROW, SMALL_CROSSOVER]))
-    hi = edge + draw(st.integers(-3, 3))
-    lo = draw(st.integers(0, hi) | st.integers(max(hi - 8, 0), hi))
-    return chi, lo, hi, draw(st.sampled_from([-1, 1]))
+    step = draw(st.sampled_from([1, 2]) | st.integers(3, 24))
+    r = draw(st.integers(0, step - 1))
+    edge = draw(st.sampled_from([1, GEMM_ROW, 2 * GEMM_ROW, SMALL_CROSSOVER]))
+    k_hi = max(edge + draw(st.integers(-3, 3)), 1)
+    k_lo = draw(st.integers(0, k_hi) | st.integers(max(k_hi - 2, 0), k_hi))
+    n, stop = r + k_lo * step, r + (k_hi - 1) * step + 1 + draw(st.integers(0, step - 1))
+    return chi, n, stop, step, draw(st.sampled_from([-1, 1]))
 
 
-class TestRangeReadAgainstIndexReads:
-    """The range read (a whole-series tail from ``_full_product``) against
-    the index reads (half-length float32 dots): two independent routes."""
+class TestReadsAgainstAnOracle:
+    """F(n, stop, step), H(n, stop, step) from the cached tails of
+    ``_full_product`` against ``_oracle``, per-n int64 dots: two
+    independent routes."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(_windows())
-    def test_numerators_equal_the_index_reads(self, case):
-        chi, lo, hi, c = case
+    def test_the_oracle_is_the_cauchy_product(self):
+        for p in (5, 3):
+            chi, f_series, h_series = _products(p, 40)
+            D = (2 * chi.p) ** 2
+            for c, series in ((-1, f_series), (1, h_series)):
+                assert _oracle(chi, range(41), c) == [_times(D, z) for z in series.coefficients]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_reads())
+    def test_reads_equal_the_oracle(self, case):
+        chi, n, stop, step, c = case
+        conv = Convolver(chi)
         with mock.patch.object(qseries, "GEMM_PRODUCT", SMALL_CROSSOVER):
-            re, im = Convolver(chi).numerators(lo, hi, c)
-        index = Convolver(chi)
-        want_re, want_im = (index.F if c < 0 else index.H)(lo, hi)
-        assert re.tolist() == want_re.tolist() and im.tolist() == want_im.tolist()
+            re, im = (conv.F if c < 0 else conv.H)(n, stop, step)
+        want = _oracle(chi, range(n, stop, step), c)
+        assert list(zip(re.tolist(), im.tolist())) == want
 
-    def test_the_windows_reach_both_kernels(self):
-        # the tails of hi = SMALL_CROSSOVER and SMALL_CROSSOVER + 1 coefficients
-        # are a GEMM and a libmpdec product; both agree with the index reads
+    @pytest.mark.parametrize("step, r", [(1, 0), (7, 3)])
+    def test_the_reads_reach_both_kernels(self, step, r):
+        # tails of k_hi = SMALL_CROSSOVER and SMALL_CROSSOVER + 1 coefficients
+        # are GEMM and libmpdec products; both agree with the oracle
         chi = quartic_pair(37)[0]
-        for hi, gemm in ((SMALL_CROSSOVER, True), (SMALL_CROSSOVER + 1, False)):
+        for k_hi, gemm in ((SMALL_CROSSOVER, True), (SMALL_CROSSOVER + 1, False)):
+            ns = range(r, r + (k_hi - 1) * step + 1, step)
             for c in (-1, 1):
+                conv = Convolver(chi)
                 with mock.patch.object(qseries, "GEMM_PRODUCT", SMALL_CROSSOVER), \
                         mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as g, \
                         mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as k:
-                    re, im = Convolver(chi).numerators(0, hi, c)
-                assert (g.called, k.called) == (gemm, not gemm), (hi, c)
-                want = (Convolver(chi).F if c < 0 else Convolver(chi).H)(0, hi)
-                assert re.tolist() == want[0].tolist() and im.tolist() == want[1].tolist()
-
-
-def _logged_dots():
-    """A patch of ``qseries._dot`` that logs the operand lengths of every
-    dot, checking that both are contiguous float32, and the log."""
-    log, dot = [], qseries._dot
-
-    def logged(x, y, chunk):
-        for v in (x, y):
-            assert v.dtype == np.float32 and v.flags.c_contiguous, (v.dtype, v.flags)
-        log.append((len(x), len(y)))
-        return dot(x, y, chunk)
-
-    return mock.patch.object(qseries, "_dot", logged), log
+                    re, im = (conv.F if c < 0 else conv.H)(ns.start, ns.stop, step)
+                assert (g.called, k.called) == (gemm, not gemm), (k_hi, c)
+                assert list(zip(re.tolist(), im.tolist())) == _oracle(chi, ns, c)
+                if step == 1 and not gemm:
+                    # F's a*a and b*b are squarings: one packed operand each
+                    packs = [call.args[0] is call.args[1] for call in k.call_args_list]
+                    assert packs == ([True, True] if c < 0 else [False, False]), c
 
 
 @lru_cache(maxsize=None)
@@ -1061,8 +1099,9 @@ def _products(p: int, N: int):
     return chi, d * dbar, d * d
 
 
-class TestHalfLengthIndexRead:
-    """F(n), H(n) sum each symmetric pair (j, n - j) once."""
+class TestIndexReads:
+    """F(n), H(n) and F(n, stop, step): thin calls into ``numerators``, the
+    dilated ones over residue classes."""
 
     @pytest.mark.parametrize("p", [5, 13, 29, 3])
     def test_index_read_matches_the_cauchy_product(self, p):
@@ -1082,12 +1121,13 @@ class TestHalfLengthIndexRead:
     def test_a_block_read_is_its_per_index_reads(self, p):
         # F(n, stop, step), H(n, stop, step) against the per-index reads and
         # the Cauchy product: all n, odd n, even n, a stride of 19 with both
-        # parities, one index, and empty reads; int64 blocks, and object
-        # blocks of the same values when the cap is forced to 1
+        # parities, one index, a step past stop - n, and empty reads; int64
+        # blocks, and object blocks of the same values when the cap is
+        # forced to 1.  A bad n or step is a ValueError, not an assertion
         N = 300
         chi, f_series, h_series = _products(p, N)
         reads = [(0, N + 1, 1), (1, N + 1, 2), (2, N + 1, 2), (5, N, 19), (N, N + 1, 1),
-                 (7, 7, 1), (9, 3, 4)]
+                 (3, 30, 4), (40, 41, 50), (7, 7, 1), (9, 3, 4), (0, 0, 7)]
         for c, series in ((-1, f_series), (1, h_series)):
             conv = Convolver(chi)
             D = conv.denominator
@@ -1105,22 +1145,21 @@ class TestHalfLengthIndexRead:
                     assert (re_obj.dtype, im_obj.dtype) == (object, object)
                 assert all(type(x) is int for x in re_obj.tolist() + im_obj.tolist())
                 assert list(zip(re_obj, im_obj)) == rows
-            with pytest.raises(ValueError):
-                read(1, 10, 0)
-            with pytest.raises(ValueError):
-                read(-1, 10, 1)
+            for args in ((1, 10, 0), (1, 10, -2), (0, None, 0), (-1, 10, 1), (-3, 10, 2), (-1,)):
+                with pytest.raises(ValueError):
+                    read(*args)
 
     def test_a_block_read_sieves_once_to_its_largest_index(self):
-        # one ensure to the last index and one mirror for the whole block;
-        # ascending per-index reads would double the capacity to 1024
+        # one ensure to the last index for the whole block; ascending
+        # per-index reads would double the capacity to 1024.  A read of
+        # another step or offset builds its own tail from the same sieve
         conv = Convolver(quartic_pair(13)[0])
         with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy:
             re, _ = conv.H(3, 1001, 3)
-        assert len(re) == 333 and conv.capacity == 999
+            assert len(re) == 333 and conv.capacity == 999
+            conv.F(1, 1000, 2)
         assert spy.call_count == 1  # Re and Im, packed in one sieve
-        mirrors = conv._mirrors
-        conv.F(1, 1000, 2)
-        assert conv._mirrors is mirrors
+        assert _tail_lengths(conv) == {(1, 3, 0): 334, (-1, 2, 1): 500}
 
     def test_a_block_read_is_int64_below_its_derived_bound(self):
         # the read's tails stay within 2 (m + 1) K**2, K = max |delta| over
@@ -1143,40 +1182,72 @@ class TestHalfLengthIndexRead:
 
     @pytest.mark.parametrize("p", [13, 37])
     def test_dilated_reads_match_the_range_read(self, p):
-        # F(95 k), H(95 k) as in the p37_5_19 config, against the same
-        # Convolver's Kronecker-product tail: an independent route
-        conv = Convolver(quartic_pair(p)[0])
+        # F(95 k), H(95 k) as in the p37_5_19 config, and at the offset 17,
+        # from GEMMs of 95 residue rows of length 2001, against the
+        # Kronecker-product tail of one range read to 190 000: two kernels
         top = 95 * 2000
-        ks = sorted({1, 2, 3, 4, 1999, 2000, *random.Random(p).sample(range(5, 1999), 60)})
-        assert {k % 2 for k in ks} == {0, 1}
-        for c, read in ((-1, conv.F), (1, conv.H)):
-            re, im = conv.numerators(0, top + 1, c)
-            for k in ks:
-                assert read(95 * k) == (re[95 * k], im[95 * k]), (c, k)
+        for c in (-1, 1):
+            re, im = Convolver(quartic_pair(p)[0]).numerators(0, top + 1, c)
+            conv = Convolver(quartic_pair(p)[0])
+            read = conv.F if c < 0 else conv.H
+            for r in (0, 17):
+                x, y = read(95 + r, top + 1, 95)
+                assert x.tolist() == re[95 + r :: 95].tolist(), (c, r)
+                assert y.tolist() == im[95 + r :: 95].tolist(), (c, r)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 101, 1000])
-    def test_dot_lengths(self, n):
-        # F: two dots of length h = (n - 1) // 2; H: those two and the two
-        # halves a_j b_{n-j}, b_j a_{n-j} of a*b
+    @pytest.mark.parametrize(
+        "step, r", [(1, 0), (2, 0), (2, 1), (5, 0), (7, 3), (7, 6), (19, 0), (95, 17)]
+    )
+    def test_a_dilated_read_is_step_class_products(self, step, r):
+        # T(r + k step) for k <= reach sums products of residue rows of
+        # reach + 1 coefficients: H takes all step classes (t, s), fusing
+        # two in each of its (a+b)*(a-b) and a*b calls; F's squares take
+        # the classes t <= s only, a*a and b*b of one class in a call.
+        # Step 1 is the whole-series product.  reach >= step - 1: no more
+        # rows than coefficients in each
+        reach = max(40, step - 1)
+        for c in (-1, 1):
+            conv = Convolver(quartic_pair(13)[0])
+            read = conv.F if c < 0 else conv.H
+            ns = range(r, r + reach * step + 1, step)
+            with mock.patch.object(qseries, "_full_product", wraps=_full_product) as spy:
+                re, im = read(ns.start, ns.stop, step)
+            assert list(zip(re.tolist(), im.tolist())) == _oracle(conv.chi, ns, c)
+            calls = [call.args for call in spy.call_args_list]
+            assert {len(x) for pairs in calls for x, _ in pairs} == {reach + 1}
+            if c < 0:  # t + s = r, and t + s = step + r past r
+                classes = r // 2 + 1 + (step + r) // 2 - r
+                assert [len(pairs) for pairs in calls] == [2] * classes
+            else:  # classes t <= r and t > r are fused apart
+                assert sum(len(pairs) for pairs in calls) == 2 * step
+                assert len(calls) == 2 * (-(-(r + 1) // 2) + -(-(step - r - 1) // 2))
+
+    def test_a_read_of_few_values_far_out_takes_fewer_longer_rows(self):
+        # the split is the largest divisor D of the step with D (D - 1) <=
+        # the last index: H(190 000) at step 190 000 takes 400 rows of 476
+        # coefficients, not 190 000 rows of 2, and a prime step past the
+        # bound takes the whole-series product
+        assert [qseries._split(95, top) for top in (0, 19, 20, 8929, 8930)] == [1, 1, 5, 19, 95]
+        assert qseries._split(190_000, 190_000) == 400
+        assert qseries._split(1009, 1009 * 3) == 1
         conv = Convolver(quartic_pair(13)[0])
-        conv.ensure(n)
-        want = {conv.F: conv.F(n), conv.H: conv.H(n)}
-        h = (n - 1) // 2
-        for read, lengths in ((conv.F, [(h, h)] * 2), (conv.H, [(h, h)] * 4)):
-            patch, log = _logged_dots()
-            with patch:
-                assert read(n) == want[read]
-            assert log == lengths, read
+        re, im = conv.H(190_000, 190_001, 190_000)
+        assert _tail_lengths(conv) == {(1, 400, 0): 476}
+        assert list(zip(re.tolist(), im.tolist())) == _oracle(conv.chi, [190_000], 1)
+        for n, stop, step in ((5, 1009 * 3 + 6, 1009), (17, 5000, 300)):
+            re, im = conv.F(n, stop, step)
+            want = _oracle(conv.chi, range(n, stop, step), -1)
+            assert list(zip(re.tolist(), im.tolist())) == want
+        assert set(_tail_lengths(conv)) == {(1, 400, 0), (-1, 1, 0), (-1, 60, 17)}
 
-    def test_split_dots_match_a_python_int_oracle(self):
+    def test_extreme_deltas_match_a_python_int_oracle(self):
         # every delta is +-240, the divisor-count bound: Re = 240, Im = -240,
-        # so each dot sums like-signed products of 240**2 and is split in
-        # chunks of 2**24 // 240**2 = 291 terms, the most whose sum float32
-        # holds exactly at this K.  Reads on both sides of each boundary.
+        # so F's fused GEMM sums 2 L products of 240**2 in each tile entry,
+        # the most float32 holds exactly (2 * 128 * 240**2 <= 2**24), and
+        # H's a - b = 480.  Step-1 reads, block reads and dilated reads.
         chi = quartic_pair(13)[0]
-        chunk = qseries._dot_chunk(MAX_DIVISOR_COUNT)
-        assert chunk == 291
-        N = 6 * chunk + 10
+        assert 2 * GEMM_ROW * MAX_DIVISOR_COUNT**2 <= FLOAT32_EXACT
+        N = 1756
         re = np.full(N + 1, MAX_DIVISOR_COUNT, dtype=np.int16)
         im = -re
         re[0] = im[0] = 0
@@ -1194,73 +1265,38 @@ class TestHalfLengthIndexRead:
 
             return dot(X, X) - c * dot(Y, Y), c * dot(X, Y) + dot(Y, X)
 
-        ns = set()
-        for k in (1, 2, 3):
-            for h in (k * chunk - 1, k * chunk, k * chunk + 1):
-                ns |= {2 * h + 1, 2 * h + 2}  # the odd and the even n with this h
-        patch, log = _logged_dots()
-        with patch:
-            for n in sorted(ns):
-                assert conv.F(n) == oracle(n, -1), n
-                assert conv.H(n) == oracle(n, 1), n
-            # a block read across each boundary: its dots split there too
-            for k in (1, 2, 3):
-                lo, stop = 2 * k * chunk - 1, 2 * k * chunk + 5
-                for c, read in ((-1, conv.F), (1, conv.H)):
-                    re, im = read(lo, stop)
-                    assert list(zip(re, im)) == [oracle(n, c) for n in range(lo, stop)], (k, c)
-        assert conv._chunk == chunk
-        assert max(length for length, _ in log) > 3 * chunk  # split in four
-
-    def test_the_chunk_is_the_largest_exact_one(self):
-        # chunk K**2 <= 2**24 < (chunk + 1) K**2 at every K the bound admits
-        for K in range(1, MAX_DIVISOR_COUNT + 1):
-            chunk = qseries._dot_chunk(K)
-            assert chunk * K * K <= 2**24 < (chunk + 1) * K * K, K
-        # negative control: float32 rounds 2**24 + 1, so a dot past the cap
-        # is wrong, and the chunked dot is not
-        assert int(np.float32(2**24)) == 2**24
-        assert int(np.float32(2**24 + 1)) != 2**24 + 1
-        x = np.array([4096, 1], dtype=np.float32)
-        assert int(np.dot(x, x)) == 2**24  # 4096**2 + 1 rounded
-        assert qseries._dot(x, x, qseries._dot_chunk(4096)) == 2**24 + 1
+        for c, read in ((-1, conv.F), (1, conv.H)):
+            for n in (1, 2, 581, 582, 1164, 1745, N):
+                assert read(n) == oracle(n, c), (c, n)
+            for lo, stop, step in ((579, 585, 1), (3, N + 1, 7), (0, N + 1, 2)):
+                re_, im_ = read(lo, stop, step)
+                ns = range(lo, stop, step)
+                assert list(zip(re_, im_)) == [oracle(n, c) for n in ns], (c, lo, step)
+            conv.release()
 
     def test_a_sweep_holds_only_the_int16_pair(self):
-        # a sweep reads ranges, never an index: no mirror, 4 bytes per index
+        # a sweep keeps no copy of delta_chi and drops its tails: 4 bytes
+        # per index
         chi = quartic_pair(13)[0]
         qseries.convolver.cache_clear()
         assert verify_id1(13, 20000, chi).passed
         conv = qseries.convolver(chi)
-        assert conv._mirrors is None and conv.capacity >= 20000
+        assert conv._tails == {} and conv.capacity >= 20000
         assert (conv._re.dtype, conv._im.dtype) == (np.int16, np.int16)
         assert conv._re.nbytes + conv._im.nbytes == 4 * (conv.capacity + 1)
 
-    def test_an_index_read_adds_twelve_bytes_per_index_of_mirrors(self):
-        conv = Convolver(quartic_pair(13)[0])
-        for n in (1, 50, 1001, 4999):  # capacities 1, 50, 1001, 4999
-            conv.F(n)
-            cap = conv.capacity
-            a, b, a_rev, b_rev = conv._mirrors
-            assert all(x.dtype == np.float32 for x in conv._mirrors)
-            assert np.array_equal(a, conv._re[: (cap - 1) // 2 + 1])
-            assert np.array_equal(b, conv._im[: (cap - 1) // 2 + 1])
-            assert np.array_equal(a_rev, conv._re[::-1])
-            assert np.array_equal(b_rev, conv._im[::-1])
-            nbytes = sum(x.nbytes for x in (conv._re, conv._im, *conv._mirrors))
-            assert nbytes <= 16 * (cap + 1), cap
-            if cap % 2:
-                assert nbytes == 16 * (cap + 1), cap
-
-    def test_a_growth_drops_the_mirrors_and_the_next_read_rebuilds_them(self):
+    def test_a_growth_keeps_the_cached_tails(self):
+        # a tail's values do not depend on the capacity: a growth keeps it,
+        # and a read past its reach rebuilds it within the new capacity
         chi = quartic_pair(13)[0]
         conv = Convolver(chi)
         conv.H(99)
-        old = conv._mirrors
+        old = conv._tails[1, 1, 0]
         conv.extend(300)
-        assert conv._mirrors is None and conv._chunk is None
-        _, f_series, _ = _products(13, 300)
+        assert conv._tails[1, 1, 0] is old and len(old[0]) == 100
+        _, f_series, h_series = _products(13, 300)
         assert conv.F(300) == _times(conv.denominator, f_series[300])
-        assert conv._mirrors is not old and len(conv._mirrors[2]) == 301
-        assert np.array_equal(conv._mirrors[2], conv._re[::-1])
-        conv.H(120)  # no growth: the same mirrors serve
-        assert len(conv._mirrors[2]) == 301
+        assert conv.H(50) == _times(conv.denominator, h_series[50])
+        assert conv._tails[1, 1, 0] is old  # no read past 99 yet
+        assert conv.H(120) == _times(conv.denominator, h_series[120])
+        assert _tail_lengths(conv) == {(-1, 1, 0): 301, (1, 1, 0): 301}
