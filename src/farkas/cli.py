@@ -674,6 +674,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except FloatingPointError as exc:  # an FFT product failed its exactness check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # a bug, never an identity failure (exit 1)
         import traceback  # only on this path: it is not loaded at start-up
 

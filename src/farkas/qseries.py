@@ -41,35 +41,26 @@ block, F and H as much as the sweeps' rhs, is one sum
 sum_k (c_k + i d_k)(x_k + i y_k) built by ``exact_sum``, the one place
 that chooses int64 (under a bound below INT64_CAP = 2**62, from the
 block's largest values and every scalar) or object arrays of Python
-ints.  A product of at most GEMM_PRODUCT = 45 056 coefficients (every
-product of a prime scan, of the benchmark sweeps and of a configured
-identity, and the tails of a sweep to 10**6 up to 16 385) is a blocked
-Toeplitz GEMM in float32: rows of L = GEMM_ROW = 128 coefficients of one
-factor times L x L Toeplitz tiles of the other, O(m**2) multiply-adds in
-BLAS, and F's tail a*a + b*b is one GEMM of inner length 2 L.  float32 is
-an exact integer unit there, and nowhere else: L is derived from the
-factors' largest entries Kx, Ky so that r L Kx Ky <= 2**24 for r fused
-pairs, so every partial sum, in any order of addition, is an integer
-float32 holds exactly (see ``_gemm_product``).
-A longer product, or one whose bound leaves no useful row, uses
-Kronecker substitution: offset both int64 inputs by K = max |a|, |b|
-so they are non-negative, pack each into a decimal integer with one
-w-digit slot per coefficient, multiply the two under an exact ``decimal``
-context, so libmpdec's number-theoretic transform does the O(n log n)
-work, unpack the slots column by column, and remove the offset with
-prefix sums.  w is read from the packed data; every slot, correction
-term and direct sum is at most m (2K)**2 for length m, asserted below
-2**63.  The crossover is measured (see ``_full_product``).
+ints.  A product of more than DIRECT_PRODUCT = 128 coefficients is one
+float64 FFT (``_fft_product``): ``rfft`` of each factor at the least
+power of two n >= 2 m - 1, the spectra multiplied and summed over the
+fused pairs, one ``irfft`` and ``rint``, O(m log m).  It is exact under
+Percival's error bound, derived there for numpy's pocketfft and asserted
+at most 1/8 on every call (and at import for every product of delta_chi
+arrays up to MAX_FAST_N), and every value must also lie within 1/8 of an
+integer, or it raises.  A shorter product, where the FFT's call overhead
+dominates, is ``np.convolve`` in int64 (see ``_full_product``).  float64
+is the package's one float type, and only ``_fft_product`` names it.
 """
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .characters import DirichletCharacter
 from .foundations import PRIMES_CACHED, GaussianRational, divisors, is_prime, kronecker, sigma1
@@ -77,7 +68,6 @@ from .foundations import PRIMES_CACHED, GaussianRational, divisors, is_prime, kr
 MAX_FAST_N = 1_000_000  # largest N of the sieves and kernel
 MAX_DIVISOR_COUNT = 240  # max d(n) for n <= MAX_FAST_N, at n = 720720 (tested)
 INT16_MAX = 2**15 - 1
-FLOAT32_EXACT = 2**24  # float32 holds every integer up to here exactly, not 2**24 + 1
 # |Re|, |Im| of delta_chi(n) are at most d(n) <= MAX_DIVISOR_COUNT, and H's
 # tails add and subtract them: both fit the int16 store
 assert 2 * MAX_DIVISOR_COUNT <= INT16_MAX
@@ -86,9 +76,6 @@ assert 2 * MAX_DIVISOR_COUNT <= INT16_MAX
 # the halves hold Re and (flipped) Im, and the sum stays inside int32
 PACK = 2**16
 assert MAX_DIVISOR_COUNT < PACK // 2 and MAX_DIVISOR_COUNT * (PACK + 1) + PACK // 2 < 2**31
-# H's tails multiply Re delta +- Im delta, so a product's offset K is at most
-# 2 MAX_DIVISOR_COUNT, and its slots and correction terms at most (N+1)(2K)**2
-assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
 # an exact block (``exact_sum``) is int64 when a bound on every scalar,
 # intermediate and value of its expression is below this, else an object
 # array of Python ints: one bit of headroom, so the sum or difference of
@@ -96,10 +83,10 @@ assert (MAX_FAST_N + 1) * (4 * MAX_DIVISOR_COUNT) ** 2 < 2**63
 INT64_CAP = 2**62
 assert 2 * INT64_CAP <= 2**63
 SIEVE_BLOCK = 1 << 13  # large divisors whose c(d) the sieve builds at once
-GEMM_ROW = 128  # longest tile row of the float32 GEMM product (measured)
-# r = 2 fused pairs of delta_chi arrays take the full tile row: r L K**2 <= 2**24
-assert 2 * GEMM_ROW * MAX_DIVISOR_COUNT**2 <= FLOAT32_EXACT
-GEMM_PRODUCT = 45056  # longest product taken by the GEMM, not libmpdec (measured)
+DIRECT_PRODUCT = 128  # longest product taken by int64 np.convolve, not the FFT (measured)
+FLOAT64_UNIT = 2.0**-53  # unit roundoff u: a rounded operation errs by at most u |result|
+TWIDDLE_ERROR = 4 * FLOAT64_UNIT  # beta, the relative error of pocketfft's twiddles (tested)
+FFT_ERROR = 1 / 8  # largest error bound of an FFT product: 4x below the 1/2 rounding needs
 
 
 @dataclass(frozen=True)
@@ -440,123 +427,97 @@ def bernoulli_B2_psi(p: int) -> Fraction:
 # exact whole-series products
 # ---------------------------------------------------------------------
 
-# integer arithmetic in libmpdec: a product that would round raises instead
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-    traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
-)
+def _fft_error(r: int, m: int, Kx: int, Ky: int) -> float:
+    """Percival's bound on the error of every value of ``_fft_product``
+    for r pairs of length m whose factors are at most Kx and Ky in
+    magnitude, at the transform length n = 2**k >= 2 m - 1 (see there)."""
+    k = (2 * m - 2).bit_length()
+    growth = (
+        (3 * k + r - 1) * math.log1p(FLOAT64_UNIT)
+        + (3 * k + 1) * math.log1p(math.sqrt(5) * FLOAT64_UNIT)
+        + 3 * k * math.log1p(TWIDDLE_ERROR)
+    )
+    return r * m * Kx * Ky * math.expm1(growth)
 
 
-def _pack(x: np.ndarray, w: int) -> decimal.Decimal:
-    """The integer sum_j x[j] 10**(w j), for int64 0 <= x[j] < 10**w."""
-    digits = np.empty((len(x), w), dtype=np.uint8)
-    v = x[::-1]  # the text starts with the most significant slot
-    for k in range(w - 1, -1, -1):
-        v, digits[:, k] = np.divmod(v, 10)
-    digits += ord("0")
-    return _EXACT.create_decimal(digits.tobytes().decode("ascii"))
+# the largest products of the package, H's (a + b)*(a - b) pairs of
+# |entries| <= 2 MAX_DIVISOR_COUNT fused two at a time, are FFT products
+assert _fft_error(2, MAX_FAST_N + 1, 2 * MAX_DIVISOR_COUNT, 2 * MAX_DIVISOR_COUNT) <= FFT_ERROR
 
 
-def _unpack(z: decimal.Decimal, m: int, w: int) -> np.ndarray:
-    """int64 slots 0..m-1 of the integer z = sum_n z_n 10**(w n), 0 <= z_n < 10**w."""
-    text = str(z).encode("ascii")
-    if len(text) < m * w:
-        text = text.rjust(m * w, b"0")
-    digits = np.frombuffer(text, dtype=np.uint8)[-m * w:].reshape(m, w)[::-1]
-    out = np.zeros(m, dtype=np.int64)
-    for k in range(w):  # column by column, most significant digit first
-        out *= 10
-        out += digits[:, k] - ord("0")
-    return out
-
-
-def _gemm_row(r: int, Kx: int, Ky: int) -> int:
-    """The tile row L of a float32 GEMM product of r fused pairs whose left
-    factors are at most Kx and right factors at most Ky in magnitude: the
-    largest L <= GEMM_ROW with r L Kx Ky <= FLOAT32_EXACT (0 when none)."""
-    return min(GEMM_ROW, FLOAT32_EXACT // (r * max(Kx * Ky, 1)))
-
-
-def _gemm_product(pairs, L: int) -> np.ndarray:
+def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
     """int64 c[n] = sum over the pairs (x, y) of sum_{j=0}^{n} x[j] y[n-j]
-    for n < m, by blocked Toeplitz GEMM in float32 over rows of L <=
-    ``_gemm_row`` coefficients.
+    for n < m, for factors at most Kx and Ky in magnitude: one float64 FFT
+    product, rounded, under an error bound asserted at most FFT_ERROR = 1/8.
 
-    Cut each x into rows X_u = x[u L .. u L + L - 1] and write n = w L + t
-    (0 <= t < L).  Then c[w L + t] = sum_{v <= w} sum_s X_{w-v}[s] y[v L +
-    t - s]: a product of block rows with the L x L Toeplitz tiles Y_v[s, t]
-    = y[v L + t - s] (0 at negative indices), so block row w of c sums
-    X_{w-v} Y_v over v, and ``acc[v:] += X[:nb - v] @ Y_v`` for each of the
-    nb = ceil(m / L) offsets v builds every row at once.  The rows are
-    stored reversed, X[u, L - 1 - s] = X_u[s], so each tile is the Hankel
-    window y[v L + s + t - (L - 1)] of a zero-padded copy of y: a slice of
-    one ``sliding_window_view``, copied into a contiguous buffer for BLAS.
-    The r pairs are fused: their rows sit side by side and their tiles are
-    stacked, so each v is one GEMM with inner length r L.
+    Take n = 2**k, the least power of two >= 2 m - 1, so that the cyclic
+    convolution of the zero-padded factors is the linear one.  Each factor
+    is transformed once by ``rfft`` (a square, y is x, once in all), the
+    spectra are multiplied and summed over the pairs in place, and one
+    ``irfft`` returns c~, which ``rint`` takes to the nearest integers.
 
-    Exact: every entry of a tile product sums r L products of at most
-    Kx Ky, so, by the choice of L, every partial sum BLAS forms, in any
-    order of addition, is an integer of magnitude at most r L Kx Ky <=
-    2**24, which float32 holds exactly.  The float64 accumulator sums
-    those integers to at most r m Kx Ky, asserted below 2**53 by the
-    caller, and becomes the int64 result in place.  A product of one row
-    (m <= L) is the single Toeplitz matvec, which ``np.convolve`` runs as
-    float32 dots of at most m terms, each exact by the same bound, and
-    their sum over the pairs too.  Scratch beside the result: the rows,
-    the padded copies and one block product, 4 (2 r + 1) m bytes, and
-    one r L x L tile.
+    Exact.  Percival's theorem (Math. Comp. 72 (2003); Brent and
+    Zimmermann, Modern Computer Arithmetic, section 3.3): for a product by
+    radix-2 transforms of length 2**k, in arithmetic of unit roundoff u
+    (2**-53) with twiddle factors of relative error at most beta,
+        |c~[n] - c[n]| < |x| |y| ((1 + u)**(3k) (1 + sqrt(5) u)**(3k+1)
+                                  (1 + beta)**(3k) - 1),
+    |.| the Euclidean norm: k levels for each of the three transforms,
+    sqrt(5) u for each rounded complex product (the twiddles, and the
+    spectra once).  What runs is numpy's pocketfft, at n = 2**k in
+    radix-4 passes and at most one radix-2 pass.  A radix-4 pass forms
+    each output by two levels of rounded additions (the inner factor -i is
+    a swap and a sign, exact) and one rounded twiddle product: the two
+    additions of two radix-2 levels and one of their two products, so its
+    factor (1 + u)**2 (1 + sqrt(5) u)(1 + beta) is at most theirs, and the
+    bound for k radix-2 levels covers it.  ``rfft`` and ``irfft`` run the
+    real-data form of the same passes: each value they store is a value of
+    the complex transform of the real input, formed by the same additions
+    and products written out in real operations (a rounded complex
+    addition errs by at most u times its result, and a product by the
+    standard formula by sqrt(5) u), and the values the symmetry supplies
+    are skipped, not rounded.  The scaling by 1/n is exact.  Summing r
+    spectra rounds each summand up to r - 1 more times, (1 + u)**(r-1) on
+    the sum of the r bounds, and |x| |y| <= m Kx Ky for each pair.  So
+    every |c~[n] - c[n]| is at most ``_fft_error(r, m, Kx, Ky)``, and beta
+    = TWIDDLE_ERROR = 4 u bounds pocketfft's twiddles (tested against long
+    double).  For F's tail at m = 10**6 + 1, r = 2 and 240, that is
+    5.9e-3; for a pair of 480 at that length, 1.2e-2.  The caller routes
+    no product here whose bound exceeds 1/8, asserted again below, four
+    times below the 1/2 under which the nearest integer is c[n].  Every
+    |c[n]| is at most r m Kx Ky, asserted below 2**63 by the caller (and
+    below 2**53 by the bound), so c~ rounds and casts to the exact int64.
+
+    Checked too: every c~[n] must lie within FFT_ERROR of an integer, and
+    one that does not raises ``FloatingPointError`` (the CLI exits 4); no
+    value is ever taken from elsewhere.  Scratch at 10**6: two spectra of
+    n / 2 + 1 complex values, 33.6 MB, then the n-value inverse and the
+    rounded m values.
     """
     m, r = len(pairs[0][0]), len(pairs)
-    if m <= L:
-        c = sum(np.convolve(x.astype(np.float32), y.astype(np.float32))[:m] for x, y in pairs)
-        return c.astype(np.int64)
-    nb, full = -(-m // L), m // L
-    X = np.zeros((nb, r, L), dtype=np.float32)
-    padded = np.zeros((r, (nb + 1) * L - 1), dtype=np.float32)
-    for k, (x, y) in enumerate(pairs):
-        rows = X[:, k, ::-1]  # rows[u, s] = X[u, k, L - 1 - s] = x_k[u L + s]
-        rows[:full] = x[: full * L].reshape(full, L)
-        rows[full:, : m - full * L] = x[full * L :]
-        padded[k, L - 1 : L - 1 + m] = y
-    X = X.reshape(nb, r * L)
-    # windows[k, i, s] = padded[k, i + s]: tile v of pair k is windows[k, v L : v L + L]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
-    tile = np.empty((r, L, L), dtype=np.float32)
-    stacked = tile.reshape(r * L, L)
-    out = np.empty((nb, L), dtype=np.float32)
-    acc = np.zeros(nb * L, dtype=np.float64)
-    for v in range(nb):
-        tile[...] = windows[:, v * L : v * L + L]
-        np.matmul(X[: nb - v], stacked, out=out[: nb - v])
-        acc[v * L :] += out[: nb - v].reshape(-1)
-    c = acc.view(np.int64)  # numpy's overlap rules keep an in-place cast exact
-    np.copyto(c, acc, casting="unsafe")
-    return c[:m]
-
-
-def _kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
-    """``_full_product`` by Kronecker substitution, for K = max |a|, |b|.
-
-    x = a + K and y = b + K are non-negative and slot n of the packed
-    product is sum_j x[j] y[n-j] <= min(sum x max y, max x sum y): the
-    digit count of that bound (or of max x, max y, when it is 0) is the
-    slot width w, so every x[j], y[j] fits a slot and no slot carries.
-    (a + K)(b + K)[n] = ab[n] + K (A[n] + B[n]) + K**2 (n + 1) with prefix
-    sums A, B removes the offset.  Each of those terms is at most m (2K)**2,
-    asserted below 2**63 by the caller.  Scratch: O(m w) bytes of digits
-    and decimals.
-    """
-    m = len(a)
-    x = np.add(a, K, dtype=np.int64)  # int64 even from int16 a, b
-    y = x if b is a else np.add(b, K, dtype=np.int64)
-    xmax, ymax = int(x.max()), int(y.max())
-    top = max(min(int(x.sum()) * ymax, xmax * int(y.sum())), xmax, ymax)
-    w = len(str(top))
-    X = _pack(x, w)
-    xy = _unpack(_EXACT.multiply(X, X if y is x else _pack(y, w)), m, w)
-    A, B = np.cumsum(a, dtype=np.int64), np.cumsum(b, dtype=np.int64)
-    xy -= K * (A + B) + K * K * np.arange(1, m + 1, dtype=np.int64)
-    return xy
+    assert _fft_error(r, m, Kx, Ky) <= FFT_ERROR, (r, m, Kx, Ky)
+    n = 1 << (2 * m - 2).bit_length()
+    spectrum = None
+    for x, y in pairs:
+        X = rfft(x, n)
+        X *= X if y is x else rfft(y, n)
+        if spectrum is None:
+            spectrum = X
+        else:
+            spectrum += X
+        del X
+    c = irfft(spectrum, n)[:m]
+    del spectrum
+    rounded = np.rint(c)
+    c -= rounded
+    distance = max(c.max(), -c.min())
+    if not distance <= FFT_ERROR:  # NaN fails too
+        raise FloatingPointError(
+            f"FFT product of length {m}: a value lies {distance:.3g} from the "
+            f"nearest integer, past the {FFT_ERROR} its error bound allows"
+        )
+    del c
+    return rounded.astype(np.int64)
 
 
 def _full_product(*pairs) -> np.ndarray:
@@ -566,25 +527,17 @@ def _full_product(*pairs) -> np.ndarray:
     residue rows, with no wider copy: a*a + b*b for F's step-1 tail is one
     call, (a+b)*(a-b) and a*b for H's two more (see ``_class_product``).
 
-    With Kx, Ky the largest |x|, |y| over the r pairs, a product of at most
-    GEMM_PRODUCT coefficients is a float32 GEMM (``_gemm_product``) over
-    tile rows of L = ``_gemm_row`` coefficients, so that r L Kx Ky <= 2**24:
-    for delta_chi, r = 2 and L = GEMM_ROW = 128 admit every |delta| up to
-    MAX_DIVISOR_COUNT = 240 (asserted at import).  A longer product, or
-    one whose bound leaves a row shorter than min(m, GEMM_ROW / 4) (when
-    Kx Ky > 2**19 / r, say), is a sum of Kronecker-substitution products
-    in libmpdec (``_kronecker_product``), whose every term is at most
-    m (2K)**2, K = max(Kx, Ky); r times that is asserted below 2**63 here.
-    The GEMM costs m**2 / 2 multiply-adds per pair against libmpdec's
-    O(m log m), with a far smaller constant.  The cutoff is measured on the
-    delta_chi arrays of p = 13 (2-core Xeon VM, Python 3.11, numpy 2.4 with
-    single-threaded OpenBLAS; min of 9 interleaved runs, L = 128): at
-    m = 45 056 the GEMM took 50.8, 66.0 and 32.6 ms against libmpdec's
-    63.3, 99.9 and 32.9 ms for F's tail, H's tail and the lone squaring
-    of a real chi; at 49 152 the squaring was 18 % slower (40.8 against
-    34.5 ms), and F's and H's tails cross near 57 000 and past 61 440.
-    Below the cutoff the GEMM wins by far: 0.59 against 3.16 ms for F's
-    tail at m = 2049, and 10.0 against 22.4 ms at m = 15 001.
+    With Kx, Ky the largest |x|, |y| over the r pairs, every value and
+    partial sum is at most r m Kx Ky, asserted below 2**63.  A product of
+    more than DIRECT_PRODUCT = 128 coefficients is one float64 FFT
+    (``_fft_product``), O(m log m), whenever its error bound
+    ``_fft_error`` is at most FFT_ERROR = 1/8: every product of delta_chi
+    arrays up to MAX_FAST_N is (asserted at import).  A shorter one, or
+    one of entries too large for that bound, is ``np.convolve`` in int64,
+    exact by the bound above.  The 128 is measured on F's tail a*a + b*b
+    of p = 13 (2-core Xeon VM, Python 3.11, numpy 2.4; min of 9 runs):
+    np.convolve took 11.0 us against the FFT's 25.9 us at m = 64, 28.0
+    against 29.3 us at m = 128, and 55.2 against 32.9 us at m = 192.
     """
     lengths = [len(v) for pair in pairs for v in pair]
     m = lengths[0]
@@ -594,15 +547,12 @@ def _full_product(*pairs) -> np.ndarray:
     assert dtypes <= {np.dtype(np.int16), np.dtype(np.int64)}, dtypes
     Kx, Ky = (max(max_abs(pair[i]) for pair in pairs) for i in (0, 1))
     r = len(pairs)
-    assert r * m * (2 * max(Kx, Ky)) ** 2 < 2**63, (r, m, Kx, Ky)
-    L = _gemm_row(r, Kx, Ky)
-    if m <= GEMM_PRODUCT and L >= min(m, GEMM_ROW // 4):
-        assert r * m * Kx * Ky < 2**53, (r, m, Kx, Ky)
-        return _gemm_product(pairs, L)
-    products = (_kronecker_product(x, y, max(max_abs(x), max_abs(y))) for x, y in pairs)
-    c = next(products)
-    for more in products:
-        c += more
+    assert r * m * Kx * Ky < 2**63, (r, m, Kx, Ky)
+    if m > DIRECT_PRODUCT and _fft_error(r, m, Kx, Ky) <= FFT_ERROR:
+        return _fft_product(pairs, Kx, Ky)
+    c = np.zeros(m, dtype=np.int64)
+    for x, y in pairs:
+        c += np.convolve(x.astype(np.int64), y.astype(np.int64))[:m]
     return c
 
 
@@ -674,7 +624,7 @@ def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
     only t <= s is taken, t < s twice, about C / 2 products, as many
     multiply-adds as summing each pair (j, n - j) once.  With C = 1 that is
     the single product x * y of the step-1 tail, and a square passes one
-    row object twice, so that libmpdec squares it (``_kronecker_product``)."""
+    row object twice, so that the FFT transforms it once (``_fft_product``)."""
     if C == 1:  # the sweeps' tails: one call, none of the class bookkeeping
         pairs = []
         for x, y in factors:
@@ -735,12 +685,12 @@ class Convolver:
     for a sweep, step for the lookups F(k C) of a configured identity),
     built by ``_class_product`` and so by ``_full_product``.  At D = 1 the
     tail is one call of two fused pairs for F (one pair for a real chi,
-    whose b is zero) and two calls for H, each a float32 GEMM up to
-    GEMM_PRODUCT coefficients and O(m log m) in libmpdec past it.  At
-    D > 1 it is the same sum over the D residue classes mod D, each
-    product of length reach + 1: about D reach**2 / 2 multiply-adds per
-    factor pair, the order of the n / 2 a lone F(n) would take per
-    lookup.  ``F`` and ``H`` are thin calls into it.  Tails are cached by
+    whose b is zero) and two calls for H, each one float64 FFT product,
+    O(m log m), past DIRECT_PRODUCT coefficients and int64 np.convolve up
+    to it.  At D > 1 it is the same sum over the D residue classes mod D,
+    each product of length reach + 1: about D / 2 FFT products of
+    reach + 1 coefficients per factor pair for F's squares, D for H's.
+    ``F`` and ``H`` are thin calls into it.  Tails are cached by
     (c, D, r); a sweep, a report or a configured identity ``release``s
     them when it ends.  When the last k lies past a tail, it is rebuilt
     to max(k, 4 k_lo - 1), at most the sieved capacity.  A sweep's block

@@ -1,0 +1,66 @@
+"""Slow, independent oracles that the tests check the package's fast paths
+against.  Nothing in ``farkas`` imports this module.
+
+``kronecker_product`` is the whole-series product by Kronecker
+substitution in libmpdec, O(m log m) through its number-theoretic
+transform and exact by construction: it shares no code and no arithmetic
+with ``qseries._full_product``'s float64 FFT.
+"""
+import decimal
+
+import numpy as np
+
+# integer arithmetic in libmpdec: a product that would round raises instead
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+)
+
+
+def pack(x: np.ndarray, w: int) -> decimal.Decimal:
+    """The integer sum_j x[j] 10**(w j), for int64 0 <= x[j] < 10**w."""
+    digits = np.empty((len(x), w), dtype=np.uint8)
+    v = x[::-1]  # the text starts with the most significant slot
+    for k in range(w - 1, -1, -1):
+        v, digits[:, k] = np.divmod(v, 10)
+    digits += ord("0")
+    return EXACT.create_decimal(digits.tobytes().decode("ascii"))
+
+
+def unpack(z: decimal.Decimal, m: int, w: int) -> np.ndarray:
+    """int64 slots 0..m-1 of the integer z = sum_n z_n 10**(w n), 0 <= z_n < 10**w."""
+    text = str(z).encode("ascii")
+    if len(text) < m * w:
+        text = text.rjust(m * w, b"0")
+    digits = np.frombuffer(text, dtype=np.uint8)[-m * w:].reshape(m, w)[::-1]
+    out = np.zeros(m, dtype=np.int64)
+    for k in range(w):  # column by column, most significant digit first
+        out *= 10
+        out += digits[:, k] - ord("0")
+    return out
+
+
+def kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
+    """int64 c[n] = sum_{j=0}^{n} a[j] b[n-j] for n < m = len(a) = len(b),
+    by Kronecker substitution, for K = max |a|, |b|.
+
+    x = a + K and y = b + K are non-negative and slot n of the packed
+    product is sum_j x[j] y[n-j] <= min(sum x max y, max x sum y): the
+    digit count of that bound (or of max x, max y, when it is 0) is the
+    slot width w, so every x[j], y[j] fits a slot and no slot carries.
+    (a + K)(b + K)[n] = ab[n] + K (A[n] + B[n]) + K**2 (n + 1) with prefix
+    sums A, B removes the offset.  Each of those terms is at most m (2K)**2,
+    asserted below 2**63.  A square (b is a) packs one operand.
+    """
+    m = len(a)
+    assert m * (2 * K) ** 2 < 2**63, (m, K)
+    x = np.add(a, K, dtype=np.int64)  # int64 even from int16 a, b
+    y = x if b is a else np.add(b, K, dtype=np.int64)
+    xmax, ymax = int(x.max()), int(y.max())
+    top = max(min(int(x.sum()) * ymax, xmax * int(y.sum())), xmax, ymax)
+    w = len(str(top))
+    X = pack(x, w)
+    xy = unpack(EXACT.multiply(X, X if y is x else pack(y, w)), m, w)
+    A, B = np.cumsum(a, dtype=np.int64), np.cumsum(b, dtype=np.int64)
+    xy -= K * (A + B) + K * K * np.arange(1, m + 1, dtype=np.int64)
+    return xy

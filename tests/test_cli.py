@@ -794,6 +794,28 @@ class TestInternalError:
             "RuntimeError: boom"
         )
 
+    def test_an_inexact_fft_product_exits_four_in_one_line(self, capsys):
+        # an inverse transform that puts one value 0.3 off its integer: the
+        # product's check raises, and the sweep ends with one line and exit
+        # 4, never a traceback and never exit 1 (an identity failure)
+        real = qseries.irfft
+
+        def perturbed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[1] += 0.3
+            return out
+
+        argv = ["verify", "--p", "13", "--kind", "square", "--nmax", "5000"]
+        try:
+            with mock.patch.object(qseries, "irfft", perturbed):
+                code = main(argv)
+        finally:
+            qseries.convolver.cache_clear()  # no tail of the perturbed run stays cached
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL and not captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith("internal error: FFT product of length ") and "0.3 from" in line
+
     def test_known_errors_keep_their_codes(self, monkeypatch, capsys):
         for exc, code in ((ValueError("v"), EXIT_USAGE), (OSError("o"), EXIT_IO)):
             def broken(args, exc=exc):

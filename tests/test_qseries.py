@@ -19,18 +19,14 @@ from farkas.characters import DirichletCharacter, quadratic_character, quartic_p
 from farkas.foundations import GaussianRational, divisors, gaussian, kronecker, omega
 from farkas.identities import verify_id1
 from farkas.qseries import (
+    DIRECT_PRODUCT,
     MAX_DIVISOR_COUNT,
-    FLOAT32_EXACT,
-    GEMM_PRODUCT,
-    GEMM_ROW,
     MAX_FAST_N,
     Convolver,
     QSeries,
     SIEVE_BLOCK,
+    _fft_product,
     _full_product,
-    _gemm_product,
-    _gemm_row,
-    _kronecker_product,
     _kronecker_values,
     _sieve,
     bernoulli_B2_psi,
@@ -53,6 +49,9 @@ from farkas.qseries import (
     sigma_tilde_series,
     sigma_tilde_values,
 )
+
+import oracles
+from oracles import kronecker_product
 
 
 class TestDeltaConstant:
@@ -485,16 +484,12 @@ def _signed_pairs(draw):
 
 def _kernels(*pairs):
     """The sum of the products of ``pairs`` from ``_full_product`` and from
-    each kernel: the GEMM only where its bound admits a useful tile row."""
-    Kx, Ky = (max(qseries.max_abs(pair[i]) for pair in pairs) for i in (0, 1))
-    L = _gemm_row(len(pairs), Kx, Ky)
-    out = {
+    the Kronecker-substitution oracle."""
+    K = max(qseries.max_abs(v) for pair in pairs for v in pair)
+    return {
         "full": _full_product(*pairs),
-        "kronecker": sum(_kronecker_product(x, y, max(Kx, Ky)) for x, y in pairs),
+        "kronecker": sum(kronecker_product(x, y, K) for x, y in pairs),
     }
-    if L >= 1:
-        out["gemm"] = _gemm_product(pairs, L)
-    return out
 
 
 def _at_the_bound(m, dtype):
@@ -505,6 +500,45 @@ def _at_the_bound(m, dtype):
     signs = np.random.default_rng(m).choice([-1, 1], (2, m))
     return [(np.full(m, K, dtype=dtype), np.full(m, -K, dtype=dtype)),
             tuple((K * signs).astype(dtype))]
+
+
+def _convolve(*pairs):
+    """The sum of the products of ``pairs`` by int64 ``np.convolve``."""
+    return sum(np.convolve(x.astype(np.int64), y.astype(np.int64))[: len(x)] for x, y in pairs)
+
+
+@st.composite
+def _product_cases(draw):
+    """Pairs for ``_full_product``: a length at 2**k - 1, 2**k or 2**k + 1
+    (the transform length doubles between the last two) or at the base-case
+    edge DIRECT_PRODUCT +- 1; entries of one bound K in {1, 240, 480}, all
+    +K, of random signs at +-K, or in [-K, K] with the extremes common;
+    int16 or int64; one or two fused pairs, each a square or not; each
+    factor a whole array or a strided residue row (``_residue_rows``)."""
+    k = draw(st.integers(1, 10))
+    m = max(draw(st.sampled_from([2**k - 1, 2**k, 2**k + 1, DIRECT_PRODUCT + k % 3 - 1])), 1)
+    K = draw(st.sampled_from([1, 240, 480]))
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
+
+    def factor():
+        C = draw(st.sampled_from([1, 2, 7]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        fill = draw(st.sampled_from(["all", "signs", "range"]))
+        if fill == "all":
+            v = np.full(m * C, K)
+        elif fill == "signs":
+            v = K * rng.choice([-1, 1], m * C)
+        else:
+            v = rng.integers(-K, K + 1, m * C)
+            v[rng.random(m * C) < 0.2] = K
+            v[rng.random(m * C) < 0.2] = -K
+        return qseries._residue_rows(v.astype(dtype), m, C)[draw(st.integers(0, C - 1))]
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        x = factor()
+        pairs.append((x, x if draw(st.booleans()) else factor()))
+    return pairs
 
 
 class TestFullProduct:
@@ -529,88 +563,139 @@ class TestFullProduct:
                 assert got.dtype == np.int64 and len(got) == len(a), kernel
                 assert got.tolist() == want, (kernel, a.dtype)
 
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=_product_cases())
+    def test_property_matches_the_kronecker_oracle_and_int64_convolve(self, pairs):
+        got = _full_product(*pairs)
+        assert got.dtype == np.int64 and len(got) == len(pairs[0][0])
+        assert np.array_equal(got, _convolve(*pairs))
+        assert np.array_equal(got, _kernels(*pairs)["kronecker"])
+
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
-    def test_the_bound_at_every_tile_edge(self, dtype):
+    def test_the_bound_at_every_transform_edge(self, dtype):
         # every entry +-240 with two fused pairs, a*a + b*b as F's tail takes
-        # it: the bound admits the full row, 2 L 240**2 <= 2**24, so a tile's
-        # sums reach 2 L 240**2 = 14 745 600 when all signs agree and must
-        # still be exact; lengths 1, L - 1, L (one row), L + 1 (two) against
-        # the double loop
-        L = GEMM_ROW
-        assert _gemm_row(2, MAX_DIVISOR_COUNT, MAX_DIVISOR_COUNT) == L
-        for m in (1, L - 1, L, L + 1):
-            for a, b in _at_the_bound(m, dtype):
-                want = [x + y for x, y in zip(_naive_product(a, a), _naive_product(b, b))]
-                with mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as gemm:
-                    assert _full_product((a, a), (b, b)).tolist() == want, m
-                assert gemm.call_args.args[1] == L, m  # the full row, one tile or more
+        # it, at the lengths 2**k - 1, 2**k, 2**k + 1 around each doubling of
+        # the transform length n >= 2 m - 1, against int64 np.convolve
+        for k in range(7, 12):
+            for m in (2**k - 1, 2**k, 2**k + 1):
+                for a, b in _at_the_bound(m, dtype):
+                    with mock.patch.object(qseries, "_fft_product", wraps=_fft_product) as fft:
+                        got = _full_product((a, a), (b, b))
+                    assert fft.called == (m > DIRECT_PRODUCT), m
+                    assert np.array_equal(got, _convolve((a, a), (b, b))), m
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     def test_the_bound_at_the_crossover(self, dtype):
-        # GEMM_PRODUCT - 1 and GEMM_PRODUCT by the GEMM, GEMM_PRODUCT + 1 by
-        # libmpdec, every entry +-240: a*a + b*b is 2 (n + 1) 240**2 for the
-        # pair of constants, and the Kronecker product for random signs
-        m = GEMM_PRODUCT + 1
+        # DIRECT_PRODUCT - 1 and DIRECT_PRODUCT by np.convolve,
+        # DIRECT_PRODUCT + 1 by the FFT, every entry +-240: a*a + b*b is
+        # 2 (n + 1) 240**2 for the pair of constants, and the Kronecker
+        # product for random signs
+        m = DIRECT_PRODUCT + 1
         (a, b), (c, d) = _at_the_bound(m, dtype)
         K = MAX_DIVISOR_COUNT
         wants = [2 * K * K * np.arange(1, m + 1),
-                 _kronecker_product(c, c, K) + _kronecker_product(d, d, K)]
+                 kronecker_product(c, c, K) + kronecker_product(d, d, K)]
         for (x, y), want in zip([(a, b), (c, d)], wants):
-            for n, gemm in ((m - 2, True), (m - 1, True), (m, False)):
-                with mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as spy:
+            for n, fft in ((m - 2, False), (m - 1, False), (m, True)):
+                with mock.patch.object(qseries, "_fft_product", wraps=_fft_product) as spy:
                     got = _full_product((x[:n], x[:n]), (y[:n], y[:n]))
-                assert spy.called == gemm, n
+                assert spy.called == fft, n
                 assert np.array_equal(got, want[:n]), n
 
     def test_both_kernels_match_the_cauchy_product_at_a_small_crossover(self):
-        # lengths about L, 2L and a crossover patched to 2L + 1, with |a| up
-        # to 240 and |b| up to 480, the bounds of delta_chi and of Re delta
-        # +- Im delta; (A*B)(n) reads indices <= n, so one Cauchy product of
-        # the longest serves every length
+        # lengths about DIRECT_PRODUCT and twice it, with |a| up to 240 and
+        # |b| up to 480, the bounds of delta_chi and of Re delta +- Im delta;
+        # (A*B)(n) reads indices <= n, so one Cauchy product of the longest
+        # serves every length
         rng = np.random.default_rng(12)
-        L = GEMM_ROW
+        L = DIRECT_PRODUCT
         m = 2 * L + 2
         a = rng.integers(-240, 241, m)
         b = rng.integers(-480, 481, m)
         a[[0, 7]], b[[1, 9]] = (240, -240), (480, -480)
         want = [int(c.re) for c in cauchy_product(from_ints(a), from_ints(b)).coefficients]
-        with mock.patch.object(qseries, "GEMM_PRODUCT", 2 * L + 1):
-            for n in (L - 1, L, L + 1, 2 * L, 2 * L + 1, 2 * L + 2):
-                for kernel, got in _kernels((a[:n], b[:n])).items():
-                    assert got.tolist() == want[:n], (n, kernel)
+        for n in (L - 1, L, L + 1, 2 * L, 2 * L + 1, 2 * L + 2):
+            for kernel, got in _kernels((a[:n], b[:n])).items():
+                assert got.tolist() == want[:n], (n, kernel)
 
-    def test_a_partial_sum_past_two_to_the_24_rounds(self):
-        # negative control: entries 239 (odd) make (n + 1) 239**2 odd at
-        # even n, so a row of 512 > 2**24 // 239**2 = 293 terms sums past
-        # 2**24 to odd integers float32 cannot hold.  Forced past its bound
-        # the GEMM rounds, in the one-row matvec and in the blocked tiles;
-        # ``_full_product`` takes rows of GEMM_ROW <= 293 and stays exact
-        K = 239
-        assert _gemm_row(1, K, K) == GEMM_ROW < FLOAT32_EXACT // K**2 == 293
-        a = np.full(1024, K, dtype=np.int64)
-        want = [(n + 1) * K * K for n in range(len(a))]
-        for m in (512, 1024):
-            forced = _gemm_product(((a[:m], a[:m]),), 512).tolist()
-            wrong = [n for n in range(m) if forced[n] != want[n]]
-            assert wrong and min(wrong) >= 293, m  # exact while within the bound
-            assert _full_product((a[:m], a[:m])).tolist() == want[:m]
+    def test_every_entry_at_the_bound_at_the_longest_length(self):
+        # F's tail a*a + b*b at m = MAX_FAST_N + 1 with a = 240 and b = -240
+        # throughout: the largest product a sweep makes, at the largest
+        # entries, exact against the Kronecker oracle, under the derived
+        # bound of the docstring (5.9e-3)
+        m, K = MAX_FAST_N + 1, MAX_DIVISOR_COUNT
+        a, b = (np.full(m, v, dtype=np.int16) for v in (K, -K))
+        assert 5.8e-3 < qseries._fft_error(2, m, K, K) < 5.9e-3
+        assert 1.1e-2 < qseries._fft_error(1, m, 2 * K, 2 * K) < 1.2e-2
+        with mock.patch.object(qseries, "_fft_product", wraps=_fft_product) as fft:
+            got = _full_product((a, a), (b, b))
+        assert fft.called
+        want = kronecker_product(a, a, K)
+        want += kronecker_product(b, b, K)
+        assert np.array_equal(got, want)
+
+    def test_a_float32_fft_rounds_wrong(self):
+        # negative control: the same all-240 product of the test above in a
+        # float32 FFT (unit roundoff 2**-24) rounds values wrong, so the
+        # comparison can fail; the exact values are 2 (n + 1) 240**2
+        m, K = MAX_FAST_N + 1, MAX_DIVISOR_COUNT
+        n = 1 << (2 * m - 2).bit_length()
+        x = np.full(m, K, dtype=np.float32)
+        spectrum = np.fft.rfft(x, n)
+        assert spectrum.dtype == np.complex64
+        spectrum *= spectrum
+        spectrum *= 2  # a*a + b*b with b = -a
+        c = np.rint(np.fft.irfft(spectrum, n)[:m]).astype(np.int64)
+        assert not np.array_equal(c, 2 * K * K * np.arange(1, m + 1, dtype=np.int64))
+
+    def test_a_perturbed_inverse_transform_trips_the_guard(self):
+        # 0.3 added to one value of the inverse transform is past the 1/8
+        # the check allows: the product raises, and returns nothing
+        a = np.arange(-300, 300, dtype=np.int64)
+
+        def perturbed(*args, **kwargs):
+            out = np.fft.irfft(*args, **kwargs)
+            out[len(a) // 2] += 0.3
+            return out
+
+        assert np.array_equal(_full_product((a, a)), _convolve((a, a)))
+        with mock.patch.object(qseries, "irfft", perturbed):
+            with pytest.raises(FloatingPointError, match="from the nearest integer"):
+                _full_product((a, a))
+
+    def test_the_twiddles_are_within_the_assumed_error(self):
+        # rfft of the unit impulse e_1 returns exp(-2 pi i j / n) for j <=
+        # n / 2, formed from pocketfft's twiddle tables: within TWIDDLE_ERROR
+        # of the long double values at every length the FFT products use
+        # (m <= MAX_FAST_N + 1, so n <= 2**21)
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        assert np.finfo(np.longdouble).eps < 2.0**-60  # a wider type here
+        for k in range(8, 22):
+            n = 1 << k
+            impulse = np.zeros(n)
+            impulse[1] = 1
+            w = np.fft.rfft(impulse)
+            angle = 2 * pi * np.arange(n // 2 + 1, dtype=np.longdouble) / n
+            error = np.maximum(np.abs(w.real - np.cos(angle)), np.abs(w.imag + np.sin(angle)))
+            assert error.max() <= qseries.TWIDDLE_ERROR, k
 
     def test_the_cutoff_picks_the_kernel(self):
-        a = np.ones(GEMM_PRODUCT + 1, dtype=np.int64)
-        big = np.full(300, 2**13, dtype=np.int64)  # 2**26 per product: no row
-        cases = [(a[:1], True), (a[:GEMM_PRODUCT], True), (a[: GEMM_PRODUCT + 1], False),
+        a = np.ones(DIRECT_PRODUCT + 1, dtype=np.int64)
+        big = np.full(300, 2**20, dtype=np.int64)  # past the FFT's error bound
+        assert qseries._fft_error(1, 300, 2**20, 2**20) > qseries.FFT_ERROR
+        cases = [(a[:1], False), (a[:DIRECT_PRODUCT], False), (a[: DIRECT_PRODUCT + 1], True),
                  (big, False)]
-        for x, gemm in cases:
-            with mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as g, \
-                    mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as k:
+        for x, fft in cases:
+            with mock.patch.object(qseries, "_fft_product", wraps=_fft_product) as f:
                 assert _full_product((x, x)).tolist() == _naive_ones(x)
-            assert (g.call_count, k.call_count) == ((1, 0) if gemm else (0, 1)), len(x)
+            assert f.call_count == fft, len(x)
 
     def test_edge_inputs(self):
         for a, b in [
             ([0], [0]), ([-5], [5]), ([0] * 40, [3] * 40),  # K = 0 at n = 0
             ([-9] * 50, [-9] * 50), ([9, -9] * 25, [-9, 9] * 25),  # all at +-K
             ([0] * 7, [0] * 7),  # K = 0: every slot 0
+            ([0] * 200, [0] * 200), ([0] * 199 + [7], [5] * 200),  # by the FFT
         ]:
             a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
             assert _full_product((a, b)).tolist() == _naive_product(a, b)
@@ -623,27 +708,25 @@ class TestFullProduct:
             _full_product((three, three), (three, np.zeros(4, dtype=np.int64)))
 
     def test_a_length_and_offset_past_the_int64_bound_is_refused(self):
-        a = np.array([2**31, 0], dtype=np.int64)  # 2 (2K)**2 = 2**65
+        a = np.array([2**31, 0], dtype=np.int64)  # r m Kx Ky = 2 * 2**62 = 2**63
         with pytest.raises(AssertionError):
             _full_product((a, a))
 
     def test_the_context_is_exact(self):
-        # prec = MAX_PREC holds every product; a rounding would raise
-        ctx = qseries._EXACT
+        # the Kronecker oracle's context: prec = MAX_PREC holds every
+        # product; a rounding would raise
+        ctx = oracles.EXACT
         assert ctx.traps[decimal.Inexact] and ctx.traps[decimal.Rounded]
         assert ctx.prec == decimal.MAX_PREC and ctx.Emax == decimal.MAX_EMAX
 
     def test_scratch_memory_is_linear_in_the_length(self):
         # one tail of each kind at N = 15000, as a Convolver builds them from
-        # its int16 arrays.  The GEMM holds the result (its float64
-        # accumulator, cast in place), float32 rows, padded copies and one
-        # block product: 8 + 4 (2 r + 1) bytes per coefficient for r pairs,
-        # plus one tile and the padding of the last row; libmpdec about ten
-        # bytes per packed digit
+        # its int16 arrays: two spectra of n / 2 + 1 complex values, the
+        # n-value inverse, the rounded m values and the result, n = 32768
         N = 15_000
         re, im = delta_int_arrays(quartic_pair(13)[0], N)
         m = N + 1
-        tile = 4 * 2 * GEMM_ROW**2
+        n = 1 << (2 * m - 2).bit_length()
         for pairs in (((re, re), (im, im)), ((re + im, re - im),)):
             tracemalloc.start()
             try:
@@ -651,17 +734,7 @@ class TestFullProduct:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < (20 + 8 * len(pairs)) * m + tile, (len(pairs), peak)
-        for a, b in ((re, re), (re + im, re - im)):
-            K = int(max(np.abs(a).max(), np.abs(b).max()))
-            w = len(str(m * (2 * K) ** 2))  # at least the slot width
-            tracemalloc.start()
-            try:
-                _kronecker_product(a, b, K)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * m + 10 * m * w, (K, w, peak)
+            assert peak < 2 * 16 * (n // 2 + 1) + 8 * n + 16 * m, (len(pairs), peak)
 
 
 def _naive_ones(x):
@@ -813,21 +886,35 @@ class TestExactSum:
         want = {"qseries.py:exact_sum"}
         assert found == {"compares with INT64_CAP": want, "builds an object dtype": want}
 
-    def test_only_the_gemm_product_makes_float32(self):
-        # one float32 exact unit: no other function of the package names a
-        # float32 dtype (np.float32, np.single, "float32", "f4"), so no
-        # other one can build a float32 array to sum in
-        names, strings = {"float32", "single"}, {"float32", "single", "f4", "<f4", "=f4"}
-        found = set()
+    def test_only_the_fft_product_names_floats_or_the_fft(self):
+        # one float unit: no other function of the package names a float
+        # dtype (np.float64, np.single, "f8", float, ...) or numpy's FFT, so
+        # no other one can build a float array, and the FFT is imported by
+        # qseries alone
+        floats = {"float", "float16", "float32", "float64", "half", "single", "double",
+                  "longdouble", "complex64", "complex128", "csingle", "cdouble"}
+        fft = {"fft", "rfft", "irfft"}
+        strings = floats | {"f2", "f4", "f8", "c8", "c16"}
+        strings |= {order + code for order in "<>=" for code in ("f2", "f4", "f8", "c8", "c16")}
+        found, importers = set(), set()
         for path in sorted(Path(qseries.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                    if any("fft" in name for name in modules):
+                        importers.add(path.name)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    for sub in ast.walk(node):
-                        if (isinstance(sub, ast.Attribute) and sub.attr in names) or (
-                            isinstance(sub, ast.Constant) and sub.value in strings
+                    # the body: a ``-> float`` annotation builds no array
+                    for sub in (sub for stmt in node.body for sub in ast.walk(stmt)):
+                        if (
+                            (isinstance(sub, ast.Attribute) and sub.attr in floats | fft)
+                            or (isinstance(sub, ast.Name) and sub.id in floats | fft)
+                            or (isinstance(sub, ast.Constant) and sub.value in strings)
                         ):
                             found.add(f"{path.name}:{node.name}")
-        assert found == {"qseries.py:_gemm_product"}
+        assert found == {"qseries.py:_fft_product"}
+        assert importers == {"qseries.py"}
 
 
 def _times(D: int, z: GaussianRational) -> tuple[int, int]:
@@ -1009,9 +1096,6 @@ class TestConvolutions:
         assert len(conv._re) == 301
 
 
-SMALL_CROSSOVER = 3 * GEMM_ROW + 1  # a patched GEMM_PRODUCT, so products past it stay cheap
-
-
 def _oracle(chi: DirichletCharacter, ns, c: int) -> list[tuple[int, int]]:
     """s**2 F (c = -1) or H (c = 1) at each n of ``ns``, s = 2p: four int64
     ``np.dot`` per n of the scaled delta_chi(j) = (X_j + i Y_j) / s, X_0 +
@@ -1033,14 +1117,15 @@ def _reads(draw):
     """(chi, n, stop, step, c): a character of p in {5, 13, 29, 37}, either
     sign, or the real mod-3 one (b = 0); a step of 1, 2, odd or even, and
     an offset r = n mod step.  The read takes k in [k_lo, k_hi), n = r +
-    k step, with k_hi within 3 of 1, L, 2 L or SMALL_CROSSOVER, so that a
-    fresh Convolver's tails (k_hi coefficients) fall on either side; at
-    most one k is a read whose step passes stop - n."""
+    k step, with k_hi within 3 of 1 or of L, 2 L, 4 L for L =
+    DIRECT_PRODUCT, so that a fresh Convolver's tails (k_hi coefficients)
+    fall on either side of the base case and of a doubling of the
+    transform length; at most one k is a read whose step passes stop - n."""
     p = draw(st.sampled_from([5, 13, 29, 37, 3]))
     chi = quadratic_character(3) if p == 3 else quartic_pair(p)[draw(st.integers(0, 1))]
     step = draw(st.sampled_from([1, 2]) | st.integers(3, 24))
     r = draw(st.integers(0, step - 1))
-    edge = draw(st.sampled_from([1, GEMM_ROW, 2 * GEMM_ROW, SMALL_CROSSOVER]))
+    edge = draw(st.sampled_from([1, DIRECT_PRODUCT, 2 * DIRECT_PRODUCT, 4 * DIRECT_PRODUCT]))
     k_hi = max(edge + draw(st.integers(-3, 3)), 1)
     k_lo = draw(st.integers(0, k_hi) | st.integers(max(k_hi - 2, 0), k_hi))
     n, stop = r + k_lo * step, r + (k_hi - 1) * step + 1 + draw(st.integers(0, step - 1))
@@ -1064,30 +1149,27 @@ class TestReadsAgainstAnOracle:
     def test_reads_equal_the_oracle(self, case):
         chi, n, stop, step, c = case
         conv = Convolver(chi)
-        with mock.patch.object(qseries, "GEMM_PRODUCT", SMALL_CROSSOVER):
-            re, im = (conv.F if c < 0 else conv.H)(n, stop, step)
+        re, im = (conv.F if c < 0 else conv.H)(n, stop, step)
         want = _oracle(chi, range(n, stop, step), c)
         assert list(zip(re.tolist(), im.tolist())) == want
 
     @pytest.mark.parametrize("step, r", [(1, 0), (7, 3)])
     def test_the_reads_reach_both_kernels(self, step, r):
-        # tails of k_hi = SMALL_CROSSOVER and SMALL_CROSSOVER + 1 coefficients
-        # are GEMM and libmpdec products; both agree with the oracle
+        # tails of k_hi = DIRECT_PRODUCT and DIRECT_PRODUCT + 1 coefficients
+        # are int64 np.convolve and FFT products; both agree with the oracle
         chi = quartic_pair(37)[0]
-        for k_hi, gemm in ((SMALL_CROSSOVER, True), (SMALL_CROSSOVER + 1, False)):
+        for k_hi, fft in ((DIRECT_PRODUCT, False), (DIRECT_PRODUCT + 1, True)):
             ns = range(r, r + (k_hi - 1) * step + 1, step)
             for c in (-1, 1):
                 conv = Convolver(chi)
-                with mock.patch.object(qseries, "GEMM_PRODUCT", SMALL_CROSSOVER), \
-                        mock.patch.object(qseries, "_gemm_product", wraps=_gemm_product) as g, \
-                        mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as k:
+                with mock.patch.object(qseries, "_fft_product", wraps=_fft_product) as f:
                     re, im = (conv.F if c < 0 else conv.H)(ns.start, ns.stop, step)
-                assert (g.called, k.called) == (gemm, not gemm), (k_hi, c)
+                assert f.called == fft, (k_hi, c)
                 assert list(zip(re.tolist(), im.tolist())) == _oracle(chi, ns, c)
-                if step == 1 and not gemm:
-                    # F's a*a and b*b are squarings: one packed operand each
-                    packs = [call.args[0] is call.args[1] for call in k.call_args_list]
-                    assert packs == ([True, True] if c < 0 else [False, False]), c
+                if step == 1 and fft:
+                    # F's a*a and b*b are squarings: one transform each
+                    squares = [[x is y for x, y in call.args[0]] for call in f.call_args_list]
+                    assert squares == ([[True, True]] if c < 0 else [[False], [False]]), c
 
 
 @lru_cache(maxsize=None)
@@ -1183,8 +1265,8 @@ class TestIndexReads:
     @pytest.mark.parametrize("p", [13, 37])
     def test_dilated_reads_match_the_range_read(self, p):
         # F(95 k), H(95 k) as in the p37_5_19 config, and at the offset 17,
-        # from GEMMs of 95 residue rows of length 2001, against the
-        # Kronecker-product tail of one range read to 190 000: two kernels
+        # from FFT products of 95 residue rows of length 2001, against the
+        # tail of one range read to 190 000, one FFT product of that length
         top = 95 * 2000
         for c in (-1, 1):
             re, im = Convolver(quartic_pair(p)[0]).numerators(0, top + 1, c)
@@ -1242,12 +1324,13 @@ class TestIndexReads:
 
     def test_extreme_deltas_match_a_python_int_oracle(self):
         # every delta is +-240, the divisor-count bound: Re = 240, Im = -240,
-        # so F's fused GEMM sums 2 L products of 240**2 in each tile entry,
-        # the most float32 holds exactly (2 * 128 * 240**2 <= 2**24), and
-        # H's a - b = 480.  Step-1 reads, block reads and dilated reads.
+        # so F's fused FFT product a*a + b*b and H's a - b = 480 take the
+        # largest entries the error bound admits.  Step-1 reads, block reads
+        # and dilated reads.
         chi = quartic_pair(13)[0]
-        assert 2 * GEMM_ROW * MAX_DIVISOR_COUNT**2 <= FLOAT32_EXACT
         N = 1756
+        K = MAX_DIVISOR_COUNT
+        assert qseries._fft_error(2, N + 1, 2 * K, 2 * K) <= qseries.FFT_ERROR
         re = np.full(N + 1, MAX_DIVISOR_COUNT, dtype=np.int16)
         im = -re
         re[0] = im[0] = 0

@@ -51,13 +51,11 @@ def test_quick_tour_states_true_values():
     assert prose_seen == set(PROSE)
 
 
-def test_the_product_cutoff_and_row_are_the_code_constants():
-    # the prose states the GEMM/libmpdec crossover twice and the tile row
-    # once; each must be the constant the kernel reads
+def test_the_product_cutoff_is_the_code_constant():
+    # the prose states the int64/FFT crossover twice; each must be the
+    # constant the kernel reads
     text = " ".join(README.read_text(encoding="utf-8").split())
-    cutoff = re.search(r"A product of at most (\d+) coefficients", text)
+    cutoff = re.search(r"A product of at most (\d+) coefficients is `np.convolve`", text)
     measured = re.search(r"The (\d+) is measured", text)
-    row = re.search(r"cut into rows of (\d+) coefficients", text)
-    assert cutoff and measured and row, "README's product paragraph moved"
-    assert int(cutoff[1]) == int(measured[1]) == qseries.GEMM_PRODUCT
-    assert int(row[1]) == qseries.GEMM_ROW
+    assert cutoff and measured, "README's product paragraph moved"
+    assert int(cutoff[1]) == int(measured[1]) == qseries.DIRECT_PRODUCT
