@@ -154,17 +154,30 @@ def primitive_root(p: int) -> int:
 @lru_cache(maxsize=PRIMES_CACHED)
 def discrete_log_table(p: int, g: int) -> np.ndarray:
     """Read-only int64 array t of length p with g**t[a] = a (mod p) and
-    0 <= t[a] <= p - 2 for a in 1..p-1; t[0] = -1, as 0 has no logarithm."""
-    table = [-1] * p
-    x = 1
-    for k in range(p - 1):
-        if table[x] >= 0:
-            raise ValueError(f"{g} is not a primitive root mod {p}")
-        table[x] = k
-        x = x * g % p
-    if x != 1:
+    0 <= t[a] <= p - 2 for a in 1..p-1; t[0] = -1, as 0 has no logarithm.
+
+    Shanks' baby steps and giant steps fill the whole table: with
+    B = ceil(sqrt(p - 1)), the B baby steps g**i and the giant steps
+    g**(B j) are taken in Python ints, and their int64 outer product mod p
+    (p**2 < 2**63, asserted) holds g**(B j + i) at the flat index B j + i,
+    so scattering 0..p-2 at its first p - 1 values writes each logarithm.
+    O(sqrt(p)) interpreter steps and O(p) numpy work.  g generates
+    (Z/pZ)* exactly when those p - 1 powers are all of 1..p-1: a residue
+    left unwritten means it does not, and raises ``ValueError``."""
+    assert p * p < 2**63, p
+    B = math.isqrt(p - 2) + 1  # ceil(sqrt(p - 1))
+    steps = [1]
+    for _ in range(B - 1):
+        steps.append(steps[-1] * g % p)
+    giant, giants = steps[-1] * g % p, [1]
+    for _ in range(-(-(p - 1) // B) - 1):
+        giants.append(giants[-1] * giant % p)
+    powers = np.array(giants, dtype=np.int64)[:, None] * np.array(steps, dtype=np.int64)
+    powers %= p
+    table = np.full(p, -1, dtype=np.int64)
+    table[powers.ravel()[: p - 1]] = np.arange(p - 1, dtype=np.int64)
+    if g % p == 0 or np.count_nonzero(table < 0) != 1:  # t[0] = -1 and no other
         raise ValueError(f"{g} is not a primitive root mod {p}")
-    table = np.array(table, dtype=np.int64)
     table.flags.writeable = False
     return table
 

@@ -12,16 +12,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
 from .foundations import PRIMES_CACHED, GaussianRational, is_prime
 from .qseries import (
+    DIVISOR_SUMS,
     MAX_FAST_N,
     _delta0_numerator,
+    _delta_pair,
     _kronecker_values,
+    _numerator_scalars,
+    _numerator_terms,
+    _sieve,
+    _tail,
+    _zero_term,
     bernoulli_B2_psi,
     character_table,
     convolver,
@@ -33,6 +40,9 @@ from .qseries import (
 )
 
 HALF = Fraction(1, 2)
+# a sweep's first block is n < FIRST_BLOCK, and a prime scan checks that
+# block for every prime at once (``dichotomy_scan``)
+FIRST_BLOCK = 3
 SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
 # a sweep's sieved tables grow at least this many times over, chosen with
 # the tail's growth of about 4 (``Convolver.numerators`` rebuilds it to
@@ -117,23 +127,59 @@ def _sieve_reach(hi: int, capacity: int, nmax: int) -> int:
     return min(nmax, max(hi - 1, SWEEP_BLOCK, SIEVE_GROWTH * capacity))
 
 
-def _linear_rhs(D: int, nmax: int, terms, constant: Optional[GaussianRational] = None):
-    """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi), as arrays (re, im)
-    for exact c_k and int64 series s_k, where ``build_k(N, prefix)`` extends
-    ``prefix`` to s_k[0..N]: each block first grows the series to
-    ``_sieve_reach``.  ``constant`` is the value at n = 0 (None: not swept).
-    ``exact_sum`` picks each block's dtype."""
-    scaled = [_scaled(c, D) for c, _ in terms]
-    builds = [build for _, build in terms]
-    series = [np.zeros(1, dtype=np.int64)] * len(terms)
-    at_zero = None if constant is None else _scaled(constant, D)
+def _series(name: str, p: int):
+    """``build(N, prefix)``, extending ``prefix`` to the divisor sum
+    ``name`` (of ``DIVISOR_SUMS``) of p at 0..N."""
+    values = {
+        "sigma_prime": sigma_prime_values,
+        "sigma_tilde": sigma_tilde_values,
+        "sigma_hat": sigma_hat_values,
+    }
+    return partial(values[name], p)
+
+
+def _rhs_terms(scaled, blocks) -> list:
+    """The ``exact_sum`` terms of sum_k c_k s_k for the scaled c_k (int
+    pairs, or pairs of per-row lists) and the blocks of the s_k."""
+    return [(c, (s, None)) for c, s in zip(scaled, blocks)]
+
+
+class _Rhs(NamedTuple):
+    """D sum_k c_k s_k(n) of an identity in integers: the divisor sums s_k
+    of p named in ``names`` (``DIVISOR_SUMS``), the int pairs D c_k in
+    ``scaled``, and ``zero``, D times the value at n = 0 (None: n = 0 is
+    not swept)."""
+
+    p: int
+    D: int
+    names: tuple
+    scaled: tuple
+    zero: Optional[tuple]
+
+
+def _scaled_rhs(p: int, D: int, terms, constant: Optional[GaussianRational] = None) -> _Rhs:
+    """The ``_Rhs`` of sum_k c_k s_k for ``terms`` of pairs (c_k, name of
+    s_k), exact c_k, and its value ``constant`` at n = 0, scaled by D,
+    which must clear every denominator."""
+    return _Rhs(
+        p, D, tuple(name for _, name in terms), tuple(_scaled(c, D) for c, _ in terms),
+        None if constant is None else _scaled(constant, D),
+    )
+
+
+def _linear_rhs(spec: _Rhs, nmax: int):
+    """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi) of ``spec``, as
+    arrays (re, im): each block first grows the series to ``_sieve_reach``,
+    sieving only the new indices.  ``exact_sum`` picks each block's dtype."""
+    builds = [_series(name, spec.p) for name in spec.names]
+    series = [np.zeros(1, dtype=np.int64)] * len(builds)
 
     def rhs(lo: int, hi: int):
         N = _sieve_reach(hi, len(series[0]) - 1, nmax)
         if N >= len(series[0]):
             series[:] = [build(N, s) for build, s in zip(builds, series)]
-        blocks = [(c, (s[lo:hi], None)) for c, s in zip(scaled, series)]
-        return exact_sum(blocks, at_zero if lo == 0 else None)
+        blocks = [s[lo:hi] for s in series]
+        return exact_sum(_rhs_terms(spec.scaled, blocks), spec.zero if lo == 0 else None)
 
     return rhs
 
@@ -148,11 +194,11 @@ def _run_verification(
     ``lhs_block(lo, hi)``, ``rhs_block(lo, hi)``: (re, im) arrays over
     [lo, hi), int64 or object arrays of Python ints, each exact (see
     ``exact_sum``); only a failing coefficient becomes Python ints.
-    Block ends hi run 3, 6, 12, ..., 3072, then grow by SWEEP_BLOCK: a
-    failure at n >= 3 is found by hi <= 2n, and no block holds more than
-    SWEEP_BLOCK coefficients.
+    Block ends hi run FIRST_BLOCK = 3, 6, 12, ..., 3072, then grow by
+    SWEEP_BLOCK: a failure at n >= 3 is found by hi <= 2n, and no block
+    holds more than SWEEP_BLOCK coefficients.
     """
-    lo, hi, bad = start, 3, None
+    lo, hi, bad = start, FIRST_BLOCK, None
     while lo <= nmax and bad is None:
         hi = min(hi, nmax + 1)
         (lhs_re, lhs_im), (rhs_re, rhs_im) = lhs_block(lo, hi), rhs_block(lo, hi)
@@ -171,18 +217,37 @@ def _run_verification(
     )
 
 
+def _scales(p: int, terms, constant: GaussianRational) -> tuple[int, _Rhs]:
+    """(k, rhs) for an identity F or H = sum_k c_k s_k of a character mod p
+    with ``terms`` (c_k, name of s_k) and rhs ``constant`` at n = 0: with D
+    the least common multiple of s**2 = (2p)**2 and every denominator of
+    the c_k and the constant, a sweep compares D F or D H, which the
+    Convolver gives as k s**2 F, k = D / s**2, with the ``_Rhs`` at D."""
+    s2 = (2 * p) ** 2
+    D = lcm(s2, _denominator(*(c for c, _ in terms), constant))
+    return D // s2, _scaled_rhs(p, D, terms, constant)
+
+
+def _identity(p: int, chi: DirichletCharacter, kind: str) -> tuple[int, int, _Rhs]:
+    """(c, k, rhs) of an identity of chi in the integers a sweep compares
+    (see ``_scales``): "conv" is F = alpha sigma'_p (c = -1), "square" is
+    H = alpha' sigma~_p + beta' sigma^_p (c = 1)."""
+    const = constants_for(p, chi)
+    if kind == "conv":
+        alpha = GaussianRational(const.alpha)
+        return -1, *_scales(p, [(alpha, "sigma_prime")], alpha * Fraction(p - 1, 24))
+    terms = [(const.alpha_prime, "sigma_tilde"), (const.beta_prime, "sigma_hat")]
+    return 1, *_scales(p, terms, const.alpha_prime * (-bernoulli_B2_psi(p) / 4))
+
+
 def _verify_product(
-    p: int, chi: DirichletCharacter, kind: str, nmax: int, c: int,
-    terms: list, constant: GaussianRational,
+    p: int, chi: DirichletCharacter, kind: str, nmax: int, c: int, k: int, rhs: _Rhs
 ) -> VerificationReport:
-    """Check product(n) = sum_k c_k s_k[n] for 0 <= n <= nmax, where product
-    is F (c = -1) or H (c = 1) of chi, ``terms`` pairs each c_k with the
-    builder of s_k (see ``_linear_rhs``) and ``constant`` is the rhs at
-    n = 0.  delta_chi and the s_k are sieved as the blocks reach them; the
-    cached Convolver drops its whole-series tail when the sweep ends."""
+    """Check D F(n) (c = -1) or D H(n) (c = 1) of chi, read as k s**2 F or
+    k s**2 H, against ``rhs`` (at D) for 0 <= n <= nmax.  delta_chi and
+    the divisor sums are sieved as the blocks reach them; the cached
+    Convolver drops its whole-series tail when the sweep ends."""
     conv = convolver(chi)
-    D = lcm(conv.denominator, _denominator(*(a for a, _ in terms), constant))
-    k = D // conv.denominator
 
     def lhs(lo: int, hi: int):
         conv.extend(_sieve_reach(hi, conv.capacity, nmax))
@@ -190,7 +255,7 @@ def _verify_product(
 
     try:
         return _run_verification(
-            p, chi.label(), kind, nmax, D, lhs, _linear_rhs(D, nmax, terms, constant)
+            p, chi.label(), kind, nmax, rhs.D, lhs, _linear_rhs(rhs, nmax)
         )
     finally:
         conv.release()
@@ -202,22 +267,12 @@ def verify_id1(
     """Exact check of F_chi(n) = alpha * sigma'_p(n) for 0 <= n <= nmax."""
     if chi is None:
         chi = canonical_quartic(p)
-    alpha = GaussianRational(constants_for(p, chi).alpha)
-    terms = [(alpha, partial(sigma_prime_values, p))]
-    return _verify_product(
-        p, chi, "conv", nmax, -1, terms, alpha * Fraction(p - 1, 24)
-    )
+    return _verify_product(p, chi, "conv", nmax, *_identity(p, chi, "conv"))
 
 
 def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport:
     """Exact check of H_chi(n) = alpha' sigma~_p(n) + beta' sigma^_p(n)."""
-    c = constants_for(p, chi)
-    terms = [
-        (c.alpha_prime, partial(sigma_tilde_values, p)),
-        (c.beta_prime, partial(sigma_hat_values, p)),
-    ]
-    constant = c.alpha_prime * (-bernoulli_B2_psi(p) / 4)
-    return _verify_product(p, chi, "square", nmax, 1, terms, constant)
+    return _verify_product(p, chi, "square", nmax, *_identity(p, chi, "square"))
 
 
 def verify_farkas(nmax: int) -> VerificationReport:
@@ -226,10 +281,9 @@ def verify_farkas(nmax: int) -> VerificationReport:
     with delta_F(0) = 1/6 and sigma'_3(0) = 1/12.
     """
     third = GaussianRational(Fraction(1, 3))
-    terms = [(third, partial(sigma_prime_values, 3))]
     return _verify_product(
-        3, quadratic_character(3), "farkas", nmax, -1, terms,
-        third * Fraction(1, 12),
+        3, quadratic_character(3), "farkas", nmax, -1,
+        *_scales(3, [(third, "sigma_prime")], third * Fraction(1, 12)),
     )
 
 
@@ -446,11 +500,8 @@ def check_configured_identity(
             blocks.append((scalar, placed))
         return exact_sum(blocks)
 
-    if use_H:
-        series = [partial(sigma_tilde_values, cfg.p), partial(sigma_hat_values, cfg.p)]
-    else:
-        series = [partial(sigma_prime_values, cfg.p)]
-    rhs = _linear_rhs(D, nmax, list(zip(cfg.rhs_coefficients, series)))
+    series = ["sigma_tilde", "sigma_hat"] if use_H else ["sigma_prime"]
+    rhs = _linear_rhs(_scaled_rhs(cfg.p, D, list(zip(cfg.rhs_coefficients, series))), nmax)
 
     return _run_verification(
         cfg.p, chi.label(), f"config:{cfg.rhs_kind}", nmax, D, lhs, rhs, start=1
@@ -640,22 +691,98 @@ class DichotomyRow:
     obstruction2_accepted: bool
 
 
+def _columns(pairs) -> tuple[list, list]:
+    """One scalar pair (re, im) per row as two lists of per-row ints, the
+    per-row scalars of ``exact_sum``."""
+    re, im = zip(*pairs)
+    return list(re), list(im)
+
+
+def _first_failures(hi: int, delta, c: int, lhs, rhs, series) -> list[int]:
+    """Per row, the first n < hi at which F (c = -1) or H (c = 1) differs
+    from its rhs, or -1: a sweep's first block for every row at once.
+
+    ``delta``: the int16 pair (a, b) of delta_chi at n < hi, one character
+    per row, and ``series`` the divisor sums at n < hi, one row each.
+    ``lhs`` and ``rhs`` hold each row's (k, s, L) and ``_Rhs``.  Both
+    sides are the sweep's own: the tail of ``_tail``,
+    ``_numerator_scalars`` and ``_zero_term`` on the left, ``_rhs_terms``
+    on the right, each one ``exact_sum``."""
+    a, b = delta
+    tail_re, tail_im = _tail(c, a, b, hi)
+    scalars = [_columns(pairs) for pairs in zip(*(_numerator_scalars(c, *row) for row in lhs))]
+    zero = _columns(_zero_term(c, k, L) for k, _, L in lhs)
+    left = exact_sum(_numerator_terms(c, scalars, tail_re, tail_im, a, b), zero)
+    scaled = [_columns(pairs) for pairs in zip(*(spec.scaled for spec in rhs))]
+    right = exact_sum(_rhs_terms(scaled, series), _columns(spec.zero for spec in rhs))
+    differ = (left[0] != right[0]) | (left[1] != right[1])
+    return np.where(differ.any(axis=-1), differ.argmax(axis=-1), -1).tolist()
+
+
 def dichotomy_scan(pmax: int, nmax: int = 50) -> list[DichotomyRow]:
-    """Dichotomy sweep over primes p = 5 (mod 8) up to pmax."""
-    rows = []
-    for p in quartic_primes(pmax):
+    """Dichotomy sweep over primes p = 5 (mod 8) up to pmax: both identities
+    of the canonical quartic chi checked to nmax, as ``verify_id1`` and
+    ``verify_id2`` check them, and both obstructions.
+
+    Almost every prime fails in a sweep's first block, n < FIRST_BLOCK
+    (567 of the 569 primes below 20 000, F at n = 1 and H at n = 2), so
+    the scan checks that block for all its primes in one batched pass.
+    Per prime it builds the O(p) tables a sweep reads (the character
+    table, 2p delta_chi(0), the constants, B_{2,psi}) and both
+    obstructions, and keeps O(1) values: chi(d) and each divisor sum's
+    c(d) for d < FIRST_BLOCK, and each identity's scaled constants (``k``
+    and the ``_Rhs``); the per-prime caches then release the tables, so
+    the scan holds no O(p) array past its prime.  The block is one
+    ``_sieve`` per series over a (primes x FIRST_BLOCK) table, then one
+    tail product and one ``exact_sum`` per side for each identity
+    (``_first_failures``), and each row's first mismatch is one
+    ``argmax``.  A prime that passes it runs the sweep of ``verify_id1``
+    or ``verify_id2`` from n = 0, on the scaled constants kept here,
+    through its Convolver.
+    """
+    hi = min(FIRST_BLOCK, nmax + 1)  # the block is n < hi
+    primes, chis, Ls, obstructions = quartic_primes(pmax), [], [], []
+    # the first FIRST_BLOCK values of each prime's tables, copied: no O(p)
+    # table outlives its prime
+    tables = {
+        name: np.zeros((len(primes), FIRST_BLOCK), dtype=np.int64)
+        for name in ("re", "im", *DIVISOR_SUMS)
+    }
+    sweeps = {"conv": [], "square": []}  # per prime: ``_identity``'s (c, k, rhs)
+    for i, p in enumerate(primes):
         chi = canonical_quartic(p)
-        r1 = verify_id1(p, nmax, chi)
-        r2 = verify_id2(p, chi, nmax)
-        rows.append(
-            DichotomyRow(
-                p,
-                r1.passed,
-                r1.failure_n,
-                r2.passed,
-                r2.failure_n,
-                obstruction_id1(p).consistent,
-                obstruction_id2(p, chi).accepted,
-            )
-        )
-    return rows
+        tables["re"][i], tables["im"][i] = (t[:FIRST_BLOCK] for t in character_table(chi))
+        for name, (table, _) in DIVISOR_SUMS.items():
+            tables[name][i] = table(p, FIRST_BLOCK - 1)[:FIRST_BLOCK]
+        for kind, rows in sweeps.items():
+            rows.append(_identity(p, chi, kind))
+        chis.append(chi)
+        Ls.append(_delta0_numerator(chi))
+        obstructions.append((obstruction_id1(p).consistent, obstruction_id2(p, chi).accepted))
+
+    failures = {kind: [-1] * len(primes) for kind in sweeps}
+    if primes and hi > 0:
+        delta = _delta_pair(tables["re"], tables["im"], hi - 1)
+        sieved = {
+            name: _sieve(tables[name], hi - 1, **weights)
+            for name, (_, weights) in DIVISOR_SUMS.items()
+        }
+        for kind, rows in sweeps.items():
+            c = rows[0][0]
+            lhs = [(k, 2 * p, L) for (_, k, _), p, L in zip(rows, primes, Ls)]
+            rhs = [spec for _, _, spec in rows]
+            series = [sieved[name] for name in rhs[0].names]
+            failures[kind] = _first_failures(hi, delta, c, lhs, rhs, series)
+
+    out = []
+    for i, (p, chi) in enumerate(zip(primes, chis)):
+        verdicts = []
+        for kind, rows in sweeps.items():
+            n = failures[kind][i]
+            if n < 0:  # passed the first block: the whole sweep decides
+                report = _verify_product(p, chi, kind, nmax, *rows[i])
+                verdicts += [report.passed, report.failure_n]
+            else:
+                verdicts += [False, n]
+        out.append(DichotomyRow(p, *verdicts, *obstructions[i]))
+    return out

@@ -2,8 +2,8 @@
 
 Provides the weight-one delta series attached to a character, the three
 weight-two divisor-sum series (with their exact constant-term
-conventions), the generalized Bernoulli number B_{2,psi} via Cohen's
-divisor-sum formula, and exact Cauchy products.
+conventions), the generalized Bernoulli number B_{2,psi} as one dot over
+the Kronecker table, and exact Cauchy products.
 
 The fast path is one integer layer: cached one-period tables of chi and
 (p/.) feed one divisor sieve for the int16 arrays of delta_chi(n) and the
@@ -63,7 +63,9 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .characters import DirichletCharacter
-from .foundations import PRIMES_CACHED, GaussianRational, divisors, is_prime, kronecker, sigma1
+from .foundations import (
+    PRIMES_CACHED, GaussianRational, discrete_log_table, divisors, is_prime, kronecker,
+)
 
 MAX_FAST_N = 1_000_000  # largest N of the sieves and kernel
 MAX_DIVISOR_COUNT = 240  # max d(n) for n <= MAX_FAST_N, at n = 720720 (tested)
@@ -156,16 +158,22 @@ def from_ints(values, constant=None) -> QSeries:
 def character_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) int64 arrays of chi(a) for a in 0..p-1, one period of chi.
 
-    chi(a) = i**(4 t(a) / (p - 1)) from the exponent table; like ``chi.value``,
-    it rejects characters whose values leave Q(i).
+    chi(g) = zeta_{p-1}**e lies in Q(i) exactly when (p - 1) divides 4e,
+    and then chi(g**t) = i**(j t) with j = 4e / (p - 1): the tables are
+    two lookups of j t mod 4 over the discrete logarithms t.  Like
+    ``chi.value``, it rejects characters whose values leave Q(i).
     """
-    quarter, rem = np.divmod(4 * chi.exponent_table(), chi.p - 1)
-    if np.count_nonzero(rem):
+    p, e = chi.p, chi.e
+    j, rem = divmod(4 * e, p - 1)
+    if rem:
         raise ValueError(f"character of order {chi.order} takes values outside Q(i)")
-    powers_of_i = np.array([(1, 0, -1, 0), (0, 1, 0, -1)], dtype=np.int64)  # re, im
-    table = powers_of_i[:, quarter % 4]
-    table[:, 0] = 0  # chi(0) = 0
-    table.flags.writeable = False
+    quarter = j * discrete_log_table(p, chi.g) & 3  # chi(a) = i**quarter[a]
+    table = []
+    for powers_of_i in ((1, 0, -1, 0), (0, 1, 0, -1)):  # re, im
+        part = np.array(powers_of_i, dtype=np.int64)[quarter]
+        part[0] = 0  # chi(0) = 0
+        part.flags.writeable = False
+        table.append(part)
     return table[0], table[1]
 
 
@@ -227,6 +235,11 @@ def _sieve(
     its prefix, and sieving [1, N1] then [N1 + 1, N] gives the one-shot
     array.
 
+    A leading row axis: a (rows x period) ``table`` holds one c per row,
+    and the result is (rows x (N + 1)), each row the sieve of its own
+    table row (``prefix`` then has rows too).  Every step below indexes
+    the last axis, so a batch takes the steps of one table.
+
     Dirichlet's hyperbola split of the pairs d q <= N at r = isqrt(N): each
     small d <= r adds one strided slice, out[d q0::d] from its first
     multiple d q0 >= lo.  A large d > r has cofactor q <= N // (r + 1) <= r,
@@ -238,41 +251,51 @@ def _sieve(
     first d is d_lo skips the q below lo / (d_lo + SIEVE_BLOCK).  Scratch
     beside ``out``: at most four SIEVE_BLOCK-entry arrays (d, d mod period,
     c, and the last block's c), or one (N - lo + 1)-entry weight array for
-    d = 1 when ``quotient``.
+    d = 1 when ``quotient`` (per row).
     """
     if not 0 <= N <= MAX_FAST_N:
         raise ValueError(f"fast path needs 0 <= N <= {MAX_FAST_N}, got {N}")
-    out = np.zeros(N + 1, dtype=dtype)
+    out = np.zeros((*table.shape[:-1], N + 1), dtype=dtype)
     if prefix is not None:
-        if len(prefix) > N + 1:
-            raise ValueError(f"a prefix of {len(prefix)} values does not fit 0..{N}")
-        out[: len(prefix)] = prefix
-    lo = 1 if prefix is None else max(len(prefix), 1)
-    period = len(table)
+        if prefix.shape[-1] > N + 1:
+            raise ValueError(f"a prefix of {prefix.shape[-1]} values does not fit 0..{N}")
+        out[..., : prefix.shape[-1]] = prefix
+    lo = 1 if prefix is None else max(prefix.shape[-1], 1)
+    # the steps run on transposed views, index n first: a batch's rows are
+    # their columns, and a 1-D array is its own transpose
+    at, period = out.T, table.shape[-1]
     r = math.isqrt(N)
-    for d in range(1, r + 1):
-        c = int(table[d % period]) * (d if times_d else 1)
-        if not c:
+    small = np.arange(1, r + 1, dtype=np.int64)
+    c_small = (table[..., small % period] * (small if times_d else 1)).T
+    # c(d) of each small d: a Python int, or a list of one per row
+    for d, c in zip(range(1, r + 1), c_small.tolist()):
+        if not (any(c) if out.ndim > 1 else c):
             continue
         q0 = -(-lo // d)
-        # c w(q) for q = q0..N//d; with w(q) = q that is c q0, c (q0 + 1), ...
-        # (a temporary: no weight array outlives its d)
-        out[d * q0 :: d] += (
-            np.arange(c * q0, c * (N // d + 1), c, dtype=np.int64) if quotient else c
-        )
+        if out.ndim > 1:
+            c = np.array(c, dtype=np.int64)  # broadcast along each row's column
+        # c w(q) for q = q0..N//d: one temporary, which no later d keeps
+        if quotient:
+            w = np.arange(q0, N // d + 1, dtype=np.int64)
+            w = np.multiply.outer(w, c) if out.ndim > 1 else np.multiply(w, c, out=w)
+        else:
+            w = c
+        at[d * q0 :: d] += w
+        del w
     for d_lo in range(r + 1, N + 1, SIEVE_BLOCK):
         d_hi = min(d_lo + SIEVE_BLOCK, N + 1)
         q_first = -(-lo // (d_hi - 1))  # q d < lo for every d of the block below it
         if q_first > N // d_lo:
             continue
         d = np.arange(d_lo, d_hi, dtype=np.int64)
-        c = table[d % period]
+        c = table[..., d % period]
         if times_d:
             c *= d
+        c = c.T
         for q in range(q_first, N // d_lo + 1):
             i = max(-(-lo // q) - d_lo, 0)  # d from d_lo + i on have q d >= lo
             k = min(d_hi, N // q + 1) - d_lo  # d below d_lo + k have q d <= N
-            out[q * (d_lo + i) : q * (d_lo + k) : q] += (
+            at[q * (d_lo + i) : q * (d_lo + k) : q] += (
                 q * c[i:k] if quotient and q > 1 else c[i:k]
             )
     return out
@@ -334,14 +357,19 @@ def delta_int_arrays(
     of the one little-endian int32 array, split in place with no copy.
     ``prefix``, such a pair to a lower N, is packed and extended: only the
     new indices are sieved."""
-    re, im = character_table(chi)
+    return _delta_pair(*character_table(chi), N, prefix)
+
+
+def _delta_pair(re: np.ndarray, im: np.ndarray, N: int, prefix=None):
+    """``delta_int_arrays`` from the tables (re, im) of chi, which may
+    carry a leading row axis (see ``_sieve``): then so does the pair."""
     if prefix is not None:
         prefix = prefix[0].astype(np.int32) * PACK + prefix[1]
     packed = _sieve(re * PACK + im, N, prefix=prefix, dtype=np.dtype("<i4"))
     packed += PACK // 2
-    halves = packed.view(np.dtype("<i2")).reshape(-1, 2)  # (low, high) per index
-    halves[:, 0] ^= np.int16(-PACK // 2)  # flip the top bit: I
-    return halves[:, 1], halves[:, 0]
+    halves = packed.view(np.dtype("<i2")).reshape(*packed.shape, 2)  # (low, high) per index
+    halves[..., 0] ^= np.int16(-PACK // 2)  # flip the top bit: I
+    return halves[..., 1], halves[..., 0]
 
 
 # ---------------------------------------------------------------------
@@ -369,23 +397,41 @@ def sigma_hat(p: int, n: int) -> int:
     return sum(kronecker(p, d) * (n // d) for d in divisors(n))
 
 
-# each sigma_*_values(p, N, prefix) extends ``prefix``, the array to a lower
-# N, sieving only the new indices
+def _coprime_table(p: int, N: int) -> np.ndarray:
+    """1 at the a in 1..p-1, 0 at a = 0: whether p does not divide a."""
+    return np.sign(np.arange(p, dtype=np.int64))
+
+
+# each weight-two divisor sum is sum_{d | n} c(d) w(n/d): ``_sieve``'s
+# table of c(d), read from (p, N), and its weights, by name
+DIVISOR_SUMS = {
+    "sigma_prime": (_coprime_table, {"times_d": True}),  # d, for p not dividing d
+    "sigma_tilde": (_kronecker_values, {"times_d": True}),  # (p/d) d
+    "sigma_hat": (_kronecker_values, {"quotient": True}),  # (p/d) n/d
+}
+
+
+def _divisor_sum(name: str, p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
+    """int64 array of the divisor sum ``name`` of p at n in 1..N (index 0 is
+    zero), extending ``prefix``, the array to a lower N: only the new
+    indices are sieved."""
+    table, weights = DIVISOR_SUMS[name]
+    return _sieve(table(p, N), N, prefix=prefix, **weights)
+
 
 def sigma_prime_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma'_p(n), n in 1..N (index 0 is zero)."""
-    coprime = np.sign(np.arange(p, dtype=np.int64))  # 0 at a = 0, else 1
-    return _sieve(coprime, N, times_d=True, prefix=prefix)
+    return _divisor_sum("sigma_prime", p, N, prefix)
 
 
 def sigma_tilde_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma~_p(n), n in 1..N (index 0 is zero)."""
-    return _sieve(_kronecker_values(p, N), N, times_d=True, prefix=prefix)
+    return _divisor_sum("sigma_tilde", p, N, prefix)
 
 
 def sigma_hat_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma^_p(n), n in 1..N (index 0 is zero)."""
-    return _sieve(_kronecker_values(p, N), N, quotient=True, prefix=prefix)
+    return _divisor_sum("sigma_hat", p, N, prefix)
 
 
 def sigma_prime_series(p: int, N: int) -> QSeries:
@@ -406,21 +452,26 @@ def sigma_hat_series(p: int, N: int) -> QSeries:
 
 @lru_cache(maxsize=PRIMES_CACHED)
 def bernoulli_B2_psi(p: int) -> Fraction:
-    """B_{2,psi} for the quadratic character mod p, via Cohen's formula.
+    """B_{2,psi} for the quadratic character psi = (p/.) mod p, p = 1 (mod 4):
+    sum_{a<p} psi(a) a**2 / p, one O(p) dot over ``kronecker_table(p)``.
 
-    B_{2,psi} = (2/5) * sum over s of sigma((p - s**2)/4), the sum running
-    over all integers s (positive and negative counted separately) for
-    which (p - s**2)/4 is a positive integer; for p = 1 (mod 4) these are
-    exactly the odd s with s**2 <= p - 4.
+    B_{2,psi} = p sum_{a=1}^{p} psi(a) B_2(a/p) with B_2(x) = x**2 - x + 1/6,
+    that is sum psi(a) a**2 / p - sum psi(a) a + (p / 6) sum psi(a).  psi
+    is even, so sum psi(a) = 0 and a <-> p - a gives sum psi(a) a =
+    p sum psi(a) - sum psi(a) a = 0.  The dot runs over chunks of
+    L = 2**63 // p**2 terms (one chunk for p < 2**21): every partial sum
+    of a chunk is at most L p**2 <= 2**63 in magnitude, so int64 holds it,
+    and the chunk sums add in Python ints.  (Cohen's divisor-sum formula is
+    the tests' oracle.)
     """
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"B_2,psi requires a prime p = 1 (mod 4), got {p}")
-    total = 0
-    s = 1
-    while s * s <= p - 4:
-        total += 2 * sigma1((p - s * s) // 4)
-        s += 2
-    return Fraction(2 * total, 5)
+    assert p * p < 2**63, p
+    psi, step, total = kronecker_table(p), 2**63 // (p * p), 0
+    for lo in range(0, p, step):
+        a = np.arange(lo, min(lo + step, p), dtype=np.int64)
+        total += int(psi[lo : lo + step] @ (a * a))
+    return Fraction(total, p)
 
 
 # ---------------------------------------------------------------------
@@ -492,9 +543,10 @@ def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
     one that does not raises ``FloatingPointError`` (the CLI exits 4); no
     value is ever taken from elsewhere.  Scratch at 10**6: two spectra of
     n / 2 + 1 complex values, 33.6 MB, then the n-value inverse and the
-    rounded m values.
+    rounded m values.  Factors with a leading row axis are transformed
+    along the last axis, one product per row.
     """
-    m, r = len(pairs[0][0]), len(pairs)
+    m, r = pairs[0][0].shape[-1], len(pairs)
     assert _fft_error(r, m, Kx, Ky) <= FFT_ERROR, (r, m, Kx, Ky)
     n = 1 << (2 * m - 2).bit_length()
     spectrum = None
@@ -506,7 +558,7 @@ def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
         else:
             spectrum += X
         del X
-    c = irfft(spectrum, n)[:m]
+    c = irfft(spectrum, n)[..., :m]
     del spectrum
     rounded = np.rint(c)
     c -= rounded
@@ -527,22 +579,28 @@ def _full_product(*pairs) -> np.ndarray:
     residue rows, with no wider copy: a*a + b*b for F's step-1 tail is one
     call, (a+b)*(a-b) and a*b for H's two more (see ``_class_product``).
 
+    A leading row axis: x, y of one shape (rows x m) give rows x m, each
+    row the product of its rows of the factors, along the last axis; Kx
+    and Ky below are then taken over the whole batch, so one bound and
+    one path serve every row.
+
     With Kx, Ky the largest |x|, |y| over the r pairs, every value and
     partial sum is at most r m Kx Ky, asserted below 2**63.  A product of
     more than DIRECT_PRODUCT = 128 coefficients is one float64 FFT
     (``_fft_product``), O(m log m), whenever its error bound
     ``_fft_error`` is at most FFT_ERROR = 1/8: every product of delta_chi
     arrays up to MAX_FAST_N is (asserted at import).  A shorter one, or
-    one of entries too large for that bound, is ``np.convolve`` in int64,
-    exact by the bound above.  The 128 is measured on F's tail a*a + b*b
-    of p = 13 (2-core Xeon VM, Python 3.11, numpy 2.4; min of 9 runs):
-    np.convolve took 11.0 us against the FFT's 25.9 us at m = 64, 28.0
-    against 29.3 us at m = 128, and 55.2 against 32.9 us at m = 192.
+    one of entries too large for that bound, is ``np.convolve`` in int64
+    (for a batch, m shifted row products), exact by the bound above.  The
+    128 is measured on F's tail a*a + b*b of p = 13 (2-core Xeon VM,
+    Python 3.11, numpy 2.4; min of 9 runs): np.convolve took 11.0 us
+    against the FFT's 25.9 us at m = 64, 28.0 against 29.3 us at m = 128,
+    and 55.2 against 32.9 us at m = 192.
     """
-    lengths = [len(v) for pair in pairs for v in pair]
-    m = lengths[0]
-    if m == 0 or set(lengths) != {m}:
-        raise ValueError(f"expected non-empty series of one length, got {lengths}")
+    shapes = [v.shape for pair in pairs for v in pair]
+    m = shapes[0][-1]
+    if m == 0 or set(shapes) != {shapes[0]}:
+        raise ValueError(f"expected non-empty series of one shape, got {shapes}")
     dtypes = {v.dtype for pair in pairs for v in pair}
     assert dtypes <= {np.dtype(np.int16), np.dtype(np.int64)}, dtypes
     Kx, Ky = (max(max_abs(pair[i]) for pair in pairs) for i in (0, 1))
@@ -550,9 +608,14 @@ def _full_product(*pairs) -> np.ndarray:
     assert r * m * Kx * Ky < 2**63, (r, m, Kx, Ky)
     if m > DIRECT_PRODUCT and _fft_error(r, m, Kx, Ky) <= FFT_ERROR:
         return _fft_product(pairs, Kx, Ky)
-    c = np.zeros(m, dtype=np.int64)
+    c = np.zeros(shapes[0], dtype=np.int64)
     for x, y in pairs:
-        c += np.convolve(x.astype(np.int64), y.astype(np.int64))[:m]
+        x, y = x.astype(np.int64), y.astype(np.int64)
+        if c.ndim == 1:
+            c += np.convolve(x, y)[:m]
+            continue
+        for j in range(m):  # x[j] times y shifted by j, in every row at once
+            c[..., j:] += x[..., j, None] * y[..., : m - j]
     return c
 
 
@@ -561,8 +624,14 @@ def _full_product(*pairs) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def max_abs(arr: np.ndarray) -> int:
-    """max |arr| as a Python int (0 when empty), for int16, int64 or object arr."""
-    return max(int(arr.max()), -int(arr.min())) if len(arr) else 0
+    """max |arr| as a Python int (0 when empty), for int16, int64 or object
+    arr of any shape."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _magnitude(s) -> int:
+    """|s| for a Python-int scalar, max |s| for a list of per-row scalars."""
+    return max(map(abs, s), default=0) if isinstance(s, list) else abs(s)
 
 
 def exact_sum(terms, at_zero: tuple[int, int] | None = None):
@@ -571,6 +640,11 @@ def exact_sum(terms, at_zero: tuple[int, int] | None = None):
     scalars and integer arrays of one length, y_k None for 0.  ``at_zero``,
     an int pair, replaces the value at index 0.
 
+    A leading row axis: the arrays may be (rows x m), and each scalar, and
+    each part of ``at_zero``, a Python int or a list of one Python int per
+    row, taken as a (rows x 1) column; the bound below is taken over the
+    whole batch, so every row gets one dtype.
+
     The one choice between int64 and object arrays of Python ints.  With
     M = max |x_k|, |y_k| over the block, every scalar, product, partial
     sum and value of the expression is at most
@@ -578,24 +652,30 @@ def exact_sum(terms, at_zero: tuple[int, int] | None = None):
     is below INT64_CAP, else object.  M takes one ``max_abs`` per array."""
     M = max((max_abs(v) for _, xy in terms for v in xy if v is not None), default=0)
     bound = max(
-        max(max(abs(c), abs(d)) for (c, d), _ in terms),
-        sum(abs(c) + abs(d) for (c, d), _ in terms) * M,
-        *map(abs, at_zero or ()),
+        max(max(_magnitude(c), _magnitude(d)) for (c, d), _ in terms),
+        sum(_magnitude(c) + _magnitude(d) for (c, d), _ in terms) * M,
+        *map(_magnitude, at_zero or ()),
     )
     dtype = np.dtype(np.int64) if bound < INT64_CAP else np.dtype(object)
-    re, im = (np.zeros(len(terms[0][1][0]), dtype=dtype) for _ in range(2))
+
+    def scalar(s):  # a Python int, or per-row ints as a column of the block's dtype
+        if not isinstance(s, list):
+            return s
+        return np.array(s, dtype=dtype)[:, None] if any(s) else 0
+
+    re, im = (np.zeros(terms[0][1][0].shape, dtype=dtype) for _ in range(2))
     for (c, d), (x, y) in terms:
+        c, d = scalar(c), scalar(d)
         # x adds c x to re and d x to im; y adds -d y and c y
         for v, to_re, to_im in ((x, c, d), (y, -d, c)):
             if v is None:
                 continue
             v = v.astype(dtype, copy=False)
-            if to_re:
-                re += to_re * v
-            if to_im:
-                im += to_im * v
+            for out, s in ((re, to_re), (im, to_im)):
+                if isinstance(s, np.ndarray) or s:  # a zero int adds nothing
+                    out += s * v
     if at_zero is not None:
-        re[0], im[0] = at_zero
+        re[..., :1], im[..., :1] = map(scalar, at_zero)
     return re, im
 
 
@@ -628,8 +708,8 @@ def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
     if C == 1:  # the sweeps' tails: one call, none of the class bookkeeping
         pairs = []
         for x, y in factors:
-            row = x[:m]
-            pairs.append((row, row if y is x else y[:m]))
+            row = x[..., :m]
+            pairs.append((row, row if y is x else y[..., :m]))
         return _full_product(*pairs)
     rows = []
     for x, y in factors:
@@ -655,6 +735,48 @@ def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
                 else:
                     out[shift:] += product[: m - shift]
     return out
+
+
+def _tail(c: int, a: np.ndarray, b: np.ndarray, m: int, D: int = 1, r: int = 0):
+    """(Re T, Im T) of F (c = -1; Im T None) or H (c = 1) at r + k D for
+    k < m, from the int16 parts a, b of delta_chi (a[0] = b[0] = 0), by
+    ``_class_product``; a, b may carry a leading row axis (one character
+    per row) at D = 1.  |a +- b| <= 480 stays int16."""
+    if c < 0:
+        factors = [(a, a)] if not b.any() else [(a, a), (b, b)]  # b*b = 0 for a real chi
+        return _class_product(factors, m, D, r), None
+    re = _class_product([(a + b, a - b)], m, D, r)
+    im = _class_product([(a, b)], m, D, r)
+    im *= 2
+    return re, im
+
+
+def _numerator_scalars(c: int, k: int, s: int, L: tuple[int, int]) -> tuple:
+    """The scalar pairs of k (s**2 T(n) + s (L delta'(n) + delta(n) L')) for
+    F (c = -1) or H (c = 1), s = 2p and L = s delta_chi(0) = u + i v (see
+    ``Convolver``), in the order of ``_numerator_terms``' arrays.
+    s (L delta' + delta L') is 2 s (u x + v y) for F and 2 s L delta for
+    H, delta_chi = x + i y."""
+    u, v = L
+    if c < 0:
+        return (k * s * s, 0), (2 * k * s * u, 0), (2 * k * s * v, 0)
+    return (k * s * s, 0), (2 * k * s * u, 2 * k * s * v)
+
+
+def _numerator_terms(c: int, scalars, tail_re, tail_im, x, y) -> list:
+    """The ``exact_sum`` terms of the numerators over a block: the
+    ``_numerator_scalars`` with T(n) (Im T None for F) and delta_chi(n) =
+    x + i y.  For arrays with a leading row axis, each scalar may be a
+    list of per-row ints (see ``exact_sum``)."""
+    arrays = [(tail_re, None), (x, None), (y, None)] if c < 0 else [(tail_re, tail_im), (x, y)]
+    return list(zip(scalars, arrays))
+
+
+def _zero_term(c: int, k: int, L: tuple[int, int]) -> tuple[int, int]:
+    """k s**2 times the n = 0 term delta_chi(0) delta'(0) of F (c = -1) or
+    H (c = 1): k L L', L = u + i v, L' = u + i c v."""
+    u, v = L
+    return k * (u * u - c * v * v), k * (1 + c) * u * v
 
 
 def _split(step: int, top: int) -> int:
@@ -702,9 +824,9 @@ class Convolver:
     a, b are sieved only as far as asked, 4 bytes per index: a read
     extends them through ``ensure``, and a sweep extends them ahead of each
     block through ``extend``, by its own schedule.  Either sieves only the
-    new indices.  ``_numerators`` sums the expression above with
-    ``exact_sum``: int64 or object arrays of Python ints, as its bound
-    decides.
+    new indices.  ``numerators`` sums the expression above
+    (``_numerator_scalars``, and ``_zero_term`` at n = 0) with ``exact_sum``:
+    int64 or object arrays of Python ints, as its bound decides.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -744,36 +866,7 @@ class Convolver:
     def _whole_tail(self, m: int, c: int, D: int = 1, r: int = 0):
         """(Re T, Im T) at r + k D for k = 0..m, Im T None for F."""
         n = min((m + 1) * D, len(self._re))
-        a, b = self._re[:n], self._im[:n]  # |a +- b| <= 480: int16
-        if c < 0:
-            factors = [(a, a)] if not b.any() else [(a, a), (b, b)]  # b*b = 0 for a real chi
-            return _class_product(factors, m + 1, D, r), None
-        re = _class_product([(a + b, a - b)], m + 1, D, r)
-        im = _class_product([(a, b)], m + 1, D, r)
-        im *= 2
-        return re, im
-
-    def _at_zero(self, c: int, k: int) -> tuple[int, int]:
-        """k s**2 times the n = 0 term delta_chi(0) delta'(0): k L L',
-        L' = u + i c v."""
-        u, v = self._L
-        return k * (u * u - c * v * v), k * (1 + c) * u * v
-
-    def _numerators(self, c: int, k: int, tail_re, tail_im, x, y, zero: bool):
-        """k (s**2 T(n) + s (L delta'(n) + delta(n) L')) over a block, from
-        T(n) (Im T None for F) and delta_chi(n) = x + i y, by ``exact_sum``;
-        ``zero``: the block starts at n = 0, which takes ``_at_zero``.
-
-        s (L delta' + delta L') is 2 s (u x + v y) for F and 2 s L delta
-        for H."""
-        u, v = self._L
-        s = 2 * self.chi.p
-        if c < 0:
-            terms = [((k * s * s, 0), (tail_re, None)), ((2 * k * s * u, 0), (x, None)),
-                     ((2 * k * s * v, 0), (y, None))]
-        else:
-            terms = [((k * s * s, 0), (tail_re, tail_im)), ((2 * k * s * u, 2 * k * s * v), (x, y))]
-        return exact_sum(terms, self._at_zero(c, k) if zero else None)
+        return _tail(c, self._re[:n], self._im[:n], m + 1, D, r)
 
     def numerators(
         self, lo: int, hi: int, c: int, scale: int = 1, step: int = 1
@@ -804,9 +897,11 @@ class Convolver:
         tail_re, tail_im = (
             None if t is None else t[k_lo:k_hi:step // D] for t in self._tails[key]
         )
-        return self._numerators(
-            c, scale, tail_re, tail_im, self._re[lo:hi:step], self._im[lo:hi:step], lo == 0 < hi
+        terms = _numerator_terms(
+            c, _numerator_scalars(c, scale, 2 * self.chi.p, self._L), tail_re, tail_im,
+            self._re[lo:hi:step], self._im[lo:hi:step],
         )
+        return exact_sum(terms, _zero_term(c, scale, self._L) if lo == 0 < hi else None)
 
     def F(self, n: int, stop: int | None = None, step: int = 1):
         """``denominator`` times F_chi(n) = sum_{j=0}^{n} delta_chi(j)

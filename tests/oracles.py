@@ -4,11 +4,16 @@ against.  Nothing in ``farkas`` imports this module.
 ``kronecker_product`` is the whole-series product by Kronecker
 substitution in libmpdec, O(m log m) through its number-theoretic
 transform and exact by construction: it shares no code and no arithmetic
-with ``qseries._full_product``'s float64 FFT.
+with ``qseries._full_product``'s float64 FFT.  ``bernoulli_B2_psi_cohen``
+is Cohen's divisor-sum formula for B_{2,psi}, and ``discrete_log_walk``
+the discrete-log table by one multiplication per power of g.
 """
 import decimal
+from fractions import Fraction
 
 import numpy as np
+
+from farkas.foundations import sigma1
 
 # integer arithmetic in libmpdec: a product that would round raises instead
 EXACT = decimal.Context(
@@ -64,3 +69,32 @@ def kronecker_product(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
     A, B = np.cumsum(a, dtype=np.int64), np.cumsum(b, dtype=np.int64)
     xy -= K * (A + B) + K * K * np.arange(1, m + 1, dtype=np.int64)
     return xy
+
+
+def bernoulli_B2_psi_cohen(p: int) -> Fraction:
+    """B_{2,psi} for psi = (p/.), p = 1 (mod 4), by Cohen's formula:
+    (2/5) times the sum over all integers s (positive and negative counted
+    separately) with (p - s**2)/4 a positive integer of
+    sigma((p - s**2)/4); for p = 1 (mod 4) these are the odd s with
+    s**2 <= p - 4."""
+    total = 0
+    s = 1
+    while s * s <= p - 4:
+        total += 2 * sigma1((p - s * s) // 4)
+        s += 2
+    return Fraction(2 * total, 5)
+
+
+def discrete_log_walk(p: int, g: int) -> list[int]:
+    """t with g**t[a] = a (mod p) for a in 1..p-1 and t[0] = -1, by walking
+    the powers of g; raises ValueError when g does not generate (Z/pZ)*."""
+    table = [-1] * p
+    x = 1
+    for k in range(p - 1):
+        if table[x] >= 0:
+            raise ValueError(f"{g} is not a primitive root mod {p}")
+        table[x] = k
+        x = x * g % p
+    if x != 1:
+        raise ValueError(f"{g} is not a primitive root mod {p}")
+    return table

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from farkas.foundations import (
     primitive_root,
     sigma1,
 )
+from oracles import discrete_log_walk
 
 
 def divisors_oracle(n):
@@ -179,6 +181,47 @@ class TestDiscreteLog:
     def test_rejects_non_generator(self):
         with pytest.raises(ValueError):
             discrete_log_table(13, 3)  # 3 has order 3 mod 13
+
+    def test_matches_the_walk_for_every_prime_below_5000(self):
+        # the least primitive root of every odd prime below 5000, and every
+        # g mod p at p <= 101: the table equals the walk over the powers of
+        # g, and a g that generates nothing less raises like the walk
+        build = discrete_log_table.__wrapped__  # no cache between calls
+        for p in range(3, 5000, 2):
+            if is_prime(p):
+                g = primitive_root(p)
+                assert build(p, g).tolist() == discrete_log_walk(p, g), p
+        for p in range(3, 102, 2):
+            if not is_prime(p):
+                continue
+            for g in range(1, p):
+                try:
+                    want = discrete_log_walk(p, g)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        build(p, g)
+                else:
+                    assert build(p, g).tolist() == want, (p, g)
+
+    def test_takes_order_sqrt_p_interpreter_steps(self):
+        # baby steps and giant steps: O(sqrt(p)) traced lines, where the
+        # walk over every power of g took about 4 p
+        p = 19997
+        g = primitive_root(p)
+        lines = 0
+
+        def tracer(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            table = discrete_log_table.__wrapped__(p, g)
+        finally:
+            sys.settrace(None)
+        assert table.tolist() == discrete_log_walk(p, g)
+        assert 0 < lines < 20 * math.isqrt(p), lines
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 101, 127])
     def test_accepts_exactly_the_generators(self, p):

@@ -19,6 +19,7 @@ from farkas.identities import (
     SWEEP_BLOCK,
     Branch,
     ConfiguredIdentity,
+    DichotomyRow,
     _tree_sum,
     asymptotic_report,
     check_configured_identity,
@@ -142,12 +143,12 @@ def _watched_rhs(hook):
     """Patch the sweeps' rhs builder to show each block to hook(D, lo, hi, re)."""
     build = identities._linear_rhs
 
-    def patched(D, *args):
-        block = build(D, *args)
+    def patched(spec, *args):
+        block = build(spec, *args)
 
         def rhs(lo, hi):
             re, im = block(lo, hi)
-            hook(D, lo, hi, re)
+            hook(spec.D, lo, hi, re)
             return re, im
 
         return rhs
@@ -811,7 +812,10 @@ class TestObstructions:
 
     def test_scan_computes_each_delta0_numerator_once(self):
         # 2p delta_chi(0) is read four times per prime (the constants, the
-        # Convolver, both obstructions); the O(p) dot runs once per character
+        # scan's first block, both obstructions), and the O(p) dot runs once
+        # per character while the scan is at its prime; the two primes that
+        # pass the first block (5 and 13) read it once more, in the
+        # Convolvers of their sweeps, after the scan has moved past them
         primes = quartic_primes(1000)
         assert len(primes) == 43
         for cached in (convolver, constants_for, _delta0_numerator):
@@ -819,21 +823,23 @@ class TestObstructions:
         with mock.patch.object(identities, "delta_constant", wraps=delta_constant) as d0:
             dichotomy_scan(1000, 50)
         info = _delta0_numerator.cache_info()  # misses: calls of the dot itself
-        assert (info.misses, info.hits + info.misses) == (43, 172)
+        assert (info.misses, info.hits + info.misses) == (43 + 2, 172 + 2)
         assert d0.call_count == 43  # the public delta_constant still once per prime
 
     def test_scan_tests_each_number_for_primality_once(self):
         # the 125 candidates p = 5 (mod 8) below 1000 are tested once each;
         # then the tables of each of the 43 primes ask about p five times
         # (the character pair, its primitive root and character, B_2,psi,
-        # the Kronecker table), and only the first asks runs a test
+        # the Kronecker table), and only the first asks runs a test; the two
+        # primes that pass the first block (5 and 13) rebuild their Kronecker
+        # tables for their sweeps, after the scan has moved past them
         for cached in (foundations.is_prime, *SCAN_CACHES):
             cached.cache_clear()
         with mock.patch.object(identities, "is_prime", wraps=foundations.is_prime) as spy:
             rows = dichotomy_scan(1000, 50)
         candidates = range(5, 1001, 8)
         assert spy.call_count == len(candidates) and len(rows) == 43
-        assert foundations.is_prime.cache_info().misses == len(candidates) + len(rows)
+        assert foundations.is_prime.cache_info().misses == len(candidates) + len(rows) + 2
 
     def test_integer_verdicts_and_constants_match_the_rational_formulas(self):
         outcomes = set()
@@ -859,6 +865,69 @@ class TestObstructions:
         for row in dichotomy_scan(200, nmax=10):
             assert row.id1_pass == row.obstruction1_consistent
             assert row.id2_pass == row.obstruction2_accepted
+
+
+class TestBatchedScan:
+    """The scan checks every prime's first sweep block in one batched pass,
+    and only the primes that pass it run a sweep."""
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 50])
+    def test_rows_equal_the_per_prime_sweeps(self, nmax):
+        want = []
+        for p in quartic_primes(5000):
+            chi = canonical_quartic(p)
+            r1, r2 = verify_id1(p, nmax, chi), verify_id2(p, chi, nmax)
+            want.append(DichotomyRow(
+                p, r1.passed, r1.failure_n, r2.passed, r2.failure_n,
+                obstruction_id1(p).consistent, obstruction_id2(p, chi).accepted,
+            ))
+        assert dichotomy_scan(5000, nmax) == want
+
+    def test_only_the_primes_past_the_first_block_run_a_sweep(self):
+        # p = 5 and 13, both identities: 4 sweeps, where every prime ran
+        # both (86 at pmax = 1000)
+        run = mock.patch.object(
+            identities, "_run_verification", wraps=identities._run_verification
+        )
+        with run as spy:
+            rows = dichotomy_scan(1000, 50)
+        assert spy.call_count == 4
+        assert sorted(call.args[:3] for call in spy.call_args_list) == [
+            (p, canonical_quartic(p).label(), kind) for p in (5, 13) for kind in ("conv", "square")
+        ]
+        assert [r.p for r in rows if r.id1_pass and r.id2_pass] == [5, 13]
+
+    @pytest.mark.parametrize("target", [13, 29])
+    def test_a_perturbed_alpha_changes_its_row_alone(self, target):
+        # p = 13 passes: its scaled alpha + 1 moves rhs(1) by sigma'(1) = 1,
+        # so F fails at n = 1.  p = 29 fails at n = 1: with its scaled alpha
+        # set to D F(1), n = 1 holds and the first mismatch moves on.  No
+        # other row of the batch changes.
+        base = dichotomy_scan(1000, 50)
+        real = identities._identity
+
+        def perturbed(p, chi, kind):
+            c, k, rhs = real(p, chi, kind)
+            if p == target and kind == "conv":
+                ((re, im),) = rhs.scaled
+                if target == 13:
+                    re += 1
+                else:
+                    F1 = convolver(chi).numerators(1, 2, c, scale=k)  # D F(1)
+                    re, im = int(F1[0][0]), int(F1[1][0])
+                rhs = rhs._replace(scaled=((re, im),))
+            return c, k, rhs
+
+        with mock.patch.object(identities, "_identity", perturbed):
+            rows = dichotomy_scan(1000, 50)
+        changed = [(a, b) for a, b in zip(base, rows) if a != b]
+        assert [b.p for _, b in changed] == [target]
+        (old, new), = changed
+        assert (old.id2_pass, old.id2_failure_n) == (new.id2_pass, new.id2_failure_n)
+        if target == 13:
+            assert old.id1_pass and (new.id1_pass, new.id1_failure_n) == (False, 1)
+        else:
+            assert old.id1_failure_n == 1 and new.id1_failure_n != 1
 
 
 SCAN_CACHES = (

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from farkas import qseries
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
-from farkas.foundations import GaussianRational, divisors, gaussian, kronecker, omega
+from farkas.foundations import GaussianRational, divisors, gaussian, is_prime, kronecker, omega
 from farkas.identities import verify_id1
 from farkas.qseries import (
     DIRECT_PRODUCT,
@@ -752,6 +752,20 @@ class TestBernoulli:
         assert bernoulli_B2_psi(29) == Fraction(2, 5) * (2 * (8 + 6 + 1))
         assert bernoulli_B2_psi(29) == 12
 
+    def test_matches_cohens_formula_at_every_prime_below_20000(self):
+        # the O(p) dot over the Kronecker table against Cohen's divisor sums
+        primes = [p for p in range(5, 20000, 4) if is_prime(p)]
+        assert len(primes) == 1125
+        for p in primes:
+            assert bernoulli_B2_psi.__wrapped__(p) == oracles.bernoulli_B2_psi_cohen(p), p
+
+    def test_a_prime_past_one_int64_chunk_sums_in_chunks(self):
+        # at p = 2097169 > 2**21 the sum of a**2 outgrows int64, so the dot
+        # runs in two chunks of at most 2**63 // p**2 terms
+        p = 2097169
+        assert 2**63 // p**2 < p <= 2 * (2**63 // p**2)
+        assert bernoulli_B2_psi.__wrapped__(p) == oracles.bernoulli_B2_psi_cohen(p)
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             bernoulli_B2_psi(7)
@@ -823,6 +837,94 @@ def _exact_terms(draw):
     term = st.tuples(st.tuples(_near_cap, _near_cap), st.tuples(values, st.none() | values))
     at_zero = st.none() | st.tuples(_near_cap, _near_cap)
     return draw(st.lists(term, min_size=1, max_size=3)), draw(at_zero)
+
+
+@st.composite
+def _row_scalars(draw, rows):
+    """A Python-int scalar, or a list of one per row, near CAP."""
+    return draw(_near_cap | st.lists(_near_cap, min_size=rows, max_size=rows))
+
+
+def _row(s, i):
+    """Row i's value of a scalar from ``_row_scalars``."""
+    return s[i] if isinstance(s, list) else s
+
+
+class TestLeadingRowAxis:
+    """``_sieve``, ``_full_product`` and ``exact_sum`` on a (rows x m) batch
+    give, row by row, the 1-D calls on each row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from([5, 13, 29, 37, 53, 61, 101]), min_size=1, max_size=4),
+        st.integers(1, 5), st.integers(0, 80), st.sampled_from(FLAGS),
+        st.integers(0, 81), st.sampled_from([3, SIEVE_BLOCK]),
+    )
+    def test_sieve_rows_of_different_primes(self, primes, period, N, flags, lo, block):
+        # each row the first entries of another prime's Kronecker table;
+        # a small SIEVE_BLOCK takes the large d in several blocks
+        table = np.array([kronecker_table(p)[:period] for p in primes])
+        times_d, quotient = flags
+        lo = min(lo, N + 1)
+        with mock.patch.object(qseries, "SIEVE_BLOCK", block):
+            prefix = _sieve(table, lo - 1, times_d, quotient) if lo else None
+            batch = _sieve(table, N, times_d, quotient, prefix=prefix)
+            for i, row in enumerate(table):
+                one = _sieve(row, N, times_d, quotient, prefix=None if prefix is None else prefix[i])
+                assert batch[i].tolist() == one.tolist(), (primes, i)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 300), st.integers(1, 2),
+        st.sampled_from([np.int16, np.int64]), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_full_product_rows(self, rows, m, r, dtype, square, seed):
+        # m past DIRECT_PRODUCT takes the FFT along the last axis; its bound
+        # is the batch's largest entries
+        rng = np.random.default_rng(seed)
+        K = 2 * MAX_DIVISOR_COUNT
+
+        def factor():
+            return rng.integers(-K, K + 1, size=(rows, m)).astype(dtype)
+
+        pairs = []
+        for _ in range(r):
+            x = factor()
+            pairs.append((x, x if square else factor()))
+        batch = _full_product(*pairs)
+        assert batch.shape == (rows, m) and batch.dtype == np.int64
+        for i in range(rows):
+            one = _full_product(*((x[i], x[i] if y is x else y[i]) for x, y in pairs))
+            assert batch[i].tolist() == one.tolist(), i
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exact_sum_rows_with_per_row_scalars(self, data):
+        # scalars a Python int or a list of per-row ints; the batch's bound
+        # is its largest row's, so a row may be object in the batch and
+        # int64 alone, with the same values
+        rows, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        values = st.lists(_near_cap, min_size=rows * n, max_size=rows * n).map(
+            lambda v: np.array(v, dtype=np.int64).reshape(rows, n)
+        )
+        scalars = st.tuples(_row_scalars(rows), _row_scalars(rows))
+        term = st.tuples(scalars, st.tuples(values, st.none() | values))
+        terms = data.draw(st.lists(term, min_size=1, max_size=3))
+        at_zero = data.draw(st.none() | scalars)
+        with mock.patch.object(qseries, "INT64_CAP", CAP):
+            re, im = exact_sum(terms, at_zero)
+            for i in range(rows):
+                row_terms = [
+                    ((_row(c, i), _row(d, i)), (x[i], None if y is None else y[i]))
+                    for (c, d), (x, y) in terms
+                ]
+                zero = None if at_zero is None else tuple(_row(z, i) for z in at_zero)
+                want = _python_sum(row_terms, zero)
+                assert (re[i].tolist(), im[i].tolist()) == want
+                one = exact_sum(row_terms, zero)
+                assert (one[0].tolist(), one[1].tolist()) == want
+                assert re.dtype == object or one[0].dtype == np.int64
+        assert re.shape == im.shape == (rows, n) and re.dtype == im.dtype
 
 
 class TestExactSum:
