@@ -2,9 +2,11 @@
 ratio tables, and the integer-polynomial reports.
 
 Exit codes: 0 pass, 1 identity failure (report still written), 2 usage
-error, 3 I/O error, 4 internal error (a bug: the traceback goes to
-stderr).  Exact values serialize as reduced fraction strings; decimal
-columns are advisory renderings only.
+error, 3 I/O error, 4 internal error (a bug: an FFT product that fails
+its exactness check prints one ``internal error:`` line, any other
+exception that line and the traceback, on stderr).  Exact values
+serialize as reduced fraction strings; decimal columns are advisory
+renderings only.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .identities import (
     verify_id1,
     verify_id2,
 )
-from .qseries import MAX_FAST_N
+from .qseries import MAX_FAST_N, MAX_PRIME
 
 EXIT_PASS = 0
 EXIT_FAILURE = 1
@@ -433,6 +435,16 @@ def _check_nmax(nmax: int) -> None:
         raise UsageError(f"--nmax must be in 0..{MAX_FAST_N}, got {nmax}")
 
 
+def _check_prime_bound(flag: str, p: int) -> None:
+    """A p (or a scan's pmax) past MAX_PRIME is refused before any table
+    is built."""
+    if p > MAX_PRIME:
+        raise UsageError(
+            f"{flag} must be at most MAX_PRIME = {MAX_PRIME}, the largest p whose"
+            f" tables (32 bytes per residue) are built, got {p}"
+        )
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     _check_nmax(args.nmax)
@@ -484,6 +496,8 @@ def cmd_search(args) -> int:
         raise UsageError(
             f"--pmax must be at least 5, the smallest prime = 5 (mod 8), got {args.pmax}"
         )
+    if args.pmax is not None:
+        _check_prime_bound("--pmax", args.pmax)
     if args.safe_primes:
         if args.pmax is None:
             raise UsageError("--safe-primes requires --pmax")
@@ -542,6 +556,7 @@ def cmd_asympt(args) -> int:
 def cmd_polynomial(args) -> int:
     t0 = time.perf_counter()
     p = args.p
+    _check_prime_bound("--p", p)
     if not is_safe_prime_shape(p):
         raise UsageError(f"p must be 2q+1 with q = 1 (mod 4) prime, got {p}")
     report = even_character_obstruction(p)
@@ -570,6 +585,7 @@ def cmd_polynomial(args) -> int:
 def _quartic_prime(p: int) -> int:
     """p, if it is a prime = 5 (mod 8), the primes with quartic characters
     that the verify and asympt commands take; else a usage error."""
+    _check_prime_bound("--p", p)
     if p < 5 or p % 8 != 5 or not is_prime(p):
         raise UsageError(f"p must be a prime = 5 (mod 8), got {p}")
     return p

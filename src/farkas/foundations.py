@@ -163,8 +163,10 @@ def discrete_log_table(p: int, g: int) -> np.ndarray:
     so scattering 0..p-2 at its first p - 1 values writes each logarithm.
     O(sqrt(p)) interpreter steps and O(p) numpy work.  g generates
     (Z/pZ)* exactly when those p - 1 powers are all of 1..p-1: a residue
-    left unwritten means it does not, and raises ``ValueError``."""
-    assert p * p < 2**63, p
+    left unwritten means it does not, and raises ``ValueError``, as does
+    a p with p**2 >= 2**63."""
+    if p * p >= 2**63:
+        raise ValueError(f"discrete-log table mod {p}: p**2 does not fit int64")
     B = math.isqrt(p - 2) + 1  # ceil(sqrt(p - 1))
     steps = [1]
     for _ in range(B - 1):

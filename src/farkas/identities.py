@@ -21,6 +21,7 @@ from .foundations import PRIMES_CACHED, GaussianRational, is_prime
 from .qseries import (
     DIVISOR_SUMS,
     MAX_FAST_N,
+    MAX_PRIME,
     _delta0_numerator,
     _delta_pair,
     _kronecker_values,
@@ -428,6 +429,11 @@ class ConfiguredIdentity:
     rhs_coefficients: tuple[GaussianRational, ...]
 
     def __post_init__(self):
+        if self.p > MAX_PRIME:
+            raise ValueError(
+                f"modulus {self.p} is past MAX_PRIME = {MAX_PRIME}, the largest p whose"
+                " tables are built"
+            )
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         if not self.terms:

@@ -33,24 +33,21 @@ halves of that one array (see ``delta_int_arrays``).
 
 Every F and H value the Convolver gives, a sweep block or the dilated
 lookups F(95 n) of a configured identity, is read from a tail built by
-one exact product, ``_full_product``, which reads the int16 delta_chi
-arrays as they are: a step-1 read takes the whole-series product, and a
-read of n = r + k C takes the C products of the residue rows
-delta(u C + t) that sum to it (see ``_class_product``).  Every compared
-block, F and H as much as the sweeps' rhs, is one sum
+one ``_full_product`` call on the int16 delta_chi arrays as they are: a
+read of n = r + k C sums the weighted, shifted products of the residue
+rows delta(u C + t), and a step-1 read is C = 1 (``_class_product``).
+Every compared block, F and H as much as the sweeps' rhs, is one sum
 sum_k (c_k + i d_k)(x_k + i y_k) built by ``exact_sum``, the one place
 that chooses int64 (under a bound below INT64_CAP = 2**62, from the
 block's largest values and every scalar) or object arrays of Python
 ints.  A product of more than DIRECT_PRODUCT = 128 coefficients is one
-float64 FFT (``_fft_product``): ``rfft`` of each factor at the least
-power of two n >= 2 m - 1, the spectra multiplied and summed over the
-fused pairs, one ``irfft`` and ``rint``, O(m log m).  It is exact under
-Percival's error bound, derived there for numpy's pocketfft and asserted
-at most 1/8 on every call (and at import for every product of delta_chi
-arrays up to MAX_FAST_N), and every value must also lie within 1/8 of an
-integer, or it raises.  A shorter product, where the FFT's call overhead
-dominates, is ``np.convolve`` in int64 (see ``_full_product``).  float64
-is the package's one float type, and only ``_fft_product`` names it.
+float64 FFT (``_fft_product``), O(m log m), with one ``irfft`` and
+``rint`` per shift, exact under Percival's error bound, derived there for
+numpy's pocketfft and asserted at most 1/8 on every call (and at import
+for the largest class sum of any read up to MAX_FAST_N); every value
+must also lie within 1/8 of an integer, or it raises.  A shorter product
+is ``np.convolve`` in int64.  float64 is the package's one float type,
+and only ``_fft_product`` names it.
 """
 from __future__ import annotations
 
@@ -68,6 +65,11 @@ from .foundations import (
 )
 
 MAX_FAST_N = 1_000_000  # largest N of the sieves and kernel
+# largest p whose tables are built: the int64 discrete logs, Re and Im chi
+# and (p/.) hold 32 bytes per residue, 256 MiB at p = 2**23, with at most
+# as much again in scratch while they are built; p**2 fits int64
+MAX_PRIME = 2**23
+assert MAX_PRIME**2 < 2**63
 MAX_DIVISOR_COUNT = 240  # max d(n) for n <= MAX_FAST_N, at n = 720720 (tested)
 INT16_MAX = 2**15 - 1
 # |Re|, |Im| of delta_chi(n) are at most d(n) <= MAX_DIVISOR_COUNT, and H's
@@ -480,7 +482,7 @@ def bernoulli_B2_psi(p: int) -> Fraction:
 
 def _fft_error(r: int, m: int, Kx: int, Ky: int) -> float:
     """Percival's bound on the error of every value of ``_fft_product``
-    for r pairs of length m whose factors are at most Kx and Ky in
+    for pairs of weight sum r and length m, factors at most Kx and Ky in
     magnitude, at the transform length n = 2**k >= 2 m - 1 (see there)."""
     k = (2 * m - 2).bit_length()
     growth = (
@@ -491,21 +493,26 @@ def _fft_error(r: int, m: int, Kx: int, Ky: int) -> float:
     return r * m * Kx * Ky * math.expm1(growth)
 
 
-# the largest products of the package, H's (a + b)*(a - b) pairs of
-# |entries| <= 2 MAX_DIVISOR_COUNT fused two at a time, are FFT products
-assert _fft_error(2, MAX_FAST_N + 1, 2 * MAX_DIVISOR_COUNT, 2 * MAX_DIVISOR_COUNT) <= FFT_ERROR
+# the largest class sum of any tail: H's factors (|entries| <= 480) over the
+# most classes ``_split`` takes, D (D - 1) <= MAX_FAST_N, at weight sum D.
+# F's and every smaller D give less (tested): no tail is inverted in groups
+MAX_CLASSES = (1 + math.isqrt(4 * MAX_FAST_N + 1)) // 2
+assert _fft_error(
+    MAX_CLASSES, MAX_FAST_N // MAX_CLASSES + 1, 2 * MAX_DIVISOR_COUNT, 2 * MAX_DIVISOR_COUNT
+) <= FFT_ERROR
 
 
 def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
-    """int64 c[n] = sum over the pairs (x, y) of sum_{j=0}^{n} x[j] y[n-j]
-    for n < m, for factors at most Kx and Ky in magnitude: one float64 FFT
-    product, rounded, under an error bound asserted at most FFT_ERROR = 1/8.
+    """``_full_product``'s c for factors at most Kx and Ky in magnitude:
+    one float64 FFT product per shift, rounded, under an error bound
+    asserted at most FFT_ERROR = 1/8.
 
     Take n = 2**k, the least power of two >= 2 m - 1, so that the cyclic
     convolution of the zero-padded factors is the linear one.  Each factor
-    is transformed once by ``rfft`` (a square, y is x, once in all), the
-    spectra are multiplied and summed over the pairs in place, and one
-    ``irfft`` returns c~, which ``rint`` takes to the nearest integers.
+    is transformed once by ``rfft`` (a square, y is x, once in all), each
+    pair's spectrum times its weight w (2 or 1: exact) is summed in place
+    into the spectrum of its shift s, and one ``irfft`` per shift returns c~_s,
+    which ``rint`` takes to the nearest integers, added to c at n >= s.
 
     Exact.  Percival's theorem (Math. Comp. 72 (2003); Brent and
     Zimmermann, Modern Computer Arithmetic, section 3.3): for a product by
@@ -527,95 +534,102 @@ def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
     and products written out in real operations (a rounded complex
     addition errs by at most u times its result, and a product by the
     standard formula by sqrt(5) u), and the values the symmetry supplies
-    are skipped, not rounded.  The scaling by 1/n is exact.  Summing r
-    spectra rounds each summand up to r - 1 more times, (1 + u)**(r-1) on
-    the sum of the r bounds, and |x| |y| <= m Kx Ky for each pair.  So
-    every |c~[n] - c[n]| is at most ``_fft_error(r, m, Kx, Ky)``, and beta
-    = TWIDDLE_ERROR = 4 u bounds pocketfft's twiddles (tested against long
+    are skipped, not rounded.  The scaling by 1/n is exact.  Doubling a
+    spectrum is exact and doubles its error: a pair of weight w counts as
+    w pairs.  So with r the weight sum, summing the spectra of a shift
+    rounds each summand up to r - 1 more times, (1 + u)**(r-1) on the sum
+    of the bounds w |x| |y| <= w m Kx Ky, at most r m Kx Ky, and every
+    |c~_s[n] - c_s[n]| is at most ``_fft_error(r, m, Kx, Ky)``, with beta
+    = TWIDDLE_ERROR = 4 u for pocketfft's twiddles (tested against long
     double).  For F's tail at m = 10**6 + 1, r = 2 and 240, that is
-    5.9e-3; for a pair of 480 at that length, 1.2e-2.  The caller routes
-    no product here whose bound exceeds 1/8, asserted again below, four
-    times below the 1/2 under which the nearest integer is c[n].  Every
-    |c[n]| is at most r m Kx Ky, asserted below 2**63 by the caller (and
-    below 2**53 by the bound), so c~ rounds and casts to the exact int64.
+    5.9e-3; for a pair of 480 at that length, 1.2e-2; for the largest
+    class sum of any read (MAX_CLASSES), 3.2e-2.  No product whose bound
+    exceeds 1/8 is routed here (asserted again below), four times below
+    the 1/2 under which the nearest integer is c_s[n].  Every |c[n]| is
+    at most r m Kx Ky, asserted below 2**63 by the caller (and below 2**53
+    by the bound), so each c~_s rounds and casts to the exact int64.
 
-    Checked too: every c~[n] must lie within FFT_ERROR of an integer, and
-    one that does not raises ``FloatingPointError`` (the CLI exits 4); no
-    value is ever taken from elsewhere.  Scratch at 10**6: two spectra of
-    n / 2 + 1 complex values, 33.6 MB, then the n-value inverse and the
-    rounded m values.  Factors with a leading row axis are transformed
-    along the last axis, one product per row.
+    Checked too: every c~_s[n] must lie within FFT_ERROR of an integer,
+    or ``FloatingPointError`` is raised (the CLI exits 4); no value is
+    ever taken from elsewhere.  Scratch at 10**6 (step 1, one shift): two
+    spectra of n / 2 + 1 complex values, 33.6 MB, then the n-value
+    inverse and the rounded m values.  Factors with a leading row axis are
+    transformed along the last axis, one product per row.
     """
-    m, r = pairs[0][0].shape[-1], len(pairs)
+    m, r = pairs[0][0].shape[-1], sum(w for _, _, w, _ in pairs)
     assert _fft_error(r, m, Kx, Ky) <= FFT_ERROR, (r, m, Kx, Ky)
     n = 1 << (2 * m - 2).bit_length()
-    spectrum = None
-    for x, y in pairs:
+    spectra = {}  # shift -> the summed spectrum of its pairs
+    for x, y, w, s in pairs:
         X = rfft(x, n)
         X *= X if y is x else rfft(y, n)
-        if spectrum is None:
-            spectrum = X
-        else:
+        if w != 1:
+            X *= w
+        spectrum = spectra.setdefault(s, X)
+        if spectrum is not X:
             spectrum += X
-        del X
-    c = irfft(spectrum, n)[..., :m]
-    del spectrum
-    rounded = np.rint(c)
-    c -= rounded
-    distance = max(c.max(), -c.min())
-    if not distance <= FFT_ERROR:  # NaN fails too
-        raise FloatingPointError(
-            f"FFT product of length {m}: a value lies {distance:.3g} from the "
-            f"nearest integer, past the {FFT_ERROR} its error bound allows"
-        )
-    del c
-    return rounded.astype(np.int64)
+        del X, spectrum
+    out = np.zeros(pairs[0][0].shape, dtype=np.int64)
+    for s in sorted(spectra):
+        c = irfft(spectra.pop(s), n)[..., : m - s]
+        rounded = np.rint(c)
+        c -= rounded
+        distance = max(c.max(), -c.min())
+        if not distance <= FFT_ERROR:  # NaN fails too
+            raise FloatingPointError(
+                f"FFT product of length {m}: a value lies {distance:.3g} from the "
+                f"nearest integer, past the {FFT_ERROR} its error bound allows"
+            )
+        del c
+        out[..., s:] += rounded.astype(np.int64)
+    return out
 
 
-def _full_product(*pairs) -> np.ndarray:
-    """int64 c[n] = sum over the pairs (x, y) of sum_{j=0}^{n} x[j] y[n-j]
-    for n < m, from int16 or int64 x, y all of one length m >= 1; exact.
-    The Convolver passes its int16 delta arrays, or strided views of their
-    residue rows, with no wider copy: a*a + b*b for F's step-1 tail is one
-    call, (a+b)*(a-b) and a*b for H's two more (see ``_class_product``).
+def _full_product(*pairs, bounds: tuple[int, int] | None = None) -> np.ndarray:
+    """int64 c[n] = sum over the pairs (x, y, w, s) of w sum_{j=0}^{n-s}
+    x[j] y[n-s-j] for n < m, from int16 or int64 x, y all of one length
+    m >= 1, weights w in {1, 2} and shifts s in {0, 1}; (x, y) is
+    (x, y, 1, 0).  Exact.  The Convolver passes its int16 delta arrays, or
+    strided views of their residue rows, with no wider copy: one call per
+    tail (see ``_class_product``).  A leading row axis: x, y of one shape
+    (rows x m) give rows x m, each row the product of its rows of the
+    factors, under one bound and on one path.
 
-    A leading row axis: x, y of one shape (rows x m) give rows x m, each
-    row the product of its rows of the factors, along the last axis; Kx
-    and Ky below are then taken over the whole batch, so one bound and
-    one path serve every row.
-
-    With Kx, Ky the largest |x|, |y| over the r pairs, every value and
-    partial sum is at most r m Kx Ky, asserted below 2**63.  A product of
-    more than DIRECT_PRODUCT = 128 coefficients is one float64 FFT
+    With Kx, Ky the largest |x|, |y| (``bounds``, if the caller has them)
+    and r the weight sum, every value and partial sum is at most
+    r m Kx Ky, asserted below 2**63.  A product of more than
+    DIRECT_PRODUCT = 128 coefficients is one float64 FFT
     (``_fft_product``), O(m log m), whenever its error bound
-    ``_fft_error`` is at most FFT_ERROR = 1/8: every product of delta_chi
-    arrays up to MAX_FAST_N is (asserted at import).  A shorter one, or
-    one of entries too large for that bound, is ``np.convolve`` in int64
-    (for a batch, m shifted row products), exact by the bound above.  The
-    128 is measured on F's tail a*a + b*b of p = 13 (2-core Xeon VM,
-    Python 3.11, numpy 2.4; min of 9 runs): np.convolve took 11.0 us
-    against the FFT's 25.9 us at m = 64, 28.0 against 29.3 us at m = 128,
-    and 55.2 against 32.9 us at m = 192.
+    ``_fft_error`` is at most FFT_ERROR = 1/8, as for every tail up to
+    MAX_FAST_N (asserted at import).  A shorter one, or one of entries
+    too large for that bound, is ``np.convolve`` in int64 (for a batch,
+    m shifted row products), exact by the bound above.  The 128 is
+    measured on F's tail a*a + b*b of p = 13 (2-core Xeon VM, Python
+    3.11, numpy 2.4; min of 9 runs): np.convolve took 11.0 us against the
+    FFT's 25.9 us at m = 64, 28.0 against 29.3 us at m = 128, and 55.2
+    against 32.9 us at m = 192.
     """
-    shapes = [v.shape for pair in pairs for v in pair]
+    pairs = [(*pair, 1, 0)[:4] for pair in pairs]
+    shapes = [v.shape for pair in pairs for v in pair[:2]]
     m = shapes[0][-1]
     if m == 0 or set(shapes) != {shapes[0]}:
         raise ValueError(f"expected non-empty series of one shape, got {shapes}")
-    dtypes = {v.dtype for pair in pairs for v in pair}
+    dtypes = {v.dtype for pair in pairs for v in pair[:2]}
     assert dtypes <= {np.dtype(np.int16), np.dtype(np.int64)}, dtypes
-    Kx, Ky = (max(max_abs(pair[i]) for pair in pairs) for i in (0, 1))
-    r = len(pairs)
+    assert all(w in (1, 2) and s in (0, 1) for _, _, w, s in pairs)
+    Kx, Ky = bounds or (max(max_abs(pair[i]) for pair in pairs) for i in (0, 1))
+    r = sum(w for _, _, w, _ in pairs)
     assert r * m * Kx * Ky < 2**63, (r, m, Kx, Ky)
     if m > DIRECT_PRODUCT and _fft_error(r, m, Kx, Ky) <= FFT_ERROR:
         return _fft_product(pairs, Kx, Ky)
     c = np.zeros(shapes[0], dtype=np.int64)
-    for x, y in pairs:
-        x, y = x.astype(np.int64), y.astype(np.int64)
-        if c.ndim == 1:
-            c += np.convolve(x, y)[:m]
-            continue
-        for j in range(m):  # x[j] times y shifted by j, in every row at once
-            c[..., j:] += x[..., j, None] * y[..., : m - j]
+    for x, y, w, s in pairs:
+        x, y = w * x[..., : m - s].astype(np.int64), y[..., : m - s].astype(np.int64)
+        if c.ndim > 1:
+            for j in range(m - s):  # x[j] times y shifted by s + j, in every row at once
+                c[..., s + j :] += x[..., j, None] * y[..., : m - s - j]
+        elif m > s:
+            c[s:] += np.convolve(x, y)[: m - s]
     return c
 
 
@@ -679,69 +693,51 @@ def exact_sum(terms, at_zero: tuple[int, int] | None = None):
     return re, im
 
 
-def _residue_rows(v: np.ndarray, m: int, C: int) -> np.ndarray:
-    """rows[t, u] = v[u C + t] for t < C, u < m: the residue classes of the
-    indices of v mod C, as strided views of v (of a copy padded with zeros
-    when v ends before m C)."""
-    if len(v) < m * C:
-        v = np.concatenate((v, np.zeros(m * C - len(v), dtype=v.dtype)))
-    return v[: m * C].reshape(m, C).T
+def _residue_rows(v: np.ndarray, m: int, C: int) -> list[np.ndarray]:
+    """rows[t][..., u] = v[..., u C + t] for t < C, u < m: the residue
+    classes of the indices of v mod C, along its last axis, as strided
+    views of v (of a copy padded with zeros when v ends before m C)."""
+    short = m * C - v.shape[-1]
+    if short > 0:
+        v = np.concatenate((v, np.zeros((*v.shape[:-1], short), dtype=v.dtype)), axis=-1)
+    return [v[..., t : m * C : C] for t in range(C)]
 
 
 def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
     """int64 T[k] = sum over (x, y) in ``factors`` of sum_{0<=j<=n} x[j]
     y[n-j] at n = r + k C, for k < m and 0 <= r < C, from arrays x, y that
-    reach at least r + (m - 1) C + 1 (the entries past it are never read).
+    reach at least r + (m - 1) C + 1 (the entries past it are never read),
+    in one ``_full_product`` call.
 
     Split j = u C + t with t < C, and write x_t, y_t for the residue rows
     x[u C + t], y[u C + t] (``_residue_rows``).  Then n - j = (k - u) C +
     r - t, so
         T[k] = sum_{t<=r} (x_t * y_{r-t})[k] + sum_{t>r} (x_t * y_{C+r-t})[k-1]:
-    C whole-series products of length m per factor, each a pair for
-    ``_full_product``, which takes them two at a time (F's a*a + b*b at
-    one t, or two values of t).  When every factor is a square x * x, as
-    F's are, the classes (t, s) and (s, t) of one sum give one product:
-    only t <= s is taken, t < s twice, about C / 2 products, as many
-    multiply-adds as summing each pair (j, n - j) once.  With C = 1 that is
-    the single product x * y of the step-1 tail, and a square passes one
-    row object twice, so that the FFT transforms it once (``_fft_product``)."""
-    if C == 1:  # the sweeps' tails: one call, none of the class bookkeeping
-        pairs = []
-        for x, y in factors:
-            row = x[..., :m]
-            pairs.append((row, row if y is x else y[..., :m]))
-        return _full_product(*pairs)
-    rows = []
+    C pairs (x_t, y_s, weight, shift) of length m per factor, shift 1 for
+    t > r.  For a square x * x, as F's factors are, the classes (t, s)
+    and (s, t) give one product: only t <= s is taken, t < s at weight 2,
+    as many multiply-adds as summing each pair (j, n - j) once.  Step 1 is
+    C = 1, the whole-series product (a square passes one row object twice,
+    which the FFT transforms once), with or without a leading row axis.
+    Kx, Ky take one ``max_abs`` per factor array, not one per row."""
+    pairs = []
     for x, y in factors:
-        X = list(_residue_rows(x, m, C))
-        rows.append((X, X if y is x else list(_residue_rows(y, m, C))))
-    squares = all(X is Y for X, Y in rows)
-    out = None
-    for shift, ts in ((0, range(r + 1)), (1, range(r + 1, C))):
-        # (t, s, weight): the classes of this sum that are computed
-        classes = [(t, (r - t) % C) for t in ts]
-        if squares:
-            classes = [(t, s, 1 + (t < s)) for t, s in classes if t <= s]
-        else:
-            classes = [(t, s, 1) for t, s in classes]
-        for weight in (1, 2):
-            pairs = [(X[t], Y[s]) for t, s, w in classes if w == weight for X, Y in rows]
-            for i in range(0, len(pairs), 2):
-                product = _full_product(*pairs[i : i + 2])
-                if weight > 1:
-                    product *= weight
-                if out is None:  # the unshifted sum comes first
-                    out = product
-                else:
-                    out[shift:] += product[: m - shift]
-    return out
+        X = _residue_rows(x, m, C)
+        Y = X if y is x else _residue_rows(y, m, C)
+        for t in range(C):
+            s = (r - t) % C
+            if y is not x or t <= s:  # a square takes (t, s) and (s, t) once
+                pairs.append((X[t], Y[s], 1 + (y is x and t < s), int(t > r)))
+    Kx = max(max_abs(x) for x, _ in factors)
+    Ky = Kx if all(y is x for x, y in factors) else max(max_abs(y) for _, y in factors)
+    return _full_product(*pairs, bounds=(Kx, Ky))
 
 
 def _tail(c: int, a: np.ndarray, b: np.ndarray, m: int, D: int = 1, r: int = 0):
     """(Re T, Im T) of F (c = -1; Im T None) or H (c = 1) at r + k D for
-    k < m, from the int16 parts a, b of delta_chi (a[0] = b[0] = 0), by
-    ``_class_product``; a, b may carry a leading row axis (one character
-    per row) at D = 1.  |a +- b| <= 480 stays int16."""
+    k < m from the int16 parts a, b of delta_chi (a[0] = b[0] = 0), one
+    ``_class_product`` per part; a, b may carry a leading row axis (one
+    character per row).  |a +- b| <= 480 stays int16."""
     if c < 0:
         factors = [(a, a)] if not b.any() else [(a, a), (b, b)]  # b*b = 0 for a real chi
         return _class_product(factors, m, D, r), None
@@ -805,17 +801,17 @@ class Convolver:
     n = lo, lo + step, ... below hi, from a cached tail T(r + k D), r =
     lo mod D, over k = 0..reach, for a divisor D of step (``_split``: 1
     for a sweep, step for the lookups F(k C) of a configured identity),
-    built by ``_class_product`` and so by ``_full_product``.  At D = 1 the
-    tail is one call of two fused pairs for F (one pair for a real chi,
-    whose b is zero) and two calls for H, each one float64 FFT product,
-    O(m log m), past DIRECT_PRODUCT coefficients and int64 np.convolve up
-    to it.  At D > 1 it is the same sum over the D residue classes mod D,
-    each product of length reach + 1: about D / 2 FFT products of
-    reach + 1 coefficients per factor pair for F's squares, D for H's.
-    ``F`` and ``H`` are thin calls into it.  Tails are cached by
-    (c, D, r); a sweep, a report or a configured identity ``release``s
-    them when it ends.  When the last k lies past a tail, it is rebuilt
-    to max(k, 4 k_lo - 1), at most the sieved capacity.  A sweep's block
+    built by ``_class_product`` in one ``_full_product`` call per tail
+    (F's one, H's Re and Im two) from the pairs of the D residue classes,
+    each of length reach + 1: past DIRECT_PRODUCT coefficients one float64
+    FFT product, O(m log m), with one inverse transform per shift (one at
+    D = 1, at most two at D > 1), and int64 np.convolve up to it.  ``F``
+    and ``H`` are thin calls into it.  Tails are cached by (c, D, r); a
+    sweep, a report or a configured identity ``release``s them when it
+    ends.  When the last k lies past a tail, it is rebuilt to
+    max(k, 4 k_lo - 1), at most the sieved capacity, and to one less if
+    that capacity cuts an FFT tail to 2**j + 1 coefficients the read does
+    not all need (2**j take half the transform length).  A sweep's block
     [lo, hi) starts at or before any n it can fail at, so a refutation at
     n builds tails that reach below 4 n; and since its blocks double (then
     grow by a fixed step), each rebuild reaches about four times as far as
@@ -834,8 +830,7 @@ class Convolver:
         self.denominator = (2 * chi.p) ** 2
         self._L = _delta0_numerator(chi)
         self._re = self._im = np.zeros(1, dtype=np.int16)
-        # (c, D, r) -> (Re T, Im T) at r + k D for k = 0..reach; Im T of F
-        # is zero: None
+        # (c, D, r) -> (Re T, Im T) at r + k D for k = 0..reach; F's Im T: None
         self._tails = {}
 
     @property
@@ -891,7 +886,10 @@ class Convolver:
         key = (c, D, r)
         reach = len(self._tails[key][0]) - 1 if key in self._tails else -1
         if reach < top:
-            m = min(max(top, 4 * k_lo - 1), (self.capacity - r) // D)
+            want = max(top, 4 * k_lo - 1)
+            m = min(want, (self.capacity - r) // D)
+            if top < m < want and m >= DIRECT_PRODUCT and m & (m - 1) == 0:
+                m -= 1  # 2**j + 1 coefficients take twice the FFT length of 2**j
             self._tails.pop(key, None)  # free the old tail before the product's scratch
             self._tails[key] = self._whole_tail(m, c, D, r)
         tail_re, tail_im = (

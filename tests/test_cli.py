@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from farkas import cli, qseries
+from farkas import characters, cli, qseries
 from farkas.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -283,6 +283,43 @@ class TestVerifyCommand:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "invalid choice: 'generator'" in err and "Traceback" not in err
+
+    # 3037000573 = 5 (mod 8) is prime with p**2 >= 2**63; 8388637 is the
+    # first prime = 5 (mod 8) past MAX_PRIME, and 8389163 = 2q + 1 (q = 1
+    # mod 4 prime) the first safe-prime shape
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "3037000573", "--kind", "conv", "--nmax", "3"],
+            ["verify", "--p", "8388637", "--kind", "square", "--nmax", "3"],
+            ["asympt", "--p", "3037000573", "--kind", "conv", "--nmax", "3"],
+            ["search", "--pmax", "100000000000"],
+            ["search", "--safe-primes", "--pmax", "100000000000"],
+            ["poly", "--p", "8389163"],
+            ["config", "3037000573"],
+        ],
+    )
+    def test_a_prime_past_the_table_bound_is_refused_before_any_table(
+        self, argv, monkeypatch, tmp_path, capsys
+    ):
+        # no table, scan or polynomial is built: each of them raises here
+        def unreachable(*args, **kwargs):
+            raise _Stop
+
+        for module, name in ((characters, "discrete_log_table"), (qseries, "discrete_log_table"),
+                             (qseries, "kronecker_table"), (cli, "dichotomy_scan"),
+                             (cli, "safe_prime_scan"), (cli, "even_character_obstruction")):
+            monkeypatch.setattr(module, name, unreachable)
+        if argv[0] == "config":
+            data = json.loads(open(P37_5_19, encoding="utf-8").read())
+            cfg = tmp_path / "big.json"
+            cfg.write_text(json.dumps({**data, "p": int(argv[1])}))
+            argv = ["verify", "--kind", "config", "--config", str(cfg), "--nmax", "3"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert not captured.out and "Traceback" not in captured.err
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "MAX_PRIME = 8388608" in line, line
 
 
 class TestDeterminism:
@@ -815,6 +852,29 @@ class TestInternalError:
         assert code == EXIT_INTERNAL and not captured.out
         [line] = captured.err.splitlines()
         assert line.startswith("internal error: FFT product of length ") and "0.3 from" in line
+
+    def test_a_perturbed_class_spectrum_exits_four_in_one_line(self, capsys):
+        # 0.3 n added to the zero-frequency bin of a summed class spectrum
+        # puts every value of its inverse 0.3 off its integer: the config's
+        # first dilated read (F(95 k), 95 classes of 2001 coefficients)
+        # raises, and the command ends with one line and exit 4
+        real = qseries.irfft
+
+        def perturbed(spectrum, n):
+            spectrum = spectrum.copy()
+            spectrum[..., 0] += 0.3 * n
+            return real(spectrum, n)
+
+        argv = ["verify", "--kind", "config", "--config", P37_5_19, "--nmax", "2000"]
+        try:
+            with mock.patch.object(qseries, "irfft", perturbed):
+                code = main(argv)
+        finally:
+            qseries.convolver.cache_clear()
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL and not captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith("internal error: FFT product of length 2001: a value lies 0.3 from")
 
     def test_known_errors_keep_their_codes(self, monkeypatch, capsys):
         for exc, code in ((ValueError("v"), EXIT_USAGE), (OSError("o"), EXIT_IO)):

@@ -182,6 +182,13 @@ class TestDiscreteLog:
         with pytest.raises(ValueError):
             discrete_log_table(13, 3)  # 3 has order 3 mod 13
 
+    def test_rejects_a_prime_whose_square_passes_int64(self):
+        # 3037000573**2 >= 2**63 > 3037000493**2: a ValueError, raised before
+        # any O(p) array, not an assertion
+        assert 3037000493**2 < 2**63 <= 3037000573**2
+        with pytest.raises(ValueError, match="p\\*\\*2 does not fit int64"):
+            discrete_log_table.__wrapped__(3037000573, 2)
+
     def test_matches_the_walk_for_every_prime_below_5000(self):
         # the least primitive root of every odd prime below 5000, and every
         # g mod p at p <= 101: the table equals the walk over the powers of

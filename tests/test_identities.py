@@ -102,9 +102,11 @@ def _sieved():
 
 
 def _product_lengths(spy):
-    """The length of every product a ``_full_product`` spy saw: a call
-    that fuses several pairs (F's a*a + b*b) counts each."""
-    return [len(pair[0]) for call in spy.call_args_list for pair in call.args]
+    """The length of every class pair a ``_full_product`` spy saw: each
+    call builds one tail, and every pair of it (F's a*a and b*b) counts."""
+    lengths = [[len(pair[0]) for pair in call.args] for call in spy.call_args_list]
+    assert all(len(set(tail)) == 1 for tail in lengths), lengths
+    return [m for tail in lengths for m in tail]
 
 
 class TestVerifyId1:
@@ -352,8 +354,10 @@ class TestBlockSweep:
         lengths = _product_lengths(spy)
         assert sum(lengths) <= most, lengths
         # two products per tail, one for the real mod-3 character (Im delta
-        # = 0, so F's tail is a*a alone); 2049 is cut at the first sieved block
-        tails = [3, 12, 48, 192, 768, SWEEP_BLOCK + 1, 6144, nmax + 1]
+        # = 0, so F's tail is a*a alone); the first sieved block cuts the
+        # sixth tail to SWEEP_BLOCK coefficients, not one more: the block
+        # reads none past SWEEP_BLOCK - 1, and 2049 doubles the FFT length
+        tails = [3, 12, 48, 192, 768, SWEEP_BLOCK, 6144, nmax + 1]
         per_tail = 1 if kind == "farkas" else 2
         assert lengths == [m for m in tails for _ in range(per_tail)]
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from farkas import qseries
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
 from farkas.foundations import GaussianRational, divisors, gaussian, is_prime, kronecker, omega
-from farkas.identities import verify_id1
+from farkas.cli import load_builtin_config
+from farkas.identities import check_configured_identity, verify_id1
 from farkas.qseries import (
     DIRECT_PRODUCT,
     MAX_DIVISOR_COUNT,
@@ -482,13 +483,21 @@ def _signed_pairs(draw):
     return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
 
 
+def _weighted(product, m, w=1, s=0):
+    """w times ``product`` shifted by s and cut to m values: one pair's
+    share of ``_full_product``."""
+    return w * np.concatenate((np.zeros(s, dtype=np.int64), product))[:m]
+
+
 def _kernels(*pairs):
-    """The sum of the products of ``pairs`` from ``_full_product`` and from
-    the Kronecker-substitution oracle."""
-    K = max(qseries.max_abs(v) for pair in pairs for v in pair)
+    """The sum of the products of ``pairs`` (x, y) or (x, y, w, s) from
+    ``_full_product`` and from the Kronecker-substitution oracle."""
+    K = max(qseries.max_abs(v) for pair in pairs for v in pair[:2])
     return {
         "full": _full_product(*pairs),
-        "kronecker": sum(kronecker_product(x, y, K) for x, y in pairs),
+        "kronecker": sum(
+            _weighted(kronecker_product(x, y, K), len(x), *ws) for x, y, *ws in pairs
+        ),
     }
 
 
@@ -503,8 +512,12 @@ def _at_the_bound(m, dtype):
 
 
 def _convolve(*pairs):
-    """The sum of the products of ``pairs`` by int64 ``np.convolve``."""
-    return sum(np.convolve(x.astype(np.int64), y.astype(np.int64))[: len(x)] for x, y in pairs)
+    """The sum of the products of ``pairs`` (x, y) or (x, y, w, s) by int64
+    ``np.convolve``."""
+    return sum(
+        _weighted(np.convolve(x.astype(np.int64), y.astype(np.int64)), len(x), *ws)
+        for x, y, *ws in pairs
+    )
 
 
 @st.composite
@@ -513,7 +526,8 @@ def _product_cases(draw):
     (the transform length doubles between the last two) or at the base-case
     edge DIRECT_PRODUCT +- 1; entries of one bound K in {1, 240, 480}, all
     +K, of random signs at +-K, or in [-K, K] with the extremes common;
-    int16 or int64; one or two fused pairs, each a square or not; each
+    int16 or int64; one to three pairs, each a square or not, each (x, y)
+    or (x, y, w, s) with weight w in {1, 2} and shift s in {0, 1}; each
     factor a whole array or a strided residue row (``_residue_rows``)."""
     k = draw(st.integers(1, 10))
     m = max(draw(st.sampled_from([2**k - 1, 2**k, 2**k + 1, DIRECT_PRODUCT + k % 3 - 1])), 1)
@@ -535,9 +549,12 @@ def _product_cases(draw):
         return qseries._residue_rows(v.astype(dtype), m, C)[draw(st.integers(0, C - 1))]
 
     pairs = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 3))):
         x = factor()
-        pairs.append((x, x if draw(st.booleans()) else factor()))
+        pair = (x, x if draw(st.booleans()) else factor())
+        if draw(st.booleans()):
+            pair += (draw(st.integers(1, 2)), draw(st.integers(0, 1)))
+        pairs.append(pair)
     return pairs
 
 
@@ -880,7 +897,8 @@ class TestLeadingRowAxis:
     )
     def test_full_product_rows(self, rows, m, r, dtype, square, seed):
         # m past DIRECT_PRODUCT takes the FFT along the last axis; its bound
-        # is the batch's largest entries
+        # is the batch's largest entries.  The pairs take random weights
+        # and shifts
         rng = np.random.default_rng(seed)
         K = 2 * MAX_DIVISOR_COUNT
 
@@ -890,11 +908,12 @@ class TestLeadingRowAxis:
         pairs = []
         for _ in range(r):
             x = factor()
-            pairs.append((x, x if square else factor()))
+            w, s = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+            pairs.append((x, x if square else factor(), w, s))
         batch = _full_product(*pairs)
         assert batch.shape == (rows, m) and batch.dtype == np.int64
         for i in range(rows):
-            one = _full_product(*((x[i], x[i] if y is x else y[i]) for x, y in pairs))
+            one = _full_product(*((x[i], x[i] if y is x else y[i], *ws) for x, y, *ws in pairs))
             assert batch[i].tolist() == one.tolist(), i
 
     @settings(max_examples=300, deadline=None)
@@ -1138,9 +1157,9 @@ class TestConvolutions:
         conv = Convolver(chi)
         real, cached = qseries._full_product, []
 
-        def product(*pairs):
+        def product(*pairs, **bounds):
             cached.append((1, 1, 0) in conv._tails)
-            return real(*pairs)
+            return real(*pairs, **bounds)
 
         with mock.patch.object(qseries, "_full_product", side_effect=product) as spy:
             re, im = conv.numerators(0, 101, 1)
@@ -1270,7 +1289,7 @@ class TestReadsAgainstAnOracle:
                 assert list(zip(re.tolist(), im.tolist())) == _oracle(chi, ns, c)
                 if step == 1 and fft:
                     # F's a*a and b*b are squarings: one transform each
-                    squares = [[x is y for x, y in call.args[0]] for call in f.call_args_list]
+                    squares = [[x is y for x, y, *_ in call.args[0]] for call in f.call_args_list]
                     assert squares == ([[True, True]] if c < 0 else [[False], [False]]), c
 
 
@@ -1384,11 +1403,12 @@ class TestIndexReads:
     )
     def test_a_dilated_read_is_step_class_products(self, step, r):
         # T(r + k step) for k <= reach sums products of residue rows of
-        # reach + 1 coefficients: H takes all step classes (t, s), fusing
-        # two in each of its (a+b)*(a-b) and a*b calls; F's squares take
-        # the classes t <= s only, a*a and b*b of one class in a call.
-        # Step 1 is the whole-series product.  reach >= step - 1: no more
-        # rows than coefficients in each
+        # reach + 1 coefficients, all in one call per tail: H takes all
+        # step classes (t, s) in each of its (a+b)*(a-b) and a*b calls; F's
+        # squares take the classes t <= s only, t < s at weight 2, a*a and
+        # b*b in its one call.  Classes t > r are shifted by one.  Step 1
+        # is the whole-series product.  reach >= step - 1: no more rows
+        # than coefficients in each
         reach = max(40, step - 1)
         for c in (-1, 1):
             conv = Convolver(quartic_pair(13)[0])
@@ -1398,13 +1418,57 @@ class TestIndexReads:
                 re, im = read(ns.start, ns.stop, step)
             assert list(zip(re.tolist(), im.tolist())) == _oracle(conv.chi, ns, c)
             calls = [call.args for call in spy.call_args_list]
-            assert {len(x) for pairs in calls for x, _ in pairs} == {reach + 1}
+            assert {len(x) for pairs in calls for x, *_ in pairs} == {reach + 1}
+            kinds = [sorted((w, s) for _, _, w, s in pairs) for pairs in calls]
             if c < 0:  # t + s = r, and t + s = step + r past r
-                classes = r // 2 + 1 + (step + r) // 2 - r
-                assert [len(pairs) for pairs in calls] == [2] * classes
-            else:  # classes t <= r and t > r are fused apart
-                assert sum(len(pairs) for pairs in calls) == 2 * step
-                assert len(calls) == 2 * (-(-(r + 1) // 2) + -(-(step - r - 1) // 2))
+                per_factor = [(1 + (2 * t < r), 0) for t in range(r // 2 + 1)]
+                per_factor += [(1 + (2 * t < step + r), 1) for t in range(r + 1, (step + r) // 2 + 1)]
+                assert sum(w for w, _ in per_factor) == step
+                assert kinds == [sorted(per_factor * 2)]
+            else:
+                assert kinds == [[(1, 0)] * (r + 1) + [(1, 1)] * (step - r - 1)] * 2
+
+    def test_a_config_read_takes_one_inverse_transform_per_shift(self):
+        # p37_5_19 at N = 2000 reads F(95 k), F(19 k), F(5 k) and F(k): each
+        # read builds its tail in one call, and an FFT tail sums its class
+        # spectra into at most two inverse transforms (shifts 0 and 1), under
+        # the bound of its weight sum, 2 D for F's a*a + b*b over D classes
+        reads, real = [], Convolver.numerators
+
+        def numerators(conv, lo, hi, c, scale=1, step=1):
+            before = (fft.call_count, inverse.call_count, errors.call_count)
+            out = real(conv, lo, hi, c, scale, step)
+            after = (fft.call_count, inverse.call_count, errors.call_count)
+            reads.append((step, *(b - a for a, b in zip(before, after))))
+            return out
+
+        qseries.convolver.cache_clear()
+        with mock.patch.object(qseries, "_full_product", wraps=_full_product) as fft, \
+                mock.patch.object(qseries, "irfft", wraps=np.fft.irfft) as inverse, \
+                mock.patch.object(qseries, "_fft_error", wraps=qseries._fft_error) as errors, \
+                mock.patch.object(Convolver, "numerators", numerators):
+            report = check_configured_identity(load_builtin_config("p37_5_19.json"), 2000)
+        assert report.passed
+        # (step, _full_product calls, inverse transforms, bounds taken)
+        assert reads == [(95, 1, 2, 2), (19, 1, 2, 2), (5, 1, 0, 0), (1, 1, 0, 0)]
+        weights = [call.args[0] for call in errors.call_args_list]
+        assert weights == [2 * 95, 2 * 95, 2 * 19, 2 * 19]  # _full_product's, then _fft_product's
+
+    def test_the_largest_class_sum_of_any_read_is_within_the_bound(self):
+        # every D that ``_split`` can take up to MAX_FAST_N, with tails of at
+        # most MAX_FAST_N // D + 1 coefficients: H's factors of 480 at weight
+        # sum D, F's of 240 at 2 D.  The worst is H at MAX_CLASSES, the one
+        # the import asserts, and it is within FFT_ERROR
+        reachable = [D for D in range(1, MAX_FAST_N + 1) if D * (D - 1) <= MAX_FAST_N]
+        assert all(qseries._split(D, MAX_FAST_N) == D for D in reachable)
+        assert qseries._split(1009, MAX_FAST_N) == 1  # a prime step past the last
+        K = MAX_DIVISOR_COUNT
+        worst = max(
+            (qseries._fft_error(r, MAX_FAST_N // D + 1, k, k), D, r)
+            for D in reachable for r, k in ((D, 2 * K), (2 * D, K))
+        )
+        assert worst[1:] == (qseries.MAX_CLASSES, qseries.MAX_CLASSES) == (1000, 1000)
+        assert 3.1e-2 < worst[0] <= qseries.FFT_ERROR
 
     def test_a_read_of_few_values_far_out_takes_fewer_longer_rows(self):
         # the split is the largest divisor D of the step with D (D - 1) <=

@@ -7,9 +7,11 @@ must be one of PROSE below, whose check reads the names the tour binds.
 import ast
 import re
 from pathlib import Path
+from unittest import mock
 
 from farkas import qseries
 from farkas.foundations import gaussian
+from farkas.identities import verify_id1
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +61,19 @@ def test_the_product_cutoff_is_the_code_constant():
     measured = re.search(r"The (\d+) is measured", text)
     assert cutoff and measured, "README's product paragraph moved"
     assert int(cutoff[1]) == int(measured[1]) == qseries.DIRECT_PRODUCT
+
+
+def test_the_sweep_tail_list_is_what_a_sweep_builds():
+    # the prose lists the tails of a sweep to N: F's tails of the conv
+    # sweep, one ``_full_product`` call each, must be those lengths
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    found = re.search(
+        r"a sweep to N = (\d+) builds (\d+) tails, of ([\d, ]+) and (\d+) coefficients", text
+    )
+    assert found, "README's tail-list sentence moved"
+    stated = [int(v) for v in found[3].split(", ")] + [int(found[4])]
+    qseries.convolver.cache_clear()
+    with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+        assert verify_id1(13, int(found[1])).passed
+    built = [len(call.args[0][0]) for call in spy.call_args_list]
+    assert built == stated and len(built) == int(found[2])
