@@ -43,6 +43,14 @@ from .identities import (
 )
 from .qseries import MAX_FAST_N, MAX_PRIME
 
+# largest p of a ``poly`` report: the report and its rendering peak near
+# 1.1 kB per residue (tracemalloc: 1063 B per residue for ``poly --p 99707``,
+# of which ``even_character_obstruction`` takes under 460 at p = 243707), so
+# the 2**28 bytes (256 MiB) that MAX_PRIME allows the tables admit p up to
+# 2**28 // 1100 = 244032, past 99707, the largest safe prime below 10**5
+MAX_POLY_PRIME = 2**28 // 1100
+assert 99707 <= MAX_POLY_PRIME < MAX_PRIME
+
 EXIT_PASS = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -556,7 +564,11 @@ def cmd_asympt(args) -> int:
 def cmd_polynomial(args) -> int:
     t0 = time.perf_counter()
     p = args.p
-    _check_prime_bound("--p", p)
+    if p > MAX_POLY_PRIME:  # checked before any table, as MAX_PRIME is
+        raise UsageError(
+            f"--p must be at most MAX_POLY_PRIME = {MAX_POLY_PRIME}, the largest p whose"
+            f" report (about 1.1 kB per residue) is built, got {p}"
+        )
     if not is_safe_prime_shape(p):
         raise UsageError(f"p must be 2q+1 with q = 1 (mod 4) prime, got {p}")
     report = even_character_obstruction(p)

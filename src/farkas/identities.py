@@ -19,17 +19,10 @@ import numpy as np
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
 from .foundations import PRIMES_CACHED, GaussianRational, is_prime
 from .qseries import (
-    DIVISOR_SUMS,
     MAX_FAST_N,
     MAX_PRIME,
     _delta0_numerator,
-    _delta_pair,
     _kronecker_values,
-    _numerator_scalars,
-    _numerator_terms,
-    _sieve,
-    _tail,
-    _zero_term,
     bernoulli_B2_psi,
     character_table,
     convolver,
@@ -41,8 +34,8 @@ from .qseries import (
 )
 
 HALF = Fraction(1, 2)
-# a sweep's first block is n < FIRST_BLOCK, and a prime scan checks that
-# block for every prime at once (``dichotomy_scan``)
+# a sweep's first block is n < FIRST_BLOCK: n <= 2, where a prime scan reads
+# both identities' verdicts off the obstruction equations (``dichotomy_scan``)
 FIRST_BLOCK = 3
 SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
 # a sweep's sieved tables grow at least this many times over, chosen with
@@ -130,7 +123,8 @@ def _sieve_reach(hi: int, capacity: int, nmax: int) -> int:
 
 def _series(name: str, p: int):
     """``build(N, prefix)``, extending ``prefix`` to the divisor sum
-    ``name`` (of ``DIVISOR_SUMS``) of p at 0..N."""
+    ``name`` of p at 0..N.  The builders are looked up at each call, so a
+    wrapper rebound over this module's names (perfbench's tracer) sees them."""
     values = {
         "sigma_prime": sigma_prime_values,
         "sigma_tilde": sigma_tilde_values,
@@ -139,15 +133,9 @@ def _series(name: str, p: int):
     return partial(values[name], p)
 
 
-def _rhs_terms(scaled, blocks) -> list:
-    """The ``exact_sum`` terms of sum_k c_k s_k for the scaled c_k (int
-    pairs, or pairs of per-row lists) and the blocks of the s_k."""
-    return [(c, (s, None)) for c, s in zip(scaled, blocks)]
-
-
 class _Rhs(NamedTuple):
     """D sum_k c_k s_k(n) of an identity in integers: the divisor sums s_k
-    of p named in ``names`` (``DIVISOR_SUMS``), the int pairs D c_k in
+    of p named in ``names`` (``_series``), the int pairs D c_k in
     ``scaled``, and ``zero``, D times the value at n = 0 (None: n = 0 is
     not swept)."""
 
@@ -179,8 +167,8 @@ def _linear_rhs(spec: _Rhs, nmax: int):
         N = _sieve_reach(hi, len(series[0]) - 1, nmax)
         if N >= len(series[0]):
             series[:] = [build(N, s) for build, s in zip(builds, series)]
-        blocks = [s[lo:hi] for s in series]
-        return exact_sum(_rhs_terms(spec.scaled, blocks), spec.zero if lo == 0 else None)
+        blocks = [(c, (s[lo:hi], None)) for c, s in zip(spec.scaled, series)]
+        return exact_sum(blocks, spec.zero if lo == 0 else None)
 
     return rhs
 
@@ -674,9 +662,8 @@ def obstruction_id2(p: int, chi: Optional[DirichletCharacter] = None) -> Obstruc
     )
     combined_eq = lhs3 == rhs3
 
-    d0 = GaussianRational(Fraction(u, 2 * p), Fraction(v, 2 * p))
     return Obstruction2Report(
-        p, quad_eq and combined_eq, quad_eq, combined_eq, d0, B,
+        p, quad_eq and combined_eq, quad_eq, combined_eq, delta_constant(chi), B,
         list(_branches(GaussianRational(*x2))),
     )
 
@@ -697,98 +684,49 @@ class DichotomyRow:
     obstruction2_accepted: bool
 
 
-def _columns(pairs) -> tuple[list, list]:
-    """One scalar pair (re, im) per row as two lists of per-row ints, the
-    per-row scalars of ``exact_sum``."""
-    re, im = zip(*pairs)
-    return list(re), list(im)
-
-
-def _first_failures(hi: int, delta, c: int, lhs, rhs, series) -> list[int]:
-    """Per row, the first n < hi at which F (c = -1) or H (c = 1) differs
-    from its rhs, or -1: a sweep's first block for every row at once.
-
-    ``delta``: the int16 pair (a, b) of delta_chi at n < hi, one character
-    per row, and ``series`` the divisor sums at n < hi, one row each.
-    ``lhs`` and ``rhs`` hold each row's (k, s, L) and ``_Rhs``.  Both
-    sides are the sweep's own: the tail of ``_tail``,
-    ``_numerator_scalars`` and ``_zero_term`` on the left, ``_rhs_terms``
-    on the right, each one ``exact_sum``."""
-    a, b = delta
-    tail_re, tail_im = _tail(c, a, b, hi)
-    scalars = [_columns(pairs) for pairs in zip(*(_numerator_scalars(c, *row) for row in lhs))]
-    zero = _columns(_zero_term(c, k, L) for k, _, L in lhs)
-    left = exact_sum(_numerator_terms(c, scalars, tail_re, tail_im, a, b), zero)
-    scaled = [_columns(pairs) for pairs in zip(*(spec.scaled for spec in rhs))]
-    right = exact_sum(_rhs_terms(scaled, series), _columns(spec.zero for spec in rhs))
-    differ = (left[0] != right[0]) | (left[1] != right[1])
-    return np.where(differ.any(axis=-1), differ.argmax(axis=-1), -1).tolist()
+def _verdict(first: Optional[int], nmax: int, sweep) -> tuple[bool, Optional[int]]:
+    """(passed, failure_n) of an identity checked to nmax whose first failure
+    at n <= 2 is ``first``, or, when n <= 2 all hold (``first`` None), of
+    its ``sweep()``."""
+    if first is None:
+        report = sweep()
+        return report.passed, report.failure_n
+    return (True, None) if first > nmax else (False, first)
 
 
 def dichotomy_scan(pmax: int, nmax: int = 50) -> list[DichotomyRow]:
     """Dichotomy sweep over primes p = 5 (mod 8) up to pmax: both identities
-    of the canonical quartic chi checked to nmax, as ``verify_id1`` and
-    ``verify_id2`` check them, and both obstructions.
+    of the canonical quartic chi checked to nmax, with the verdicts of
+    ``verify_id1`` and ``verify_id2``, and both obstructions.
 
-    Almost every prime fails in a sweep's first block, n < FIRST_BLOCK
-    (567 of the 569 primes below 20 000, F at n = 1 and H at n = 2), so
-    the scan checks that block for all its primes in one batched pass.
-    Per prime it builds the O(p) tables a sweep reads (the character
-    table, 2p delta_chi(0), the constants, B_{2,psi}) and both
-    obstructions, and keeps O(1) values: chi(d) and each divisor sum's
-    c(d) for d < FIRST_BLOCK, and each identity's scaled constants (``k``
-    and the ``_Rhs``); the per-prime caches then release the tables, so
-    the scan holds no O(p) array past its prime.  The block is one
-    ``_sieve`` per series over a (primes x FIRST_BLOCK) table, then one
-    tail product and one ``exact_sum`` per side for each identity
-    (``_first_failures``), and each row's first mismatch is one
-    ``argmax``.  A prime that passes it runs the sweep of ``verify_id1``
-    or ``verify_id2`` from n = 0, on the scaled constants kept here,
-    through its Convolver.
+    The obstructions decide n <= 2 of both identities, as the sweeps do:
+    - F(0) = alpha sigma'(0), H(0) = alpha' sigma~(0) and H(1) = alpha' +
+      beta' = 2 delta_chi(0) hold by the definitions of alpha, alpha' and
+      beta' (sigma~(1) = sigma^(1) = 1, and H(1) = 2 delta_chi(0)
+      delta_chi(1));
+    - ``eq_n1`` and ``eq_n2`` of ``obstruction_id1`` are F(1) = alpha and
+      F(2) = 3 alpha (sigma'(1) = 1, sigma'(2) = 3), each times a nonzero
+      factor;
+    - ``quad_eq`` of ``obstruction_id2`` is H(2) = -alpha' + beta', because
+      p = 5 (mod 8) makes (p/2) = -1, so sigma~(2) = 1 - 2 = -1 and
+      sigma^(2) = 2 - 1 = 1.
+    So F first fails at 1 unless eq_n1 holds, else at 2 unless eq_n2
+    holds, and H at 2 unless quad_eq holds; a first failure past nmax
+    reads pass.  An identity that holds at every n <= 2 (both, at p = 5
+    and 13 only below 20 000) runs its sweep from n = 0 at once, while the
+    per-prime caches still hold its prime's tables, so the scan holds no
+    O(p) array past its prime.
     """
-    hi = min(FIRST_BLOCK, nmax + 1)  # the block is n < hi
-    primes, chis, Ls, obstructions = quartic_primes(pmax), [], [], []
-    # the first FIRST_BLOCK values of each prime's tables, copied: no O(p)
-    # table outlives its prime
-    tables = {
-        name: np.zeros((len(primes), FIRST_BLOCK), dtype=np.int64)
-        for name in ("re", "im", *DIVISOR_SUMS)
-    }
-    sweeps = {"conv": [], "square": []}  # per prime: ``_identity``'s (c, k, rhs)
-    for i, p in enumerate(primes):
+    rows = []
+    for p in quartic_primes(pmax):
         chi = canonical_quartic(p)
-        tables["re"][i], tables["im"][i] = (t[:FIRST_BLOCK] for t in character_table(chi))
-        for name, (table, _) in DIVISOR_SUMS.items():
-            tables[name][i] = table(p, FIRST_BLOCK - 1)[:FIRST_BLOCK]
-        for kind, rows in sweeps.items():
-            rows.append(_identity(p, chi, kind))
-        chis.append(chi)
-        Ls.append(_delta0_numerator(chi))
-        obstructions.append((obstruction_id1(p).consistent, obstruction_id2(p, chi).accepted))
-
-    failures = {kind: [-1] * len(primes) for kind in sweeps}
-    if primes and hi > 0:
-        delta = _delta_pair(tables["re"], tables["im"], hi - 1)
-        sieved = {
-            name: _sieve(tables[name], hi - 1, **weights)
-            for name, (_, weights) in DIVISOR_SUMS.items()
-        }
-        for kind, rows in sweeps.items():
-            c = rows[0][0]
-            lhs = [(k, 2 * p, L) for (_, k, _), p, L in zip(rows, primes, Ls)]
-            rhs = [spec for _, _, spec in rows]
-            series = [sieved[name] for name in rhs[0].names]
-            failures[kind] = _first_failures(hi, delta, c, lhs, rhs, series)
-
-    out = []
-    for i, (p, chi) in enumerate(zip(primes, chis)):
-        verdicts = []
-        for kind, rows in sweeps.items():
-            n = failures[kind][i]
-            if n < 0:  # passed the first block: the whole sweep decides
-                report = _verify_product(p, chi, kind, nmax, *rows[i])
-                verdicts += [report.passed, report.failure_n]
-            else:
-                verdicts += [False, n]
-        out.append(DichotomyRow(p, *verdicts, *obstructions[i]))
-    return out
+        ob1, ob2 = obstruction_id1(p), obstruction_id2(p, chi)
+        f_first = 1 if not ob1.eq_n1_holds else 2 if not ob1.eq_n2_holds else None
+        h_first = None if ob2.quad_eq_holds else 2
+        rows.append(DichotomyRow(
+            p,
+            *_verdict(f_first, nmax, partial(verify_id1, p, nmax, chi)),
+            *_verdict(h_first, nmax, partial(verify_id2, p, chi, nmax)),
+            ob1.consistent, ob2.accepted,
+        ))
+    return rows

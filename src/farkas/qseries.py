@@ -26,8 +26,8 @@ and a sweep that stops at n sieves O(n + one sweep block) coefficients.
 
 delta_chi is stored once, as the int16 pair (Re, Im): |delta_chi(n)| is at
 most d(n) <= MAX_DIVISOR_COUNT = 240, and H's tails form Re +- Im, at most
-480 < 2**15 (both asserted below).  That pair is all a sweep or a prime
-scan holds, 4 bytes per index.  It is sieved in one int32 pass over the
+480 < 2**15 (both asserted below).  That pair is all a sweep holds of
+delta_chi, 4 bytes per index.  It is sieved in one int32 pass over the
 packed table Re chi * 2**16 + Im chi, and the pair is the two int16
 halves of that one array (see ``delta_int_arrays``).
 
@@ -237,11 +237,6 @@ def _sieve(
     its prefix, and sieving [1, N1] then [N1 + 1, N] gives the one-shot
     array.
 
-    A leading row axis: a (rows x period) ``table`` holds one c per row,
-    and the result is (rows x (N + 1)), each row the sieve of its own
-    table row (``prefix`` then has rows too).  Every step below indexes
-    the last axis, so a batch takes the steps of one table.
-
     Dirichlet's hyperbola split of the pairs d q <= N at r = isqrt(N): each
     small d <= r adds one strided slice, out[d q0::d] from its first
     multiple d q0 >= lo.  A large d > r has cofactor q <= N // (r + 1) <= r,
@@ -253,51 +248,44 @@ def _sieve(
     first d is d_lo skips the q below lo / (d_lo + SIEVE_BLOCK).  Scratch
     beside ``out``: at most four SIEVE_BLOCK-entry arrays (d, d mod period,
     c, and the last block's c), or one (N - lo + 1)-entry weight array for
-    d = 1 when ``quotient`` (per row).
+    d = 1 when ``quotient``.  The c(d) of all small d are one vectorised
+    lookup before the loop: a table read per d cost the ``prove`` benchmark
+    about 10 % of its throughput.
     """
     if not 0 <= N <= MAX_FAST_N:
         raise ValueError(f"fast path needs 0 <= N <= {MAX_FAST_N}, got {N}")
-    out = np.zeros((*table.shape[:-1], N + 1), dtype=dtype)
+    out = np.zeros(N + 1, dtype=dtype)
     if prefix is not None:
-        if prefix.shape[-1] > N + 1:
-            raise ValueError(f"a prefix of {prefix.shape[-1]} values does not fit 0..{N}")
-        out[..., : prefix.shape[-1]] = prefix
-    lo = 1 if prefix is None else max(prefix.shape[-1], 1)
-    # the steps run on transposed views, index n first: a batch's rows are
-    # their columns, and a 1-D array is its own transpose
-    at, period = out.T, table.shape[-1]
+        if len(prefix) > N + 1:
+            raise ValueError(f"a prefix of {len(prefix)} values does not fit 0..{N}")
+        out[: len(prefix)] = prefix
+    lo = 1 if prefix is None else max(len(prefix), 1)
+    period = len(table)
     r = math.isqrt(N)
     small = np.arange(1, r + 1, dtype=np.int64)
-    c_small = (table[..., small % period] * (small if times_d else 1)).T
-    # c(d) of each small d: a Python int, or a list of one per row
+    c_small = table[small % period] * (small if times_d else 1)
     for d, c in zip(range(1, r + 1), c_small.tolist()):
-        if not (any(c) if out.ndim > 1 else c):
+        if not c:
             continue
         q0 = -(-lo // d)
-        if out.ndim > 1:
-            c = np.array(c, dtype=np.int64)  # broadcast along each row's column
-        # c w(q) for q = q0..N//d: one temporary, which no later d keeps
-        if quotient:
-            w = np.arange(q0, N // d + 1, dtype=np.int64)
-            w = np.multiply.outer(w, c) if out.ndim > 1 else np.multiply(w, c, out=w)
-        else:
-            w = c
-        at[d * q0 :: d] += w
-        del w
+        # c w(q) for q = q0..N//d; with w(q) = q that is c q0, c (q0 + 1), ...
+        # (a temporary: no weight array outlives its d)
+        out[d * q0 :: d] += (
+            np.arange(c * q0, c * (N // d + 1), c, dtype=np.int64) if quotient else c
+        )
     for d_lo in range(r + 1, N + 1, SIEVE_BLOCK):
         d_hi = min(d_lo + SIEVE_BLOCK, N + 1)
         q_first = -(-lo // (d_hi - 1))  # q d < lo for every d of the block below it
         if q_first > N // d_lo:
             continue
         d = np.arange(d_lo, d_hi, dtype=np.int64)
-        c = table[..., d % period]
+        c = table[d % period]
         if times_d:
             c *= d
-        c = c.T
         for q in range(q_first, N // d_lo + 1):
             i = max(-(-lo // q) - d_lo, 0)  # d from d_lo + i on have q d >= lo
             k = min(d_hi, N // q + 1) - d_lo  # d below d_lo + k have q d <= N
-            at[q * (d_lo + i) : q * (d_lo + k) : q] += (
+            out[q * (d_lo + i) : q * (d_lo + k) : q] += (
                 q * c[i:k] if quotient and q > 1 else c[i:k]
             )
     return out
@@ -359,19 +347,14 @@ def delta_int_arrays(
     of the one little-endian int32 array, split in place with no copy.
     ``prefix``, such a pair to a lower N, is packed and extended: only the
     new indices are sieved."""
-    return _delta_pair(*character_table(chi), N, prefix)
-
-
-def _delta_pair(re: np.ndarray, im: np.ndarray, N: int, prefix=None):
-    """``delta_int_arrays`` from the tables (re, im) of chi, which may
-    carry a leading row axis (see ``_sieve``): then so does the pair."""
+    re, im = character_table(chi)
     if prefix is not None:
         prefix = prefix[0].astype(np.int32) * PACK + prefix[1]
     packed = _sieve(re * PACK + im, N, prefix=prefix, dtype=np.dtype("<i4"))
     packed += PACK // 2
-    halves = packed.view(np.dtype("<i2")).reshape(*packed.shape, 2)  # (low, high) per index
-    halves[..., 0] ^= np.int16(-PACK // 2)  # flip the top bit: I
-    return halves[..., 1], halves[..., 0]
+    halves = packed.view(np.dtype("<i2")).reshape(-1, 2)  # (low, high) per index
+    halves[:, 0] ^= np.int16(-PACK // 2)  # flip the top bit: I
+    return halves[:, 1], halves[:, 0]
 
 
 # ---------------------------------------------------------------------
@@ -399,41 +382,23 @@ def sigma_hat(p: int, n: int) -> int:
     return sum(kronecker(p, d) * (n // d) for d in divisors(n))
 
 
-def _coprime_table(p: int, N: int) -> np.ndarray:
-    """1 at the a in 1..p-1, 0 at a = 0: whether p does not divide a."""
-    return np.sign(np.arange(p, dtype=np.int64))
-
-
-# each weight-two divisor sum is sum_{d | n} c(d) w(n/d): ``_sieve``'s
-# table of c(d), read from (p, N), and its weights, by name
-DIVISOR_SUMS = {
-    "sigma_prime": (_coprime_table, {"times_d": True}),  # d, for p not dividing d
-    "sigma_tilde": (_kronecker_values, {"times_d": True}),  # (p/d) d
-    "sigma_hat": (_kronecker_values, {"quotient": True}),  # (p/d) n/d
-}
-
-
-def _divisor_sum(name: str, p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
-    """int64 array of the divisor sum ``name`` of p at n in 1..N (index 0 is
-    zero), extending ``prefix``, the array to a lower N: only the new
-    indices are sieved."""
-    table, weights = DIVISOR_SUMS[name]
-    return _sieve(table(p, N), N, prefix=prefix, **weights)
-
+# each sigma_*_values(p, N, prefix) extends ``prefix``, the array to a lower
+# N, sieving only the new indices
 
 def sigma_prime_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma'_p(n), n in 1..N (index 0 is zero)."""
-    return _divisor_sum("sigma_prime", p, N, prefix)
+    coprime = np.sign(np.arange(p, dtype=np.int64))  # 0 at a = 0, else 1
+    return _sieve(coprime, N, times_d=True, prefix=prefix)
 
 
 def sigma_tilde_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma~_p(n), n in 1..N (index 0 is zero)."""
-    return _divisor_sum("sigma_tilde", p, N, prefix)
+    return _sieve(_kronecker_values(p, N), N, times_d=True, prefix=prefix)
 
 
 def sigma_hat_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma^_p(n), n in 1..N (index 0 is zero)."""
-    return _divisor_sum("sigma_hat", p, N, prefix)
+    return _sieve(_kronecker_values(p, N), N, quotient=True, prefix=prefix)
 
 
 def sigma_prime_series(p: int, N: int) -> QSeries:
@@ -553,10 +518,9 @@ def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
     or ``FloatingPointError`` is raised (the CLI exits 4); no value is
     ever taken from elsewhere.  Scratch at 10**6 (step 1, one shift): two
     spectra of n / 2 + 1 complex values, 33.6 MB, then the n-value
-    inverse and the rounded m values.  Factors with a leading row axis are
-    transformed along the last axis, one product per row.
+    inverse and the rounded m values.
     """
-    m, r = pairs[0][0].shape[-1], sum(w for _, _, w, _ in pairs)
+    m, r = len(pairs[0][0]), sum(w for _, _, w, _ in pairs)
     assert _fft_error(r, m, Kx, Ky) <= FFT_ERROR, (r, m, Kx, Ky)
     n = 1 << (2 * m - 2).bit_length()
     spectra = {}  # shift -> the summed spectrum of its pairs
@@ -569,9 +533,9 @@ def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
         if spectrum is not X:
             spectrum += X
         del X, spectrum
-    out = np.zeros(pairs[0][0].shape, dtype=np.int64)
+    out = np.zeros(m, dtype=np.int64)
     for s in sorted(spectra):
-        c = irfft(spectra.pop(s), n)[..., : m - s]
+        c = irfft(spectra.pop(s), n)[: m - s]
         rounded = np.rint(c)
         c -= rounded
         distance = max(c.max(), -c.min())
@@ -581,7 +545,7 @@ def _fft_product(pairs, Kx: int, Ky: int) -> np.ndarray:
                 f"nearest integer, past the {FFT_ERROR} its error bound allows"
             )
         del c
-        out[..., s:] += rounded.astype(np.int64)
+        out[s:] += rounded.astype(np.int64)
     return out
 
 
@@ -591,9 +555,7 @@ def _full_product(*pairs, bounds: tuple[int, int] | None = None) -> np.ndarray:
     m >= 1, weights w in {1, 2} and shifts s in {0, 1}; (x, y) is
     (x, y, 1, 0).  Exact.  The Convolver passes its int16 delta arrays, or
     strided views of their residue rows, with no wider copy: one call per
-    tail (see ``_class_product``).  A leading row axis: x, y of one shape
-    (rows x m) give rows x m, each row the product of its rows of the
-    factors, under one bound and on one path.
+    tail (see ``_class_product``).
 
     With Kx, Ky the largest |x|, |y| (``bounds``, if the caller has them)
     and r the weight sum, every value and partial sum is at most
@@ -602,18 +564,18 @@ def _full_product(*pairs, bounds: tuple[int, int] | None = None) -> np.ndarray:
     (``_fft_product``), O(m log m), whenever its error bound
     ``_fft_error`` is at most FFT_ERROR = 1/8, as for every tail up to
     MAX_FAST_N (asserted at import).  A shorter one, or one of entries
-    too large for that bound, is ``np.convolve`` in int64 (for a batch,
-    m shifted row products), exact by the bound above.  The 128 is
+    too large for that bound, is ``np.convolve`` in int64, exact by the
+    bound above.  The 128 is
     measured on F's tail a*a + b*b of p = 13 (2-core Xeon VM, Python
     3.11, numpy 2.4; min of 9 runs): np.convolve took 11.0 us against the
     FFT's 25.9 us at m = 64, 28.0 against 29.3 us at m = 128, and 55.2
     against 32.9 us at m = 192.
     """
     pairs = [(*pair, 1, 0)[:4] for pair in pairs]
-    shapes = [v.shape for pair in pairs for v in pair[:2]]
-    m = shapes[0][-1]
-    if m == 0 or set(shapes) != {shapes[0]}:
-        raise ValueError(f"expected non-empty series of one shape, got {shapes}")
+    lengths = [len(v) for pair in pairs for v in pair[:2]]
+    m = lengths[0]
+    if m == 0 or set(lengths) != {m}:
+        raise ValueError(f"expected non-empty series of one length, got {lengths}")
     dtypes = {v.dtype for pair in pairs for v in pair[:2]}
     assert dtypes <= {np.dtype(np.int16), np.dtype(np.int64)}, dtypes
     assert all(w in (1, 2) and s in (0, 1) for _, _, w, s in pairs)
@@ -622,13 +584,10 @@ def _full_product(*pairs, bounds: tuple[int, int] | None = None) -> np.ndarray:
     assert r * m * Kx * Ky < 2**63, (r, m, Kx, Ky)
     if m > DIRECT_PRODUCT and _fft_error(r, m, Kx, Ky) <= FFT_ERROR:
         return _fft_product(pairs, Kx, Ky)
-    c = np.zeros(shapes[0], dtype=np.int64)
+    c = np.zeros(m, dtype=np.int64)
     for x, y, w, s in pairs:
-        x, y = w * x[..., : m - s].astype(np.int64), y[..., : m - s].astype(np.int64)
-        if c.ndim > 1:
-            for j in range(m - s):  # x[j] times y shifted by s + j, in every row at once
-                c[..., s + j :] += x[..., j, None] * y[..., : m - s - j]
-        elif m > s:
+        if m > s:
+            x, y = w * x[: m - s].astype(np.int64), y[: m - s].astype(np.int64)
             c[s:] += np.convolve(x, y)[: m - s]
     return c
 
@@ -638,14 +597,8 @@ def _full_product(*pairs, bounds: tuple[int, int] | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def max_abs(arr: np.ndarray) -> int:
-    """max |arr| as a Python int (0 when empty), for int16, int64 or object
-    arr of any shape."""
-    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
-
-
-def _magnitude(s) -> int:
-    """|s| for a Python-int scalar, max |s| for a list of per-row scalars."""
-    return max(map(abs, s), default=0) if isinstance(s, list) else abs(s)
+    """max |arr| as a Python int (0 when empty), for int16, int64 or object arr."""
+    return max(int(arr.max()), -int(arr.min())) if len(arr) else 0
 
 
 def exact_sum(terms, at_zero: tuple[int, int] | None = None):
@@ -654,11 +607,6 @@ def exact_sum(terms, at_zero: tuple[int, int] | None = None):
     scalars and integer arrays of one length, y_k None for 0.  ``at_zero``,
     an int pair, replaces the value at index 0.
 
-    A leading row axis: the arrays may be (rows x m), and each scalar, and
-    each part of ``at_zero``, a Python int or a list of one Python int per
-    row, taken as a (rows x 1) column; the bound below is taken over the
-    whole batch, so every row gets one dtype.
-
     The one choice between int64 and object arrays of Python ints.  With
     M = max |x_k|, |y_k| over the block, every scalar, product, partial
     sum and value of the expression is at most
@@ -666,41 +614,35 @@ def exact_sum(terms, at_zero: tuple[int, int] | None = None):
     is below INT64_CAP, else object.  M takes one ``max_abs`` per array."""
     M = max((max_abs(v) for _, xy in terms for v in xy if v is not None), default=0)
     bound = max(
-        max(max(_magnitude(c), _magnitude(d)) for (c, d), _ in terms),
-        sum(_magnitude(c) + _magnitude(d) for (c, d), _ in terms) * M,
-        *map(_magnitude, at_zero or ()),
+        max(max(abs(c), abs(d)) for (c, d), _ in terms),
+        sum(abs(c) + abs(d) for (c, d), _ in terms) * M,
+        *map(abs, at_zero or ()),
     )
     dtype = np.dtype(np.int64) if bound < INT64_CAP else np.dtype(object)
-
-    def scalar(s):  # a Python int, or per-row ints as a column of the block's dtype
-        if not isinstance(s, list):
-            return s
-        return np.array(s, dtype=dtype)[:, None] if any(s) else 0
-
-    re, im = (np.zeros(terms[0][1][0].shape, dtype=dtype) for _ in range(2))
+    re, im = (np.zeros(len(terms[0][1][0]), dtype=dtype) for _ in range(2))
     for (c, d), (x, y) in terms:
-        c, d = scalar(c), scalar(d)
         # x adds c x to re and d x to im; y adds -d y and c y
         for v, to_re, to_im in ((x, c, d), (y, -d, c)):
             if v is None:
                 continue
             v = v.astype(dtype, copy=False)
-            for out, s in ((re, to_re), (im, to_im)):
-                if isinstance(s, np.ndarray) or s:  # a zero int adds nothing
-                    out += s * v
+            if to_re:
+                re += to_re * v
+            if to_im:
+                im += to_im * v
     if at_zero is not None:
-        re[..., :1], im[..., :1] = map(scalar, at_zero)
+        re[0], im[0] = at_zero
     return re, im
 
 
 def _residue_rows(v: np.ndarray, m: int, C: int) -> list[np.ndarray]:
-    """rows[t][..., u] = v[..., u C + t] for t < C, u < m: the residue
-    classes of the indices of v mod C, along its last axis, as strided
-    views of v (of a copy padded with zeros when v ends before m C)."""
-    short = m * C - v.shape[-1]
+    """rows[t][u] = v[u C + t] for t < C, u < m: the residue classes of the
+    indices of v mod C, as strided views of v (of a copy padded with zeros
+    when v ends before m C)."""
+    short = m * C - len(v)
     if short > 0:
-        v = np.concatenate((v, np.zeros((*v.shape[:-1], short), dtype=v.dtype)), axis=-1)
-    return [v[..., t : m * C : C] for t in range(C)]
+        v = np.concatenate((v, np.zeros(short, dtype=v.dtype)))
+    return [v[t : m * C : C] for t in range(C)]
 
 
 def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
@@ -718,8 +660,7 @@ def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
     and (s, t) give one product: only t <= s is taken, t < s at weight 2,
     as many multiply-adds as summing each pair (j, n - j) once.  Step 1 is
     C = 1, the whole-series product (a square passes one row object twice,
-    which the FFT transforms once), with or without a leading row axis.
-    Kx, Ky take one ``max_abs`` per factor array, not one per row."""
+    which the FFT transforms once)."""
     pairs = []
     for x, y in factors:
         X = _residue_rows(x, m, C)
@@ -731,48 +672,6 @@ def _class_product(factors, m: int, C: int, r: int) -> np.ndarray:
     Kx = max(max_abs(x) for x, _ in factors)
     Ky = Kx if all(y is x for x, y in factors) else max(max_abs(y) for _, y in factors)
     return _full_product(*pairs, bounds=(Kx, Ky))
-
-
-def _tail(c: int, a: np.ndarray, b: np.ndarray, m: int, D: int = 1, r: int = 0):
-    """(Re T, Im T) of F (c = -1; Im T None) or H (c = 1) at r + k D for
-    k < m from the int16 parts a, b of delta_chi (a[0] = b[0] = 0), one
-    ``_class_product`` per part; a, b may carry a leading row axis (one
-    character per row).  |a +- b| <= 480 stays int16."""
-    if c < 0:
-        factors = [(a, a)] if not b.any() else [(a, a), (b, b)]  # b*b = 0 for a real chi
-        return _class_product(factors, m, D, r), None
-    re = _class_product([(a + b, a - b)], m, D, r)
-    im = _class_product([(a, b)], m, D, r)
-    im *= 2
-    return re, im
-
-
-def _numerator_scalars(c: int, k: int, s: int, L: tuple[int, int]) -> tuple:
-    """The scalar pairs of k (s**2 T(n) + s (L delta'(n) + delta(n) L')) for
-    F (c = -1) or H (c = 1), s = 2p and L = s delta_chi(0) = u + i v (see
-    ``Convolver``), in the order of ``_numerator_terms``' arrays.
-    s (L delta' + delta L') is 2 s (u x + v y) for F and 2 s L delta for
-    H, delta_chi = x + i y."""
-    u, v = L
-    if c < 0:
-        return (k * s * s, 0), (2 * k * s * u, 0), (2 * k * s * v, 0)
-    return (k * s * s, 0), (2 * k * s * u, 2 * k * s * v)
-
-
-def _numerator_terms(c: int, scalars, tail_re, tail_im, x, y) -> list:
-    """The ``exact_sum`` terms of the numerators over a block: the
-    ``_numerator_scalars`` with T(n) (Im T None for F) and delta_chi(n) =
-    x + i y.  For arrays with a leading row axis, each scalar may be a
-    list of per-row ints (see ``exact_sum``)."""
-    arrays = [(tail_re, None), (x, None), (y, None)] if c < 0 else [(tail_re, tail_im), (x, y)]
-    return list(zip(scalars, arrays))
-
-
-def _zero_term(c: int, k: int, L: tuple[int, int]) -> tuple[int, int]:
-    """k s**2 times the n = 0 term delta_chi(0) delta'(0) of F (c = -1) or
-    H (c = 1): k L L', L = u + i v, L' = u + i c v."""
-    u, v = L
-    return k * (u * u - c * v * v), k * (1 + c) * u * v
 
 
 def _split(step: int, top: int) -> int:
@@ -820,9 +719,9 @@ class Convolver:
     a, b are sieved only as far as asked, 4 bytes per index: a read
     extends them through ``ensure``, and a sweep extends them ahead of each
     block through ``extend``, by its own schedule.  Either sieves only the
-    new indices.  ``numerators`` sums the expression above
-    (``_numerator_scalars``, and ``_zero_term`` at n = 0) with ``exact_sum``:
-    int64 or object arrays of Python ints, as its bound decides.
+    new indices.  ``numerators`` sums the expression above with
+    ``exact_sum``: int64 or object arrays of Python ints, as its bound
+    decides.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -859,9 +758,17 @@ class Convolver:
         self._tails.clear()
 
     def _whole_tail(self, m: int, c: int, D: int = 1, r: int = 0):
-        """(Re T, Im T) at r + k D for k = 0..m, Im T None for F."""
+        """(Re T, Im T) at r + k D for k = 0..m, Im T None for F: one
+        ``_class_product`` per part."""
         n = min((m + 1) * D, len(self._re))
-        return _tail(c, self._re[:n], self._im[:n], m + 1, D, r)
+        a, b = self._re[:n], self._im[:n]  # |a +- b| <= 480: int16
+        if c < 0:
+            factors = [(a, a)] if not b.any() else [(a, a), (b, b)]  # b*b = 0 for a real chi
+            return _class_product(factors, m + 1, D, r), None
+        re = _class_product([(a + b, a - b)], m + 1, D, r)
+        im = _class_product([(a, b)], m + 1, D, r)
+        im *= 2
+        return re, im
 
     def numerators(
         self, lo: int, hi: int, c: int, scale: int = 1, step: int = 1
@@ -871,7 +778,12 @@ class Convolver:
         of one dtype: int64 or object arrays of Python ints, as
         ``exact_sum`` bounds the block from its largest |T| and |delta_chi|.
         T is read from the tail T(r + k D) of D = ``_split(step, ..)``, r =
-        lo mod D, at k = k_lo, k_lo + step / D, ... below k_hi."""
+        lo mod D, at k = k_lo, k_lo + step / D, ... below k_hi.
+
+        With delta_chi = x + i y over the block and L = u + i v, s (L
+        delta' + delta L') is 2 s (u x + v y) for F and 2 s L delta for H,
+        and n = 0 takes s**2 delta_chi(0) delta'(0) = L L', L' = u + i c v,
+        each times ``scale``."""
         if not 0 <= lo <= hi:
             raise ValueError(f"F and H expect 0 <= lo <= hi, got [{lo}, {hi})")
         if step < 1:
@@ -895,11 +807,15 @@ class Convolver:
         tail_re, tail_im = (
             None if t is None else t[k_lo:k_hi:step // D] for t in self._tails[key]
         )
-        terms = _numerator_terms(
-            c, _numerator_scalars(c, scale, 2 * self.chi.p, self._L), tail_re, tail_im,
-            self._re[lo:hi:step], self._im[lo:hi:step],
-        )
-        return exact_sum(terms, _zero_term(c, scale, self._L) if lo == 0 < hi else None)
+        x, y = self._re[lo:hi:step], self._im[lo:hi:step]
+        (u, v), k, s = self._L, scale, 2 * self.chi.p
+        if c < 0:
+            terms = [((k * s * s, 0), (tail_re, None)), ((2 * k * s * u, 0), (x, None)),
+                     ((2 * k * s * v, 0), (y, None))]
+        else:
+            terms = [((k * s * s, 0), (tail_re, tail_im)), ((2 * k * s * u, 2 * k * s * v), (x, y))]
+        zero = (k * (u * u - c * v * v), k * (1 + c) * u * v) if lo == 0 < hi else None
+        return exact_sum(terms, zero)
 
     def F(self, n: int, stop: int | None = None, step: int = 1):
         """``denominator`` times F_chi(n) = sum_{j=0}^{n} delta_chi(j)

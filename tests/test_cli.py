@@ -286,7 +286,8 @@ class TestVerifyCommand:
 
     # 3037000573 = 5 (mod 8) is prime with p**2 >= 2**63; 8388637 is the
     # first prime = 5 (mod 8) past MAX_PRIME, and 8389163 = 2q + 1 (q = 1
-    # mod 4 prime) the first safe-prime shape
+    # mod 4 prime) the first safe-prime shape; 244043 is the first such
+    # shape past MAX_POLY_PRIME, which ``poly`` names for both
     @pytest.mark.parametrize(
         "argv",
         [
@@ -296,6 +297,7 @@ class TestVerifyCommand:
             ["search", "--pmax", "100000000000"],
             ["search", "--safe-primes", "--pmax", "100000000000"],
             ["poly", "--p", "8389163"],
+            ["poly", "--p", "244043"],
             ["config", "3037000573"],
         ],
     )
@@ -319,7 +321,8 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert not captured.out and "Traceback" not in captured.err
         (line,) = [line for line in captured.err.splitlines() if "error:" in line]
-        assert "MAX_PRIME = 8388608" in line, line
+        bound = "MAX_POLY_PRIME = 244032" if argv[0] == "poly" else "MAX_PRIME = 8388608"
+        assert bound in line, line
 
 
 class TestDeterminism:

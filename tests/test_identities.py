@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -807,19 +808,25 @@ class TestObstructions:
             cached.cache_clear()
         with mock.patch.object(identities, "delta_constant", wraps=delta_constant) as d0:
             dichotomy_scan(200)
-        # one IdentityConstants per prime serves both sweeps, and delta_chi(0)
-        # is read through the public delta_constant once per prime
-        for cached in (quartic_pair, bernoulli_B2_psi, constants_for):
+        # every prime builds its character pair and B_2,psi once; only the
+        # primes whose identities hold at n <= 2 (5 and 13) run sweeps, and
+        # one IdentityConstants serves both of a prime's sweeps
+        for cached in (quartic_pair, bernoulli_B2_psi):
             info = cached.cache_info()
             assert info.misses == len(primes) and info.hits > 0, cached
-        assert d0.call_count == len(primes)
+        info = constants_for.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        # delta_chi(0) is read through the public delta_constant once per
+        # prime (obstruction_id2's report) and once more in the constants of
+        # 5 and 13
+        assert d0.call_count == len(primes) + 2
 
     def test_scan_computes_each_delta0_numerator_once(self):
-        # 2p delta_chi(0) is read four times per prime (the constants, the
-        # scan's first block, both obstructions), and the O(p) dot runs once
-        # per character while the scan is at its prime; the two primes that
-        # pass the first block (5 and 13) read it once more, in the
-        # Convolvers of their sweeps, after the scan has moved past them
+        # 2p delta_chi(0) is read three times per prime (obstruction_id1,
+        # and obstruction_id2's z and its delta_constant), and twice more at
+        # the two primes whose sweeps run (5 and 13: the constants and the
+        # Convolver); the sweeps run at their prime, so the O(p) dot runs
+        # once per character
         primes = quartic_primes(1000)
         assert len(primes) == 43
         for cached in (convolver, constants_for, _delta0_numerator):
@@ -827,23 +834,23 @@ class TestObstructions:
         with mock.patch.object(identities, "delta_constant", wraps=delta_constant) as d0:
             dichotomy_scan(1000, 50)
         info = _delta0_numerator.cache_info()  # misses: calls of the dot itself
-        assert (info.misses, info.hits + info.misses) == (43 + 2, 172 + 2)
-        assert d0.call_count == 43  # the public delta_constant still once per prime
+        assert (info.misses, info.hits + info.misses) == (43, 3 * 43 + 2 * 2)
+        # the public delta_constant: once per prime, and in the constants of 5 and 13
+        assert d0.call_count == 43 + 2
 
     def test_scan_tests_each_number_for_primality_once(self):
         # the 125 candidates p = 5 (mod 8) below 1000 are tested once each;
         # then the tables of each of the 43 primes ask about p five times
         # (the character pair, its primitive root and character, B_2,psi,
-        # the Kronecker table), and only the first asks runs a test; the two
-        # primes that pass the first block (5 and 13) rebuild their Kronecker
-        # tables for their sweeps, after the scan has moved past them
+        # the Kronecker table), and only the first asks runs a test; the
+        # sweeps of 5 and 13 run at their prime, on the tables still cached
         for cached in (foundations.is_prime, *SCAN_CACHES):
             cached.cache_clear()
         with mock.patch.object(identities, "is_prime", wraps=foundations.is_prime) as spy:
             rows = dichotomy_scan(1000, 50)
         candidates = range(5, 1001, 8)
         assert spy.call_count == len(candidates) and len(rows) == 43
-        assert foundations.is_prime.cache_info().misses == len(candidates) + len(rows) + 2
+        assert foundations.is_prime.cache_info().misses == len(candidates) + len(rows)
 
     def test_integer_verdicts_and_constants_match_the_rational_formulas(self):
         outcomes = set()
@@ -871,9 +878,14 @@ class TestObstructions:
             assert row.id2_pass == row.obstruction2_accepted
 
 
-class TestBatchedScan:
-    """The scan checks every prime's first sweep block in one batched pass,
-    and only the primes that pass it run a sweep."""
+# the sweeps of the scan's passing primes, (p, kind)
+PASSING_SWEEPS = [(p, kind) for p in (5, 13) for kind in ("conv", "square")]
+
+
+class TestObstructionScan:
+    """The scan reads every prime's verdicts at n <= 2 off its obstruction
+    equations, and only the primes whose identities hold there run a
+    sweep."""
 
     @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 50])
     def test_rows_equal_the_per_prime_sweeps(self, nmax):
@@ -901,37 +913,81 @@ class TestBatchedScan:
         ]
         assert [r.p for r in rows if r.id1_pass and r.id2_pass] == [5, 13]
 
-    @pytest.mark.parametrize("target", [13, 29])
-    def test_a_perturbed_alpha_changes_its_row_alone(self, target):
-        # p = 13 passes: its scaled alpha + 1 moves rhs(1) by sigma'(1) = 1,
-        # so F fails at n = 1.  p = 29 fails at n = 1: with its scaled alpha
-        # set to D F(1), n = 1 holds and the first mismatch moves on.  No
-        # other row of the batch changes.
+    def test_a_perturbed_alpha_changes_its_row_alone(self):
+        # p = 13 passes n <= 2, so its sweep runs: its scaled alpha + 1
+        # moves rhs(1) by sigma'(1) = 1, and F fails at n = 1.  No other row
+        # changes
         base = dichotomy_scan(1000, 50)
         real = identities._identity
 
         def perturbed(p, chi, kind):
             c, k, rhs = real(p, chi, kind)
-            if p == target and kind == "conv":
+            if p == 13 and kind == "conv":
                 ((re, im),) = rhs.scaled
-                if target == 13:
-                    re += 1
-                else:
-                    F1 = convolver(chi).numerators(1, 2, c, scale=k)  # D F(1)
-                    re, im = int(F1[0][0]), int(F1[1][0])
-                rhs = rhs._replace(scaled=((re, im),))
+                rhs = rhs._replace(scaled=((re + 1, im),))
             return c, k, rhs
 
         with mock.patch.object(identities, "_identity", perturbed):
             rows = dichotomy_scan(1000, 50)
         changed = [(a, b) for a, b in zip(base, rows) if a != b]
-        assert [b.p for _, b in changed] == [target]
+        assert [b.p for _, b in changed] == [13]
         (old, new), = changed
-        assert (old.id2_pass, old.id2_failure_n) == (new.id2_pass, new.id2_failure_n)
-        if target == 13:
-            assert old.id1_pass and (new.id1_pass, new.id1_failure_n) == (False, 1)
-        else:
-            assert old.id1_failure_n == 1 and new.id1_failure_n != 1
+        assert old.id1_pass and (new.id1_pass, new.id1_failure_n) == (False, 1)
+        assert dataclasses.replace(new, id1_pass=True, id1_failure_n=None) == old
+
+    @pytest.mark.parametrize(
+        "obstruction, target, field, value, identity, sweeps",
+        [
+            # F(1) read as holding at 29: F(2) fails (eq_n2), with no sweep
+            ("obstruction_id1", 29, "eq_n1_holds", True, "id1", PASSING_SWEEPS),
+            # H(2) read as holding at 29: n <= 2 all hold for H, so its sweep
+            # runs and finds the real failure at n = 2
+            ("obstruction_id2", 29, "quad_eq_holds", True, "id2",
+             [*PASSING_SWEEPS, (29, "square")]),
+            # H(2) read as failing at 13: H fails at 2, and its sweep is skipped
+            ("obstruction_id2", 13, "quad_eq_holds", False, "id2", PASSING_SWEEPS[:3]),
+        ],
+    )
+    def test_a_perturbed_obstruction_changes_its_row_alone(
+        self, obstruction, target, field, value, identity, sweeps
+    ):
+        # the perturbed verdict moves the row's first failure to n = 2 and
+        # leaves its obstruction columns (computed before the patch) and
+        # every other row as they were
+        base = dichotomy_scan(1000, 50)
+        real = getattr(identities, obstruction)
+
+        def perturbed(p, *args):
+            report = real(p, *args)
+            return dataclasses.replace(report, **{field: value}) if p == target else report
+
+        run = mock.patch.object(
+            identities, "_run_verification", wraps=identities._run_verification
+        )
+        with mock.patch.object(identities, obstruction, perturbed), run as spy:
+            rows = dichotomy_scan(1000, 50)
+        for old, new in zip(base, rows):
+            if old.p != target:
+                assert new == old
+        (old,), (new,) = ([r for r in t if r.p == target] for t in (base, rows))
+        fields = {f"{identity}_pass": False, f"{identity}_failure_n": 2}
+        assert new == dataclasses.replace(old, **fields)
+        assert sorted((c.args[0], c.args[2]) for c in spy.call_args_list) == sorted(sweeps)
+
+    def test_the_obstruction_equations_give_the_sweeps_first_failures(self):
+        # the derivation of dichotomy_scan's docstring, at every p = 5 (mod 8)
+        # below 20 000: F first fails at 1 unless eq_n1 holds, else at 2
+        # unless eq_n2 holds, and H at 2 unless quad_eq holds, as the
+        # sweeps to n = 2 find
+        primes = quartic_primes(20000)
+        assert len(primes) == 569
+        for p in primes:
+            chi = canonical_quartic(p)
+            ob1, ob2 = obstruction_id1(p), obstruction_id2(p, chi)
+            f = 1 if not ob1.eq_n1_holds else 2 if not ob1.eq_n2_holds else None
+            h = None if ob2.quad_eq_holds else 2
+            assert verify_id1(p, 2, chi).failure_n == f, p
+            assert verify_id2(p, chi, 2).failure_n == h, p
 
 
 SCAN_CACHES = (
