@@ -471,6 +471,74 @@ class TestPinnedScanReports:
         assert pinned == safe_prime_scan(1100)
 
 
+def _raw_timing_free_sha256(argv, capsys) -> str:
+    """sha256 of the report's stdout bytes as written, its elapsed_ms line dropped."""
+    capsys.readouterr()
+    assert main(argv) == EXIT_PASS
+    lines = capsys.readouterr().out.encode("utf-8").splitlines(keepends=True)
+    return hashlib.sha256(b"".join(x for x in lines if b"elapsed_ms" not in x)).hexdigest()
+
+
+# the scan reports byte for byte, indentation, line ends and key order
+# included, in each format, as the per-residue row dicts rendered them
+PINNED_SCAN_BYTES = {
+    "poly --p 11 --format json":
+        "e98ea71552a83dc7288fd0c0ec327b6193db053687003ed36282e95f36e99278",
+    "poly --p 11 --format csv":
+        "486105a058c86f27e18cf01bef85fb6df62d70a9760da9a64e2d4093f25fdbfe",
+    "poly --p 11 --format text":
+        "3d198a3d302cbc7186cab9709c8261fd52032ee9ee7f15e04a1653028b53bcc1",
+    "poly --p 59 --format json":
+        "ab240fdb60ec0ad325e547df6e8bfcd5be389642f4fdef87fd554fb1add17495",
+    "poly --p 59 --format csv":
+        "875174520769dc004f69ebb2aa79f1ee009b56620d1412cdad8205e8db455cd3",
+    "poly --p 59 --format text":
+        "72f6786cad3dfa03d7d43c3d092a2a3cc0b71e07ade97de6d8333ee530a10b54",
+    "poly --p 347 --format json":
+        "1bf3513f3d38106994e7bf6d621695dd097606f5961643a94bd46e23af3728b1",
+    "poly --p 347 --format csv":
+        "71aa4d3240aeabd8ac1258eb0f94f919ec7be475f140da590728e33ea57d4d53",
+    "poly --p 347 --format text":
+        "019215c1a6b1b599ae27d7b21c3f08743ac8295553a5141cdb97a32f2711a3aa",
+    "poly --p 467 --format json":
+        "c7dc73c6c6330fff41f588f3e3981954925bc740be368c2631727e968dd23f65",
+    "poly --p 467 --format csv":
+        "b602d589fbb7ca921ead5a377d5032b3c7ec1d4ede95db3c4cd5853e8b9fdc99",
+    "poly --p 467 --format text":
+        "7b380f52a0dfd8f86204504bde42808ea9e8e387b706e430eeeaa54c537fd3e2",
+    "poly --p 5939 --format json":
+        "7a3446c7b88f6845fe4e9953a25e46b36922cc9fac500120e77d4e859c097842",
+    "poly --p 5939 --format csv":
+        "7e55d456b9b9cd5aade476bff94ff7cd6dd3085219ed2f15d9b0fd7c14b347bc",
+    "poly --p 5939 --format text":
+        "9a7b97e117ee39645edbffd91561ba24b48d755646242d00dbaa83b7b159f637",
+    "poly --p 20123 --format json":
+        "f708b4831f45bde3772de5231e0792231f40dda26ab24fbef0a16583293d26c0",
+    "poly --p 20123 --format csv":
+        "7b1aa0d4dc620d879fcdb6ef90a77c44b74c4262a16a9d903eec188f2f2f6dfd",
+    "poly --p 20123 --format text":
+        "6ca5fb8281089f4d1e16481d37c3713f0d44b4c8cb25352e9d769314651408e3",
+    "search --pmax 1000 --nmax 50 --format json":
+        "3dc2ef227c833735cd9ff13913160504d5ed2fad2d7548f46eeeea5b0434bdb5",
+    "search --pmax 1000 --nmax 50 --format csv":
+        "719e171b2a11e9f90ad8285687a9737fd4bdb425ac5267880927ba25b4d8bd0f",
+    "search --pmax 1000 --nmax 50 --format text":
+        "3b10656f7a0f10438a9d5bbe293924d5cd20f9de147f9dddf4a84e485fd11728",
+    "search --safe-primes --pmax 5000 --format json":
+        "6712a431faa84ae57fb11ae46f95a5bac4f023f60e3e5b968dda7c2cce63c67e",
+    "search --safe-primes --pmax 5000 --format csv":
+        "27ea689d4e0cc19f270631cb230bef29b2aa73e099e65e22bd1e69c8750c20f3",
+    "search --safe-primes --pmax 5000 --format text":
+        "78203d7a20512ea324baf92abc646bdff9e72071e9230a75e5e3355bd78b3340",
+}
+
+
+class TestPinnedScanBytes:
+    @pytest.mark.parametrize("argv", list(PINNED_SCAN_BYTES))
+    def test_report_bytes_are_pinned(self, argv, capsys):
+        assert _raw_timing_free_sha256(argv.split(), capsys) == PINNED_SCAN_BYTES[argv]
+
+
 class TestSearchCommand:
     def test_dichotomy_table(self, tmp_path):
         out = tmp_path / "s.json"
