@@ -8,15 +8,17 @@ reduce to exact divisibility of its fold g = f mod (x**(p-1) - 1) by the
 cyclotomic polynomials Phi_d, d | p - 1.  No numeric root-of-unity
 evaluation anywhere.
 
-Cost: ``f_poly`` counts exponent pairs with one numpy divisor sieve, one
-``np.add.outer`` per j and one ``np.bincount``: O(p) interpreter steps
-and O(p log**2 p) numpy work.  The cyclotomic tests, for p - 1 = 2q, take
-the two remainders of g by x**q - 1 and x**q + 1, not four divisions by
-Phi_1, Phi_2, Phi_q and Phi_2q: ``divmod_exact`` visits only the nonzero
-divisor coefficients, so each remainder is O(p) integer steps, and the
-four tests read them (``cyclotomic_zeros``).  A report is O(p) interpreter
-steps in all.  The report's two flags, x**q + 1 | g and gcd(g, x**q - 1)
-= 1, follow from the same four tests (see ``xq_flags``).  ``cyclotomic``,
+Cost: ``f_poly`` counts exponent pairs with one numpy divisor table and
+a chunk of about 2p sums at a time, each chunk one ``np.repeat``, one
+gather and one ``np.bincount``: O(log**2 p) interpreter steps and
+O(p log**2 p) numpy work.  The cyclotomic tests, for p - 1 = 2q, take the two
+remainders of g by x**q - 1 and x**q + 1, not four divisions by Phi_1,
+Phi_2, Phi_q and Phi_2q: ``divmod_exact`` visits only the nonzero divisor
+coefficients, so each remainder is O(p) integer steps, and the four tests
+read them (``cyclotomic_zeros``).  A report holds those four verdicts, one
+per order of zeta**k, not a row per character.  The report's two flags,
+x**q + 1 | g and gcd(g, x**q - 1) = 1, follow from the same four tests
+(see ``xq_flags``).  ``cyclotomic``,
 the dense sum of ``h_poly`` products, ``poly_gcd``, ``pseudo_remainder``,
 ``divisible_by_xq_plus_1`` and ``coprime_with_xq_minus_1`` are slow
 oracles kept for the tests.
@@ -25,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 from typing import Union
 
 import numpy as np
 
 from .characters import DirichletCharacter
-from .foundations import GaussianRational, divisors, is_prime
+from .foundations import GaussianRational, divisors, is_prime, prime_sieve
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class IntPolynomial:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        return IntPolynomial(tuple(int(c) for c in cs))
+        return IntPolynomial(tuple(map(int, cs)))
 
     @staticmethod
     def monomial(degree: int, coeff: int = 1) -> "IntPolynomial":
@@ -213,15 +216,19 @@ def h_poly(xi: DirichletCharacter, j: int) -> IntPolynomial:
 
 def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(start, divs): the divisors of j are divs[start[j]:start[j+1]], for
-    1 <= j < n, in increasing order; one numpy sieve over the pairs (d, m d)."""
+    1 <= j < n, in increasing order; one numpy sieve over the pairs (d, m d),
+    put in order by one sort of the keys m n + d (m n + d < n**2 < 2**63)."""
     d = np.arange(1, n, dtype=np.int64)
     count = (n - 1) // d  # multiples of d below n
     first = np.cumsum(count) - count
     ds = np.repeat(d, count)
-    multiples = ds * (np.arange(len(ds), dtype=np.int64) - np.repeat(first, count) + 1)
+    keys = ds * (np.arange(len(ds), dtype=np.int64) - np.repeat(first, count) + 1)
     start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(multiples, minlength=n), out=start[1:])
-    return start, ds[np.argsort(multiples, kind="stable")]
+    np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
+    keys *= n
+    keys += ds
+    keys.sort()
+    return start, keys % n
 
 
 def f_poly(xi: DirichletCharacter) -> IntPolynomial:
@@ -229,37 +236,58 @@ def f_poly(xi: DirichletCharacter) -> IntPolynomial:
 
     Coefficient i counts the triples (j, d | j, e | p - j) with
     t_xi(d) + t_xibar(e) = i, so f sums the bincounts of the exponent sums.
-    There are about p log**2 p sums; they are counted a chunk of j at a
-    time, each chunk closed once it holds as many sums as f has
-    coefficients, so a bincount never costs more than its chunk and the
-    sums held at once stay O(p).
+    They are laid out in rows, one per entry (j, d) of the divisor table,
+    in its order: row (j, d) holds the d(p - j) sums over the divisors e
+    of p - j, one contiguous block of the table, so the table position of
+    e is that of the sum plus a shift fixed per row.
+
+    About p log**2 p sums in all, counted a chunk of rows at a time, each
+    chunk ending before the first row that reaches the next multiple of
+    C = 2p - 3 sums, as many as f has coefficients: a bincount never costs
+    more than its chunk, and the loop runs over under (ln p)**2 / 2 chunks
+    (15 at p = 347, 49 at p = 99707), not over j.  A chunk starts within
+    one row of the multiple of C before it, and a row holds d(p - j) <
+    2 sqrt(p) sums (the divisors of m pair up as e, m/e with e < sqrt(m)),
+    so a chunk holds fewer than 2p + 2 sqrt(p) sums, in three int64
+    arrays.  The peak is the five int64 arrays over the table's
+    sum_{j<p} d(j) ~ p ln p entries: t_xi(d), t_xibar(d), row length,
+    row end and shift.
     """
     p = xi.p
     t = xi.exponent_table()
-    tbar = -t % (p - 1)
-    start, divs = _divisor_table(p)
+    start, td = _divisor_table(p)
+    td = t[td]  # t_xi of each table entry; its divisor is not needed again
+    te = np.negative(td)
+    te %= p - 1  # t_xibar
+    count = np.diff(start[1:])  # d(j), j = 1..p-1
+    rowlen = np.repeat(count[::-1], count)  # row (j, d) holds d(p - j) sums
+    ends = np.cumsum(rowlen)
+    # row (j, d)'s first e is at start[p - j] in the table, its first sum at
+    # ends - rowlen among the sums: the shift is their difference
+    shift = np.repeat(start[p - 1 : 0 : -1], count)
+    shift -= ends
+    shift += rowlen
     counts = np.zeros(2 * p - 3, dtype=np.int64)
-    chunk, held = [], 0
-    for j in range(1, p):
-        sums = np.add.outer(
-            t[divs[start[j]:start[j + 1]]], tbar[divs[start[p - j]:start[p - j + 1]]]
-        ).ravel()
-        chunk.append(sums)
-        held += len(sums)
-        if held >= len(counts) or j == p - 1:
-            counts += np.bincount(np.concatenate(chunk), minlength=len(counts))
-            chunk, held = [], 0
-    total = IntPolynomial.make(counts)
+    C = len(counts)
+    cuts = [0, *np.searchsorted(ends, np.arange(C, ends[-1], C)).tolist(), len(ends)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        epos = np.repeat(shift[lo:hi], rowlen[lo:hi])
+        epos += np.arange(ends[lo] - rowlen[lo], ends[hi - 1])
+        sums = np.repeat(td[lo:hi], rowlen[lo:hi])
+        sums += te[epos]
+        counts += np.bincount(sums, minlength=C)
+    total = IntPolynomial.make(counts.tolist())
     assert total.degree <= 2 * p - 4
     return total
 
 
 def reduce_g(f: IntPolynomial, p: int) -> IntPolynomial:
-    """f reduced mod x**(p-1) - 1: fold coefficient i onto i mod (p-1)."""
-    folded = [0] * (p - 1)
-    for i, c in enumerate(f.coeffs):
-        folded[i % (p - 1)] += c
-    return IntPolynomial.make(folded)
+    """f reduced mod x**(p-1) - 1: coefficient i folds onto i mod (p-1), as
+    the column sums of f's coefficients cut into runs of p - 1, in Python
+    ints, so that no sum can overflow."""
+    n, c = p - 1, f.coeffs
+    runs = (c[i : i + n] for i in range(0, len(c), n))
+    return IntPolynomial.make(map(sum, zip_longest(*runs, fillvalue=0)))
 
 
 def divisible_by_xq_plus_1(g: IntPolynomial, q: int) -> bool:
@@ -348,21 +376,16 @@ def two_generates(p: int) -> bool:
 def safe_prime_scan(bound: int) -> list[int]:
     """All p <= bound of the required shape; asserts 2 generates each group.
 
-    Only p = 3 (mod 8) can have the shape, so only those are visited."""
-    out = []
-    for p in range(11, bound + 1, 8):
-        if is_safe_prime_shape(p):
-            if not two_generates(p):
-                raise ValueError(f"2 is not a primitive root mod {p}")
-            out.append(p)
+    Only p = 3 (mod 8) can have the shape (``is_safe_prime_shape``).  Both
+    p and q = (p - 1)/2 are read off one ``prime_sieve`` of bound + 1 bytes
+    (about 8 MiB at MAX_PRIME), so no candidate is tested on its own."""
+    sieve = prime_sieve(max(bound, 0))
+    candidates = np.flatnonzero(sieve[11::8]) * 8 + 11
+    out = candidates[sieve[(candidates - 1) // 2]].tolist()
+    for p in out:
+        if not two_generates(p):
+            raise ValueError(f"2 is not a primitive root mod {p}")
     return out
-
-
-@dataclass
-class CharacterRow:
-    k: int
-    parity: str
-    is_zero: bool
 
 
 @dataclass
@@ -376,52 +399,44 @@ class EvenObstructionReport:
     divisible_by_xq_plus_1: bool
     coprime_with_xq_minus_1: bool
     f_at_one: int
-    rows: list[CharacterRow]
+    zero_for_order: dict[int, bool]  # d -> whether f(zeta**k) = 0 when zeta**k has order d
     flagged_zero_coefficients: list[int]
 
+    def zero_characters(self) -> np.ndarray:
+        """Bool array over k = 0..p-2: whether the sum for xi = chi**k
+        vanishes, the verdict of the order (p-1)/gcd(k, p-1) of zeta**k."""
+        n = self.p - 1
+        orders = n // np.gcd(np.arange(n), n)
+        return np.isin(orders, [d for d, zero in self.zero_for_order.items() if zero])
+
+    # k is even iff zeta**k has odd order: 1 (k = 0) or q (gcd(k, 2q) = 2);
+    # k is odd iff it has even order: 2 (k = q) or 2q (gcd(k, 2q) = 1)
     def all_even_nonzero(self) -> bool:
-        return all(not r.is_zero for r in self.rows if r.parity == "even")
+        return not self.zero_for_order[1] and not self.zero_for_order[self.q]
 
     def all_odd_zero(self) -> bool:
-        return all(r.is_zero for r in self.rows if r.parity == "odd")
+        return self.zero_for_order[2] and self.zero_for_order[2 * self.q]
 
 
 def even_character_obstruction(p: int) -> EvenObstructionReport:
-    """Per-character vanishing table of sum_j delta_xi(j) delta_xibar(p-j).
+    """The vanishing of sum_j delta_xi(j) delta_xibar(p-j), xi = chi**k,
+    as four verdicts, one per order d in {1, 2, q, 2q} of zeta**k.
 
-    The sum for xi = chi**k equals f_chi(zeta**k); vanishing is decided
-    exactly by cyclotomic divisibility of the folded polynomial g, read
-    from its remainders by x**q -+ 1, and the two x**q -+ 1 flags are read
-    from the same four tests (``xq_flags``).
+    The sum for xi = chi**k equals f_chi(zeta**k), and zeta**k has order
+    (p-1)/gcd(k, p-1); f(zeta**k) = 0 iff the corresponding cyclotomic
+    polynomial divides the folded polynomial g, which is decided exactly
+    from its remainders by x**q -+ 1.  The two x**q -+ 1 flags are read from
+    the same four tests (``xq_flags``), and f(1) and the flagged zero
+    coefficients from f's coefficients as one int64 array.
     """
     if not is_safe_prime_shape(p):
         raise ValueError(f"{p} is not 2q+1 with q = 1 (mod 4) prime")
     q = (p - 1) // 2
-    chi = DirichletCharacter(p, 2, 1)
-    f = f_poly(chi)
-    g = reduce_g(f, p)
-
-    # zeta**k has order (p-1)/gcd(k, p-1); f(zeta**k) = 0 iff the
-    # corresponding cyclotomic polynomial divides g
-    zero_for_order = cyclotomic_zeros(g, p - 1)
+    f = f_poly(DirichletCharacter(p, 2, 1))
+    zero_for_order = cyclotomic_zeros(reduce_g(f, p), p - 1)
     divisible, coprime = xq_flags(zero_for_order, q)
-
-    rows = []
-    for k in range(p - 1):
-        order = (p - 1) // gcd(k, p - 1) if k else 1
-        rows.append(
-            CharacterRow(
-                k,
-                "even" if k % 2 == 0 else "odd",
-                zero_for_order[order],
-            )
-        )
-
-    flagged = [
-        i
-        for i in range(2 * p - 3)
-        if f[i] == 0 and i not in (p - 1, p) and i <= f.degree
-    ]
+    coeffs = np.array(f.coeffs, dtype=np.int64)  # counts of exponent sums: no overflow
+    flagged = np.flatnonzero(coeffs == 0)
     return EvenObstructionReport(
         p,
         q,
@@ -431,9 +446,9 @@ def even_character_obstruction(p: int) -> EvenObstructionReport:
         f[p],
         divisible,
         coprime,
-        f.evaluate(1),
-        rows,
-        flagged,
+        int(coeffs.sum()),
+        zero_for_order,
+        flagged[(flagged != p - 1) & (flagged != p)].tolist(),
     )
 
 

@@ -43,12 +43,14 @@ from .identities import (
 )
 from .qseries import MAX_FAST_N, MAX_PRIME
 
-# largest p of a ``poly`` report: the report and its rendering peak near
-# 1.1 kB per residue (tracemalloc: 1063 B per residue for ``poly --p 99707``,
-# of which ``even_character_obstruction`` takes under 460 at p = 243707), so
-# the 2**28 bytes (256 MiB) that MAX_PRIME allows the tables admit p up to
-# 2**28 // 1100 = 244032, past 99707, the largest safe prime below 10**5
-MAX_POLY_PRIME = 2**28 // 1100
+# largest p of a ``poly`` report: its peak is f_poly's, whose divisor table
+# and row arrays (five int64 arrays over the table's ~p ln p entries) hold
+# near 0.6 kB per residue (tracemalloc over the whole command: 568 B per
+# residue at p = 120587, 618 at 243707, 631 at 382883, growing with ln p);
+# the rows render from four verdicts, below that peak.  So the 2**28 bytes
+# (256 MiB) that MAX_PRIME allows the tables admit p up to 2**28 // 700 =
+# 383479, past 99707, the largest safe prime below 10**5
+MAX_POLY_PRIME = 2**28 // 700
 assert 99707 <= MAX_POLY_PRIME < MAX_PRIME
 
 EXIT_PASS = 0
@@ -407,10 +409,18 @@ def _flat(value) -> object:
     return value
 
 
-def render_report(payload: dict, fmt: str) -> str:
+def render_report(payload: dict, fmt: str, rows: str | None = None) -> str:
+    """The report text of ``payload`` in ``fmt``.  ``rows``, when given, is
+    the text of the rows already in ``fmt`` (``_poly_rows``), and
+    ``payload["rows"]`` is None, holding their place."""
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if rows is None:
+            return text
+        return text.replace('"rows": null', f'"rows": [\n{rows[:-2]}\n  ]', 1)
     if fmt == "csv":
+        if rows is not None:
+            return rows
         buf = io.StringIO()
         writer = csv.writer(buf)
         rows = payload.get("rows")
@@ -425,7 +435,9 @@ def render_report(payload: dict, fmt: str) -> str:
     if fmt == "text":
         lines = []
         for key, value in payload.items():
-            if key == "rows":
+            if key == "rows" and rows is not None:
+                lines.append(rows[:-1])
+            elif key == "rows":
                 for row in value:
                     lines.append("  " + " ".join(f"{k}={_flat(v)}" for k, v in row.items()))
             else:
@@ -561,13 +573,40 @@ def cmd_asympt(args) -> int:
     return EXIT_PASS
 
 
+# a poly report's rows as render_report writes the row dicts {"k": k,
+# "parity": ..., "obstruction": ...}: the csv header, and one row with k left
+# as %d, ending in its separator (",\n" between json rows, "\n" between text
+# lines), which render_report drops after the last row
+POLY_ROWS = {
+    "json": ("", '    {\n      "k": %%d,\n      "obstruction": "%(obstruction)s",'
+                 '\n      "parity": "%(parity)s"\n    },\n'),
+    "csv": ("k,parity,obstruction\r\n", "%%d,%(parity)s,%(obstruction)s\r\n"),
+    "text": ("", "  k=%%d parity=%(parity)s obstruction=%(obstruction)s\n"),
+}
+
+
+def _poly_rows(report, fmt: str) -> str:
+    """The rows (k, parity, obstruction) of a poly report, k = 0..p-2, in
+    ``fmt``: one template per (parity, obstruction), picked for every k by
+    numpy from the report's per-order verdicts, and filled with every k by
+    one ``%``, so no object is built per row."""
+    head, row = POLY_ROWS[fmt]
+    templates = [
+        row % {"parity": parity, "obstruction": obstruction}
+        for obstruction in ("nonzero", "zero") for parity in ("even", "odd")
+    ]
+    n = report.p - 1
+    picks = 2 * report.zero_characters() + np.arange(n) % 2
+    return head + "".join(map(templates.__getitem__, picks.tolist())) % tuple(range(n))
+
+
 def cmd_polynomial(args) -> int:
     t0 = time.perf_counter()
     p = args.p
     if p > MAX_POLY_PRIME:  # checked before any table, as MAX_PRIME is
         raise UsageError(
             f"--p must be at most MAX_POLY_PRIME = {MAX_POLY_PRIME}, the largest p whose"
-            f" report (about 1.1 kB per residue) is built, got {p}"
+            f" report (about 0.7 kB per residue) is built, got {p}"
         )
     if not is_safe_prime_shape(p):
         raise UsageError(f"p must be 2q+1 with q = 1 (mod 4) prime, got {p}")
@@ -583,14 +622,11 @@ def cmd_polynomial(args) -> int:
         "coprime_with_xq_minus_1": report.coprime_with_xq_minus_1,
         "f_at_one": report.f_at_one,
         "flagged_zero_coefficients": report.flagged_zero_coefficients,
-        "rows": [
-            {"k": r.k, "parity": r.parity, "obstruction": "zero" if r.is_zero else "nonzero"}
-            for r in report.rows
-        ],
+        "rows": None,  # rendered by _poly_rows
         "outcome": "pass",
         "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
-    write_output(render_report(payload, args.format), args.out)
+    write_output(render_report(payload, args.format, _poly_rows(report, args.format)), args.out)
     return EXIT_PASS
 
 

@@ -60,6 +60,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_sieve(n: int) -> np.ndarray:
+    """Bool array s of length n + 1 with s[m] = whether m is prime, by
+    Eratosthenes: one slice assignment per prime up to sqrt(n), so a scan
+    over candidates up to n reads them all off one array instead of testing
+    each.  One byte per m: 8 MiB at MAX_PRIME = 2**23."""
+    if n < 0:
+        raise ValueError("prime_sieve expects a non-negative bound")
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return sieve
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; inputs are desk scale."""
     if n < 1:

@@ -7,13 +7,17 @@ transform and exact by construction: it shares no code and no arithmetic
 with ``qseries._full_product``'s float64 FFT.  ``bernoulli_B2_psi_cohen``
 is Cohen's divisor-sum formula for B_{2,psi}, and ``discrete_log_walk``
 the discrete-log table by one multiplication per power of g.
+``quartic_primes_walk`` and ``safe_prime_walk`` are the prime scans as
+their definitions read, one primality test per candidate, and
+``f_coefficients_per_j`` counts f_xi's exponent sums one j at a time.
 """
 import decimal
 from fractions import Fraction
 
 import numpy as np
 
-from farkas.foundations import sigma1
+from farkas.charpoly import is_safe_prime_shape, two_generates
+from farkas.foundations import divisors, is_prime, sigma1
 
 # integer arithmetic in libmpdec: a product that would round raises instead
 EXACT = decimal.Context(
@@ -98,3 +102,35 @@ def discrete_log_walk(p: int, g: int) -> list[int]:
     if x != 1:
         raise ValueError(f"{g} is not a primitive root mod {p}")
     return table
+
+
+def quartic_primes_walk(pmax: int) -> list[int]:
+    """All primes p = 5 (mod 8) with p <= pmax, one is_prime per candidate."""
+    return [p for p in range(5, pmax + 1, 8) if is_prime(p)]
+
+
+def safe_prime_walk(bound: int) -> list[int]:
+    """All p <= bound with ``is_safe_prime_shape``, each candidate p = 3
+    (mod 8) tested on its own; asserts 2 generates each group."""
+    out = []
+    for p in range(11, bound + 1, 8):
+        if is_safe_prime_shape(p):
+            if not two_generates(p):
+                raise ValueError(f"2 is not a primitive root mod {p}")
+            out.append(p)
+    return out
+
+
+def f_coefficients_per_j(xi) -> list[int]:
+    """The coefficients of f_xi, degree 0..2p-4: for each j in 1..p-1, the
+    bincount of t_xi(d) + t_xibar(e) over d | j and e | p - j, with the
+    divisors listed by ``divisors``."""
+    p = xi.p
+    t = xi.exponent_table()
+    counts = np.zeros(2 * p - 3, dtype=np.int64)
+    for j in range(1, p):
+        d = np.array(divisors(j))
+        e = np.array(divisors(p - j))
+        sums = np.add.outer(t[d], -t[e] % (p - 1)).ravel()
+        counts += np.bincount(sums, minlength=len(counts))
+    return counts.tolist()

@@ -1,3 +1,5 @@
+import bisect
+import math
 import random
 from unittest import mock
 
@@ -27,6 +29,7 @@ from farkas.charpoly import (
     zero_sum_is_zero,
 )
 from farkas.foundations import discrete_log_table, divisors, is_prime
+from oracles import f_coefficients_per_j, safe_prime_walk
 
 
 def P(*coeffs):
@@ -155,6 +158,15 @@ class TestFPoly:
     def test_matches_dense_oracle(self, p):
         chi = DirichletCharacter(p, 2, 1)
         assert f_poly(chi) == f_oracle(chi)
+
+    @pytest.mark.parametrize("p", [5939, 20123])
+    def test_many_chunks_match_the_per_j_oracle(self, p):
+        # 30 and 37 chunks of rows: every sum is counted once across the
+        # chunk boundaries, against an oracle that lists its own divisors
+        want = f_coefficients_per_j(DirichletCharacter(p, 2, 1))
+        while want[-1] == 0:
+            want.pop()
+        assert list(f_poly(DirichletCharacter(p, 2, 1)).coeffs) == want
 
     @pytest.mark.parametrize("p", [11, 59])
     def test_every_power_matches_dense_oracle(self, p):
@@ -314,15 +326,21 @@ class TestSafePrimeScan:
             p for p in range(11, bound + 1, 2)
             if is_prime(p) and (p - 1) // 2 % 4 == 1 and is_prime((p - 1) // 2)
         ]
-        visited = []
+        assert safe_prime_scan(bound) == oracle
 
-        def shape(p):
-            visited.append(p)
-            return is_safe_prime_shape(p)
+    def test_scan_equals_the_per_candidate_walk_at_every_bound(self):
+        # the sieve reads every candidate off one array: at each bound up to
+        # 20 000 (and below the first candidate, 11) it returns what testing
+        # each p = 3 (mod 8) on its own returns
+        walk = safe_prime_walk(20000)
+        for bound in range(-1, 20001):
+            assert safe_prime_scan(bound) == walk[: bisect.bisect_right(walk, bound)], bound
 
-        with mock.patch.object(charpoly, "is_safe_prime_shape", shape):
-            assert safe_prime_scan(bound) == oracle
-        assert visited == list(range(11, bound + 1, 8))  # only p = 3 (mod 8)
+    def test_scan_tests_no_candidate_on_its_own(self):
+        walk = safe_prime_walk(5000)
+        with mock.patch.object(charpoly, "is_safe_prime_shape", side_effect=AssertionError), \
+                mock.patch.object(charpoly, "is_prime", side_effect=AssertionError):
+            assert safe_prime_scan(5000) == walk
 
     def test_shape_tests_q_mod_4_before_any_primality_test(self):
         with mock.patch.object(charpoly, "is_prime", side_effect=AssertionError) as spy:
@@ -339,13 +357,24 @@ class TestSafePrimeScan:
 
 class TestEvenObstruction:
     def test_p11_table(self):
-        rep = even_character_obstruction(11)
+        p = 11
+        rep = even_character_obstruction(p)
         assert rep.b0 == 10 and rep.b1 == 6
         assert rep.b_p_minus_1 == 0 and rep.b_p == 0
         assert rep.divisible_by_xq_plus_1 and rep.coprime_with_xq_minus_1
-        for row in rep.rows:
-            assert row.is_zero == (row.k % 2 == 1)
+        assert rep.zero_characters().tolist() == [k % 2 == 1 for k in range(p - 1)]
         assert rep.f_at_one >= 10  # trivial character sum is positive
+
+    @pytest.mark.parametrize("p", safe_prime_scan(1100))
+    def test_each_verdict_is_a_cyclotomic_division(self, p):
+        # the verdict of chi**k is that of the order d of zeta**k: whether
+        # Phi_d divides g, here by one long division per order
+        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        divides = {d: g.divmod_exact(cyclotomic(d))[1].is_zero() for d in divisors(p - 1)}
+        zeros = even_character_obstruction(p).zero_characters()
+        assert len(zeros) == p - 1
+        for k in range(p - 1):
+            assert zeros[k] == divides[(p - 1) // math.gcd(k, p - 1)], k
 
     def test_p59_even_rows_nonzero(self):
         rep = even_character_obstruction(59)

@@ -286,7 +286,7 @@ class TestVerifyCommand:
 
     # 3037000573 = 5 (mod 8) is prime with p**2 >= 2**63; 8388637 is the
     # first prime = 5 (mod 8) past MAX_PRIME, and 8389163 = 2q + 1 (q = 1
-    # mod 4 prime) the first safe-prime shape; 244043 is the first such
+    # mod 4 prime) the first safe-prime shape; 383723 is the first such
     # shape past MAX_POLY_PRIME, which ``poly`` names for both
     @pytest.mark.parametrize(
         "argv",
@@ -297,7 +297,7 @@ class TestVerifyCommand:
             ["search", "--pmax", "100000000000"],
             ["search", "--safe-primes", "--pmax", "100000000000"],
             ["poly", "--p", "8389163"],
-            ["poly", "--p", "244043"],
+            ["poly", "--p", "383723"],
             ["config", "3037000573"],
         ],
     )
@@ -321,7 +321,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert not captured.out and "Traceback" not in captured.err
         (line,) = [line for line in captured.err.splitlines() if "error:" in line]
-        bound = "MAX_POLY_PRIME = 244032" if argv[0] == "poly" else "MAX_PRIME = 8388608"
+        bound = "MAX_POLY_PRIME = 383479" if argv[0] == "poly" else "MAX_PRIME = 8388608"
         assert bound in line, line
 
 
@@ -457,8 +457,8 @@ class TestPinnedScanReports:
         assert _timing_free_sha256(argv.split(), capsys) == PINNED_SCAN_REPORTS[argv]
 
     def test_a_large_safe_prime_is_pinned(self, capsys):
-        # f's exponent sums are counted a chunk of j at a time; at p = 20123
-        # the chunks close dozens of times, so every chunk boundary is pinned
+        # f's exponent sums are counted a chunk of rows at a time; at
+        # p = 20123 they take 37 chunks, so every chunk boundary is pinned
         argv = ["poly", "--p", "20123"]
         assert _timing_free_sha256(argv, capsys) == (
             "5c1c101af68c6d97521175e781385a7b324200aa8e1ae3048e5faa5ccaa8483a"

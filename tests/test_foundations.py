@@ -16,9 +16,11 @@ from farkas.foundations import (
     is_prime,
     kronecker,
     omega,
+    prime_sieve,
     primitive_root,
     sigma1,
 )
+from farkas.qseries import MAX_PRIME
 from oracles import discrete_log_walk
 
 
@@ -143,6 +145,29 @@ class TestIsPrime:
     def test_large_known(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
+
+
+class TestPrimeSieve:
+    def test_agrees_with_is_prime_to_two_hundred_thousand(self):
+        n = 2 * 10**5
+        sieve = prime_sieve(n)
+        assert sieve.dtype == bool and len(sieve) == n + 1
+        assert sieve.tolist() == [False] + [is_prime(m) for m in range(1, n + 1)]
+
+    def test_small_bounds(self):
+        assert prime_sieve(0).tolist() == [False]
+        assert prime_sieve(1).tolist() == [False, False]
+        assert prime_sieve(2).tolist() == [False, False, True]
+        with pytest.raises(ValueError):
+            prime_sieve(-1)
+
+    def test_at_max_prime(self):
+        # one byte per number: 8 MiB, and the top of it agrees with is_prime
+        sieve = prime_sieve(MAX_PRIME)
+        assert sieve.nbytes == MAX_PRIME + 1
+        top = range(MAX_PRIME - 2000, MAX_PRIME + 1)
+        assert sieve[top.start:].tolist() == [is_prime(m) for m in top]
+        assert not sieve[MAX_PRIME]
 
 
 class TestPrimitiveRoot:

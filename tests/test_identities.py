@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import sys
@@ -50,6 +51,7 @@ from farkas.qseries import (
     sigma_tilde_series,
     sigma_tilde_values,
 )
+from oracles import quartic_primes_walk
 from test_qseries import exact_sum_bound
 
 
@@ -839,18 +841,25 @@ class TestObstructions:
         assert d0.call_count == 43 + 2
 
     def test_scan_tests_each_number_for_primality_once(self):
-        # the 125 candidates p = 5 (mod 8) below 1000 are tested once each;
-        # then the tables of each of the 43 primes ask about p five times
-        # (the character pair, its primitive root and character, B_2,psi,
-        # the Kronecker table), and only the first asks runs a test; the
-        # sweeps of 5 and 13 run at their prime, on the tables still cached
+        # the 125 candidates p = 5 (mod 8) below 1000 are read off one prime
+        # sieve (tested one by one, they took 125 is_prime calls here and
+        # 125 + 43 cache misses in all; now 0 calls and 43 misses); then the
+        # tables of each of the 43 primes ask about p five times (the
+        # character pair, its primitive root and character, B_2,psi, the
+        # Kronecker table), and only the first asks runs a test; the sweeps
+        # of 5 and 13 run at their prime, on the tables still cached
         for cached in (foundations.is_prime, *SCAN_CACHES):
             cached.cache_clear()
-        with mock.patch.object(identities, "is_prime", wraps=foundations.is_prime) as spy:
+        with mock.patch.object(identities, "prime_sieve", wraps=foundations.prime_sieve) as sieve, \
+                mock.patch.object(identities, "is_prime", wraps=foundations.is_prime) as spy:
             rows = dichotomy_scan(1000, 50)
-        candidates = range(5, 1001, 8)
-        assert spy.call_count == len(candidates) and len(rows) == 43
-        assert foundations.is_prime.cache_info().misses == len(candidates) + len(rows)
+        assert sieve.call_count == 1 and spy.call_count == 0 and len(rows) == 43
+        assert foundations.is_prime.cache_info().misses == len(rows)
+
+    def test_quartic_primes_equal_the_per_candidate_walk_at_every_bound(self):
+        walk = quartic_primes_walk(20000)
+        for pmax in range(-1, 20001):
+            assert quartic_primes(pmax) == walk[: bisect.bisect_right(walk, pmax)], pmax
 
     def test_integer_verdicts_and_constants_match_the_rational_formulas(self):
         outcomes = set()
