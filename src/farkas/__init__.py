@@ -12,14 +12,13 @@ from .identities import (
     verify_id1,
     verify_id2,
 )
-from .qseries import QSeries, bernoulli_B2_psi
+from .qseries import bernoulli_B2_psi
 
 __all__ = [
     "ConfiguredIdentity",
     "DirichletCharacter",
     "GaussianRational",
     "IdentityConstants",
-    "QSeries",
     "VerificationReport",
     "bernoulli_B2_psi",
     "canonical_quartic",

@@ -102,10 +102,6 @@ class DirichletCharacter:
         return f"chi[p={self.p},g={self.g},e={self.e}]"
 
 
-def trivial_character(p: int) -> DirichletCharacter:
-    return DirichletCharacter(p, primitive_root(p), 0)
-
-
 def quadratic_character(p: int) -> DirichletCharacter:
     """The non-trivial real character mod p (the Kronecker symbol for p odd)."""
     return DirichletCharacter(p, primitive_root(p), (p - 1) // 2)
@@ -137,11 +133,3 @@ def canonical_quartic(p: int, sign: int = +1) -> DirichletCharacter:
     if sign == -1:
         return chibar
     raise ValueError("sign must be +1 or -1")
-
-
-def all_characters(p: int, g: int | None = None) -> list[DirichletCharacter]:
-    """The full cyclic character group mod p, ordered by exponent."""
-    if g is None:
-        g = primitive_root(p)
-    trivial = DirichletCharacter(p, g, 0)  # validates p and g, once
-    return [trivial] + [trivial._sibling(e) for e in range(1, p - 1)]

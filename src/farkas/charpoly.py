@@ -18,23 +18,19 @@ coefficients, so each remainder is O(p) integer steps, and the four tests
 read them (``cyclotomic_zeros``).  A report holds those four verdicts, one
 per order of zeta**k, not a row per character.  The report's two flags,
 x**q + 1 | g and gcd(g, x**q - 1) = 1, follow from the same four tests
-(see ``xq_flags``).  ``cyclotomic``,
-the dense sum of ``h_poly`` products, ``poly_gcd``, ``pseudo_remainder``,
-``divisible_by_xq_plus_1`` and ``coprime_with_xq_minus_1`` are slow
-oracles kept for the tests.
+(see ``xq_flags``).  ``IntPolynomial`` holds only the arithmetic these
+steps use; the tests check them against sympy's Phi_d, products, remainders
+and gcds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
-from math import gcd
-from typing import Union
 
 import numpy as np
 
 from .characters import DirichletCharacter
-from .foundations import GaussianRational, divisors, is_prime, prime_sieve
+from .foundations import is_prime, prime_sieve
 
 
 @dataclass(frozen=True)
@@ -76,29 +72,6 @@ class IntPolynomial:
             [self[i] - other[i] for i in range(n)]
         )
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial.make([-c for c in self.coeffs])
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial.make(out)
-
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial.make([c * a for a in self.coeffs])
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division; requires the divisor's leading coefficient to be +-1."""
         if divisor.is_zero():
@@ -120,99 +93,13 @@ class IntPolynomial:
                 rem[i + j] -= q * b
         return IntPolynomial.make(quot), IntPolynomial.make(rem)
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive(self) -> "IntPolynomial":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        sign = 1 if self.coeffs[-1] > 0 else -1
-        return IntPolynomial.make([a // (sign * c) for a in self.coeffs])
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            term = f"{c}" if i == 0 else (f"{c}*x^{i}" if i > 1 else f"{c}*x")
-            parts.append(term)
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 ONE_POLY = IntPolynomial((1,))
-
-
-def pseudo_remainder(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """prem(f, g): lc(g)**(deg f - deg g + 1) * f reduced mod g, over Z."""
-    if g.is_zero():
-        raise ZeroDivisionError("pseudo-remainder by zero")
-    rem = list(f.coeffs)
-    dg = g.degree
-    lc = g.coeffs[-1]
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        c = rem[-1]
-        rem = [lc * a for a in rem]
-        shift = len(rem) - 1 - dg
-        for j, b in enumerate(g.coeffs):
-            rem[shift + j] -= c * b
-        rem.pop()
-    return IntPolynomial.make(rem)
-
-
-def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """gcd over Q, returned as a primitive integer polynomial with a
-    positive leading coefficient (subresultant-style PRS)."""
-    a, b = f.primitive(), g.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        r = pseudo_remainder(a, b).primitive()
-        a, b = b, r
-    a = a.primitive()
-    if a.coeffs and a.coeffs[-1] < 0:
-        a = -a
-    return a
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be positive")
-    num = IntPolynomial.monomial(n) - ONE_POLY
-    for d in divisors(n):
-        if d < n:
-            q, r = num.divmod_exact(cyclotomic(d))
-            assert r.is_zero()
-            num = q
-    return num
 
 
 # ---------------------------------------------------------------------
 # the h / f / g machinery
 # ---------------------------------------------------------------------
-
-def h_poly(xi: DirichletCharacter, j: int) -> IntPolynomial:
-    """h_{xi,j}(x) = sum_{d | j} x**t(xi,d), for 1 <= j <= p-1."""
-    p = xi.p
-    if not 1 <= j <= p - 1:
-        raise ValueError(f"j must lie in 1..{p - 1}, got {j}")
-    coeffs = [0] * (p - 1)
-    for d in divisors(j):
-        coeffs[xi.t_exponent(d)] += 1
-    return IntPolynomial.make(coeffs)
-
 
 def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(start, divs): the divisors of j are divs[start[j]:start[j+1]], for
@@ -232,7 +119,8 @@ def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def f_poly(xi: DirichletCharacter) -> IntPolynomial:
-    """f_xi(x) = sum_{j=1}^{p-1} h_{xi,j}(x) h_{xibar,p-j}(x); degree <= 2p-4.
+    """f_xi(x) = sum_{j=1}^{p-1} h_{xi,j}(x) h_{xibar,p-j}(x), degree <= 2p-4,
+    with h_{xi,j}(x) = sum_{d | j} x**t_xi(d).
 
     Coefficient i counts the triples (j, d | j, e | p - j) with
     t_xi(d) + t_xibar(e) = i, so f sums the bincounts of the exponent sums.
@@ -288,18 +176,6 @@ def reduce_g(f: IntPolynomial, p: int) -> IntPolynomial:
     n, c = p - 1, f.coeffs
     runs = (c[i : i + n] for i in range(0, len(c), n))
     return IntPolynomial.make(map(sum, zip_longest(*runs, fillvalue=0)))
-
-
-def divisible_by_xq_plus_1(g: IntPolynomial, q: int) -> bool:
-    """Oracle: x**q + 1 | g by one long division."""
-    _, rem = g.divmod_exact(IntPolynomial.monomial(q) + ONE_POLY)
-    return rem.is_zero()
-
-
-def coprime_with_xq_minus_1(g: IntPolynomial, q: int) -> bool:
-    """Oracle: gcd(g, x**q - 1) = 1 by the primitive PRS."""
-    d = poly_gcd(g, IntPolynomial.monomial(q) - ONE_POLY)
-    return d.degree == 0 and not d.is_zero()
 
 
 def _remainder_coefficients(g: IntPolynomial, divisor: IntPolynomial, q: int) -> list[int]:
@@ -450,34 +326,3 @@ def even_character_obstruction(p: int) -> EvenObstructionReport:
         zero_for_order,
         flagged[(flagged != p - 1) & (flagged != p)].tolist(),
     )
-
-
-# ---------------------------------------------------------------------
-# zero-sum cross-check
-# ---------------------------------------------------------------------
-
-def zero_sum_check(chi: DirichletCharacter) -> Union[GaussianRational, IntPolynomial]:
-    """The exact sum sum_{j=1}^{p-1} delta_chi(j) delta_chibar(p-j).
-
-    Characters of order dividing 4 are evaluated directly in Q(i); for
-    general order the value is returned as an integer polynomial reduced
-    mod the (p-1)-st cyclotomic polynomial (the zero polynomial encodes
-    a zero sum).
-    """
-    from .qseries import delta_coefficient
-
-    p = chi.p
-    if 4 % chi.order == 0:
-        total = GaussianRational()
-        chibar = chi.conj()
-        for j in range(1, p):
-            total = total + delta_coefficient(chi, j) * delta_coefficient(chibar, p - j)
-        return total
-    g = reduce_g(f_poly(chi), p)
-    _, rem = g.divmod_exact(cyclotomic(p - 1))
-    return rem
-
-
-def zero_sum_is_zero(chi: DirichletCharacter) -> bool:
-    value = zero_sum_check(chi)
-    return value.is_zero()

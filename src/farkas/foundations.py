@@ -111,23 +111,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def sigma1(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    if n < 1:
-        raise ValueError("sigma1 expects a positive integer")
-    total = 1
-    for p, e in factorize(n).items():
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime factors; omega(1) = 0."""
-    if n < 1:
-        raise ValueError("omega expects a positive integer")
-    return len(factorize(n))
-
-
 def kronecker(p: int, n: int) -> int:
     """Kronecker symbol (p/n) for an odd prime p and any integer n."""
     if p % 2 == 0 or not is_prime(p):
@@ -294,22 +277,6 @@ class GaussianRational:
         sign = "+" if self.im >= 0 else "-"
         return f"{_frac_str(self.re)}{sign}{_frac_str(abs(self.im))}i"
 
-    @classmethod
-    def parse(cls, text: str) -> "GaussianRational":
-        """Inverse of str(): accepts 'a/b+c/di' (and 'a/b-c/di')."""
-        s = text.strip()
-        if not s.endswith("i"):
-            raise ValueError(f"not a Gaussian rational string: {text!r}")
-        body = s[:-1]
-        # split at the sign separating real and imaginary parts
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                re_part, im_part = body[:k], body[k:]
-                break
-        else:
-            raise ValueError(f"not a Gaussian rational string: {text!r}")
-        return cls(Fraction(re_part), Fraction(im_part))
-
 
 def _int_str(x: int) -> str:
     """The decimal digits of x at any size: str(x) refuses more than
@@ -329,12 +296,3 @@ I = GaussianRational(Fraction(0), Fraction(1))
 
 #: The four fourth roots of unity, indexed by the power of i.
 FOURTH_ROOTS = (ONE, I, -ONE, -I)
-
-
-def gaussian(re, im=0) -> GaussianRational:
-    """Convenience constructor accepting ints, Fractions, or fraction strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
-    return GaussianRational(_as_fraction(re), _as_fraction(im))

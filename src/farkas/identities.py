@@ -22,12 +22,12 @@ from .qseries import (
     MAX_FAST_N,
     MAX_PRIME,
     _delta0_numerator,
-    _kronecker_values,
     bernoulli_B2_psi,
     character_table,
     convolver,
     delta_constant,
     exact_sum,
+    kronecker_table,
     sigma_hat_values,
     sigma_prime_values,
     sigma_tilde_values,
@@ -121,37 +121,25 @@ def _sieve_reach(hi: int, capacity: int, nmax: int) -> int:
     return min(nmax, max(hi - 1, SWEEP_BLOCK, SIEVE_GROWTH * capacity))
 
 
-def _series(name: str, p: int):
-    """``build(N, prefix)``, extending ``prefix`` to the divisor sum
-    ``name`` of p at 0..N.  The builders are looked up at each call, so a
-    wrapper rebound over this module's names (perfbench's tracer) sees them."""
-    values = {
-        "sigma_prime": sigma_prime_values,
-        "sigma_tilde": sigma_tilde_values,
-        "sigma_hat": sigma_hat_values,
-    }
-    return partial(values[name], p)
-
-
 class _Rhs(NamedTuple):
     """D sum_k c_k s_k(n) of an identity in integers: the divisor sums s_k
-    of p named in ``names`` (``_series``), the int pairs D c_k in
-    ``scaled``, and ``zero``, D times the value at n = 0 (None: n = 0 is
-    not swept)."""
+    of p, each given by its array builder (``sigma_prime_values`` and the
+    others) in ``builders``, the int pairs D c_k in ``scaled``, and
+    ``zero``, D times the value at n = 0 (None: n = 0 is not swept)."""
 
     p: int
     D: int
-    names: tuple
+    builders: tuple
     scaled: tuple
     zero: Optional[tuple]
 
 
 def _scaled_rhs(p: int, D: int, terms, constant: Optional[GaussianRational] = None) -> _Rhs:
-    """The ``_Rhs`` of sum_k c_k s_k for ``terms`` of pairs (c_k, name of
-    s_k), exact c_k, and its value ``constant`` at n = 0, scaled by D,
+    """The ``_Rhs`` of sum_k c_k s_k for ``terms`` of pairs (c_k, builder
+    of s_k), exact c_k, and its value ``constant`` at n = 0, scaled by D,
     which must clear every denominator."""
     return _Rhs(
-        p, D, tuple(name for _, name in terms), tuple(_scaled(c, D) for c, _ in terms),
+        p, D, tuple(build for _, build in terms), tuple(_scaled(c, D) for c, _ in terms),
         None if constant is None else _scaled(constant, D),
     )
 
@@ -160,13 +148,12 @@ def _linear_rhs(spec: _Rhs, nmax: int):
     """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi) of ``spec``, as
     arrays (re, im): each block first grows the series to ``_sieve_reach``,
     sieving only the new indices.  ``exact_sum`` picks each block's dtype."""
-    builds = [_series(name, spec.p) for name in spec.names]
-    series = [np.zeros(1, dtype=np.int64)] * len(builds)
+    series = [np.zeros(1, dtype=np.int64)] * len(spec.builders)
 
     def rhs(lo: int, hi: int):
         N = _sieve_reach(hi, len(series[0]) - 1, nmax)
         if N >= len(series[0]):
-            series[:] = [build(N, s) for build, s in zip(builds, series)]
+            series[:] = [build(spec.p, N, s) for build, s in zip(spec.builders, series)]
         blocks = [(c, (s[lo:hi], None)) for c, s in zip(spec.scaled, series)]
         return exact_sum(blocks, spec.zero if lo == 0 else None)
 
@@ -208,7 +195,7 @@ def _run_verification(
 
 def _scales(p: int, terms, constant: GaussianRational) -> tuple[int, _Rhs]:
     """(k, rhs) for an identity F or H = sum_k c_k s_k of a character mod p
-    with ``terms`` (c_k, name of s_k) and rhs ``constant`` at n = 0: with D
+    with ``terms`` (c_k, builder of s_k) and rhs ``constant`` at n = 0: with D
     the least common multiple of s**2 = (2p)**2 and every denominator of
     the c_k and the constant, a sweep compares D F or D H, which the
     Convolver gives as k s**2 F, k = D / s**2, with the ``_Rhs`` at D."""
@@ -224,8 +211,8 @@ def _identity(p: int, chi: DirichletCharacter, kind: str) -> tuple[int, int, _Rh
     const = constants_for(p, chi)
     if kind == "conv":
         alpha = GaussianRational(const.alpha)
-        return -1, *_scales(p, [(alpha, "sigma_prime")], alpha * Fraction(p - 1, 24))
-    terms = [(const.alpha_prime, "sigma_tilde"), (const.beta_prime, "sigma_hat")]
+        return -1, *_scales(p, [(alpha, sigma_prime_values)], alpha * Fraction(p - 1, 24))
+    terms = [(const.alpha_prime, sigma_tilde_values), (const.beta_prime, sigma_hat_values)]
     return 1, *_scales(p, terms, const.alpha_prime * (-bernoulli_B2_psi(p) / 4))
 
 
@@ -272,7 +259,7 @@ def verify_farkas(nmax: int) -> VerificationReport:
     third = GaussianRational(Fraction(1, 3))
     return _verify_product(
         3, quadratic_character(3), "farkas", nmax, -1,
-        *_scales(3, [(third, "sigma_prime")], third * Fraction(1, 12)),
+        *_scales(3, [(third, sigma_prime_values)], third * Fraction(1, 12)),
     )
 
 
@@ -358,10 +345,10 @@ def asymptotic_report(
     conv.release()  # re, im are new arrays: the tail is no longer needed
     n = np.arange(1, nmax + 1, dtype=np.int64)
     n = n[n % p != 0]
-    kron = _kronecker_values(p, nmax)  # (p/n) = kron[n % len(kron)]
+    kron = kronecker_table(p)  # (p/n) = kron[n % p]
     D = conv.denominator
     report = AsymptoticReport(
-        p, chi.label(), kind, nmax, n, kron[n % len(kron)], re[n], im[n],
+        p, chi.label(), kind, nmax, n, kron[n % p], re[n], im[n],
         sigma_values(p, nmax)[n], D,
     )
     decile_lo = nmax - (nmax // 10)
@@ -494,8 +481,8 @@ def check_configured_identity(
             blocks.append((scalar, placed))
         return exact_sum(blocks)
 
-    series = ["sigma_tilde", "sigma_hat"] if use_H else ["sigma_prime"]
-    rhs = _linear_rhs(_scaled_rhs(cfg.p, D, list(zip(cfg.rhs_coefficients, series))), nmax)
+    builders = [sigma_tilde_values, sigma_hat_values] if use_H else [sigma_prime_values]
+    rhs = _linear_rhs(_scaled_rhs(cfg.p, D, list(zip(cfg.rhs_coefficients, builders))), nmax)
 
     return _run_verification(
         cfg.p, chi.label(), f"config:{cfg.rhs_kind}", nmax, D, lhs, rhs, start=1

@@ -1,21 +1,22 @@
 """Truncated q-expansions of the divisor-sum generating functions.
 
-Provides the weight-one delta series attached to a character, the three
-weight-two divisor-sum series (with their exact constant-term
-conventions), the generalized Bernoulli number B_{2,psi} as one dot over
-the Kronecker table, and exact Cauchy products.
+Provides the weight-one delta coefficients attached to a character, the
+three weight-two divisor sums, the generalized Bernoulli number B_{2,psi}
+as one dot over the Kronecker table, and exact products of whole series.
 
 The fast path is one integer layer: cached one-period tables of chi and
 (p/.) feed one divisor sieve for the int16 arrays of delta_chi(n) and the
 int64 arrays of sigma'_p, sigma~_p, sigma^_p (n >= 1); with s = 2p,
 s * delta_chi(0) is a Gaussian integer, so the Convolver computes
-s**2 F_chi(n), s**2 H_chi(n) in Gaussian integers.  Per-n scalars and
-``cauchy_product`` are oracles.
+s**2 F_chi(n), s**2 H_chi(n) in Gaussian integers.  The per-n scalars,
+``QSeries`` and ``cauchy_product`` at the end of the module are test
+oracles only.
 
-The (p/.) table is built in numpy from the squares mod p and reciprocity,
-with no ``kronecker`` call per entry.  The sieve splits the pairs d q <= N
-at sqrt(N) (Dirichlet's hyperbola method): one strided slice per small d,
-and one per cofactor q for each block of SIEVE_BLOCK large d.
+The (p/.) table, for p = 1 (mod 4), is one period built in numpy from the
+squares mod p and reciprocity, with no ``kronecker`` call per entry.  The
+sieve splits the pairs d q <= N at sqrt(N) (Dirichlet's hyperbola method):
+one strided slice per small d, and one per cofactor q for each block of
+SIEVE_BLOCK large d.
 That is O(sqrt(N) + (N / SIEVE_BLOCK) log N) interpreter steps, for the
 same O(N log N) numpy work, with scratch beside the result bounded by a
 few blocks plus one N-entry array.  The sieve fills any range [lo, N] of
@@ -93,65 +94,6 @@ TWIDDLE_ERROR = 4 * FLOAT64_UNIT  # beta, the relative error of pocketfft's twid
 FFT_ERROR = 1 / 8  # largest error bound of an FFT product: 4x below the 1/2 rounding needs
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Truncated q-expansion: coefficients c(0..N), exact."""
-
-    coefficients: tuple[GaussianRational, ...]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, n: int) -> GaussianRational:
-        if not 0 <= n <= self.truncation:
-            raise IndexError(
-                f"coefficient index {n} outside truncation range 0..{self.truncation}"
-            )
-        return self.coefficients[n]
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        return cauchy_product(self, other)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        if self.truncation != other.truncation:
-            raise ValueError("truncation orders differ")
-        return QSeries(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def scale(self, c) -> "QSeries":
-        return QSeries(tuple(a * c for a in self.coefficients))
-
-    def conj(self) -> "QSeries":
-        return QSeries(tuple(a.conj() for a in self.coefficients))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients)
-
-
-def cauchy_product(a: QSeries, b: QSeries) -> QSeries:
-    """Exact product of truncated series; (A*B)(n) uses only indices <= n."""
-    if a.truncation != b.truncation:
-        raise ValueError(
-            f"truncation orders differ: {a.truncation} vs {b.truncation}"
-        )
-    ca, cb = a.coefficients, b.coefficients
-    out = [
-        sum((ca[j] * cb[n - j] for j in range(n + 1)), GaussianRational())
-        for n in range(len(ca))
-    ]
-    return QSeries(tuple(out))
-
-
-def from_ints(values, constant=None) -> QSeries:
-    """Build a QSeries from integer coefficients (optional exact c(0))."""
-    coeffs = [GaussianRational(Fraction(int(v))) for v in values]
-    if constant is not None:
-        coeffs[0] = GaussianRational(constant)
-    return QSeries(tuple(coeffs))
-
-
 # ---------------------------------------------------------------------
 # periodic tables and the divisor sieve
 # ---------------------------------------------------------------------
@@ -179,46 +121,21 @@ def character_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     return table[0], table[1]
 
 
-def _with_even_arguments(odd: np.ndarray, p: int) -> np.ndarray:
-    """(p/a) for a in 0..len(odd)-1 from an array that holds it at odd a:
-    (p/2**v m) = (p/2)**v (p/m) for odd m, and (p/0) = odd[0]."""
-    a = np.arange(len(odd), dtype=np.int64)
-    low = a & -a  # 2**v, the lowest set bit of a
-    low[0] = 1
-    a //= low  # the odd part m
-    values = odd[a]
-    if p % 8 in (3, 5):  # (p/2) = -1: flip where v is odd
-        values[(low & 0x2AAAAAAAAAAAAAAA) != 0] *= -1
-    return values
-
-
 @lru_cache(maxsize=PRIMES_CACHED)
 def kronecker_table(p: int) -> np.ndarray:
-    """int64 array of (p/a) for a in 0..P-1, P = p when p = 1 (mod 4), else 4p.
-
-    For p = 1 (mod 4), (p/.) = (./p) has period p.  For p = 3 (mod 4), P is
-    the period over odd a only: (3/2) = -1 but (3/14) = (3/2)(3/7) = +1.
-    Odd a take (p/a) = (a/p) (-1)**((a-1)/2) by reciprocity, even a follow.
+    """int64 array of (p/a) for a in 0..p-1, one period of (p/.), for a
+    prime p = 1 (mod 4): then (p/.) = (./p) by reciprocity, +1 on the
+    squares k**2 mod p, -1 on the other units and 0 at a = 0.  For
+    p = 3 (mod 4), (p/.) has no period over all arguments ((3/2) = -1 but
+    (3/14) = +1), and no identity of this package reads it.
     """
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"kronecker_table expects an odd prime, got {p}")
+    if p % 4 != 1 or not is_prime(p):
+        raise ValueError(f"kronecker_table requires a prime p = 1 (mod 4), got {p}")
     table = np.full(p, -1, dtype=np.int64)  # (a/p): +1 on the squares k**2
     table[0] = 0
     k = np.arange(1, p // 2 + 1, dtype=np.int64)
     table[k * k % p] = 1
-    if p % 4 == 3:
-        a = np.arange(4 * p, dtype=np.int64)
-        # 1 - (a & 2) is (-1)**((a-1)/2) at odd a
-        table = _with_even_arguments(table[a % p] * (1 - (a & 2)), p)
     table.flags.writeable = False
-    return table
-
-
-def _kronecker_values(p: int, N: int) -> np.ndarray:
-    """A table from which the sieve reads (p/d) correctly for d <= N."""
-    table = kronecker_table(p)
-    if p % 4 == 3:  # no period: spell out 0..N
-        table = _with_even_arguments(table[np.arange(N + 1) % len(table)], p)
     return table
 
 
@@ -315,24 +232,6 @@ def delta_constant(chi: DirichletCharacter) -> GaussianRational:
     return GaussianRational(Fraction(re, 2 * chi.p), Fraction(im, 2 * chi.p))
 
 
-def delta_coefficient(chi: DirichletCharacter, n: int) -> GaussianRational:
-    """delta_chi(n) = sum_{d | n} chi(d), for n >= 1."""
-    if n < 1:
-        raise ValueError("delta_coefficient expects n >= 1")
-    total = GaussianRational()
-    for d in divisors(n):
-        total = total + chi.value(d)
-    return total
-
-
-def delta_series(chi: DirichletCharacter, N: int) -> QSeries:
-    if N < 0:
-        raise ValueError("truncation order must be >= 0")
-    coeffs = [delta_constant(chi)]
-    coeffs.extend(delta_coefficient(chi, n) for n in range(1, N + 1))
-    return QSeries(tuple(coeffs))
-
-
 def delta_int_arrays(
     chi: DirichletCharacter, N: int, prefix: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -361,27 +260,6 @@ def delta_int_arrays(
 # weight-two divisor sums
 # ---------------------------------------------------------------------
 
-def sigma_prime(p: int, n: int) -> int:
-    """sigma'_p(n) = sum of divisors of n not divisible by p (n >= 1)."""
-    if n < 1:
-        raise ValueError("sigma_prime expects n >= 1")
-    return sum(d for d in divisors(n) if d % p != 0)
-
-
-def sigma_tilde(p: int, n: int) -> int:
-    """sigma~_p(n) = sum_{d|n} (p/d) d (n >= 1)."""
-    if n < 1:
-        raise ValueError("sigma_tilde expects n >= 1")
-    return sum(kronecker(p, d) * d for d in divisors(n))
-
-
-def sigma_hat(p: int, n: int) -> int:
-    """sigma^_p(n) = sum_{d|n} (p/d) (n/d) (n >= 1)."""
-    if n < 1:
-        raise ValueError("sigma_hat expects n >= 1")
-    return sum(kronecker(p, d) * (n // d) for d in divisors(n))
-
-
 # each sigma_*_values(p, N, prefix) extends ``prefix``, the array to a lower
 # N, sieving only the new indices
 
@@ -393,28 +271,12 @@ def sigma_prime_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.n
 
 def sigma_tilde_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma~_p(n), n in 1..N (index 0 is zero)."""
-    return _sieve(_kronecker_values(p, N), N, times_d=True, prefix=prefix)
+    return _sieve(kronecker_table(p), N, times_d=True, prefix=prefix)
 
 
 def sigma_hat_values(p: int, N: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """int64 array of sigma^_p(n), n in 1..N (index 0 is zero)."""
-    return _sieve(_kronecker_values(p, N), N, quotient=True, prefix=prefix)
-
-
-def sigma_prime_series(p: int, N: int) -> QSeries:
-    """sigma'_p series with c(0) = (p-1)/24."""
-    return from_ints(sigma_prime_values(p, N)[: N + 1], constant=Fraction(p - 1, 24))
-
-
-def sigma_tilde_series(p: int, N: int) -> QSeries:
-    """sigma~_p series with c(0) = -B_{2,psi}/4."""
-    c0 = -bernoulli_B2_psi(p) / 4
-    return from_ints(sigma_tilde_values(p, N)[: N + 1], constant=c0)
-
-
-def sigma_hat_series(p: int, N: int) -> QSeries:
-    """sigma^_p series with c(0) = 0."""
-    return from_ints(sigma_hat_values(p, N)[: N + 1], constant=Fraction(0))
+    return _sieve(kronecker_table(p), N, quotient=True, prefix=prefix)
 
 
 @lru_cache(maxsize=PRIMES_CACHED)
@@ -838,3 +700,102 @@ class Convolver:
 @lru_cache(maxsize=2 * PRIMES_CACHED)
 def convolver(chi: DirichletCharacter) -> Convolver:
     return Convolver(chi)
+
+
+# ---------------------------------------------------------------------
+# slow oracles
+# ---------------------------------------------------------------------
+# Exact series of Gaussian rationals, the generic O(N**2) Cauchy product and
+# the per-coefficient scalars: no command calls them, and the tests check
+# the fast path against them.  They stay in this module only because the
+# benchmark's own test imports them from here; they join tests/oracles.py
+# when the benchmark next changes.
+
+@dataclass(frozen=True)
+class QSeries:
+    """Truncated q-expansion: coefficients c(0..N), exact."""
+
+    coefficients: tuple[GaussianRational, ...]
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coefficients) - 1
+
+    def __getitem__(self, n: int) -> GaussianRational:
+        if not 0 <= n <= self.truncation:
+            raise IndexError(
+                f"coefficient index {n} outside truncation range 0..{self.truncation}"
+            )
+        return self.coefficients[n]
+
+    def __mul__(self, other: "QSeries") -> "QSeries":
+        return cauchy_product(self, other)
+
+    def __sub__(self, other: "QSeries") -> "QSeries":
+        if self.truncation != other.truncation:
+            raise ValueError("truncation orders differ")
+        return QSeries(
+            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
+        )
+
+    def scale(self, c) -> "QSeries":
+        return QSeries(tuple(a * c for a in self.coefficients))
+
+    def conj(self) -> "QSeries":
+        return QSeries(tuple(a.conj() for a in self.coefficients))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coefficients)
+
+
+def cauchy_product(a: QSeries, b: QSeries) -> QSeries:
+    """Exact product of truncated series; (A*B)(n) uses only indices <= n."""
+    if a.truncation != b.truncation:
+        raise ValueError(
+            f"truncation orders differ: {a.truncation} vs {b.truncation}"
+        )
+    ca, cb = a.coefficients, b.coefficients
+    out = [
+        sum((ca[j] * cb[n - j] for j in range(n + 1)), GaussianRational())
+        for n in range(len(ca))
+    ]
+    return QSeries(tuple(out))
+
+
+def delta_coefficient(chi: DirichletCharacter, n: int) -> GaussianRational:
+    """delta_chi(n) = sum_{d | n} chi(d), for n >= 1."""
+    if n < 1:
+        raise ValueError("delta_coefficient expects n >= 1")
+    total = GaussianRational()
+    for d in divisors(n):
+        total = total + chi.value(d)
+    return total
+
+
+def delta_series(chi: DirichletCharacter, N: int) -> QSeries:
+    if N < 0:
+        raise ValueError("truncation order must be >= 0")
+    coeffs = [delta_constant(chi)]
+    coeffs.extend(delta_coefficient(chi, n) for n in range(1, N + 1))
+    return QSeries(tuple(coeffs))
+
+
+def sigma_prime(p: int, n: int) -> int:
+    """sigma'_p(n) = sum of divisors of n not divisible by p (n >= 1)."""
+    if n < 1:
+        raise ValueError("sigma_prime expects n >= 1")
+    return sum(d for d in divisors(n) if d % p != 0)
+
+
+def sigma_tilde(p: int, n: int) -> int:
+    """sigma~_p(n) = sum_{d|n} (p/d) d (n >= 1)."""
+    if n < 1:
+        raise ValueError("sigma_tilde expects n >= 1")
+    return sum(kronecker(p, d) * d for d in divisors(n))
+
+
+def sigma_hat(p: int, n: int) -> int:
+    """sigma^_p(n) = sum_{d|n} (p/d) (n/d) (n >= 1)."""
+    if n < 1:
+        raise ValueError("sigma_hat expects n >= 1")
+    return sum(kronecker(p, d) * (n // d) for d in divisors(n))

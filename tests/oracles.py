@@ -1,23 +1,57 @@
 """Slow, independent oracles that the tests check the package's fast paths
-against.  Nothing in ``farkas`` imports this module.
+against, and the test-only helpers that no command calls.  Nothing in
+``farkas`` imports this module.
 
-``kronecker_product`` is the whole-series product by Kronecker
-substitution in libmpdec, O(m log m) through its number-theoretic
-transform and exact by construction: it shares no code and no arithmetic
-with ``qseries._full_product``'s float64 FFT.  ``bernoulli_B2_psi_cohen``
-is Cohen's divisor-sum formula for B_{2,psi}, and ``discrete_log_walk``
-the discrete-log table by one multiplication per power of g.
-``quartic_primes_walk`` and ``safe_prime_walk`` are the prime scans as
-their definitions read, one primality test per candidate, and
-``f_coefficients_per_j`` counts f_xi's exponent sums one j at a time.
+Products and tables:
+- ``kronecker_product``: the whole-series product by Kronecker
+  substitution in libmpdec, O(m log m) through its number-theoretic
+  transform and exact by construction.  It shares no code and no
+  arithmetic with ``qseries._full_product``'s float64 FFT.
+- ``bernoulli_B2_psi_cohen``: Cohen's divisor-sum formula for B_{2,psi},
+  against ``qseries.bernoulli_B2_psi``.
+- ``discrete_log_walk``: the discrete-log table by one multiplication per
+  power of g, against ``foundations.discrete_log_table``.
+- ``quartic_primes_walk`` and ``safe_prime_walk``: the prime scans as
+  their definitions read, one primality test per candidate, against
+  ``identities.quartic_primes`` and ``charpoly.safe_prime_scan``.
+
+Polynomials, over sympy:
+- ``f_coefficients_per_j``: f_xi's exponent sums counted one j at a time,
+  against ``charpoly.f_poly``.
+- ``cyclotomic`` and ``poly_product``: sympy's Phi_d and products, for
+  the division oracles of ``charpoly.cyclotomic_zeros``.
+- ``divisible_by_xq_plus_1`` and ``coprime_with_xq_minus_1``: sympy's
+  remainder and gcd, against ``charpoly.xq_flags``.
+- ``zero_sum_check`` and ``zero_sum_is_zero``: the obstruction sum in Q(i)
+  from scalar delta coefficients, or as f_chi reduced mod Phi_{p-1}.
+
+Series and scalars:
+- ``from_ints`` and the ``sigma_*_series``: the divisor sums as exact
+  ``QSeries`` with their constant terms, for the generic Cauchy product.
+- ``sigma1``, ``omega``, ``gaussian``, ``parse_gaussian``,
+  ``trivial_character`` and ``all_characters``: small helpers the tests
+  build their inputs and expectations from.
+
+``qseries.QSeries``, ``cauchy_product``, ``delta_series``,
+``delta_coefficient`` and the scalar ``sigma_prime``, ``sigma_tilde`` and
+``sigma_hat`` are oracles too, but stay in ``farkas.qseries`` while the
+benchmark's own test imports them from there.
 """
 import decimal
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
-from farkas.charpoly import is_safe_prime_shape, two_generates
-from farkas.foundations import divisors, is_prime, sigma1
+from farkas.characters import DirichletCharacter
+from farkas.charpoly import IntPolynomial, f_poly, is_safe_prime_shape, reduce_g, two_generates
+from farkas.foundations import (
+    GaussianRational, _as_fraction, divisors, factorize, is_prime, primitive_root,
+)
+from farkas.qseries import (
+    QSeries, bernoulli_B2_psi, delta_coefficient, sigma_hat_values, sigma_prime_values,
+    sigma_tilde_values,
+)
 
 # integer arithmetic in libmpdec: a product that would round raises instead
 EXACT = decimal.Context(
@@ -134,3 +168,148 @@ def f_coefficients_per_j(xi) -> list[int]:
         sums = np.add.outer(t[d], -t[e] % (p - 1)).ravel()
         counts += np.bincount(sums, minlength=len(counts))
     return counts.tolist()
+
+
+# ---------------------------------------------------------------------
+# polynomials, over sympy
+# ---------------------------------------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(f: IntPolynomial) -> sympy.Poly:
+    return sympy.Poly(f.coeffs[::-1] or [0], X, domain="ZZ")
+
+
+def from_sympy(f: sympy.Poly) -> IntPolynomial:
+    return IntPolynomial.make(int(c) for c in reversed(f.all_coeffs()))
+
+
+def cyclotomic(d: int) -> IntPolynomial:
+    """Phi_d, from sympy."""
+    return from_sympy(sympy.cyclotomic_poly(d, X, polys=True))
+
+
+def poly_product(*factors: IntPolynomial) -> IntPolynomial:
+    """The product of ``factors``, by sympy."""
+    out = sympy.Poly(1, X, domain="ZZ")
+    for f in factors:
+        out *= to_sympy(f)
+    return from_sympy(out)
+
+
+def divisible_by_xq_plus_1(g: IntPolynomial, q: int) -> bool:
+    """x**q + 1 | g, by sympy's remainder."""
+    return sympy.rem(to_sympy(g), sympy.Poly(X**q + 1, X)).is_zero
+
+
+def coprime_with_xq_minus_1(g: IntPolynomial, q: int) -> bool:
+    """gcd(g, x**q - 1) = 1, by sympy's gcd."""
+    return sympy.gcd(to_sympy(g), sympy.Poly(X**q - 1, X)).degree() == 0
+
+
+def zero_sum_check(chi: DirichletCharacter):
+    """The exact sum sum_{j=1}^{p-1} delta_chi(j) delta_chibar(p-j).
+
+    Characters of order dividing 4 are evaluated directly in Q(i); for
+    general order the value is returned as an integer polynomial reduced
+    mod the (p-1)-st cyclotomic polynomial (the zero polynomial encodes
+    a zero sum).
+    """
+    p = chi.p
+    if 4 % chi.order == 0:
+        total = GaussianRational()
+        chibar = chi.conj()
+        for j in range(1, p):
+            total = total + delta_coefficient(chi, j) * delta_coefficient(chibar, p - j)
+        return total
+    g = reduce_g(f_poly(chi), p)
+    _, rem = g.divmod_exact(cyclotomic(p - 1))
+    return rem
+
+
+def zero_sum_is_zero(chi: DirichletCharacter) -> bool:
+    value = zero_sum_check(chi)
+    return value.is_zero()
+
+
+# ---------------------------------------------------------------------
+# series and scalars
+# ---------------------------------------------------------------------
+
+def from_ints(values, constant=None) -> QSeries:
+    """Build a QSeries from integer coefficients (optional exact c(0))."""
+    coeffs = [GaussianRational(Fraction(int(v))) for v in values]
+    if constant is not None:
+        coeffs[0] = GaussianRational(constant)
+    return QSeries(tuple(coeffs))
+
+
+def sigma_prime_series(p: int, N: int) -> QSeries:
+    """sigma'_p series with c(0) = (p-1)/24."""
+    return from_ints(sigma_prime_values(p, N)[: N + 1], constant=Fraction(p - 1, 24))
+
+
+def sigma_tilde_series(p: int, N: int) -> QSeries:
+    """sigma~_p series with c(0) = -B_{2,psi}/4."""
+    c0 = -bernoulli_B2_psi(p) / 4
+    return from_ints(sigma_tilde_values(p, N)[: N + 1], constant=c0)
+
+
+def sigma_hat_series(p: int, N: int) -> QSeries:
+    """sigma^_p series with c(0) = 0."""
+    return from_ints(sigma_hat_values(p, N)[: N + 1], constant=Fraction(0))
+
+
+def sigma1(n: int) -> int:
+    """Sum of the positive divisors of n."""
+    if n < 1:
+        raise ValueError("sigma1 expects a positive integer")
+    total = 1
+    for p, e in factorize(n).items():
+        total *= (p ** (e + 1) - 1) // (p - 1)
+    return total
+
+
+def omega(n: int) -> int:
+    """Number of distinct prime factors; omega(1) = 0."""
+    if n < 1:
+        raise ValueError("omega expects a positive integer")
+    return len(factorize(n))
+
+
+def gaussian(re, im=0) -> GaussianRational:
+    """Convenience constructor accepting ints, Fractions, or fraction strings."""
+    if isinstance(re, str):
+        re = Fraction(re)
+    if isinstance(im, str):
+        im = Fraction(im)
+    return GaussianRational(_as_fraction(re), _as_fraction(im))
+
+
+def parse_gaussian(text: str) -> GaussianRational:
+    """Inverse of str(): accepts 'a/b+c/di' (and 'a/b-c/di')."""
+    s = text.strip()
+    if not s.endswith("i"):
+        raise ValueError(f"not a Gaussian rational string: {text!r}")
+    body = s[:-1]
+    # split at the sign separating real and imaginary parts
+    for k in range(len(body) - 1, 0, -1):
+        if body[k] in "+-" and body[k - 1] not in "+-/":
+            re_part, im_part = body[:k], body[k:]
+            break
+    else:
+        raise ValueError(f"not a Gaussian rational string: {text!r}")
+    return GaussianRational(Fraction(re_part), Fraction(im_part))
+
+
+def trivial_character(p: int) -> DirichletCharacter:
+    return DirichletCharacter(p, primitive_root(p), 0)
+
+
+def all_characters(p: int, g: int | None = None) -> list[DirichletCharacter]:
+    """The full cyclic character group mod p, ordered by exponent."""
+    if g is None:
+        g = primitive_root(p)
+    trivial = DirichletCharacter(p, g, 0)  # validates p and g, once
+    return [trivial] + [trivial._sibling(e) for e in range(1, p - 1)]

@@ -7,9 +7,9 @@ path and are pinned as exact rationals.
 import time
 from fractions import Fraction
 
-from farkas.charpoly import even_character_obstruction, zero_sum_is_zero
-from farkas.characters import DirichletCharacter, all_characters, quartic_pair
-from farkas.foundations import kronecker, omega, primitive_root
+from farkas.charpoly import even_character_obstruction
+from farkas.characters import DirichletCharacter, quartic_pair
+from farkas.foundations import kronecker, primitive_root
 from farkas.identities import (
     constants_for,
     discriminant_search,
@@ -25,6 +25,7 @@ from farkas.qseries import (
     sigma_prime_values,
     sigma_tilde_values,
 )
+from oracles import gaussian, omega, zero_sum_is_zero
 
 
 def record(num: int, ok: bool, detail: str = "") -> None:
@@ -55,8 +56,6 @@ def test_criterion_1_conv_identity_holds():
 
 
 def test_criterion_2_square_identity_holds():
-    from farkas.foundations import gaussian
-
     expected = {
         5: (gaussian("-2/5", "-3/10"), gaussian(1, "1/2")),
         13: (gaussian(0, "-1/2"), gaussian(1, "3/2")),
@@ -153,7 +152,6 @@ def test_criterion_7_deviation_decays():
 
 def test_criterion_8_p37_configs():
     from farkas.cli import builtin_config_names, load_builtin_config
-    from farkas.foundations import gaussian
     from farkas.identities import check_configured_identity, resolve_character
 
     names = builtin_config_names()

@@ -1,10 +1,8 @@
 import bisect
 import math
-import random
 from unittest import mock
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,24 +10,26 @@ from farkas import charpoly
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
 from farkas.charpoly import (
     IntPolynomial,
-    coprime_with_xq_minus_1,
-    cyclotomic,
     cyclotomic_zeros,
-    divisible_by_xq_plus_1,
     even_character_obstruction,
     f_poly,
-    h_poly,
     is_safe_prime_shape,
-    poly_gcd,
     reduce_g,
     safe_prime_scan,
     two_generates,
     xq_flags,
+)
+from farkas.foundations import discrete_log_table, divisors, is_prime
+from oracles import (
+    coprime_with_xq_minus_1,
+    cyclotomic,
+    divisible_by_xq_plus_1,
+    f_coefficients_per_j,
+    poly_product,
+    safe_prime_walk,
     zero_sum_check,
     zero_sum_is_zero,
 )
-from farkas.foundations import discrete_log_table, divisors, is_prime
-from oracles import f_coefficients_per_j, safe_prime_walk
 
 
 def P(*coeffs):
@@ -42,15 +42,10 @@ class TestIntPolynomial:
         b = P(-1, 1)
         assert a + b == P(0, 3, 3)
         assert a - b == P(2, 1, 3)
-        assert a * b == P(-1, -1, -1, 3)
-        assert (-a) == P(-1, -2, -3)
 
     def test_trimming_and_degree(self):
         assert P(1, 0, 0).degree == 0
         assert P().degree == -1 and P().is_zero()
-
-    def test_evaluate(self):
-        assert P(1, 2, 3).evaluate(2) == 1 + 4 + 12
 
     def test_exact_division(self):
         num = P(-1, 0, 0, 0, 1)  # x^4 - 1
@@ -72,82 +67,12 @@ class TestIntPolynomial:
         # with deg r < deg d still holds for sparse and dense divisors
         g, d = IntPolynomial.make(dividend), IntPolynomial.make(divisor + [lead])
         q, r = g.divmod_exact(d)
-        assert q * d + r == g and r.degree < d.degree
-
-
-def random_poly(rng, max_deg=6):
-    return IntPolynomial.make(
-        [rng.randrange(-5, 6) for _ in range(rng.randrange(1, max_deg + 2))]
-    )
-
-
-class TestPolyGcd:
-    def test_against_sympy(self):
-        x = sympy.Symbol("x")
-        rng = random.Random(42)
-        for _ in range(200):
-            a, b, c = (random_poly(rng) for _ in range(3))
-            f = a * c
-            g = b * c
-            if f.is_zero() or g.is_zero():
-                continue
-            got = poly_gcd(f, g)
-            fs = sympy.Poly(list(reversed(f.coeffs)), x)
-            gs = sympy.Poly(list(reversed(g.coeffs)), x)
-            want = sympy.gcd(fs, gs)
-            # compare up to sign after clearing content
-            want_coeffs = [int(v) for v in want.primitive()[1].all_coeffs()][::-1]
-            assert got.coeffs == IntPolynomial.make(want_coeffs).primitive().coeffs
-
-    def test_coprime_case(self):
-        assert poly_gcd(P(1, 1), P(-1, 1)).degree == 0
-
-
-class TestCyclotomic:
-    def test_small_cases(self):
-        assert cyclotomic(1) == P(-1, 1)
-        assert cyclotomic(2) == P(1, 1)
-        assert cyclotomic(5) == P(1, 1, 1, 1, 1)
-        assert cyclotomic(10) == P(1, -1, 1, -1, 1)
-
-    def test_product_reconstructs_x_n_minus_1(self):
-        for n in (6, 12, 30):
-            prod = IntPolynomial((1,))
-            for d in divisors(n):
-                prod = prod * cyclotomic(d)
-            assert prod == IntPolynomial.monomial(n) - IntPolynomial((1,))
-
-
-class TestHPoly:
-    def test_unit(self):
-        chi = DirichletCharacter(11, 2, 1)
-        assert h_poly(chi, 1) == P(1)
-
-    def test_p11_examples(self):
-        chi = DirichletCharacter(11, 2, 1)
-        assert h_poly(chi, 4) == P(1, 1, 1)  # divisors 1,2,4 at t = 0,1,2
-        assert h_poly(chi, 6) == P(1, 1, 0, 0, 0, 0, 0, 0, 1, 1)
-
-    def test_coefficients_sum_to_divisor_count(self):
-        chi = DirichletCharacter(11, 2, 1)
-        for j in range(1, 11):
-            assert sum(h_poly(chi, j).coeffs) == len(divisors(j))
-
-    def test_rejects_out_of_range(self):
-        chi = DirichletCharacter(11, 2, 1)
-        with pytest.raises(ValueError):
-            h_poly(chi, 0)
-        with pytest.raises(ValueError):
-            h_poly(chi, 11)
+        assert poly_product(q, d) + r == g and r.degree < d.degree
 
 
 def f_oracle(xi):
-    """The dense sum of h_{xi,j} h_{xibar,p-j} products."""
-    p, xibar = xi.p, xi.conj()
-    total = IntPolynomial(())
-    for j in range(1, p):
-        total = total + h_poly(xi, j) * h_poly(xibar, p - j)
-    return total
+    """f_xi's coefficients, counted one j at a time."""
+    return IntPolynomial.make(f_coefficients_per_j(xi))
 
 
 SAFE_PRIMES_BELOW_500 = safe_prime_scan(500)
@@ -191,7 +116,7 @@ class TestFPoly:
     def test_value_at_one_counts_divisor_pairs(self):
         p = 11
         f = f_poly(DirichletCharacter(p, 2, 1))
-        assert f.evaluate(1) == sum(
+        assert sum(f.coeffs) == sum(
             len(divisors(j)) * len(divisors(p - j)) for j in range(1, p)
         )
 
@@ -212,7 +137,7 @@ class TestReduceG:
         f = f_poly(DirichletCharacter(p, 2, 1))
         g = reduce_g(f, p)
         assert g.degree <= p - 2
-        assert g.evaluate(1) == f.evaluate(1)
+        assert sum(g.coeffs) == sum(f.coeffs)
         diff = f - g
         _, rem = diff.divmod_exact(
             IntPolynomial.monomial(p - 1) - IntPolynomial((1,))
@@ -232,13 +157,13 @@ class TestDivisibilityTests:
         xq_plus_1 = IntPolynomial.monomial(q) + P(1)
         xq_minus_1 = IntPolynomial.monomial(q) - P(1)
         assert not divisible_by_xq_plus_1(xq_minus_1, q)
-        assert divisible_by_xq_plus_1(xq_plus_1 * P(2, 1), q)
-        assert not coprime_with_xq_minus_1(cyclotomic(q) * xq_plus_1, q)
+        assert divisible_by_xq_plus_1(poly_product(xq_plus_1, P(2, 1)), q)
+        assert not coprime_with_xq_minus_1(poly_product(cyclotomic(q), xq_plus_1), q)
         assert coprime_with_xq_minus_1(xq_plus_1, q)
 
 
 def division_zeros(g, n):
-    """Oracle: d -> whether Phi_d divides g, by long division, for d | n."""
+    """Oracle: d -> whether sympy's Phi_d divides g, by long division, for d | n."""
     return {d: g.divmod_exact(cyclotomic(d))[1].is_zero() for d in divisors(n)}
 
 
@@ -280,10 +205,10 @@ class TestXqFlags:
         st.lists(st.booleans(), min_size=4, max_size=4),
     )
     def test_phi_factor_rule_matches_gcd_oracle(self, q, cofactor, chosen):
-        g = IntPolynomial.make(cofactor)
-        for use, d in zip(chosen, (1, 2, q, 2 * q)):
-            if use:
-                g = g * cyclotomic(d)
+        g = poly_product(
+            IntPolynomial.make(cofactor),
+            *(cyclotomic(d) for use, d in zip(chosen, (1, 2, q, 2 * q)) if use),
+        )
         zeros = cyclotomic_zeros(g, 2 * q)
         assert zeros == division_zeros(g, 2 * q)
         assert all(zeros[d] for use, d in zip(chosen, (1, 2, q, 2 * q)) if use)
@@ -370,7 +295,7 @@ class TestEvenObstruction:
         # the verdict of chi**k is that of the order d of zeta**k: whether
         # Phi_d divides g, here by one long division per order
         g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
-        divides = {d: g.divmod_exact(cyclotomic(d))[1].is_zero() for d in divisors(p - 1)}
+        divides = division_zeros(g, p - 1)
         zeros = even_character_obstruction(p).zero_characters()
         assert len(zeros) == p - 1
         for k in range(p - 1):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from farkas import characters, cli, qseries
+from farkas import characters, cli, identities, qseries
 from farkas.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -30,9 +30,10 @@ from farkas.cli import (
     main,
     parse_gaussian_pair,
 )
-from farkas.foundations import GaussianRational, gaussian
+from farkas.foundations import GaussianRational
 from farkas.identities import check_configured_identity, resolve_character
 from fractions import Fraction
+from oracles import gaussian, parse_gaussian
 from test_identities import per_row_report
 
 P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
@@ -60,7 +61,7 @@ def _reported_exactly(report, cfg, nmax):
     want = check_configured_identity(cfg, nmax)
     failure = report["first_failure"]
     with _no_int_digit_limit():
-        got = [GaussianRational.parse(failure[side]) for side in ("lhs", "rhs")]
+        got = [parse_gaussian(failure[side]) for side in ("lhs", "rhs")]
     return failure["n"] == want.failure_n and got == [want.lhs, want.rhs]
 
 
@@ -309,8 +310,9 @@ class TestVerifyCommand:
             raise _Stop
 
         for module, name in ((characters, "discrete_log_table"), (qseries, "discrete_log_table"),
-                             (qseries, "kronecker_table"), (cli, "dichotomy_scan"),
-                             (cli, "safe_prime_scan"), (cli, "even_character_obstruction")):
+                             (qseries, "kronecker_table"), (identities, "kronecker_table"),
+                             (cli, "dichotomy_scan"), (cli, "safe_prime_scan"),
+                             (cli, "even_character_obstruction")):
             monkeypatch.setattr(module, name, unreachable)
         if argv[0] == "config":
             data = json.loads(open(P37_5_19, encoding="utf-8").read())

@@ -12,16 +12,13 @@ from farkas.foundations import (
     discrete_log_table,
     divisors,
     factorize,
-    gaussian,
     is_prime,
     kronecker,
-    omega,
     prime_sieve,
     primitive_root,
-    sigma1,
 )
 from farkas.qseries import MAX_PRIME
-from oracles import discrete_log_walk
+from oracles import discrete_log_walk, gaussian, omega, parse_gaussian, sigma1
 
 
 def divisors_oracle(n):
@@ -297,7 +294,7 @@ class TestGaussianRational:
 
     @given(gaussians)
     def test_str_parse_round_trip(self, z):
-        assert GaussianRational.parse(str(z)) == z
+        assert parse_gaussian(str(z)) == z
 
     def test_formatting(self):
         assert str(gaussian("3/10", "1/10")) == "3/10+1/10i"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from farkas import foundations, identities, qseries
 from farkas.characters import canonical_quartic, quadratic_character, quartic_pair
 from farkas.cli import builtin_config_names, load_builtin_config
-from farkas.foundations import GaussianRational, discrete_log_table, divisors, gaussian, kronecker
+from farkas.foundations import GaussianRational, discrete_log_table, divisors, kronecker
 from farkas.identities import (
     SIEVE_GROWTH,
     SWEEP_BLOCK,
@@ -45,13 +45,12 @@ from farkas.qseries import (
     delta_constant,
     delta_series,
     kronecker_table,
-    sigma_hat_series,
-    sigma_prime_series,
     sigma_prime_values,
-    sigma_tilde_series,
     sigma_tilde_values,
 )
-from oracles import quartic_primes_walk
+from oracles import (
+    gaussian, quartic_primes_walk, sigma_hat_series, sigma_prime_series, sigma_tilde_series,
+)
 from test_qseries import exact_sum_bound
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from farkas import qseries
 from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
-from farkas.foundations import GaussianRational, divisors, gaussian, is_prime, kronecker, omega
+from farkas.foundations import GaussianRational, divisors, is_prime, kronecker
 from farkas.cli import load_builtin_config
 from farkas.identities import check_configured_identity, verify_id1
 from farkas.qseries import (
@@ -28,7 +28,6 @@ from farkas.qseries import (
     SIEVE_BLOCK,
     _fft_product,
     _full_product,
-    _kronecker_values,
     _sieve,
     bernoulli_B2_psi,
     cauchy_product,
@@ -38,21 +37,20 @@ from farkas.qseries import (
     delta_int_arrays,
     delta_series,
     exact_sum,
-    from_ints,
     kronecker_table,
     sigma_hat,
-    sigma_hat_series,
     sigma_hat_values,
     sigma_prime,
-    sigma_prime_series,
     sigma_prime_values,
     sigma_tilde,
-    sigma_tilde_series,
     sigma_tilde_values,
 )
 
 import oracles
-from oracles import kronecker_product
+from oracles import (
+    from_ints, gaussian, kronecker_product, omega, sigma_hat_series, sigma_prime_series,
+    sigma_tilde_series, trivial_character,
+)
 
 
 class TestDeltaConstant:
@@ -66,8 +64,6 @@ class TestDeltaConstant:
         assert delta_constant(chi) == gaussian("1/2", "1/2")
 
     def test_rejects_trivial(self):
-        from farkas.characters import trivial_character
-
         with pytest.raises(ValueError):
             delta_constant(trivial_character(5))
 
@@ -216,32 +212,40 @@ class TestSigmaSeries:
         assert s[10] == gaussian(5)
 
     def test_value_arrays_match_scalars(self):
-        for p in (3, 5, 7, 11, 13, 19, 29, 37):
-            st = sigma_tilde_values(p, 200)
-            sh = sigma_hat_values(p, 200)
-            sp = sigma_prime_values(p, 200)
-            for n in range(1, 201):
-                assert int(st[n]) == sigma_tilde(p, n)
-                assert int(sh[n]) == sigma_hat(p, n)
-                assert int(sp[n]) == sigma_prime(p, n)
+        for p in (3, 5, 7, 11, 13, 17, 19, 29, 37):
+            pairs = [(sigma_prime_values, sigma_prime)]
+            if p % 4 == 1:  # (p/.) is read at p = 1 (mod 4) only
+                pairs += [(sigma_tilde_values, sigma_tilde), (sigma_hat_values, sigma_hat)]
+            for values, scalar in pairs:
+                got = values(p, 200)
+                assert [int(v) for v in got[1:]] == [scalar(p, n) for n in range(1, 201)], p
 
     def test_kronecker_table_is_one_period_of_the_odd_arguments(self):
-        for p in range(3, 200, 2):
-            if any(p % q == 0 for q in range(3, p, 2)):
-                continue
+        # for p = 1 (mod 4), (p/.) has period p over all arguments, even
+        # ones included
+        primes = [p for p in range(5, 200, 4) if is_prime(p)]
+        assert primes[:4] == [5, 13, 17, 29] and primes[-1] == 197
+        for p in primes:
             table = kronecker_table(p)
-            period = p if p % 4 == 1 else 4 * p
-            assert len(table) == period
-            assert table.tolist() == [kronecker(p, a) for a in range(period)]
-            for n in range(1, 3 * period, 2):
-                assert table[n % period] == kronecker(p, n)
-        # over all arguments (3/.) is not periodic mod 12
-        assert kronecker(3, 2) == -1 and kronecker(3, 14) == 1
+            assert len(table) == p
+            assert table.tolist() == [kronecker(p, a) for a in range(p)]
+            for n in range(1, 3 * p):
+                assert table[n % p] == kronecker(p, n)
 
     def test_kronecker_table_rejects_a_non_prime(self):
         for p in (2, 9, 15):
             with pytest.raises(ValueError):
                 kronecker_table(p)
+
+    def test_tilde_and_hat_refuse_p_3_mod_4(self):
+        # over all arguments (p/.) has no period for p = 3 (mod 4): (3/2) =
+        # -1 but (3/14) = +1; every identity here reads it at p = 1 (mod 4)
+        assert kronecker(3, 2) == -1 and kronecker(3, 14) == 1
+        for p in (3, 7, 11, 19):
+            for build in (kronecker_table, lambda p: sigma_tilde_values(p, 10),
+                          lambda p: sigma_hat_values(p, 10)):
+                with pytest.raises(ValueError):
+                    build(p)
 
     def test_divisor_count_bound_behind_the_kernel_cap(self):
         d = _sieve(np.ones(1, dtype=np.int64), MAX_FAST_N)
@@ -288,12 +292,14 @@ FLAGS = [(False, False), (True, False), (False, True), (True, True)]
 
 
 def _sieve_tables(N):
-    """Tables of period 1, p and 4p, and the spelled-out (7/.) table to N."""
+    """Tables of period 1 and p, and seeded random tables in {-1, 0, 1} of
+    period 4p = 28 and spelled out to N, with no period."""
+    rng = np.random.default_rng(7)
     return [
         np.ones(1, dtype=np.int64),
         character_table(quartic_pair(13)[0])[1],
-        kronecker_table(7),
-        _kronecker_values(7, N),
+        rng.integers(-1, 2, 28),
+        rng.integers(-1, 2, N + 1),
     ]
 
 
@@ -383,7 +389,7 @@ class TestSieve:
             re, im = delta_int_arrays(chi, N)
             for n in ns:
                 assert gaussian(int(re[n]), int(im[n])) == delta_coefficient(chi, n)
-        for p in (7, 13):
+        for p in (17, 29):
             sp, st_, sh = (f(p, N) for f in (sigma_prime_values, sigma_tilde_values,
                                              sigma_hat_values))
             for n in ns:
@@ -426,7 +432,7 @@ class TestSieve:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        p=st.sampled_from([7, 13]),
+        p=st.sampled_from([13, 17]),
         N=st.integers(0, 3000),
         cuts=st.lists(st.integers(0, 3000), max_size=4),
         block=st.sampled_from([16, SIEVE_BLOCK]),

@@ -10,8 +10,8 @@ from pathlib import Path
 from unittest import mock
 
 from farkas import qseries
-from farkas.foundations import gaussian
 from farkas.identities import verify_id1
+from oracles import gaussian
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
