@@ -1,8 +1,10 @@
 import bisect
 import math
+import random
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from oracles import (
     f_coefficients_per_j,
     poly_product,
     safe_prime_walk,
+    to_sympy,
     zero_sum_check,
     zero_sum_is_zero,
 )
@@ -68,6 +71,32 @@ class TestIntPolynomial:
         g, d = IntPolynomial.make(dividend), IntPolynomial.make(divisor + [lead])
         q, r = g.divmod_exact(d)
         assert poly_product(q, d) + r == g and r.degree < d.degree
+
+    def test_divmod_exact_matches_sympy_div(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            g = IntPolynomial.make(rng.randrange(-9, 10) for _ in range(rng.randrange(0, 20)))
+            d = IntPolynomial.make(
+                [rng.randrange(-3, 4) for _ in range(rng.randrange(0, 8))] + [rng.choice((1, -1))]
+            )
+            want_q, want_r = sympy.div(to_sympy(g), to_sympy(d))
+            q, r = g.divmod_exact(d)
+            assert (to_sympy(q), to_sympy(r)) == (want_q, want_r)
+
+
+class TestCyclotomic:
+    # the oracle reverses sympy's coefficient order: pin it on known Phi_d
+    def test_small_cases(self):
+        assert cyclotomic(1) == P(-1, 1)
+        assert cyclotomic(2) == P(1, 1)
+        assert cyclotomic(5) == P(1, 1, 1, 1, 1)
+        assert cyclotomic(10) == P(1, -1, 1, -1, 1)
+        assert cyclotomic(12) == P(1, 0, -1, 0, 1)
+
+    def test_product_reconstructs_x_n_minus_1(self):
+        for n in (6, 12, 30):
+            prod = poly_product(*(cyclotomic(d) for d in divisors(n)))
+            assert prod == IntPolynomial.monomial(n) - IntPolynomial((1,))
 
 
 def f_oracle(xi):

@@ -296,6 +296,11 @@ class TestGaussianRational:
     def test_str_parse_round_trip(self, z):
         assert parse_gaussian(str(z)) == z
 
+    def test_parse_rejects_malformed_strings(self):
+        for text in ("3/5", "1+2", "i", "", "3/5+/2i"):
+            with pytest.raises(ValueError):
+                parse_gaussian(text)
+
     def test_formatting(self):
         assert str(gaussian("3/10", "1/10")) == "3/10+1/10i"
         assert str(gaussian(1, -2)) == "1-2i"

@@ -623,6 +623,33 @@ class TestTreeSum:
             assert limit == GaussianRational(Fraction(x, den), Fraction(y, den)), k
 
 
+class TestRhsBuilders:
+    @pytest.mark.parametrize("kind", ["conv", "square", "farkas", "config"])
+    def test_builders_rebound_on_the_module_are_the_ones_called(self, kind, monkeypatch):
+        # an identity reads its divisor-sum builders from the module when it
+        # is set up, so a wrapper rebound there (as a tracer does) sees
+        # every array the sweep builds
+        calls = set()
+        for name in ("sigma_prime_values", "sigma_tilde_values", "sigma_hat_values"):
+            def traced(p, *args, name=name, build=getattr(identities, name)):
+                calls.add((name, p))
+                return build(p, *args)
+
+            monkeypatch.setattr(identities, name, traced)
+        cfg = load_builtin_config(builtin_config_names()[0])
+        sweeps = {
+            "conv": (13, lambda: verify_id1(13, 3000)),
+            "square": (13, lambda: verify_id2(13, canonical_quartic(13), 3000)),
+            "farkas": (3, lambda: verify_farkas(3000)),
+            "config": (cfg.p, lambda: check_configured_identity(cfg, 1000)),
+        }
+        p, sweep = sweeps[kind]
+        assert sweep().passed
+        square = kind == "square" or (kind == "config" and cfg.rhs_kind == "tilde_hat")
+        names = ("sigma_tilde_values", "sigma_hat_values") if square else ("sigma_prime_values",)
+        assert calls == {(name, p) for name in names}
+
+
 class TestConfiguredIdentities:
     def test_degenerate_config_equals_id1(self):
         chi, _ = quartic_pair(5)
