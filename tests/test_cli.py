@@ -427,6 +427,21 @@ PINNED_VERIFY_REPORTS = {
         "86aef50e459782e8cdbee988ed2e1a98cf56fd00b21d41546814941ee94b5b95",
     "verify --kind farkas --nmax 10000":
         "4541f94ff54728f5909c1090410ce2e5897bea299ee8c202c2b197f98b09ef19",
+    # first failures: only these render lhs and rhs, which a sweep divides
+    # by its scale D; csv and text are pinned byte for byte
+    "verify --p 29 --kind conv --nmax 2000":
+        "5cf36814a294d32954e1a6232045ef1edb6d2b1b0bfa1b33cb60fe5cacc1703f",
+    "verify --p 37 --kind square --chi quartic-minus-i --nmax 2000":
+        "6a24e0063b81145563ae791dda955476d0088f667fc74829b4164580a9924826",
+    "verify --p 29 --kind conv --nmax 2000 --format csv":
+        "1340bb53c93187142449148e44beeb0fffd89c67c37a5a68d587f0499ee4c011",
+    "verify --p 29 --kind conv --nmax 2000 --format text":
+        "961cc6fe84e50952ea7b009cc29fb7b1838f55a3fd107a9a3d7af1cb589fc6f7",
+}
+# the pinned reports of an identity that fails, so verify exits EXIT_FAILURE
+FAILING_VERIFY_REPORTS = {
+    "verify --kind config --config tilde_hat_fails_at_1999 --nmax 2000",
+    *(a for a in PINNED_VERIFY_REPORTS if a.startswith(("verify --p 29 ", "verify --p 37 "))),
 }
 
 
@@ -442,8 +457,9 @@ class TestPinnedVerifyReports:
                 path = tmp_path / "tilde_hat.json"
                 path.write_text(json.dumps(TILDE_HAT_FAILS_AT_1999))
                 args[i] = str(path)
-        expected = EXIT_FAILURE if "fails" in argv else EXIT_PASS
-        assert _timing_free_sha256(args, capsys, expected) == PINNED_VERIFY_REPORTS[argv]
+        expected = EXIT_FAILURE if argv in FAILING_VERIFY_REPORTS else EXIT_PASS
+        digest = _raw_timing_free_sha256 if "--format" in args else _timing_free_sha256
+        assert digest(args, capsys, expected) == PINNED_VERIFY_REPORTS[argv]
 
     def test_the_tilde_hat_config_fails_at_1999(self, tmp_path, capsys):
         path = tmp_path / "tilde_hat.json"
@@ -473,10 +489,10 @@ class TestPinnedScanReports:
         assert pinned == safe_prime_scan(1100)
 
 
-def _raw_timing_free_sha256(argv, capsys) -> str:
+def _raw_timing_free_sha256(argv, capsys, code=EXIT_PASS) -> str:
     """sha256 of the report's stdout bytes as written, its elapsed_ms line dropped."""
     capsys.readouterr()
-    assert main(argv) == EXIT_PASS
+    assert main(argv) == code
     lines = capsys.readouterr().out.encode("utf-8").splitlines(keepends=True)
     return hashlib.sha256(b"".join(x for x in lines if b"elapsed_ms" not in x)).hexdigest()
 
