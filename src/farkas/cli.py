@@ -18,6 +18,7 @@ import gc
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -378,14 +379,23 @@ def load_builtin_config(name: str) -> ConfiguredIdentity:
 def _output(path: str | None):
     """A text stream for a report: stdout when no path is given, else a
     temporary file beside `path`, renamed into place only once the block
-    ends cleanly.  On any exception it is removed and `path` is untouched."""
+    ends cleanly.  On any exception it is removed and `path` is untouched.
+    The report gets the mode ``open(path, "w")`` would give it: that of the
+    file it replaces, else 0o666 less the umask (mkstemp's own is 0o600)."""
     if path is None:
         yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".farkas-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -398,8 +408,6 @@ def write_output(text: str, path: str | None) -> None:
     """Write atomically (write-then-rename); stdout when no path given."""
     with _output(path) as fh:
         fh.write(text)
-        if path is None and not text.endswith("\n"):
-            fh.write("\n")
 
 
 def _flat(value) -> object:

@@ -5,6 +5,10 @@ original mod-3 identity, the finite searches behind the p in {5, 13}
 dichotomy (discriminant of the n = 1,2 obstruction, Bernoulli screen for
 the squared identity), empirical ratio sweeps for the asymptotic claims,
 and verification of configured Hecke-eliminated identities.
+
+Every check compares an exact read of F or H with a linear combination of
+divisor sums (``_linear_rhs``), block by block (``_run_verification``);
+the paper's identities and Farkas' mod-3 original are one ``_sweep`` each.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -121,41 +125,24 @@ def _sieve_reach(hi: int, capacity: int, nmax: int) -> int:
     return min(nmax, max(hi - 1, SWEEP_BLOCK, SIEVE_GROWTH * capacity))
 
 
-class _Rhs(NamedTuple):
-    """D sum_k c_k s_k(n) of an identity in integers: the divisor sums s_k
-    of p, each given by its array builder (``sigma_prime_values`` and the
-    others) in ``builders``, the int pairs D c_k in ``scaled``, and
-    ``zero``, D times the value at n = 0 (None: n = 0 is not swept)."""
-
-    p: int
-    D: int
-    builders: tuple
-    scaled: tuple
-    zero: Optional[tuple]
-
-
-def _scaled_rhs(p: int, D: int, terms, constant: Optional[GaussianRational] = None) -> _Rhs:
-    """The ``_Rhs`` of sum_k c_k s_k for ``terms`` of pairs (c_k, builder
-    of s_k), exact c_k, and its value ``constant`` at n = 0, scaled by D,
-    which must clear every denominator."""
-    return _Rhs(
-        p, D, tuple(build for _, build in terms), tuple(_scaled(c, D) for c, _ in terms),
-        None if constant is None else _scaled(constant, D),
-    )
-
-
-def _linear_rhs(spec: _Rhs, nmax: int):
-    """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi) of ``spec``, as
-    arrays (re, im): each block first grows the series to ``_sieve_reach``,
-    sieving only the new indices.  ``exact_sum`` picks each block's dtype."""
-    series = [np.zeros(1, dtype=np.int64)] * len(spec.builders)
+def _linear_rhs(p: int, D: int, terms, nmax: int, constant: Optional[GaussianRational] = None):
+    """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi), as arrays (re, im),
+    for ``terms`` of pairs (exact c_k, array builder of the divisor sum s_k
+    of p, as ``sigma_prime_values``) and the value ``constant`` at n = 0
+    (None: n = 0 is not swept).  D must clear every denominator.  Each
+    block first grows the series to ``_sieve_reach``, sieving only the new
+    indices; ``exact_sum`` picks each block's dtype."""
+    builders = [build for _, build in terms]
+    scaled = [_scaled(c, D) for c, _ in terms]
+    zero = None if constant is None else _scaled(constant, D)
+    series = [np.zeros(1, dtype=np.int64)] * len(builders)
 
     def rhs(lo: int, hi: int):
         N = _sieve_reach(hi, len(series[0]) - 1, nmax)
         if N >= len(series[0]):
-            series[:] = [build(spec.p, N, s) for build, s in zip(spec.builders, series)]
-        blocks = [(c, (s[lo:hi], None)) for c, s in zip(spec.scaled, series)]
-        return exact_sum(blocks, spec.zero if lo == 0 else None)
+            series[:] = [build(p, N, s) for build, s in zip(builders, series)]
+        blocks = [(c, (s[lo:hi], None)) for c, s in zip(scaled, series)]
+        return exact_sum(blocks, zero if lo == 0 else None)
 
     return rhs
 
@@ -193,45 +180,28 @@ def _run_verification(
     )
 
 
-def _scales(p: int, terms, constant: GaussianRational) -> tuple[int, _Rhs]:
-    """(k, rhs) for an identity F or H = sum_k c_k s_k of a character mod p
-    with ``terms`` (c_k, builder of s_k) and rhs ``constant`` at n = 0: with D
-    the least common multiple of s**2 = (2p)**2 and every denominator of
-    the c_k and the constant, a sweep compares D F or D H, which the
-    Convolver gives as k s**2 F, k = D / s**2, with the ``_Rhs`` at D."""
-    s2 = (2 * p) ** 2
-    D = lcm(s2, _denominator(*(c for c, _ in terms), constant))
-    return D // s2, _scaled_rhs(p, D, terms, constant)
+def _sweep(p: int, chi: DirichletCharacter, kind: str, nmax: int, c: int, terms, constant):
+    """Check F (c = -1) or H (c = 1) of chi against sum_k c_k s_k for
+    0 <= n <= nmax, with ``terms`` and ``constant`` (the rhs at n = 0) as
+    ``_linear_rhs`` takes them.
 
-
-def _identity(p: int, chi: DirichletCharacter, kind: str) -> tuple[int, int, _Rhs]:
-    """(c, k, rhs) of an identity of chi in the integers a sweep compares
-    (see ``_scales``): "conv" is F = alpha sigma'_p (c = -1), "square" is
-    H = alpha' sigma~_p + beta' sigma^_p (c = 1)."""
-    const = constants_for(p, chi)
-    if kind == "conv":
-        alpha = GaussianRational(const.alpha)
-        return -1, *_scales(p, [(alpha, sigma_prime_values)], alpha * Fraction(p - 1, 24))
-    terms = [(const.alpha_prime, sigma_tilde_values), (const.beta_prime, sigma_hat_values)]
-    return 1, *_scales(p, terms, const.alpha_prime * (-bernoulli_B2_psi(p) / 4))
-
-
-def _verify_product(
-    p: int, chi: DirichletCharacter, kind: str, nmax: int, c: int, k: int, rhs: _Rhs
-) -> VerificationReport:
-    """Check D F(n) (c = -1) or D H(n) (c = 1) of chi, read as k s**2 F or
-    k s**2 H, against ``rhs`` (at D) for 0 <= n <= nmax.  delta_chi and
+    The sweep compares D F or D H, D the least common multiple of s**2 =
+    (2p)**2 and every denominator of the c_k and the constant: the
+    Convolver gives the integers s**2 F, so D F = k s**2 F with k = D / s**2
+    (``numerators`` at scale k), and the rhs is taken at D.  delta_chi and
     the divisor sums are sieved as the blocks reach them; the cached
     Convolver drops its whole-series tail when the sweep ends."""
+    s2 = (2 * p) ** 2
+    D = lcm(s2, _denominator(*(c_k for c_k, _ in terms), constant))
     conv = convolver(chi)
 
     def lhs(lo: int, hi: int):
         conv.extend(_sieve_reach(hi, conv.capacity, nmax))
-        return conv.numerators(lo, hi, c, scale=k)
+        return conv.numerators(lo, hi, c, scale=D // s2)
 
     try:
         return _run_verification(
-            p, chi.label(), kind, nmax, rhs.D, lhs, _linear_rhs(rhs, nmax)
+            p, chi.label(), kind, nmax, D, lhs, _linear_rhs(p, D, terms, nmax, constant)
         )
     finally:
         conv.release()
@@ -243,12 +213,19 @@ def verify_id1(
     """Exact check of F_chi(n) = alpha * sigma'_p(n) for 0 <= n <= nmax."""
     if chi is None:
         chi = canonical_quartic(p)
-    return _verify_product(p, chi, "conv", nmax, *_identity(p, chi, "conv"))
+    alpha = GaussianRational(constants_for(p, chi).alpha)
+    return _sweep(
+        p, chi, "conv", nmax, -1, [(alpha, sigma_prime_values)], alpha * Fraction(p - 1, 24)
+    )
 
 
 def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport:
     """Exact check of H_chi(n) = alpha' sigma~_p(n) + beta' sigma^_p(n)."""
-    return _verify_product(p, chi, "square", nmax, *_identity(p, chi, "square"))
+    const = constants_for(p, chi)
+    terms = [(const.alpha_prime, sigma_tilde_values), (const.beta_prime, sigma_hat_values)]
+    return _sweep(
+        p, chi, "square", nmax, 1, terms, const.alpha_prime * (-bernoulli_B2_psi(p) / 4)
+    )
 
 
 def verify_farkas(nmax: int) -> VerificationReport:
@@ -257,10 +234,8 @@ def verify_farkas(nmax: int) -> VerificationReport:
     with delta_F(0) = 1/6 and sigma'_3(0) = 1/12.
     """
     third = GaussianRational(Fraction(1, 3))
-    return _verify_product(
-        3, quadratic_character(3), "farkas", nmax, -1,
-        *_scales(3, [(third, sigma_prime_values)], third * Fraction(1, 12)),
-    )
+    terms = [(third, sigma_prime_values)]
+    return _sweep(3, quadratic_character(3), "farkas", nmax, -1, terms, third * Fraction(1, 12))
 
 
 # ---------------------------------------------------------------------
@@ -482,7 +457,7 @@ def check_configured_identity(
         return exact_sum(blocks)
 
     builders = [sigma_tilde_values, sigma_hat_values] if use_H else [sigma_prime_values]
-    rhs = _linear_rhs(_scaled_rhs(cfg.p, D, list(zip(cfg.rhs_coefficients, builders))), nmax)
+    rhs = _linear_rhs(cfg.p, D, list(zip(cfg.rhs_coefficients, builders)), nmax)
 
     return _run_verification(
         cfg.p, chi.label(), f"config:{cfg.rhs_kind}", nmax, D, lhs, rhs, start=1

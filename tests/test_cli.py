@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -95,6 +96,23 @@ class TestVerifyCommand:
         )
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [None, 0o604], ids=["new", "replaced"])
+    def test_out_gets_the_mode_open_would_give(self, tmp_path, existing):
+        # a new report takes 0o666 less the umask and a replaced one keeps
+        # its file's mode, as open(path, "w") would; mkstemp's own is 0o600
+        out = tmp_path / "report.json"
+        if existing is not None:
+            out.write_text("old")
+            out.chmod(existing)
+        umask = os.umask(0o022)
+        try:
+            argv = ["verify", "--p", "5", "--kind", "conv", "--nmax", "10", "--out", str(out)]
+            assert main(argv) == EXIT_PASS
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == (0o644 if existing is None else existing)
+        assert json.loads(out.read_text())["outcome"] == "pass"
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -147,12 +147,12 @@ def _watched_rhs(hook):
     """Patch the sweeps' rhs builder to show each block to hook(D, lo, hi, re)."""
     build = identities._linear_rhs
 
-    def patched(spec, *args):
-        block = build(spec, *args)
+    def patched(p, D, *args, **kwargs):
+        block = build(p, D, *args, **kwargs)
 
         def rhs(lo, hi):
             re, im = block(lo, hi)
-            hook(spec.D, lo, hi, re)
+            hook(D, lo, hi, re)
             return re, im
 
         return rhs
@@ -953,16 +953,15 @@ class TestObstructionScan:
         # moves rhs(1) by sigma'(1) = 1, and F fails at n = 1.  No other row
         # changes
         base = dichotomy_scan(1000, 50)
-        real = identities._identity
+        real = identities._linear_rhs
 
-        def perturbed(p, chi, kind):
-            c, k, rhs = real(p, chi, kind)
-            if p == 13 and kind == "conv":
-                ((re, im),) = rhs.scaled
-                rhs = rhs._replace(scaled=((re + 1, im),))
-            return c, k, rhs
+        def perturbed(p, D, terms, *args, **kwargs):
+            if p == 13 and [build for _, build in terms] == [qseries.sigma_prime_values]:
+                ((alpha, build),) = terms
+                terms = [(alpha + Fraction(1, D), build)]  # D alpha + 1
+            return real(p, D, terms, *args, **kwargs)
 
-        with mock.patch.object(identities, "_identity", perturbed):
+        with mock.patch.object(identities, "_linear_rhs", perturbed):
             rows = dichotomy_scan(1000, 50)
         changed = [(a, b) for a, b in zip(base, rows) if a != b]
         assert [b.p for _, b in changed] == [13]

@@ -5,10 +5,13 @@ any ':') states that expression's value.  Any other comment is prose: it
 must be one of PROSE below, whose check reads the names the tour binds.
 """
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 from unittest import mock
 
+import farkas
 from farkas import qseries
 from farkas.identities import verify_id1
 from oracles import gaussian
@@ -77,3 +80,23 @@ def test_the_sweep_tail_list_is_what_a_sweep_builds():
         assert verify_id1(13, int(found[1])).passed
     built = [len(call.args[0][0]) for call in spy.call_args_list]
     assert built == stated and len(built) == int(found[2])
+
+
+def test_every_dotted_farkas_name_resolves():
+    # a backticked `farkas.m`, `m.name` or `farkas.m.name` of a farkas
+    # module m must still exist: a helper renamed or deleted fails here
+    # instead of leaving the prose stale
+    modules = {m.name for m in pkgutil.iter_modules(farkas.__path__)}
+    checked = []
+    for name in re.findall(r"`((?:\w+\.)+\w+)(?:\(\))?`", README.read_text(encoding="utf-8")):
+        parts = name.split(".")
+        if parts[0] == "farkas":
+            parts = parts[1:]
+        if parts[0] not in modules:
+            continue
+        obj = importlib.import_module(f"farkas.{parts[0]}")
+        for attr in parts[1:]:
+            assert hasattr(obj, attr), f"README names `{name}`, which does not exist"
+            obj = getattr(obj, attr)
+        checked.append(name)
+    assert "qseries.exact_sum" in checked and "farkas.identities" in checked
