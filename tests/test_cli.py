@@ -684,6 +684,28 @@ class TestAsymptCommand:
         key = (p, kind) if kind == "conv" else (p, kind, chi)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_SHA256[key]
 
+    # sha256 of the p = 200029 tables at N = 5000: three chunks, each with a
+    # D max |sigma| 10**6 past 2**63, so no integer step of any chunk fits int64
+    PINNED_PAST_THE_BOUND = {
+        "conv": "8b502d3e6696ac5ff9b5d12da8e70317e01f2d3079f20edba7ef84cf6c95171a",
+        "square": "c113d9ffadf39b3f5cf2dc0cb4a710f7fd4631d5cabc24dfc23391920212b9fe",
+    }
+
+    @pytest.mark.parametrize("kind", ["conv", "square"])
+    def test_tables_past_the_int64_bound_are_pinned(self, kind, tmp_path):
+        p, nmax = 200029, 5000
+        report = identities.asymptotic_report(p, resolve_character(p, "quartic-i"), kind, nmax)
+        chunks = [
+            report.sigma[lo : lo + cli.CSV_CHUNK_ROWS]
+            for lo in range(0, len(report.n), cli.CSV_CHUNK_ROWS)
+        ]
+        assert len(chunks) == 3
+        assert all(report.denominator * int(abs(s).max()) * 10**6 >= 2**63 for s in chunks)
+        out = tmp_path / "a.csv"
+        argv = ["asympt", "--p", str(p), "--kind", kind, "--nmax", str(nmax)]
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_PAST_THE_BOUND[kind]
+
     @pytest.mark.parametrize(
         "error, code",
         [(RuntimeError, EXIT_INTERNAL), (ValueError, EXIT_USAGE), (KeyboardInterrupt, None)],
