@@ -24,8 +24,6 @@ import tempfile
 import time
 from fractions import Fraction
 from importlib import resources
-from math import gcd
-from operator import floordiv, mul
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .identities import (
     verify_id1,
     verify_id2,
 )
-from .qseries import MAX_FAST_N, MAX_PRIME
+from .qseries import MAX_FAST_N, MAX_PRIME, exact_sum
 
 # largest p of a ``poly`` report: its peak is f_poly's, whose divisor table
 # and row arrays (five int64 arrays over the table's ~p ln p entries) hold
@@ -61,8 +59,8 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 # asympt rows rendered per write.  Measured on the p = 29 tables: a row of
 # _ratio_bytes costs 1.1 us from 2048 to 4096 rows, 1.3 at 1024 and 2.4 at
-# 256 (the column builders 4.0); its scratch, about 0.4 kB a row, stays
-# within what the int64 report columns save at 2048 rows, not at 4096
+# 256; its scratch, about 0.4 kB a row, stays within what the int64 report
+# columns save at 2048 rows, not at 4096
 CSV_CHUNK_ROWS = 2048
 PLACES = 12  # decimals of the ratio_dec column
 STEP_DIGITS = PLACES // 2  # _ratio_bytes takes them in two steps of 10**6
@@ -76,73 +74,10 @@ class UsageError(Exception):
     pass
 
 
-def _fraction_column(nums: list[int], dens: list[int]) -> list[str]:
-    """str(Fraction(x, d)) for each x, d with d > 0."""
-    gs = list(map(gcd, nums, dens))
-    return [
-        f"{x}/{d}" if d != 1 else str(x)
-        for x, d in zip(map(floordiv, nums, gs), map(floordiv, dens, gs))
-    ]
-
-
-def _fixed_column(nums: list[int], dens: list[int], places: int) -> list[str]:
-    """x/d for each x, d with d > 0, truncated toward zero to `places`
-    decimals; a negative value keeps its '-' even when it truncates to zero."""
-    scale = 10**places
-    return [
-        "%s%d.%0*d" % ("-" if x < 0 else "", q // scale, places, q % scale)
-        for x, q in zip(nums, map(floordiv, [abs(x) * scale for x in nums], dens))
-    ]
-
-
-def _gaussian_column(
-    re: list[int], im: list[int], dens: list[int], places: int | None = None
-) -> list[str]:
-    """(x + i y)/d for each x, y, d with d > 0, as reduced fractions, or to
-    `places` decimals: the real part alone when y = 0, else x+|y|i or x-|y|i.
-    The one renderer of exact and decimal cells, from ints alone; each kind
-    of part is built once for the whole column."""
-    if places is None:
-        column, args = _fraction_column, ()
-    else:
-        column, args = _fixed_column, (places,)
-    real = column(re, dens, *args)
-    if not any(im):
-        return real
-    imag = column(list(map(abs, im)), dens, *args)
-    return [f"{a}{'+' if y > 0 else '-'}{b}i" if y else a for a, y, b in zip(real, im, imag)]
-
-
-def _ratio_columns(
-    re: list[int], im: list[int], dens: list[int]
-) -> tuple[list[str], list[str]]:
-    """The exact and 12-place columns of (x + i y)/d for d != 0: the sign of
-    each d moves into its numerators."""
-    if min(dens) < 0:
-        signs = [-1 if d < 0 else 1 for d in dens]
-        re, im = list(map(mul, re, signs)), list(map(mul, im, signs))
-        dens = list(map(abs, dens))
-    return _gaussian_column(re, im, dens), _gaussian_column(re, im, dens, PLACES)
-
-
-def _ratio_chunk(n, kron, re, im, sigma, D: int) -> str:
-    """CSV text of ratio-table rows from lists of ints, built a column at a
-    time: lhs = (re + i im)/D, rhs = sigma, and their exact and 12-place
-    ratio.  Rows end in \\r\\n, as csv.writer ends them; no cell needs
-    quoting, since each holds only digits and -+/.i.  The path for any
-    chunk that ``_ratio_bytes`` cannot render exactly, and its oracle."""
-    lhs = _gaussian_column(re, im, [D] * len(re))
-    ratio, ratio_dec = _ratio_columns(re, im, [D * s for s in sigma])
-    return "".join(
-        f"{a},{b},{c},{d},{e},{f}\r\n"
-        for a, b, c, d, e, f in zip(n, kron, lhs, sigma, ratio, ratio_dec)
-    )
-
-
 # _ratio_bytes lays a row out as a list of fields: (text, present), the
 # constant bytes where the bool array ``present`` holds (None: in every row),
-# or a ``_digits`` field of int64 values >= 0
-DIGIT_GROUP = 4  # digits cut from a number per int64 division
+# or a ``_digits`` field of integer values >= 0
+DIGIT_GROUP = 4  # digits cut from a number per division
 
 
 @functools.cache
@@ -158,12 +93,16 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _digits(values, present=None, width=None):
-    """A field of the decimal digits of int64 values >= 0, right-aligned:
-    zero-padded to ``width`` digits, or (None) without leading zeros, as
-    wide as the largest value."""
+    """A field of the decimal digits of integer values >= 0, right-aligned:
+    zero-padded to ``width`` digits (values below 10**width), or (None)
+    without leading zeros, as wide as the largest value.  Values that fit
+    int64 are cut in int64, whatever their dtype."""
     padded = width is not None
+    top = 10**width - 1 if padded else int(values.max())
     if not padded:
-        width = len(str(int(values.max())))
+        width = len(str(top))
+    if top < 2**63:
+        values = values.astype(np.int64, copy=False)
     return values, present, width, padded
 
 
@@ -172,8 +111,8 @@ def _signed_fields(v):
 
 
 def _fraction_fields(x, d, present=None):
-    """x/d reduced, as ``_fraction_column`` writes it, for int64 x >= 0 and
-    d > 0 (an array or an int): x/g, then /(d/g) unless d/g is 1."""
+    """x/d reduced, as str(Fraction(x, d)) writes it, for x >= 0 and d > 0
+    (an array or an int): x/g, then /(d/g) unless d/g is 1."""
     g = np.gcd(x, d)
     den = d // g
     shown = den != 1  # false where x = 0, so also where the part is absent
@@ -181,9 +120,9 @@ def _fraction_fields(x, d, present=None):
 
 
 def _fixed_fields(x, d, present=None):
-    """x/d truncated to PLACES decimals, as ``_fixed_column`` writes it, for
-    int64 x >= 0 and d > 0 with d STEP < 2**63: the integer part, then two
-    steps of long division, each exact in int64 and STEP_DIGITS digits long."""
+    """x/d truncated toward zero to PLACES decimals, for x >= 0 and d > 0:
+    the integer part, then two steps of long division, each STEP_DIGITS
+    digits long (exact in int64 when d STEP < 2**63)."""
     whole = x // d
     r = (x - whole * d) * STEP
     head = r // d
@@ -195,9 +134,9 @@ def _fixed_fields(x, d, present=None):
 
 
 def _gaussian_fields(x, y, d, part):
-    """(x + i y)/d, d > 0, as ``_gaussian_column`` writes it: the real part,
-    then +|y| or -|y| and i where y != 0, each part rendered by ``part``;
-    a chunk with no y != 0 (every conv table) builds no imaginary fields."""
+    """(x + i y)/d, d > 0: the real part, '-' where x < 0, then +|y| or -|y|
+    and i where y != 0, each part rendered by ``part``; a chunk with no
+    y != 0 (every conv table) builds no imaginary fields."""
     real = [(b"-", x < 0), *part(np.abs(x), d)]
     imag = y != 0
     if not imag.any():
@@ -205,48 +144,51 @@ def _gaussian_fields(x, y, d, part):
     return real + [(b"+", y > 0), (b"-", y < 0), *part(np.abs(y), d, imag), (b"i", imag)]
 
 
-def _ratio_fits(columns, D: int) -> bool:
-    """Whether ``_ratio_bytes`` renders a chunk exactly: all five columns
-    int64 with no entry -2**63 (so abs stays in int64), no sigma zero, and
-    D max |sigma| STEP < 2**63, so that the ratio's denominators D |sigma|
-    and every remainder times STEP fit int64."""
-    n, kron, re, im, sigma = columns
-    if any(c.dtype != np.int64 for c in columns) or not len(n) or not sigma.all():
-        return False
-    if min(int(c.min()) for c in columns) == -(2**63):
-        return False
-    return D * max(int(sigma.max()), -int(sigma.min())) * STEP < 2**63
-
-
 def _fill_digits(text, values) -> None:
-    """Write the last len(text) decimal digits of int64 values >= 0 down the
-    rows of the uint8 matrix ``text`` (one column per value), DIGIT_GROUP
-    digits per division, looked up in ``_digit_tables``."""
+    """Write the last len(text) decimal digits of integer values >= 0 down
+    the rows of the uint8 matrix ``text`` (one column per value),
+    DIGIT_GROUP digits per division, looked up in ``_digit_tables``."""
     width, v = len(text), values
     groups = _digit_tables()[0]
     for right in range(width, 0, -DIGIT_GROUP):
         q = v // 10**DIGIT_GROUP
         left = max(right - DIGIT_GROUP, 0)
-        digits = groups[v - q * 10**DIGIT_GROUP].view(np.uint8).reshape(len(v), DIGIT_GROUP)
+        group = (v - q * 10**DIGIT_GROUP).astype(np.int64, copy=False)
+        digits = groups[group].view(np.uint8).reshape(len(v), DIGIT_GROUP)
         text[left:right] = digits.T[left - right :]
         v = q
 
 
 def _ratio_bytes(n, kron, re, im, sigma, D: int) -> bytes:
-    """The bytes of ``_ratio_chunk`` for int64 columns that ``_ratio_fits``:
-    lhs = (re + i im)/D, and the ratio over D sigma, with the sign of sigma
-    moved into its numerators.
+    """CSV bytes of ratio-table rows n, kron, lhs, rhs, ratio, ratio_dec:
+    lhs = (re + i im)/D, rhs = sigma, and the ratio lhs/sigma, exact and
+    truncated to PLACES decimals, with the sign of sigma moved into its
+    numerators.  Rows end in \\r\\n, as csv.writer ends them; no cell needs
+    quoting, since each holds only digits and -+/.i.
 
-    gcd, floor division and remainder run in int64, under the bound that
-    ``_ratio_fits`` checks.  Each field of a row gets fixed byte positions,
-    each number's digits right-aligned in its field, and a bool matrix
-    keeps the bytes that the row shows.  Both matrices are built a field
-    at a time with the rows contiguous, then transposed, so that one
-    boolean gather reads all six cells of every row, in order, as one
-    ``bytes``."""
-    assert _ratio_fits((n, kron, re, im, sigma), D)
+    The integer steps (gcd, floor division, remainder) run in int64 or on
+    Python ints, as ``qseries.exact_sum``, the package's one choice
+    between the two, gives re and im, and D |sigma| STEP / 2, which it
+    computes: int64 when each is below INT64_CAP, so that D |sigma| STEP,
+    which bounds every product of the decimal steps (a remainder below
+    D |sigma|, times STEP), is below 2 INT64_CAP <= 2**63.  A field of
+    Python ints whose values fit int64 is cut in int64 again.  n, kron and
+    sigma are int64 above -2**63 or Python ints, and 0 < D < 2**63.
+
+    Each field of a row gets fixed byte positions, each number's digits
+    right-aligned in its field, and a bool matrix keeps the bytes that the
+    row shows.  Both matrices are built a field at a time with the rows
+    contiguous, then transposed, so that one boolean gather reads all six
+    cells of every row, in order, as one ``bytes``."""
+    # sigma(n) != 0 wherever p does not divide n: sigma'(n) >= 1 (the
+    # divisor 1), and sigma~ = sum_{d | n} psi(d) d is multiplicative, with
+    # psi = (p/.) = +-1 at every prime q | n, so each local factor
+    # sum_{i <= e} (psi(q) q)**i is 1 mod q, hence nonzero
+    assert sigma.all()
+    re, im = exact_sum([((1, 0), (re, im))])
+    scaled, _ = exact_sum([((D * STEP // 2, 0), (np.abs(sigma), None))])
     sign = np.where(sigma < 0, -1, 1)
-    x, y, den = re * sign, im * sign, D * np.abs(sigma)
+    x, y, den = re * sign, im * sign, scaled // (STEP // 2)
     comma = (b",", None)
     fields = [
         *_signed_fields(n), comma, *_signed_fields(kron), comma,
@@ -274,7 +216,10 @@ def _ratio_bytes(n, kron, re, im, sigma, D: int) -> bytes:
             k[:] = True
         else:  # position j shows a digit of v >= 10**(width - 1 - j), and 0
             powers = _digit_tables()[1]
-            np.greater_equal(values, powers[len(powers) - width :], out=k)
+            if values.dtype == np.int64:
+                np.greater_equal(values, powers[len(powers) - width :], out=k)
+            else:  # Python ints: from the first digit that is not 0
+                np.logical_or.accumulate(t != ord("0"), axis=0, out=k)
             k[-1] = True
         if present is not None:
             k &= present
@@ -473,9 +418,17 @@ def _check_prime_bound(flag: str, p: int) -> None:
         )
 
 
+# the verify options that each kind does not read: given, they are refused
+UNREAD_OPTIONS = {"farkas": ("p", "chi", "config"), "config": ("p", "chi")}
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     _check_nmax(args.nmax)
+    unread = UNREAD_OPTIONS.get(args.kind, ("config",))
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{' and '.join(given)} cannot be used with --kind {args.kind}")
     if args.kind == "farkas":
         report = verify_farkas(args.nmax)
     elif args.kind == "config":
@@ -490,7 +443,7 @@ def cmd_verify(args) -> int:
         if args.p is None:
             raise UsageError("--p is required for conv/square verification")
         p = _quartic_prime(args.p)
-        chi = resolve_character(p, args.chi)
+        chi = resolve_character(p, args.chi or "quartic-i")
         if args.kind == "conv":
             report = verify_id1(p, args.nmax, chi)
         else:
@@ -526,6 +479,8 @@ def cmd_search(args) -> int:
         )
     if args.pmax is not None:
         _check_prime_bound("--pmax", args.pmax)
+    if args.safe_primes and args.discriminant:
+        raise UsageError("--safe-primes and --discriminant are two searches: give one")
     if args.safe_primes:
         if args.pmax is None:
             raise UsageError("--safe-primes requires --pmax")
@@ -566,18 +521,14 @@ def cmd_asympt(args) -> int:
     chi = resolve_character(p, args.chi)
     report = asymptotic_report(p, chi, args.kind, args.nmax)
     columns = (report.n, report.kron, report.lhs_re, report.lhs_im, report.sigma)
-    # one write per CSV_CHUNK_ROWS rows: the table text is never held whole,
-    # and an unbuffered stdout (PYTHONUNBUFFERED) takes one system call per
-    # chunk.  A chunk of int64 columns within the bound of _ratio_fits is
-    # one numpy byte pass; any other goes through the column builders
+    # one numpy byte pass and one write per CSV_CHUNK_ROWS rows: the table
+    # text is never held whole, and an unbuffered stdout (PYTHONUNBUFFERED)
+    # takes one system call per chunk
     with _output(args.out) as fh:
         fh.write("n,kron,lhs,rhs,ratio,ratio_dec\r\n")
         for lo in range(0, len(report.n), CSV_CHUNK_ROWS):
             chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
-            if _ratio_fits(chunk, report.denominator):
-                fh.write(_ratio_bytes(*chunk, report.denominator).decode("ascii"))
-            else:
-                fh.write(_ratio_chunk(*(c.tolist() for c in chunk), report.denominator))
+            fh.write(_ratio_bytes(*chunk, report.denominator).decode("ascii"))
     return EXIT_PASS
 
 
@@ -668,11 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify an identity exactly up to nmax")
     sp.add_argument("--p", type=int, default=None)
-    sp.add_argument(
-        "--chi",
-        default="quartic-i",
-        choices=["quartic-i", "quartic-minus-i"],
-    )
+    sp.add_argument("--chi", default=None, choices=["quartic-i", "quartic-minus-i"])
     sp.add_argument(
         "--kind", required=True, choices=["conv", "square", "farkas", "config"]
     )

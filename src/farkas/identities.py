@@ -250,9 +250,8 @@ class AsymptoticReport:
     sigma[i], and the ratio is lhs / rhs.  lhs_re and lhs_im are int64 when
     ``exact_sum`` bounds them below INT64_CAP (every table at p = 29, 37
     and N = 10**6), else object arrays of Python ints; n, kron
-    and sigma are int64.  The CLI renders chunks of int64 columns in one
-    numpy byte pass (``cli._ratio_bytes``) and any other chunk with its
-    column builders.
+    and sigma are int64.  The CLI renders each chunk of rows in one numpy
+    byte pass (``cli._ratio_bytes``), in int64 or over Python ints.
     """
 
     p: int

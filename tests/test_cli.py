@@ -24,8 +24,6 @@ from farkas.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     builtin_config_names,
-    _gaussian_column,
-    _ratio_columns,
     load_builtin_config,
     load_identity_config,
     main,
@@ -116,6 +114,40 @@ class TestVerifyCommand:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "farkas", "--p", "7"], "--p cannot be used with --kind farkas"),
+            (["--kind", "farkas", "--chi", "quartic-i"], "--chi cannot be used with --kind farkas"),
+            (
+                ["--kind", "config", "--config", P37_5_19, "--p", "5", "--chi", "quartic-minus-i"],
+                "--p and --chi cannot be used with --kind config",
+            ),
+            (
+                ["--kind", "conv", "--p", "5", "--config", P37_5_19],
+                "--config cannot be used with --kind conv",
+            ),
+        ],
+        ids=["farkas-p", "farkas-chi", "config-p-chi", "conv-config"],
+    )
+    def test_an_option_the_kind_does_not_read_is_refused(self, argv, message, tmp_path, capsys):
+        # farkas is the mod-3 identity, and a config names its own p and chi:
+        # these options were ignored, and the report named another p
+        out = tmp_path / "report.json"
+        assert main(["verify", *argv, "--nmax", "10", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+        assert not out.exists()
+
+    def test_python_m_farkas_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        argv = ["verify", "--p", "5", "--kind", "conv", "--nmax", "10"]
+        done = subprocess.run(
+            [sys.executable, "-m", "farkas", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_PASS, done.stderr
+        assert json.loads(done.stdout)["outcome"] == "pass"
 
     @pytest.mark.parametrize("p", ["-3", "4", "7", "21", "29"])
     @pytest.mark.parametrize("command", [["verify", "--kind", "conv"], ["asympt", "--kind", "conv"]])
@@ -602,6 +634,16 @@ class TestSearchCommand:
     def test_requires_bound(self, capsys):
         assert main(["search"]) == EXIT_USAGE
 
+    def test_the_two_searches_are_refused_together(self, tmp_path, capsys):
+        # --discriminant was ignored, and only the safe-prime scan ran
+        out = tmp_path / "s.json"
+        argv = ["search", "--safe-primes", "--discriminant", "--pmax", "100", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "error: --safe-primes and --discriminant are two searches: give one"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("pmax", ["-3", "0", "4"])
     def test_bound_below_five_is_usage_error(self, pmax, capsys):
         assert main(["search", "--pmax", pmax]) == EXIT_USAGE
@@ -637,6 +679,21 @@ def _per_row_csv(p, kind, nmax, rows=None) -> bytes:
         ])
     assert rows is None or len(reference) == rows
     return buf.getvalue().encode()
+
+
+@contextlib.contextmanager
+def _step_dtypes():
+    """The set of dtypes that ``_ratio_bytes`` ran the ratio's integer
+    steps in, read off each ``_fraction_fields`` call over its denominators."""
+    seen, real = set(), cli._fraction_fields
+
+    def spy(x, d, present=None):
+        if isinstance(d, np.ndarray):  # not the lhs, over the one D
+            seen.add(np.result_type(x, d))
+        return real(x, d, present)
+
+    with mock.patch.object(cli, "_fraction_fields", spy):
+        yield seen
 
 
 class TestAsymptCommand:
@@ -750,28 +807,32 @@ class TestAsymptCommand:
         assert out.read_bytes() == _per_row_csv(p, kind, nmax, rows)
 
     @pytest.mark.parametrize("kind", ["conv", "square"])
-    def test_a_chunk_past_the_byte_bound_takes_the_column_builders(self, kind, tmp_path):
+    def test_a_chunk_past_the_int64_bound_renders_in_python_ints(self, kind, tmp_path):
         # at p = 200029, D = (2p)**2 is about 1.6e11, so D sigma 10**6 passes
-        # 2**63 within n <= 200: the chunk's columns are int64, but only the
-        # column builders render it
+        # 2**63 within n <= 200: the chunk's columns are int64, but its
+        # integer steps run on Python ints
         p, nmax = 200029, 200
         out = tmp_path / "a.csv"
         argv = ["asympt", "--p", str(p), "--kind", kind, "--nmax", str(nmax)]
-        with mock.patch.object(cli, "_ratio_bytes", side_effect=AssertionError) as kernel, \
-                mock.patch.object(cli, "_ratio_chunk", wraps=cli._ratio_chunk) as builders:
+        with _step_dtypes() as steps, \
+                mock.patch.object(cli, "_ratio_bytes", wraps=cli._ratio_bytes) as kernel:
             assert main(argv + ["--out", str(out)]) == EXIT_PASS
-        assert kernel.call_count == 0 and builders.call_count == 1
+        assert kernel.call_count == 1
+        assert {c.dtype for c in kernel.call_args.args[:5]} == {np.dtype(np.int64)}
+        assert steps == {np.dtype(object)}
         assert out.read_bytes() == _per_row_csv(p, kind, nmax)
 
     @pytest.mark.parametrize("kind", ["conv", "square"])
-    def test_object_columns_take_the_column_builders(self, kind, tmp_path):
+    def test_object_columns_render_the_int64_table(self, kind, tmp_path):
         # a cap of 1 makes the report's numerators Python ints
         nmax = cli.CSV_CHUNK_ROWS + 100
         argv = ["asympt", "--p", "37", "--kind", kind, "--nmax", str(nmax)]
-        main(argv + ["--out", str(tmp_path / "int64.csv")])
-        with mock.patch.object(qseries, "INT64_CAP", 1), \
-                mock.patch.object(cli, "_ratio_bytes", side_effect=AssertionError):
+        with _step_dtypes() as steps:
+            main(argv + ["--out", str(tmp_path / "int64.csv")])
+        assert steps == {np.dtype(np.int64)}
+        with mock.patch.object(qseries, "INT64_CAP", 1), _step_dtypes() as steps:
             assert main(argv + ["--out", str(tmp_path / "object.csv")]) == EXIT_PASS
+        assert steps == {np.dtype(object)}
         assert (tmp_path / "object.csv").read_bytes() == (tmp_path / "int64.csv").read_bytes()
 
     def test_every_p37_square_line_is_six_plain_cells(self, tmp_path):
@@ -936,12 +997,12 @@ class TestConfigParsing:
 
 class TestDecimalRendering:
     def test_exact_decimals(self):
-        assert _gaussian_column([3, -1], [0, 0], [5, 3], 12) == [
+        assert [dec for _, dec in _ratio_cells([3, -1], [0, 0], [5, 3])] == [
             "0.600000000000", "-0.333333333333",
         ]
 
     def test_gaussian_decimal(self):
-        assert _gaussian_column([2, 1], [-1, 0], [4, 2], 12) == [
+        assert [dec for _, dec in _ratio_cells([2, 1], [-1, 0], [4, 2])] == [
             "0.500000000000-0.250000000000i", "0.500000000000",
         ]
 
@@ -1087,7 +1148,39 @@ column_rows = st.lists(
 )
 
 
+def _column(values, as_object=False):
+    """An int64 array of ``values``, or an object array of Python ints when
+    ``as_object`` or some value is outside int64."""
+    fits = all(-(2**63) <= v <= INT64_MAX for v in values)
+    return np.array(values, dtype=np.int64 if fits and not as_object else object)
+
+
+def fraction_chunk_csv(n, kron, re, im, sigma, D) -> bytes:
+    """The ratio-table rows of a chunk, written one at a time by csv.writer
+    from exact Fractions: lhs = (re + i im)/D, rhs = sigma, ratio = lhs/sigma."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in zip(*(c.tolist() for c in (n, kron, re, im, sigma))):
+        k, s, (x, y) = row[1], row[4], row[2:4]
+        lhs = GaussianRational(Fraction(x, D), Fraction(y, D))
+        ratio = GaussianRational(Fraction(x, D * s), Fraction(y, D * s))
+        writer.writerow([
+            row[0], k, fraction_gaussian_exact_str(lhs), s,
+            fraction_gaussian_exact_str(ratio), fraction_gaussian_decimal_str(ratio),
+        ])
+    return buf.getvalue().encode()
+
+
+def _ratio_cells(re, im, dens) -> list[list[str]]:
+    """The ratio and ratio_dec cells of (x + i y)/d for each x, y, d != 0,
+    as ``_ratio_bytes`` renders them with D = 1."""
+    n = np.arange(len(re), dtype=np.int64)
+    got = cli._ratio_bytes(n, 0 * n, _column(re), _column(im), _column(dens), 1)
+    return [line.split(",")[4:] for line in got.decode("ascii").splitlines()]
+
+
 class TestColumnRenderer:
+    @settings(deadline=None)
     @given(column_rows)
     @example([(2**64 + 1, 0, 1), (-(2**70), 3, -1), (5, 0, -(10**13)), (0, -7, 2**63)])
     @example([(-1, 0, 10**13)])  # "-0.000000000000"
@@ -1098,18 +1191,13 @@ class TestColumnRenderer:
     def test_columns_equal_the_fraction_path(self, rows):
         re, im, dens = map(list, zip(*rows))
         zs = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y, d in rows]
-        assert _ratio_columns(re, im, dens) == (
-            [fraction_gaussian_exact_str(z) for z in zs],
-            [fraction_gaussian_decimal_str(z) for z in zs],
-        )
+        assert _ratio_cells(re, im, dens) == [
+            [fraction_gaussian_exact_str(z), fraction_gaussian_decimal_str(z)] for z in zs
+        ]
         positive = [abs(d) for d in dens]
         zs = [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y, d in zip(re, im, positive)]
-        assert _gaussian_column(re, im, positive) == [fraction_gaussian_exact_str(z) for z in zs]
-        assert _gaussian_column(re, im, positive, 12) == [
-            fraction_gaussian_decimal_str(z) for z in zs
-        ]
-        assert _gaussian_column(re, [0] * len(re), positive, 3) == [
-            fraction_decimal_str(z.re, 3) for z in zs
+        assert _ratio_cells(re, im, positive) == [
+            [fraction_gaussian_exact_str(z), fraction_gaussian_decimal_str(z)] for z in zs
         ]
 
 
@@ -1118,8 +1206,8 @@ INT64_MAX = 2**63 - 1
 
 @st.composite
 def int64_chunks(draw):
-    """Chunk columns (n, kron, re, im, sigma) of int64 and a D > 0 that
-    ``_ratio_fits``, with sigma of both signs up to the bound D |sigma|
+    """Chunk columns (n, kron, re, im, sigma) of int64 and a D > 0 with
+    D |sigma| STEP < 2**63, with sigma of both signs up to the bound D |sigma|
     STEP <= 2**63 - 1, re and im over all of int64 but -2**63, zero
     imaginary parts, and numerators that reduce a ratio or lhs to d = 1."""
     D = draw(st.one_of(st.integers(1, 10**4), st.integers(1, INT64_MAX // cli.STEP)))
@@ -1146,31 +1234,69 @@ def int64_chunks(draw):
     return columns, D
 
 
+@st.composite
+def python_int_chunks(draw):
+    """Chunk columns (n, kron, re, im, sigma) and a D > 0 past the int64
+    bound: parts up to 10**60, sigma of both signs up to 10**30, D up to
+    2**62, zero imaginary parts, and numerators that reduce a ratio or lhs
+    to d = 1; each column int64 where its values fit it (and a draw does
+    not make it object), else object."""
+    D = draw(st.one_of(st.integers(1, 10**4), st.integers(1, 2**62)))
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        sigma = draw(st.one_of(st.integers(1, 10**4), st.integers(1, 10**30)))
+        sigma *= draw(st.sampled_from([1, -1]))
+
+        def part():
+            return draw(st.one_of(
+                st.integers(-(10**60), 10**60),
+                st.integers(-INT64_MAX, INT64_MAX),
+                st.integers(-3, 3),
+                st.integers(-(10**6), 10**6).map(lambda t: t * D * abs(sigma)),
+                st.integers(-(10**6), 10**6).map(lambda t: t * D),
+            ))
+
+        im = 0 if draw(st.booleans()) else part()
+        n = draw(st.integers(-INT64_MAX, INT64_MAX))
+        rows.append((n, draw(st.integers(-1, 1)), part(), im, sigma))
+    columns = [_column(list(c), draw(st.booleans())) for c in zip(*rows)]
+    return columns, D
+
+
 class TestByteRenderer:
     @settings(max_examples=200, deadline=None)
-    @given(int64_chunks())
-    def test_bytes_equal_the_column_builders(self, chunk):
+    @given(st.one_of(int64_chunks(), python_int_chunks()))
+    def test_bytes_equal_the_fraction_oracle(self, chunk):
         columns, D = chunk
-        assert cli._ratio_fits(columns, D)
-        want = cli._ratio_chunk(*(c.tolist() for c in columns), D).encode()
-        assert cli._ratio_bytes(*columns, D) == want
+        assert cli._ratio_bytes(*columns, D) == fraction_chunk_csv(*columns, D)
 
     def test_the_bound_and_dtypes_decide_the_path(self):
+        # exact_sum picks the steps' dtype: int64 while D |sigma| STEP stays
+        # below 2 INT64_CAP = 2**63 and every |re|, |im| below INT64_CAP,
+        # whatever the input dtype
         D = 10**6
         top = INT64_MAX // (D * cli.STEP)
 
         def chunk(sigma, re=5, dtype=np.int64):
             return [np.array([v], dtype=dtype) for v in (1, 1, re, 0, sigma)]
 
-        assert cli._ratio_fits(chunk(top), D) and cli._ratio_fits(chunk(-top), D)
-        assert not cli._ratio_fits(chunk(top + 1), D)  # D |sigma| STEP > 2**63 - 1
-        assert not cli._ratio_fits(chunk(-top - 1), D)
-        assert not cli._ratio_fits(chunk(0), D)
-        assert not cli._ratio_fits(chunk(1, re=-(2**63)), D)  # |re| leaves int64
-        n_at_min = chunk(1)
-        n_at_min[0][0] = -(2**63)
-        assert not cli._ratio_fits(n_at_min, D)
-        assert not cli._ratio_fits(chunk(1, dtype=object), D)
+        def steps(columns):
+            with _step_dtypes() as seen:
+                assert cli._ratio_bytes(*columns, D) == fraction_chunk_csv(*columns, D)
+            [dtype] = seen
+            return dtype
+
+        int64, python_ints = np.dtype(np.int64), np.dtype(object)
+        assert steps(chunk(top)) == steps(chunk(-top)) == int64
+        assert steps(chunk(top + 1)) == python_ints  # D |sigma| STEP > 2**63 - 1
+        assert steps(chunk(-top - 1)) == python_ints
+        assert steps(chunk(1, re=-(2**63))) == python_ints  # |re| leaves int64
+        assert steps(chunk(1, re=qseries.INT64_CAP)) == python_ints
+        assert steps(chunk(1, re=qseries.INT64_CAP - 1)) == int64
+        assert steps(chunk(1, dtype=object)) == int64  # small Python ints
+        assert steps(chunk(top + 1, dtype=object)) == python_ints
+        with pytest.raises(AssertionError):  # sigma is never 0 where p does not divide n
+            cli._ratio_bytes(*chunk(0), D)
 
 
 # argv for the property below: mostly valid values, with out-of-range

@@ -100,3 +100,22 @@ def test_every_dotted_farkas_name_resolves():
             obj = getattr(obj, attr)
         checked.append(name)
     assert "qseries.exact_sum" in checked and "farkas.identities" in checked
+
+
+def test_every_private_name_the_package_cites_resolves():
+    # a double-backticked ``_name`` or ``module._name`` in the package's own
+    # source must still exist, in that file's module or in farkas.module:
+    # a docstring that cites a deleted helper fails here
+    modules = {m.name for m in pkgutil.iter_modules(farkas.__path__)}
+    checked = set()
+    for path in sorted(Path(farkas.__file__).parent.glob("*.py")):
+        own = farkas if path.stem == "__init__" else importlib.import_module(f"farkas.{path.stem}")
+        cited = re.findall(r"``(?:farkas\.)?(?:(\w+)\.)?(_[A-Za-z]\w*)(?:\(\))?``", path.read_text())
+        for module, name in cited:
+            if module and module not in modules:
+                continue
+            obj = importlib.import_module(f"farkas.{module}") if module else own
+            where = f"{module}.{name}" if module else name
+            assert hasattr(obj, name), f"{path.name} cites ``{where}``, which does not exist"
+            checked.add((path.stem, where))
+    assert {("qseries", "_full_product"), ("identities", "_sweep")} <= checked
