@@ -215,8 +215,8 @@ def _ratio_bytes(n, kron, re, im, sigma, D: int) -> bytes:
         if padded:
             k[:] = True
         else:  # position j shows a digit of v >= 10**(width - 1 - j), and 0
-            powers = _digit_tables()[1]
             if values.dtype == np.int64:
+                powers = _digit_tables()[1]
                 np.greater_equal(values, powers[len(powers) - width :], out=k)
             else:  # Python ints: from the first digit that is not 0
                 np.logical_or.accumulate(t != ord("0"), axis=0, out=k)
@@ -419,14 +419,16 @@ def _check_prime_bound(flag: str, p: int) -> None:
 
 
 # the verify options that each kind does not read: given, they are refused
-UNREAD_OPTIONS = {"farkas": ("p", "chi", "config"), "config": ("p", "chi")}
+UNREAD_OPTIONS = {
+    "conv": ("config",), "square": ("config",), "farkas": ("p", "chi", "config"),
+    "config": ("p", "chi"),
+}
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     _check_nmax(args.nmax)
-    unread = UNREAD_OPTIONS.get(args.kind, ("config",))
-    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    given = [f"--{name}" for name in UNREAD_OPTIONS[args.kind] if getattr(args, name) is not None]
     if given:
         raise UsageError(f"{' and '.join(given)} cannot be used with --kind {args.kind}")
     if args.kind == "farkas":

@@ -1206,10 +1206,10 @@ INT64_MAX = 2**63 - 1
 
 @st.composite
 def int64_chunks(draw):
-    """Chunk columns (n, kron, re, im, sigma) of int64 and a D > 0 with
-    D |sigma| STEP < 2**63, with sigma of both signs up to the bound D |sigma|
-    STEP <= 2**63 - 1, re and im over all of int64 but -2**63, zero
-    imaginary parts, and numerators that reduce a ratio or lhs to d = 1."""
+    """Chunk columns (n, kron, re, im, sigma) of int64 and a D > 0, with
+    sigma of both signs up to the bound D |sigma| STEP <= 2**63 - 1, re and
+    im over all of int64 but -2**63, zero imaginary parts, and numerators
+    that reduce a ratio or lhs to d = 1."""
     D = draw(st.one_of(st.integers(1, 10**4), st.integers(1, INT64_MAX // cli.STEP)))
     top = INT64_MAX // (D * cli.STEP)  # the largest |sigma| within the bound
     rows = []
