@@ -8,7 +8,6 @@ the order divides 4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -18,6 +17,7 @@ from .foundations import (
     FOURTH_ROOTS,
     PRIMES_CACHED,
     ZERO,
+    FrozenRecord,
     GaussianRational,
     discrete_log_table,
     is_prime,
@@ -25,20 +25,16 @@ from .foundations import (
 )
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(FrozenRecord):
     """chi mod p with chi(g) = zeta_{p-1}**e for the primitive root g."""
 
-    p: int
-    g: int
-    e: int
-
-    def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"modulus must be an odd prime, got {self.p}")
-        discrete_log_table(self.p, self.g)  # validates g
-        if not 0 <= self.e <= self.p - 2:
-            raise ValueError(f"exponent {self.e} out of range [0, {self.p - 2}]")
+    def __init__(self, p: int, g: int, e: int):
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"modulus must be an odd prime, got {p}")
+        discrete_log_table(p, g)  # validates g
+        if not 0 <= e <= p - 2:
+            raise ValueError(f"exponent {e} out of range [0, {p - 2}]")
+        self.__dict__.update(p=p, g=g, e=e)
 
     # -- group structure ----------------------------------------------
 
@@ -57,10 +53,9 @@ class DirichletCharacter:
 
     def _sibling(self, e: int) -> "DirichletCharacter":
         """The character of exponent e mod p - 1 against this one's p and g,
-        which ``__post_init__`` has validated: it is not run again."""
+        which ``__init__`` has validated: it is not run again."""
         chi = object.__new__(DirichletCharacter)
-        for name, value in (("p", self.p), ("g", self.g), ("e", e % (self.p - 1))):
-            object.__setattr__(chi, name, value)
+        chi.__dict__.update(p=self.p, g=self.g, e=e % (self.p - 1))
         return chi
 
     def conj(self) -> "DirichletCharacter":

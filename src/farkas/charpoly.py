@@ -24,20 +24,19 @@ and gcds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
 from .characters import DirichletCharacter
-from .foundations import is_prime, prime_sieve
+from .foundations import FrozenRecord, Record, is_prime, prime_sieve
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(FrozenRecord):
     """Dense integer-coefficient polynomial; index = degree."""
 
-    coeffs: tuple[int, ...]
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.__dict__.update(coeffs=coeffs)
 
     @staticmethod
     def make(coeffs) -> "IntPolynomial":
@@ -264,19 +263,33 @@ def safe_prime_scan(bound: int) -> list[int]:
     return out
 
 
-@dataclass
-class EvenObstructionReport:
-    p: int
-    q: int
-    b0: int
-    b1: int
-    b_p_minus_1: int
-    b_p: int
-    divisible_by_xq_plus_1: bool
-    coprime_with_xq_minus_1: bool
-    f_at_one: int
-    zero_for_order: dict[int, bool]  # d -> whether f(zeta**k) = 0 when zeta**k has order d
-    flagged_zero_coefficients: list[int]
+class EvenObstructionReport(Record):
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        b0: int,
+        b1: int,
+        b_p_minus_1: int,
+        b_p: int,
+        divisible_by_xq_plus_1: bool,
+        coprime_with_xq_minus_1: bool,
+        f_at_one: int,
+        zero_for_order: dict[int, bool],
+        flagged_zero_coefficients: list[int],
+    ):
+        self.p = p
+        self.q = q
+        self.b0 = b0
+        self.b1 = b1
+        self.b_p_minus_1 = b_p_minus_1
+        self.b_p = b_p
+        self.divisible_by_xq_plus_1 = divisible_by_xq_plus_1
+        self.coprime_with_xq_minus_1 = coprime_with_xq_minus_1
+        self.f_at_one = f_at_one
+        # d -> whether f(zeta**k) = 0 when zeta**k has order d
+        self.zero_for_order = zero_for_order
+        self.flagged_zero_coefficients = flagged_zero_coefficients
 
     def zero_characters(self) -> np.ndarray:
         """Bool array over k = 0..p-2: whether the sum for xi = chi**k

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import gc
 import io
@@ -374,6 +373,8 @@ def render_report(payload: dict, fmt: str, rows: str | None = None) -> str:
     if fmt == "csv":
         if rows is not None:
             return rows
+        import csv  # only on this path: it is not loaded at start-up
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         rows = payload.get("rows")
@@ -418,19 +419,25 @@ def _check_prime_bound(flag: str, p: int) -> None:
         )
 
 
-# the verify options that each kind does not read: given, they are refused
+# the verify options that each kind does not read, and the search options
+# that each of its two searches does not read: given, they are refused
 UNREAD_OPTIONS = {
     "conv": ("config",), "square": ("config",), "farkas": ("p", "chi", "config"),
     "config": ("p", "chi"),
 }
+UNREAD_SEARCH_OPTIONS = {"--safe-primes": ("nmax",), "--discriminant": ("pmax", "nmax")}
+
+
+def _refuse_unread(args, names, mode: str) -> None:
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{' and '.join(given)} cannot be used with {mode}")
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     _check_nmax(args.nmax)
-    given = [f"--{name}" for name in UNREAD_OPTIONS[args.kind] if getattr(args, name) is not None]
-    if given:
-        raise UsageError(f"{' and '.join(given)} cannot be used with --kind {args.kind}")
+    _refuse_unread(args, UNREAD_OPTIONS[args.kind], f"--kind {args.kind}")
     if args.kind == "farkas":
         report = verify_farkas(args.nmax)
     elif args.kind == "config":
@@ -473,7 +480,13 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
-    _check_nmax(args.nmax)
+    if args.safe_primes and args.discriminant:
+        raise UsageError("--safe-primes and --discriminant are two searches: give one")
+    search = "--safe-primes" if args.safe_primes else "--discriminant" if args.discriminant else ""
+    if search:
+        _refuse_unread(args, UNREAD_SEARCH_OPTIONS[search], search)
+    if args.nmax is not None:
+        _check_nmax(args.nmax)
     payload: dict = {"command": "search", "params": {}}
     if args.pmax is not None and args.pmax < 5:
         raise UsageError(
@@ -481,8 +494,6 @@ def cmd_search(args) -> int:
         )
     if args.pmax is not None:
         _check_prime_bound("--pmax", args.pmax)
-    if args.safe_primes and args.discriminant:
-        raise UsageError("--safe-primes and --discriminant are two searches: give one")
     if args.safe_primes:
         if args.pmax is None:
             raise UsageError("--safe-primes requires --pmax")
@@ -498,7 +509,7 @@ def cmd_search(args) -> int:
         if args.pmax is None:
             raise UsageError("search requires --pmax (or --discriminant/--safe-primes)")
         payload["params"]["pmax"] = args.pmax
-        rows = dichotomy_scan(args.pmax, nmax=args.nmax)
+        rows = dichotomy_scan(args.pmax, nmax=50 if args.nmax is None else args.nmax)
         payload["rows"] = [
             {
                 "p": r.p,
@@ -631,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="dichotomy and factorization searches")
     sp.add_argument("--pmax", type=int, default=None)
-    sp.add_argument("--nmax", type=int, default=50)
+    sp.add_argument("--nmax", type=int, default=None)
     sp.add_argument("--discriminant", action="store_true")
     sp.add_argument("--safe-primes", dest="safe_primes", action="store_true")
     common(sp)
@@ -656,12 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _freeze_start_up_heap() -> None:
-    """Move everything tracked so far (about 22 700 objects after `import
-    farkas.cli`, most of them numpy's) to the permanent generation, which no
-    collection walks: CPython's shutdown collections re-walked them on every
-    run, about 28 ms of a refutation's process wall time, against about 7 ms
-    in ``main``.  Once per process (cached): a later in-process call would
-    make its caller's pending cyclic garbage permanent too, and
+    """Move everything tracked so far (about 21 900 objects after `import
+    farkas.cli`, whose 69 ms are numpy's 61.5, the stdlib's 5.2 and
+    farkas's 2.4) to the permanent generation, which no collection walks:
+    CPython's shutdown collections re-walked them on every run, about 28 ms
+    of a refutation's process wall time, against about 7 ms in ``main``.
+    Once per process (cached): a later in-process call would make its
+    caller's pending cyclic garbage permanent too, and
     ``gc.get_freeze_count`` walks the whole permanent generation, so it is
     no cheap guard (8.9 ms at 347 000 frozen objects)."""
     gc.freeze()

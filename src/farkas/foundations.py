@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -190,16 +189,46 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class Record:
+    """A value whose fields are the attributes its ``__init__`` sets, in
+    that order: equal to a record of its own class with equal fields,
+    unhashable, and repr'd as ``Name(field=value, ...)``.  Written out here,
+    not generated by ``dataclasses``, whose decorator compiles every
+    record class's methods in every process that imports the package."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record that hashes by its fields and refuses assignment: its
+    ``__init__`` writes the fields into ``__dict__`` directly."""
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GaussianRational(FrozenRecord):
     """An element of Q(i) as an exact pair of rationals."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: int | Fraction = Fraction(0), im: int | Fraction = Fraction(0)):
+        # every arithmetic result is built here, from Fraction parts: they
+        # skip the conversion call
+        fields = self.__dict__
+        fields["re"] = re if isinstance(re, Fraction) else _as_fraction(re)
+        fields["im"] = im if isinstance(im, Fraction) else _as_fraction(im)
 
     # -- arithmetic ---------------------------------------------------
 

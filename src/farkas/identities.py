@@ -12,7 +12,6 @@ the paper's identities and Farkas' mod-3 original are one ``_sweep`` each.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
@@ -21,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
-from .foundations import PRIMES_CACHED, GaussianRational, is_prime, prime_sieve
+from .foundations import (
+    PRIMES_CACHED, FrozenRecord, GaussianRational, Record, is_prime, prime_sieve,
+)
 from .qseries import (
     MAX_FAST_N,
     MAX_PRIME,
@@ -50,13 +51,13 @@ SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
 SIEVE_GROWTH = 8
 
 
-@dataclass(frozen=True)
-class IdentityConstants:
+class IdentityConstants(FrozenRecord):
     """The exact proportionality constants forced by the constant terms."""
 
-    alpha: Fraction
-    alpha_prime: GaussianRational
-    beta_prime: GaussianRational
+    def __init__(
+        self, alpha: Fraction, alpha_prime: GaussianRational, beta_prime: GaussianRational
+    ):
+        self.__dict__.update(alpha=alpha, alpha_prime=alpha_prime, beta_prime=beta_prime)
 
 
 @lru_cache(maxsize=2 * PRIMES_CACHED)
@@ -85,16 +86,26 @@ def constants_for(p: int, chi: DirichletCharacter) -> IdentityConstants:
     )
 
 
-@dataclass
-class VerificationReport:
-    p: int
-    character: str
-    kind: str
-    nmax: int
-    outcome: str  # "pass" | "first_failure"
-    failure_n: Optional[int] = None
-    lhs: Optional[GaussianRational] = None
-    rhs: Optional[GaussianRational] = None
+class VerificationReport(Record):
+    def __init__(
+        self,
+        p: int,
+        character: str,
+        kind: str,
+        nmax: int,
+        outcome: str,
+        failure_n: Optional[int] = None,
+        lhs: Optional[GaussianRational] = None,
+        rhs: Optional[GaussianRational] = None,
+    ):
+        self.p = p
+        self.character = character
+        self.kind = kind
+        self.nmax = nmax
+        self.outcome = outcome  # "pass" | "first_failure"
+        self.failure_n = failure_n
+        self.lhs = lhs
+        self.rhs = rhs
 
     @property
     def passed(self) -> bool:
@@ -242,8 +253,7 @@ def verify_farkas(nmax: int) -> VerificationReport:
 # asymptotics
 # ---------------------------------------------------------------------
 
-@dataclass
-class AsymptoticReport:
+class AsymptoticReport(Record):
     """The ratio table as arrays over the n <= nmax with p not dividing n.
 
     lhs(n) = (lhs_re[i] + i lhs_im[i]) / denominator exactly, rhs(n) =
@@ -254,22 +264,41 @@ class AsymptoticReport:
     byte pass (``cli._ratio_bytes``), in int64 or over Python ints.
     """
 
-    p: int
-    character: str
-    kind: str
-    nmax: int
-    n: np.ndarray
-    kron: np.ndarray
-    lhs_re: np.ndarray
-    lhs_im: np.ndarray
-    sigma: np.ndarray
-    denominator: int
-    alpha: Optional[Fraction] = None
-    max_dev_top_decile: Optional[Fraction] = None
-    limit_plus: Optional[GaussianRational] = None
-    limit_minus: Optional[GaussianRational] = None
-    gamma_estimate: Optional[GaussianRational] = None
-    alpha_prime_estimate: Optional[GaussianRational] = None
+    def __init__(
+        self,
+        p: int,
+        character: str,
+        kind: str,
+        nmax: int,
+        n: np.ndarray,
+        kron: np.ndarray,
+        lhs_re: np.ndarray,
+        lhs_im: np.ndarray,
+        sigma: np.ndarray,
+        denominator: int,
+        alpha: Optional[Fraction] = None,
+        max_dev_top_decile: Optional[Fraction] = None,
+        limit_plus: Optional[GaussianRational] = None,
+        limit_minus: Optional[GaussianRational] = None,
+        gamma_estimate: Optional[GaussianRational] = None,
+        alpha_prime_estimate: Optional[GaussianRational] = None,
+    ):
+        self.p = p
+        self.character = character
+        self.kind = kind
+        self.nmax = nmax
+        self.n = n
+        self.kron = kron
+        self.lhs_re = lhs_re
+        self.lhs_im = lhs_im
+        self.sigma = sigma
+        self.denominator = denominator
+        self.alpha = alpha
+        self.max_dev_top_decile = max_dev_top_decile
+        self.limit_plus = limit_plus
+        self.limit_minus = limit_minus
+        self.gamma_estimate = gamma_estimate
+        self.alpha_prime_estimate = alpha_prime_estimate
 
 
 def _tree_sum(terms: list[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -367,37 +396,44 @@ def asymptotic_report(
 # configured (Hecke-eliminated) identities
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConfiguredIdentity:
+class ConfiguredIdentity(FrozenRecord):
     """One Hecke-eliminated identity: sum_i A_i Conv(n C_i / B_i) = rhs(n)."""
 
-    p: int
-    chi_selector: str
-    terms: tuple[tuple[GaussianRational, int, int], ...]  # (A_i, B_i, C_i)
-    rhs_kind: str  # "sigma_prime" | "tilde_hat"
-    rhs_coefficients: tuple[GaussianRational, ...]
-
-    def __post_init__(self):
-        if self.p > MAX_PRIME:
+    def __init__(
+        self,
+        p: int,
+        chi_selector: str,
+        terms: tuple[tuple[GaussianRational, int, int], ...],  # (A_i, B_i, C_i)
+        rhs_kind: str,  # "sigma_prime" | "tilde_hat"
+        rhs_coefficients: tuple[GaussianRational, ...],
+    ):
+        if p > MAX_PRIME:
             raise ValueError(
-                f"modulus {self.p} is past MAX_PRIME = {MAX_PRIME}, the largest p whose"
+                f"modulus {p} is past MAX_PRIME = {MAX_PRIME}, the largest p whose"
                 " tables are built"
             )
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if not self.terms:
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        if not terms:
             raise ValueError("at least one term required")
-        for a, b, c in self.terms:
+        for a, b, c in terms:
             if b < 1 or c < 1:
                 raise ValueError(f"B and C must be positive integers, got ({b}, {c})")
-        if self.rhs_kind == "sigma_prime":
-            if len(self.rhs_coefficients) != 1:
+        if rhs_kind == "sigma_prime":
+            if len(rhs_coefficients) != 1:
                 raise ValueError("sigma_prime rhs takes exactly one coefficient")
-        elif self.rhs_kind == "tilde_hat":
-            if len(self.rhs_coefficients) != 2:
+        elif rhs_kind == "tilde_hat":
+            if len(rhs_coefficients) != 2:
                 raise ValueError("tilde_hat rhs takes exactly two coefficients")
         else:
-            raise ValueError(f"unknown rhs kind {self.rhs_kind!r}")
+            raise ValueError(f"unknown rhs kind {rhs_kind!r}")
+        self.__dict__.update(
+            p=p,
+            chi_selector=chi_selector,
+            terms=terms,
+            rhs_kind=rhs_kind,
+            rhs_coefficients=rhs_coefficients,
+        )
 
 
 def resolve_character(p: int, selector: str) -> DirichletCharacter:
@@ -467,11 +503,9 @@ def check_configured_identity(
 # finite searches / obstructions
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantSolution:
-    factor_pair: tuple[int, int]
-    p: int
-    x: int
+class DiscriminantSolution(FrozenRecord):
+    def __init__(self, factor_pair: tuple[int, int], p: int, x: int):
+        self.__dict__.update(factor_pair=factor_pair, p=p, x=x)
 
 
 def discriminant_search() -> list[DiscriminantSolution]:
@@ -499,13 +533,15 @@ def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-@dataclass
-class Obstruction1Report:
-    p: int
-    consistent: bool
-    eq_n1_holds: bool
-    eq_n2_holds: bool
-    z: tuple[int, int]  # 2p delta_chi(0) as (re, im)
+class Obstruction1Report(Record):
+    def __init__(
+        self, p: int, consistent: bool, eq_n1_holds: bool, eq_n2_holds: bool, z: tuple[int, int]
+    ):
+        self.p = p
+        self.consistent = consistent
+        self.eq_n1_holds = eq_n1_holds
+        self.eq_n2_holds = eq_n2_holds
+        self.z = z  # 2p delta_chi(0) as (re, im)
 
 
 def obstruction_id1(p: int) -> Obstruction1Report:
@@ -527,23 +563,37 @@ def obstruction_id1(p: int) -> Obstruction1Report:
     return Obstruction1Report(p, eq1 and eq2, eq1, eq2, (u, v))
 
 
-@dataclass(frozen=True)
-class Branch:
-    chi3: GaussianRational
-    implied_delta0: Optional[GaussianRational]
-    implied_B: Optional[GaussianRational]
-    admissible: bool
+class Branch(FrozenRecord):
+    def __init__(
+        self,
+        chi3: GaussianRational,
+        implied_delta0: Optional[GaussianRational],
+        implied_B: Optional[GaussianRational],
+        admissible: bool,
+    ):
+        self.__dict__.update(
+            chi3=chi3, implied_delta0=implied_delta0, implied_B=implied_B, admissible=admissible
+        )
 
 
-@dataclass
-class Obstruction2Report:
-    p: int
-    accepted: bool
-    quad_eq_holds: bool
-    combined_eq_holds: bool
-    actual_delta0: GaussianRational
-    actual_B: Fraction
-    branches: list[Branch] = field(default_factory=list)
+class Obstruction2Report(Record):
+    def __init__(
+        self,
+        p: int,
+        accepted: bool,
+        quad_eq_holds: bool,
+        combined_eq_holds: bool,
+        actual_delta0: GaussianRational,
+        actual_B: Fraction,
+        branches: Optional[list[Branch]] = None,
+    ):
+        self.p = p
+        self.accepted = accepted
+        self.quad_eq_holds = quad_eq_holds
+        self.combined_eq_holds = combined_eq_holds
+        self.actual_delta0 = actual_delta0
+        self.actual_B = actual_B
+        self.branches = [] if branches is None else branches
 
 
 def _implied_bernoulli(x2: GaussianRational, d0: GaussianRational):
@@ -637,15 +687,24 @@ def quartic_primes(pmax: int) -> list[int]:
     return (np.flatnonzero(sieve[5::8]) * 8 + 5).tolist()
 
 
-@dataclass
-class DichotomyRow:
-    p: int
-    id1_pass: bool
-    id1_failure_n: Optional[int]
-    id2_pass: bool
-    id2_failure_n: Optional[int]
-    obstruction1_consistent: bool
-    obstruction2_accepted: bool
+class DichotomyRow(Record):
+    def __init__(
+        self,
+        p: int,
+        id1_pass: bool,
+        id1_failure_n: Optional[int],
+        id2_pass: bool,
+        id2_failure_n: Optional[int],
+        obstruction1_consistent: bool,
+        obstruction2_accepted: bool,
+    ):
+        self.p = p
+        self.id1_pass = id1_pass
+        self.id1_failure_n = id1_failure_n
+        self.id2_pass = id2_pass
+        self.id2_failure_n = id2_failure_n
+        self.obstruction1_consistent = obstruction1_consistent
+        self.obstruction2_accepted = obstruction2_accepted
 
 
 def _verdict(first: Optional[int], nmax: int, sweep) -> tuple[bool, Optional[int]]:

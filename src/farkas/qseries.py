@@ -53,7 +53,6 @@ and only ``_fft_product`` names it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,7 +61,8 @@ from numpy.fft import irfft, rfft
 
 from .characters import DirichletCharacter
 from .foundations import (
-    PRIMES_CACHED, GaussianRational, discrete_log_table, divisors, is_prime, kronecker,
+    PRIMES_CACHED, FrozenRecord, GaussianRational, discrete_log_table, divisors, is_prime,
+    kronecker,
 )
 
 MAX_FAST_N = 1_000_000  # largest N of the sieves and kernel
@@ -711,11 +711,11 @@ def convolver(chi: DirichletCharacter) -> Convolver:
 # benchmark's own test imports them from here; they join tests/oracles.py
 # when the benchmark next changes.
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(FrozenRecord):
     """Truncated q-expansion: coefficients c(0..N), exact."""
 
-    coefficients: tuple[GaussianRational, ...]
+    def __init__(self, coefficients: tuple[GaussianRational, ...]):
+        self.__dict__.update(coefficients=coefficients)
 
     @property
     def truncation(self) -> int:

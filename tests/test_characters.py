@@ -130,7 +130,7 @@ class TestPower:
 
 
 class TestValidateOnce:
-    """Characters built from a validated one skip ``__post_init__``."""
+    """Characters built from a validated one skip ``__init__``'s validation."""
 
     @staticmethod
     def _counted():

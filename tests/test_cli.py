@@ -644,6 +644,36 @@ class TestSearchCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--discriminant", "--pmax", "100"], "--pmax cannot be used with --discriminant"),
+            (["--discriminant", "--nmax", "7"], "--nmax cannot be used with --discriminant"),
+            (
+                ["--discriminant", "--pmax", "3", "--nmax", "-1"],
+                "--pmax and --nmax cannot be used with --discriminant",
+            ),
+            (
+                ["--safe-primes", "--pmax", "100", "--nmax", "7"],
+                "--nmax cannot be used with --safe-primes",
+            ),
+        ],
+        ids=["discriminant-pmax", "discriminant-nmax", "discriminant-both", "safe-primes-nmax"],
+    )
+    def test_an_option_the_search_does_not_read_is_refused(self, argv, message, tmp_path, capsys):
+        # the discriminant search reads no bound and the safe-prime scan
+        # checks no identity: these options were checked and then ignored
+        out = tmp_path / "s.json"
+        assert main(["search", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+        assert not out.exists()
+
+    def test_the_dichotomy_scan_checks_to_50_by_default(self):
+        scan = mock.patch.object(cli, "dichotomy_scan", wraps=cli.dichotomy_scan)
+        with scan as spy, contextlib.redirect_stdout(io.StringIO()):
+            assert main(["search", "--pmax", "150"]) == EXIT_PASS
+        spy.assert_called_once_with(150, nmax=50)
+
     @pytest.mark.parametrize("pmax", ["-3", "0", "4"])
     def test_bound_below_five_is_usage_error(self, pmax, capsys):
         assert main(["search", "--pmax", pmax]) == EXIT_USAGE
@@ -1091,7 +1121,30 @@ print(json.dumps([tracked, *first, *second]))
 """
 
 
+START_UP_PROBE = """
+import inspect, json, sys
+import farkas.cli
+classes = [
+    f"{name}.{attr}"
+    for name, mod in list(sys.modules.items()) if name.split(".")[0] == "farkas"
+    for attr, obj in vars(mod).items()
+    if inspect.isclass(obj) and hasattr(obj, "__dataclass_fields__")
+]
+print(json.dumps([sorted({"csv", "dataclasses"} & set(sys.modules)), classes]))
+"""
+
+
 class TestStartupHeap:
+    def test_the_import_loads_no_dataclasses_and_no_csv(self):
+        # no command needs them: the records are plain classes, whose
+        # methods are not compiled at import, and csv loads with a csv report
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", START_UP_PROBE], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert json.loads(done.stdout) == [[], []]
+
     def test_main_freezes_the_start_up_heap_once(self):
         # the objects of the imports move to the permanent generation on the
         # first call, which the shutdown collections no longer walk; a second
@@ -1480,17 +1533,17 @@ class TestConfigContract:
             assert _reported_exactly(report, load_identity_config(str(path)), nmax)
 
 
-def _post_inits(argv):
+def _inits(argv):
     """How many GaussianRational values one CLI run builds."""
     calls = 0
-    original = GaussianRational.__post_init__
+    original = GaussianRational.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         nonlocal calls
         calls += 1
-        original(self)
+        original(self, *args, **kwargs)
 
-    with mock.patch.object(GaussianRational, "__post_init__", counted):
+    with mock.patch.object(GaussianRational, "__init__", counted):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) in (EXIT_PASS, EXIT_FAILURE)
     return calls
@@ -1509,6 +1562,6 @@ class TestExactValuesOnlyAtTheEdges:
     def test_gaussian_rationals_do_not_grow_with_nmax(self, argv, small, large):
         # a GaussianRational per coefficient would make the larger run build
         # thousands more; the constants and rendered values are a fixed few
-        _post_inits(argv + ["--nmax", str(small)])  # fill the per-prime caches
-        counts = [_post_inits(argv + ["--nmax", str(n)]) for n in (small, large)]
+        _inits(argv + ["--nmax", str(small)])  # fill the per-prime caches
+        counts = [_inits(argv + ["--nmax", str(n)]) for n in (small, large)]
         assert counts[0] == counts[1] > 0, counts

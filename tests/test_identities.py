@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -913,6 +912,11 @@ class TestObstructions:
             assert row.id2_pass == row.obstruction2_accepted
 
 
+def _replace(record, **changes):
+    """A copy of a record with ``changes`` to its fields."""
+    return type(record)(**{**vars(record), **changes})
+
+
 # the sweeps of the scan's passing primes, (p, kind)
 PASSING_SWEEPS = [(p, kind) for p in (5, 13) for kind in ("conv", "square")]
 
@@ -967,7 +971,7 @@ class TestObstructionScan:
         assert [b.p for _, b in changed] == [13]
         (old, new), = changed
         assert old.id1_pass and (new.id1_pass, new.id1_failure_n) == (False, 1)
-        assert dataclasses.replace(new, id1_pass=True, id1_failure_n=None) == old
+        assert _replace(new, id1_pass=True, id1_failure_n=None) == old
 
     @pytest.mark.parametrize(
         "obstruction, target, field, value, identity, sweeps",
@@ -993,7 +997,7 @@ class TestObstructionScan:
 
         def perturbed(p, *args):
             report = real(p, *args)
-            return dataclasses.replace(report, **{field: value}) if p == target else report
+            return _replace(report, **{field: value}) if p == target else report
 
         run = mock.patch.object(
             identities, "_run_verification", wraps=identities._run_verification
@@ -1005,7 +1009,7 @@ class TestObstructionScan:
                 assert new == old
         (old,), (new,) = ([r for r in t if r.p == target] for t in (base, rows))
         fields = {f"{identity}_pass": False, f"{identity}_failure_n": 2}
-        assert new == dataclasses.replace(old, **fields)
+        assert new == _replace(old, **fields)
         assert sorted((c.args[0], c.args[2]) for c in spy.call_args_list) == sorted(sweeps)
 
     def test_the_obstruction_equations_give_the_sweeps_first_failures(self):
