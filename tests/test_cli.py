@@ -607,6 +607,86 @@ class TestPinnedScanBytes:
         assert _raw_timing_free_sha256(argv.split(), capsys) == PINNED_SCAN_BYTES[argv]
 
 
+# every --help text, as argparse wraps it at 80 columns: the options, their
+# choices and their help strings are the CLI's contract
+PINNED_HELP = {
+    "": """\
+usage: farkas [-h] {verify,search,asympt,poly} ...
+
+Exact verification of divisor-sum convolution identities for quartic Dirichlet
+characters.
+
+positional arguments:
+  {verify,search,asympt,poly}
+    verify              verify an identity exactly up to nmax
+    search              dichotomy and factorization searches
+    asympt              ratio table CSV for the asymptotic claims
+    poly                integer-polynomial obstruction report
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "verify": """\
+usage: farkas verify [-h] [--p P] [--chi {quartic-i,quartic-minus-i}] --kind
+                     {conv,square,farkas,config} [--nmax NMAX]
+                     [--config CONFIG] [--out OUT] [--format {json,csv,text}]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --chi {quartic-i,quartic-minus-i}
+  --kind {conv,square,farkas,config}
+  --nmax NMAX
+  --config CONFIG       identity config file (JSON)
+  --out OUT             output file (atomic write)
+  --format {json,csv,text}
+""",
+    "search": """\
+usage: farkas search [-h] [--pmax PMAX] [--nmax NMAX] [--discriminant]
+                     [--safe-primes] [--out OUT] [--format {json,csv,text}]
+
+options:
+  -h, --help            show this help message and exit
+  --pmax PMAX
+  --nmax NMAX
+  --discriminant
+  --safe-primes
+  --out OUT             output file (atomic write)
+  --format {json,csv,text}
+""",
+    "asympt": """\
+usage: farkas asympt [-h] --p P [--chi {quartic-i,quartic-minus-i}] --kind
+                     {conv,square} [--nmax NMAX] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --chi {quartic-i,quartic-minus-i}
+  --kind {conv,square}
+  --nmax NMAX
+  --out OUT
+""",
+    "poly": """\
+usage: farkas poly [-h] --p P [--out OUT] [--format {json,csv,text}]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --out OUT             output file (atomic write)
+  --format {json,csv,text}
+""",
+}
+
+
+class TestPinnedHelp:
+    @pytest.mark.parametrize("command", list(PINNED_HELP))
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"] if command else ["--help"]) == EXIT_PASS
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (PINNED_HELP[command], "")
+
+
 class TestSearchCommand:
     def test_dichotomy_table(self, tmp_path):
         out = tmp_path / "s.json"
