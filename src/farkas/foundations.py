@@ -284,7 +284,8 @@ class GaussianRational(FrozenRecord):
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes as that does
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     # -- structure ----------------------------------------------------
 

@@ -6,9 +6,13 @@ dichotomy (discriminant of the n = 1,2 obstruction, Bernoulli screen for
 the squared identity), empirical ratio sweeps for the asymptotic claims,
 and verification of configured Hecke-eliminated identities.
 
-Every check compares an exact read of F or H with a linear combination of
-divisor sums (``_linear_rhs``), block by block (``_run_verification``);
-the paper's identities and Farkas' mod-3 original are one ``_sweep`` each.
+Every identity checked here has one shape, sum_i A_i Conv(n C_i / B_i) =
+sum_k c_k s_k(n) with Conv = F or H of a character chi mod p: one
+``Identity`` value.  The paper's identities, Farkas' mod-3 original and
+the configured identities are constructors of it, and ``_check`` runs
+them all: it compares exact reads of F or H (``Convolver``) with a linear
+combination of divisor sums (``_linear_rhs``), block by block
+(``_run_verification``).
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characters import DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair
+from .characters import DirichletCharacter, canonical_quartic, quadratic_character
 from .foundations import (
     PRIMES_CACHED, FrozenRecord, GaussianRational, Record, is_prime, prime_sieve,
 )
@@ -41,6 +45,7 @@ from .qseries import (
 HALF = Fraction(1, 2)
 # a sweep's first block is n < FIRST_BLOCK: n <= 2, where a prime scan reads
 # both identities' verdicts off the obstruction equations (``dichotomy_scan``)
+# and a refuted configured identity stops before its long lookups
 FIRST_BLOCK = 3
 SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
 # a sweep's sieved tables grow at least this many times over, chosen with
@@ -112,9 +117,23 @@ class VerificationReport(Record):
         return self.outcome == "pass"
 
 
-def _denominator(*values: GaussianRational) -> int:
-    """Least common denominator of the real and imaginary parts."""
-    return lcm(*(x.denominator for z in values for x in (z.re, z.im)))
+class Identity(FrozenRecord):
+    """sum_i A_i Conv(n C_i / B_i) = sum_k c_k s_k(n), Conv = H_chi if
+    ``use_H`` else F_chi, a term 0 where B_i does not divide n: ``lhs`` the
+    (A_i, B_i, C_i), ``rhs`` the pairs (c_k, array builder of s_k, as
+    ``sigma_prime_values``), ``zero`` the value at n = 0 (None: checked
+    from n = 1) and ``kind`` the report's label."""
+
+    def __init__(
+        self, p: int, chi: DirichletCharacter, use_H: bool, lhs: tuple, rhs: tuple,
+        zero: Optional[GaussianRational], kind: str,
+    ):
+        self.__dict__.update(p=p, chi=chi, use_H=use_H, lhs=lhs, rhs=rhs, zero=zero, kind=kind)
+
+
+def _denominator(*values: Optional[GaussianRational]) -> int:
+    """Least common denominator of the real and imaginary parts (None skipped)."""
+    return lcm(*(x.denominator for z in values if z is not None for x in (z.re, z.im)))
 
 
 def _scaled(z: GaussianRational, D: int) -> tuple[int, int]:
@@ -191,28 +210,64 @@ def _run_verification(
     )
 
 
-def _sweep(p: int, chi: DirichletCharacter, kind: str, nmax: int, c: int, terms, constant):
-    """Check F (c = -1) or H (c = 1) of chi against sum_k c_k s_k for
-    0 <= n <= nmax, with ``terms`` and ``constant`` (the rhs at n = 0) as
-    ``_linear_rhs`` takes them.
+# the lhs F(n) or H(n) of the paper's identities and Farkas' original
+CONVOLUTION = ((GaussianRational(1), 1, 1),)
 
-    The sweep compares D F or D H, D the least common multiple of s**2 =
-    (2p)**2 and every denominator of the c_k and the constant: the
-    Convolver gives the integers s**2 F, so D F = k s**2 F with k = D / s**2
-    (``numerators`` at scale k), and the rhs is taken at D.  delta_chi and
-    the divisor sums are sieved as the blocks reach them; the cached
-    Convolver drops its whole-series tail when the sweep ends."""
-    s2 = (2 * p) ** 2
-    D = lcm(s2, _denominator(*(c_k for c_k, _ in terms), constant))
-    conv = convolver(chi)
+
+def _check(identity: Identity, nmax: int) -> VerificationReport:
+    """Exact check of ``identity`` for n <= nmax, from n = 1 if its ``zero``
+    is None; a lookup past MAX_FAST_N is refused before any sieve.  It
+    compares D lhs with D rhs, D = lcm(s**2 den(A_i), every denominator of
+    the rhs), s = 2p: the Convolver reads s**2 F.  Each block reads each
+    term's F(k C) at n = k B through ``numerators``, with delta_chi sieved
+    ahead by the rhs's schedule (``_sieve_reach``) for B = C = 1.  Past the
+    first block, so that a refutation there stops before it, a term with
+    B C > 1 slices one read of F(k C), k = 1..nmax // B.  The cached
+    Convolver drops its tails when the check ends."""
+    reach, b, c = max(((nmax // b) * c, b, c) for _, b, c in identity.lhs)
+    if reach > MAX_FAST_N:
+        most = min(b * (MAX_FAST_N // c + 1) - 1 for _, b, c in identity.lhs)
+        raise ValueError(
+            f"--nmax {nmax} makes the lookup (N // B) * C = ({nmax} // {b}) * {c}"
+            f" read {'H' if identity.use_H else 'F'}({reach}), past the fast path's"
+            f" {MAX_FAST_N}; use --nmax {most} or less"
+        )
+    conv = convolver(identity.chi)
+    s2 = conv.denominator
+    rhs_denominator = _denominator(*(c_k for c_k, _ in identity.rhs), identity.zero)
+    D = lcm(s2 * _denominator(*(a for a, _, _ in identity.lhs)), rhs_denominator)
+    terms = [(_scaled(a, D // s2), b, c) for a, b, c in identity.lhs]
+    sign, read = (1, conv.H) if identity.use_H else (-1, conv.F)
+    lookups = None  # past the first block: term i -> its F(k C), k = 1..nmax // B
 
     def lhs(lo: int, hi: int):
-        conv.extend(_sieve_reach(hi, conv.capacity, nmax))
-        return conv.numerators(lo, hi, c, scale=D // s2)
+        nonlocal lookups
+        if lookups is None and lo >= FIRST_BLOCK:
+            conv.release()  # the first block's short tails
+            long = [(i, b, c) for i, (_, b, c) in enumerate(terms) if b * c > 1]
+            lookups = {i: read(c, (nmax // b) * c + 1, c) for i, b, c in long}
+        if any(b * c == 1 for _, b, c in terms):
+            conv.extend(_sieve_reach(hi, conv.capacity, nmax))
+        blocks = []
+        for i, (scalar, b, c) in enumerate(terms):
+            first, stop = -(-lo // b), -(-hi // b)  # n = k B in [lo, hi) for k in [first, stop)
+            if lookups and i in lookups:
+                values = [v[first - 1 : stop - 1] for v in lookups[i]]
+            else:
+                values = conv.numerators(first * c, stop * c, sign, c, last=(nmax // b) * c)
+            if b > 1:
+                placed = tuple(np.zeros(hi - lo, dtype=v.dtype) for v in values)
+                for to, v in zip(placed, values):
+                    to[first * b - lo :: b] = v
+                values = placed
+            blocks.append((scalar, values))
+        return exact_sum(blocks)
 
+    rhs = _linear_rhs(identity.p, D, identity.rhs, nmax, identity.zero)
     try:
         return _run_verification(
-            p, chi.label(), kind, nmax, D, lhs, _linear_rhs(p, D, terms, nmax, constant)
+            identity.p, identity.chi.label(), identity.kind, nmax, D, lhs, rhs,
+            start=0 if identity.zero is not None else 1,
         )
     finally:
         conv.release()
@@ -225,18 +280,16 @@ def verify_id1(
     if chi is None:
         chi = canonical_quartic(p)
     alpha = GaussianRational(constants_for(p, chi).alpha)
-    return _sweep(
-        p, chi, "conv", nmax, -1, [(alpha, sigma_prime_values)], alpha * Fraction(p - 1, 24)
-    )
+    rhs, zero = ((alpha, sigma_prime_values),), alpha * Fraction(p - 1, 24)
+    return _check(Identity(p, chi, False, CONVOLUTION, rhs, zero, "conv"), nmax)
 
 
 def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport:
     """Exact check of H_chi(n) = alpha' sigma~_p(n) + beta' sigma^_p(n)."""
     const = constants_for(p, chi)
-    terms = [(const.alpha_prime, sigma_tilde_values), (const.beta_prime, sigma_hat_values)]
-    return _sweep(
-        p, chi, "square", nmax, 1, terms, const.alpha_prime * (-bernoulli_B2_psi(p) / 4)
-    )
+    rhs = ((const.alpha_prime, sigma_tilde_values), (const.beta_prime, sigma_hat_values))
+    zero = const.alpha_prime * (-bernoulli_B2_psi(p) / 4)
+    return _check(Identity(p, chi, True, CONVOLUTION, rhs, zero, "square"), nmax)
 
 
 def verify_farkas(nmax: int) -> VerificationReport:
@@ -245,8 +298,8 @@ def verify_farkas(nmax: int) -> VerificationReport:
     with delta_F(0) = 1/6 and sigma'_3(0) = 1/12.
     """
     third = GaussianRational(Fraction(1, 3))
-    terms = [(third, sigma_prime_values)]
-    return _sweep(3, quadratic_character(3), "farkas", nmax, -1, terms, third * Fraction(1, 12))
+    rhs, chi = ((third, sigma_prime_values),), quadratic_character(3)
+    return _check(Identity(3, chi, False, CONVOLUTION, rhs, third / 12, "farkas"), nmax)
 
 
 # ---------------------------------------------------------------------
@@ -447,56 +500,13 @@ def resolve_character(p: int, selector: str) -> DirichletCharacter:
 def check_configured_identity(
     cfg: ConfiguredIdentity, nmax: int
 ) -> VerificationReport:
-    """Exact check of the configured identity for 1 <= n <= nmax.
-
-    The lookups run to max (nmax // B) C; one past MAX_FAST_N is refused
-    before any table is built.  Each term's lookups are one dilated read
-    before the sweep, whose tail the cached Convolver then drops."""
+    """Exact check of the configured identity for 1 <= n <= nmax (``_check``)."""
     use_H = cfg.rhs_kind == "tilde_hat"
-    reach, b, c = max(((nmax // b) * c, b, c) for _, b, c in cfg.terms)
-    if reach > MAX_FAST_N:
-        most = min(b * (MAX_FAST_N // c + 1) - 1 for _, b, c in cfg.terms)
-        raise ValueError(
-            f"--nmax {nmax} makes the lookup (N // B) * C = ({nmax} // {b}) * {c}"
-            f" read {'H' if use_H else 'F'}({reach}), past the fast path's"
-            f" {MAX_FAST_N}; use --nmax {most} or less"
-        )
-    chi = resolve_character(cfg.p, cfg.chi_selector)
-    conv = convolver(chi)
-
-    # D * A_i * F(m) = (D * A_i / s**2) * (s**2 F(m)), with s**2 F(m) integral
-    s2 = conv.denominator
-    D = lcm(
-        s2 * _denominator(*(a for a, _, _ in cfg.terms)),
-        _denominator(*cfg.rhs_coefficients),
-    )
-    read = conv.H if use_H else conv.F
-    try:
-        # term i looks up F(k C) for k = 1..nmax // B: one dilated read
-        lookups = [
-            (_scaled(a, D // s2), b, read(c, (nmax // b) * c + 1, c)) for a, b, c in cfg.terms
-        ]
-    finally:
-        conv.release()  # the lookups are new arrays: the tails are no longer needed
-
-    def lhs(lo: int, hi: int):
-        # the multiples n = k B in [lo, hi) take F(k C), placed at their n
-        # in a block of hi - lo values
-        blocks = []
-        for scalar, b, values in lookups:
-            first, stop = -(-lo // b), -(-hi // b)
-            placed = tuple(np.zeros(hi - lo, dtype=v.dtype) for v in values)
-            for to, v in zip(placed, values):
-                to[first * b - lo :: b] = v[first - 1 : stop - 1]
-            blocks.append((scalar, placed))
-        return exact_sum(blocks)
-
-    builders = [sigma_tilde_values, sigma_hat_values] if use_H else [sigma_prime_values]
-    rhs = _linear_rhs(cfg.p, D, list(zip(cfg.rhs_coefficients, builders)), nmax)
-
-    return _run_verification(
-        cfg.p, chi.label(), f"config:{cfg.rhs_kind}", nmax, D, lhs, rhs, start=1
-    )
+    builders = (sigma_tilde_values, sigma_hat_values) if use_H else (sigma_prime_values,)
+    return _check(Identity(
+        cfg.p, resolve_character(cfg.p, cfg.chi_selector), use_H, cfg.terms,
+        tuple(zip(cfg.rhs_coefficients, builders)), None, f"config:{cfg.rhs_kind}",
+    ), nmax)
 
 
 # ---------------------------------------------------------------------

@@ -558,7 +558,7 @@ class Convolver:
     T = a*a + b*b: the imaginary part cancels under j <-> n - j.  For H,
     T = (a+b)*(a-b) + 2i a*b.
 
-    There is one read, ``numerators(lo, hi, c, scale, step)``: F or H at
+    There is one read, ``numerators(lo, hi, c, step, last)``: F or H at
     n = lo, lo + step, ... below hi, from a cached tail T(r + k D), r =
     lo mod D, over k = 0..reach, for a divisor D of step (``_split``: 1
     for a sweep, step for the lookups F(k C) of a configured identity),
@@ -568,11 +568,12 @@ class Convolver:
     FFT product, O(m log m), with one inverse transform per shift (one at
     D = 1, at most two at D > 1), and int64 np.convolve up to it.  ``F``
     and ``H`` are thin calls into it.  Tails are cached by (c, D, r); a
-    sweep, a report or a configured identity ``release``s them when it
-    ends.  When the last k lies past a tail, it is rebuilt to
-    max(k, 4 k_lo - 1), at most the sieved capacity, and to one less if
-    that capacity cuts an FFT tail to 2**j + 1 coefficients the read does
-    not all need (2**j take half the transform length).  A sweep's block
+    check or a report ``release``s them when it ends.  When the last k lies
+    past a tail, it is rebuilt to max(k, 4 k_lo - 1), at most the sieved
+    capacity and the caller's ``last`` n, and to one less if the capacity
+    (not ``last``, which a later read reaches) cuts an FFT tail to 2**j + 1
+    coefficients the read does not all need (2**j take half the transform
+    length).  A sweep's block
     [lo, hi) starts at or before any n it can fail at, so a refutation at
     n builds tails that reach below 4 n; and since its blocks double (then
     grow by a fixed step), each rebuild reaches about four times as far as
@@ -614,9 +615,8 @@ class Convolver:
             self.extend(max(n, min(2 * self.capacity, MAX_FAST_N)))
 
     def release(self) -> None:
-        """Drop the cached tails: a sweep, a report or a configured identity
-        frees its tails when it ends, so a cached Convolver holds only
-        delta_chi."""
+        """Drop the cached tails: a check or a report frees its tails when it
+        ends, so a cached Convolver holds only delta_chi."""
         self._tails.clear()
 
     def _whole_tail(self, m: int, c: int, D: int = 1, r: int = 0):
@@ -633,50 +633,51 @@ class Convolver:
         return re, im
 
     def numerators(
-        self, lo: int, hi: int, c: int, scale: int = 1, step: int = 1
+        self, lo: int, hi: int, c: int, step: int = 1, last: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``scale`` (>= 1) times ``denominator`` times F (c = -1) or H
-        (c = 1) at n = lo, lo + step, ... below hi, as two arrays (re, im)
-        of one dtype: int64 or object arrays of Python ints, as
-        ``exact_sum`` bounds the block from its largest |T| and |delta_chi|.
-        T is read from the tail T(r + k D) of D = ``_split(step, ..)``, r =
-        lo mod D, at k = k_lo, k_lo + step / D, ... below k_hi.
+        """``denominator`` times F (c = -1) or H (c = 1) at n = lo,
+        lo + step, ... below hi, as two arrays (re, im) of one dtype: int64
+        or object arrays of Python ints, as ``exact_sum`` bounds the block
+        from its largest |T| and |delta_chi|.  T is read from the tail
+        T(r + k D) of D = ``_split(step, ..)``, r = lo mod D, at k = k_lo,
+        k_lo + step / D, ... up to the last n's.  No tail passes ``last``,
+        the largest n the caller will read, if given.
 
         With delta_chi = x + i y over the block and L = u + i v, s (L
         delta' + delta L') is 2 s (u x + v y) for F and 2 s L delta for H,
-        and n = 0 takes s**2 delta_chi(0) delta'(0) = L L', L' = u + i c v,
-        each times ``scale``."""
+        and n = 0 takes s**2 delta_chi(0) delta'(0) = L L', L' = u + i c v."""
         if not 0 <= lo <= hi:
             raise ValueError(f"F and H expect 0 <= lo <= hi, got [{lo}, {hi})")
         if step < 1:
             raise ValueError(f"F and H expect step >= 1, got {step}")
-        assert scale >= 1, scale
         ns = range(lo, hi, step)
-        D = _split(step, ns[-1] if ns else lo)
+        if not ns:  # nothing to read: no sieve, no tail
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        D = _split(step, ns[-1])
         r, k_lo = lo % D, lo // D
-        k_hi = ns[-1] // D + 1 if ns else k_lo
-        top = max(k_hi - 1, 0)
+        top = ns[-1] // D
         self.ensure(r + top * D)
         key = (c, D, r)
         reach = len(self._tails[key][0]) - 1 if key in self._tails else -1
         if reach < top:
             want = max(top, 4 * k_lo - 1)
-            m = min(want, (self.capacity - r) // D)
-            if top < m < want and m >= DIRECT_PRODUCT and m & (m - 1) == 0:
+            limit = self.capacity if last is None else min(self.capacity, last)
+            m = min(want, (limit - r) // D)
+            if top < m < want and m >= DIRECT_PRODUCT and m & (m - 1) == 0 and r + m * D != last:
                 m -= 1  # 2**j + 1 coefficients take twice the FFT length of 2**j
             self._tails.pop(key, None)  # free the old tail before the product's scratch
             self._tails[key] = self._whole_tail(m, c, D, r)
         tail_re, tail_im = (
-            None if t is None else t[k_lo:k_hi:step // D] for t in self._tails[key]
+            None if t is None else t[k_lo : top + 1 : step // D] for t in self._tails[key]
         )
         x, y = self._re[lo:hi:step], self._im[lo:hi:step]
-        (u, v), k, s = self._L, scale, 2 * self.chi.p
+        (u, v), s = self._L, 2 * self.chi.p
         if c < 0:
-            terms = [((k * s * s, 0), (tail_re, None)), ((2 * k * s * u, 0), (x, None)),
-                     ((2 * k * s * v, 0), (y, None))]
+            terms = [((s * s, 0), (tail_re, None)), ((2 * s * u, 0), (x, None)),
+                     ((2 * s * v, 0), (y, None))]
         else:
-            terms = [((k * s * s, 0), (tail_re, tail_im)), ((2 * k * s * u, 2 * k * s * v), (x, y))]
-        zero = (k * (u * u - c * v * v), k * (1 + c) * u * v) if lo == 0 < hi else None
+            terms = [((s * s, 0), (tail_re, tail_im)), ((2 * s * u, 2 * s * v), (x, y))]
+        zero = (u * u - c * v * v, (1 + c) * u * v) if lo == 0 else None
         return exact_sum(terms, zero)
 
     def F(self, n: int, stop: int | None = None, step: int = 1):

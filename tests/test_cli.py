@@ -30,7 +30,9 @@ from farkas.cli import (
     parse_gaussian_pair,
 )
 from farkas.foundations import GaussianRational
-from farkas.identities import check_configured_identity, resolve_character
+from farkas.identities import (
+    SWEEP_BLOCK, check_configured_identity, constants_for, resolve_character,
+)
 from fractions import Fraction
 from oracles import gaussian, parse_gaussian
 from test_identities import per_row_report
@@ -321,11 +323,20 @@ class TestVerifyCommand:
     def test_config_at_the_offered_nmax_starts(self):
         # the largest N the message offers: (10526 // 1) * 95 = 999970 <= 10**6
         argv = ["verify", "--kind", "config", "--config", P37_5_19, "--nmax", "10526"]
+        sieve = qseries._sieve
+
+        def short_tables_only(table, N, *args, **kwargs):
+            if N > SWEEP_BLOCK:
+                raise _Stop
+            return sieve(table, N, *args, **kwargs)
+
         qseries.convolver.cache_clear()
-        with mock.patch.object(qseries, "_sieve", side_effect=_Stop) as spy:
+        with mock.patch.object(qseries, "_sieve", side_effect=short_tables_only) as spy:
             with pytest.raises(_Stop):
                 main(argv)
-        assert spy.call_args.args[1] == 999970  # the first table, to the top lookup
+        # the first block's tables stay short; the first long one reaches
+        # the top lookup
+        assert spy.call_args.args[1] == 999970
 
     def test_generator_character_is_not_a_choice(self, capsys):
         # the order-(p - 1) character leaves Q(i) for every p but 5, where it
@@ -375,6 +386,42 @@ class TestVerifyCommand:
         (line,) = [line for line in captured.err.splitlines() if "error:" in line]
         bound = "MAX_POLY_PRIME = 383479" if argv[0] == "poly" else "MAX_PRIME = 8388608"
         assert bound in line, line
+
+
+def _config_pair(z: GaussianRational) -> str:
+    """z in the config format 're_num/re_den,im_num/im_den'."""
+    return ",".join(f"{x.numerator}/{x.denominator}" for x in (z.re, z.im))
+
+
+class TestBuiltinsAsConfigs:
+    @pytest.mark.parametrize("p", [13, 29, 37])
+    @pytest.mark.parametrize("chi", ["quartic-i", "quartic-minus-i"])
+    @pytest.mark.parametrize("kind", ["conv", "square"])
+    def test_a_builtin_reports_as_its_config(self, p, chi, kind, tmp_path, capsys):
+        # F = alpha sigma' and H = alpha' sigma~ + beta' sigma^ as configs:
+        # the one term F(n) or H(n) (A = B = C = 1) and the built-in's rhs.
+        # n = 0, which only the built-in checks, holds by the constants
+        const = constants_for(p, resolve_character(p, chi))
+        rhs = (
+            {"kind": "sigma_prime", "coefficients": [_config_pair(GaussianRational(const.alpha))]}
+            if kind == "conv" else
+            {"kind": "tilde_hat", "coefficients": [_config_pair(const.alpha_prime),
+                                                   _config_pair(const.beta_prime)]}
+        )
+        path = tmp_path / "builtin.json"
+        path.write_text(json.dumps(
+            {"p": p, "chi": chi, "terms": [{"A": "1/1,0/1", "B": 1, "C": 1}], "rhs": rhs}
+        ))
+        reports = []
+        for argv in (["--p", str(p), "--chi", chi, "--kind", kind],
+                     ["--kind", "config", "--config", str(path)]):
+            code = main(["verify", *argv, "--nmax", "2000"])
+            reports.append((code, json.loads(capsys.readouterr().out)))
+        (code, builtin), (config_code, config) = reports
+        assert code == config_code == (EXIT_PASS if p == 13 else EXIT_FAILURE)
+        assert config["params"]["character"] == builtin["params"]["character"]
+        assert config["outcome"] == builtin["outcome"]
+        assert config.get("first_failure") == builtin.get("first_failure")
 
 
 class TestDeterminism:

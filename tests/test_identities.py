@@ -363,6 +363,24 @@ class TestBlockSweep:
         assert lengths == [m for m in tails for _ in range(per_tail)]
 
 
+    @pytest.mark.parametrize(
+        "nmax, tails",
+        [
+            (2048, [3, 12, 48, 192, 768, 2049]),
+            (15_000, [3, 12, 48, 192, 768, SWEEP_BLOCK, 6144, 15_001]),
+            (16_384, [3, 12, 48, 192, 768, SWEEP_BLOCK, 6144, 16_385]),
+        ],
+    )
+    def test_a_tail_cut_at_nmax_is_built_once(self, nmax, tails):
+        # a tail that the sieved length cuts at the sweep's own last index
+        # is read to its end: built there once, not to 2**j and then to
+        # 2**j + 1 (2048 and 2049, 16384 and 16385)
+        convolver.cache_clear()
+        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+            assert verify_id1(13, nmax).passed
+        assert _product_lengths(spy) == [m for m in tails for _ in range(2)]
+
+
 class TestVerifyId2:
     def test_both_quartic_characters_p5(self):
         chi, chibar = quartic_pair(5)
@@ -667,18 +685,35 @@ class TestConfiguredIdentities:
 
     @pytest.mark.parametrize("name", builtin_config_names())
     def test_config_reads_one_dilated_tail_per_term(self, name):
-        # the lookups F(k C), k = 1..N // B, of a term are one read of step
-        # C at the offset 0: one tail of N // B + 1 coefficients a term
-        # (N // B >= 3 in each), dropped before the sweep ends
+        # past the first block, the lookups F(k C), k = 1..N // B, of a term
+        # are one read of step C at the offset 0: one tail of N // B + 1
+        # coefficients a term (N // B >= 3 in each).  Before them, each term
+        # with a multiple of B in the first block [1, 3) reads its lookups
+        # there on its own, from a short tail.  All are dropped before the
+        # check ends
         cfg = load_builtin_config(name)
         convolver.cache_clear()
         with mock.patch.object(
             Convolver, "_whole_tail", autospec=True, side_effect=Convolver._whole_tail
         ) as built:
             assert check_configured_identity(cfg, 1000).passed
-        tails = sorted(call.args[1:] for call in built.call_args_list)
-        assert tails == sorted((1000 // b, -1, c, 0) for _, b, c in cfg.terms)
+        tails = [call.args[1:] for call in built.call_args_list]
+        first, long = tails[: -len(cfg.terms)], tails[-len(cfg.terms) :]
+        assert sorted(long) == sorted((1000 // b, -1, c, 0) for _, b, c in cfg.terms)
+        assert len(first) == sum(b <= 2 for _, b, _ in cfg.terms)
+        assert all(m + 1 <= qseries.DIRECT_PRODUCT for m, *_ in first), first
         assert convolver(resolve_character(cfg.p, cfg.chi_selector))._tails == {}
+
+    def test_a_refuted_config_stops_in_its_first_block(self):
+        # rhs 41 sigma' against F(95) = 40 at n = 1: the first block reads
+        # F(95) and F(190) on their own, so no long lookup is built
+        refuted = _replace(load_builtin_config("p37_5_19.json"), rhs_coefficients=(gaussian(41),))
+        convolver.cache_clear()
+        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+            report = check_configured_identity(refuted, 10_000)
+        assert (report.failure_n, report.lhs, report.rhs) == (1, gaussian(40), gaussian(41))
+        assert spy.called and max(_product_lengths(spy)) <= qseries.DIRECT_PRODUCT
+        assert convolver(canonical_quartic(37)).capacity <= 2 * 95
 
     def test_malformed_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -1104,15 +1139,16 @@ class TestTailRelease:
 
     @pytest.mark.parametrize("outcome", ["pass", "fail", "raise"])
     def test_a_configured_identity_releases_its_tails(self, outcome):
-        # p37_2_17 reads steps 34, 17, 2 and 1; "raise" fails its third read
-        # after that read has built its tail
+        # p37_2_17 reads steps 34 and 17 in its first block (2 and 1 hold
+        # no n there), then 34, 17, 2 and 1; "raise" fails its third long
+        # read after that read has built its tail
         chi = resolve_character(P37_2_17.p, P37_2_17.chi_selector)
         convolver.cache_clear()
         read = Convolver.numerators
 
-        def numerators(self, lo, hi, c, scale=1, step=1):
-            block = read(self, lo, hi, c, scale, step)
-            if outcome == "raise" and step == 2:
+        def numerators(self, lo, hi, c, step=1, last=None):
+            block = read(self, lo, hi, c, step, last)
+            if outcome == "raise" and step == 2 and lo < hi:
                 raise RuntimeError("the third lookup")
             return block
 
@@ -1129,7 +1165,7 @@ class TestTailRelease:
                 assert (report.passed, report.failure_n) == (
                     (True, None) if outcome == "pass" else (False, 100)
                 )
-        assert built.call_count == (3 if outcome == "raise" else 4)
+        assert built.call_count == 2 + (3 if outcome == "raise" else 4)
         assert convolver(chi)._tails == {}
 
 

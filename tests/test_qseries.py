@@ -1038,22 +1038,23 @@ class TestConvolutions:
             Convolver(chi).numerators(5, 4, 1)
 
     @pytest.mark.parametrize("chi", [quartic_pair(13)[0], quadratic_character(3)], ids=["p13", "mod3"])
-    @pytest.mark.parametrize("scale", [1, 7])
-    def test_int64_and_object_numerators_agree_when_the_cap_is_forced_low(self, chi, scale):
+    def test_int64_and_object_numerators_agree_when_the_cap_is_forced_low(self, chi):
         reads = [(0, 3), (3, 40), (40, 41), (41, 41), (0, 300)]
         for c in (-1, 1):
             wide, narrow = Convolver(chi), Convolver(chi)
             for lo, hi in reads:
-                re, im = wide.numerators(lo, hi, c, scale)
+                re, im = wide.numerators(lo, hi, c)
                 assert (re.dtype, im.dtype) == (np.int64, np.int64)
-                # a cap of 1 sends every block to Python ints
+                # a cap of 1 sends every block to Python ints; an empty read
+                # returns at once, int64
                 with mock.patch.object(qseries, "INT64_CAP", 1):
-                    re_obj, im_obj = narrow.numerators(lo, hi, c, scale)
-                assert (re_obj.dtype, im_obj.dtype) == (object, object)
+                    re_obj, im_obj = narrow.numerators(lo, hi, c)
+                want = (object, object) if lo < hi else (np.int64, np.int64)
+                assert (re_obj.dtype, im_obj.dtype) == want
                 assert all(type(x) is int for x in re_obj.tolist() + im_obj.tolist())
                 assert re.tolist() == re_obj.tolist() and im.tolist() == im_obj.tolist()
                 index = [wide.H(n) if c == 1 else wide.F(n) for n in range(lo, hi)]
-                assert [(scale * x, scale * y) for x, y in index] == list(zip(re.tolist(), im.tolist()))
+                assert index == list(zip(re.tolist(), im.tolist()))
 
     def test_the_cap_is_taken_over_each_block(self):
         # the bound reads each block's own maxima: a cap between the bounds
@@ -1236,6 +1237,18 @@ class TestIndexReads:
                 want = h_series[n].conj() if conj else h_series[n]
                 assert conv.H(n) == _times(D, want), (chi_.label(), n)
 
+    def test_an_empty_read_sieves_and_builds_nothing(self):
+        # F(n, stop) with stop <= n, as a configured identity's first block
+        # makes for a term with no multiple of B below 3, sieved delta_chi
+        # to near n and built a tail to 4 n for no value
+        conv = Convolver(quartic_pair(13)[0])
+        with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as sieve, \
+                mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as product:
+            for n, stop, step in ((190_000, 190_000, 190_000), (5000, 4000, 1), (19, 19, 19)):
+                re, im = conv.F(n, stop, step)
+                assert len(re) == len(im) == 0
+        assert (sieve.call_count, product.call_count, conv.capacity, conv._tails) == (0, 0, 0, {})
+
     @pytest.mark.parametrize("p", [5, 13, 3])
     def test_a_block_read_is_its_per_index_reads(self, p):
         # F(n, stop, step), H(n, stop, step) against the per-index reads and
@@ -1345,15 +1358,16 @@ class TestIndexReads:
                 assert kinds == [[(1, 0)] * (r + 1) + [(1, 1)] * (step - r - 1)] * 2
 
     def test_a_config_read_takes_one_inverse_transform_per_shift(self):
-        # p37_5_19 at N = 2000 reads F(95 k), F(19 k), F(5 k) and F(k): each
-        # read builds its tail in one call, and an FFT tail sums its class
-        # spectra into at most two inverse transforms (shifts 0 and 1), under
-        # the bound of its weight sum, 2 D for F's a*a + b*b over D classes
+        # p37_5_19 at N = 2000 reads F(95), F(190) in its first block, then
+        # F(95 k), F(19 k), F(5 k) and F(k): each read builds its tail in
+        # one call, and an FFT tail sums its class spectra into at most two
+        # inverse transforms (shifts 0 and 1), under the bound of its weight
+        # sum, 2 D for F's a*a + b*b over D classes
         reads, real = [], Convolver.numerators
 
-        def numerators(conv, lo, hi, c, scale=1, step=1):
+        def numerators(conv, lo, hi, c, step=1, last=None):
             before = (fft.call_count, inverse.call_count, errors.call_count)
-            out = real(conv, lo, hi, c, scale, step)
+            out = real(conv, lo, hi, c, step, last)
             after = (fft.call_count, inverse.call_count, errors.call_count)
             reads.append((step, *(b - a for a, b in zip(before, after))))
             return out
@@ -1366,7 +1380,9 @@ class TestIndexReads:
             report = check_configured_identity(load_builtin_config("p37_5_19.json"), 2000)
         assert report.passed
         # (step, _full_product calls, inverse transforms, bounds taken)
-        assert reads == [(95, 1, 2, 2), (19, 1, 2, 2), (5, 1, 0, 0), (1, 1, 0, 0)]
+        # the first block's reads of steps 19, 5 and 1 hold no n: no product
+        first = [(95, 1, 0, 0), (19, 0, 0, 0), (5, 0, 0, 0), (1, 0, 0, 0)]
+        assert reads == first + [(95, 1, 2, 2), (19, 1, 2, 2), (5, 1, 0, 0), (1, 1, 0, 0)]
         weights = [call.args[0] for call in errors.call_args_list]
         assert weights == [2 * 95, 2 * 95, 2 * 19, 2 * 19]  # _full_product's, then _fft_product's
 

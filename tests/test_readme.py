@@ -118,4 +118,4 @@ def test_every_private_name_the_package_cites_resolves():
             where = f"{module}.{name}" if module else name
             assert hasattr(obj, name), f"{path.name} cites ``{where}``, which does not exist"
             checked.add((path.stem, where))
-    assert {("qseries", "_full_product"), ("identities", "_sweep")} <= checked
+    assert {("qseries", "_full_product"), ("identities", "_check")} <= checked

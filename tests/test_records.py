@@ -144,9 +144,18 @@ def test_gaussian_rationals_equal_ints_and_fractions():
     assert GaussianRational(3, 1) != 3 and three != Fraction(7, 2) and three != 3.0
     assert GaussianRational() == 0 == GaussianRational(0, 0)
     assert hash(three) == hash(GaussianRational(Fraction(3), 0))
-    assert hash(three) == hash((Fraction(3), Fraction(0)))
+    assert hash(three) == hash(3)
     with pytest.raises(TypeError):
         GaussianRational(0.5)
+
+
+def test_gaussian_rationals_hash_as_the_ints_and_fractions_they_equal():
+    three, half, i = GaussianRational(3), GaussianRational(Fraction(1, 2)), GaussianRational(0, 1)
+    assert len({3, Fraction(3), three}) == 1 and len({Fraction(1, 2), half}) == 1
+    assert {three: "a"}.get(3) == {3: "a"}.get(three) == {Fraction(3): "a"}.get(three) == "a"
+    assert {half: "h"}[Fraction(1, 2)] == {Fraction(1, 2): "h"}[half] == "h"
+    assert GaussianRational(3, 1) not in {3, Fraction(3)} and i not in {0, 1}
+    assert {GaussianRational(Fraction(0), Fraction(1)): "i"}[i] == "i"
 
 
 def test_obstruction2_reports_get_their_own_branches():
