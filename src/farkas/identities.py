@@ -6,11 +6,9 @@ dichotomy (discriminant of the n = 1,2 obstruction, Bernoulli screen for
 the squared identity), empirical ratio sweeps for the asymptotic claims,
 and verification of configured Hecke-eliminated identities.
 
-Every identity checked here has one shape, sum_i A_i Conv(n C_i / B_i) =
-sum_k c_k s_k(n) with Conv = F or H of a character chi mod p: one
-``Identity`` value.  The paper's identities, Farkas' mod-3 original and
-the configured identities are constructors of it, and ``_check`` runs
-them all: it compares exact reads of F or H (``Convolver``) with a linear
+Every identity checked here is one ``Identity``, sum_i A_i Conv(n C_i /
+B_i) = sum_k c_k s_k(n) with Conv = F or H of chi mod p, and ``_check``
+runs them all: exact reads of F or H (``Convolver``) against a linear
 combination of divisor sums (``_linear_rhs``), block by block
 (``_run_verification``).
 """
@@ -124,10 +122,8 @@ class Identity(FrozenRecord):
     ``sigma_prime_values``), ``zero`` the value at n = 0 (None: checked
     from n = 1) and ``kind`` the report's label."""
 
-    def __init__(
-        self, p: int, chi: DirichletCharacter, use_H: bool, lhs: tuple, rhs: tuple,
-        zero: Optional[GaussianRational], kind: str,
-    ):
+    def __init__(self, p: int, chi: DirichletCharacter, use_H: bool, lhs: tuple, rhs: tuple,
+                 zero: Optional[GaussianRational], kind: str):
         self.__dict__.update(p=p, chi=chi, use_H=use_H, lhs=lhs, rhs=rhs, zero=zero, kind=kind)
 
 
@@ -215,15 +211,13 @@ CONVOLUTION = ((GaussianRational(1), 1, 1),)
 
 
 def _check(identity: Identity, nmax: int) -> VerificationReport:
-    """Exact check of ``identity`` for n <= nmax, from n = 1 if its ``zero``
-    is None; a lookup past MAX_FAST_N is refused before any sieve.  It
-    compares D lhs with D rhs, D = lcm(s**2 den(A_i), every denominator of
-    the rhs), s = 2p: the Convolver reads s**2 F.  Each block reads each
-    term's F(k C) at n = k B through ``numerators``, with delta_chi sieved
-    ahead by the rhs's schedule (``_sieve_reach``) for B = C = 1.  Past the
-    first block, so that a refutation there stops before it, a term with
-    B C > 1 slices one read of F(k C), k = 1..nmax // B.  The cached
-    Convolver drops its tails when the check ends."""
+    """Exact check of ``identity`` for n <= nmax (from n = 1 if ``zero`` is
+    None) in D lhs = D rhs, D = lcm(s**2 den(A_i), the rhs's denominators),
+    s = 2p; a lookup past MAX_FAST_N is refused before any sieve.  Each
+    block reads each term's F(k C) at n = k B through ``numerators``, for
+    B = C = 1 with delta_chi sieved ahead as the rhs is (``_sieve_reach``).
+    Past the first block, so that a refutation there stops before it, a
+    term with B C > 1 slices one read of F(k C), k = 1..nmax // B."""
     reach, b, c = max(((nmax // b) * c, b, c) for _, b, c in identity.lhs)
     if reach > MAX_FAST_N:
         most = min(b * (MAX_FAST_N // c + 1) - 1 for _, b, c in identity.lhs)
@@ -234,8 +228,8 @@ def _check(identity: Identity, nmax: int) -> VerificationReport:
         )
     conv = convolver(identity.chi)
     s2 = conv.denominator
-    rhs_denominator = _denominator(*(c_k for c_k, _ in identity.rhs), identity.zero)
-    D = lcm(s2 * _denominator(*(a for a, _, _ in identity.lhs)), rhs_denominator)
+    D = lcm(s2 * _denominator(*(a for a, _, _ in identity.lhs)),
+            _denominator(*(c_k for c_k, _ in identity.rhs), identity.zero))
     terms = [(_scaled(a, D // s2), b, c) for a, b, c in identity.lhs]
     sign, read = (1, conv.H) if identity.use_H else (-1, conv.F)
     lookups = None  # past the first block: term i -> its F(k C), k = 1..nmax // B
@@ -244,14 +238,14 @@ def _check(identity: Identity, nmax: int) -> VerificationReport:
         nonlocal lookups
         if lookups is None and lo >= FIRST_BLOCK:
             conv.release()  # the first block's short tails
-            long = [(i, b, c) for i, (_, b, c) in enumerate(terms) if b * c > 1]
-            lookups = {i: read(c, (nmax // b) * c + 1, c) for i, b, c in long}
+            lookups = {i: read(c, (nmax // b) * c + 1, c)
+                       for i, (_, b, c) in enumerate(terms) if b * c > 1}
         if any(b * c == 1 for _, b, c in terms):
             conv.extend(_sieve_reach(hi, conv.capacity, nmax))
         blocks = []
         for i, (scalar, b, c) in enumerate(terms):
             first, stop = -(-lo // b), -(-hi // b)  # n = k B in [lo, hi) for k in [first, stop)
-            if lookups and i in lookups:
+            if i in (lookups or ()):
                 values = [v[first - 1 : stop - 1] for v in lookups[i]]
             else:
                 values = conv.numerators(first * c, stop * c, sign, c, last=(nmax // b) * c)
@@ -480,13 +474,8 @@ class ConfiguredIdentity(FrozenRecord):
                 raise ValueError("tilde_hat rhs takes exactly two coefficients")
         else:
             raise ValueError(f"unknown rhs kind {rhs_kind!r}")
-        self.__dict__.update(
-            p=p,
-            chi_selector=chi_selector,
-            terms=terms,
-            rhs_kind=rhs_kind,
-            rhs_coefficients=rhs_coefficients,
-        )
+        self.__dict__.update(p=p, chi_selector=chi_selector, terms=terms, rhs_kind=rhs_kind,
+                             rhs_coefficients=rhs_coefficients)
 
 
 def resolve_character(p: int, selector: str) -> DirichletCharacter:
@@ -497,9 +486,7 @@ def resolve_character(p: int, selector: str) -> DirichletCharacter:
     raise ValueError(f"unknown character selector {selector!r}")
 
 
-def check_configured_identity(
-    cfg: ConfiguredIdentity, nmax: int
-) -> VerificationReport:
+def check_configured_identity(cfg: ConfiguredIdentity, nmax: int) -> VerificationReport:
     """Exact check of the configured identity for 1 <= n <= nmax (``_check``)."""
     use_H = cfg.rhs_kind == "tilde_hat"
     builders = (sigma_tilde_values, sigma_hat_values) if use_H else (sigma_prime_values,)

@@ -573,11 +573,11 @@ class Convolver:
     capacity and the caller's ``last`` n, and to one less if the capacity
     (not ``last``, which a later read reaches) cuts an FFT tail to 2**j + 1
     coefficients the read does not all need (2**j take half the transform
-    length).  A sweep's block
-    [lo, hi) starts at or before any n it can fail at, so a refutation at
-    n builds tails that reach below 4 n; and since its blocks double (then
-    grow by a fixed step), each rebuild reaches about four times as far as
-    the last, so ascending reads to N rebuild it O(log N) times.
+    length).  A sweep's block [lo, hi) starts at or before any n it can
+    fail at, so a refutation at n builds tails that reach below 4 n; and
+    since its blocks double (then grow by a fixed step), each rebuild
+    reaches about four times as far as the last, so ascending reads to N
+    rebuild it O(log N) times.
 
     a, b are sieved only as far as asked, 4 bytes per index: a read
     extends them through ``ensure``, and a sweep extends them ahead of each
