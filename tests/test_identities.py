@@ -16,8 +16,8 @@ from farkas.characters import canonical_quartic, quadratic_character, quartic_pa
 from farkas.cli import builtin_config_names, load_builtin_config
 from farkas.foundations import GaussianRational, discrete_log_table, divisors, kronecker
 from farkas.identities import (
-    SIEVE_GROWTH,
-    SWEEP_BLOCK,
+    FIRST_BLOCK,
+    RHS_SIEVE_FLOOR,
     Branch,
     ConfiguredIdentity,
     DichotomyRow,
@@ -50,7 +50,7 @@ from farkas.qseries import (
 from oracles import (
     gaussian, quartic_primes_walk, sigma_hat_series, sigma_prime_series, sigma_tilde_series,
 )
-from test_qseries import exact_sum_bound
+from test_qseries import _oracle, assert_holds_only_delta, exact_sum_bound
 
 
 def _exact(conv, pair):
@@ -122,8 +122,9 @@ class TestVerifyId1:
         assert (report.lhs, report.rhs) == (gaussian(-1), gaussian("3/7"))
 
     def test_a_refutation_builds_no_long_product(self):
-        # the sweep stops in its first block [0, 3): one F tail of reach 2,
-        # and delta_chi and sigma' sieved to one sweep block, not to nmax
+        # the sweep stops in its first block [0, 4): one F tail of 4
+        # coefficients, delta_chi sieved to 3 and sigma' to the rhs floor,
+        # not to nmax
         chi = canonical_quartic(37)
         convolver.cache_clear()
         patch, sieved = _sieved()
@@ -131,10 +132,10 @@ class TestVerifyId1:
             qseries, "_full_product", wraps=qseries._full_product
         ) as spy:
             report = verify_id1(37, 200_000, chi)
-        assert report.failure_n is not None and report.failure_n <= 2
-        assert convolver(chi).capacity <= SWEEP_BLOCK
-        assert len(sieved) == 2 and max(s.N for s in sieved) <= SWEEP_BLOCK
-        assert _product_lengths(spy) == [3, 3]
+        assert report.failure_n is not None and report.failure_n < FIRST_BLOCK
+        assert convolver(chi).capacity == FIRST_BLOCK - 1
+        assert sorted(s.N for s in sieved) == [FIRST_BLOCK - 1, RHS_SIEVE_FLOOR]
+        assert _product_lengths(spy) == [FIRST_BLOCK] * 2
 
     def test_report_shape(self):
         report = verify_id1(5, 50)
@@ -171,7 +172,7 @@ def _patched_rhs(n):
 
 
 P37_2_17 = load_builtin_config("p37_2_17.json")
-NMAX = 2 * SWEEP_BLOCK + 5
+NMAX = 2 * RHS_SIEVE_FLOOR + 5
 
 
 def _config_lhs(cfg, n):
@@ -239,10 +240,10 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize("kind", list(SWEEPS))
     @pytest.mark.parametrize(
-        "n", [0, 1, 2, 3, 5, 6, 7, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, NMAX]
+        "n", [0, 1, 2, 3, 4, 5, 15, 16, 17, 1023, 1024, 4095, 4096, NMAX]
     )
     def test_a_patched_rhs_fails_at_exactly_its_n(self, kind, n):
-        # blocks end at n = 2, 5, 11, ...; SWEEP_BLOCK +- 1 lie inside one
+        # blocks end at n = 3, 15, 63, ..., 4095, then NMAX
         sweep, lhs = SWEEPS[kind]
         with _patched_rhs(n):
             report = sweep(NMAX)
@@ -251,31 +252,38 @@ class TestBlockSweep:
             return
         assert (report.failure_n, report.lhs, report.rhs) == (n, lhs(n), lhs(n) + 1)
 
-    def test_blocks_double_then_hold_at_the_block_length(self):
+    @pytest.mark.parametrize(
+        "nmax, ends",
+        [
+            (0, [1]), (3, [4]), (4, [5]), (5, [4, 6]), (16, [4, 17]), (17, [4, 16, 18]),
+            (10_000, [4, 16, 64, 256, 1024, 4096, 10_001]),
+            (16_384, [4, 16, 64, 256, 1024, 4096, 16_385]),
+        ],
+    )
+    def test_blocks_end_at_powers_of_four(self, nmax, ends):
+        # the block that would reach nmax ends at nmax + 1 instead: the last
+        # block starts at 4**k >= nmax / 4 and holds at least two n
         blocks = []
         with _watched_rhs(lambda D, lo, hi, re: blocks.append((lo, hi))):
-            assert verify_id1(13, 10_000).passed
-        ends = [hi for _, hi in blocks]
-        assert ends == [3 * 2**k for k in range(11)] + [5120, 7168, 9216, 10_001]
+            assert verify_id1(13, nmax).passed
+        assert [hi for _, hi in blocks] == ends
         assert [lo for lo, _ in blocks] == [0] + ends[:-1]
-        assert max(hi - lo for lo, hi in blocks) == SWEEP_BLOCK
 
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, 4, 6, 100, 1535, 1536, 3071, 3072, 5120, 7167, 12000]
+        "n", [1, 2, 3, 4, 6, 100, 1023, 1024, 4095, 4096, 12000, 16384, 20000]
     )
     def test_a_refutation_at_n_builds_tails_of_order_n(self, n):
-        """Whole-series work of a sweep that fails at n: under 16 n + 2 log2(4 n).
+        """Whole-series work of a sweep that fails at n >= 1: no tail past
+        4 n + 1 coefficients, under 16 n / 3 + 1 in all.
 
-        For n <= 2 the sweep stops in its first block [0, 3): one tail of
-        reach 2, two products of length 3.  For n >= 3 its blocks [lo, hi)
-        have lo <= n and hi <= 2 lo, so they end by hi <= 2 n.  A read
-        rebuilds the tail only when hi - 1 lies past its reach r, to reach
-        max(hi - 1, 2 r) < 2 (hi - 1), so every reach is below 4 n (with the
-        sieve's capacity past that).  Each rebuild at least doubles the
-        reach from 2, so the reaches sum to under 8 n, and there are at most
-        log2(4 n) of them.  A tail is two products of length reach + 1
-        (F's a*a + b*b, fused in one ``_full_product`` call): the lengths
-        sum to under 2 (8 n + log2(4 n)).
+        For n <= 3 the sweep stops in its first block [0, 4): one tail of 4
+        coefficients, F's two products of length 4.  Each block [lo, hi)
+        reads a tail of hi coefficients.  A block past the first has
+        hi <= 4 lo, or is the last, which ends at nmax + 1 <= 4 lo + 1; the
+        failing block has lo <= n, so its tail has at most 4 n + 1
+        coefficients.  The tails before it are 4, 16, ..., 4**k <= n, under
+        4 n / 3 in all.  A tail is two products of its length (F's a*a + b*b,
+        fused in one ``_full_product`` call).
         """
         chi = canonical_quartic(13)
         convolver.cache_clear()
@@ -284,38 +292,47 @@ class TestBlockSweep:
         ) as spy:
             assert verify_id1(13, 50_000, chi).failure_n == n
         lengths = _product_lengths(spy)
-        if n <= 2:
-            assert lengths == [3, 3]
-        else:
-            assert max(lengths) - 1 < 4 * n
-            assert sum(lengths) < 16 * n + 2 * math.log2(4 * n)
+        if n < FIRST_BLOCK:
+            assert lengths == [FIRST_BLOCK] * 2
+        assert max(lengths) <= 4 * n + 1
+        assert 3 * sum(lengths) <= 2 * (16 * n + 3)
 
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, 100, 1535, 1536, 2047, 2048, 3071, 3072, 7168, 9215, 9216, 12000]
+        "n", [1, 2, 3, 4, 100, 511, 512, 1023, 1024, 2047, 2048, 4095, 4096, 16384, 20000]
     )
     def test_a_refutation_at_n_sieves_order_n(self, n):
-        """A sweep that fails at n sieves no index past max(2 G n, SWEEP_BLOCK),
-        G = SIEVE_GROWTH.
+        """A sweep that fails at n >= 1 sieves no table past max(4 n,
+        RHS_SIEVE_FLOOR), and delta_chi to 4 n at most.
 
-        The first block [0, 3) sieves to SWEEP_BLOCK.  A later block [lo, hi)
-        that reads past the capacity c grows it to max(hi - 1, SWEEP_BLOCK,
-        G c), with c < hi - 1 and hi <= 2 lo <= 2 n: under 2 G n.  No 4 n
-        bound holds for G > 2: at n = 1536 the block [1536, 3072) grows 2048
-        to G 2048."""
+        A block [lo, hi) sieves delta_chi to hi - 1 and the rhs to max(hi -
+        1, RHS_SIEVE_FLOOR), both at most nmax, and the failing block has
+        hi - 1 < 4 n, or is the last, with nmax <= 4 lo <= 4 n."""
         convolver.cache_clear()
         patch, sieved = _sieved()
         with _patched_rhs(n), patch:
             assert verify_id1(13, 50_000, canonical_quartic(13)).failure_n == n
-        top = max(s.N for s in sieved)
-        assert top < max(2 * SIEVE_GROWTH * n, SWEEP_BLOCK + 1), top
-        if n == 1536:
-            assert top == SIEVE_GROWTH * SWEEP_BLOCK > 4 * n
+        re, im = qseries.character_table(canonical_quartic(13))
+        delta_table = (re * qseries.PACK + im).tobytes()  # delta_chi is sieved from this table
+        assert max(s.N for s in sieved) <= max(4 * n, RHS_SIEVE_FLOOR)
+        assert max(s.N for s in sieved if s.table == delta_table) <= 4 * n
         assert len({s.table for s in sieved}) == 2  # delta (re, im packed) and sigma'
 
-    @pytest.mark.parametrize("kind", ["conv", "square", "farkas"])
-    def test_a_passing_sweep_sieves_each_index_once(self, kind):
-        # per table: segments [1, N1], [N1 + 1, N2], ..., [.., nmax]
-        nmax = 20_000
+    @pytest.mark.parametrize(
+        "kind, nmax",
+        [
+            ("conv", 2048), ("conv", 15_000), ("conv", 16_384), ("conv", 65_536),
+            ("square", 15_000), ("farkas", 10_000),
+        ],
+    )
+    def test_a_passing_sweep_builds_one_tail_per_block_and_sieves_each_index_once(
+        self, kind, nmax
+    ):
+        # tails of 4, 16, ..., 4**k and nmax + 1 coefficients: one per block,
+        # each but the last half its FFT length, and none for a single
+        # coefficient when nmax is a power of 4 (65 536 ends 16 384, 65 537).
+        # Two products per tail, one for the real mod-3 character (Im delta
+        # = 0, so F's tail is a*a alone).  Per table, the sieved segments
+        # are [1, N1], [N1 + 1, N2], ..., [.., nmax]: one per block at most
         sweeps = {
             "conv": lambda: verify_id1(13, nmax),
             "square": lambda: verify_id2(13, canonical_quartic(13), nmax),
@@ -323,8 +340,13 @@ class TestBlockSweep:
         }
         convolver.cache_clear()
         patch, sieved = _sieved()
-        with patch:
+        with patch, mock.patch.object(
+            qseries, "_full_product", wraps=qseries._full_product
+        ) as spy:
             assert sweeps[kind]().passed
+        tails = [4**k for k in range(1, 9) if 4**k < nmax] + [nmax + 1]
+        per_tail = 1 if kind == "farkas" else 2
+        assert _product_lengths(spy) == [m for m in tails for _ in range(per_tail)]
         segments = {}
         for s in sieved:
             segments.setdefault((s.table, s.times_d, s.quotient), []).append((s.lo, s.N))
@@ -332,53 +354,7 @@ class TestBlockSweep:
         for parts in segments.values():
             assert [lo for lo, _ in parts] == [1] + [N + 1 for _, N in parts[:-1]]
             assert parts[-1][1] == nmax
-            assert 1 < len(parts) <= 2 + math.log(nmax / SWEEP_BLOCK, SIEVE_GROWTH)
-
-    @pytest.mark.parametrize(
-        "kind, nmax, most",
-        [("farkas", 10_000, 44_570), ("conv", 15_000, 70_956), ("square", 15_000, 70_956)],
-    )
-    def test_a_passing_sweep_builds_few_tails(self, kind, nmax, most):
-        # tails reach max(hi - 1, 4 lo - 1) and the sieve grows 8x, so past
-        # the first sieved block (2048) the next tail reaches nmax: with
-        # growths 2 and 4 the sweep to 10000 built tails of 6143, 8193 and
-        # 10001 coefficients (60956 in all), the eager sieve 6143 and 10001
-        # (44570); at 15000 the bound is the lazy sieve's 70956
-        sweeps = {
-            "conv": lambda: verify_id1(13, nmax),
-            "square": lambda: verify_id2(13, canonical_quartic(13), nmax),
-            "farkas": lambda: verify_farkas(nmax),
-        }
-        convolver.cache_clear()
-        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
-            assert sweeps[kind]().passed
-        lengths = _product_lengths(spy)
-        assert sum(lengths) <= most, lengths
-        # two products per tail, one for the real mod-3 character (Im delta
-        # = 0, so F's tail is a*a alone); the first sieved block cuts the
-        # sixth tail to SWEEP_BLOCK coefficients, not one more: the block
-        # reads none past SWEEP_BLOCK - 1, and 2049 doubles the FFT length
-        tails = [3, 12, 48, 192, 768, SWEEP_BLOCK, 6144, nmax + 1]
-        per_tail = 1 if kind == "farkas" else 2
-        assert lengths == [m for m in tails for _ in range(per_tail)]
-
-
-    @pytest.mark.parametrize(
-        "nmax, tails",
-        [
-            (2048, [3, 12, 48, 192, 768, 2049]),
-            (15_000, [3, 12, 48, 192, 768, SWEEP_BLOCK, 6144, 15_001]),
-            (16_384, [3, 12, 48, 192, 768, SWEEP_BLOCK, 6144, 16_385]),
-        ],
-    )
-    def test_a_tail_cut_at_nmax_is_built_once(self, nmax, tails):
-        # a tail that the sieved length cuts at the sweep's own last index
-        # is read to its end: built there once, not to 2**j and then to
-        # 2**j + 1 (2048 and 2049, 16384 and 16385)
-        convolver.cache_clear()
-        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
-            assert verify_id1(13, nmax).passed
-        assert _product_lengths(spy) == [m for m in tails for _ in range(2)]
+            assert len(parts) <= len(tails)
 
 
 class TestVerifyId2:
@@ -396,15 +372,16 @@ class TestVerifyId2:
         report = verify_id2(37, chibar, 5)
         assert (report.lhs, report.rhs) == (gaussian(3), gaussian(1, "6/5"))
 
-    def test_a_refutation_sieves_one_sweep_block(self):
-        # fails at n = 2: delta_chi, sigma~ and sigma^ stop at SWEEP_BLOCK
+    def test_a_refutation_sieves_its_first_block(self):
+        # fails at n = 2: delta_chi stops at 3, sigma~ and sigma^ at the
+        # rhs floor
         chi = quartic_pair(37)[0]
         convolver.cache_clear()
         patch, sieved = _sieved()
         with patch:
             assert verify_id2(37, chi, 200_000).failure_n == 2
-        assert convolver(chi).capacity <= SWEEP_BLOCK
-        assert len(sieved) == 3 and max(s.N for s in sieved) <= SWEEP_BLOCK
+        assert convolver(chi).capacity == FIRST_BLOCK - 1
+        assert sorted(s.N for s in sieved) == [FIRST_BLOCK - 1] + [RHS_SIEVE_FLOOR] * 2
 
 
 class TestVerifyFarkas:
@@ -471,21 +448,22 @@ def report_rows(rep):
 
 
 def per_row_report(p, chi, kind, nmax):
-    """The ratio table built row by row from exact F(n) and H(n), with the
-    statistics over every top-decile row: an oracle for the array report.
-    Returns (rows, stats)."""
+    """The ratio table built row by row from exact F(n) and H(n), each one
+    per-n dot (``_oracle``, no Convolver), with the statistics over every
+    top-decile row: an oracle for the array report.  Returns (rows, stats)."""
     conv = Convolver(chi)
     alpha = constants_for(p, chi).alpha
-    product, sigma = (
-        (conv.F, sigma_prime_values(p, nmax)) if kind == "conv"
-        else (conv.H, sigma_tilde_values(p, nmax))
+    c, sigma = (
+        (-1, sigma_prime_values(p, nmax)) if kind == "conv"
+        else (1, sigma_tilde_values(p, nmax))
     )
+    values = _oracle(chi, range(nmax + 1), c)
     decile_lo = nmax - nmax // 10
     rows, top = [], {1: [], -1: []}
     for n in range(1, nmax + 1):
         if n % p == 0:
             continue
-        lhs, s = _exact(conv, product(n)), int(sigma[n])
+        lhs, s = _exact(conv, values[n]), int(sigma[n])
         ratio = GaussianRational(lhs.re / s, lhs.im / s)
         rows.append(Row(n, kronecker(p, n), lhs, GaussianRational(Fraction(s)), ratio))
         if n >= decile_lo:
@@ -688,9 +666,8 @@ class TestConfiguredIdentities:
         # past the first block, the lookups F(k C), k = 1..N // B, of a term
         # are one read of step C at the offset 0: one tail of N // B + 1
         # coefficients a term (N // B >= 3 in each).  Before them, each term
-        # with a multiple of B in the first block [1, 3) reads its lookups
-        # there on its own, from a short tail.  All are dropped before the
-        # check ends
+        # with a multiple of B in the first block [1, 4) reads its lookups
+        # there on its own, from a short tail.  None outlives the check
         cfg = load_builtin_config(name)
         convolver.cache_clear()
         with mock.patch.object(
@@ -700,20 +677,26 @@ class TestConfiguredIdentities:
         tails = [call.args[1:] for call in built.call_args_list]
         first, long = tails[: -len(cfg.terms)], tails[-len(cfg.terms) :]
         assert sorted(long) == sorted((1000 // b, -1, c, 0) for _, b, c in cfg.terms)
-        assert len(first) == sum(b <= 2 for _, b, _ in cfg.terms)
+        assert len(first) == sum(b < FIRST_BLOCK for _, b, _ in cfg.terms)
         assert all(m + 1 <= qseries.DIRECT_PRODUCT for m, *_ in first), first
-        assert convolver(resolve_character(cfg.p, cfg.chi_selector))._tails == {}
+        assert_holds_only_delta(convolver(resolve_character(cfg.p, cfg.chi_selector)))
 
-    def test_a_refuted_config_stops_in_its_first_block(self):
-        # rhs 41 sigma' against F(95) = 40 at n = 1: the first block reads
-        # F(95) and F(190) on their own, so no long lookup is built
-        refuted = _replace(load_builtin_config("p37_5_19.json"), rhs_coefficients=(gaussian(41),))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_refuted_config_stops_in_its_first_block(self, n):
+        # rhs 41 sigma' against F(95) = 40 at n = 1, or a patched rhs at
+        # n = 3: the first block [1, 4) reads F(95), F(190) and F(285) on
+        # their own, so no long lookup is built
+        cfg = load_builtin_config("p37_5_19.json")
+        refuted = _replace(cfg, rhs_coefficients=(gaussian(41),)) if n == 1 else cfg
         convolver.cache_clear()
-        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
+        with _patched_rhs(-1 if n == 1 else n), mock.patch.object(
+            qseries, "_full_product", wraps=qseries._full_product
+        ) as spy:
             report = check_configured_identity(refuted, 10_000)
-        assert (report.failure_n, report.lhs, report.rhs) == (1, gaussian(40), gaussian(41))
         assert spy.called and max(_product_lengths(spy)) <= qseries.DIRECT_PRODUCT
-        assert convolver(canonical_quartic(37)).capacity <= 2 * 95
+        assert convolver(canonical_quartic(37)).capacity == (FIRST_BLOCK - 1) * 95
+        lhs = gaussian(40) if n == 1 else _config_lhs(cfg, 3)
+        assert (report.failure_n, report.lhs, report.rhs) == (n, lhs, lhs + 1)
 
     def test_malformed_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -879,14 +862,14 @@ class TestObstructions:
         info = constants_for.cache_info()
         assert (info.misses, info.hits) == (2, 2)
         # delta_chi(0) is read through the public delta_constant once per
-        # prime (obstruction_id2's report) and once more in the constants of
-        # 5 and 13
-        assert d0.call_count == len(primes) + 2
+        # prime (obstruction_id2's report); the constants take 2p
+        # delta_chi(0) from _delta0_numerator
+        assert d0.call_count == len(primes)
 
     def test_scan_computes_each_delta0_numerator_once(self):
         # 2p delta_chi(0) is read three times per prime (obstruction_id1,
         # and obstruction_id2's z and its delta_constant), and twice more at
-        # the two primes whose sweeps run (5 and 13: the constants and the
+        # the two primes whose sweeps run (5 and 13: constants_for and the
         # Convolver); the sweeps run at their prime, so the O(p) dot runs
         # once per character
         primes = quartic_primes(1000)
@@ -897,8 +880,8 @@ class TestObstructions:
             dichotomy_scan(1000, 50)
         info = _delta0_numerator.cache_info()  # misses: calls of the dot itself
         assert (info.misses, info.hits + info.misses) == (43, 3 * 43 + 2 * 2)
-        # the public delta_constant: once per prime, and in the constants of 5 and 13
-        assert d0.call_count == 43 + 2
+        # the public delta_constant: once per prime, in obstruction_id2
+        assert d0.call_count == 43
 
     def test_scan_tests_each_number_for_primality_once(self):
         # the 125 candidates p = 5 (mod 8) below 1000 are read off one prime
@@ -1097,9 +1080,9 @@ class TestScanMemory:
         assert large < small + 2**20, (small, large)
 
 
-class TestTailRelease:
-    """A sweep or a ratio report drops the cached Convolver's whole-series
-    tail when it ends, passed, failed or raised."""
+class TestNoTailOutlivesACheck:
+    """After a sweep or a ratio report, passed, failed or raised, the cached
+    Convolver holds only delta_chi's int16 pair."""
 
     @pytest.mark.parametrize("kind", ["conv", "square", "farkas", "refutation", "asympt"])
     def test_the_cached_convolver_holds_no_tail_afterwards(self, kind):
@@ -1118,9 +1101,9 @@ class TestTailRelease:
         ) as built:
             assert run()
         assert built.called  # the run built a tail...
-        assert convolver(chi)._tails == {}  # ...and released it
+        assert_holds_only_delta(convolver(chi))  # ...and keeps none
 
-    def test_a_sweep_that_raises_releases_its_tail(self):
+    def test_a_sweep_that_raises_holds_no_tail(self):
         chi = canonical_quartic(13)
         convolver.cache_clear()
         read = Convolver.numerators
@@ -1134,11 +1117,10 @@ class TestTailRelease:
         with mock.patch.object(Convolver, "numerators", numerators), \
                 pytest.raises(RuntimeError):
             verify_id1(13, 5000, chi)
-        assert convolver(chi)._tails == {}
-
+        assert_holds_only_delta(convolver(chi))
 
     @pytest.mark.parametrize("outcome", ["pass", "fail", "raise"])
-    def test_a_configured_identity_releases_its_tails(self, outcome):
+    def test_a_configured_identity_holds_no_tail(self, outcome):
         # p37_2_17 reads steps 34 and 17 in its first block (2 and 1 hold
         # no n there), then 34, 17, 2 and 1; "raise" fails its third long
         # read after that read has built its tail
@@ -1146,8 +1128,8 @@ class TestTailRelease:
         convolver.cache_clear()
         read = Convolver.numerators
 
-        def numerators(self, lo, hi, c, step=1, last=None):
-            block = read(self, lo, hi, c, step, last)
+        def numerators(self, lo, hi, c, step=1):
+            block = read(self, lo, hi, c, step)
             if outcome == "raise" and step == 2 and lo < hi:
                 raise RuntimeError("the third lookup")
             return block
@@ -1166,7 +1148,7 @@ class TestTailRelease:
                     (True, None) if outcome == "pass" else (False, 100)
                 )
         assert built.call_count == 2 + (3 if outcome == "raise" else 4)
-        assert convolver(chi)._tails == {}
+        assert_holds_only_delta(convolver(chi))
 
 
 class TestDeligneStyleBound:
@@ -1176,12 +1158,12 @@ class TestDeligneStyleBound:
         p = 29
         chi = canonical_quartic(p)
         conv = convolver(chi)
-        conv.ensure(20000)
+        F = conv.F(0, 20001)[0].tolist()  # one read: an index read builds its own tail
         sp = sigma_prime_values(p, 20000)
         alpha = constants_for(p, chi).alpha
 
         def ratio_sq(n):
-            a = _exact(conv, conv.F(n)).re - alpha * int(sp[n])
+            a = Fraction(F[n], conv.denominator) - alpha * int(sp[n])
             d = len(divisors(n))
             return a * a / (n * d * d)
 

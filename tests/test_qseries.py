@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farkas import qseries
-from farkas.characters import DirichletCharacter, quadratic_character, quartic_pair
+from farkas.characters import (
+    DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair,
+)
 from farkas.foundations import GaussianRational, divisors, is_prime, kronecker
 from farkas.cli import load_builtin_config
 from farkas.identities import check_configured_identity, verify_id1
@@ -961,9 +963,26 @@ def _times(D: int, z: GaussianRational) -> tuple[int, int]:
     return w.re.numerator, w.im.numerator
 
 
-def _tail_lengths(conv):
-    """(c, step, r) -> how many coefficients its cached tail holds."""
-    return {key: len(re) for key, (re, _) in conv._tails.items()}
+def _built_tails(spy):
+    """(m, c, D, r) of every tail a ``Convolver._whole_tail`` spy saw built:
+    T(r + k D) for k = 0..m, F's (c = -1) or H's (c = 1)."""
+    return [call.args[1:] for call in spy.call_args_list]
+
+
+def _tail_spy():
+    """A spy on ``Convolver._whole_tail``, read by ``_built_tails``."""
+    return mock.patch.object(
+        Convolver, "_whole_tail", autospec=True, side_effect=Convolver._whole_tail
+    )
+
+
+def assert_holds_only_delta(conv):
+    """``conv`` holds no array but delta_chi's int16 pair: no tail outlives
+    its read."""
+    held = {name: type(value) for name, value in vars(conv).items()}
+    assert held == {"chi": type(conv.chi), "denominator": int, "_L": tuple,
+                    "_re": np.ndarray, "_im": np.ndarray}, held
+    assert (conv._re.dtype, conv._im.dtype) == (np.int16, np.int16)
 
 
 class TestConvolutions:
@@ -977,8 +996,8 @@ class TestConvolutions:
         assert conv.H(1) == _times(D, gaussian("3/5", "1/5"))  # 2*delta(0)*delta(1)
 
     def test_fast_path_matches_cauchy_product(self):
-        # dual route: the cached tails vs the exact generic product, read
-        # in either order
+        # dual route: the tails vs the exact generic product, read in
+        # either order
         for p in (5, 13, 29):
             chi, chibar = quartic_pair(p)
             N = 60
@@ -987,11 +1006,12 @@ class TestConvolutions:
             for order in (range(N + 1), range(N, -1, -1)):
                 conv = Convolver(chi)
                 D = conv.denominator
-                for n in order:
-                    assert conv.F(n) == _times(D, f_series[n])
-                    assert conv.H(n) == _times(D, h_series[n])
-                # an index read is a step-1 read: one tail per product
-                assert set(_tail_lengths(conv)) == {(-1, 1, 0), (1, 1, 0)}
+                with _tail_spy() as built:
+                    for n in order:
+                        assert conv.F(n) == _times(D, f_series[n])
+                        assert conv.H(n) == _times(D, h_series[n])
+                # an index read is a step-1 read: one tail to n per product
+                assert _built_tails(built) == [(n, c, 1, 0) for n in order for c in (-1, 1)]
 
     def test_F_is_real(self):
         chi, _ = quartic_pair(29)
@@ -1015,17 +1035,14 @@ class TestConvolutions:
             -1: delta_series(chi, N) * delta_series(chi.conj(), N),
             1: delta_series(chi, N) * delta_series(chi, N),
         }
-        # (lo, hi) and the built tail length after the read: a read past the
-        # tail rebuilds it to max(hi - 1, twice its reach), within capacity
-        reads = [
-            ((0, 3), 3), ((2, 9), 9), ((9, 10), 17), ((7, 7), 17), ((5, 40), 40),
-            ((10, 20), 40), ((38, 61), 79), ((0, 61), 79),
-        ]
+        # each read builds its own tail to hi - 1; an empty one builds none
+        reads = [(0, 3), (2, 9), (9, 10), (7, 7), (5, 40), (10, 20), (38, 61), (0, 61)]
         for c, want in series.items():
             conv = Convolver(chi)
             D = conv.denominator
-            for (lo, hi), built in reads:
-                re, im = conv.numerators(lo, hi, c)
+            for lo, hi in reads:
+                with _tail_spy() as built:
+                    re, im = conv.numerators(lo, hi, c)
                 assert len(re) == len(im) == hi - lo
                 assert [gaussian(Fraction(x, D), Fraction(y, D)) for x, y in zip(re, im)] == list(
                     want.coefficients[lo:hi]
@@ -1033,7 +1050,7 @@ class TestConvolutions:
                 # far below the cap at N = 60: int64, exact Python ints on tolist
                 assert (re.dtype, im.dtype) == (np.int64, np.int64)
                 assert all(type(x) is int for x in re.tolist() + im.tolist())
-                assert _tail_lengths(conv) == {(c, 1, 0): built}, (lo, hi)
+                assert _built_tails(built) == ([(hi - 1, c, 1, 0)] if lo < hi else []), (lo, hi)
         with pytest.raises(ValueError):
             Convolver(chi).numerators(5, 4, 1)
 
@@ -1059,7 +1076,7 @@ class TestConvolutions:
     def test_the_cap_is_taken_over_each_block(self):
         # the bound reads each block's own maxima: a cap between the bounds
         # of a block near 0 and one near 200 makes the first int64 and the
-        # second object, in either order and from one cached tail
+        # second object, in either order
         chi = quartic_pair(13)[0]
         wide = Convolver(chi)
         long, short = wide.numerators(100, 200, 1), wide.numerators(0, 10, 1)
@@ -1069,30 +1086,23 @@ class TestConvolutions:
         assert first[0].dtype == np.int64 and second[0].dtype == object
         assert first[0].tolist() == short[0].tolist() and second[0].tolist() == long[0].tolist()
 
-    def test_numerators_build_one_tail_and_reuse_it(self):
+    def test_each_read_builds_its_own_tail(self):
         chi = quartic_pair(13)[0]
         conv = Convolver(chi)
-        real, cached = qseries._full_product, []
-
-        def product(*pairs, **bounds):
-            cached.append((1, 1, 0) in conv._tails)
-            return real(*pairs, **bounds)
-
-        with mock.patch.object(qseries, "_full_product", side_effect=product) as spy:
+        with mock.patch.object(qseries, "_full_product", wraps=qseries._full_product) as spy:
             re, im = conv.numerators(0, 101, 1)
-            assert spy.call_count == 2  # one whole tail for H: (a+b)(a-b) and ab
-            assert _tail_lengths(conv) == {(1, 1, 0): 101}
-            # a shorter range reuses the cached tail, and so do index reads
+            # one whole tail for H: (a+b)(a-b) and ab, of 101 coefficients
+            assert [len(call.args[0][0]) for call in spy.call_args_list] == [101, 101]
+            # a shorter range builds its own, shorter tail, and so does each
+            # index read
             short = conv.numerators(0, 41, 1)
             assert [conv.H(n) for n in range(41)] == list(zip(*short))
-            assert spy.call_count == 2
-            # a longer one doubles it once, to the sieve's capacity 200
             conv.numerators(101, 151, 1)
-            assert spy.call_count == 4 and _tail_lengths(conv) == {(1, 1, 0): 201}
-        # a rebuild drops the old tail before its products run (for H at
-        # N = 10**6 the old tail is 786177 coefficients in two int64 arrays)
-        assert cached == [False] * 4
+        lengths = [len(call.args[0][0]) for call in spy.call_args_list]
+        assert lengths == [m for m in [101, 41, *range(1, 42), 151] for _ in range(2)]
         assert list(zip(*short)) == list(zip(re[:41], im[:41]))
+        assert conv.capacity == 150
+        assert_holds_only_delta(conv)
         re0, im0 = conv.numerators(0, 1, -1)
         assert list(zip(re0, im0)) == [conv.F(0)]
 
@@ -1121,17 +1131,20 @@ class TestConvolutions:
         re, im = delta_int_arrays(chi, 60)
         assert np.array_equal(conv._re, re) and np.array_equal(conv._im, im)
 
-    def test_ensure_sieves_what_is_asked_then_doubles(self):
+    def test_a_read_sieves_exactly_to_its_last_index(self):
+        # a read extends delta_chi to its own last n, no further, and a read
+        # within the capacity sieves nothing
         conv = Convolver(quartic_pair(13)[0])
-        conv.ensure(50)
-        assert len(conv._re) == 51
-        conv.ensure(51)
-        assert len(conv._re) == 101
-        conv.ensure(250)
-        assert len(conv._re) == 251
-        with mock.patch.object(qseries, "MAX_FAST_N", 300):
-            conv.ensure(260)
-        assert len(conv._re) == 301
+        with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy:
+            capacities = []
+            for read in (lambda: conv.F(50), lambda: conv.H(51), lambda: conv.F(0, 101),
+                         lambda: conv.H(3, 300, 7), lambda: conv.F(10)):
+                read()
+                capacities.append(conv.capacity)
+        assert capacities == [50, 51, 100, 297, 297]
+        assert [len(call.kwargs["prefix"]) for call in spy.call_args_list] == [1, 51, 52, 101]
+        with pytest.raises(ValueError):
+            conv.F(MAX_FAST_N + 1)
 
 
 def _oracle(chi: DirichletCharacter, ns, c: int) -> list[tuple[int, int]]:
@@ -1247,7 +1260,7 @@ class TestIndexReads:
             for n, stop, step in ((190_000, 190_000, 190_000), (5000, 4000, 1), (19, 19, 19)):
                 re, im = conv.F(n, stop, step)
                 assert len(re) == len(im) == 0
-        assert (sieve.call_count, product.call_count, conv.capacity, conv._tails) == (0, 0, 0, {})
+        assert (sieve.call_count, product.call_count, conv.capacity) == (0, 0, 0)
 
     @pytest.mark.parametrize("p", [5, 13, 3])
     def test_a_block_read_is_its_per_index_reads(self, p):
@@ -1282,16 +1295,16 @@ class TestIndexReads:
                     read(*args)
 
     def test_a_block_read_sieves_once_to_its_largest_index(self):
-        # one ensure to the last index for the whole block; ascending
-        # per-index reads would double the capacity to 1024.  A read of
+        # one sieve to the last index for the whole block.  A read of
         # another step or offset builds its own tail from the same sieve
         conv = Convolver(quartic_pair(13)[0])
-        with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy:
+        with mock.patch.object(qseries, "_sieve", wraps=qseries._sieve) as spy, \
+                _tail_spy() as built:
             re, _ = conv.H(3, 1001, 3)
             assert len(re) == 333 and conv.capacity == 999
             conv.F(1, 1000, 2)
         assert spy.call_count == 1  # Re and Im, packed in one sieve
-        assert _tail_lengths(conv) == {(1, 3, 0): 334, (-1, 2, 1): 500}
+        assert _built_tails(built) == [(333, 1, 3, 0), (499, -1, 2, 1)]
 
     def test_a_block_read_is_int64_below_its_derived_bound(self):
         # the read's tails stay within 2 (m + 1) K**2, K = max |delta| over
@@ -1358,16 +1371,16 @@ class TestIndexReads:
                 assert kinds == [[(1, 0)] * (r + 1) + [(1, 1)] * (step - r - 1)] * 2
 
     def test_a_config_read_takes_one_inverse_transform_per_shift(self):
-        # p37_5_19 at N = 2000 reads F(95), F(190) in its first block, then
+        # p37_5_19 at N = 2000 reads F(95), F(190), F(285) in its first block, then
         # F(95 k), F(19 k), F(5 k) and F(k): each read builds its tail in
         # one call, and an FFT tail sums its class spectra into at most two
         # inverse transforms (shifts 0 and 1), under the bound of its weight
         # sum, 2 D for F's a*a + b*b over D classes
         reads, real = [], Convolver.numerators
 
-        def numerators(conv, lo, hi, c, step=1, last=None):
+        def numerators(conv, lo, hi, c, step=1):
             before = (fft.call_count, inverse.call_count, errors.call_count)
-            out = real(conv, lo, hi, c, step, last)
+            out = real(conv, lo, hi, c, step)
             after = (fft.call_count, inverse.call_count, errors.call_count)
             reads.append((step, *(b - a for a, b in zip(before, after))))
             return out
@@ -1411,14 +1424,16 @@ class TestIndexReads:
         assert qseries._split(190_000, 190_000) == 400
         assert qseries._split(1009, 1009 * 3) == 1
         conv = Convolver(quartic_pair(13)[0])
-        re, im = conv.H(190_000, 190_001, 190_000)
-        assert _tail_lengths(conv) == {(1, 400, 0): 476}
-        assert list(zip(re.tolist(), im.tolist())) == _oracle(conv.chi, [190_000], 1)
-        for n, stop, step in ((5, 1009 * 3 + 6, 1009), (17, 5000, 300)):
-            re, im = conv.F(n, stop, step)
-            want = _oracle(conv.chi, range(n, stop, step), -1)
-            assert list(zip(re.tolist(), im.tolist())) == want
-        assert set(_tail_lengths(conv)) == {(1, 400, 0), (-1, 1, 0), (-1, 60, 17)}
+        with _tail_spy() as built:
+            re, im = conv.H(190_000, 190_001, 190_000)
+            assert list(zip(re.tolist(), im.tolist())) == _oracle(conv.chi, [190_000], 1)
+            for n, stop, step in ((5, 1009 * 3 + 6, 1009), (17, 5000, 300)):
+                re, im = conv.F(n, stop, step)
+                want = _oracle(conv.chi, range(n, stop, step), -1)
+                assert list(zip(re.tolist(), im.tolist())) == want
+        # (m, c, D, r): 476 coefficients of 400 rows, the whole product to
+        # 5 + 3 * 1009, and the 17 + 16 * 300 = 4817 of 60 rows
+        assert _built_tails(built) == [(475, 1, 400, 0), (3032, -1, 1, 0), (80, -1, 60, 17)]
 
     def test_extreme_deltas_match_a_python_int_oracle(self):
         # every delta is +-240, the divisor-count bound: Re = 240, Im = -240,
@@ -1453,31 +1468,38 @@ class TestIndexReads:
                 re_, im_ = read(lo, stop, step)
                 ns = range(lo, stop, step)
                 assert list(zip(re_, im_)) == [oracle(n, c) for n in ns], (c, lo, step)
-            conv.release()
 
     def test_a_sweep_holds_only_the_int16_pair(self):
-        # a sweep keeps no copy of delta_chi and drops its tails: 4 bytes
-        # per index
+        # a sweep keeps no copy of delta_chi and no tail: 4 bytes per index
         chi = quartic_pair(13)[0]
         qseries.convolver.cache_clear()
         assert verify_id1(13, 20000, chi).passed
         conv = qseries.convolver(chi)
-        assert conv._tails == {} and conv.capacity >= 20000
-        assert (conv._re.dtype, conv._im.dtype) == (np.int16, np.int16)
+        assert_holds_only_delta(conv)
+        assert conv.capacity == 20000
         assert conv._re.nbytes + conv._im.nbytes == 4 * (conv.capacity + 1)
 
-    def test_a_growth_keeps_the_cached_tails(self):
-        # a tail's values do not depend on the capacity: a growth keeps it,
-        # and a read past its reach rebuilds it within the new capacity
+    def test_a_read_does_not_depend_on_the_capacity(self):
+        # a read within a larger sieve takes its own prefix: the values
+        # below, at and past the old capacity are those of the series
         chi = quartic_pair(13)[0]
         conv = Convolver(chi)
         conv.H(99)
-        old = conv._tails[1, 1, 0]
         conv.extend(300)
-        assert conv._tails[1, 1, 0] is old and len(old[0]) == 100
         _, f_series, h_series = _products(13, 300)
         assert conv.F(300) == _times(conv.denominator, f_series[300])
         assert conv.H(50) == _times(conv.denominator, h_series[50])
-        assert conv._tails[1, 1, 0] is old  # no read past 99 yet
         assert conv.H(120) == _times(conv.denominator, h_series[120])
-        assert _tail_lengths(conv) == {(-1, 1, 0): 301, (1, 1, 0): 301}
+        assert conv.capacity == 300
+
+    @pytest.mark.parametrize("sieved, n", [(0, 190_000), (5000, 1000)])
+    def test_a_lone_read_builds_one_product_of_its_length(self, sieved, n):
+        # F(n) is one ``_full_product`` call (F's a*a and b*b) of n + 1
+        # coefficients, on a fresh Convolver and on one sieved past 4 n
+        conv = Convolver(canonical_quartic(13))
+        conv.extend(sieved)
+        with mock.patch.object(qseries, "_full_product", wraps=_full_product) as spy:
+            value = conv.F(n)
+        assert [[len(x) for x, *_ in call.args] for call in spy.call_args_list] == [[n + 1] * 2]
+        assert conv.capacity == max(n, sieved)
+        assert value == _oracle(conv.chi, [n], -1)[0]
