@@ -18,13 +18,11 @@ coefficients, so each remainder is O(p) integer steps, and the four tests
 read them (``cyclotomic_zeros``).  A report holds those four verdicts, one
 per order of zeta**k, not a row per character.  The report's two flags,
 x**q + 1 | g and gcd(g, x**q - 1) = 1, follow from the same four tests
-(see ``xq_flags``).  ``IntPolynomial`` holds only the arithmetic these
-steps use; the tests check them against sympy's Phi_d, products, remainders
-and gcds.
+(see ``xq_flags``).  f and g stay int64 arrays; ``IntPolynomial`` holds
+only the division behind the two remainders.  The tests check these steps
+against sympy's Phi_d, products, remainders and gcds.
 """
 from __future__ import annotations
-
-from itertools import zip_longest
 
 import numpy as np
 
@@ -45,31 +43,12 @@ class IntPolynomial(FrozenRecord):
             cs.pop()
         return IntPolynomial(tuple(map(int, cs)))
 
-    @staticmethod
-    def monomial(degree: int, coeff: int = 1) -> "IntPolynomial":
-        return IntPolynomial.make([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.make(
-            [self[i] + other[i] for i in range(n)]
-        )
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.make(
-            [self[i] - other[i] for i in range(n)]
-        )
 
     def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division; requires the divisor's leading coefficient to be +-1."""
@@ -93,9 +72,6 @@ class IntPolynomial(FrozenRecord):
         return IntPolynomial.make(quot), IntPolynomial.make(rem)
 
 
-ONE_POLY = IntPolynomial((1,))
-
-
 # ---------------------------------------------------------------------
 # the h / f / g machinery
 # ---------------------------------------------------------------------
@@ -117,9 +93,16 @@ def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return start, keys % n
 
 
-def f_poly(xi: DirichletCharacter) -> IntPolynomial:
+def f_at_one_bound(p: int) -> int:
+    """A bound on f(1) <= (sum_{j<p} d(j))**2, so on any sum of f's or g's
+    coefficients: sum_{j<p} d(j) < p (1 + ln p), and ln p < p.bit_length()."""
+    return (p * (p.bit_length() + 1)) ** 2
+
+
+def f_poly(xi: DirichletCharacter) -> np.ndarray:
     """f_xi(x) = sum_{j=1}^{p-1} h_{xi,j}(x) h_{xibar,p-j}(x), degree <= 2p-4,
-    with h_{xi,j}(x) = sum_{d | j} x**t_xi(d).
+    with h_{xi,j}(x) = sum_{d | j} x**t_xi(d), as int64 coefficients, index
+    = degree, trailing zeros trimmed; each is below 2**63 (the assert).
 
     Coefficient i counts the triples (j, d | j, e | p - j) with
     t_xi(d) + t_xibar(e) = i, so f sums the bincounts of the exponent sums.
@@ -141,6 +124,7 @@ def f_poly(xi: DirichletCharacter) -> IntPolynomial:
     row end and shift.
     """
     p = xi.p
+    assert f_at_one_bound(p) < 2**63
     t = xi.exponent_table()
     start, td = _divisor_table(p)
     td = t[td]  # t_xi of each table entry; its divisor is not needed again
@@ -163,18 +147,17 @@ def f_poly(xi: DirichletCharacter) -> IntPolynomial:
         sums = np.repeat(td[lo:hi], rowlen[lo:hi])
         sums += te[epos]
         counts += np.bincount(sums, minlength=C)
-    total = IntPolynomial.make(counts.tolist())
-    assert total.degree <= 2 * p - 4
-    return total
+    return np.trim_zeros(counts, "b")
 
 
-def reduce_g(f: IntPolynomial, p: int) -> IntPolynomial:
-    """f reduced mod x**(p-1) - 1: coefficient i folds onto i mod (p-1), as
-    the column sums of f's coefficients cut into runs of p - 1, in Python
-    ints, so that no sum can overflow."""
-    n, c = p - 1, f.coeffs
-    runs = (c[i : i + n] for i in range(0, len(c), n))
-    return IntPolynomial.make(map(sum, zip_longest(*runs, fillvalue=0)))
+def reduce_g(f: np.ndarray, p: int) -> np.ndarray:
+    """The p - 1 int64 coefficients of g = f mod (x**(p-1) - 1), f as from
+    ``f_poly``: coefficient i folds onto i mod (p-1), and deg f <= 2p - 4 <
+    2(p - 1), so g is f's bottom p - 1 coefficients plus its top ones, each
+    sum at most f(1) < 2**63 (``f_poly``'s assert)."""
+    g = np.zeros(2 * (p - 1), dtype=np.int64)
+    g[: len(f)] = f
+    return g[: p - 1] + g[p - 1 :]
 
 
 def _remainder_coefficients(g: IntPolynomial, divisor: IntPolynomial, q: int) -> list[int]:
@@ -183,10 +166,10 @@ def _remainder_coefficients(g: IntPolynomial, divisor: IntPolynomial, q: int) ->
     return list(rem) + [0] * (q - len(rem))
 
 
-def cyclotomic_zeros(g: IntPolynomial, n: int) -> dict[int, bool]:
+def cyclotomic_zeros(g: np.ndarray, n: int) -> dict[int, bool]:
     """d -> whether Phi_d divides g, for the divisors d = 1, 2, q, 2q of
     n = 2q, q an odd prime, from the remainders r = g mod (x**q - 1) and
-    s = g mod (x**q + 1), each of q coefficients.
+    s = g mod (x**q + 1), each of q coefficients; g is an int64 array.
 
     Phi_1 Phi_q = x**q - 1, so Phi_d | g iff Phi_d | r for d in {1, q}:
     Phi_1 | r iff r(1) = sum r_i = 0, and, since deg r < q = deg Phi_q + 1,
@@ -199,9 +182,9 @@ def cyclotomic_zeros(g: IntPolynomial, n: int) -> dict[int, bool]:
     q = n // 2
     if n != 2 * q or q < 3 or not is_prime(q):
         raise ValueError(f"expected n = 2q with q an odd prime, got {n}")
-    xq = IntPolynomial.monomial(q)
-    r = _remainder_coefficients(g, xq - ONE_POLY, q)
-    s = _remainder_coefficients(g, xq + ONE_POLY, q)
+    g = IntPolynomial.make(g.tolist())
+    zeros = (0,) * (q - 1)
+    r, s = (_remainder_coefficients(g, IntPolynomial((c, *zeros, 1)), q) for c in (-1, 1))
     s_alt = [-c if i % 2 else c for i, c in enumerate(s)]
     return {
         1: sum(r) == 0,
@@ -315,8 +298,8 @@ def even_character_obstruction(p: int) -> EvenObstructionReport:
     (p-1)/gcd(k, p-1); f(zeta**k) = 0 iff the corresponding cyclotomic
     polynomial divides the folded polynomial g, which is decided exactly
     from its remainders by x**q -+ 1.  The two x**q -+ 1 flags are read from
-    the same four tests (``xq_flags``), and f(1) and the flagged zero
-    coefficients from f's coefficients as one int64 array.
+    the same four tests (``xq_flags``), and b_i, f(1) and the flagged zero
+    coefficients from f's int64 array; a b_i past f's end is 0.
     """
     if not is_safe_prime_shape(p):
         raise ValueError(f"{p} is not 2q+1 with q = 1 (mod 4) prime")
@@ -324,18 +307,15 @@ def even_character_obstruction(p: int) -> EvenObstructionReport:
     f = f_poly(DirichletCharacter(p, 2, 1))
     zero_for_order = cyclotomic_zeros(reduce_g(f, p), p - 1)
     divisible, coprime = xq_flags(zero_for_order, q)
-    coeffs = np.array(f.coeffs, dtype=np.int64)  # counts of exponent sums: no overflow
-    flagged = np.flatnonzero(coeffs == 0)
+    b = [int(f[i]) if i < len(f) else 0 for i in (0, 1, p - 1, p)]
+    flagged = np.flatnonzero(f == 0)
     return EvenObstructionReport(
         p,
         q,
-        f[0],
-        f[1],
-        f[p - 1],
-        f[p],
+        *b,
         divisible,
         coprime,
-        int(coeffs.sum()),
+        int(f.sum()),  # at most f_at_one_bound(p) < 2**63
         zero_for_order,
         flagged[(flagged != p - 1) & (flagged != p)].tolist(),
     )

@@ -43,8 +43,8 @@ from .qseries import MAX_FAST_N, MAX_PRIME, exact_sum
 
 # largest p of a ``poly`` report: its peak is f_poly's, whose divisor table
 # and row arrays (five int64 arrays over the table's ~p ln p entries) hold
-# near 0.6 kB per residue (tracemalloc over the whole command: 568 B per
-# residue at p = 120587, 618 at 243707, 631 at 382883, growing with ln p);
+# near 0.6 kB per residue (tracemalloc over the whole command: 572 B per
+# residue at p = 120587, 607 at 243707, 619 at 382883, growing with ln p);
 # the rows render from four verdicts, below that peak.  So the 2**28 bytes
 # (256 MiB) that MAX_PRIME allows the tables admit p up to 2**28 // 700 =
 # 383479, past 99707, the largest safe prime below 10**5

@@ -18,8 +18,10 @@ Products and tables:
 Polynomials, over sympy:
 - ``f_coefficients_per_j``: f_xi's exponent sums counted one j at a time,
   against ``charpoly.f_poly``.
-- ``cyclotomic`` and ``poly_product``: sympy's Phi_d and products, for
-  the division oracles of ``charpoly.cyclotomic_zeros``.
+- ``cyclotomic`` and ``poly_product``: sympy's Phi_d and products, as
+  int64 coefficient arrays like ``charpoly``'s f and g, and ``remainder``
+  by ``IntPolynomial.divmod_exact``: the division oracles of
+  ``charpoly.cyclotomic_zeros``.
 - ``divisible_by_xq_plus_1`` and ``coprime_with_xq_minus_1``: sympy's
   remainder and gcd, against ``charpoly.xq_flags``.
 - ``zero_sum_check`` and ``zero_sum_is_zero``: the obstruction sum in Q(i)
@@ -177,20 +179,23 @@ def f_coefficients_per_j(xi) -> list[int]:
 X = sympy.Symbol("x")
 
 
-def to_sympy(f: IntPolynomial) -> sympy.Poly:
-    return sympy.Poly(f.coeffs[::-1] or [0], X, domain="ZZ")
+def to_sympy(f) -> sympy.Poly:
+    """The polynomial with coefficients ``f`` (a sequence, index = degree)."""
+    return sympy.Poly([int(c) for c in reversed(f)] or [0], X, domain="ZZ")
 
 
-def from_sympy(f: sympy.Poly) -> IntPolynomial:
-    return IntPolynomial.make(int(c) for c in reversed(f.all_coeffs()))
+def from_sympy(f: sympy.Poly) -> np.ndarray:
+    """The int64 coefficients of ``f``, index = degree, trailing zeros trimmed."""
+    coeffs = np.array([int(c) for c in reversed(f.all_coeffs())], dtype=np.int64)
+    return np.trim_zeros(coeffs, "b")
 
 
-def cyclotomic(d: int) -> IntPolynomial:
+def cyclotomic(d: int) -> np.ndarray:
     """Phi_d, from sympy."""
     return from_sympy(sympy.cyclotomic_poly(d, X, polys=True))
 
 
-def poly_product(*factors: IntPolynomial) -> IntPolynomial:
+def poly_product(*factors) -> np.ndarray:
     """The product of ``factors``, by sympy."""
     out = sympy.Poly(1, X, domain="ZZ")
     for f in factors:
@@ -198,12 +203,17 @@ def poly_product(*factors: IntPolynomial) -> IntPolynomial:
     return from_sympy(out)
 
 
-def divisible_by_xq_plus_1(g: IntPolynomial, q: int) -> bool:
+def remainder(g, divisor) -> IntPolynomial:
+    """g mod ``divisor``, coefficient sequences, by ``IntPolynomial.divmod_exact``."""
+    return IntPolynomial.make(g).divmod_exact(IntPolynomial.make(divisor))[1]
+
+
+def divisible_by_xq_plus_1(g, q: int) -> bool:
     """x**q + 1 | g, by sympy's remainder."""
     return sympy.rem(to_sympy(g), sympy.Poly(X**q + 1, X)).is_zero
 
 
-def coprime_with_xq_minus_1(g: IntPolynomial, q: int) -> bool:
+def coprime_with_xq_minus_1(g, q: int) -> bool:
     """gcd(g, x**q - 1) = 1, by sympy's gcd."""
     return sympy.gcd(to_sympy(g), sympy.Poly(X**q - 1, X)).degree() == 0
 
@@ -212,7 +222,7 @@ def zero_sum_check(chi: DirichletCharacter):
     """The exact sum sum_{j=1}^{p-1} delta_chi(j) delta_chibar(p-j).
 
     Characters of order dividing 4 are evaluated directly in Q(i); for
-    general order the value is returned as an integer polynomial reduced
+    general order the value is returned as the ``IntPolynomial`` g reduced
     mod the (p-1)-st cyclotomic polynomial (the zero polynomial encodes
     a zero sum).
     """
@@ -223,9 +233,7 @@ def zero_sum_check(chi: DirichletCharacter):
         for j in range(1, p):
             total = total + delta_coefficient(chi, j) * delta_coefficient(chibar, p - j)
         return total
-    g = reduce_g(f_poly(chi), p)
-    _, rem = g.divmod_exact(cyclotomic(p - 1))
-    return rem
+    return remainder(reduce_g(f_poly(chi), p), cyclotomic(p - 1))
 
 
 def zero_sum_is_zero(chi: DirichletCharacter) -> bool:

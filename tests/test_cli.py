@@ -1094,6 +1094,12 @@ class TestPolyCommand:
     def test_p13_rejected(self, capsys):
         assert main(["poly", "--p", "13"]) == EXIT_USAGE
 
+    def test_p83_flags_no_zero_past_the_leading_coefficient(self, tmp_path):
+        # deg f = 161 at p = 83: an untrimmed f would also flag 2p - 4 = 162
+        out = tmp_path / "p83.json"
+        main(["poly", "--p", "83", "--out", str(out)])
+        assert json.loads(out.read_text())["flagged_zero_coefficients"][-1] == 159
+
     def test_p59_odd_rows_zero(self, tmp_path):
         out = tmp_path / "p59.json"
         main(["poly", "--p", "59", "--out", str(out)])
