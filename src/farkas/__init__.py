@@ -4,7 +4,6 @@ identities for quartic Dirichlet characters modulo primes."""
 from .characters import DirichletCharacter, canonical_quartic, quartic_pair
 from .foundations import GaussianRational
 from .identities import (
-    ConfiguredIdentity,
     IdentityConstants,
     VerificationReport,
     constants_for,
@@ -15,7 +14,6 @@ from .identities import (
 from .qseries import bernoulli_B2_psi
 
 __all__ = [
-    "ConfiguredIdentity",
     "DirichletCharacter",
     "GaussianRational",
     "IdentityConstants",

@@ -22,16 +22,16 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
 from .charpoly import even_character_obstruction, is_safe_prime_shape, safe_prime_scan
 from .foundations import GaussianRational, is_prime
 from .identities import (
-    ConfiguredIdentity,
+    Identity,
     asymptotic_report,
     check_configured_identity,
+    configured_identity,
     dichotomy_scan,
     discriminant_search,
     resolve_character,
@@ -255,9 +255,9 @@ def parse_gaussian_pair(text: str) -> GaussianRational:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def load_identity_config(path_or_file) -> ConfiguredIdentity:
-    """Read a ConfiguredIdentity from a JSON config file; a field of the
-    wrong type or value raises a ValueError that names it."""
+def load_identity_config(path_or_file) -> Identity:
+    """Read the ``configured_identity`` of a JSON config file; a field of
+    the wrong type or value raises a ValueError that names it."""
     if hasattr(path_or_file, "read"):
         raw = path_or_file.read()
     else:
@@ -305,18 +305,7 @@ def load_identity_config(path_or_file) -> ConfiguredIdentity:
     coeffs = tuple(
         pair(c, f"rhs.coefficients[{i}]") for i, c in items("coefficients", rhs, "rhs")
     )
-    return ConfiguredIdentity(p, chi, tuple(terms), kind, coeffs)
-
-
-def builtin_config_names() -> list[str]:
-    root = resources.files("farkas").joinpath("configs")
-    return sorted(e.name for e in root.iterdir() if e.name.endswith(".json"))
-
-
-def load_builtin_config(name: str) -> ConfiguredIdentity:
-    root = resources.files("farkas").joinpath("configs")
-    with root.joinpath(name).open(encoding="utf-8") as fh:
-        return load_identity_config(fh)
+    return configured_identity(p, chi, terms, kind, coeffs)
 
 
 @contextlib.contextmanager
@@ -444,10 +433,10 @@ def cmd_verify(args) -> int:
         if args.config is None:
             raise UsageError("--kind config requires --config FILE")
         try:
-            cfg = load_identity_config(args.config)
+            identity = load_identity_config(args.config)
         except (OSError, ValueError) as exc:
             raise UsageError(f"bad config file: {exc}")
-        report = check_configured_identity(cfg, args.nmax)
+        report = check_configured_identity(identity, args.nmax)
     else:
         if args.p is None:
             raise UsageError("--p is required for conv/square verification")

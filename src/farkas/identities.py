@@ -7,10 +7,10 @@ the squared identity), empirical ratio sweeps for the asymptotic claims,
 and verification of configured Hecke-eliminated identities.
 
 Every identity checked here is one ``Identity``, sum_i A_i Conv(n C_i /
-B_i) = sum_k c_k s_k(n) with Conv = F or H of chi mod p, and ``_check``
-runs them all: exact reads of F or H (``Convolver``) against a linear
-combination of divisor sums (``_linear_rhs``), block by block
-(``_run_verification``).
+B_i) = sum_k c_k s_k(n) with Conv = F or H of chi mod p, and
+``check_configured_identity`` runs them all: exact reads of F or H
+(``Convolver``) against a linear combination of divisor sums
+(``_linear_rhs``), block by block (``_run_verification``).
 """
 from __future__ import annotations
 
@@ -63,6 +63,11 @@ class IdentityConstants(FrozenRecord):
         self.__dict__.update(alpha=alpha, alpha_prime=alpha_prime, beta_prime=beta_prime)
 
 
+def _same_modulus(p: int, chi: DirichletCharacter) -> None:
+    if chi.p != p:  # its F or H would meet another prime's divisor sums
+        raise ValueError(f"chi is a character mod {chi.p}, not mod p = {p}")
+
+
 @lru_cache(maxsize=2 * PRIMES_CACHED)
 def constants_for(p: int, chi: DirichletCharacter) -> IdentityConstants:
     """alpha = |delta_chi(0)|**2 / sigma'(0), alpha' = delta_chi(0)**2 /
@@ -74,6 +79,7 @@ def constants_for(p: int, chi: DirichletCharacter) -> IdentityConstants:
     beta' = (p b z + d z**2) / (p**2 b): Gaussian-integer numerators over
     one denominator each, and one Fraction per part.  Cached like the
     other per-prime tables, so both sweeps of a scan share one copy."""
+    _same_modulus(p, chi)
     u, v = _delta0_numerator(chi)
     B = bernoulli_B2_psi(p)
     b, d = B.numerator, B.denominator
@@ -116,14 +122,14 @@ class VerificationReport(Record):
 
 class Identity(FrozenRecord):
     """sum_i A_i Conv(n C_i / B_i) = sum_k c_k s_k(n), Conv = H_chi if
-    ``use_H`` else F_chi, a term 0 where B_i does not divide n: ``lhs`` the
-    (A_i, B_i, C_i), ``rhs`` the pairs (c_k, array builder of s_k, as
-    ``sigma_prime_values``), ``zero`` the value at n = 0 (None: checked
-    from n = 1) and ``kind`` the report's label."""
+    ``use_H`` else F_chi for chi mod p = chi.p, a term 0 where B_i does not
+    divide n: ``lhs`` the (A_i, B_i, C_i), ``rhs`` the pairs (c_k, array
+    builder of s_k, as ``sigma_prime_values``), ``zero`` the value at n = 0
+    (None: checked from n = 1) and ``kind`` the report's label."""
 
-    def __init__(self, p: int, chi: DirichletCharacter, use_H: bool, lhs: tuple, rhs: tuple,
+    def __init__(self, chi: DirichletCharacter, use_H: bool, lhs: tuple, rhs: tuple,
                  zero: Optional[GaussianRational], kind: str):
-        self.__dict__.update(p=p, chi=chi, use_H=use_H, lhs=lhs, rhs=rhs, zero=zero, kind=kind)
+        self.__dict__.update(chi=chi, use_H=use_H, lhs=lhs, rhs=rhs, zero=zero, kind=kind)
 
 
 def _denominator(*values: Optional[GaussianRational]) -> int:
@@ -203,7 +209,7 @@ def _run_verification(
 CONVOLUTION = ((GaussianRational(1), 1, 1),)
 
 
-def _check(identity: Identity, nmax: int) -> VerificationReport:
+def check_configured_identity(identity: Identity, nmax: int) -> VerificationReport:
     """Exact check of ``identity`` for n <= nmax (from n = 1 if ``zero`` is
     None) in D lhs = D rhs, D = lcm(s**2 den(A_i), the rhs's denominators),
     s = 2p; a lookup past MAX_FAST_N is refused before any sieve.  Each
@@ -246,9 +252,9 @@ def _check(identity: Identity, nmax: int) -> VerificationReport:
             blocks.append((scalar, values))
         return exact_sum(blocks)
 
-    rhs = _linear_rhs(identity.p, D, identity.rhs, nmax, identity.zero)
+    rhs = _linear_rhs(identity.chi.p, D, identity.rhs, nmax, identity.zero)
     return _run_verification(
-        identity.p, identity.chi.label(), identity.kind, nmax, D, lhs, rhs,
+        identity.chi.p, identity.chi.label(), identity.kind, nmax, D, lhs, rhs,
         start=0 if identity.zero is not None else 1,
     )
 
@@ -261,7 +267,7 @@ def verify_id1(
         chi = canonical_quartic(p)
     alpha = GaussianRational(constants_for(p, chi).alpha)
     rhs, zero = ((alpha, sigma_prime_values),), alpha * Fraction(p - 1, 24)
-    return _check(Identity(p, chi, False, CONVOLUTION, rhs, zero, "conv"), nmax)
+    return check_configured_identity(Identity(chi, False, CONVOLUTION, rhs, zero, "conv"), nmax)
 
 
 def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport:
@@ -269,7 +275,7 @@ def verify_id2(p: int, chi: DirichletCharacter, nmax: int) -> VerificationReport
     const = constants_for(p, chi)
     rhs = ((const.alpha_prime, sigma_tilde_values), (const.beta_prime, sigma_hat_values))
     zero = const.alpha_prime * (-bernoulli_B2_psi(p) / 4)
-    return _check(Identity(p, chi, True, CONVOLUTION, rhs, zero, "square"), nmax)
+    return check_configured_identity(Identity(chi, True, CONVOLUTION, rhs, zero, "square"), nmax)
 
 
 def verify_farkas(nmax: int) -> VerificationReport:
@@ -279,7 +285,9 @@ def verify_farkas(nmax: int) -> VerificationReport:
     """
     third = GaussianRational(Fraction(1, 3))
     rhs, chi = ((third, sigma_prime_values),), quadratic_character(3)
-    return _check(Identity(3, chi, False, CONVOLUTION, rhs, third / 12, "farkas"), nmax)
+    return check_configured_identity(
+        Identity(chi, False, CONVOLUTION, rhs, third / 12, "farkas"), nmax
+    )
 
 
 # ---------------------------------------------------------------------
@@ -370,6 +378,7 @@ def asymptotic_report(
     The table stays in integer arrays, and so do the top-decile statistics
     until each is one exact Fraction: no Fraction is built per row.
     """
+    _same_modulus(p, chi)
     if kind == "conv":
         c, sigma_values = -1, sigma_prime_values
     elif kind == "square":
@@ -428,41 +437,6 @@ def asymptotic_report(
 # configured (Hecke-eliminated) identities
 # ---------------------------------------------------------------------
 
-class ConfiguredIdentity(FrozenRecord):
-    """One Hecke-eliminated identity: sum_i A_i Conv(n C_i / B_i) = rhs(n)."""
-
-    def __init__(
-        self,
-        p: int,
-        chi_selector: str,
-        terms: tuple[tuple[GaussianRational, int, int], ...],  # (A_i, B_i, C_i)
-        rhs_kind: str,  # "sigma_prime" | "tilde_hat"
-        rhs_coefficients: tuple[GaussianRational, ...],
-    ):
-        if p > MAX_PRIME:
-            raise ValueError(
-                f"modulus {p} is past MAX_PRIME = {MAX_PRIME}, the largest p whose"
-                " tables are built"
-            )
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if not terms:
-            raise ValueError("at least one term required")
-        for a, b, c in terms:
-            if b < 1 or c < 1:
-                raise ValueError(f"B and C must be positive integers, got ({b}, {c})")
-        if rhs_kind == "sigma_prime":
-            if len(rhs_coefficients) != 1:
-                raise ValueError("sigma_prime rhs takes exactly one coefficient")
-        elif rhs_kind == "tilde_hat":
-            if len(rhs_coefficients) != 2:
-                raise ValueError("tilde_hat rhs takes exactly two coefficients")
-        else:
-            raise ValueError(f"unknown rhs kind {rhs_kind!r}")
-        self.__dict__.update(p=p, chi_selector=chi_selector, terms=terms, rhs_kind=rhs_kind,
-                             rhs_coefficients=rhs_coefficients)
-
-
 def resolve_character(p: int, selector: str) -> DirichletCharacter:
     if selector == "quartic-i":
         return canonical_quartic(p, +1)
@@ -471,14 +445,37 @@ def resolve_character(p: int, selector: str) -> DirichletCharacter:
     raise ValueError(f"unknown character selector {selector!r}")
 
 
-def check_configured_identity(cfg: ConfiguredIdentity, nmax: int) -> VerificationReport:
-    """Exact check of the configured identity for 1 <= n <= nmax (``_check``)."""
-    use_H = cfg.rhs_kind == "tilde_hat"
-    builders = (sigma_tilde_values, sigma_hat_values) if use_H else (sigma_prime_values,)
-    return _check(Identity(
-        cfg.p, resolve_character(cfg.p, cfg.chi_selector), use_H, cfg.terms,
-        tuple(zip(cfg.rhs_coefficients, builders)), None, f"config:{cfg.rhs_kind}",
-    ), nmax)
+def configured_identity(
+    p: int, selector: str, terms: tuple, rhs_kind: str, coefficients: tuple
+) -> Identity:
+    """A config's ``Identity``, checked from n = 1: F = c sigma' ("sigma_prime")
+    or H = c1 sigma~ + c2 sigma^ ("tilde_hat") over the ``terms`` (A_i, B_i,
+    C_i).  p is checked before chi's tables are built, and the builders are
+    read from the module per call, so a wrapper rebound there sees them."""
+    if p > MAX_PRIME:
+        raise ValueError(
+            f"modulus {p} is past MAX_PRIME = {MAX_PRIME}, the largest p whose"
+            " tables are built"
+        )
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    if not terms:
+        raise ValueError("at least one term required")
+    for a, b, c in terms:
+        if b < 1 or c < 1:
+            raise ValueError(f"B and C must be positive integers, got ({b}, {c})")
+    if rhs_kind == "sigma_prime":
+        builders, takes = (sigma_prime_values,), "one coefficient"
+    elif rhs_kind == "tilde_hat":
+        builders, takes = (sigma_tilde_values, sigma_hat_values), "two coefficients"
+    else:
+        raise ValueError(f"unknown rhs kind {rhs_kind!r}")
+    if len(coefficients) != len(builders):
+        raise ValueError(f"{rhs_kind} rhs takes exactly {takes}")
+    return Identity(
+        resolve_character(p, selector), rhs_kind == "tilde_hat", tuple(terms),
+        tuple(zip(coefficients, builders)), None, f"config:{rhs_kind}",
+    )
 
 
 # ---------------------------------------------------------------------
@@ -637,6 +634,7 @@ def obstruction_id2(p: int, chi: Optional[DirichletCharacter] = None) -> Obstruc
     """
     if chi is None:
         chi = canonical_quartic(p)
+    _same_modulus(p, chi)
     B = bernoulli_B2_psi(p)  # p = 1 (mod 4), so p > 3: chi(3) is in the table
     b, d = B.numerator, B.denominator
     u, v = z = _delta0_numerator(chi)

@@ -34,6 +34,10 @@ Series and scalars:
   ``trivial_character`` and ``all_characters``: small helpers the tests
   build their inputs and expectations from.
 
+Configs:
+- ``builtin_config_names`` and ``load_builtin_config``: the shipped p = 37
+  config files, by name, each loaded by ``cli.load_identity_config``.
+
 ``qseries.QSeries``, ``cauchy_product``, ``delta_series``,
 ``delta_coefficient`` and the scalar ``sigma_prime``, ``sigma_tilde`` and
 ``sigma_hat`` are oracles too, but stay in ``farkas.qseries`` while the
@@ -41,15 +45,18 @@ benchmark's own test imports them from there.
 """
 import decimal
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import sympy
 
 from farkas.characters import DirichletCharacter
 from farkas.charpoly import IntPolynomial, f_poly, is_safe_prime_shape, reduce_g, two_generates
+from farkas.cli import load_identity_config
 from farkas.foundations import (
     GaussianRational, _as_fraction, divisors, factorize, is_prime, primitive_root,
 )
+from farkas.identities import Identity
 from farkas.qseries import (
     QSeries, bernoulli_B2_psi, delta_coefficient, sigma_hat_values, sigma_prime_values,
     sigma_tilde_values,
@@ -321,3 +328,14 @@ def all_characters(p: int, g: int | None = None) -> list[DirichletCharacter]:
         g = primitive_root(p)
     trivial = DirichletCharacter(p, g, 0)  # validates p and g, once
     return [trivial] + [trivial._sibling(e) for e in range(1, p - 1)]
+
+
+def builtin_config_names() -> list[str]:
+    root = resources.files("farkas").joinpath("configs")
+    return sorted(e.name for e in root.iterdir() if e.name.endswith(".json"))
+
+
+def load_builtin_config(name: str) -> Identity:
+    root = resources.files("farkas").joinpath("configs")
+    with root.joinpath(name).open(encoding="utf-8") as fh:
+        return load_identity_config(fh)

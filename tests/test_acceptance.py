@@ -151,8 +151,8 @@ def test_criterion_7_deviation_decays():
 
 
 def test_criterion_8_p37_configs():
-    from farkas.cli import builtin_config_names, load_builtin_config
     from farkas.identities import check_configured_identity, resolve_character
+    from oracles import builtin_config_names, load_builtin_config
 
     names = builtin_config_names()
     ok = len(names) == 4

@@ -23,8 +23,6 @@ from farkas.cli import (
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
-    builtin_config_names,
-    load_builtin_config,
     load_identity_config,
     main,
     parse_gaussian_pair,
@@ -34,7 +32,7 @@ from farkas.identities import (
     RHS_SIEVE_FLOOR, check_configured_identity, constants_for, resolve_character,
 )
 from fractions import Fraction
-from oracles import gaussian, parse_gaussian
+from oracles import builtin_config_names, gaussian, load_builtin_config, parse_gaussian
 from test_identities import per_row_report
 
 P37_5_19 = str(resources.files("farkas").joinpath("configs", "p37_5_19.json"))
@@ -264,10 +262,16 @@ class TestVerifyCommand:
             (lambda c: c.update(p=True), "config.p"),
             (lambda c: c["terms"][1].update(B=True), "terms[1].B"),
             (lambda c: c["terms"][1].update(C=True), "terms[1].C"),
+            # chi is resolved as the config loads: these name the value
+            (lambda c: c.update(chi="quartic-x"), "unknown character selector 'quartic-x'"),
+            (lambda c: c.update(chi=5), "unknown character selector 5"),
+            (lambda c: c.update(p=41), "quartic pair requires a prime p = 5 (mod 8), got 41"),
+            (lambda c: c.update(p=39), "modulus 39 is not prime"),
         ],
         ids=[
             "p-string", "p-float", "terms-int", "term-int", "A-int", "top-level-int",
-            "A-zero-den", "p-bool", "B-bool", "C-bool",
+            "A-zero-den", "p-bool", "B-bool", "C-bool", "chi-unknown", "chi-int",
+            "p-not-5-mod-8", "p-composite",
         ],
     )
     def test_mistyped_config_fields_are_usage_errors(self, edit, field, tmp_path, capsys):
@@ -1139,8 +1143,8 @@ class TestConfigParsing:
             "p37_5_19.json",
         ]
         cfg = load_builtin_config("p37_2_17.json")
-        assert cfg.p == 37
-        assert cfg.rhs_coefficients == (gaussian(18),)
+        assert cfg.chi.p == 37
+        assert cfg.rhs == ((gaussian(18), qseries.sigma_prime_values),)
 
     def test_field_diagnostics(self, tmp_path):
         bad = tmp_path / "b.json"

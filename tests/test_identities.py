@@ -13,24 +13,22 @@ from hypothesis import strategies as st
 
 from farkas import foundations, identities, qseries
 from farkas.characters import canonical_quartic, quadratic_character, quartic_pair
-from farkas.cli import builtin_config_names, load_builtin_config
 from farkas.foundations import GaussianRational, discrete_log_table, divisors, kronecker
 from farkas.identities import (
     FIRST_BLOCK,
     RHS_SIEVE_FLOOR,
     Branch,
-    ConfiguredIdentity,
     DichotomyRow,
     _tree_sum,
     asymptotic_report,
     check_configured_identity,
+    configured_identity,
     constants_for,
     dichotomy_scan,
     discriminant_search,
     obstruction_id1,
     obstruction_id2,
     quartic_primes,
-    resolve_character,
     verify_farkas,
     verify_id1,
     verify_id2,
@@ -48,7 +46,8 @@ from farkas.qseries import (
     sigma_tilde_values,
 )
 from oracles import (
-    gaussian, quartic_primes_walk, sigma_hat_series, sigma_prime_series, sigma_tilde_series,
+    builtin_config_names, gaussian, load_builtin_config, quartic_primes_walk, sigma_hat_series,
+    sigma_prime_series, sigma_tilde_series,
 )
 from test_qseries import _oracle, assert_holds_only_delta, exact_sum_bound
 
@@ -176,9 +175,9 @@ NMAX = 2 * RHS_SIEVE_FLOOR + 5
 
 
 def _config_lhs(cfg, n):
-    conv = convolver(resolve_character(cfg.p, cfg.chi_selector))
+    conv = convolver(cfg.chi)
     return sum(
-        (a * _exact(conv, conv.F(n // b * c)) for a, b, c in cfg.terms if n % b == 0),
+        (a * _exact(conv, conv.F(n // b * c)) for a, b, c in cfg.lhs if n % b == 0),
         GaussianRational(),
     )
 
@@ -636,20 +635,40 @@ class TestRhsBuilders:
             "conv": (13, lambda: verify_id1(13, 3000)),
             "square": (13, lambda: verify_id2(13, canonical_quartic(13), 3000)),
             "farkas": (3, lambda: verify_farkas(3000)),
-            "config": (cfg.p, lambda: check_configured_identity(cfg, 1000)),
+            "config": (cfg.chi.p, lambda: check_configured_identity(cfg, 1000)),
         }
         p, sweep = sweeps[kind]
         assert sweep().passed
-        square = kind == "square" or (kind == "config" and cfg.rhs_kind == "tilde_hat")
+        square = kind == "square" or (kind == "config" and cfg.use_H)
         names = ("sigma_tilde_values", "sigma_hat_values") if square else ("sigma_prime_values",)
         assert calls == {(name, p) for name in names}
+
+
+# each entry point that takes p and chi, called with p = 29 and chi mod 13
+MISMATCHED = {
+    "verify_id1": lambda chi: verify_id1(29, 50, chi),
+    "verify_id2": lambda chi: verify_id2(29, chi, 50),
+    "constants_for": lambda chi: constants_for(29, chi),
+    "asymptotic_report": lambda chi: asymptotic_report(29, chi, "square", 50),
+    "obstruction_id2": lambda chi: obstruction_id2(29, chi),
+}
+
+
+@pytest.mark.parametrize("entry", list(MISMATCHED))
+def test_a_character_of_another_modulus_is_refused_before_any_sieve(entry):
+    # chi mod 13's F or H against p = 29's divisor sums and B_{2,psi}
+    # would report a first failure of no identity
+    chi = canonical_quartic(13)
+    with mock.patch.object(qseries, "_sieve", side_effect=AssertionError("a sieve ran")):
+        with pytest.raises(ValueError, match=r"^chi is a character mod 13, not mod p = 29$"):
+            MISMATCHED[entry](chi)
 
 
 class TestConfiguredIdentities:
     def test_degenerate_config_equals_id1(self):
         chi, _ = quartic_pair(5)
         alpha = constants_for(5, chi).alpha
-        cfg = ConfiguredIdentity(
+        cfg = configured_identity(
             5,
             "quartic-i",
             ((gaussian(1), 1, 1),),
@@ -675,11 +694,11 @@ class TestConfiguredIdentities:
         ) as built:
             assert check_configured_identity(cfg, 1000).passed
         tails = [call.args[1:] for call in built.call_args_list]
-        first, long = tails[: -len(cfg.terms)], tails[-len(cfg.terms) :]
-        assert sorted(long) == sorted((1000 // b, -1, c, 0) for _, b, c in cfg.terms)
-        assert len(first) == sum(b < FIRST_BLOCK for _, b, _ in cfg.terms)
+        first, long = tails[: -len(cfg.lhs)], tails[-len(cfg.lhs) :]
+        assert sorted(long) == sorted((1000 // b, -1, c, 0) for _, b, c in cfg.lhs)
+        assert len(first) == sum(b < FIRST_BLOCK for _, b, _ in cfg.lhs)
         assert all(m + 1 <= qseries.DIRECT_PRODUCT for m, *_ in first), first
-        assert_holds_only_delta(convolver(resolve_character(cfg.p, cfg.chi_selector)))
+        assert_holds_only_delta(convolver(cfg.chi))
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_a_refuted_config_stops_in_its_first_block(self, n):
@@ -687,7 +706,7 @@ class TestConfiguredIdentities:
         # n = 3: the first block [1, 4) reads F(95), F(190) and F(285) on
         # their own, so no long lookup is built
         cfg = load_builtin_config("p37_5_19.json")
-        refuted = _replace(cfg, rhs_coefficients=(gaussian(41),)) if n == 1 else cfg
+        refuted = _replace(cfg, rhs=((gaussian(41), cfg.rhs[0][1]),)) if n == 1 else cfg
         convolver.cache_clear()
         with _patched_rhs(-1 if n == 1 else n), mock.patch.object(
             qseries, "_full_product", wraps=qseries._full_product
@@ -700,17 +719,17 @@ class TestConfiguredIdentities:
 
     def test_malformed_configs_rejected(self):
         with pytest.raises(ValueError):
-            ConfiguredIdentity(5, "quartic-i", (), "sigma_prime", (gaussian(1),))
+            configured_identity(5, "quartic-i", (), "sigma_prime", (gaussian(1),))
         with pytest.raises(ValueError):
-            ConfiguredIdentity(
+            configured_identity(
                 5, "quartic-i", ((gaussian(1), 0, 1),), "sigma_prime", (gaussian(1),)
             )
         with pytest.raises(ValueError):
-            ConfiguredIdentity(
+            configured_identity(
                 5, "quartic-i", ((gaussian(1), 1, 1),), "bogus", (gaussian(1),)
             )
         with pytest.raises(ValueError):
-            ConfiguredIdentity(
+            configured_identity(
                 5, "quartic-i", ((gaussian(1), 1, 1),), "tilde_hat", (gaussian(1),)
             )
 
@@ -720,7 +739,7 @@ class TestConfiguredIdentities:
         # scale 1 the blocks are int64; at 2**44 every A fits int64 but
         # A H(m) outgrows it as m grows, so the bound must send the later
         # blocks to Python ints
-        cfg = ConfiguredIdentity(
+        cfg = configured_identity(
             13, "quartic-i", ((gaussian(scale, 3), 1, 7), (gaussian(-2, scale), 3, 5)),
             "tilde_hat", (gaussian(1), gaussian(1)),
         )
@@ -734,7 +753,7 @@ class TestConfiguredIdentities:
             dtypes.append(re.dtype)
             for n, x, y in zip(range(lo, hi), re.tolist(), im.tolist()):
                 want = sum(
-                    (a * _exact(conv, conv.H(n // b * c)) for a, b, c in cfg.terms if n % b == 0),
+                    (a * _exact(conv, conv.H(n // b * c)) for a, b, c in cfg.lhs if n % b == 0),
                     GaussianRational(),
                 )
                 assert GaussianRational(Fraction(x, D), Fraction(y, D)) == want, (scale, n)
@@ -1124,7 +1143,7 @@ class TestNoTailOutlivesACheck:
         # p37_2_17 reads steps 34 and 17 in its first block (2 and 1 hold
         # no n there), then 34, 17, 2 and 1; "raise" fails its third long
         # read after that read has built its tail
-        chi = resolve_character(P37_2_17.p, P37_2_17.chi_selector)
+        chi = P37_2_17.chi
         convolver.cache_clear()
         read = Convolver.numerators
 

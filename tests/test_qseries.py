@@ -19,7 +19,6 @@ from farkas.characters import (
     DirichletCharacter, canonical_quartic, quadratic_character, quartic_pair,
 )
 from farkas.foundations import GaussianRational, divisors, is_prime, kronecker
-from farkas.cli import load_builtin_config
 from farkas.identities import check_configured_identity, verify_id1
 from farkas.qseries import (
     DIRECT_PRODUCT,
@@ -50,8 +49,8 @@ from farkas.qseries import (
 
 import oracles
 from oracles import (
-    from_ints, gaussian, kronecker_product, omega, sigma_hat_series, sigma_prime_series,
-    sigma_tilde_series, trivial_character,
+    from_ints, gaussian, kronecker_product, load_builtin_config, omega, sigma_hat_series,
+    sigma_prime_series, sigma_tilde_series, trivial_character,
 )
 
 

@@ -12,15 +12,16 @@ from farkas.foundations import ONE, GaussianRational
 from farkas.identities import (
     AsymptoticReport,
     Branch,
-    ConfiguredIdentity,
     DichotomyRow,
     DiscriminantSolution,
+    Identity,
     IdentityConstants,
     Obstruction1Report,
     Obstruction2Report,
     VerificationReport,
 )
 from farkas.qseries import QSeries
+from oracles import load_builtin_config
 
 HALF_I = GaussianRational(Fraction(0), Fraction(1, 2))
 HALF_I_REPR = "GaussianRational(re=Fraction(0, 1), im=Fraction(1, 2))"
@@ -30,6 +31,10 @@ BRANCH = Branch(HALF_I, None, ONE, False)
 BRANCH_REPR = (
     f"Branch(chi3={HALF_I_REPR}, implied_delta0=None, implied_B={ONE_REPR}, admissible=False)"
 )
+CHI = DirichletCharacter(13, 2, 3)
+# an Identity's rhs pairs each coefficient with a divisor-sum builder, a
+# function whose repr holds its address: a name stands in for it here
+IDENTITY = (CHI, True, ((ONE, 1, 2),), ((HALF_I, "sigma_tilde_values"),), None, "config:x")
 
 # (class, positional arguments, the same with one field changed, repr)
 FROZEN = [
@@ -41,10 +46,9 @@ FROZEN = [
     (IntPolynomial, ((1, 0, -2),), ((1, 0, 2),), "IntPolynomial(coeffs=(1, 0, -2))"),
     (IdentityConstants, (Fraction(2, 3), ONE, HALF_I), (Fraction(2, 3), ONE, ONE),
      f"IdentityConstants(alpha=Fraction(2, 3), alpha_prime={ONE_REPR}, beta_prime={HALF_I_REPR})"),
-    (ConfiguredIdentity, (13, "quartic-i", ((ONE, 1, 2),), "sigma_prime", (HALF_I,)),
-     (13, "quartic-i", ((ONE, 1, 3),), "sigma_prime", (HALF_I,)),
-     f"ConfiguredIdentity(p=13, chi_selector='quartic-i', terms=(({ONE_REPR}, 1, 2),),"
-     f" rhs_kind='sigma_prime', rhs_coefficients=({HALF_I_REPR},))"),
+    (Identity, IDENTITY, (*IDENTITY[:2], ((ONE, 1, 3),), *IDENTITY[3:]),
+     f"Identity(chi=DirichletCharacter(p=13, g=2, e=3), use_H=True, lhs=(({ONE_REPR}, 1, 2),),"
+     f" rhs=(({HALF_I_REPR}, 'sigma_tilde_values'),), zero=None, kind='config:x')"),
     (DiscriminantSolution, ((40, 18), 6, 11), ((40, 18), 6, 12),
      "DiscriminantSolution(factor_pair=(40, 18), p=6, x=11)"),
     (Branch, (HALF_I, None, ONE, False), (HALF_I, None, ONE, True), BRANCH_REPR),
@@ -118,6 +122,12 @@ def test_records_take_their_fields_by_keyword():
     assert DirichletCharacter(p=13, g=2, e=3) == DirichletCharacter(13, 2, 3)
     short = VerificationReport(13, "quartic-i", "conv", 100, "pass")
     assert (short.failure_n, short.lhs, short.rhs) == (None, None, None)
+
+
+def test_two_loads_of_one_config_are_one_identity():
+    first, second = (load_builtin_config("p37_2_19.json") for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first, second, load_builtin_config("p37_2_17.json")}) == 2
 
 
 def test_equal_characters_share_an_lru_cache_entry():
