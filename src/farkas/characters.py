@@ -1,10 +1,10 @@
 """Dirichlet characters modulo a prime.
 
-A character is stored as a single exponent e against a fixed primitive
-root g: chi(g) = zeta_{p-1}**e.  Evaluation goes through the discrete
-logarithm table, and all general-order manipulation is exponent
-arithmetic mod p-1; values only materialize as Gaussian rationals when
-the order divides 4.
+A character is p and one exponent e against the least primitive root g
+of p: chi(g) = zeta_{p-1}**e, quartic at e = (p-1)/4 and quadratic at
+e = (p-1)/2.  Evaluation goes through the discrete logarithm table, and
+all general-order manipulation is exponent arithmetic mod p-1; values
+only materialize as Gaussian rationals when the order divides 4.
 """
 from __future__ import annotations
 
@@ -26,15 +26,18 @@ from .foundations import (
 
 
 class DirichletCharacter(FrozenRecord):
-    """chi mod p with chi(g) = zeta_{p-1}**e for the primitive root g."""
+    """chi mod p with chi(g) = zeta_{p-1}**e for the least primitive root g."""
 
-    def __init__(self, p: int, g: int, e: int):
+    def __init__(self, p: int, e: int):
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
-        discrete_log_table(p, g)  # validates g
         if not 0 <= e <= p - 2:
             raise ValueError(f"exponent {e} out of range [0, {p - 2}]")
-        self.__dict__.update(p=p, g=g, e=e)
+        self.__dict__.update(p=p, e=e)
+
+    @property
+    def g(self) -> int:
+        return primitive_root(self.p)
 
     # -- group structure ----------------------------------------------
 
@@ -51,18 +54,11 @@ class DirichletCharacter(FrozenRecord):
     def is_trivial(self) -> bool:
         return self.e == 0
 
-    def _sibling(self, e: int) -> "DirichletCharacter":
-        """The character of exponent e mod p - 1 against this one's p and g,
-        which ``__init__`` has validated: it is not run again."""
-        chi = object.__new__(DirichletCharacter)
-        chi.__dict__.update(p=self.p, g=self.g, e=e % (self.p - 1))
-        return chi
-
     def conj(self) -> "DirichletCharacter":
-        return self._sibling(-self.e)
+        return DirichletCharacter(self.p, -self.e % (self.p - 1))
 
     def power(self, k: int) -> "DirichletCharacter":
-        return self._sibling(k * self.e)
+        return DirichletCharacter(self.p, k * self.e % (self.p - 1))
 
     # -- evaluation ---------------------------------------------------
 
@@ -70,14 +66,14 @@ class DirichletCharacter(FrozenRecord):
         """The exponent t with chi(d) = zeta_{p-1}**t, for p not dividing d."""
         if d % self.p == 0:
             raise ValueError(f"{d} is divisible by the modulus {self.p}")
-        dlog = int(discrete_log_table(self.p, self.g)[d % self.p])
+        dlog = int(discrete_log_table(self.p)[d % self.p])
         return (self.e * dlog) % (self.p - 1)
 
     def exponent_table(self) -> np.ndarray:
         """int64 array of ``t_exponent(a)`` for a in 0..p-1, with a placeholder
         0 at a = 0, where chi vanishes.  e * dlog < p**2 stays far inside int64
         for any p whose discrete-log table fits in memory."""
-        t = self.e * discrete_log_table(self.p, self.g) % (self.p - 1)
+        t = self.e * discrete_log_table(self.p) % (self.p - 1)
         t[0] = 0
         return t
 
@@ -99,7 +95,7 @@ class DirichletCharacter(FrozenRecord):
 
 def quadratic_character(p: int) -> DirichletCharacter:
     """The non-trivial real character mod p (the Kronecker symbol for p odd)."""
-    return DirichletCharacter(p, primitive_root(p), (p - 1) // 2)
+    return DirichletCharacter(p, (p - 1) // 2)
 
 
 @lru_cache(maxsize=PRIMES_CACHED)
@@ -108,16 +104,12 @@ def quartic_pair(p: int) -> tuple[DirichletCharacter, DirichletCharacter]:
 
     The first component is the canonical choice with chi(2) = +i (the
     Kronecker symbol forces chi(2) in {i, -i}); the second is its
-    conjugate.
-    """
+    conjugate.  One pair per prime: the tables keyed by chi hit by identity."""
     if p % 8 != 5 or not is_prime(p):
         raise ValueError(f"quartic pair requires a prime p = 5 (mod 8), got {p}")
-    g = primitive_root(p)
-    chi = DirichletCharacter(p, g, (p - 1) // 4)
-    if chi.value(2) != FOURTH_ROOTS[1]:
-        chi = chi.conj()
-    assert chi.value(2) == FOURTH_ROOTS[1]
-    return chi, chi.conj()
+    q = (p - 1) // 4  # g**q has order 4: chi(2) = +i at e = q iff 2**q = g**q
+    e = q if pow(2, q, p) == pow(primitive_root(p), q, p) else 3 * q
+    return DirichletCharacter(p, e), DirichletCharacter(p, 4 * q - e)
 
 
 def canonical_quartic(p: int, sign: int = +1) -> DirichletCharacter:

@@ -1,12 +1,12 @@
 """Integer-polynomial route to the even-character obstruction.
 
-For p = 2q+1 with q = 1 (mod 4) prime, 2 generates (Z/pZ)* and the
-character group is generated by chi with chi(2) = zeta_{p-1}.  The
-obstruction sums sum_j delta_xi(j) delta_xibar(p-j) become values of an
-integer polynomial f_chi at roots of unity, so vanishing questions
-reduce to exact divisibility of its fold g = f mod (x**(p-1) - 1) by the
-cyclotomic polynomials Phi_d, d | p - 1.  No numeric root-of-unity
-evaluation anywhere.
+For p = 2q+1 with q = 1 (mod 4) prime, 2 generates (Z/pZ)*, so it is the
+least primitive root, and chi = DirichletCharacter(p, 1), with chi(2) =
+zeta_{p-1}, generates the character group.  The obstruction sums sum_j
+delta_xi(j) delta_xibar(p-j) become values of an integer polynomial f_chi
+at roots of unity, so vanishing questions reduce to exact divisibility
+of its fold g = f mod (x**(p-1) - 1) by the cyclotomic polynomials Phi_d,
+d | p - 1.  No numeric root-of-unity evaluation anywhere.
 
 Cost: ``f_poly`` counts exponent pairs with one numpy divisor table and
 a chunk of about 2p sums at a time, each chunk one ``np.repeat``, one
@@ -304,7 +304,9 @@ def even_character_obstruction(p: int) -> EvenObstructionReport:
     if not is_safe_prime_shape(p):
         raise ValueError(f"{p} is not 2q+1 with q = 1 (mod 4) prime")
     q = (p - 1) // 2
-    f = f_poly(DirichletCharacter(p, 2, 1))
+    chi = DirichletCharacter(p, 1)
+    assert chi.g == 2, p  # chi(2) = zeta_{p-1}
+    f = f_poly(chi)
     zero_for_order = cyclotomic_zeros(reduce_g(f, p), p - 1)
     divisible, coprime = xq_flags(zero_for_order, q)
     b = [int(f[i]) if i < len(f) else 0 for i in (0, 1, p - 1, p)]

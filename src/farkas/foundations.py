@@ -33,7 +33,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n up to at least 2**63.
 
     The last few answers are cached: a prime scan validates each p once per
-    table it builds (the character pair, its primitive root and character,
+    value it builds (each character, the quartic pair, its primitive root,
     B_{2,psi}, the Kronecker table), and those all ask about the same p."""
     if n < 1:
         raise ValueError("is_prime expects a positive integer")
@@ -137,6 +137,7 @@ def kronecker(p: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+@lru_cache(maxsize=PRIMES_CACHED)
 def primitive_root(p: int) -> int:
     """Smallest generator of (Z/pZ)* for an odd prime p."""
     if p == 2 or not is_prime(p):
@@ -149,21 +150,20 @@ def primitive_root(p: int) -> int:
 
 
 @lru_cache(maxsize=PRIMES_CACHED)
-def discrete_log_table(p: int, g: int) -> np.ndarray:
-    """Read-only int64 array t of length p with g**t[a] = a (mod p) and
-    0 <= t[a] <= p - 2 for a in 1..p-1; t[0] = -1, as 0 has no logarithm.
+def discrete_log_table(p: int) -> np.ndarray:
+    """Read-only int64 array t of length p with g**t[a] = a (mod p) for
+    g = ``primitive_root(p)`` and 0 <= t[a] <= p - 2, a in 1..p-1; t[0] = -1.
 
     Shanks' baby steps and giant steps fill the whole table: with
     B = ceil(sqrt(p - 1)), the B baby steps g**i and the giant steps
     g**(B j) are taken in Python ints, and their int64 outer product mod p
-    (p**2 < 2**63, asserted) holds g**(B j + i) at the flat index B j + i,
-    so scattering 0..p-2 at its first p - 1 values writes each logarithm.
-    O(sqrt(p)) interpreter steps and O(p) numpy work.  g generates
-    (Z/pZ)* exactly when those p - 1 powers are all of 1..p-1: a residue
-    left unwritten means it does not, and raises ``ValueError``, as does
-    a p with p**2 >= 2**63."""
+    (p**2 < 2**63, else ``ValueError``) holds g**(B j + i) at the flat
+    index B j + i, so scattering 0..p-2 at its first p - 1 values writes
+    each logarithm: all of 1..p-1, as g generates (Z/pZ)* (asserted).
+    O(sqrt(p)) interpreter steps and O(p) numpy work."""
     if p * p >= 2**63:
         raise ValueError(f"discrete-log table mod {p}: p**2 does not fit int64")
+    g = primitive_root(p)
     B = math.isqrt(p - 2) + 1  # ceil(sqrt(p - 1))
     steps = [1]
     for _ in range(B - 1):
@@ -175,8 +175,7 @@ def discrete_log_table(p: int, g: int) -> np.ndarray:
     powers %= p
     table = np.full(p, -1, dtype=np.int64)
     table[powers.ravel()[: p - 1]] = np.arange(p - 1, dtype=np.int64)
-    if g % p == 0 or np.count_nonzero(table < 0) != 1:  # t[0] = -1 and no other
-        raise ValueError(f"{g} is not a primitive root mod {p}")
+    assert np.count_nonzero(table < 0) == 1, p  # t[0] = -1 and no other
     table.flags.writeable = False
     return table
 
@@ -191,15 +190,18 @@ def _as_fraction(x) -> Fraction:
 
 class Record:
     """A value whose fields are the attributes its ``__init__`` sets, in
-    that order: equal to a record of its own class with equal fields,
-    unhashable, and repr'd as ``Name(field=value, ...)``.  Written out here,
-    not generated by ``dataclasses``, whose decorator compiles every
-    record class's methods in every process that imports the package."""
+    that order: equal to a record of its own class with equal fields (numpy
+    arrays entry by entry), unhashable, repr'd as ``Name(field=value, ...)``.
+    Written out here, not generated by ``dataclasses``, whose decorator
+    compiles every record class's methods in every process that imports it."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        mine, theirs = vars(self), vars(other)
+        return mine.keys() == theirs.keys() and all(
+            np.array_equal(a, b) if np.ndarray in (type(a), type(b)) else a == b
+            for a, b in zip(mine.values(), map(theirs.get, mine)))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())

@@ -216,6 +216,8 @@ def check_configured_identity(identity: Identity, nmax: int) -> VerificationRepo
     block reads each term's F(k C) at n = k B through ``numerators``.
     Past the first block, so that a refutation there stops before it, a
     term with B C > 1 slices one read of F(k C), k = 1..nmax // B."""
+    if nmax < 0:  # no n to compare would read as a pass
+        raise ValueError(f"nmax must be non-negative, got {nmax}")
     reach, b, c = max(((nmax // b) * c, b, c) for _, b, c in identity.lhs)
     if reach > MAX_FAST_N:
         most = min(b * (MAX_FAST_N // c + 1) - 1 for _, b, c in identity.lhs)
@@ -720,6 +722,8 @@ def dichotomy_scan(pmax: int, nmax: int = 50) -> list[DichotomyRow]:
     per-prime caches still hold its prime's tables, so the scan holds no
     O(p) array past its prime.
     """
+    if nmax < 0:
+        raise ValueError(f"nmax must be non-negative, got {nmax}")
     rows = []
     for p in quartic_primes(pmax):
         chi = canonical_quartic(p)

@@ -112,7 +112,7 @@ def character_table(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     j, rem = divmod(4 * e, p - 1)
     if rem:
         raise ValueError(f"character of order {chi.order} takes values outside Q(i)")
-    quarter = j * discrete_log_table(p, chi.g) & 3  # chi(a) = i**quarter[a]
+    quarter = j * discrete_log_table(p) & 3  # chi(a) = i**quarter[a]
     table = []
     for powers_of_i in ((1, 0, -1, 0), (0, 1, 0, -1)):  # re, im
         part = np.array(powers_of_i, dtype=np.int64)[quarter]

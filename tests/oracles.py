@@ -53,9 +53,7 @@ import sympy
 from farkas.characters import DirichletCharacter
 from farkas.charpoly import IntPolynomial, f_poly, is_safe_prime_shape, reduce_g, two_generates
 from farkas.cli import load_identity_config
-from farkas.foundations import (
-    GaussianRational, _as_fraction, divisors, factorize, is_prime, primitive_root,
-)
+from farkas.foundations import GaussianRational, _as_fraction, divisors, factorize, is_prime
 from farkas.identities import Identity
 from farkas.qseries import (
     QSeries, bernoulli_B2_psi, delta_coefficient, sigma_hat_values, sigma_prime_values,
@@ -319,15 +317,12 @@ def parse_gaussian(text: str) -> GaussianRational:
 
 
 def trivial_character(p: int) -> DirichletCharacter:
-    return DirichletCharacter(p, primitive_root(p), 0)
+    return DirichletCharacter(p, 0)
 
 
-def all_characters(p: int, g: int | None = None) -> list[DirichletCharacter]:
+def all_characters(p: int) -> list[DirichletCharacter]:
     """The full cyclic character group mod p, ordered by exponent."""
-    if g is None:
-        g = primitive_root(p)
-    trivial = DirichletCharacter(p, g, 0)  # validates p and g, once
-    return [trivial] + [trivial._sibling(e) for e in range(1, p - 1)]
+    return [DirichletCharacter(p, e) for e in range(p - 1)]
 
 
 def builtin_config_names() -> list[str]:

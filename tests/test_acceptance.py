@@ -180,7 +180,7 @@ def test_criterion_9_polynomial_suite():
             expected_zero = k % 2 == 1
             ok = ok and is_zero == expected_zero
             ok = ok and zero_sum_is_zero(
-                DirichletCharacter(p, 2, k)
+                DirichletCharacter(p, k)
             ) == expected_zero
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120

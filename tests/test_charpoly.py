@@ -29,6 +29,7 @@ from farkas.qseries import MAX_PRIME
 from oracles import (
     coprime_with_xq_minus_1,
     cyclotomic,
+    discrete_log_walk,
     divisible_by_xq_plus_1,
     f_coefficients_per_j,
     poly_product,
@@ -112,39 +113,39 @@ SAFE_PRIMES_BELOW_500 = safe_prime_scan(500)
 class TestFPoly:
     @pytest.mark.parametrize("p", SAFE_PRIMES_BELOW_500)
     def test_matches_dense_oracle(self, p):
-        chi = DirichletCharacter(p, 2, 1)
+        chi = DirichletCharacter(p, 1)
         assert f_poly(chi).tolist() == f_oracle(chi).tolist()
 
     @pytest.mark.parametrize("p", [*SAFE_PRIMES_BELOW_500, 5939, 20123])
     def test_trailing_zeros_are_trimmed(self, p):
         # a zero past f's leading coefficient would be flagged as a zero
         # coefficient of the report: 2p - 4 would join the list
-        f = f_poly(DirichletCharacter(p, 2, 1))
+        f = f_poly(DirichletCharacter(p, 1))
         assert f.dtype == np.int64 and len(f) <= 2 * p - 3 and f[-1] != 0
 
     @pytest.mark.parametrize("p", [5939, 20123])
     def test_many_chunks_match_the_per_j_oracle(self, p):
         # 30 and 37 chunks of rows: every sum is counted once across the
         # chunk boundaries, against an oracle that lists its own divisors
-        want = f_coefficients_per_j(DirichletCharacter(p, 2, 1))
+        want = f_coefficients_per_j(DirichletCharacter(p, 1))
         while want[-1] == 0:
             want.pop()
-        assert f_poly(DirichletCharacter(p, 2, 1)).tolist() == want
+        assert f_poly(DirichletCharacter(p, 1)).tolist() == want
 
     @pytest.mark.parametrize("p", [11, 59])
     def test_every_power_matches_dense_oracle(self, p):
-        chi = DirichletCharacter(p, 2, 1)
+        chi = DirichletCharacter(p, 1)
         for k in range(p - 1):
             assert f_poly(chi.power(k)).tolist() == f_oracle(chi.power(k)).tolist(), k
 
-    @pytest.mark.parametrize("p, g, e", [(13, 6, 1), (37, 5, 4), (59, 8, 3), (59, 8, 29)])
-    def test_other_primitive_roots_match_dense_oracle(self, p, g, e):
-        xi = DirichletCharacter(p, g, e)
+    @pytest.mark.parametrize("p, e", [(13, 5), (37, 8), (37, 9), (59, 29)])
+    def test_characters_mod_other_primes_match_dense_oracle(self, p, e):
+        xi = DirichletCharacter(p, e)
         assert f_poly(xi).tolist() == f_oracle(xi).tolist()
 
     @pytest.mark.parametrize("p", [11, 59])
     def test_coefficient_facts(self, p):
-        f = f_poly(DirichletCharacter(p, 2, 1))
+        f = f_poly(DirichletCharacter(p, 1))
         assert f[0] == p - 1
         assert f[1] == (p - 1) // 2 + 1
         assert f[p - 1] == 0 and f[p] == 0
@@ -153,7 +154,7 @@ class TestFPoly:
 
     def test_value_at_one_counts_divisor_pairs(self):
         p = 11
-        f = f_poly(DirichletCharacter(p, 2, 1))
+        f = f_poly(DirichletCharacter(p, 1))
         assert f.sum() == sum(
             len(divisors(j)) * len(divisors(p - j)) for j in range(1, p)
         )
@@ -168,7 +169,7 @@ class TestFAtOneBound:
     def test_bounds_f_at_one(self, p):
         divisor_sum = sum(len(divisors(j)) for j in range(1, p))
         assert divisor_sum < p * (1 + math.log(p))
-        f = f_poly(DirichletCharacter(p, 2, 1))
+        f = f_poly(DirichletCharacter(p, 1))
         assert f.sum() <= divisor_sum**2 < f_at_one_bound(p)
 
 
@@ -185,13 +186,13 @@ class TestReduceG:
 
     @pytest.mark.parametrize("p", SAFE_PRIMES_BELOW_500)
     def test_gives_p_minus_1_int64_coefficients(self, p):
-        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        g = reduce_g(f_poly(DirichletCharacter(p, 1)), p)
         assert g.dtype == np.int64 and g.shape == (p - 1,)
 
     def test_preserves_value_at_roots_of_unity_surrogate(self):
         # x**(p-1) - 1 divides f - g, so values at 1 agree
         p = 11
-        f = f_poly(DirichletCharacter(p, 2, 1))
+        f = f_poly(DirichletCharacter(p, 1))
         g = reduce_g(f, p)
         assert len(g) - 1 <= p - 2
         assert g.sum() == f.sum()
@@ -202,7 +203,7 @@ class TestReduceG:
 class TestDivisibilityTests:
     def test_p11_g_divisible(self):
         p, q = 11, 5
-        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        g = reduce_g(f_poly(DirichletCharacter(p, 1)), p)
         assert divisible_by_xq_plus_1(g, q)
         assert coprime_with_xq_minus_1(g, q)
 
@@ -224,12 +225,12 @@ def division_zeros(g, n):
 class TestCyclotomicZeros:
     @pytest.mark.parametrize("p", safe_prime_scan(2000))
     def test_remainders_match_the_division_oracle(self, p):
-        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        g = reduce_g(f_poly(DirichletCharacter(p, 1)), p)
         assert cyclotomic_zeros(g, p - 1) == division_zeros(g, p - 1)
 
     def test_two_remainders_replace_the_four_divisions(self):
         p, q = 467, 233
-        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        g = reduce_g(f_poly(DirichletCharacter(p, 1)), p)
         with mock.patch.object(
             IntPolynomial, "divmod_exact", autospec=True, side_effect=IntPolynomial.divmod_exact
         ) as spy:
@@ -247,7 +248,7 @@ class TestXqFlags:
     @pytest.mark.parametrize("p", SAFE_PRIMES_BELOW_500)
     def test_report_flags_match_oracles(self, p):
         q = (p - 1) // 2
-        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        g = reduce_g(f_poly(DirichletCharacter(p, 1)), p)
         rep = even_character_obstruction(p)
         assert rep.divisible_by_xq_plus_1 == divisible_by_xq_plus_1(g, q)
         assert rep.coprime_with_xq_minus_1 == coprime_with_xq_minus_1(g, q)
@@ -284,14 +285,14 @@ class TestSafePrimeScan:
         assert not is_safe_prime_shape(13)
         assert not is_safe_prime_shape(7)  # q = 3 is 3 (mod 4)
 
-    def test_two_generates_matches_the_discrete_log_table(self):
+    def test_two_generates_matches_the_walk_over_its_powers(self):
         # every p = 2q + 1 < 2000 with q an odd prime, whatever q mod 4, so
         # that both answers occur (2 has order 3 mod 7, and q mod 4 = 3)
         primes = [p for p in range(7, 2000, 2) if is_prime(p) and is_prime(p // 2)]
         answers = []
         for p in primes:
             try:
-                DirichletCharacter(p, 2, 1)
+                discrete_log_walk(p, 2)
                 oracle = True
             except ValueError:
                 oracle = False
@@ -348,7 +349,7 @@ class TestEvenObstruction:
     def test_each_verdict_is_a_cyclotomic_division(self, p):
         # the verdict of chi**k is that of the order d of zeta**k: whether
         # Phi_d divides g, here by one long division per order
-        g = reduce_g(f_poly(DirichletCharacter(p, 2, 1)), p)
+        g = reduce_g(f_poly(DirichletCharacter(p, 1)), p)
         divides = division_zeros(g, p - 1)
         zeros = even_character_obstruction(p).zero_characters()
         assert len(zeros) == p - 1
@@ -375,7 +376,7 @@ class TestZeroSum:
         assert zero_sum_check(quadratic_character(3)).is_zero()
 
     def test_polynomial_route_odd_characters(self):
-        chi = DirichletCharacter(11, 2, 1)
+        chi = DirichletCharacter(11, 1)
         value = zero_sum_check(chi)
         assert isinstance(value, IntPolynomial)
         assert value.is_zero()
@@ -383,7 +384,7 @@ class TestZeroSum:
             assert zero_sum_is_zero(chi.power(k))
 
     def test_polynomial_route_even_character_nonzero(self):
-        chi = DirichletCharacter(11, 2, 1)
+        chi = DirichletCharacter(11, 1)
         assert not zero_sum_is_zero(chi.power(2))
 
     def test_routes_agree_for_quartic(self):

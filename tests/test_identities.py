@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from farkas import foundations, identities, qseries
 from farkas.characters import canonical_quartic, quadratic_character, quartic_pair
-from farkas.foundations import GaussianRational, discrete_log_table, divisors, kronecker
+from farkas.foundations import (
+    GaussianRational, discrete_log_table, divisors, kronecker, primitive_root,
+)
 from farkas.identities import (
     FIRST_BLOCK,
     RHS_SIEVE_FLOOR,
@@ -664,6 +666,29 @@ def test_a_character_of_another_modulus_is_refused_before_any_sieve(entry):
             MISMATCHED[entry](chi)
 
 
+# each entry point that takes nmax, called with a negative one
+NEGATIVE_NMAX = {
+    "verify_id1": lambda: verify_id1(13, -7),
+    "verify_id2": lambda: verify_id2(13, canonical_quartic(13), -1),
+    "verify_farkas": lambda: verify_farkas(-1),
+    "check_configured_identity": lambda: check_configured_identity(
+        load_builtin_config("p37_5_19.json"), -3
+    ),
+    "dichotomy_scan": lambda: dichotomy_scan(60, -1),
+}
+
+
+@pytest.mark.parametrize("entry", list(NEGATIVE_NMAX))
+def test_a_negative_nmax_is_refused_before_any_sieve(entry):
+    # no n lies in 0..nmax: a check would pass having compared nothing, and
+    # a scan would mark every prime as passing both identities
+    ran = AssertionError("a sieve ran")
+    with mock.patch.object(qseries, "_sieve", side_effect=ran), \
+            mock.patch.object(identities, "prime_sieve", side_effect=ran):
+        with pytest.raises(ValueError, match=r"^nmax must be non-negative, got -\d+$"):
+            NEGATIVE_NMAX[entry]()
+
+
 class TestConfiguredIdentities:
     def test_degenerate_config_equals_id1(self):
         chi, _ = quartic_pair(5)
@@ -868,14 +893,15 @@ class TestObstructions:
 
     def test_scan_computes_each_prime_constant_once(self):
         primes = quartic_primes(200)
-        for cached in (quartic_pair, bernoulli_B2_psi, constants_for):
+        for cached in (quartic_pair, primitive_root, bernoulli_B2_psi, constants_for):
             cached.cache_clear()
         with mock.patch.object(identities, "delta_constant", wraps=delta_constant) as d0:
             dichotomy_scan(200)
-        # every prime builds its character pair and B_2,psi once; only the
-        # primes whose identities hold at n <= 2 (5 and 13) run sweeps, and
-        # one IdentityConstants serves both of a prime's sweeps
-        for cached in (quartic_pair, bernoulli_B2_psi):
+        # every prime builds its character pair, its primitive root and
+        # B_2,psi once; only the primes whose identities hold at n <= 2 (5
+        # and 13) run sweeps, and one IdentityConstants serves both of a
+        # prime's sweeps
+        for cached in (quartic_pair, primitive_root, bernoulli_B2_psi):
             info = cached.cache_info()
             assert info.misses == len(primes) and info.hits > 0, cached
         info = constants_for.cache_info()
@@ -906,9 +932,9 @@ class TestObstructions:
         # the 125 candidates p = 5 (mod 8) below 1000 are read off one prime
         # sieve (tested one by one, they took 125 is_prime calls here and
         # 125 + 43 cache misses in all; now 0 calls and 43 misses); then the
-        # tables of each of the 43 primes ask about p five times (the
-        # character pair, its primitive root and character, B_2,psi, the
-        # Kronecker table), and only the first asks runs a test; the sweeps
+        # values built at each of the 43 primes ask about p again and again
+        # (the quartic pair and each character, its primitive root, B_2,psi,
+        # the Kronecker table), and only the first asks runs a test; the sweeps
         # of 5 and 13 run at their prime, on the tables still cached
         for cached in (foundations.is_prime, *SCAN_CACHES):
             cached.cache_clear()
@@ -1066,7 +1092,7 @@ class TestObstructionScan:
 
 
 SCAN_CACHES = (
-    convolver, character_table, kronecker_table, quartic_pair, discrete_log_table,
+    convolver, character_table, kronecker_table, quartic_pair, primitive_root, discrete_log_table,
     bernoulli_B2_psi, constants_for, _delta0_numerator,
 )
 

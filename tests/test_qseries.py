@@ -82,9 +82,9 @@ class TestDeltaConstant:
             values[pow(g, k, p)] = gaussian(*powers_of_i[quarter % 4])
         return values
 
-    @pytest.mark.parametrize("p, g, e", [(7, 3, 1), (13, 2, 1), (13, 2, 4)])
-    def test_table_rejects_values_outside_gaussian_rationals(self, p, g, e):
-        chi = DirichletCharacter(p, g, e)
+    @pytest.mark.parametrize("p, e", [(7, 1), (13, 1), (13, 4)])
+    def test_table_rejects_values_outside_gaussian_rationals(self, p, e):
+        chi = DirichletCharacter(p, e)
         with pytest.raises(ValueError, match="outside Q\\(i\\)") as table_error:
             character_table(chi)
         with pytest.raises(ValueError) as value_error:

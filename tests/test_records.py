@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from farkas.characters import DirichletCharacter
+from farkas.characters import DirichletCharacter, canonical_quartic
 from farkas.charpoly import EvenObstructionReport, IntPolynomial
 from farkas.foundations import ONE, GaussianRational
 from farkas.identities import (
@@ -19,6 +19,7 @@ from farkas.identities import (
     Obstruction1Report,
     Obstruction2Report,
     VerificationReport,
+    asymptotic_report,
 )
 from farkas.qseries import QSeries
 from oracles import load_builtin_config
@@ -31,7 +32,7 @@ BRANCH = Branch(HALF_I, None, ONE, False)
 BRANCH_REPR = (
     f"Branch(chi3={HALF_I_REPR}, implied_delta0=None, implied_B={ONE_REPR}, admissible=False)"
 )
-CHI = DirichletCharacter(13, 2, 3)
+CHI = DirichletCharacter(13, 3)
 # an Identity's rhs pairs each coefficient with a divisor-sum builder, a
 # function whose repr holds its address: a name stands in for it here
 IDENTITY = (CHI, True, ((ONE, 1, 2),), ((HALF_I, "sigma_tilde_values"),), None, "config:x")
@@ -40,14 +41,14 @@ IDENTITY = (CHI, True, ((ONE, 1, 2),), ((HALF_I, "sigma_tilde_values"),), None, 
 FROZEN = [
     (GaussianRational, (Fraction(1, 2), -3), (Fraction(1, 2), 3),
      "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))"),
-    (DirichletCharacter, (13, 2, 3), (13, 2, 9), "DirichletCharacter(p=13, g=2, e=3)"),
+    (DirichletCharacter, (13, 3), (13, 9), "DirichletCharacter(p=13, e=3)"),
     (QSeries, ((ONE, HALF_I),), ((ONE, ONE),),
      f"QSeries(coefficients=({ONE_REPR}, {HALF_I_REPR}))"),
     (IntPolynomial, ((1, 0, -2),), ((1, 0, 2),), "IntPolynomial(coeffs=(1, 0, -2))"),
     (IdentityConstants, (Fraction(2, 3), ONE, HALF_I), (Fraction(2, 3), ONE, ONE),
      f"IdentityConstants(alpha=Fraction(2, 3), alpha_prime={ONE_REPR}, beta_prime={HALF_I_REPR})"),
     (Identity, IDENTITY, (*IDENTITY[:2], ((ONE, 1, 3),), *IDENTITY[3:]),
-     f"Identity(chi=DirichletCharacter(p=13, g=2, e=3), use_H=True, lhs=(({ONE_REPR}, 1, 2),),"
+     f"Identity(chi=DirichletCharacter(p=13, e=3), use_H=True, lhs=(({ONE_REPR}, 1, 2),),"
      f" rhs=(({HALF_I_REPR}, 'sigma_tilde_values'),), zero=None, kind='config:x')"),
     (DiscriminantSolution, ((40, 18), 6, 11), ((40, 18), 6, 12),
      "DiscriminantSolution(factor_pair=(40, 18), p=6, x=11)"),
@@ -89,7 +90,8 @@ def _ids(cases):
 @pytest.mark.parametrize("cls, args, changed, text", RECORDS, ids=_ids(RECORDS))
 def test_records_compare_by_their_fields_and_repr_them_in_order(cls, args, changed, text):
     record = cls(*args)
-    assert record == cls(*args)
+    # array fields compare by their entries, not by identity
+    assert record == cls(*(a.copy() if isinstance(a, np.ndarray) else a for a in args))
     assert record != cls(*changed)
     assert record != args
     assert repr(record) == text
@@ -119,7 +121,7 @@ def test_mutable_records_are_unhashable(cls, args, changed, text):
 
 def test_records_take_their_fields_by_keyword():
     assert GaussianRational(im=1) == GaussianRational(Fraction(0), Fraction(1))
-    assert DirichletCharacter(p=13, g=2, e=3) == DirichletCharacter(13, 2, 3)
+    assert DirichletCharacter(p=13, e=3) == DirichletCharacter(13, 3)
     short = VerificationReport(13, "quartic-i", "conv", 100, "pass")
     assert (short.failure_n, short.lhs, short.rhs) == (None, None, None)
 
@@ -135,15 +137,24 @@ def test_equal_characters_share_an_lru_cache_entry():
     def order(chi):
         return chi.order
 
-    chi = DirichletCharacter(13, 2, 3)
-    twin = DirichletCharacter(13, 2, 3)
-    sibling = DirichletCharacter(13, 2, 9).power(3)  # e = 27 mod 12, built by _sibling
+    chi = DirichletCharacter(13, 3)
+    twin = DirichletCharacter(13, 3)
+    sibling = DirichletCharacter(13, 9).power(3)  # e = 27 mod 12
     assert chi is not twin and chi == twin == sibling
     assert hash(chi) == hash(twin) == hash(sibling)
     assert [order(c) for c in (chi, twin, sibling)] == [4, 4, 4]
     assert order.cache_info().hits == 2 and order.cache_info().currsize == 1
     with pytest.raises(AttributeError):
         sibling.e = 3
+
+
+def test_two_ratio_tables_of_one_sweep_are_equal():
+    chi = canonical_quartic(29)
+    first, second = (asymptotic_report(29, chi, "conv", 50) for _ in range(2))
+    assert first.lhs_re is not second.lhs_re and first == second
+    second.lhs_re = second.lhs_re.copy()
+    second.lhs_re[0] += 1
+    assert first != second
 
 
 def test_gaussian_rationals_equal_ints_and_fractions():
